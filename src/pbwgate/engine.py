@@ -476,14 +476,12 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
                     row[bcol] = rhs
                 if row:
                     ech.insert(row)
-    if bcol in ech.pivots:
+    sol = ech.solution(bcol)
+    if sol is None:
         return None
-    ech.back_reduce()
     t = Matrix.zeros(nsub, nquot)
-    for c, row in ech.pivots.items():
-        v = row.get(bcol, Q(0))
-        if v:
-            t.data[c // nquot][c % nquot] = v
+    for c, v in sol.items():
+        t.data[c // nquot][c % nquot] = v
     s = s0 + seq.include.mul(t)
     if seq.project.mul(s) != Matrix.identity(seq.quot.dim):
         raise AssertionError("oracle produced a non-section")
@@ -575,7 +573,8 @@ def splitting_s(
             elem = t_map(pair, rho, j, elem)
         col = [Q(0)] * filt.dim(k)
         for (w, tup), c in elem.items():
-            assert tup == ()
+            if tup != ():
+                raise AssertionError("t-map chain left tensor letters unconsumed")
             if len(w) > k:
                 raise AssertionError("t-map chain raised the degree past the cap")
             col[filt.word_index[w]] = c

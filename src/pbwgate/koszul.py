@@ -136,7 +136,8 @@ def bg_conditions(pair: InclusionPair):
     for d in overlap:
         y = left_solver.solve(d)
         z = right_solver.solve(d)
-        assert y is not None and z is not None
+        if y is None or z is None:
+            raise AssertionError("overlap vector lies outside qR (x) g or g (x) qR")
         diff: Vec = {}
         for idx, coeff in enumerate(y):
             if not coeff:

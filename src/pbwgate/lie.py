@@ -245,7 +245,8 @@ class InclusionPair:
     def coords(self, x) -> list:
         """Adapted coordinates (h-part then n-part) of a vector of g."""
         sol = self._coords.solve(x)
-        assert sol is not None
+        if sol is None:
+            raise AssertionError("adapted basis does not span g")
         return sol
 
     def h_part(self, x) -> list:

@@ -281,11 +281,14 @@ class Echelon:
     """Incrementally built row space in echelon form.
 
     Pivots are the leftmost nonzero columns of the inserted (reduced) rows.
-    While building, rows are kept as content-stripped integer vectors and
-    elimination uses exact cross-multiplication; ``back_reduce`` converts to
-    the canonical rational RREF (pivot entries one).  ``reduce`` returns the
-    canonical representative of a vector modulo the row space, supported on
-    the non-pivot columns only.
+    Rows are kept as content-stripped integer vectors and elimination uses
+    exact cross-multiplication; each pivot row is zero left of its pivot
+    column.  ``solution`` reads the free-variables-zero solution of a system
+    straight from these rows by back-substitution.  The canonical rational
+    RREF (pivot entries one) is built only on request, by ``back_reduce``,
+    for callers that need a kernel or coordinate basis.  ``reduce`` returns
+    the canonical representative of a vector modulo the row space, supported
+    on the non-pivot columns only.
     """
 
     __slots__ = ("ncols", "pivots", "_reduced")
@@ -389,18 +392,46 @@ class Echelon:
         return [c for c in range(self.ncols) if c not in self.pivots]
 
     def back_reduce(self) -> None:
-        """Inter-reduce pivot rows so they form the canonical RREF."""
+        """Inter-reduce pivot rows so they form the canonical RREF.
+
+        Rows are finished right to left: a row holds no pivot column left of
+        its own, so it is final once the rows of the pivot columns it holds
+        have been subtracted, and those are finished before it.
+        """
         if self._reduced:
             return
-        for c, row in list(self.pivots.items()):
+        pivots = self.pivots
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
             lead = Fraction(row[c])
-            self.pivots[c] = {k: Fraction(v) / lead for k, v in row.items()}
-        for c in sorted(self.pivots, reverse=True):
-            row_c = self.pivots[c]
-            for c2, row in self.pivots.items():
-                if c2 < c and c in row:
-                    _axpy(row, -row[c], row_c)
+            row = {k: Fraction(v) / lead for k, v in row.items()}
+            for k in [k for k in row if k != c and k in pivots]:
+                _axpy(row, -row[k], pivots[k])
+            pivots[c] = row
         self._reduced = True
+
+    def solution(self, bcol: int) -> Optional[dict]:
+        """Free-variables-zero solution of the system with right-hand side in
+        column ``bcol``, the last column, as a sparse dict; None when the
+        system is inconsistent.
+
+        Back-substitution over the pivots in descending column order:
+        x_c = (row_c[bcol] - sum_{j > c} row_c[j] x_j) / row_c[c].
+        """
+        if bcol != self.ncols - 1:
+            raise ValueError("the right-hand side must be the last column")
+        if bcol in self.pivots:
+            return None
+        x: dict = {}
+        for c in sorted(self.pivots, reverse=True):
+            row = self.pivots[c]
+            s = row.get(bcol, 0)
+            for j, v in row.items():
+                if j in x:
+                    s -= v * x[j]
+            if s:
+                x[c] = s / Fraction(row[c])
+        return x
 
 
 def rref(m: Matrix):
@@ -419,17 +450,14 @@ def rref(m: Matrix):
 def solve(a: Matrix, b) -> Optional[list]:
     """Some exact solution of ``a x = b``, or None when inconsistent.
 
-    Deterministic choice: the free variables of the RREF are set to zero.
+    Deterministic choice: the free (non-pivot) variables are set to zero.
     """
     if isinstance(b, dict):
         bvec = b
-        blen = a.rows
     else:
         if len(b) != a.rows:
             raise ValueError("dimension mismatch between matrix and right-hand side")
         bvec = {i: qf(x) for i, x in enumerate(b) if qf(x)}
-        blen = len(b)
-    del blen
     bcol = a.cols
     ech = Echelon(a.cols + 1)
     for i, r in enumerate(a.data):
@@ -437,12 +465,12 @@ def solve(a: Matrix, b) -> Optional[list]:
         if i in bvec:
             row[bcol] = bvec[i]
         ech.insert(row)
-    if bcol in ech.pivots:
+    sol = ech.solution(bcol)
+    if sol is None:
         return None
-    ech.back_reduce()
     x = [Q(0)] * a.cols
-    for c, row in ech.pivots.items():
-        x[c] = row.get(bcol, Q(0))
+    for c, v in sol.items():
+        x[c] = v
     return x
 
 

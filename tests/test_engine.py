@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
 
+from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cohomology import find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
@@ -31,9 +33,10 @@ from pbwgate.lie import (
     tensor_power_module,
     trivial_module,
 )
-from pbwgate.linalg import Matrix
+from pbwgate.linalg import Matrix, rref, tensor_map
 
 from conftest import diagonal_embedding, sl2
+from test_random_pairs import _conjugate, _random_invertible
 
 
 # --- rewriting -------------------------------------------------------------
@@ -408,6 +411,73 @@ def test_oracle_split_direct_sum(diag_sl2):
 def test_oracle_borel_f2_none(sl2_borel):
     filt = build_filtration(sl2_borel, "F", 2)
     assert section_oracle(level_sequence(filt, 2, reduced=True)) is None
+
+
+def _rref_solve(a, b):
+    """Free-variables-zero solution of ``a x = b`` read from the full RREF of
+    the augmented matrix, or None when it is inconsistent."""
+    aug = a.hstack(Matrix.from_cols([b], rows=a.rows))
+    reduced, pivots = rref(aug)
+    if a.cols in pivots:
+        return None
+    x = [Q(0)] * a.cols
+    for i, c in enumerate(pivots):
+        x[c] = reduced.entry(i, a.cols)
+    return x
+
+
+def _reference_oracle(seq):
+    """The oracle's system, solved through full RREFs: a lift s0 of the
+    identity, its equivariance defect D_a through the inclusion, then the
+    correction t with act_sub(a) t - t act_quot(a) = -D_a, written with
+    Kronecker products on row-major vec(t)."""
+    nsub, nquot = seq.sub.dim, seq.quot.dim
+    ident = [[Q(int(i == j)) for i in range(nquot)] for j in range(nquot)]
+    s0 = Matrix.from_cols([_rref_solve(seq.project, e) for e in ident], rows=seq.mid.dim)
+    if nsub == 0:
+        return s0
+    blocks, rhs = [], []
+    for a in range(seq.sub.algebra.dim):
+        residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
+        d = Matrix.from_cols([_rref_solve(seq.include, residual.col_list(j)) for j in range(nquot)], rows=nsub)
+        blocks.append(
+            tensor_map(seq.sub.action[a], Matrix.identity(nquot))
+            - tensor_map(Matrix.identity(nsub), seq.quot.action[a].transpose())
+        )
+        rhs += [-v for i in range(nsub) for v in d.row_list(i)]
+    system = blocks[0]
+    for block in blocks[1:]:
+        system = system.vstack(block)
+    t = _rref_solve(system, rhs)
+    if t is None:
+        return None
+    t_mat = Matrix.from_rows([t[i * nquot:(i + 1) * nquot] for i in range(nsub)], cols=nquot)
+    return s0 + seq.include.mul(t_mat)
+
+
+# every catalog pair but the negative control, which is not a Lie algebra and
+# has no filtration, plus seeded conjugated copies (seed None: catalog basis)
+ORACLE_CASES = [(name, None) for name in catalog_list() if not catalog_get(name).expect_invalid] + [
+    ("semidirect-split", 5),
+    ("diagonal-heisenberg", 11),
+]
+
+
+@pytest.mark.parametrize("name,seed", ORACLE_CASES)
+def test_oracle_matches_full_rref_reference(name, seed):
+    pf = catalog_get(name)
+    if seed is None:
+        pair = pf.pair()
+    else:
+        pair = make_pair(*_conjugate(pf, _random_invertible(random.Random(seed), pf.dim)))
+    class_trivial = is_trivial(pair, quotient_module(pair)) is not None
+    for side in "FR":
+        filt = build_filtration(pair, side, 3)
+        for k in (2, 3):
+            seq = level_sequence(filt, k, reduced=True)
+            got = section_oracle(seq)
+            assert got == _reference_oracle(seq), (side, k)
+            assert (got is None) == (not class_trivial), (side, k)
 
 
 def test_f2_class_check(sl2_borel, semidirect_pair, abelian_pair):

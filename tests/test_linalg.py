@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from pbwgate.linalg import (
+    Echelon,
     LinearSolver,
     Matrix,
     kernel_basis,
@@ -158,8 +159,6 @@ def test_rowspace_preserved_by_rref():
         a = _random_matrix(rng, 4, 5)
         r, piv = rref(a)
         # every original row reduces to zero against the rref rows and vice versa
-        from pbwgate.linalg import Echelon
-
         e1 = Echelon(5)
         for row in a.data:
             e1.insert(row)
@@ -170,3 +169,173 @@ def test_rowspace_preserved_by_rref():
             e2.insert(row)
         for row in a.data:
             assert e2.contains(row)
+
+
+# --- back-substitution and back-reduction -------------------------------------
+
+
+def _quadratic_rref(pivots):
+    """Reference RREF of echelon pivot rows: the rank-squared inter-reduction
+    that ``Echelon.back_reduce`` used before, which scans every pivot row for
+    each pivot column."""
+    rows = {}
+    for c, row in pivots.items():
+        lead = Q(row[c])
+        rows[c] = {k: Q(v) / lead for k, v in row.items()}
+    for c in sorted(rows, reverse=True):
+        row_c = rows[c]
+        for c2, row in rows.items():
+            if c2 < c and c in row:
+                coeff = row[c]
+                for k, v in row_c.items():
+                    w = row.get(k, 0) - coeff * v
+                    if w:
+                        row[k] = w
+                    else:
+                        row.pop(k, None)
+    return rows
+
+
+def _rref_solution(pivots, bcol):
+    """Free-variables-zero solution read from the right-hand-side column of
+    the full RREF, or None when a row pivots on that column."""
+    rows = _quadratic_rref(pivots)
+    if bcol in rows:
+        return None
+    return {c: row[bcol] for c, row in rows.items() if row.get(bcol)}
+
+
+def _random_system(rng, kind):
+    """Sparse rows over ``cols`` unknowns plus the right-hand side in column
+    ``cols``, with rational entries.  ``kind`` is "consistent",
+    "inconsistent" or "deficient" (consistent, with rows that are rational
+    combinations of earlier ones)."""
+    cols = rng.randint(1, 9)
+    nrows = rng.randint(1, 9)
+
+    def entry():
+        return Q(rng.randint(-5, 5), rng.choice([1, 1, 1, 2, 3, 7]))
+
+    a = [{j: entry() for j in range(cols) if rng.random() < 0.35} for _ in range(nrows)]
+    a = [{j: v for j, v in r.items() if v} for r in a]
+    x0 = [entry() for _ in range(cols)]
+    rows = []
+    for r in a:
+        row = dict(r)
+        b = sum((v * x0[j] for j, v in r.items()), Q(0))
+        if b:
+            row[cols] = b
+        rows.append(row)
+    if kind in ("deficient", "inconsistent"):
+        for _ in range(rng.randint(1, 3)):
+            combo = {}
+            for r in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                lam = entry() or Q(1)
+                for k, v in r.items():
+                    combo[k] = combo.get(k, 0) + lam * v
+            rows.append({k: v for k, v in combo.items() if v})
+    if kind == "inconsistent":
+        # a combination of earlier rows with its right-hand side moved by one
+        bad = dict(rows[-1])
+        bad[cols] = bad.get(cols, 0) + 1
+        rows.append({k: v for k, v in bad.items() if v})
+    rng.shuffle(rows)
+    return cols, rows
+
+
+def _echelon(ncols, rows):
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.insert(r)
+    return ech
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
+def test_solution_matches_full_rref(kind):
+    rng = random.Random({"consistent": 31, "inconsistent": 37, "deficient": 41}[kind])
+    for _ in range(60):
+        cols, rows = _random_system(rng, kind)
+        ech = _echelon(cols + 1, rows)
+        expected = _rref_solution(ech.pivots, cols)
+        got = ech.solution(cols)
+        assert got == expected
+        assert (got is None) == (kind == "inconsistent")
+        if got is not None:
+            for r in rows:
+                assert sum((v * got.get(j, 0) for j, v in r.items() if j < cols), Q(0)) == r.get(cols, 0)
+        # the same answer after the RREF has been built
+        ech.back_reduce()
+        assert ech.solution(cols) == expected
+
+
+def test_solution_needs_last_column():
+    ech = _echelon(3, [{0: Q(1), 2: Q(1)}])
+    with pytest.raises(ValueError):
+        ech.solution(1)
+
+
+def test_back_reduce_matches_quadratic_reference():
+    rng = random.Random(43)
+    for kind in ["consistent", "inconsistent", "deficient"] * 30:
+        cols, rows = _random_system(rng, kind)
+        ech = _echelon(cols + 1, rows)
+        expected = _quadratic_rref(ech.pivots)
+        ech.back_reduce()
+        assert ech.pivots == expected
+        for row in ech.pivots.values():
+            assert all(isinstance(v, Q) for v in row.values())
+
+
+def _sympy_matrix(sympy, a):
+    return sympy.Matrix(
+        a.rows, a.cols, lambda i, j: sympy.Rational(a.entry(i, j).numerator, a.entry(i, j).denominator)
+    )
+
+
+def _from_sympy(x):
+    return Q(int(x.p), int(x.q))
+
+
+def test_rank_solve_kernel_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for kind in ["consistent", "inconsistent", "deficient"] * 15:
+        cols, rows = _random_system(rng, kind)
+        a = Matrix(len(rows), cols, [{j: v for j, v in r.items() if j < cols} for r in rows])
+        b = [r.get(cols, Q(0)) for r in rows]
+        sa = _sympy_matrix(sympy, a)
+        assert a.rank() == sa.rank()
+        reduced, piv = sa.row_join(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])).rref()
+        x = solve(a, b)
+        if cols in piv:
+            assert x is None
+        else:
+            expected = [Q(0)] * cols
+            for i, c in enumerate(piv):
+                expected[c] = _from_sympy(reduced[i, cols])
+            assert x == expected
+        assert kernel_basis(a) == [[_from_sympy(v) for v in vec] for vec in sa.nullspace()]
+
+
+def test_solution_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        cols = data.draw(st.integers(1, 5))
+        dense = data.draw(st.lists(st.lists(entries, min_size=cols + 1, max_size=cols + 1), min_size=1, max_size=6))
+        rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+        ech = _echelon(cols + 1, rows)
+        x = ech.solution(cols)
+        assert x == _rref_solution(ech.pivots, cols)
+        a = Matrix.from_rows([r[:cols] for r in dense])
+        if x is None:
+            assert a.rank() < Matrix.from_rows(dense).rank()
+        else:
+            assert set(x) <= set(ech.pivots)
+            assert a.apply([x.get(c, Q(0)) for c in range(cols)]) == [r[cols] for r in dense]
+
+    prop()
