@@ -30,7 +30,7 @@ from .lie import (
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Echelon, Matrix, Q, solve
+from .linalg import Echelon, Matrix, Q, _add_term, solve
 
 
 class NotACocycleError(ValueError):
@@ -83,12 +83,7 @@ def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> Matrix:
         for i, row in enumerate(block.data):
             target = d.data[trow * dm + i]
             for j, v in row.items():
-                col = scol * dm + j
-                w = target.get(col, 0) + sign * v
-                if w:
-                    target[col] = w
-                else:
-                    target.pop(col, None)
+                _add_term(target, scol * dm + j, sign * v)
 
     for tidx, tup in enumerate(dst):
         for i in range(p + 1):

@@ -1,8 +1,8 @@
 """Truncated normal-form models of the two quotient modules and their
 filtrations, the explicit splitting maps, and the brute-force section oracle.
 
-Two rewriting systems over the adapted letters (n-letters 0..dim_n-1, then
-h-letters) produce the normal forms:
+Two rewriting rules over the adapted letters (n-letters 0..dim_n-1, then
+h-letters), run by one memoised routine, produce the normal forms:
 
 * free side (``F``): only h-letters commute across other letters, via
   a x -> x a + [i(a), x]; surviving words are free words in the n-letters,
@@ -21,8 +21,8 @@ independent section oracle, which knows nothing about cocycles or t-maps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cohomology import ExtensionDatum, find_extension, is_trivial, pushout_data
@@ -31,13 +31,14 @@ from .lie import (
     LieModule,
     ModuleMap,
     quotient_module,
+    sym_dim,
     sym_monomials,
     sym_power_module,
     tensor_module,
     tensor_power_module,
     trivial_module,
 )
-from .linalg import Echelon, LinearSolver, Matrix, Q
+from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -51,14 +52,6 @@ class RewritingInconsistencyError(RuntimeError):
 
 Word = tuple  # tuple of adapted letter indices
 
-# element representations (sparse linear combinations):
-#   FreeWordElement:       {n-word: coefficient}, arbitrary words, degree-capped
-#   OrderedMonomialElement: {weakly increasing n-word: coefficient}
-#   InducedElement:        {(n-word, coefficient-basis tuple): coefficient}
-FreeWordElement = dict
-OrderedMonomialElement = dict
-InducedElement = dict
-
 
 # ---------------------------------------------------------------------------
 # word rewriting
@@ -69,75 +62,50 @@ def _caches(pair: InclusionPair) -> dict:
     return pair._caches
 
 
-def _add_term(acc: dict, key, coeff: Fraction) -> None:
-    w = acc.get(key, 0) + coeff
-    if w:
-        acc[key] = w
-    else:
-        acc.pop(key, None)
+# the pair-cache key of each side's rewriting memo; perfbench reads these keys
+_MEMO = {"F": "free_words", "R": "pbw_words"}
 
 
-def _reduce_free(pair: InclusionPair, word: Word) -> dict:
-    """Normal form of a g-word in the free-side quotient: a combination of
-    (n-word, h-tail) pairs."""
-    cache = _caches(pair).setdefault("free_words", {})
+def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
+    """Normal form of a g-word on one side: a combination of (n-word,
+    h-tail) pairs, the h-tail being the trailing block of h-letters.
+
+    One rewriting step swaps an out-of-order adjacent pair x y into
+    y x + [x, y].  On the free side (``F``) that pair is the rightmost
+    h-letter left of the h-tail and its right neighbour; on the straightened
+    side (``R``) it is the leftmost descent.  A word with no such pair is a
+    normal form: a free n-word (resp. a weakly increasing one) and its h-tail.
+    """
+    cache = _caches(pair).setdefault(_MEMO[side], {})
     if word in cache:
         return cache[word]
     dn = pair.dim_n
-    m = len(word)
-    s = m
+    s = len(word)
     while s > 0 and word[s - 1] >= dn:
         s -= 1
-    i = None
-    for k in range(s - 1, -1, -1):
-        if word[k] >= dn:
-            i = k
-            break
+    if side == "F":
+        i = next((k for k in range(s - 1, -1, -1) if word[k] >= dn), None)
+    else:
+        i = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
     if i is None:
-        result = {(word[:s], word[s:]): Q(1)}
-        cache[word] = result
-        return result
-    out: dict = {}
-    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-    for key, c in _reduce_free(pair, swapped).items():
-        _add_term(out, key, c)
-    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
-        shorter = word[:i] + (letter,) + word[i + 2:]
-        for key, c in _reduce_free(pair, shorter).items():
-            _add_term(out, key, coeff * c)
+        out = {(word[:s], word[s:]): Q(1)}
+    else:
+        out = {}
+        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
+        for key, c in _normal_form(pair, side, swapped).items():
+            _add_term(out, key, c)
+        for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+            shorter = word[:i] + (letter,) + word[i + 2:]
+            for key, c in _normal_form(pair, side, shorter).items():
+                _add_term(out, key, coeff * c)
     cache[word] = out
     return out
 
 
-def _straighten(pair: InclusionPair, word: Word) -> dict:
-    """Normal form in the straightened quotient: combinations of
-    (weakly increasing n-word, weakly increasing h-tail)."""
-    cache = _caches(pair).setdefault("pbw_words", {})
-    if word in cache:
-        return cache[word]
-    i = None
-    for k in range(len(word) - 1):
-        if word[k] > word[k + 1]:
-            i = k
-            break
-    if i is None:
-        dn = pair.dim_n
-        s = 0
-        while s < len(word) and word[s] < dn:
-            s += 1
-        result = {(word[:s], word[s:]): Q(1)}
-        cache[word] = result
-        return result
-    out: dict = {}
-    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-    for key, c in _straighten(pair, swapped).items():
-        _add_term(out, key, c)
-    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
-        shorter = word[:i] + (letter,) + word[i + 2:]
-        for key, c in _straighten(pair, shorter).items():
-            _add_term(out, key, coeff * c)
-    cache[word] = out
-    return out
+def _drop_h_tails(terms: dict) -> dict:
+    """The n-word terms of a normal form: a term with an h-tail lies in the
+    left ideal generated by h and dies."""
+    return {nword: c for (nword, htail), c in terms.items() if not htail}
 
 
 def reduce_h1(pair: InclusionPair, word: Word) -> dict:
@@ -145,21 +113,13 @@ def reduce_h1(pair: InclusionPair, word: Word) -> dict:
 
     Words that end in an h-letter lie in the left ideal and die.
     """
-    out: dict = {}
-    for (nword, htail), c in _reduce_free(pair, tuple(word)).items():
-        if not htail:
-            _add_term(out, nword, c)
-    return out
+    return _drop_h_tails(_normal_form(pair, "F", tuple(word)))
 
 
 def straighten_g(pair: InclusionPair, word: Word) -> dict:
     """Straightened normal form of a g-word: combination of weakly
     increasing n-letter monomials."""
-    out: dict = {}
-    for (mono, htail), c in _straighten(pair, tuple(word)).items():
-        if not htail:
-            _add_term(out, mono, c)
-    return out
+    return _drop_h_tails(_normal_form(pair, "R", tuple(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +196,6 @@ class FilteredModule:
 
     # -- construction helpers ------------------------------------------------
 
-    def _reduce(self, word: Word) -> dict:
-        if self.side == "F":
-            return _reduce_free(self.pair, word)
-        return _straighten(self.pair, word)
-
     def _action_matrix(self, a: int) -> Matrix:
         pair = self.pair
         dn = pair.dim_n
@@ -248,7 +203,7 @@ class FilteredModule:
         mat = Matrix.zeros(full, full)
         tail_cache: dict = {}
         for wpos, w in enumerate(self.words):
-            reduced = self._reduce((dn + a,) + w)
+            reduced = _normal_form(pair, self.side, (dn + a,) + w)
             for (nw, htail), c in reduced.items():
                 if nw not in self.word_index:
                     raise RewritingInconsistencyError(
@@ -318,13 +273,6 @@ class FilteredModule:
         if self.trivial_coeff:
             return power
         return tensor_module(power, self.coeff)
-
-    def include(self, k: int) -> Matrix:
-        sub, mid = self.dim(k - 1), self.dim(k)
-        m = Matrix.zeros(mid, sub)
-        for i in range(sub):
-            m.data[i][i] = Q(1)
-        return m
 
     def proj_gr(self, k: int) -> Matrix:
         lo = self._word_offsets[k] * self.vdim
@@ -597,20 +545,13 @@ def _symmetrization(dn: int, k: int) -> Matrix:
     if k == 0:
         m.data[0][0] = Q(1)
         return m
-    inv = Q(1, _factorial(k))
+    inv = Q(1, math.factorial(k))
     powers = [dn ** (k - 1 - i) for i in range(k)]
     for col, mono in enumerate(monos):
         for perm in itertools.permutations(mono):
             idx = sum(p * powers[i] for i, p in enumerate(perm))
             _add_term(m.data[idx], col, inv)
     return m
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) -> list:
@@ -698,7 +639,7 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
         ambient_cols.append({v: Q(1)})  # n-part: n = F~^1, word (v)
     for u in range(pair.g.dim):
         for s in range(de):
-            ambient_cols.append(word_to_reduced(_reduce_free(pair, (u, s))))
+            ambient_cols.append(word_to_reduced(_normal_form(pair, "F", (u, s))))
     well_defined = True
     for rel in data.relations:
         img: dict = {}
@@ -755,20 +696,8 @@ def _expected_dims(pair: InclusionPair, side: str, K: int, vdim: int) -> list:
     out = []
     total = 0
     for k in range(K + 1):
-        if side == "F":
-            total += dn ** k
-        else:
-            total += _binom(dn + k - 1, k)
+        total += dn ** k if side == "F" else sym_dim(dn, k)
         out.append(total * vdim)
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
     return out
 
 
@@ -779,7 +708,8 @@ def dimension_identity_check(
 
     The span of the obvious degree-bounded relation vectors inside the
     truncated tensor algebra has codimension at least dim F^k and at most the
-    normal-form count, so equality of the three numbers certifies both the
+    normal-form count, so equality of the three numbers (closed form, basis
+    words of the built filtration, rank codimension) certifies both the
     graded dimension identity and the consistency of the rewriting.
     """
     dg = pair.g.dim
@@ -837,14 +767,8 @@ def dimension_identity_check(
                         span.insert(vec)
         sub_ambient = sum(dg ** i for i in range(k + 1)) * vdim
         rank_codims.append(sub_ambient - span.rank)
-    counts = []
-    total = 0
-    for k in range(K + 1):
-        if side == "F":
-            total += dn ** k
-        else:
-            total += _binom(dn + k - 1, k)
-        counts.append(total * vdim)
+    filt = build_filtration(pair, side, K, coeff)
+    counts = [filt.dim(k) for k in range(K + 1)]
     return DimReport(side, K, _expected_dims(pair, side, K, vdim), counts, rank_codims)
 
 

@@ -17,22 +17,15 @@ last), which makes all the relation vectors two-sparse.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .lie import InclusionPair
-from .linalg import Echelon, LinearSolver, Matrix, Q
+from .lie import InclusionPair, sym_dim
+from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term, subspace_intersection
 
 Vec = dict
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @dataclass
@@ -48,6 +41,16 @@ class QuadraticData:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def solver(self) -> LinearSolver:
+        """Coordinates over ``basis`` of a vector of g (x) g; None outside qR."""
+        dg = self.pair.g.dim
+        qr_matrix = Matrix.zeros(dg * dg, self.dim)
+        for j, vec in enumerate(self.basis):
+            for c, v in vec.items():
+                qr_matrix.data[c][j] = v
+        return LinearSolver(qr_matrix)
 
 
 def _qr_spanning(pair: InclusionPair):
@@ -70,27 +73,22 @@ def quadratic_data(pair: InclusionPair) -> QuadraticData:
         if span.insert(vec) is not None:
             basis.append(vec)
             basis_pairs.append((a, x))
-    qr_matrix = Matrix.zeros(dg * dg, len(basis))
-    for j, vec in enumerate(basis):
-        for c, v in vec.items():
-            qr_matrix.data[c][j] = v
-    coords = LinearSolver(qr_matrix)
     phi = Matrix.zeros(dg, len(basis))
     for j, (a, x) in enumerate(basis_pairs):
         for u, v in pair.bracket_letters(a, x).items():
             phi.data[u][j] = v
-    consistent = True
+    qd = QuadraticData(pair, basis, basis_pairs, phi, True)
     for (a, x), vec in _qr_spanning(pair):
-        y = coords.solve([vec.get(i, Q(0)) for i in range(dg * dg)])
+        y = qd.solver.solve([vec.get(i, Q(0)) for i in range(dg * dg)])
         if y is None:
-            consistent = False
+            qd.phi_consistent = False
             break
         target = phi.apply(y)
         br = pair.bracket_letters(a, x)
         if any(target[u] != br.get(u, Q(0)) for u in range(dg)):
-            consistent = False
+            qd.phi_consistent = False
             break
-    return QuadraticData(pair, basis, basis_pairs, phi, consistent)
+    return qd
 
 
 def bg_conditions(pair: InclusionPair):
@@ -116,21 +114,11 @@ def bg_conditions(pair: InclusionPair):
             for c, v in vec.items():
                 rv[u * dg * dg + c] = v
             right_vectors.append(rv)
-    from .linalg import subspace_intersection
-
     overlap = subspace_intersection(left_vectors, right_vectors)
     left_mat = Matrix.from_cols(left_vectors, rows=dim3)
     right_mat = Matrix.from_cols(right_vectors, rows=dim3)
     left_solver = LinearSolver(left_mat)
     right_solver = LinearSolver(right_mat)
-    qr_span = Echelon(dg * dg)
-    for vec in qd.basis:
-        qr_span.insert(vec)
-    qr_mat = Matrix.zeros(dg * dg, qd.dim)
-    for j, vec in enumerate(qd.basis):
-        for c, v in vec.items():
-            qr_mat.data[c][j] = v
-    qr_solver = LinearSolver(qr_mat)
     cond1 = True
     cond2 = True
     for d in overlap:
@@ -157,13 +145,12 @@ def bg_conditions(pair: InclusionPair):
                 if v:
                     key = u * dg + w
                     diff[key] = diff.get(key, Q(0)) - coeff * v
-        diff = {k: v for k, v in diff.items() if v}
-        if not qr_span.contains(diff):
+        coords = qd.solver.solve([diff.get(i, Q(0)) for i in range(dg * dg)])
+        if coords is None:
             cond1 = False
             cond2 = False
             continue
-        coords = qr_solver.solve([diff.get(i, Q(0)) for i in range(dg * dg)])
-        if coords is None or any(x for x in qd.phi.apply(coords)):
+        if any(x for x in qd.phi.apply(coords)):
             cond2 = False
     return (cond1, cond2)
 
@@ -171,31 +158,29 @@ def bg_conditions(pair: InclusionPair):
 def qa_closed_form(pair: InclusionPair, k: int) -> int:
     """sum over i + j = k of dim_n^i * C(dim_h + j - 1, j)."""
     dn, dh = pair.dim_n, pair.dim_h
-    return sum(dn ** i * _binom(dh + (k - i) - 1, k - i) for i in range(k + 1))
+    return sum(dn ** i * sym_dim(dh, k - i) for i in range(k + 1))
 
 
 def qa_graded_dimension(pair: InclusionPair, k: int) -> int:
     """dim of degree k of qA, by rank of the embedded relation span."""
     if k < 0:
         raise ValueError("negative degree")
-    dg = pair.g.dim
-    if k == 0:
-        return 1
-    if k == 1:
-        return dg
-    qd = quadratic_data(pair)
-    span = Echelon(dg ** k)
-    for pos in range(k - 1):
-        lo = dg ** (k - 2 - pos)
-        hi = dg ** pos
+    return _QaDegrees(pair, k).dim(k)
+
+
+def _relation_span(qd: QuadraticData, d: int, positions) -> Echelon:
+    """Span inside g^{(x) d} of the words w1 (x) r (x) w2, r in the qR basis,
+    with r placed at each of ``positions`` (the degree of w1)."""
+    dg = qd.pair.g.dim
+    span = Echelon(dg ** d)
+    for p in positions:
+        lo = dg ** (d - 2 - p)
+        hi = dg ** p
         for vec in qd.basis:
             for w1 in range(hi):
                 for w2 in range(lo):
-                    ins = {}
-                    for c, v in vec.items():
-                        ins[(w1 * dg * dg + c) * lo + w2] = v
-                    span.insert(ins)
-    return dg ** k - span.rank
+                    span.insert({(w1 * dg * dg + c) * lo + w2: v for c, v in vec.items()})
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +192,13 @@ class _QaDegrees:
     """Quotient coordinates of qA per degree: canonical word representatives."""
 
     def __init__(self, pair: InclusionPair, max_degree: int):
-        dg = pair.g.dim
-        self.pair = pair
-        self.dg = dg
-        qd = quadratic_data(pair)
+        self.dg = pair.g.dim
+        self.qd = quadratic_data(pair)
         self.spans = []
         self.basis_words = []
         self.pos = []
         for d in range(max_degree + 1):
-            span = Echelon(dg ** d)
-            if d >= 2:
-                for p in range(d - 1):
-                    lo = dg ** (d - 2 - p)
-                    hi = dg ** p
-                    for vec in qd.basis:
-                        for w1 in range(hi):
-                            for w2 in range(lo):
-                                ins = {}
-                                for c, v in vec.items():
-                                    ins[(w1 * dg * dg + c) * lo + w2] = v
-                                span.insert(ins)
+            span = _relation_span(self.qd, d, range(d - 1))
             free = span.free_columns()
             self.spans.append(span)
             self.basis_words.append(free)
@@ -321,7 +293,7 @@ def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
         for c, v in vec.items():
             matrix.data[c][j] = v
     solver = LinearSolver(matrix) if lists else None
-    expected = _binom(dh, i - 1) * dn + _binom(dh, i)
+    expected = math.comb(dh, i - 1) * dn + math.comb(dh, i)
     return KTilde(i, lists, vectors, matrix, solver, expected)
 
 
@@ -345,6 +317,7 @@ class KoszulReport:
     ktilde_dims_ok: bool
     containment_ok: bool
     slices: list
+    qa_dims: list  # dim qA_d for 0 <= d <= the cap, by rank
 
     @property
     def ok(self) -> bool:
@@ -358,9 +331,8 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     rightmost position is reported."""
     if max_internal_degree < 1:
         raise ValueError("need at least internal degree 1")
-    dg, dn = pair.g.dim, pair.dim_n
+    dg = pair.g.dim
     qa = _QaDegrees(pair, max_internal_degree)
-    qd = quadratic_data(pair)
     max_i = min(max_internal_degree, pair.dim_h + 1)
     kt = [ktilde_basis(pair, i) for i in range(max_i + 1)]
     ktilde_dims_ok = all(kt[i].dim == kt[i].expected_dim for i in range(max_i + 1))
@@ -368,16 +340,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     containment_ok = True
     for i in range(2, max_i + 1):
         for k in range(i - 1):
-            span = Echelon(dg ** i)
-            lo = dg ** (i - 2 - k)
-            hi = dg ** k
-            for vec in qd.basis:
-                for w1 in range(hi):
-                    for w2 in range(lo):
-                        ins = {}
-                        for c, v in vec.items():
-                            ins[(w1 * dg * dg + c) * lo + w2] = v
-                        span.insert(ins)
+            span = _relation_span(qa.qd, i, (k,))
             for vec in kt[i].vectors:
                 if not span.contains(vec):
                     containment_ok = False
@@ -415,12 +378,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                         for q, cq in prod.items():
                             for tp, ct in enumerate(omitted[t][j]):
                                 if ct:
-                                    row = q * ktp.dim + tp
-                                    w = mat.data[row].get(col, 0) + sign * cq * ct
-                                    if w:
-                                        mat.data[row][col] = w
-                                    else:
-                                        mat.data[row].pop(col, None)
+                                    _add_term(mat.data[q * ktp.dim + tp], col, sign * cq * ct)
             mats.append(mat)
         dd_zero = all(
             mats[i - 1].mul(mats[i]).is_zero() for i in range(2, top + 1)
@@ -433,4 +391,5 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
             exact[i] = dims[i] - rank_out == rank_in
         rightmost = dims[0] - ranks[0] if ranks else dims[0]
         slices.append(KoszulComplexSlice(d, dims, ranks, dd_zero, exact, rightmost))
-    return KoszulReport(max_internal_degree, ktilde_dims_ok, containment_ok, slices)
+    qa_dims = [qa.dim(d) for d in range(max_internal_degree + 1)]
+    return KoszulReport(max_internal_degree, ktilde_dims_ok, containment_ok, slices, qa_dims)

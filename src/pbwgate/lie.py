@@ -10,11 +10,12 @@ All module constructors fix lexicographic bases so that downstream matrices
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Echelon, LinearSolver, Matrix, Q, qf
+from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term, qf
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -70,11 +71,7 @@ class LieAlgebra:
         for i, xi in x.items():
             for j, yj in y.items():
                 for k, c in self.table[i][j].items():
-                    w = out.get(k, 0) + xi * yj * c
-                    if w:
-                        out[k] = w
-                    else:
-                        out.pop(k, None)
+                    _add_term(out, k, xi * yj * c)
         return out
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
@@ -117,11 +114,7 @@ def validate_lie(alg: LieAlgebra) -> LieValidation:
         for j in range(i, alg.dim):
             defect: Vec = dict(alg.table[i][j])
             for k, v in alg.table[j][i].items():
-                w = defect.get(k, 0) + v
-                if w:
-                    defect[k] = w
-                else:
-                    defect.pop(k, None)
+                _add_term(defect, k, v)
             if i == j:
                 defect = dict(alg.table[i][i])
             if defect:
@@ -135,11 +128,7 @@ def validate_lie(alg: LieAlgebra) -> LieValidation:
             alg.bracket(alg.bracket(ek, ei), ej),
         ):
             for c, v in term.items():
-                w = defect.get(c, 0) + v
-                if w:
-                    defect[c] = w
-                else:
-                    defect.pop(c, None)
+                _add_term(defect, c, v)
         if defect:
             issues.append(ValidationIssue("jacobi", (i, j, k), defect))
     return LieValidation(issues)
@@ -159,9 +148,6 @@ class LieModule:
         self.dim = dim
         self.action = tuple(action)
         self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
-
-    def act(self, i: int) -> Matrix:
-        return self.action[i]
 
     def act_vec(self, x: Vec) -> Matrix:
         out = Matrix.zeros(self.dim, self.dim)
@@ -201,12 +187,6 @@ class ModuleMap:
             if self.matrix.mul(self.source.action[i]) != self.target.action[i].mul(self.matrix):
                 return False
         return True
-
-    def equivariance_defect(self) -> Optional[int]:
-        for i in range(self.source.algebra.dim):
-            if self.matrix.mul(self.source.action[i]) != self.target.action[i].mul(self.matrix):
-                return i
-        return None
 
 
 class InclusionPair:
@@ -249,14 +229,8 @@ class InclusionPair:
             raise AssertionError("adapted basis does not span g")
         return sol
 
-    def h_part(self, x) -> list:
-        return self.coords(x)[: self.dim_h]
-
     def n_part(self, x) -> list:
         return self.coords(x)[self.dim_h:]
-
-    def embed_h(self, a: Vec) -> list:
-        return self.h_embedding.apply(a)
 
     def letter_vector(self, u: int) -> list:
         """Letter u as a vector of g: n-letters first, then h-letters."""
@@ -443,6 +417,12 @@ def sym_monomials(dim: int, k: int) -> list:
     return list(itertools.combinations_with_replacement(range(dim), k))
 
 
+def sym_dim(n: int, k: int) -> int:
+    """dim S^k of an n-dimensional space, C(n + k - 1, k); the empty monomial
+    makes sym_dim(0, 0) = 1."""
+    return math.comb(n + k - 1, k) if n else int(k == 0)
+
+
 def ext_monomials(dim: int, k: int) -> list:
     return list(itertools.combinations(range(dim), k))
 
@@ -479,12 +459,7 @@ def sym_power_module(m: LieModule, k: int) -> LieModule:
                     if not c:
                         continue
                     new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
-                    ridx = index[new]
-                    w = data[ridx].get(cidx, 0) + c
-                    if w:
-                        data[ridx][cidx] = w
-                    else:
-                        data[ridx].pop(cidx, None)
+                    _add_term(data[index[new]], cidx, c)
         action.append(Matrix(dim, dim, data))
     labels = tuple(".".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
     return LieModule(m.algebra, dim, action, labels=labels)
@@ -509,12 +484,7 @@ def ext_power_module(m: LieModule, k: int) -> LieModule:
                     if sorted_sign is None:
                         continue
                     new, sign = sorted_sign
-                    ridx = index[new]
-                    w = data[ridx].get(cidx, 0) + sign * c
-                    if w:
-                        data[ridx][cidx] = w
-                    else:
-                        data[ridx].pop(cidx, None)
+                    _add_term(data[index[new]], cidx, sign * c)
         action.append(Matrix(dim, dim, data))
     labels = tuple("^".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
     return LieModule(m.algebra, dim, action, labels=labels)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 Q = Fraction
-Scalar = Fraction  # arbitrary-precision rational; lowest terms by construction
 
 Entry = Union[int, str, Fraction]
 
@@ -35,6 +34,15 @@ Row = dict  # sparse row: column index -> nonzero Fraction
 
 def _clean(row: Row) -> Row:
     return {c: v for c, v in row.items() if v}
+
+
+def _add_term(acc: dict, key, coeff: Fraction) -> None:
+    """acc[key] += coeff, dropping the key when the sum is zero."""
+    w = acc.get(key, 0) + coeff
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
 
 
 def _axpy(dst: Row, coeff: Fraction, src: Row) -> None:
@@ -114,9 +122,6 @@ class Matrix:
     def col_list(self, j: int) -> list:
         return [self.data[i].get(j, Q(0)) for i in range(self.rows)]
 
-    def to_lists(self) -> list:
-        return [self.row_list(i) for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return all(not r for r in self.data)
 
@@ -141,9 +146,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [dict(r) for r in self.data])
 
     def transpose(self) -> "Matrix":
         data = [dict() for _ in range(self.cols)]
@@ -284,34 +286,24 @@ class Echelon:
     Rows are kept as content-stripped integer vectors and elimination uses
     exact cross-multiplication; each pivot row is zero left of its pivot
     column.  ``solution`` reads the free-variables-zero solution of a system
-    straight from these rows by back-substitution.  The canonical rational
-    RREF (pivot entries one) is built only on request, by ``back_reduce``,
-    for callers that need a kernel or coordinate basis.  ``reduce`` returns
-    the canonical representative of a vector modulo the row space, supported
-    on the non-pivot columns only.
+    straight from these rows by back-substitution.  ``reduce`` returns the
+    canonical representative of a vector modulo the row space, supported on
+    the non-pivot columns only.  The canonical rational RREF (pivot entries
+    one) is built only on request, by ``back_reduce``, for callers that need
+    a kernel or coordinate basis; it closes the echelon, and a later
+    ``insert`` or ``reduce`` raises ValueError.
     """
 
     __slots__ = ("ncols", "pivots", "_reduced")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivots: dict = {}  # pivot column -> row (int while building)
+        self.pivots: dict = {}  # pivot column -> integer row; Fraction RREF row once closed
         self._reduced = False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def _reduce_frac(self, vec: Row) -> Row:
-        v = _clean(dict(vec))
-        while True:
-            hit = None
-            for c in v:
-                if c in self.pivots and (hit is None or c < hit):
-                    hit = c
-            if hit is None:
-                return v
-            _axpy(v, -v[hit], self.pivots[hit])
 
     def _reduce_int(self, row: dict, scale: int, strip: bool):
         import math
@@ -357,7 +349,7 @@ class Echelon:
 
     def reduce(self, vec: Row) -> Row:
         if self._reduced:
-            return self._reduce_frac(vec)
+            raise ValueError("reduce after back_reduce: the echelon is closed")
         row, scale = _int_row(_clean(dict(vec)))
         row, scale = self._reduce_int(row, scale, strip=False)
         if scale == 1:
@@ -367,13 +359,7 @@ class Echelon:
     def insert(self, vec: Row) -> Optional[int]:
         """Add a vector to the row space; return its pivot column if rank grew."""
         if self._reduced:
-            v = self._reduce_frac(vec)
-            if not v:
-                return None
-            c = min(v)
-            lead = v[c]
-            self.pivots[c] = {k: val / lead for k, val in v.items()}
-            return c
+            raise ValueError("insert after back_reduce: the echelon is closed")
         row, _ = _int_row(_clean(dict(vec)))
         row = _strip_content(row)
         row, _ = self._reduce_int(row, 1, strip=True)

@@ -26,7 +26,7 @@ from .engine import (
     section_oracle,
     twisted_verdict,
 )
-from .koszul import bg_conditions, koszul_acyclicity, qa_closed_form, qa_graded_dimension
+from .koszul import bg_conditions, koszul_acyclicity, qa_closed_form
 from .lie import quotient_module, validate_lie
 from .problem import ProblemError, ProblemFile
 
@@ -245,14 +245,14 @@ def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
     anchor = "quadratic straightening conditions and bounded Koszul exactness"
     cond1, cond2 = bg_conditions(pair)
     expect_cond2 = not pf.expect_invalid
+    kz = koszul_acyclicity(pair, K)
     qa_ok = True
     qa_witness = {}
     for k in range(K + 1):
-        got = qa_graded_dimension(pair, k)
+        got = kz.qa_dims[k]
         want = qa_closed_form(pair, k)
         qa_witness[str(k)] = {"rank": got, "closed_form": want}
         qa_ok = qa_ok and got == want
-    kz = koszul_acyclicity(pair, K)
     witness = {
         "straightening_conditions": [cond1, cond2],
         "graded_dimensions": qa_witness,
@@ -320,6 +320,8 @@ def run_command(
     def degree(check: str) -> int:
         return max_degree if max_degree is not None else _DEFAULT_DEGREE[check]
 
+    if command in ("koszul", "all") and degree("koszul") < 1:
+        raise ProblemError("--max-degree", "the koszul check needs a degree cap of at least 1")
     records = []
 
     def lie_pair():

@@ -6,6 +6,7 @@ go by.  All equality assertions are exact; there are no tolerances anywhere.
 
 import itertools
 import json
+import math
 import time
 from fractions import Fraction as Q
 
@@ -182,18 +183,11 @@ def test_criterion_5_dimension_identities():
         r = build_filtration(pair, "R", 4)
         for k in range(5):
             assert f.dim(k) == sum(dn ** i for i in range(k + 1)), name
-            assert r.dim(k) == sum(_binom(dn + i - 1, i) for i in range(k + 1)), name
+            assert r.dim(k) == sum(math.comb(dn + i - 1, i) for i in range(k + 1)), name
         for side in ("F", "R"):
             rep = dimension_identity_check(pair, side, 4)
             assert rep.ok, (name, side, rep)
     _passed(5, "dim F^k and dim R^k match the closed forms (and rank checks) for k <= 4 on all pairs")
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def test_criterion_6_cohomology_soundness():

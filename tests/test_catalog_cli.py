@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -218,4 +219,50 @@ def test_exit_code_contract_inconsistency(monkeypatch):
 
     monkeypatch.setattr(report_mod, "equivalence_harness", lambda pair, K: FakeRep())
     rep = run_command("oracle", catalog_get("sl2-borel"), max_degree=2)
+    assert rep.exit_code == 1
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2], []], ids=["h=g", "h=0"])
+def test_all_on_degenerate_subalgebras(indices):
+    # h = g leaves n = 0, whose only symmetric monomial is the empty one;
+    # h = 0 is the classical PBW theorem, qA = T(g) with no relations
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["name"] = "sl2-degenerate"
+    doc["h"] = {"indices": indices}
+    rep = run_command("all", parse_problem(json.dumps(doc)))
+    assert [r.check for r in rep.records if not r.ok] == []
+    assert rep.exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["koszul", "all"])
+def test_cli_koszul_cap_zero_exits_2(command, capsys):
+    assert main([command, "--example", "sl2-borel", "--max-degree", "0"]) == 2
+    assert "--max-degree" in capsys.readouterr().err
+
+
+def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
+    # the normal-form counts are the built filtration's basis words, so a
+    # filtration missing its last word must turn the record to FAIL
+    from pbwgate import engine as engine_mod
+    from pbwgate import report as report_mod
+
+    real_build = engine_mod.build_filtration
+    real_check = report_mod.dimension_identity_check
+
+    def one_word_short(pair, side, K, coeff=None):
+        filt = copy.copy(real_build(pair, side, K, coeff))
+        filt._word_offsets = filt._word_offsets[:-1] + [filt._word_offsets[-1] - 1]
+        return filt
+
+    def check_on_short_filtration(*args):
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, "build_filtration", one_word_short)
+            return real_check(*args)
+
+    monkeypatch.setattr(report_mod, "dimension_identity_check", check_on_short_filtration)
+    rep = run_command("oracle", catalog_get("sl2-borel"), max_degree=2)
+    dims = next(r for r in rep.records if r.check == "dimensions")
+    assert not dims.ok
+    assert dims.witness["F"]["normal_forms"] == [1, 2, 2]
+    assert dims.witness["F"]["expected"] == [1, 2, 3]
     assert rep.exit_code == 1

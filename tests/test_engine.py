@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -8,6 +9,7 @@ from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cohomology import find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
+    _normal_form,
     ShortExactSequence,
     antipode_word,
     build_filtration,
@@ -66,6 +68,82 @@ def test_straighten_sorts_n_letters(diag_sl2):
     got = straighten_g(diag_sl2, (2, 0))
     assert got[(0, 2)] == Q(1)
     assert all(len(w) <= 2 for w in got)
+
+
+def _add(acc, key, c):
+    w = acc.get(key, 0) + c
+    if w:
+        acc[key] = w
+    else:
+        acc.pop(key, None)
+
+
+def _reference_free(pair, word, memo):
+    """Free side, written out on its own: move the rightmost h-letter left of
+    the trailing h-block one step right."""
+    if word in memo:
+        return memo[word]
+    dn = pair.dim_n
+    s = len(word)
+    while s > 0 and word[s - 1] >= dn:
+        s -= 1
+    i = next((k for k in range(s - 1, -1, -1) if word[k] >= dn), None)
+    if i is None:
+        memo[word] = {(word[:s], word[s:]): Q(1)}
+        return memo[word]
+    out = {}
+    for key, c in _reference_free(pair, word[:i] + (word[i + 1], word[i]) + word[i + 2:], memo).items():
+        _add(out, key, c)
+    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+        for key, c in _reference_free(pair, word[:i] + (letter,) + word[i + 2:], memo).items():
+            _add(out, key, coeff * c)
+    memo[word] = out
+    return out
+
+
+def _reference_straighten(pair, word, memo):
+    """Straightened side, written out on its own: swap the leftmost descent;
+    a weakly increasing word splits at its first h-letter."""
+    if word in memo:
+        return memo[word]
+    i = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
+    if i is None:
+        s = 0
+        while s < len(word) and word[s] < pair.dim_n:
+            s += 1
+        memo[word] = {(word[:s], word[s:]): Q(1)}
+        return memo[word]
+    out = {}
+    for key, c in _reference_straighten(pair, word[:i] + (word[i + 1], word[i]) + word[i + 2:], memo).items():
+        _add(out, key, c)
+    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+        for key, c in _reference_straighten(pair, word[:i] + (letter,) + word[i + 2:], memo).items():
+            _add(out, key, coeff * c)
+    memo[word] = out
+    return out
+
+
+def _case_pair(name, seed):
+    """A catalog pair, or (with a seed) a conjugated copy of it."""
+    pf = catalog_get(name)
+    if seed is None:
+        return pf.pair()
+    return make_pair(*_conjugate(pf, _random_invertible(random.Random(seed), pf.dim)))
+
+
+@pytest.mark.parametrize("name,seed", [(name, None) for name in catalog_list()] + [("diagonal-heisenberg", 11)])
+def test_normal_form_matches_reference_rewriters(name, seed):
+    pair = _case_pair(name, seed)
+    for side, reference, memo_key in (
+        ("F", _reference_free, "free_words"),
+        ("R", _reference_straighten, "pbw_words"),
+    ):
+        memo = {}
+        for k in range(5):
+            for word in itertools.product(range(pair.g.dim), repeat=k):
+                assert _normal_form(pair, side, word) == reference(pair, word, memo), (side, word)
+        # the memo visits the same words, so its size is the same work count
+        assert set(pair._caches[memo_key]) == set(memo)
 
 
 def test_reduce_pure_n_word_fixed(diag_sl2):
@@ -129,14 +207,7 @@ def test_dimension_formulas(fixture, request):
     r = build_filtration(pair, "R", K)
     for k in range(K + 1):
         assert f.dim(k) == sum(dn ** i for i in range(k + 1))
-        assert r.dim(k) == sum(_binom(dn + i - 1, i) for i in range(k + 1))
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+        assert r.dim(k) == sum(math.comb(dn + i - 1, i) for i in range(k + 1))
 
 
 def test_borel_filtration_dims(sl2_borel):
@@ -340,7 +411,7 @@ def test_pbw_splitting_diag_sl2(diag_sl2):
     assert len(maps) == 4
     r = build_filtration(diag_sl2, "R", 3)
     for k, mm in enumerate(maps):
-        assert mm.matrix.cols == _binom(3 + k - 1, k)
+        assert mm.matrix.cols == math.comb(3 + k - 1, k)
         assert mm.matrix.rows == r.dim(k)
         assert mm.is_equivariant()
     # degree one is the identity on n (placed at the degree-1 coordinates)
@@ -465,11 +536,7 @@ ORACLE_CASES = [(name, None) for name in catalog_list() if not catalog_get(name)
 
 @pytest.mark.parametrize("name,seed", ORACLE_CASES)
 def test_oracle_matches_full_rref_reference(name, seed):
-    pf = catalog_get(name)
-    if seed is None:
-        pair = pf.pair()
-    else:
-        pair = make_pair(*_conjugate(pf, _random_invertible(random.Random(seed), pf.dim)))
+    pair = _case_pair(name, seed)
     class_trivial = is_trivial(pair, quotient_module(pair)) is not None
     for side in "FR":
         filt = build_filtration(pair, side, 3)

@@ -82,6 +82,13 @@ def test_qa_dims_other_pairs(fixture, request):
         assert qa_graded_dimension(pair, k) == qa_closed_form(pair, k)
 
 
+@pytest.mark.parametrize("fixture", ["sl2_borel", "diag_sl2", "semidirect_pair"])
+def test_koszul_report_carries_qa_dims(fixture, request):
+    pair = request.getfixturevalue(fixture)
+    rep = koszul_acyclicity(pair, 3)
+    assert rep.qa_dims == [qa_graded_dimension(pair, k) for k in range(4)]
+
+
 def test_ktilde_dimensions(sl2_borel, diag_sl2):
     for pair in (sl2_borel, diag_sl2):
         dn, dh = pair.dim_n, pair.dim_h

@@ -274,6 +274,19 @@ def test_solution_needs_last_column():
         ech.solution(1)
 
 
+def test_echelon_is_closed_after_back_reduce():
+    ech = _echelon(3, [{0: Q(2), 2: Q(1)}])
+    ech.back_reduce()
+    assert ech.pivots == {0: {0: Q(1), 2: Q(1, 2)}}
+    with pytest.raises(ValueError):
+        ech.insert({1: Q(1)})
+    with pytest.raises(ValueError):
+        ech.reduce({1: Q(1)})
+    with pytest.raises(ValueError):
+        ech.contains({0: Q(1)})
+    assert ech.rank == 1
+
+
 def test_back_reduce_matches_quadratic_reference():
     rng = random.Random(43)
     for kind in ["consistent", "inconsistent", "deficient"] * 30:
@@ -337,5 +350,39 @@ def test_solution_property():
         else:
             assert set(x) <= set(ech.pivots)
             assert a.apply([x.get(c, Q(0)) for c in range(cols)]) == [r[cols] for r in dense]
+
+    prop()
+
+
+def test_reduce_contains_pivots_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def rank(dense):
+        return _sympy_matrix(sympy, Matrix.from_rows(dense)).rank()
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        cols = data.draw(st.integers(1, 6))
+        vector = st.lists(entries, min_size=cols, max_size=cols)
+        dense = data.draw(st.lists(vector, min_size=1, max_size=6))
+        v = data.draw(vector)
+        lam = data.draw(st.lists(entries, min_size=len(dense), max_size=len(dense)))
+        ech = _echelon(cols, [{j: x for j, x in enumerate(r) if x} for r in dense])
+        # pivots are the RREF pivot columns; each row is zero left of its pivot
+        assert sorted(ech.pivots) == list(_sympy_matrix(sympy, Matrix.from_rows(dense)).rref()[1])
+        for c, row in ech.pivots.items():
+            assert row[c] and min(row) == c
+        # reduce: off the pivots, congruent to v, the same for every coset member
+        red = ech.reduce({j: x for j, x in enumerate(v) if x})
+        assert not set(red) & set(ech.pivots)
+        assert rank(dense + [[x - red.get(j, Q(0)) for j, x in enumerate(v)]]) == rank(dense)
+        moved = [x + sum((l * r[j] for l, r in zip(lam, dense)), Q(0)) for j, x in enumerate(v)]
+        assert ech.reduce({j: x for j, x in enumerate(moved) if x}) == red
+        # contains: membership in the row space
+        assert ech.contains({j: x for j, x in enumerate(v) if x}) == (rank(dense + [v]) == rank(dense))
 
     prop()
