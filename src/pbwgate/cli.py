@@ -43,14 +43,17 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         if args.example is not None:
-            problem = catalog_get(args.example)
+            try:
+                problem = catalog_get(args.example)
+            except KeyError as exc:
+                raise ProblemError("--example", exc.args[0]) from None
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 problem = parse_problem(fh.read())
         if args.max_degree is not None and args.max_degree < 0:
             raise ProblemError("--max-degree", "must be nonnegative")
         report = run_command(args.command, problem, max_degree=args.max_degree, module=args.module)
-    except (ProblemError, KeyError, OSError) as exc:
+    except (ProblemError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(report.human())

@@ -38,7 +38,7 @@ from .lie import (
     tensor_power_module,
     trivial_module,
 )
-from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -376,30 +376,27 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     """
     seq.validate()
     h_dim = seq.sub.algebra.dim
-    s0_solver = LinearSolver(seq.project)
+    # s0 lifts the identity: column j holds coordinates of e_j over the
+    # columns of ``project``; D_a holds those of the residual over ``include``
+    lift = Coordinates(seq.project.transpose().data, seq.quot.dim)
     s0 = Matrix.zeros(seq.mid.dim, seq.quot.dim)
     for j in range(seq.quot.dim):
-        e = [Q(0)] * seq.quot.dim
-        e[j] = Q(1)
-        x = s0_solver.solve(e)
+        x = lift({j: Q(1)})
         if x is None:
             raise ValueError("projection is not surjective")
-        for i, v in enumerate(x):
-            if v:
-                s0.data[i][j] = v
-    incl_solver = LinearSolver(seq.include)
+        for i, v in x.items():
+            s0.data[i][j] = v
+    into_sub = Coordinates(seq.include.transpose().data, seq.mid.dim)
     d_mats = []
     for a in range(h_dim):
         residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
         d = Matrix.zeros(seq.sub.dim, seq.quot.dim)
-        for j in range(seq.quot.dim):
-            col = residual.col_list(j)
-            y = incl_solver.solve(col)
+        for j, col in enumerate(residual.transpose().data):
+            y = into_sub(col)
             if y is None:
                 raise ValueError("equivariance residual escapes the submodule")
-            for i, v in enumerate(y):
-                if v:
-                    d.data[i][j] = v
+            for i, v in y.items():
+                d.data[i][j] = v
         d_mats.append(d)
     # unknown correction t: sub -> quot source; act_sub(a) t - t act_quot(a) = -D_a
     nsub, nquot = seq.sub.dim, seq.quot.dim

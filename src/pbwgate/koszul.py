@@ -20,10 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .lie import InclusionPair, sym_dim
-from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term, subspace_intersection
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, subspace_intersection
 
 Vec = dict
 
@@ -43,14 +42,9 @@ class QuadraticData:
         return len(self.basis)
 
     @cached_property
-    def solver(self) -> LinearSolver:
+    def coords(self) -> Coordinates:
         """Coordinates over ``basis`` of a vector of g (x) g; None outside qR."""
-        dg = self.pair.g.dim
-        qr_matrix = Matrix.zeros(dg * dg, self.dim)
-        for j, vec in enumerate(self.basis):
-            for c, v in vec.items():
-                qr_matrix.data[c][j] = v
-        return LinearSolver(qr_matrix)
+        return Coordinates(self.basis, self.pair.g.dim ** 2)
 
 
 def _qr_spanning(pair: InclusionPair):
@@ -79,7 +73,7 @@ def quadratic_data(pair: InclusionPair) -> QuadraticData:
             phi.data[u][j] = v
     qd = QuadraticData(pair, basis, basis_pairs, phi, True)
     for (a, x), vec in _qr_spanning(pair):
-        y = qd.solver.solve([vec.get(i, Q(0)) for i in range(dg * dg)])
+        y = qd.coords(vec)
         if y is None:
             qd.phi_consistent = False
             break
@@ -91,61 +85,46 @@ def quadratic_data(pair: InclusionPair) -> QuadraticData:
     return qd
 
 
+def _quadratic_data(pair: InclusionPair) -> QuadraticData:
+    """``quadratic_data(pair)``, built once per pair."""
+    cache = pair._caches
+    if "quadratic_data" not in cache:
+        cache["quadratic_data"] = quadratic_data(pair)
+    return cache["quadratic_data"]
+
+
 def bg_conditions(pair: InclusionPair):
     """The two conditions making gr of the filtered algebra equal qA:
     (1) the image of (phi (x) id - id (x) phi) on qR(x)g intersect g(x)qR
         lies back inside qR, and (2) composing with phi kills it."""
-    qd = quadratic_data(pair)
+    qd = _quadratic_data(pair)
     if not qd.phi_consistent:
         return (False, False)
     dg = pair.g.dim
     dim3 = dg ** 3
-    left_vectors = []  # qR (x) g
-    for vec in qd.basis:
-        for w in range(dg):
-            lv = [Q(0)] * dim3
-            for c, v in vec.items():
-                lv[c * dg + w] = v
-            left_vectors.append(lv)
-    right_vectors = []  # g (x) qR
-    for u in range(dg):
-        for vec in qd.basis:
-            rv = [Q(0)] * dim3
-            for c, v in vec.items():
-                rv[u * dg * dg + c] = v
-            right_vectors.append(rv)
-    overlap = subspace_intersection(left_vectors, right_vectors)
-    left_mat = Matrix.from_cols(left_vectors, rows=dim3)
-    right_mat = Matrix.from_cols(right_vectors, rows=dim3)
-    left_solver = LinearSolver(left_mat)
-    right_solver = LinearSolver(right_mat)
+    # qR (x) g at b * dg + w, and g (x) qR at u * dim(qR) + b
+    left_vectors = [{c * dg + w: v for c, v in vec.items()} for vec in qd.basis for w in range(dg)]
+    right_vectors = [{u * dg * dg + c: v for c, v in vec.items()} for u in range(dg) for vec in qd.basis]
+    left = Coordinates(left_vectors, dim3)
+    right = Coordinates(right_vectors, dim3)
+    phi_cols = qd.phi.transpose().data
     cond1 = True
     cond2 = True
-    for d in overlap:
-        y = left_solver.solve(d)
-        z = right_solver.solve(d)
+    for d in subspace_intersection(left_vectors, right_vectors, dim3):
+        y = left(d)
+        z = right(d)
         if y is None or z is None:
             raise AssertionError("overlap vector lies outside qR (x) g or g (x) qR")
         diff: Vec = {}
-        for idx, coeff in enumerate(y):
-            if not coeff:
-                continue
+        for idx, coeff in y.items():
             b, w = divmod(idx, dg)
-            for u in range(dg):
-                v = qd.phi.entry(u, b)
-                if v:
-                    key = u * dg + w
-                    diff[key] = diff.get(key, Q(0)) + coeff * v
-        for idx, coeff in enumerate(z):
-            if not coeff:
-                continue
+            for u, v in phi_cols[b].items():
+                _add_term(diff, u * dg + w, coeff * v)
+        for idx, coeff in z.items():
             u, b = divmod(idx, qd.dim)
-            for w in range(dg):
-                v = qd.phi.entry(w, b)
-                if v:
-                    key = u * dg + w
-                    diff[key] = diff.get(key, Q(0)) - coeff * v
-        coords = qd.solver.solve([diff.get(i, Q(0)) for i in range(dg * dg)])
+            for w, v in phi_cols[b].items():
+                _add_term(diff, u * dg + w, -coeff * v)
+        coords = qd.coords(diff)
         if coords is None:
             cond1 = False
             cond2 = False
@@ -193,7 +172,7 @@ class _QaDegrees:
 
     def __init__(self, pair: InclusionPair, max_degree: int):
         self.dg = pair.g.dim
-        self.qd = quadratic_data(pair)
+        self.qd = _quadratic_data(pair)
         self.spans = []
         self.basis_words = []
         self.pos = []
@@ -254,28 +233,18 @@ class KTilde:
     degree: int
     lists: list  # generating letter lists (h-subset..., g-letter)
     vectors: list  # their wedge vectors
-    matrix: Matrix
-    solver: Optional[LinearSolver]
+    coords: Coordinates  # coordinates over ``vectors``
     expected_dim: int
 
     @property
     def dim(self) -> int:
         return len(self.lists)
 
-    def coords(self, vec: dict) -> Optional[list]:
-        if self.solver is None:
-            return None
-        dense = [Q(0)] * self.matrix.rows
-        for c, v in vec.items():
-            dense[c] = v
-        return self.solver.solve(dense)
-
 
 def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
     dg, dn, dh = pair.g.dim, pair.dim_n, pair.dim_h
     if i == 0:
-        m = Matrix.from_rows([[1]])
-        return KTilde(0, [()], [{0: Q(1)}], m, LinearSolver(m), 1)
+        return KTilde(0, [()], [{0: Q(1)}], Coordinates([{0: Q(1)}], 1), 1)
     span = Echelon(dg ** i)
     lists = []
     vectors = []
@@ -288,13 +257,8 @@ def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
             if span.insert(vec) is not None:
                 lists.append(letters)
                 vectors.append(vec)
-    matrix = Matrix.zeros(dg ** i, len(lists))
-    for j, vec in enumerate(vectors):
-        for c, v in vec.items():
-            matrix.data[c][j] = v
-    solver = LinearSolver(matrix) if lists else None
     expected = math.comb(dh, i - 1) * dn + math.comb(dh, i)
-    return KTilde(i, lists, vectors, matrix, solver, expected)
+    return KTilde(i, lists, vectors, Coordinates(vectors, dg ** i), expected)
 
 
 @dataclass
@@ -376,9 +340,8 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                         sign = Q((-1) ** j)
                         prod = qa.mult_letter(d - i, p, letter)
                         for q, cq in prod.items():
-                            for tp, ct in enumerate(omitted[t][j]):
-                                if ct:
-                                    _add_term(mat.data[q * ktp.dim + tp], col, sign * cq * ct)
+                            for tp, ct in omitted[t][j].items():
+                                _add_term(mat.data[q * ktp.dim + tp], col, sign * cq * ct)
             mats.append(mat)
         dd_zero = all(
             mats[i - 1].mul(mats[i]).is_zero() for i in range(2, top + 1)

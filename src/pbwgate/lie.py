@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import Echelon, LinearSolver, Matrix, Q, _add_term, qf
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, qf
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -205,86 +204,69 @@ class InclusionPair:
         self.dim_h = h_embedding.cols
         self.dim_n = g.dim - self.dim_h
         self.complement = tuple(complement)
-        cols = [h_embedding.col_list(a) for a in range(self.dim_h)]
-        for r in self.complement:
-            e = [Q(0)] * g.dim
-            e[r] = Q(1)
-            cols.append(e)
-        self.adapted = Matrix.from_cols(cols, rows=g.dim)
-        self._coords = LinearSolver(self.adapted)
+        h_cols = h_embedding.transpose().data
+        n_cols = [{r: Q(1)} for r in self.complement]
+        self._coords = Coordinates(h_cols + n_cols, g.dim)
         if self._coords.rank != g.dim:
             raise ValueError("complement does not complete the subalgebra to a basis of g")
-        self.sigma = Matrix.from_cols(cols[self.dim_h:], rows=g.dim)
-        self.h = self._induced_subalgebra()
+        self.sigma = Matrix(len(n_cols), g.dim, n_cols).transpose()
+        self._letter_cols = n_cols + h_cols
+        self.h = self._induced_subalgebra(h_cols)
         self.n_labels = tuple(g.labels[r] for r in self.complement)
         self._bracket_table = None
         self._caches: dict = {}
 
     # -- coordinates -------------------------------------------------------
 
-    def coords(self, x) -> list:
-        """Adapted coordinates (h-part then n-part) of a vector of g."""
-        sol = self._coords.solve(x)
+    def _adapted(self, x) -> Vec:
+        """Sparse adapted coordinates of a vector of g (list or sparse dict)."""
+        sol = self._coords(_vec(x if isinstance(x, dict) else dict(enumerate(x))))
         if sol is None:
             raise AssertionError("adapted basis does not span g")
         return sol
+
+    def coords(self, x) -> list:
+        """Adapted coordinates (h-part then n-part) of a vector of g."""
+        sol = self._adapted(x)
+        return [sol.get(i, Q(0)) for i in range(self.g.dim)]
 
     def n_part(self, x) -> list:
         return self.coords(x)[self.dim_h:]
 
     def letter_vector(self, u: int) -> list:
         """Letter u as a vector of g: n-letters first, then h-letters."""
-        if u < self.dim_n:
-            return self.sigma.col_list(u)
-        return self.h_embedding.col_list(u - self.dim_n)
+        col = self._letter_cols[u]
+        return [col.get(i, Q(0)) for i in range(self.g.dim)]
 
     def letter_coords(self, x) -> Vec:
         """Expand a g vector over the letters (n-letters then h-letters)."""
-        c = self.coords(x)
-        out: Vec = {}
-        for r in range(self.dim_n):
-            if c[self.dim_h + r]:
-                out[r] = c[self.dim_h + r]
-        for a in range(self.dim_h):
-            if c[a]:
-                out[self.dim_n + a] = c[a]
+        c = self._adapted(x)
+        dh = self.dim_h
+        out: Vec = {i - dh: v for i, v in c.items() if i >= dh}
+        out.update((self.dim_n + a, v) for a, v in c.items() if a < dh)
         return out
 
     def bracket_letters(self, u: int, v: int) -> Vec:
         """[letter u, letter v] expanded over letters (cached)."""
         if self._bracket_table is None:
-            dg = self.g.dim
-            table = [[None] * dg for _ in range(dg)]
-            for a in range(dg):
-                xa = {i: x for i, x in enumerate(self.letter_vector(a)) if x}
-                for b in range(dg):
-                    xb = {i: x for i, x in enumerate(self.letter_vector(b)) if x}
-                    table[a][b] = self.letter_coords(self.g.bracket(xa, xb))
-            self._bracket_table = table
+            cols = self._letter_cols
+            self._bracket_table = [[self.letter_coords(self.g.bracket(a, b)) for b in cols] for a in cols]
         return self._bracket_table[u][v]
 
-    def _induced_subalgebra(self) -> LieAlgebra:
+    def _induced_subalgebra(self, h_cols) -> LieAlgebra:
         dh = self.dim_h
         table = [[{} for _ in range(dh)] for _ in range(dh)]
-        solver = LinearSolver(self.h_embedding)
+        coords = Coordinates(h_cols, self.g.dim)
         for a in range(dh):
-            xa = {i: v for i, v in enumerate(self.h_embedding.col_list(a)) if v}
             for b in range(dh):
-                xb = {i: v for i, v in enumerate(self.h_embedding.col_list(b)) if v}
-                val = self.g.bracket(xa, xb)
-                sol = solver.solve([val.get(i, Q(0)) for i in range(self.g.dim)])
+                sol = coords(self.g.bracket(h_cols[a], h_cols[b]))
                 if sol is None:
                     raise NotSubalgebraError(a, b)
-                table[a][b] = {k: v for k, v in enumerate(sol) if v}
+                table[a][b] = sol
         labels = tuple(f"h{a}" for a in range(dh))
         if all(len(self.h_embedding.data[i]) <= 1 for i in range(self.g.dim)):
             # coordinate subalgebra: reuse the g labels
-            picked = []
-            for a in range(dh):
-                col = self.h_embedding.col_list(a)
-                nz = [i for i, v in enumerate(col) if v]
-                if len(nz) == 1 and col[nz[0]] == 1:
-                    picked.append(self.g.labels[nz[0]])
+            picked = [self.g.labels[c] for col in h_cols if len(col) == 1 for c, v in col.items() if v == 1]
             if len(picked) == dh:
                 labels = tuple(picked)
         return LieAlgebra(dh, labels, table)
@@ -305,19 +287,14 @@ def make_pair(g: LieAlgebra, h_embedding, complement: Optional[Sequence[int]] = 
     if isinstance(h_embedding, Matrix):
         emb = h_embedding
     elif h_embedding and all(isinstance(x, int) for x in h_embedding):
-        cols = []
-        for r in h_embedding:
-            e = [Q(0)] * g.dim
-            e[r] = Q(1)
-            cols.append(e)
-        emb = Matrix.from_cols(cols, rows=g.dim)
+        emb = Matrix(len(h_embedding), g.dim, [{r: Q(1)} for r in h_embedding]).transpose()
     else:
         emb = Matrix.from_cols([[qf(v) for v in col] for col in h_embedding], rows=g.dim)
     if emb.rows != g.dim:
         raise ValueError("embedding has wrong ambient dimension")
     ech = Echelon(g.dim)
-    for a in range(emb.cols):
-        ech.insert({i: v for i, v in enumerate(emb.col_list(a)) if v})
+    for col in emb.transpose().data:
+        ech.insert(col)
     if ech.rank != emb.cols:
         raise NotInjectiveError("embedding matrix has dependent columns")
     if complement is None:
@@ -443,9 +420,9 @@ def sort_with_sign(tup) -> Optional[tuple]:
     return tuple(lst), sign
 
 
-def sym_power_module(m: LieModule, k: int) -> LieModule:
-    """Symmetric power with derivation action on sorted monomial basis."""
-    monos = sym_monomials(m.dim, k)
+def _power_module(m: LieModule, monos: list, normalise, sep: str) -> LieModule:
+    """Derivation action on a monomial basis; ``normalise`` maps an index
+    tuple to (basis monomial, sign), or None when it vanishes."""
     index = {mono: i for i, mono in enumerate(monos)}
     dim = len(monos)
     action = []
@@ -453,38 +430,26 @@ def sym_power_module(m: LieModule, k: int) -> LieModule:
         act = m.action[a]
         data = [dict() for _ in range(dim)]
         for cidx, mono in enumerate(monos):
-            for pos in range(k):
+            for pos in range(len(mono)):
                 for i in range(m.dim):
                     c = act.entry(i, mono[pos])
                     if not c:
                         continue
-                    new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
-                    _add_term(data[index[new]], cidx, c)
+                    normal = normalise(mono[:pos] + (i,) + mono[pos + 1:])
+                    if normal is None:
+                        continue
+                    new, sign = normal
+                    _add_term(data[index[new]], cidx, sign * c)
         action.append(Matrix(dim, dim, data))
-    labels = tuple(".".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
+    labels = tuple(sep.join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
     return LieModule(m.algebra, dim, action, labels=labels)
+
+
+def sym_power_module(m: LieModule, k: int) -> LieModule:
+    """Symmetric power with derivation action on sorted monomial basis."""
+    return _power_module(m, sym_monomials(m.dim, k), lambda t: (tuple(sorted(t)), 1), ".")
 
 
 def ext_power_module(m: LieModule, k: int) -> LieModule:
     """Exterior power with derivation action on strictly increasing tuples."""
-    monos = ext_monomials(m.dim, k)
-    index = {mono: i for i, mono in enumerate(monos)}
-    dim = len(monos)
-    action = []
-    for a in range(m.algebra.dim):
-        act = m.action[a]
-        data = [dict() for _ in range(dim)]
-        for cidx, mono in enumerate(monos):
-            for pos in range(k):
-                for i in range(m.dim):
-                    c = act.entry(i, mono[pos])
-                    if not c:
-                        continue
-                    sorted_sign = sort_with_sign(mono[:pos] + (i,) + mono[pos + 1:])
-                    if sorted_sign is None:
-                        continue
-                    new, sign = sorted_sign
-                    _add_term(data[index[new]], cidx, sign * c)
-        action.append(Matrix(dim, dim, data))
-    labels = tuple("^".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
-    return LieModule(m.algebra, dim, action, labels=labels)
+    return _power_module(m, ext_monomials(m.dim, k), sort_with_sign, "^")

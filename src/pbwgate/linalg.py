@@ -45,6 +45,12 @@ def _add_term(acc: dict, key, coeff: Fraction) -> None:
         acc.pop(key, None)
 
 
+def _in_range(vec: Row, dim: int) -> Row:
+    if any(not 0 <= c < dim for c in vec):
+        raise ValueError(f"index out of range for dimension {dim}")
+    return vec
+
+
 def _axpy(dst: Row, coeff: Fraction, src: Row) -> None:
     """dst += coeff * src, dropping zeros."""
     for c, v in src.items():
@@ -289,9 +295,9 @@ class Echelon:
     straight from these rows by back-substitution.  ``reduce`` returns the
     canonical representative of a vector modulo the row space, supported on
     the non-pivot columns only.  The canonical rational RREF (pivot entries
-    one) is built only on request, by ``back_reduce``, for callers that need
-    a kernel or coordinate basis; it closes the echelon, and a later
-    ``insert`` or ``reduce`` raises ValueError.
+    one) is built only on request, by ``back_reduce``, for the reference
+    routines ``rref`` and ``kernel_basis``; it closes the echelon, and a
+    later ``insert`` or ``reduce`` raises ValueError.
     """
 
     __slots__ = ("ncols", "pivots", "_reduced")
@@ -477,25 +483,21 @@ def kernel_basis(a: Matrix) -> list:
     return basis
 
 
-def subspace_intersection(us: Sequence[Sequence[Entry]], vs: Sequence[Sequence[Entry]]) -> list:
-    """Basis of span(us) intersected with span(vs), via the stacked kernel."""
-    if not us or not vs:
-        return []
-    dim = len(us[0])
-    for w in list(us) + list(vs):
-        if len(w) != dim:
-            raise ValueError("ambient dimension mismatch")
-    u_mat = Matrix.from_cols([[qf(x) for x in u] for u in us], rows=dim)
-    v_mat = Matrix.from_cols([[qf(x) for x in v] for v in vs], rows=dim)
-    stacked = u_mat.hstack(v_mat.scale(-1))
-    ech = Echelon(dim)
-    basis = []
-    for k in kernel_basis(stacked):
-        vec = u_mat.apply(k[: len(us)])
-        sv = {i: x for i, x in enumerate(vec) if x}
-        if ech.insert(sv) is not None:
-            basis.append(vec)
-    return basis
+def subspace_intersection(us: Sequence[Row], vs: Sequence[Row], dim: int) -> list:
+    """Basis of span(us) intersected with span(vs), as sparse rows.
+
+    Zassenhaus: the rows (u, u) and (v, 0) of one echelon in 2 * dim columns;
+    the rows that pivot past ``dim`` are (0, w), and their w span the
+    intersection.
+    """
+    ech = Echelon(2 * dim)
+    for vecs, tagged in ((us, True), (vs, False)):
+        for vec in vecs:
+            row = dict(_in_range(vec, dim))
+            if tagged:
+                row.update((dim + c, v) for c, v in vec.items())
+            ech.insert(row)
+    return [{c - dim: Q(v) for c, v in ech.pivots[p].items()} for p in sorted(ech.pivots) if p >= dim]
 
 
 def tensor_map(f: Matrix, g: Matrix) -> Matrix:
@@ -511,55 +513,30 @@ def tensor_map(f: Matrix, g: Matrix) -> Matrix:
     return Matrix(f.rows * g.rows, f.cols * g.cols, data)
 
 
-class LinearSolver:
-    """Prefactored ``a x = b`` solver for many right-hand sides.
+class Coordinates:
+    """Coordinates over a list of sparse vectors ``v_j`` of a ``dim``-space.
 
-    Tracks the row operations of the elimination so each solve is a single
-    sparse transform; solutions agree with :func:`solve` (free variables zero).
+    Each ``v_j`` goes into one echelon as the row (v_j, e_j), its tag e_j in
+    column ``dim + j``.  Reducing (x, 0) leaves (0, -y) exactly when
+    x = sum_j y_j v_j, so a call returns ``{j: y_j}`` (in increasing j), or
+    None when x lies outside the span.  Dependent vectors are allowed; for
+    independent ones the coordinates are unique.
     """
 
-    def __init__(self, a: Matrix):
-        self.ncols = a.cols
-        self.nrows = a.rows
-        ech = Echelon(a.cols + a.rows)
-        for i, r in enumerate(a.data):
-            row = dict(r)
-            row[a.cols + i] = Q(1)
-            ech.insert(row)
-        ech.back_reduce()
-        self.pivots = {}  # pivot col -> combo over original rows
-        self.null_combos = []  # left kernel rows: consistency conditions
-        for c, row in ech.pivots.items():
-            main = {k: v for k, v in row.items() if k < a.cols}
-            combo = {k - a.cols: v for k, v in row.items() if k >= a.cols}
-            if c < a.cols:
-                self.pivots[c] = combo
-            else:
-                self.null_combos.append(combo)
-        # back_reduce only normalizes against pivot columns of the full span;
-        # rows pivoting in the tag block are exactly the left-kernel rows.
+    __slots__ = ("dim", "rank", "_ech")
 
-    def solve(self, b) -> Optional[list]:
-        if isinstance(b, dict):
-            bvec = b
-        else:
-            bvec = {i: qf(x) for i, x in enumerate(b) if qf(x)}
-        for combo in self.null_combos:
-            s = Q(0)
-            for i, v in combo.items():
-                if i in bvec:
-                    s += v * bvec[i]
-            if s:
-                return None
-        x = [Q(0)] * self.ncols
-        for c, combo in self.pivots.items():
-            s = Q(0)
-            for i, v in combo.items():
-                if i in bvec:
-                    s += v * bvec[i]
-            x[c] = s
-        return x
+    def __init__(self, vectors: Sequence[Row], dim: int):
+        self.dim = dim
+        self._ech = Echelon(dim + len(vectors))
+        self.rank = 0  # pivots below dim: the dimension of the span
+        for j, vec in enumerate(vectors):
+            row = dict(_in_range(vec, dim))
+            row[dim + j] = 1
+            if self._ech.insert(row) < dim:
+                self.rank += 1
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    def __call__(self, x: Row) -> Optional[dict]:
+        red = self._ech.reduce(_in_range(x, self.dim))
+        if any(c < self.dim for c in red):
+            return None
+        return {c - self.dim: -v for c, v in sorted(red.items())}

@@ -75,6 +75,8 @@ class ProblemFile:
         if name not in self.modules:
             raise ProblemError(f"modules.{name}", "unknown module name")
         dim, mats = self.modules[name]
+        if len(mats) != pair.dim_h:
+            raise ProblemError(f"modules.{name}.action", f"need one matrix per h basis element, {pair.dim_h}")
         action = [Matrix.from_rows(rows, cols=dim) for rows in mats]
         mod = LieModule(pair.h, dim, action)
         bad = mod.compatibility_defects()

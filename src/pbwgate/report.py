@@ -5,12 +5,16 @@ The anchor names the mathematical statement a check exercises; verdicts are
 short human phrases, and ``ok`` says whether the outcome is consistent with
 what the theory predicts (a nontrivial obstruction class is a consistent
 outcome, not a failure).  Exit code contract: 0 all consistent, 1 an
-inconsistency was found, 2 input error.
+inconsistency was found (an exception escaping a check counts as one), 2
+input error.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +37,19 @@ from .problem import ProblemError, ProblemFile
 COMMANDS = ("validate", "alpha", "extend", "split", "oracle", "twisted", "koszul", "all")
 
 _DEFAULT_DEGREE = {"split": 3, "oracle": 4, "koszul": 4, "twisted": 3}
+
+# the statement each record's check exercises, by check name
+_ANCHORS = {
+    "validate": "Lie algebra axioms (antisymmetry and the Jacobi identity)",
+    "alpha": "obstruction class of the subalgebra quotient sequence",
+    "extend": "first-order extension criterion for the obstruction class",
+    "split": "explicit splitting via symmetrization and the adjunction maps",
+    "oracle": "equivalence theorem: class vanishing iff both filtrations split",
+    "dimensions": "graded dimension identities of both filtrations",
+    "f2-class": "level-two filtration class equals the pushout class",
+    "koszul": "quadratic straightening conditions and bounded Koszul exactness",
+    "twisted": "module-twisted equivalence theorem",
+}
 
 
 @dataclass
@@ -84,14 +101,33 @@ def _matrix_strings(m) -> list:
     return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _record(check, anchor, started, verdict, ok, witness) -> CheckRecord:
+def _record(check, started, verdict, ok, witness) -> CheckRecord:
     millis = int((time.perf_counter() - started) * 1000)
-    return CheckRecord(check, anchor, verdict, ok, witness, millis)
+    return CheckRecord(check, _ANCHORS[check], verdict, ok, witness, millis)
+
+
+def _contained(check: str, run) -> list:
+    """The records of one check.  An exception escaping it, other than an
+    input error, is a broken invariant: it becomes a FAIL record whose
+    witness names the exception, so the run still reports and exits 1."""
+    started = time.perf_counter()
+    try:
+        out = run()
+    except ProblemError:
+        raise
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        witness = {
+            "exception": type(exc).__name__,
+            "message": str(exc),
+            "raised_at": f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})",
+        }
+        return [_record(check, started, f"check raised {type(exc).__name__}", False, witness)]
+    return out if isinstance(out, list) else [out]
 
 
 def _check_validate(pf: ProblemFile) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "Lie algebra axioms (antisymmetry and the Jacobi identity)"
     alg = pf.algebra()
     rep = validate_lie(alg)
     issues = [
@@ -106,12 +142,11 @@ def _check_validate(pf: ProblemFile) -> CheckRecord:
     ok = rep.ok == (not pf.expect_invalid)
     if pf.expect_invalid and not rep.ok:
         verdict += " (expected for this negative control)"
-    return _record("validate", anchor, started, verdict, ok, witness)
+    return _record("validate", started, verdict, ok, witness)
 
 
 def _check_alpha(pf: ProblemFile, pair) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "obstruction class of the subalgebra quotient sequence"
     n_mod = quotient_module(pair)
     c = connecting_cocycle(pair)
     a = alpha_cocycle(pair, n_mod)
@@ -138,12 +173,11 @@ def _check_alpha(pf: ProblemFile, pair) -> CheckRecord:
     if triv is not None:
         witness["primitive"] = _matrix_strings(triv.values)
     verdict = "obstruction class trivial" if triv is not None else "obstruction class non-trivial"
-    return _record("alpha", anchor, started, verdict, True, witness)
+    return _record("alpha", started, verdict, True, witness)
 
 
 def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "first-order extension criterion for the obstruction class"
     n_mod = quotient_module(pair)
     datum = find_extension(pair, n_mod)
     triv = is_trivial(pair, n_mod)
@@ -162,12 +196,11 @@ def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
         verdict = "no extension (obstruction class non-trivial)"
     if not agree:
         verdict += "; DISAGREES with direct class computation"
-    return _record("extend", anchor, started, verdict, agree, witness)
+    return _record("extend", started, verdict, agree, witness)
 
 
 def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "explicit splitting via symmetrization and the adjunction maps"
     n_mod = quotient_module(pair)
     try:
         maps = pbw_splitting_I(pair, None, K)
@@ -179,7 +212,7 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
         verdict = "no splitting constructed (obstruction class non-trivial)"
         if level2_split:
             verdict += "; INCONSISTENT: level-two sequence split anyway"
-        return _record("split", anchor, started, verdict, ok, witness)
+        return _record("split", started, verdict, ok, witness)
     r_filt = build_filtration(pair, "R", K)
     witness = {
         "alpha_trivial": True,
@@ -188,13 +221,12 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
         "rho": {str(u): _matrix_strings(maps[0].rho.rho[u]) for u in range(pair.dim_n)},
     }
     verdict = f"equivariant sections built for degrees 0..{K}"
-    return _record("split", anchor, started, verdict, True, witness)
+    return _record("split", started, verdict, True, witness)
 
 
 def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
     records = []
     started = time.perf_counter()
-    anchor = "equivalence theorem: class vanishing iff both filtrations split"
     rep = equivalence_harness(pair, K=K)
     witness = {
         "alpha_trivial": rep.alpha_trivial,
@@ -206,10 +238,9 @@ def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
         if rep.ok
         else "level verdicts DISAGREE with the class"
     )
-    records.append(_record("oracle", anchor, started, verdict, rep.ok, witness))
+    records.append(_record("oracle", started, verdict, rep.ok, witness))
 
     started = time.perf_counter()
-    anchor = "graded dimension identities of both filtrations"
     dims_ok = True
     dim_witness = {}
     for side in ("F", "R"):
@@ -221,10 +252,9 @@ def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
             "rank_codimensions": rep2.rank_codims,
         }
     verdict = "dimension identities hold" if dims_ok else "dimension identity MISMATCH"
-    records.append(_record("dimensions", anchor, started, verdict, dims_ok, dim_witness))
+    records.append(_record("dimensions", started, verdict, dims_ok, dim_witness))
 
     started = time.perf_counter()
-    anchor = "level-two filtration class equals the pushout class"
     f2 = f2_class_check(pair)
     witness = {
         "well_defined": f2.well_defined,
@@ -236,13 +266,12 @@ def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
         "alpha_trivial": f2.alpha_trivial,
     }
     verdict = "pushout and level-two sequences agree" if f2.ok else "level-two comparison FAILED"
-    records.append(_record("f2-class", anchor, started, verdict, f2.ok, witness))
+    records.append(_record("f2-class", started, verdict, f2.ok, witness))
     return records
 
 
 def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "quadratic straightening conditions and bounded Koszul exactness"
     cond1, cond2 = bg_conditions(pair)
     expect_cond2 = not pf.expect_invalid
     kz = koszul_acyclicity(pair, K)
@@ -278,12 +307,11 @@ def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
         )
     else:
         verdict = "quadratic conditions hold, slices exact" if ok else "quadratic-algebra check FAILED"
-    return _record("koszul", anchor, started, verdict, ok, witness)
+    return _record("koszul", started, verdict, ok, witness)
 
 
 def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckRecord:
     started = time.perf_counter()
-    anchor = "module-twisted equivalence theorem"
     coeff = pf.module(pair, module_name)
     rep = twisted_verdict(pair, coeff, K)
     witness = {
@@ -302,7 +330,7 @@ def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckReco
             if rep.ok
             else "a class is non-trivial but no failing level within the degree cap"
         )
-    return _record("twisted", anchor, started, verdict, rep.ok, witness)
+    return _record("twisted", started, verdict, rep.ok, witness)
 
 
 def run_command(
@@ -320,38 +348,39 @@ def run_command(
     def degree(check: str) -> int:
         return max_degree if max_degree is not None else _DEFAULT_DEGREE[check]
 
-    if command in ("koszul", "all") and degree("koszul") < 1:
-        raise ProblemError("--max-degree", "the koszul check needs a degree cap of at least 1")
+    for check in ("koszul", "twisted"):
+        # koszul slices start at internal degree 1; twisted at cap 0 checks no level
+        if command in (check, "all") and degree(check) < 1:
+            raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least 1")
+    lie_pair = functools.cache(problem.pair)
     records = []
 
-    def lie_pair():
-        return problem.pair()
+    def run(check: str, fn, *args) -> None:
+        records.extend(_contained(check, lambda: fn(problem, lie_pair(), *args)))
 
-    if command == "validate":
-        records.append(_check_validate(problem))
-    elif command == "alpha":
-        records.append(_check_alpha(problem, lie_pair()))
+    if command in ("validate", "all"):
+        records.extend(_contained("validate", lambda: _check_validate(problem)))
+    if command == "alpha":
+        run("alpha", _check_alpha)
     elif command == "extend":
-        records.append(_check_extend(problem, lie_pair()))
+        run("extend", _check_extend)
     elif command == "split":
-        records.append(_check_split(problem, lie_pair(), degree("split")))
+        run("split", _check_split, degree("split"))
     elif command == "oracle":
-        records.extend(_check_oracle(problem, lie_pair(), degree("oracle")))
+        run("oracle", _check_oracle, degree("oracle"))
     elif command == "koszul":
-        records.append(_check_koszul(problem, lie_pair(), degree("koszul")))
+        run("koszul", _check_koszul, degree("koszul"))
     elif command == "twisted":
-        records.append(_check_twisted(problem, lie_pair(), degree("twisted"), module))
-    else:  # all
-        records.append(_check_validate(problem))
-        pair = lie_pair()
+        run("twisted", _check_twisted, degree("twisted"), module)
+    elif command == "all":
         if problem.expect_invalid:
-            records.append(_check_koszul(problem, pair, degree("koszul")))
+            run("koszul", _check_koszul, degree("koszul"))
         else:
-            records.append(_check_alpha(problem, pair))
-            records.append(_check_extend(problem, pair))
-            records.append(_check_split(problem, pair, degree("split")))
-            records.extend(_check_oracle(problem, pair, degree("oracle")))
-            records.append(_check_koszul(problem, pair, degree("koszul")))
+            run("alpha", _check_alpha)
+            run("extend", _check_extend)
+            run("split", _check_split, degree("split"))
+            run("oracle", _check_oracle, degree("oracle"))
+            run("koszul", _check_koszul, degree("koszul"))
             for name in ((module,) if module else ("n", "trivial")):
-                records.append(_check_twisted(problem, pair, degree("twisted"), name))
+                run("twisted", _check_twisted, degree("twisted"), name)
     return Report(problem.name, records)

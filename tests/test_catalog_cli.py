@@ -240,6 +240,44 @@ def test_cli_koszul_cap_zero_exits_2(command, capsys):
     assert "--max-degree" in capsys.readouterr().err
 
 
+def test_cli_twisted_cap_zero_exits_2(capsys):
+    # a twisted run at cap 0 would check no level and report a failure
+    assert main(["twisted", "--example", "sl2-borel", "--module", "n", "--max-degree", "0"]) == 2
+    assert "--max-degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError, RuntimeError])
+def test_exception_in_a_check_is_a_fail_record(error, monkeypatch, tmp_path):
+    # a broken invariant is exit 1 with the report written, never "input
+    # error" (exit 2) and never a traceback
+    from pbwgate import report as report_mod
+
+    def broken(pair, K):
+        raise error("injected fault")
+
+    monkeypatch.setattr(report_mod, "equivalence_harness", broken)
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--example", "sl2-borel", "--json", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert not data["ok"]
+    [rec] = data["records"]
+    assert rec["check"] == "oracle" and not rec["ok"] and rec["anchor"].strip()
+    assert rec["witness"]["exception"] == error.__name__
+    assert "injected fault" in rec["witness"]["message"]
+    # the other checks of a run still report
+    rep = run_command("all", catalog_get("sl2-borel"), max_degree=2)
+    assert [r.check for r in rep.records if not r.ok] == ["oracle"]
+    assert "twisted" in [r.check for r in rep.records]
+
+
+def test_module_needs_one_matrix_per_h_element():
+    # an input error, not an exception escaping the twisted check
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["modules"] = {"V": {"dim": 1, "action": [[["0"]]]}}
+    with pytest.raises(ProblemError):
+        run_command("twisted", parse_problem(json.dumps(doc)), max_degree=2, module="V")
+
+
 def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
     # the normal-form counts are the built filtration's basis words, so a
     # filtration missing its last word must turn the record to FAIL

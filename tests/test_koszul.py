@@ -134,3 +134,20 @@ def test_koszul_classical_symmetric_algebra():
 def test_negative_control_still_has_consistent_phi():
     qd = quadratic_data(jacobi_broken_pair())
     assert qd.phi_consistent
+
+
+def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
+    from pbwgate import koszul as koszul_mod
+    from pbwgate.catalog import catalog_get
+    from pbwgate.report import run_command
+
+    calls = []
+    real = koszul_mod.quadratic_data
+
+    def counting(pair):
+        calls.append(pair)
+        return real(pair)
+
+    monkeypatch.setattr(koszul_mod, "quadratic_data", counting)
+    assert run_command("koszul", catalog_get("sl2-borel")).ok
+    assert len(calls) == 1

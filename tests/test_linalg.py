@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from pbwgate.linalg import (
+    Coordinates,
     Echelon,
-    LinearSolver,
     Matrix,
     kernel_basis,
     rref,
@@ -70,20 +70,20 @@ def test_kernel_sum_map():
 
 
 def test_intersection_equal_lines():
-    e1 = [Q(1), Q(0)]
-    got = subspace_intersection([e1], [e1])
+    e1 = {0: Q(1)}
+    got = subspace_intersection([e1], [e1], 2)
     assert len(got) == 1
 
 
 def test_intersection_transverse_lines():
-    assert subspace_intersection([[1, 0]], [[0, 1]]) == []
+    assert subspace_intersection([{0: Q(1)}], [{1: Q(1)}], 2) == []
 
 
 def test_intersection_planes():
-    got = subspace_intersection([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]])
+    got = subspace_intersection([{0: Q(1)}, {1: Q(1)}], [{1: Q(1)}, {2: Q(1)}], 3)
     assert len(got) == 1
     v = got[0]
-    assert v[0] == 0 and v[2] == 0 and v[1] != 0
+    assert v.get(0, 0) == 0 and v.get(2, 0) == 0 and v.get(1, 0) != 0
 
 
 def test_tensor_map_scalars():
@@ -142,15 +142,97 @@ def test_rank_nullity_randomized():
         assert a.rank() + len(kernel_basis(a)) == cols
 
 
-def test_linear_solver_matches_solve():
+def _random_vectors(rng, dim, dependent):
+    """Sparse rational vectors in ``dim`` coordinates: linearly independent
+    ones, or with rational combinations of earlier ones shuffled in."""
+    span = Echelon(dim)
+    vecs = []
+    for _ in range(rng.randint(1, dim)):
+        vec = {j: Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for j in range(dim) if rng.random() < 0.5}
+        vec = {j: v for j, v in vec.items() if v}
+        if span.insert(vec) is not None:
+            vecs.append(vec)
+    if dependent:
+        for _ in range(rng.randint(1, 3)):
+            vecs.append(_combination(rng, vecs))
+        rng.shuffle(vecs)
+    return vecs
+
+
+def _combination(rng, vecs):
+    out = {}
+    for vec in vecs:
+        lam = Q(rng.randint(-2, 2), rng.choice([1, 2]))
+        for j, v in vec.items():
+            out[j] = out.get(j, 0) + lam * v
+    return {j: v for j, v in out.items() if v}
+
+
+def _columns(vecs, dim):
+    return Matrix(len(vecs), dim, [dict(v) for v in vecs]).transpose()
+
+
+def test_coordinates_match_solve():
     rng = random.Random(13)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        a = _random_matrix(rng, rows, cols)
-        ls = LinearSolver(a)
-        for _ in range(3):
-            b = [Q(rng.randint(-3, 3)) for _ in range(rows)]
-            assert ls.solve(b) == solve(a, b)
+    outside = 0
+    for dependent in [False, True] * 60:
+        dim = rng.randint(1, 7)
+        vecs = _random_vectors(rng, dim, dependent)
+        a = _columns(vecs, dim)
+        coords = Coordinates(vecs, dim)
+        assert coords.rank == a.rank()
+        inside = _combination(rng, vecs)
+        anywhere = {j: Q(rng.randint(-3, 3)) for j in range(dim) if rng.random() < 0.6}
+        for x in (inside, anywhere):
+            y = coords(x)
+            expected = solve(a, x)
+            assert (y is None) == (expected is None)
+            if y is None:
+                outside += 1
+                continue
+            assert a.apply(y) == [x.get(i, Q(0)) for i in range(dim)]
+            if not dependent:
+                # independent vectors: the coordinates are unique
+                assert y == {j: v for j, v in enumerate(expected) if v}
+        assert coords(inside) is not None
+    assert outside > 0
+
+
+def test_coordinates_reject_out_of_range_index():
+    with pytest.raises(ValueError):
+        Coordinates([{2: Q(1)}], 2)
+    with pytest.raises(ValueError):
+        Coordinates([{0: Q(1)}], 2)({2: Q(1)})
+
+
+def _kernel_intersection(us, vs, dim):
+    """Reference: U k_u for each k in the kernel of [U | -V]."""
+    u_mat, v_mat = _columns(us, dim), _columns(vs, dim)
+    return [u_mat.apply(k[: len(us)]) for k in kernel_basis(u_mat.hstack(v_mat.scale(-1)))]
+
+
+def _rank(vecs, dim):
+    return Matrix(len(vecs), dim, [dict(v) for v in vecs]).rank()
+
+
+def test_intersection_matches_kernel_reference():
+    rng = random.Random(53)
+    for _ in range(60):
+        dim = rng.randint(1, 7)
+        us = _random_vectors(rng, dim, rng.random() < 0.5)
+        vs = _random_vectors(rng, dim, rng.random() < 0.5) + [_combination(rng, us)]
+        got = subspace_intersection(us, vs, dim)
+        reference = [{i: x for i, x in enumerate(w) if x} for w in _kernel_intersection(us, vs, dim)]
+        assert len(got) == _rank(reference, dim) == _rank(got, dim)
+        assert _rank(got + reference, dim) == len(got)
+        for w in got:
+            assert _rank(us + [w], dim) == _rank(us, dim)
+            assert _rank(vs + [w], dim) == _rank(vs, dim)
+
+
+def test_intersection_rejects_out_of_range_index():
+    with pytest.raises(ValueError):
+        subspace_intersection([{0: Q(1)}], [{3: Q(1)}], 3)
 
 
 def test_rowspace_preserved_by_rref():
