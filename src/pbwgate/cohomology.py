@@ -23,7 +23,9 @@ from .lie import (
     LieAlgebra,
     LieModule,
     ModuleMap,
+    adjoint_module,
     ext_monomials,
+    ext_power_module,
     g_restriction_module,
     hom_module,
     quotient_module,
@@ -57,15 +59,14 @@ class Cochain:
     def is_zero(self) -> bool:
         return self.values.is_zero()
 
-
-def cochain_from_vec(degree: int, module: LieModule, vec, n_monos: int) -> Cochain:
-    dm = module.dim
-    values = Matrix.zeros(dm, n_monos)
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    for idx, v in items:
-        if v:
-            values.data[idx % dm][idx // dm] = v
-    return Cochain(degree, module, values)
+    def hom_value(self, z: int, target_dim: int, source_dim: int) -> Matrix:
+        """The value at the z-th basis element of a 1-cochain with values in
+        a hom module, as a (target x source) matrix."""
+        out = Matrix.zeros(target_dim, source_dim)
+        for idx, row in enumerate(self.values.data):
+            if z in row:
+                out.data[idx // source_dim][idx % source_dim] = row[z]
+        return out
 
 
 def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> Matrix:
@@ -101,83 +102,65 @@ def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> Matrix:
     return d
 
 
-def _hom_flat(phi: Matrix) -> list:
-    """Flatten a hom matrix (target x source) into hom_module coordinates."""
-    out = [Q(0)] * (phi.rows * phi.cols)
-    for i, row in enumerate(phi.data):
-        for j, v in row.items():
-            out[i * phi.cols + j] = v
-    return out
+def _hom_cochain(coeff: LieModule, phis: list) -> Cochain:
+    """The 1-cochain z -> phis[z] with values in the hom module ``coeff``,
+    each value a (target x source) matrix flattened at i * source + j."""
+    values = Matrix.zeros(coeff.dim, len(phis))
+    for z, phi in enumerate(phis):
+        for i, row in enumerate(phi.data):
+            for j, v in row.items():
+                values.data[i * phi.cols + j][z] = v
+    return Cochain(1, coeff, values)
+
+
+def _closed(h: LieAlgebra, cochain: Cochain, error: Exception) -> Cochain:
+    """``cochain``, after raising ``error`` if its differential is nonzero."""
+    if ce_differential(h, cochain.module, cochain.degree).apply(cochain.vec()):
+        raise error
+    return cochain
 
 
 def connecting_cocycle(pair: InclusionPair) -> Cochain:
     """c in C^1(h, Hom(n, h)) with c(a)(x) = sigma(a.x) - [i(a), sigma(x)]."""
-    from .lie import adjoint_module
-
-    n_mod = quotient_module(pair)
-    h_adj = adjoint_module(pair.h)
-    coeff = hom_module(n_mod, h_adj)
+    coeff = hom_module(quotient_module(pair), adjoint_module(pair.h))
     dn, dh = pair.dim_n, pair.dim_h
-    cols = []
+    phis = []
     for a in range(dh):
-        phi = Matrix.zeros(dh, dn)
-        for r in range(dn):
-            br = pair.bracket_letters(dn + a, r)  # [i(a), sigma_r] over letters
-            # sigma(a.x) cancels the n-part, leaving minus the h-part
-            for w, v in br.items():
-                if w >= dn:
-                    phi.data[w - dn][r] = -v
-        cols.append(_hom_flat(phi))
-    values = Matrix.from_cols(cols, rows=coeff.dim)
-    c = Cochain(1, coeff, values)
-    d1 = ce_differential(pair.h, coeff, 1)
-    if any(x for x in d1.apply(c.vec())):
-        raise AssertionError("connecting cochain failed the cocycle identity")
-    return c
+        # sigma(a.x) cancels the n-part of [i(a), sigma_r], leaving minus the h-part
+        cols = [{w - dn: -v for w, v in pair.bracket_letters(dn + a, r).items() if w >= dn} for r in range(dn)]
+        phis.append(Matrix(dn, dh, cols).transpose())
+    c = _hom_cochain(coeff, phis)
+    return _closed(pair.h, c, AssertionError("connecting cochain failed the cocycle identity"))
 
 
 def alpha_cocycle(pair: InclusionPair, module: LieModule) -> Cochain:
     """Obstruction cocycle a in C^1(h, Hom(n (x) E, E)): a(z)(x (x) v) = c(z)(x).v."""
-    n_mod = quotient_module(pair)
     c = connecting_cocycle(pair)
-    coeff = hom_module(tensor_module(n_mod, module), module)
-    dn, dh, de = pair.dim_n, pair.dim_h, module.dim
-    cols = []
-    for z in range(dh):
-        phi = Matrix.zeros(de, dn * de)
-        for r in range(dn):
-            hvec = {i: c.values.entry(i * dn + r, z) for i in range(dh)}
-            hvec = {i: v for i, v in hvec.items() if v}
-            act = module.act_vec(hvec)
-            for i, row in enumerate(act.data):
-                for j, v in row.items():
-                    phi.data[i][r * de + j] = v
-        cols.append(_hom_flat(phi))
-    values = Matrix.from_cols(cols, rows=coeff.dim)
-    a = Cochain(1, coeff, values)
-    d1 = ce_differential(pair.h, coeff, 1)
-    if any(x for x in d1.apply(a.vec())):
-        raise AssertionError("obstruction cochain failed the cocycle identity")
-    return a
+    coeff = hom_module(tensor_module(quotient_module(pair), module), module)
+    phis = []
+    for z in range(pair.dim_h):
+        phi = Matrix.zeros(module.dim, 0)
+        for hvec in c.hom_value(z, pair.dim_h, pair.dim_n).transpose().data:  # c(z)(n_r) in h
+            phi = phi.hstack(module.act_vec(hvec))
+        phis.append(phi)
+    a = _hom_cochain(coeff, phis)
+    return _closed(pair.h, a, AssertionError("obstruction cochain failed the cocycle identity"))
 
 
 def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Optional[Cochain] = None) -> Optional[Cochain]:
-    """A 0-cochain b with d(b) = a, or None when the class is nontrivial."""
+    """A 0-cochain b with d(b) = a, or None when the class is nontrivial;
+    NotACocycleError when the given cochain is not closed."""
     if cocycle is None:
         cocycle = alpha_cocycle(pair, module)
+    _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
     coeff = cocycle.module
-    d1 = ce_differential(pair.h, coeff, 1)
-    avec = cocycle.vec()
-    if any(x for x in d1.apply(avec)):
-        raise NotACocycleError("cochain is not closed")
-    d0 = ce_differential(pair.h, coeff, 0)
-    target = [Q(0)] * d0.rows
-    for idx, v in avec.items():
-        target[idx] = v
-    sol = solve(d0, target)
+    sol = solve(ce_differential(pair.h, coeff, 0), cocycle.vec())
     if sol is None:
         return None
-    return cochain_from_vec(0, coeff, sol, 1)
+    b = Matrix.zeros(coeff.dim, 1)
+    for m, v in sol.items():
+        b.data[m][0] = v
+    return Cochain(0, coeff, b)
 
 
 @dataclass
@@ -229,7 +212,7 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
         return (r * de + i) * de + j
 
     rows = []
-    rhs = []
+    rhs = {}
     for a in range(dh):
         act = module.action[a]
         for r in range(dn):
@@ -239,34 +222,23 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
             npart = {w: v for w, v in br.items() if w < dn}
             for i in range(de):
                 for j in range(de):
-                    row = {}
+                    row: dict = {}
                     for s, c in npart.items():
-                        row[unk(s, i, j)] = row.get(unk(s, i, j), 0) + c
+                        _add_term(row, unk(s, i, j), c)
                     for k in range(de):
-                        v = act.entry(i, k)
-                        if v:
-                            row[unk(r, k, j)] = row.get(unk(r, k, j), 0) - v
-                        v = act.entry(k, j)
-                        if v:
-                            row[unk(r, i, k)] = row.get(unk(r, i, k), 0) + v
-                    rows.append({k: v for k, v in row.items() if v})
-                    rhs.append(-const.entry(i, j))
-    system = Matrix(len(rows), nunk, rows)
-    sol = solve(system, rhs)
+                        _add_term(row, unk(r, k, j), -act.entry(i, k))
+                        _add_term(row, unk(r, i, k), act.entry(k, j))
+                    if const.entry(i, j):
+                        rhs[len(rows)] = -const.entry(i, j)
+                    rows.append(row)
+    sol = solve(Matrix(len(rows), nunk, rows), rhs)
     if sol is None:
         return None
-    rho = []
-    for r in range(dn):
-        b = Matrix.zeros(de, de)
-        for i in range(de):
-            for j in range(de):
-                v = sol[unk(r, i, j)]
-                if v:
-                    b.data[i][j] = v
-        rho.append(b)
-    for a in range(dh):
-        rho.append(module.action[a])
-    datum = ExtensionDatum(pair, module, tuple(rho))
+    rho = [Matrix.zeros(de, de) for _ in range(dn)]
+    for c, v in sol.items():
+        r, ij = divmod(c, de * de)
+        rho[r].data[ij // de][ij % de] = v
+    datum = ExtensionDatum(pair, module, tuple(rho) + module.action)
     if not datum.verify():
         raise AssertionError("extension solver produced an invalid datum")
     return datum
@@ -301,40 +273,22 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
     ambient_dim = de + dge
     dn = pair.dim_n
 
-    def ambient_action(a: int) -> Matrix:
-        out = Matrix.zeros(ambient_dim, ambient_dim)
-        for i, row in enumerate(e.action[a].data):
-            for j, v in row.items():
-                out.data[i][j] = v
-        for i, row in enumerate(ge.action[a].data):
-            for j, v in row.items():
-                out.data[de + i][de + j] = v
-        return out
-
+    acts = []  # the block-diagonal action on E + g (x) E
+    for a in range(pair.dim_h):
+        rows = [dict(r) for r in e.action[a].data] + [{de + j: v for j, v in r.items()} for r in ge.action[a].data]
+        acts.append(Matrix(ambient_dim, ambient_dim, rows))
     relations = []
     for a in range(pair.dim_h):
         for m in range(de):
-            rel = {}
-            for i in range(de):
-                v = e.action[a].entry(i, m)
-                if v:
-                    rel[i] = v
-            key = de + (dn + a) * de + m
-            rel[key] = rel.get(key, 0) - 1
-            relations.append({k: v for k, v in rel.items() if v})
+            rel = e.action[a].apply({m: Q(1)})
+            rel[de + (dn + a) * de + m] = Q(-1)
+            relations.append(rel)
     span = Echelon(ambient_dim)
     for rel in relations:
         span.insert(rel)
-    acts = [ambient_action(a) for a in range(pair.dim_h)]
-    for a in range(pair.dim_h):
-        cols = acts[a].transpose()
+    for act in acts:
         for rel in relations:
-            img: dict = {}
-            for c, v in rel.items():
-                for i, w in cols.data[c].items():
-                    img[i] = img.get(i, 0) + w * v
-            img = {k: v for k, v in img.items() if v}
-            if not span.contains(img):
+            if not span.contains(act.apply(rel)):
                 raise AssertionError("pushout relation span is not h-stable")
     free = span.free_columns()
     qdim = len(free)
@@ -345,19 +299,11 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
         return {free_pos[c]: v for c, v in red.items()}
 
     q_action = []
-    for a in range(pair.dim_h):
-        cols = acts[a].transpose()
-        m = Matrix.zeros(qdim, qdim)
-        for k, c in enumerate(free):
-            for i, v in project(dict(cols.data[c])).items():
-                m.data[i][k] = v
-        q_action.append(m)
+    for act in acts:
+        cols = act.transpose().data
+        q_action.append(Matrix(qdim, qdim, [project(cols[c]) for c in free]).transpose())
     q_mod = LieModule(pair.h, qdim, q_action)
-
-    incl = Matrix.zeros(qdim, de)
-    for m in range(de):
-        for i, v in project({m: Q(1)}).items():
-            incl.data[i][m] = v
+    incl = Matrix(de, qdim, [project({m: Q(1)}) for m in range(de)]).transpose()
 
     # n (x) E quotient map read off the ambient coordinates of the section
     proj = Matrix.zeros(ne.dim, qdim)
@@ -391,12 +337,12 @@ def h1_dimension(h: LieAlgebra, module: LieModule) -> int:
 
 def wedge_restriction_is_exact(pair: InclusionPair, cocycle: Optional[Cochain] = None) -> bool:
     """Whether the obstruction cocycle restricted along wedge^2 n -> n (x) n
-    is a coboundary (the class factors through the symmetric square)."""
-    from .lie import ext_power_module
-
+    is a coboundary (the class factors through the symmetric square);
+    NotACocycleError when the given cochain is not closed."""
     n_mod = quotient_module(pair)
     if cocycle is None:
         cocycle = alpha_cocycle(pair, n_mod)
+    _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
     dn = pair.dim_n
     wedges = ext_monomials(dn, 2)
     if not wedges:
@@ -406,21 +352,5 @@ def wedge_restriction_is_exact(pair: InclusionPair, cocycle: Optional[Cochain] =
         incl.data[i * dn + j][col] = Q(1)
         incl.data[j * dn + i][col] = Q(-1)
     coeff = hom_module(ext_power_module(n_mod, 2), n_mod)
-    cols = []
-    for z in range(pair.dim_h):
-        phi = Matrix.zeros(dn, dn * dn)
-        for i in range(dn):
-            for c in range(dn * dn):
-                v = cocycle.values.entry(i * dn * dn + c, z)
-                if v:
-                    phi.data[i][c] = v
-        cols.append(_hom_flat(phi.mul(incl)))
-    restricted = Cochain(1, coeff, Matrix.from_cols(cols, rows=coeff.dim))
-    d1 = ce_differential(pair.h, coeff, 1)
-    if any(x for x in d1.apply(restricted.vec())):
-        raise NotACocycleError("restriction of a cocycle failed to be closed")
-    d0 = ce_differential(pair.h, coeff, 0)
-    target = [Q(0)] * d0.rows
-    for idx, v in restricted.vec().items():
-        target[idx] = v
-    return solve(d0, target) is not None
+    phis = [cocycle.hom_value(z, dn, dn * dn).mul(incl) for z in range(pair.dim_h)]
+    return is_trivial(pair, n_mod, _hom_cochain(coeff, phis)) is not None

@@ -58,10 +58,6 @@ Word = tuple  # tuple of adapted letter indices
 # ---------------------------------------------------------------------------
 
 
-def _caches(pair: InclusionPair) -> dict:
-    return pair._caches
-
-
 # the pair-cache key of each side's rewriting memo; perfbench reads these keys
 _MEMO = {"F": "free_words", "R": "pbw_words"}
 
@@ -76,7 +72,7 @@ def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
     side (``R``) it is the leftmost descent.  A word with no such pair is a
     normal form: a free n-word (resp. a weakly increasing one) and its h-tail.
     """
-    cache = _caches(pair).setdefault(_MEMO[side], {})
+    cache = pair._caches.setdefault(_MEMO[side], {})
     if word in cache:
         return cache[word]
     dn = pair.dim_n
@@ -245,24 +241,21 @@ class FilteredModule:
     def dim(self, k: int) -> int:
         return self._word_offsets[k + 1] * self.vdim
 
-    def gr_dim(self, k: int) -> int:
-        return (self._word_offsets[k + 1] - self._word_offsets[k]) * self.vdim
+    def _slice(self, lo: int, hi: int) -> LieModule:
+        """The h-action on the basis vectors lo..hi-1."""
+        idx = range(lo, hi)
+        return LieModule(self.pair.h, hi - lo, [m.take(idx, idx) for m in self.actions])
 
     def level_module(self, k: int) -> LieModule:
-        d = self.dim(k)
-        idx = list(range(d))
-        return LieModule(self.pair.h, d, [m.take(idx, idx) for m in self.actions])
+        return self._slice(0, self.dim(k))
 
     def reduced_module(self, k: int) -> LieModule:
         if not self.trivial_coeff:
             raise ValueError("reduced filtration only applies to trivial coefficients")
-        idx = list(range(1, self.dim(k)))
-        return LieModule(self.pair.h, len(idx), [m.take(idx, idx) for m in self.actions])
+        return self._slice(1, self.dim(k))
 
     def gr_module(self, k: int) -> LieModule:
-        lo, hi = self._word_offsets[k] * self.vdim, self._word_offsets[k + 1] * self.vdim
-        idx = list(range(lo, hi))
-        return LieModule(self.pair.h, len(idx), [m.take(idx, idx) for m in self.actions])
+        return self._slice(self.dim(k - 1), self.dim(k))
 
     def gr_target(self, k: int) -> LieModule:
         power = (
@@ -275,11 +268,7 @@ class FilteredModule:
         return tensor_module(power, self.coeff)
 
     def proj_gr(self, k: int) -> Matrix:
-        lo = self._word_offsets[k] * self.vdim
-        m = Matrix.zeros(self.gr_dim(k), self.dim(k))
-        for i in range(self.gr_dim(k)):
-            m.data[i][lo + i] = Q(1)
-        return m
+        return Matrix.identity(self.dim(k)).take(range(self.dim(k - 1), self.dim(k)), range(self.dim(k)))
 
 
 def build_filtration(
@@ -289,7 +278,7 @@ def build_filtration(
     coefficients)."""
     if coeff is not None:
         return FilteredModule(pair, side, K, coeff)
-    cache = _caches(pair).setdefault("filtrations", {})
+    cache = pair._caches.setdefault("filtrations", {})
     have = cache.get(side)
     if have is None or have.K < K:
         have = FilteredModule(pair, side, K, None)
@@ -348,22 +337,11 @@ class ShortExactSequence:
 
 def level_sequence(filt: FilteredModule, k: int, reduced: bool = False) -> ShortExactSequence:
     """0 -> F^{k-1} -> F^k -> gr_k -> 0 (tilde version when ``reduced``)."""
-    if reduced:
-        sub = filt.reduced_module(k - 1)
-        mid = filt.reduced_module(k)
-        offset = 1
-    else:
-        sub = filt.level_module(k - 1)
-        mid = filt.level_module(k)
-        offset = 0
-    quot = filt.gr_target(k)
-    include = Matrix.zeros(mid.dim, sub.dim)
-    for i in range(sub.dim):
-        include.data[i][i] = Q(1)
-    lo = filt._word_offsets[k] * filt.vdim - offset
-    project = Matrix.zeros(quot.dim, mid.dim)
-    for i in range(quot.dim):
-        project.data[i][lo + i] = Q(1)
+    level = filt.reduced_module if reduced else filt.level_module
+    sub, mid, quot = level(k - 1), level(k), filt.gr_target(k)
+    ident = Matrix.identity(mid.dim)
+    include = ident.take(range(mid.dim), range(sub.dim))
+    project = ident.take(range(sub.dim, sub.dim + quot.dim), range(mid.dim))
     return ShortExactSequence(sub, mid, quot, include, project)
 
 
@@ -443,15 +421,8 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
 def _rho_apply(rho: Sequence[Matrix], word: Word, j: int, antipode: bool = False) -> dict:
     """rho(word) e_j (or rho(S(word)) e_j) as a sparse vector."""
     vec = {j: Q(1)}
-    letters = word if antipode else reversed(word)
-    for u in letters:
-        nxt: dict = {}
-        m = rho[u]
-        for c, v in vec.items():
-            for i, row in enumerate(m.data):
-                if c in row:
-                    _add_term(nxt, i, row[c] * v)
-        vec = nxt
+    for u in word if antipode else reversed(word):
+        vec = rho[u].apply(vec)
         if not vec:
             return {}
     if antipode and len(word) % 2:
@@ -516,7 +487,7 @@ def splitting_s(
         elem = {((), tau): Q(1)}
         for j in range(k, 0, -1):
             elem = t_map(pair, rho, j, elem)
-        col = [Q(0)] * filt.dim(k)
+        col = {}
         for (w, tup), c in elem.items():
             if tup != ():
                 raise AssertionError("t-map chain left tensor letters unconsumed")
@@ -524,7 +495,7 @@ def splitting_s(
                 raise AssertionError("t-map chain raised the degree past the cap")
             col[filt.word_index[w]] = c
         cols.append(col)
-    matrix = Matrix.from_cols(cols, rows=filt.dim(k))
+    matrix = Matrix(len(cols), filt.dim(k), cols).transpose()
     out = ModuleMap(source, filt.level_module(k), matrix)
     if not out.is_equivariant():
         raise AssertionError("s_k is not equivariant")
@@ -539,9 +510,6 @@ def _symmetrization(dn: int, k: int) -> Matrix:
     monos = sym_monomials(dn, k)
     rows = dn ** k
     m = Matrix.zeros(rows, len(monos))
-    if k == 0:
-        m.data[0][0] = Q(1)
-        return m
     inv = Q(1, math.factorial(k))
     powers = [dn ** (k - 1 - i) for i in range(k)]
     for col, mono in enumerate(monos):
@@ -561,19 +529,12 @@ def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) 
     dn = pair.dim_n
     maps = []
     for k in range(K + 1):
-        sym = _symmetrization(dn, k)
-        if k == 0:
-            canon = Matrix.zeros(r_filt.dim(0), f_filt.dim(0))
-            canon.data[0][0] = Q(1)
-            s_mat = Matrix.identity(1)
-        else:
-            s_mat = splitting_s(pair, rho, k, filt=f_filt).matrix
-            canon = Matrix.zeros(r_filt.dim(k), f_filt.dim(k))
-            for wpos in range(f_filt._word_offsets[k + 1]):
-                w = f_filt.words[wpos]
-                for mono, c in straighten_g(pair, w).items():
-                    canon.data[r_filt.word_index[mono]][wpos] = c
-        matrix = canon.mul(s_mat).mul(sym)
+        s_mat = splitting_s(pair, rho, k, filt=f_filt).matrix
+        canon = Matrix.zeros(r_filt.dim(k), f_filt.dim(k))
+        for wpos in range(f_filt.dim(k)):
+            for mono, c in straighten_g(pair, f_filt.words[wpos]).items():
+                canon.data[r_filt.word_index[mono]][wpos] = c
+        matrix = canon.mul(s_mat).mul(_symmetrization(dn, k))
         source = sym_power_module(n_mod, k)
         out = ModuleMap(source, r_filt.level_module(k), matrix)
         if not out.is_equivariant():
@@ -631,32 +592,18 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
             _add_term(out, filt.word_index[nw] - 1, c)
         return out
 
-    ambient_cols = []
-    for v in range(de):
-        ambient_cols.append({v: Q(1)})  # n-part: n = F~^1, word (v)
+    # the map on E + g (x) E: n = F~^1 (the word (v)), and u (x) s -> the word (u, s)
+    ambient_cols = [{v: Q(1)} for v in range(de)]
     for u in range(pair.g.dim):
         for s in range(de):
             ambient_cols.append(word_to_reduced(_normal_form(pair, "F", (u, s))))
-    well_defined = True
-    for rel in data.relations:
-        img: dict = {}
-        for c, v in rel.items():
-            for i, w in ambient_cols[c].items():
-                _add_term(img, i, w * v)
-        if img:
-            well_defined = False
-            break
-    psi = Matrix.zeros(red2.dim, data.module.dim)
-    for k, c in enumerate(data.free):
-        for i, v in ambient_cols[c].items():
-            psi.data[i][k] = v
+    ambient = Matrix(len(ambient_cols), red2.dim, ambient_cols).transpose()
+    well_defined = not any(ambient.apply(rel) for rel in data.relations)
+    psi = ambient.take(range(red2.dim), data.free)
 
-    incl_f = Matrix.zeros(red2.dim, dn)
-    for s in range(dn):
-        incl_f.data[s][s] = Q(1)
-    proj_f = Matrix.zeros(dn * dn, red2.dim)
-    for i in range(dn * dn):
-        proj_f.data[i][dn + i] = Q(1)
+    ident = Matrix.identity(red2.dim)
+    incl_f = ident.take(range(red2.dim), range(dn))
+    proj_f = ident.take(range(dn, red2.dim), range(red2.dim))
     squares = psi.mul(data.include.matrix) == incl_f and proj_f.mul(psi) == data.project.matrix
     equivariant = ModuleMap(data.module, red2, psi).is_equivariant()
     bijective = psi.rank() == red2.dim == data.module.dim
@@ -793,16 +740,21 @@ def equivalence_harness(pair: InclusionPair, K: int = 4) -> HarnessReport:
     Level one is degenerate (its reduced sequence is 0 -> 0 -> n -> n -> 0,
     split for every pair); the first sequence carrying the class is k = 2.
     """
-    n_mod = quotient_module(pair)
-    alpha_trivial = is_trivial(pair, n_mod) is not None
-    f_filt = build_filtration(pair, "F", K)
-    r_filt = build_filtration(pair, "R", K)
-    f_levels = {}
-    r_levels = {}
-    for k in range(2, K + 1):
-        f_levels[k] = section_oracle(level_sequence(f_filt, k, reduced=True)) is not None
-        r_levels[k] = section_oracle(level_sequence(r_filt, k, reduced=True)) is not None
-    return HarnessReport(alpha_trivial, f_levels, r_levels)
+    alpha_trivial = is_trivial(pair, quotient_module(pair)) is not None
+    return HarnessReport(alpha_trivial, *_level_verdicts(pair, K))
+
+
+def _level_verdicts(pair: InclusionPair, K: int, coeff: Optional[LieModule] = None) -> tuple:
+    """The oracle verdict of each level sequence, as ({k: splits} on the free
+    side, the same on the straightened side): the reduced sequences for
+    2 <= k <= K with trivial coefficients (``coeff`` None), else the
+    unreduced ones for 1 <= k <= K."""
+    filts = [build_filtration(pair, side, K, coeff=coeff) for side in "FR"]
+    levels: tuple = ({}, {})
+    for k in range(2 if coeff is None else 1, K + 1):
+        for filt, out in zip(filts, levels):
+            out[k] = section_oracle(level_sequence(filt, k, reduced=coeff is None)) is not None
+    return levels
 
 
 @dataclass
@@ -834,14 +786,6 @@ class TwistedReport:
 def twisted_verdict(pair: InclusionPair, coeff: LieModule, K: int) -> TwistedReport:
     """Check the module-twisted equivalence at degree cap K: both classes
     trivial iff the twisted filtrations split (levelwise, unreduced)."""
-    n_mod = quotient_module(pair)
-    alpha_trivial = is_trivial(pair, n_mod) is not None
+    alpha_trivial = is_trivial(pair, quotient_module(pair)) is not None
     alpha_v_trivial = is_trivial(pair, coeff) is not None
-    f_filt = build_filtration(pair, "F", K, coeff=coeff)
-    r_filt = build_filtration(pair, "R", K, coeff=coeff)
-    f_levels = {}
-    r_levels = {}
-    for k in range(1, K + 1):
-        f_levels[k] = section_oracle(level_sequence(f_filt, k)) is not None
-        r_levels[k] = section_oracle(level_sequence(r_filt, k)) is not None
-    return TwistedReport(alpha_trivial, alpha_v_trivial, f_levels, r_levels)
+    return TwistedReport(alpha_trivial, alpha_v_trivial, *_level_verdicts(pair, K, coeff))

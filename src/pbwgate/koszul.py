@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lie import InclusionPair, sym_dim
+from .lie import InclusionPair, sort_with_sign, sym_dim
 from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, subspace_intersection
 
 Vec = dict
@@ -67,19 +67,11 @@ def quadratic_data(pair: InclusionPair) -> QuadraticData:
         if span.insert(vec) is not None:
             basis.append(vec)
             basis_pairs.append((a, x))
-    phi = Matrix.zeros(dg, len(basis))
-    for j, (a, x) in enumerate(basis_pairs):
-        for u, v in pair.bracket_letters(a, x).items():
-            phi.data[u][j] = v
+    phi = Matrix(len(basis), dg, [pair.bracket_letters(a, x) for a, x in basis_pairs]).transpose()
     qd = QuadraticData(pair, basis, basis_pairs, phi, True)
     for (a, x), vec in _qr_spanning(pair):
         y = qd.coords(vec)
-        if y is None:
-            qd.phi_consistent = False
-            break
-        target = phi.apply(y)
-        br = pair.bracket_letters(a, x)
-        if any(target[u] != br.get(u, Q(0)) for u in range(dg)):
+        if y is None or phi.apply(y) != pair.bracket_letters(a, x):
             qd.phi_consistent = False
             break
     return qd
@@ -129,7 +121,7 @@ def bg_conditions(pair: InclusionPair):
             cond1 = False
             cond2 = False
             continue
-        if any(x for x in qd.phi.apply(coords)):
+        if qd.phi.apply(coords):
             cond2 = False
     return (cond1, cond2)
 
@@ -199,31 +191,12 @@ class _QaDegrees:
 def _wedge_vector(letters, dg: int) -> dict:
     """Total antisymmetrization of a letter list inside g^{(x) i}."""
     out: dict = {}
-    for perm, sign in _signed_permutations(tuple(letters)):
+    for perm in itertools.permutations(range(len(letters))):
         idx = 0
         for p in perm:
-            idx = idx * dg + p
-        out[idx] = out.get(idx, Q(0)) + sign
-    return {k: v for k, v in out.items() if v}
-
-
-def _signed_permutations(items):
-    n = len(items)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield tuple(items[p] for p in perm), Q(sign)
+            idx = idx * dg + letters[p]
+        _add_term(out, idx, Q(sort_with_sign(perm)[1]))
+    return out
 
 
 @dataclass

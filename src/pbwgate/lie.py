@@ -62,9 +62,6 @@ class LieAlgebra:
             table[j][i] = {k: -v for k, v in cv.items()}
         return cls(dim, labels, table)
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        return dict(self.table[i][j])
-
     def bracket(self, x: Vec, y: Vec) -> Vec:
         out: Vec = {}
         for i, xi in x.items():
@@ -218,27 +215,22 @@ class InclusionPair:
 
     # -- coordinates -------------------------------------------------------
 
-    def _adapted(self, x) -> Vec:
-        """Sparse adapted coordinates of a vector of g (list or sparse dict)."""
-        sol = self._coords(_vec(x if isinstance(x, dict) else dict(enumerate(x))))
+    def _adapted(self, x: Vec) -> Vec:
+        """Sparse adapted coordinates (h-part, then n-part) of a vector of g."""
+        sol = self._coords(_vec(x))
         if sol is None:
             raise AssertionError("adapted basis does not span g")
         return sol
 
-    def coords(self, x) -> list:
-        """Adapted coordinates (h-part then n-part) of a vector of g."""
-        sol = self._adapted(x)
-        return [sol.get(i, Q(0)) for i in range(self.g.dim)]
+    def n_part(self, x: Vec) -> Vec:
+        """The n-coordinates of a vector of g."""
+        return {r: v for r, v in self.letter_coords(x).items() if r < self.dim_n}
 
-    def n_part(self, x) -> list:
-        return self.coords(x)[self.dim_h:]
-
-    def letter_vector(self, u: int) -> list:
+    def letter_vector(self, u: int) -> Vec:
         """Letter u as a vector of g: n-letters first, then h-letters."""
-        col = self._letter_cols[u]
-        return [col.get(i, Q(0)) for i in range(self.g.dim)]
+        return dict(self._letter_cols[u])
 
-    def letter_coords(self, x) -> Vec:
+    def letter_coords(self, x: Vec) -> Vec:
         """Expand a g vector over the letters (n-letters then h-letters)."""
         c = self._adapted(x)
         dh = self.dim_h
@@ -289,7 +281,7 @@ def make_pair(g: LieAlgebra, h_embedding, complement: Optional[Sequence[int]] = 
     elif h_embedding and all(isinstance(x, int) for x in h_embedding):
         emb = Matrix(len(h_embedding), g.dim, [{r: Q(1)} for r in h_embedding]).transpose()
     else:
-        emb = Matrix.from_cols([[qf(v) for v in col] for col in h_embedding], rows=g.dim)
+        emb = Matrix.from_rows(h_embedding, cols=g.dim).transpose()
     if emb.rows != g.dim:
         raise ValueError("embedding has wrong ambient dimension")
     ech = Echelon(g.dim)
@@ -310,11 +302,9 @@ def quotient_module(pair: InclusionPair) -> LieModule:
     dn = pair.dim_n
     action = []
     for a in range(pair.dim_h):
-        cols = []
-        for r in range(dn):
-            br = pair.bracket_letters(pair.dim_n + a, r)
-            cols.append([br.get(s, Q(0)) for s in range(dn)])
-        action.append(Matrix.from_cols(cols, rows=dn))
+        # column r is the n-part of [i(a), sigma_r]
+        cols = [{s: v for s, v in pair.bracket_letters(dn + a, r).items() if s < dn} for r in range(dn)]
+        action.append(Matrix(dn, dn, cols).transpose())
     return LieModule(pair.h, dn, action, labels=pair.n_labels)
 
 
@@ -323,23 +313,14 @@ def g_restriction_module(pair: InclusionPair) -> LieModule:
     dg = pair.g.dim
     action = []
     for a in range(pair.dim_h):
-        cols = []
-        for u in range(dg):
-            br = pair.bracket_letters(pair.dim_n + a, u)
-            cols.append([br.get(w, Q(0)) for w in range(dg)])
-        action.append(Matrix.from_cols(cols, rows=dg))
+        cols = [pair.bracket_letters(pair.dim_n + a, u) for u in range(dg)]
+        action.append(Matrix(dg, dg, cols).transpose())
     labels = tuple(pair.n_labels) + tuple(pair.h.labels)
     return LieModule(pair.h, dg, action, labels=labels)
 
 
 def adjoint_module(alg: LieAlgebra) -> LieModule:
-    action = []
-    for i in range(alg.dim):
-        cols = []
-        for j in range(alg.dim):
-            br = alg.table[i][j]
-            cols.append([br.get(k, Q(0)) for k in range(alg.dim)])
-        action.append(Matrix.from_cols(cols, rows=alg.dim))
+    action = [Matrix(alg.dim, alg.dim, list(alg.table[i])).transpose() for i in range(alg.dim)]
     return LieModule(alg, alg.dim, action, labels=alg.labels)
 
 

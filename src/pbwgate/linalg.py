@@ -92,21 +92,6 @@ class Matrix:
         return cls(rows, cols, data)
 
     @classmethod
-    def from_cols(cls, columns: Sequence[Sequence[Entry]], rows: Optional[int] = None) -> "Matrix":
-        ncols = len(columns)
-        if rows is None:
-            rows = len(columns[0]) if ncols else 0
-        data = [dict() for _ in range(rows)]
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                v = qf(v)
-                if v:
-                    data[i][j] = v
-        return cls(rows, ncols, data)
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [{i: Q(1)} for i in range(n)])
 
@@ -118,15 +103,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i].get(j, Q(0))
-
-    def row_list(self, i: int) -> list:
-        out = [Q(0)] * self.cols
-        for c, v in self.data[i].items():
-            out[c] = v
-        return out
-
-    def col_list(self, j: int) -> list:
-        return [self.data[i].get(j, Q(0)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(not r for r in self.data)
@@ -203,26 +179,17 @@ class Matrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def apply(self, vec) -> list:
-        """Matrix times column vector (list or sparse dict)."""
-        if isinstance(vec, dict):
-            v = vec
-        else:
-            if len(vec) != self.cols:
-                raise ValueError("vector length mismatch")
-            v = {j: qf(x) for j, x in enumerate(vec) if qf(x)}
-        out = [Q(0)] * self.rows
+    def apply(self, vec: Row) -> Row:
+        """Matrix times a sparse column vector, as a sparse dict."""
+        out = {}
         for i, r in enumerate(self.data):
-            s = Q(0)
-            if len(r) <= len(v):
-                for c, coeff in r.items():
-                    if c in v:
-                        s += coeff * v[c]
-            else:
-                for c, coeff in v.items():
-                    if c in r:
-                        s += r[c] * coeff
-            out[i] = s
+            small, big = (r, vec) if len(r) <= len(vec) else (vec, r)
+            s = 0
+            for c, v in small.items():
+                if c in big:
+                    s += v * big[c]
+            if s:
+                out[i] = s
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -439,31 +406,21 @@ def rref(m: Matrix):
     return Matrix(m.rows, m.cols, data), pivots
 
 
-def solve(a: Matrix, b) -> Optional[list]:
-    """Some exact solution of ``a x = b``, or None when inconsistent.
+def solve(a: Matrix, b: Row) -> Optional[Row]:
+    """Some exact solution of ``a x = b`` as a sparse dict, or None when
+    inconsistent; an index of ``b`` outside ``a.rows`` raises ValueError.
 
     Deterministic choice: the free (non-pivot) variables are set to zero.
     """
-    if isinstance(b, dict):
-        bvec = b
-    else:
-        if len(b) != a.rows:
-            raise ValueError("dimension mismatch between matrix and right-hand side")
-        bvec = {i: qf(x) for i, x in enumerate(b) if qf(x)}
+    _in_range(b, a.rows)
     bcol = a.cols
     ech = Echelon(a.cols + 1)
     for i, r in enumerate(a.data):
         row = dict(r)
-        if i in bvec:
-            row[bcol] = bvec[i]
+        if i in b:
+            row[bcol] = b[i]
         ech.insert(row)
-    sol = ech.solution(bcol)
-    if sol is None:
-        return None
-    x = [Q(0)] * a.cols
-    for c, v in sol.items():
-        x[c] = v
-    return x
+    return ech.solution(bcol)
 
 
 def kernel_basis(a: Matrix) -> list:

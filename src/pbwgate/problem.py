@@ -35,10 +35,6 @@ def _rational(value, where: str) -> Fraction:
         raise ProblemError(where, f"bad rational {value!r}: {exc}") from None
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 @dataclass
 class ProblemFile:
     name: str
@@ -93,13 +89,13 @@ class ProblemFile:
             "dim": self.dim,
             "labels": list(self.labels),
             "brackets": [
-                [i, j, [[k, _rational_str(c)] for k, c in coeffs]] for (i, j, coeffs) in self.brackets
+                [i, j, [[k, str(c)] for k, c in coeffs]] for (i, j, coeffs) in self.brackets
             ],
         }
         if self.h_indices is not None:
             h = {"indices": list(self.h_indices)}
         else:
-            h = {"embedding": [[_rational_str(x) for x in col] for col in self.h_embedding]}
+            h = {"embedding": [[str(x) for x in col] for col in self.h_embedding]}
         if self.complement is not None:
             h["complement"] = list(self.complement)
         out = {"name": self.name, "g": g, "h": h}
@@ -107,7 +103,7 @@ class ProblemFile:
             out["modules"] = {
                 name: {
                     "dim": dim,
-                    "action": [[[_rational_str(x) for x in row] for row in mat] for mat in mats],
+                    "action": [[[str(x) for x in row] for row in mat] for mat in mats],
                 }
                 for name, (dim, mats) in self.modules.items()
             }

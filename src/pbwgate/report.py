@@ -38,6 +38,10 @@ COMMANDS = ("validate", "alpha", "extend", "split", "oracle", "twisted", "koszul
 
 _DEFAULT_DEGREE = {"split": 3, "oracle": 4, "koszul": 4, "twisted": 3}
 
+# the smallest degree cap at which a check tests anything: koszul slices
+# start at internal degree 1, the twisted levels at 1, the oracle levels at 2
+_MIN_DEGREE = {"koszul": 1, "twisted": 1, "oracle": 2}
+
 # the statement each record's check exercises, by check name
 _ANCHORS = {
     "validate": "Lie algebra axioms (antisymmetry and the Jacobi identity)",
@@ -348,39 +352,36 @@ def run_command(
     def degree(check: str) -> int:
         return max_degree if max_degree is not None else _DEFAULT_DEGREE[check]
 
-    for check in ("koszul", "twisted"):
-        # koszul slices start at internal degree 1; twisted at cap 0 checks no level
-        if command in (check, "all") and degree(check) < 1:
-            raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least 1")
+    if command != "all":
+        checks = (command,)
+    elif problem.expect_invalid:
+        checks = ("validate", "koszul")
+    else:
+        checks = ("validate", "alpha", "extend", "split", "oracle", "koszul", "twisted")
+    for check in checks:
+        least = _MIN_DEGREE.get(check)
+        if least is not None and degree(check) < least:
+            raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least {least}")
     lie_pair = functools.cache(problem.pair)
     records = []
 
     def run(check: str, fn, *args) -> None:
         records.extend(_contained(check, lambda: fn(problem, lie_pair(), *args)))
 
-    if command in ("validate", "all"):
-        records.extend(_contained("validate", lambda: _check_validate(problem)))
-    if command == "alpha":
-        run("alpha", _check_alpha)
-    elif command == "extend":
-        run("extend", _check_extend)
-    elif command == "split":
-        run("split", _check_split, degree("split"))
-    elif command == "oracle":
-        run("oracle", _check_oracle, degree("oracle"))
-    elif command == "koszul":
-        run("koszul", _check_koszul, degree("koszul"))
-    elif command == "twisted":
-        run("twisted", _check_twisted, degree("twisted"), module)
-    elif command == "all":
-        if problem.expect_invalid:
+    for check in checks:
+        if check == "validate":
+            records.extend(_contained("validate", lambda: _check_validate(problem)))
+        elif check == "alpha":
+            run("alpha", _check_alpha)
+        elif check == "extend":
+            run("extend", _check_extend)
+        elif check == "split":
+            run("split", _check_split, degree("split"))
+        elif check == "oracle":
+            run("oracle", _check_oracle, degree("oracle"))
+        elif check == "koszul":
             run("koszul", _check_koszul, degree("koszul"))
         else:
-            run("alpha", _check_alpha)
-            run("extend", _check_extend)
-            run("split", _check_split, degree("split"))
-            run("oracle", _check_oracle, degree("oracle"))
-            run("koszul", _check_koszul, degree("koszul"))
-            for name in ((module,) if module else ("n", "trivial")):
+            for name in (module,) if module is not None else ("n", "trivial"):
                 run("twisted", _check_twisted, degree("twisted"), name)
     return Report(problem.name, records)

@@ -2,7 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pbwgate.lie import LieAlgebra, make_pair
+from pbwgate.cohomology import Cochain, alpha_cocycle
+from pbwgate.lie import LieAlgebra, make_pair, quotient_module
+from pbwgate.linalg import Matrix, solve, tensor_map
 
 
 def sl2() -> LieAlgebra:
@@ -26,6 +28,39 @@ def heisenberg() -> LieAlgebra:
 def affine_line() -> LieAlgebra:
     # basis (x, y): [x,y] = y
     return LieAlgebra.from_pairs(2, [(0, 1, {1: 1})], labels=("x", "y"))
+
+
+def invert(m: Matrix) -> Matrix:
+    """The inverse of an invertible matrix, one ``solve`` per column."""
+    cols = []
+    for j in range(m.rows):
+        x = solve(m, {j: Q(1)})
+        assert x is not None
+        cols.append(x)
+    return Matrix(len(cols), m.cols, cols).transpose()
+
+
+def complement_change(p1, p2) -> Matrix:
+    """theta: n1 -> n2, whose columns are the n2-coordinates of sigma1."""
+    cols = [p2.n_part(col) for col in p1.sigma.transpose().data]
+    return Matrix(len(cols), p2.dim_n, cols).transpose()
+
+
+def alpha_difference(p1, p2) -> Cochain:
+    """The obstruction cocycle of p1 minus that of p2 transported along
+    theta; a coboundary when the class does not depend on the complement."""
+    theta = complement_change(p1, p2)
+    theta_inv = invert(theta)
+    a1 = alpha_cocycle(p1, quotient_module(p1))
+    a2 = alpha_cocycle(p2, quotient_module(p2))
+    dn = p1.dim_n
+    transported = Matrix.zeros(a1.module.dim, p1.dim_h)
+    for z in range(p1.dim_h):
+        phi1 = theta_inv.mul(a2.hom_value(z, dn, dn * dn)).mul(tensor_map(theta, theta))
+        for i, row in enumerate(phi1.data):
+            for j, v in row.items():
+                transported.data[i * dn * dn + j][z] = v
+    return Cochain(1, a1.module, a1.values - transported)
 
 
 def diagonal_embedding(alg: LieAlgebra):

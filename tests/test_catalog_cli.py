@@ -246,6 +246,22 @@ def test_cli_twisted_cap_zero_exits_2(capsys):
     assert "--max-degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "all"])
+def test_cli_oracle_cap_below_2_exits_2(command, capsys):
+    # the oracle levels start at 2: a lower cap would check no level and
+    # report that every level verdict matches the class
+    for cap in ("0", "1"):
+        assert main([command, "--example", "sl2-borel", "--max-degree", cap]) == 2
+        assert "the oracle check needs a degree cap of at least 2" in capsys.readouterr().err
+
+
+def test_all_on_a_negative_control_applies_only_the_koszul_cap():
+    # `all` on a negative control runs only the koszul check, whose slices start at 1
+    rep = run_command("all", catalog_get("jacobi-broken-negative-control"), max_degree=1)
+    assert [r.check for r in rep.records] == ["validate", "koszul"]
+    assert rep.exit_code == 0
+
+
 @pytest.mark.parametrize("error", [KeyError, RuntimeError])
 def test_exception_in_a_check_is_a_fail_record(error, monkeypatch, tmp_path):
     # a broken invariant is exit 1 with the report written, never "input
@@ -303,4 +319,74 @@ def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
     assert not dims.ok
     assert dims.witness["F"]["normal_forms"] == [1, 2, 2]
     assert dims.witness["F"]["expected"] == [1, 2, 3]
+    assert rep.exit_code == 1
+
+
+# --- injected defects in the merged cochain, extension and pushout checks ----
+
+
+def test_alpha_record_fails_on_a_corrupted_connecting_cochain(monkeypatch):
+    from pbwgate import cohomology as cohomology_mod
+    from pbwgate import report as report_mod
+
+    real = cohomology_mod.connecting_cocycle
+
+    def corrupted(pair):
+        c = real(pair)
+        values = copy.deepcopy(c.values)
+        values.data[0][0] = values.entry(0, 0) + 1
+        return cohomology_mod.Cochain(1, c.module, values)
+
+    monkeypatch.setattr(cohomology_mod, "connecting_cocycle", corrupted)
+    monkeypatch.setattr(report_mod, "connecting_cocycle", corrupted)
+    rep = run_command("alpha", catalog_get("diagonal-sl2"))
+    [rec] = rep.records
+    assert not rec.ok
+    assert rec.witness["exception"] == "AssertionError"
+    assert "cocycle identity" in rec.witness["message"]
+    assert rep.exit_code == 1
+
+
+def test_extend_record_fails_on_a_corrupted_extension_solution(monkeypatch):
+    # the first solve of the extend check is find_extension's; a wrong
+    # solution must be caught by ExtensionDatum.verify
+    from pbwgate import cohomology as cohomology_mod
+
+    real = cohomology_mod.solve
+    calls = []
+
+    def corrupted(a, b):
+        x = real(a, b)
+        calls.append(a)
+        if len(calls) == 1 and x is not None:
+            x = dict(x)
+            x[0] = x.get(0, 0) + 1
+        return x
+
+    monkeypatch.setattr(cohomology_mod, "solve", corrupted)
+    rep = run_command("extend", catalog_get("semidirect-split"))
+    [rec] = rep.records
+    assert not rec.ok
+    assert rec.witness["exception"] == "AssertionError"
+    assert "invalid datum" in rec.witness["message"]
+    assert rep.exit_code == 1
+
+
+def test_f2_record_fails_on_a_relation_with_a_nonzero_image(monkeypatch):
+    # the relation (n_0, 0) maps to the nonzero word (n_0): the level-two map
+    # does not descend to the pushout
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.pushout_data
+
+    def with_bad_relation(pair, module):
+        data = real(pair, module)
+        data.relations.append({0: Q(1)})
+        return data
+
+    monkeypatch.setattr(engine_mod, "pushout_data", with_bad_relation)
+    rep = run_command("oracle", catalog_get("sl2-borel"), max_degree=2)
+    f2 = next(r for r in rep.records if r.check == "f2-class")
+    assert not f2.ok
+    assert f2.witness["well_defined"] is False
     assert rep.exit_code == 1

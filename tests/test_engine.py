@@ -37,7 +37,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, rref, tensor_map
 
-from conftest import diagonal_embedding, sl2
+from conftest import complement_change, diagonal_embedding, sl2
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -259,9 +259,7 @@ def test_gr_independent_of_complement():
     g = sl2().direct_sum(sl2())
     p1 = make_pair(g, diagonal_embedding(sl2()))
     p2 = make_pair(g, diagonal_embedding(sl2()), complement=(0, 1, 2))
-    theta = Matrix.from_cols(
-        [p2.n_part(p1.sigma.col_list(r)) for r in range(p1.dim_n)], rows=p2.dim_n
-    )
+    theta = complement_change(p1, p2)
     k = 2
     f1 = build_filtration(p1, "F", k)
     f2 = build_filtration(p2, "F", k)
@@ -485,16 +483,18 @@ def test_oracle_borel_f2_none(sl2_borel):
 
 
 def _rref_solve(a, b):
-    """Free-variables-zero solution of ``a x = b`` read from the full RREF of
-    the augmented matrix, or None when it is inconsistent."""
-    aug = a.hstack(Matrix.from_cols([b], rows=a.rows))
+    """Free-variables-zero solution of ``a x = b`` (sparse ``b`` and ``x``)
+    read from the full RREF of the augmented matrix, or None when it is
+    inconsistent."""
+    aug = a.hstack(Matrix(1, a.rows, [b]).transpose())
     reduced, pivots = rref(aug)
     if a.cols in pivots:
         return None
-    x = [Q(0)] * a.cols
-    for i, c in enumerate(pivots):
-        x[c] = reduced.entry(i, a.cols)
-    return x
+    return {c: reduced.entry(i, a.cols) for i, c in enumerate(pivots) if reduced.entry(i, a.cols)}
+
+
+def _from_columns(cols, rows):
+    return Matrix(len(cols), rows, cols).transpose()
 
 
 def _reference_oracle(seq):
@@ -503,26 +503,28 @@ def _reference_oracle(seq):
     correction t with act_sub(a) t - t act_quot(a) = -D_a, written with
     Kronecker products on row-major vec(t)."""
     nsub, nquot = seq.sub.dim, seq.quot.dim
-    ident = [[Q(int(i == j)) for i in range(nquot)] for j in range(nquot)]
-    s0 = Matrix.from_cols([_rref_solve(seq.project, e) for e in ident], rows=seq.mid.dim)
+    s0 = _from_columns([_rref_solve(seq.project, {j: Q(1)}) for j in range(nquot)], seq.mid.dim)
     if nsub == 0:
         return s0
-    blocks, rhs = [], []
+    blocks, rhs = [], {}
     for a in range(seq.sub.algebra.dim):
         residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
-        d = Matrix.from_cols([_rref_solve(seq.include, residual.col_list(j)) for j in range(nquot)], rows=nsub)
+        d = _from_columns([_rref_solve(seq.include, col) for col in residual.transpose().data], nsub)
         blocks.append(
             tensor_map(seq.sub.action[a], Matrix.identity(nquot))
             - tensor_map(Matrix.identity(nsub), seq.quot.action[a].transpose())
         )
-        rhs += [-v for i in range(nsub) for v in d.row_list(i)]
+        offset = a * nsub * nquot
+        rhs.update((offset + i * nquot + j, -v) for i, row in enumerate(d.data) for j, v in row.items())
     system = blocks[0]
     for block in blocks[1:]:
         system = system.vstack(block)
     t = _rref_solve(system, rhs)
     if t is None:
         return None
-    t_mat = Matrix.from_rows([t[i * nquot:(i + 1) * nquot] for i in range(nsub)], cols=nquot)
+    t_mat = Matrix.zeros(nsub, nquot)
+    for c, v in t.items():
+        t_mat.data[c // nquot][c % nquot] = v
     return s0 + seq.include.mul(t_mat)
 
 

@@ -36,8 +36,8 @@ def test_phi_values(sl2_borel):
     qd = quadratic_data(sl2_borel)
     # the pair (e, f) spans a basis vector with phi(e (x) f - f (x) e) = [e, f] = h
     j = qd.basis_pairs.index((1, 0))  # letters: 1 = e (h-letter), 0 = f (n-letter)
-    col = qd.phi.col_list(j)
-    assert col == [0, 0, 1]  # h-letter index 2 is the element h
+    col = qd.phi.transpose().data[j]
+    assert col == {2: 1}  # h-letter index 2 is the element h
 
 
 @pytest.mark.parametrize("fixture", ["sl2_borel", "diag_sl2", "diag_heis", "abelian_pair", "semidirect_pair"])

@@ -22,7 +22,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, solve
 
-from conftest import diagonal_embedding, heisenberg, sl2
+from conftest import complement_change, diagonal_embedding, heisenberg, sl2
 
 
 def test_validate_abelian():
@@ -58,7 +58,7 @@ def test_validate_broken_jacobi():
 
 def test_make_pair_sl2_borel(sl2_borel):
     assert sl2_borel.complement == (2,)
-    assert sl2_borel.sigma.col_list(0) == [Q(0), Q(0), Q(1)]
+    assert sl2_borel.sigma.transpose().data[0] == {2: Q(1)}
     assert sl2_borel.dim_n == 1
 
 
@@ -117,8 +117,7 @@ def test_quotient_independent_of_complement():
     p2 = make_pair(g, diagonal_embedding(sl2()), complement=(0, 1, 2))
     n1, n2 = quotient_module(p1), quotient_module(p2)
     # transport: theta = n2-coordinates of sigma1
-    theta_cols = [p2.n_part(p1.sigma.col_list(r)) for r in range(p1.dim_n)]
-    theta = Matrix.from_cols(theta_cols, rows=p2.dim_n)
+    theta = complement_change(p1, p2)
     f = ModuleMap(n1, n2, theta)
     assert f.is_equivariant()
     assert theta.rank() == p1.dim_n

@@ -37,20 +37,27 @@ def test_rref_rank_one():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(2), [1, 2]) == [Q(1), Q(2)]
+    assert solve(Matrix.identity(2), {0: 1, 1: 2}) == {0: Q(1), 1: Q(2)}
 
 
 def test_solve_free_variable_zero():
-    assert solve(Matrix.from_rows([[1, 1]]), [3]) == [Q(3), Q(0)]
+    assert solve(Matrix.from_rows([[1, 1]]), {0: 3}) == {0: Q(3)}
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.from_rows([[0]]), [1]) is None
+    assert solve(Matrix.from_rows([[0]]), {0: 1}) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Matrix.identity(2), [1, 2, 3])
+        solve(Matrix.identity(2), {2: 3})
+
+
+@pytest.mark.parametrize("rhs", [{0: 1, 5: 7}, {-1: 1}])
+def test_solve_rejects_an_index_outside_the_rows(rhs):
+    # dropping the out-of-range entry would solve a different system
+    with pytest.raises(ValueError):
+        solve(Matrix.identity(2), rhs)
 
 
 def test_kernel_identity_empty():
@@ -106,12 +113,10 @@ def test_tensor_map_on_basis_tensors():
     t = tensor_map(f, g)
     for j in range(2):
         for l in range(2):
-            vec = [Q(0)] * 4
-            vec[j * 2 + l] = Q(1)
-            got = t.apply(vec)
-            fu = f.col_list(j)
-            gv = g.col_list(l)
-            expect = [fu[i] * gv[k] for i in range(2) for k in range(3)]
+            got = t.apply({j * 2 + l: Q(1)})
+            fu = f.transpose().data[j]
+            gv = g.transpose().data[l]
+            expect = {i * 3 + k: fu[i] * gv[k] for i in fu for k in gv}
             assert got == expect
 
 
@@ -127,8 +132,8 @@ def test_solve_exactness_randomized():
     for _ in range(25):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, rows, cols)
-        x0 = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-        b = a.apply(x0)
+        x0 = {c: Q(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(cols)}
+        b = a.apply({c: v for c, v in x0.items() if v})
         x = solve(a, b)
         assert x is not None
         assert a.apply(x) == b
@@ -190,10 +195,10 @@ def test_coordinates_match_solve():
             if y is None:
                 outside += 1
                 continue
-            assert a.apply(y) == [x.get(i, Q(0)) for i in range(dim)]
+            assert a.apply(y) == {i: v for i, v in x.items() if v}
             if not dependent:
                 # independent vectors: the coordinates are unique
-                assert y == {j: v for j, v in enumerate(expected) if v}
+                assert y == expected
         assert coords(inside) is not None
     assert outside > 0
 
@@ -208,7 +213,8 @@ def test_coordinates_reject_out_of_range_index():
 def _kernel_intersection(us, vs, dim):
     """Reference: U k_u for each k in the kernel of [U | -V]."""
     u_mat, v_mat = _columns(us, dim), _columns(vs, dim)
-    return [u_mat.apply(k[: len(us)]) for k in kernel_basis(u_mat.hstack(v_mat.scale(-1)))]
+    kernel = kernel_basis(u_mat.hstack(v_mat.scale(-1)))
+    return [u_mat.apply({j: x for j, x in enumerate(k[: len(us)]) if x}) for k in kernel]
 
 
 def _rank(vecs, dim):
@@ -222,7 +228,7 @@ def test_intersection_matches_kernel_reference():
         us = _random_vectors(rng, dim, rng.random() < 0.5)
         vs = _random_vectors(rng, dim, rng.random() < 0.5) + [_combination(rng, us)]
         got = subspace_intersection(us, vs, dim)
-        reference = [{i: x for i, x in enumerate(w) if x} for w in _kernel_intersection(us, vs, dim)]
+        reference = _kernel_intersection(us, vs, dim)
         assert len(got) == _rank(reference, dim) == _rank(got, dim)
         assert _rank(got + reference, dim) == len(got)
         for w in got:
@@ -397,18 +403,17 @@ def test_rank_solve_kernel_match_sympy():
     for kind in ["consistent", "inconsistent", "deficient"] * 15:
         cols, rows = _random_system(rng, kind)
         a = Matrix(len(rows), cols, [{j: v for j, v in r.items() if j < cols} for r in rows])
-        b = [r.get(cols, Q(0)) for r in rows]
+        b = {i: r[cols] for i, r in enumerate(rows) if cols in r}
         sa = _sympy_matrix(sympy, a)
         assert a.rank() == sa.rank()
-        reduced, piv = sa.row_join(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b])).rref()
+        column = [b.get(i, Q(0)) for i in range(len(rows))]
+        reduced, piv = sa.row_join(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in column])).rref()
         x = solve(a, b)
         if cols in piv:
             assert x is None
         else:
-            expected = [Q(0)] * cols
-            for i, c in enumerate(piv):
-                expected[c] = _from_sympy(reduced[i, cols])
-            assert x == expected
+            expected = {c: _from_sympy(reduced[i, cols]) for i, c in enumerate(piv)}
+            assert x == {c: v for c, v in expected.items() if v}
         assert kernel_basis(a) == [[_from_sympy(v) for v in vec] for vec in sa.nullspace()]
 
 
@@ -431,7 +436,7 @@ def test_solution_property():
             assert a.rank() < Matrix.from_rows(dense).rank()
         else:
             assert set(x) <= set(ech.pivots)
-            assert a.apply([x.get(c, Q(0)) for c in range(cols)]) == [r[cols] for r in dense]
+            assert a.apply(x) == {i: r[cols] for i, r in enumerate(dense) if r[cols]}
 
     prop()
 

@@ -28,13 +28,17 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
-def _reference_uses(source: str) -> list:
+def _named(source: str, names) -> list:
     found = []
     for node in ast.walk(ast.parse(source)):
         field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
-        if field and getattr(node, field) in _REFERENCE_ONLY:
+        if field and getattr(node, field) in names:
             found.append(node.lineno)
     return found
+
+
+def _reference_uses(source: str) -> list:
+    return _named(source, _REFERENCE_ONLY)
 
 
 def test_reference_use_detector():
@@ -49,4 +53,40 @@ def test_only_linalg_builds_a_rational_rref():
     for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
         if path.name != "linalg.py":
             offenders += [f"{path.name}:{line}" for line in _reference_uses(path.read_text())]
+    assert offenders == []
+
+
+# vectors are sparse dicts everywhere but in linalg's reference routines: no
+# module builds a dense zero list or a matrix from dense columns
+def _is_zero_list(node) -> bool:
+    if not (isinstance(node, ast.List) and len(node.elts) == 1 and isinstance(node.elts[0], ast.Call)):
+        return False
+    call = node.elts[0]
+    return isinstance(call.func, ast.Name) and call.func.id in ("Q", "Fraction") and [
+        ast.literal_eval(arg) for arg in call.args
+    ] == [0]
+
+
+def _dense_uses(source: str) -> list:
+    found = _named(source, {"from_cols"})
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if _is_zero_list(node.left) or _is_zero_list(node.right):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_dense_vector_detector():
+    assert _dense_uses("x = [Q(0)] * n\n") == [1]
+    assert _dense_uses("x = n * [Fraction(0)]\n") == [1]
+    assert _dense_uses("m = Matrix.from_cols(cols, rows=3)\n") == [1]
+    assert _dense_uses("from .linalg import from_cols\n") == [1]
+    assert _dense_uses("x = [Q(1)] * n\ny = {0: Q(0)}\nz = [Q(0), Q(0)]\n") == []
+
+
+def test_only_linalg_builds_dense_vectors():
+    offenders = []
+    for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
+        if path.name != "linalg.py":
+            offenders += [f"{path.name}:{line}" for line in _dense_uses(path.read_text())]
     assert offenders == []
