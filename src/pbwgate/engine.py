@@ -376,29 +376,44 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
             for i, v in y.items():
                 d.data[i][j] = v
         d_mats.append(d)
-    # unknown correction t: sub -> quot source; act_sub(a) t - t act_quot(a) = -D_a
+    # unknown correction t: sub -> quot source; act_sub(a) t - t act_quot(a) = -D_a,
+    # each a's rows scaled by one common denominator so they are built in ints
     nsub, nquot = seq.sub.dim, seq.quot.dim
     if nsub == 0:
         return s0
     ech = Echelon(nsub * nquot + 1)
     bcol = nsub * nquot
+    long_rows = []
     for a in range(h_dim):
-        act_s = seq.sub.action[a]
-        act_q = seq.quot.action[a]
-        act_q_cols = act_q.transpose()
+        mats = (seq.sub.action[a], seq.quot.action[a].transpose(), d_mats[a])
+        scale = math.lcm(*(v.denominator for m in mats for r in m.data for v in r.values()))
+        act_s, act_q_cols, d = (
+            [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in m.data]
+            for m in mats
+        )
         for i in range(nsub):
-            arow = act_s.data[i]
+            arow, drow = act_s[i], d[i]
             for j in range(nquot):
-                row: dict = {}
-                for k2, v in arow.items():
-                    _add_term(row, k2 * nquot + j, v)
-                for k2, v in act_q_cols.data[j].items():
-                    _add_term(row, i * nquot + k2, -v)
-                rhs = -d_mats[a].entry(i, j)
+                row = {k2 * nquot + j: v for k2, v in arow.items()}
+                for k2, v in act_q_cols[j].items():
+                    c = i * nquot + k2
+                    w = row.get(c, 0) - v
+                    if w:
+                        row[c] = w
+                    else:
+                        row.pop(c, None)
+                rhs = drow.get(j)
                 if rhs:
-                    row[bcol] = rhs
-                if row:
+                    row[bcol] = -rhs
+                # short rows (a toral element's: one unknown and the
+                # right-hand side) go in at once and fix their unknowns
+                # before the longer rows, inserted shortest first, fill in
+                if len(row) > 2:
+                    long_rows.append(row)
+                elif row:
                     ech.insert(row)
+    for row in sorted(long_rows, key=len):
+        ech.insert(row)
     sol = ech.solution(bcol)
     if sol is None:
         return None

@@ -10,6 +10,7 @@ vectors and complements are reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -224,24 +225,21 @@ class Matrix:
 
 def _int_row(vec: Row):
     """Clear denominators: return (integer row, positive scale) with
-    true value = row / scale."""
-    import math
-
+    true value = row / scale, zeros dropped.  Entries are ints or Fractions;
+    a row of ints comes back unscaled."""
     scale = 1
     for v in vec.values():
         if isinstance(v, Fraction):
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+            scale = math.lcm(scale, v.denominator)
     row = {}
     for c, v in vec.items():
-        w = int(v * scale)
+        w = v * scale if isinstance(v, int) else v.numerator * (scale // v.denominator)
         if w:
             row[c] = w
     return row, scale
 
 
 def _strip_content(row: dict) -> dict:
-    import math
-
     g = 0
     for v in row.values():
         g = math.gcd(g, v)
@@ -279,8 +277,6 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce_int(self, row: dict, scale: int, strip: bool):
-        import math
-
         pivots = self.pivots
         while True:
             hit = -1
@@ -323,7 +319,7 @@ class Echelon:
     def reduce(self, vec: Row) -> Row:
         if self._reduced:
             raise ValueError("reduce after back_reduce: the echelon is closed")
-        row, scale = _int_row(_clean(dict(vec)))
+        row, scale = _int_row(vec)
         row, scale = self._reduce_int(row, scale, strip=False)
         if scale == 1:
             return {c: Fraction(v) for c, v in row.items()}
@@ -333,7 +329,7 @@ class Echelon:
         """Add a vector to the row space; return its pivot column if rank grew."""
         if self._reduced:
             raise ValueError("insert after back_reduce: the echelon is closed")
-        row, _ = _int_row(_clean(dict(vec)))
+        row, _ = _int_row(vec)
         row = _strip_content(row)
         row, _ = self._reduce_int(row, 1, strip=True)
         if not row:

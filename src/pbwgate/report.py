@@ -130,6 +130,13 @@ def _contained(check: str, run) -> list:
     return out if isinstance(out, list) else [out]
 
 
+def _level2_splits(pair) -> bool:
+    """Oracle verdict on the reduced free-side level-two sequence, the first
+    level that carries the obstruction class: it splits iff the class is
+    trivial."""
+    return section_oracle(level_sequence(build_filtration(pair, "F", 2), 2, reduced=True)) is not None
+
+
 def _check_validate(pf: ProblemFile) -> CheckRecord:
     started = time.perf_counter()
     alg = pf.algebra()
@@ -177,7 +184,13 @@ def _check_alpha(pf: ProblemFile, pair) -> CheckRecord:
     if triv is not None:
         witness["primitive"] = _matrix_strings(triv.values)
     verdict = "obstruction class trivial" if triv is not None else "obstruction class non-trivial"
-    return _record("alpha", started, verdict, True, witness)
+    # the independent leg: the oracle, which knows nothing of cochains
+    level2_splits = _level2_splits(pair)
+    agree = level2_splits == (triv is not None)
+    if not agree:
+        witness["level2_splits"] = level2_splits
+        verdict += "; DISAGREES with the level-two oracle"
+    return _record("alpha", started, verdict, agree, witness)
 
 
 def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
@@ -209,8 +222,7 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
     try:
         maps = pbw_splitting_I(pair, None, K)
     except AlphaNontrivialError:
-        f_filt = build_filtration(pair, "F", 2)
-        level2_split = section_oracle(level_sequence(f_filt, 2, reduced=True)) is not None
+        level2_split = _level2_splits(pair)
         witness = {"alpha_trivial": False, "level2_splits": level2_split}
         ok = not level2_split
         verdict = "no splitting constructed (obstruction class non-trivial)"

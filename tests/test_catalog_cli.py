@@ -390,3 +390,89 @@ def test_f2_record_fails_on_a_relation_with_a_nonzero_image(monkeypatch):
     assert not f2.ok
     assert f2.witness["well_defined"] is False
     assert rep.exit_code == 1
+
+
+def test_alpha_record_fails_on_a_closed_but_wrong_connecting_cochain(monkeypatch):
+    # one more unit at values[1][0] leaves the cochain closed but makes the
+    # class of sl2-borel trivial; the level-two oracle, which knows nothing
+    # of cochains, still sees the non-split sequence
+    from pbwgate import cohomology as cohomology_mod
+    from pbwgate import report as report_mod
+
+    real = cohomology_mod.connecting_cocycle
+
+    def corrupted(pair):
+        c = real(pair)
+        values = copy.deepcopy(c.values)
+        values.data[1][0] = values.entry(1, 0) + 1
+        return cohomology_mod.Cochain(1, c.module, values)
+
+    monkeypatch.setattr(cohomology_mod, "connecting_cocycle", corrupted)
+    monkeypatch.setattr(report_mod, "connecting_cocycle", corrupted)
+    rep = run_command("alpha", catalog_get("sl2-borel"))
+    [rec] = rep.records
+    assert rec.witness["alpha_trivial"] is True
+    assert rec.witness["level2_splits"] is False
+    assert not rec.ok
+    assert "DISAGREES" in rec.verdict
+    assert rep.exit_code == 1
+
+
+def test_alpha_record_adds_no_witness_key_when_the_legs_agree():
+    for name in ("sl2-borel", "diagonal-sl2"):
+        [rec] = run_command("alpha", catalog_get(name)).records
+        assert rec.ok
+        assert set(rec.witness) <= {"c", "a", "alpha_trivial", "primitive"}
+
+
+# --- injected defects in the section oracle ----------------------------------
+
+
+def _oracle_with_solution(monkeypatch, solution):
+    """Run every section_oracle call with ``Echelon.solution`` replaced by
+    ``solution(real, ech, bcol)``; the class routes keep the real one."""
+    from pbwgate import engine as engine_mod
+    from pbwgate import linalg as linalg_mod
+
+    real_oracle = engine_mod.section_oracle
+    real_solution = linalg_mod.Echelon.solution
+
+    def oracle(seq):
+        with monkeypatch.context() as m:
+            m.setattr(linalg_mod.Echelon, "solution", lambda ech, bcol: solution(real_solution, ech, bcol))
+            return real_oracle(seq)
+
+    monkeypatch.setattr(engine_mod, "section_oracle", oracle)
+
+
+def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch):
+    # the class of diagonal-sl2 is trivial, so every level splits: an
+    # elimination that finds no solution turns the level verdicts against it
+    _oracle_with_solution(monkeypatch, lambda real, ech, bcol: None)
+    rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
+    oracle = next(r for r in rep.records if r.check == "oracle")
+    assert not oracle.ok
+    assert oracle.witness["alpha_trivial"] is True
+    assert oracle.witness["free_side_levels"] == {"2": False}
+    assert oracle.witness["straightened_side_levels"] == {"2": False}
+    assert "DISAGREE" in oracle.verdict
+    assert rep.exit_code == 1
+
+
+def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
+    # dropping a nonzero entry of the correction t keeps project . s = id,
+    # since t goes through the inclusion; the equivariance check catches it
+    def dropped(real, ech, bcol):
+        x = real(ech, bcol)
+        if x:
+            x = dict(x)
+            del x[min(x)]
+        return x
+
+    _oracle_with_solution(monkeypatch, dropped)
+    rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
+    [rec] = rep.records
+    assert rec.check == "oracle" and not rec.ok
+    assert rec.witness["exception"] == "AssertionError"
+    assert "non-equivariant" in rec.witness["message"]
+    assert rep.exit_code == 1

@@ -540,6 +540,7 @@ ORACLE_CASES = [(name, None) for name in catalog_list() if not catalog_get(name)
 def test_oracle_matches_full_rref_reference(name, seed):
     pair = _case_pair(name, seed)
     class_trivial = is_trivial(pair, quotient_module(pair)) is not None
+    denominators = set()
     for side in "FR":
         filt = build_filtration(pair, side, 3)
         for k in (2, 3):
@@ -547,6 +548,12 @@ def test_oracle_matches_full_rref_reference(name, seed):
             got = section_oracle(seq)
             assert got == _reference_oracle(seq), (side, k)
             assert (got is None) == (not class_trivial), (side, k)
+            for module in (seq.sub, seq.quot):
+                denominators.update(v.denominator for m in module.action for r in m.data for v in r.values())
+    # the conjugated copies keep the oracle's common-denominator path covered:
+    # their actions hold non-integer entries (the catalog's are integers)
+    if seed is not None:
+        assert max(denominators) > 1
 
 
 def test_f2_class_check(sl2_borel, semidirect_pair, abelian_pair):

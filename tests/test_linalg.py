@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ from pbwgate.linalg import (
     Coordinates,
     Echelon,
     Matrix,
+    _int_row,
     kernel_basis,
     rref,
     solve,
@@ -354,6 +356,60 @@ def test_solution_matches_full_rref(kind):
         # the same answer after the RREF has been built
         ech.back_reduce()
         assert ech.solution(cols) == expected
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, as Python ints."""
+    out = []
+    for r in rows:
+        scale = math.lcm(*(v.denominator for v in r.values()))
+        out.append({k: int(v * scale) for k, v in r.items()})
+    return out
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
+def test_solution_does_not_depend_on_insertion_order(kind):
+    # with leftmost pivoting the pivot set is the RREF's, a property of the
+    # row space alone, so generation order, shortest first, a shuffle and
+    # integer-scaled rows all give the same free-variables-zero solution
+    rng = random.Random({"consistent": 53, "inconsistent": 59, "deficient": 61}[kind])
+    for _ in range(60):
+        cols, rows = _random_system(rng, kind)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        orders = (rows, sorted(rows, key=len), shuffled, sorted(_integer_rows(rows), key=len))
+        echs = [_echelon(cols + 1, order) for order in orders]
+        assert len({frozenset(ech.pivots) for ech in echs}) == 1
+        solutions = [ech.solution(cols) for ech in echs]
+        assert all(x == solutions[0] for x in solutions)
+        assert (solutions[0] is None) == (kind == "inconsistent")
+
+
+def _int_row_reference(vec):
+    """The former conversion: scale by the lcm of the Fraction denominators,
+    then ``int(v * scale)`` entry by entry."""
+    scale = 1
+    for v in vec.values():
+        if isinstance(v, Q):
+            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    row = {c: int(v * scale) for c, v in vec.items()}
+    return {c: v for c, v in row.items() if v}, scale
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_int_row_matches_reference(kind):
+    rng = random.Random({"int": 67, "fraction": 71, "mixed": 73}[kind])
+    for _ in range(200):
+        vec = {}
+        for c in range(rng.randint(0, 7)):
+            num = rng.randint(-9, 9)
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                vec[c] = num
+            else:
+                vec[c] = Q(num, rng.choice([1, 2, 3, 4, 7, 12]))
+        row, scale = _int_row(vec)
+        assert (row, scale) == _int_row_reference(vec)
+        assert all(type(v) is int for v in row.values())
 
 
 def test_solution_needs_last_column():
