@@ -8,7 +8,8 @@ sigma: n -> g to be equivariant,
 and the obstruction cocycle a is c pushed into Hom(n (x) E, E) through the
 E-action.  Triviality of the class is decided by one linear solve against
 the degree-zero differential; a trivial class is equivalent (and converted)
-to an action of the ambient generators on E extending the h-action.
+to an action of the ambient generators on E extending the h-action.  Both
+are built once per pair and module action (``obstruction``, ``extension``).
 """
 
 from __future__ import annotations
@@ -147,20 +148,56 @@ def alpha_cocycle(pair: InclusionPair, module: LieModule) -> Cochain:
     return _closed(pair.h, a, AssertionError("obstruction cochain failed the cocycle identity"))
 
 
-def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Optional[Cochain] = None) -> Optional[Cochain]:
-    """A 0-cochain b with d(b) = a, or None when the class is nontrivial;
-    NotACocycleError when the given cochain is not closed."""
-    if cocycle is None:
-        cocycle = alpha_cocycle(pair, module)
-    _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
+def _primitive(h: LieAlgebra, cocycle: Cochain) -> Optional[Cochain]:
+    """A 0-cochain b with d(b) = ``cocycle``, or None."""
     coeff = cocycle.module
-    sol = solve(ce_differential(pair.h, coeff, 0), cocycle.vec())
+    sol = solve(ce_differential(h, coeff, 0), cocycle.vec())
     if sol is None:
         return None
     b = Matrix.zeros(coeff.dim, 1)
     for m, v in sol.items():
         b.data[m][0] = v
     return Cochain(0, coeff, b)
+
+
+@dataclass
+class Obstruction:
+    """The obstruction cocycle ``a`` of one module and a 0-cochain b with
+    d(b) = a, or None when the class is non-trivial."""
+
+    cocycle: Cochain
+    primitive: Optional[Cochain]
+
+
+def _per_module(pair: InclusionPair, name: str, module: LieModule, build):
+    """``build(pair, module)``, memoised in the pair's caches under ``name``
+    and the module's action: modules with equal actions share one result."""
+    cache = pair._caches.setdefault(name, {})
+    key = module.key()
+    if key not in cache:
+        cache[key] = build(pair, module)
+    return cache[key]
+
+
+def _build_obstruction(pair: InclusionPair, module: LieModule) -> Obstruction:
+    a = alpha_cocycle(pair, module)
+    return Obstruction(a, _primitive(pair.h, a))
+
+
+def obstruction(pair: InclusionPair, module: LieModule) -> Obstruction:
+    """The obstruction class of ``module``, built once per pair and module action."""
+    return _per_module(pair, "obstructions", module, _build_obstruction)
+
+
+def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Optional[Cochain] = None) -> Optional[Cochain]:
+    """A 0-cochain b with d(b) = a, or None when the class is nontrivial.
+
+    Without ``cocycle`` this is the memoised ``obstruction(pair, module)``;
+    a given cochain is solved afresh, after NotACocycleError when it is not
+    closed."""
+    if cocycle is None:
+        return obstruction(pair, module).primitive
+    return _primitive(pair.h, _closed(pair.h, cocycle, NotACocycleError("cochain is not closed")))
 
 
 @dataclass
@@ -242,6 +279,11 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
     if not datum.verify():
         raise AssertionError("extension solver produced an invalid datum")
     return datum
+
+
+def extension(pair: InclusionPair, module: LieModule) -> Optional[ExtensionDatum]:
+    """``find_extension(pair, module)``, solved once per pair and module action."""
+    return _per_module(pair, "extensions", module, find_extension)
 
 
 @dataclass
@@ -341,8 +383,9 @@ def wedge_restriction_is_exact(pair: InclusionPair, cocycle: Optional[Cochain] =
     NotACocycleError when the given cochain is not closed."""
     n_mod = quotient_module(pair)
     if cocycle is None:
-        cocycle = alpha_cocycle(pair, n_mod)
-    _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
+        cocycle = obstruction(pair, n_mod).cocycle
+    else:
+        _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
     dn = pair.dim_n
     wedges = ext_monomials(dn, 2)
     if not wedges:

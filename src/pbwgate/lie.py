@@ -163,6 +163,10 @@ class LieModule:
                     bad.append((i, j))
         return bad
 
+    def key(self) -> tuple:
+        """The dimension and action matrices as a hashable value."""
+        return (self.dim,) + tuple(m.key() for m in self.action)
+
     def is_compatible(self) -> bool:
         return not self.compatibility_defects()
 

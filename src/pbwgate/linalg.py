@@ -111,6 +111,11 @@ class Matrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.data)
 
+    def key(self) -> tuple:
+        """The shape and nonzero entries as a hashable value: equal keys
+        exactly for equal matrices."""
+        return (self.rows, self.cols, tuple(tuple(sorted((j, v) for j, v in r.items() if v)) for r in self.data))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -1,5 +1,6 @@
 import copy
 import json
+from collections import Counter
 
 import pytest
 
@@ -286,6 +287,58 @@ def test_exception_in_a_check_is_a_fail_record(error, monkeypatch, tmp_path):
     assert "twisted" in [r.check for r in rep.records]
 
 
+def test_twisted_run_with_no_failing_level_within_the_cap_is_cap_limited(tmp_path):
+    # sl2-borel's class is non-trivial; with trivial coefficients the first
+    # non-split level is 2, so at cap 1 the run is inconclusive, not a failure
+    out = tmp_path / "report.json"
+    argv = ["twisted", "--example", "sl2-borel", "--module", "trivial", "--max-degree", "1", "--json", str(out)]
+    assert main(argv) == 0
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["ok"]
+    assert "cap-limited" in rec["verdict"]
+    assert rec["witness"]["conclusive"] is False
+    assert rec["witness"]["alpha_trivial"] is False
+    assert rec["witness"]["free_side_levels"] == {"1": True}
+    # one level more reaches the failing level: conclusive, not cap-limited
+    [rec] = run_command("twisted", catalog_get("sl2-borel"), max_degree=2, module="trivial").records
+    assert rec.ok and rec.witness["conclusive"] is True
+    assert rec.verdict == "a class is non-trivial and a non-split level was found"
+
+
+def test_all_solves_each_system_once_per_pair(monkeypatch):
+    # oracle verdicts are memoised by the system's entries, the obstruction
+    # and the extension by the module's action, all in the pair's caches
+    from pbwgate import cohomology as cohomology_mod
+    from pbwgate import engine as engine_mod
+    from pbwgate import report as report_mod
+
+    counts = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        for mod in (cohomology_mod, engine_mod, report_mod):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+
+    count(engine_mod, "section_oracle")
+    count(cohomology_mod, "alpha_cocycle")
+    count(cohomology_mod, "find_extension")
+    problem = catalog_get("diagonal-sl2")
+    assert run_command("all", problem, max_degree=2).exit_code == 0
+    # 8 distinct systems among 13 oracle verdicts; the twisted check's module
+    # n has the quotient module's action, so classes are built for n and the
+    # trivial module only, and split reuses the extension datum of extend
+    assert counts == {"section_oracle": 8, "alpha_cocycle": 2, "find_extension": 1}
+    # each run builds its pair afresh, so the caches start cold
+    run_command("all", problem, max_degree=2)
+    assert counts == {"section_oracle": 16, "alpha_cocycle": 4, "find_extension": 2}
+
+
 def test_module_needs_one_matrix_per_h_element():
     # an input error, not an exception escaping the twisted check
     doc = catalog_get("sl2-borel").to_dict()
@@ -475,4 +528,56 @@ def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
     assert rec.check == "oracle" and not rec.ok
     assert rec.witness["exception"] == "AssertionError"
     assert "non-equivariant" in rec.witness["message"]
+    assert rep.exit_code == 1
+
+
+def test_twisted_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch, tmp_path):
+    # both classes of diagonal-sl2 are trivial, so every twisted level splits:
+    # an elimination that finds no solution must turn the record to FAIL
+    _oracle_with_solution(monkeypatch, lambda real, ech, bcol: None)
+    out = tmp_path / "report.json"
+    argv = ["twisted", "--example", "diagonal-sl2", "--module", "n", "--max-degree", "2", "--json", str(out)]
+    assert main(argv) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert not rec["ok"]
+    assert rec["witness"]["alpha_trivial"] is True and rec["witness"]["alpha_module_trivial"] is True
+    assert rec["witness"]["free_side_levels"] == {"1": False, "2": False}
+    assert rec["verdict"] == "classes trivial but a level FAILED to split"
+
+
+# --- injected defects in the explicit splitting ------------------------------
+
+
+def _doubled(real):
+    # twice a section is still equivariant but no longer a section
+    return lambda dn, k: real(dn, k).scale(2)
+
+
+def _with_constant_term(real):
+    # a constant term on the straightened word (0, 0) leaves the top degree,
+    # hence the section identity, alone but breaks equivariance
+    def straighten(pair, word):
+        out = real(pair, word)
+        return {**out, (): Q(1)} if word == (0, 0) else out
+
+    return straighten
+
+
+@pytest.mark.parametrize(
+    "target,corrupt,message",
+    [
+        ("_symmetrization", _doubled, "I_0 is not a section"),
+        ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
+    ],
+    ids=["not-a-section", "not-equivariant"],
+)
+def test_split_record_fails_on_a_corrupted_splitting_map(target, corrupt, message, monkeypatch):
+    from pbwgate import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, target, corrupt(getattr(engine_mod, target)))
+    rep = run_command("split", catalog_get("diagonal-sl2"), max_degree=2)
+    [rec] = rep.records
+    assert not rec.ok
+    assert rec.witness["exception"] == "AssertionError"
+    assert rec.witness["message"] == message
     assert rep.exit_code == 1

@@ -8,9 +8,11 @@ from pbwgate.cohomology import (
     alpha_cocycle,
     ce_differential,
     connecting_cocycle,
+    extension,
     find_extension,
     h1_dimension,
     is_trivial,
+    obstruction,
     pushout_module,
     wedge_restriction_is_exact,
 )
@@ -116,6 +118,21 @@ def test_is_trivial_diagonal_some(diag_sl2):
     a = alpha_cocycle(diag_sl2, n)
     got = d0.apply(b.vec())
     assert got == a.vec()
+
+
+def test_obstruction_is_memoised_by_the_module_action(sl2_borel):
+    # n and the trivial module of sl2-borel are both one-dimensional, with
+    # different actions and different classes: they must not share an entry
+    n, triv = quotient_module(sl2_borel), trivial_module(sl2_borel.h)
+    assert n.dim == triv.dim
+    assert is_trivial(sl2_borel, n) is None
+    assert is_trivial(sl2_borel, triv) is not None
+    # a fresh module with n's action reuses n's class; so does the extension
+    obs = obstruction(sl2_borel, n)
+    assert obstruction(sl2_borel, quotient_module(sl2_borel)) is obs
+    assert obs.primitive is None and obs.cocycle.values == alpha_cocycle(sl2_borel, n).values
+    assert extension(sl2_borel, n) is None
+    assert extension(sl2_borel, triv) is extension(sl2_borel, trivial_module(sl2_borel.h)) is not None
 
 
 def test_is_trivial_zero_cocycle(sl2_borel):

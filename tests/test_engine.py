@@ -19,6 +19,7 @@ from pbwgate.engine import (
     f2_class_check,
     gr_check,
     level_sequence,
+    oracle_splits,
     pbw_splitting_I,
     reduce_h1,
     section_oracle,
@@ -28,6 +29,7 @@ from pbwgate.engine import (
     twisted_verdict,
 )
 from pbwgate.lie import (
+    LieModule,
     ModuleMap,
     adjoint_module,
     make_pair,
@@ -480,6 +482,39 @@ def test_oracle_split_direct_sum(diag_sl2):
 def test_oracle_borel_f2_none(sl2_borel):
     filt = build_filtration(sl2_borel, "F", 2)
     assert section_oracle(level_sequence(filt, 2, reduced=True)) is None
+
+
+def _jordan_sequence(pair, corner):
+    """0 -> Q -> Q^2 -> Q -> 0 with every h element acting on the middle by
+    [[0, corner], [0, 0]]: split exactly when ``corner`` is 0."""
+    line = trivial_module(pair.h)
+    block = Matrix.from_rows([[0, corner], [0, 0]])
+    mid = LieModule(pair.h, 2, [block] * pair.dim_h)
+    return ShortExactSequence(line, mid, line, Matrix.from_rows([[1], [0]]), Matrix.from_rows([[0, 1]]))
+
+
+def test_oracle_verdicts_are_memoised_by_the_system_entries(abelian_pair, monkeypatch):
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.section_oracle
+    solved = []
+
+    def counted(seq):
+        solved.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(engine_mod, "section_oracle", counted)
+    # two systems one action entry apart: two solves, two verdicts
+    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 1)) is False
+    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 0)) is True
+    assert len(solved) == 2
+    # a freshly built copy of a system already solved is not solved again
+    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 1)) is False
+    assert len(solved) == 2
+    # the memo belongs to the pair: another pair solves the same system afresh
+    other = make_pair(abelian_pair.g, [0])
+    assert oracle_splits(other, _jordan_sequence(other, 1)) is False
+    assert len(solved) == 3
 
 
 def _rref_solve(a, b):

@@ -90,3 +90,33 @@ def test_only_linalg_builds_dense_vectors():
         if path.name != "linalg.py":
             offenders += [f"{path.name}:{line}" for line in _dense_uses(path.read_text())]
     assert offenders == []
+
+
+# one way to ask for a verdict: every caller goes through the memoised
+# engine.oracle_splits, the only code that calls section_oracle
+def _oracle_calls(source: str) -> list:
+    skip = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.FunctionDef) and node.name == "oracle_splits"
+        ):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    return [line for line in _named(source, {"section_oracle"}) if line not in skip]
+
+
+def test_oracle_call_detector():
+    assert _oracle_calls("ok = section_oracle(seq) is not None\n") == [1]
+    assert _oracle_calls("s = engine.section_oracle(seq)\n") == [1]
+    assert _oracle_calls("verdicts = map(section_oracle, seqs)\n") == [1]
+    assert _oracle_calls("from .engine import (\n    section_oracle,\n)\n") == []
+    assert _oracle_calls("def section_oracle(seq):\n    return None\n") == []
+    helper = "def oracle_splits(pair, seq):\n    return section_oracle(seq) is not None\n"
+    assert _oracle_calls(helper) == []
+    assert _oracle_calls(helper + "x = section_oracle(seq)\n") == [3]
+
+
+def test_only_oracle_splits_calls_the_section_oracle():
+    offenders = []
+    for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
+        offenders += [f"{path.name}:{line}" for line in _oracle_calls(path.read_text())]
+    assert offenders == []
