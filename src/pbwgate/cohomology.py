@@ -15,7 +15,7 @@ are built once per pair and module action (``obstruction``, ``extension``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -212,6 +212,9 @@ class ExtensionDatum:
     pair: InclusionPair
     module: LieModule
     rho: tuple
+    # engine.t_map's image of each basis element (k, word, tensor-tuple)
+    # under this datum; a fresh dict per datum, never copied by replace()
+    t_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rho_vec(self, letters: dict) -> Matrix:
         out = Matrix.zeros(self.module.dim, self.module.dim)

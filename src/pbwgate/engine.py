@@ -106,14 +106,6 @@ def _drop_h_tails(terms: dict) -> dict:
     return {nword: c for (nword, htail), c in terms.items() if not htail}
 
 
-def reduce_h1(pair: InclusionPair, word: Word) -> dict:
-    """Free-side normal form of a g-word: combination of pure n-letter words.
-
-    Words that end in an h-letter lie in the left ideal and die.
-    """
-    return _drop_h_tails(_normal_form(pair, "F", tuple(word)))
-
-
 def straighten_g(pair: InclusionPair, word: Word) -> dict:
     """Straightened normal form of a g-word: combination of weakly
     increasing n-letter monomials."""
@@ -138,10 +130,13 @@ def coproduct_word(word: Word) -> dict:
     return out
 
 
-def antipode_word(word: Word):
-    """Signed reversal: S(x_1 ... x_m) = (-1)^m x_m ... x_1."""
-    word = tuple(word)
-    return (Q(-1) ** len(word), word[::-1])
+def _coproduct(pair: InclusionPair, word: Word) -> dict:
+    """``coproduct_word(word)``, built once per pair; callers must not
+    mutate the returned dict."""
+    cache = pair._caches.setdefault("coproducts", {})
+    if word not in cache:
+        cache[word] = coproduct_word(word)
+    return cache[word]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +342,15 @@ def level_sequence(filt: FilteredModule, k: int, reduced: bool = False) -> Short
     return ShortExactSequence(sub, mid, quot, include, project)
 
 
+def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool = False) -> tuple:
+    """(sub.dim, quot.dim) of ``level_sequence(filt, k, reduced)`` for a
+    filtration with dim n = dn and coefficients of dimension vdim, from the
+    closed-form level dimensions alone; the section oracle solves for
+    sub.dim * quot.dim unknowns."""
+    dims = _expected_dims(dn, side, k, vdim)
+    return dims[k - 1] - reduced, dims[k] - dims[k - 1]
+
+
 def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     """Brute-force equivariant section of ``project``, or None.
 
@@ -465,31 +469,46 @@ def t_map(pair: InclusionPair, rho: ExtensionDatum, k: int, elem: dict) -> dict:
     Elements are dicts {(word, index-tuple): coefficient}.  t_1 appends the
     tensor letter to the word; for k >= 2 the recursion is
     t_{k+1} = phi . (t_k (x) id) . psi with the coproduct-based maps of the
-    projection formula, the extension datum acting letterwise.
+    projection formula, the extension datum acting letterwise.  The map is
+    linear, so it is the sum of the images of the basis elements, each
+    computed once per datum (``rho.t_images``).
     """
     if k < 1:
         raise ValueError("t-maps start at k = 1")
-    if k == 1:
-        out: dict = {}
-        for (w, tup), c in elem.items():
-            _add_term(out, (w + (tup[0],), ()), c)
-        return out
-    mats = rho.rho
-    staged: dict = {}  # r -> {(word, head-tuple): coeff}
-    for (w, tup), c in elem.items():
-        head, last = tup[:-1], tup[-1]
-        for (w1, w2), mult in coproduct_word(w).items():
-            for r, cr in _rho_apply(mats, w2, last).items():
-                bucket = staged.setdefault(r, {})
-                _add_term(bucket, (w1, head), c * mult * cr)
     out: dict = {}
-    for r, bucket in staged.items():
-        lowered = t_map(pair, rho, k - 1, bucket)
-        for (w, tup), c in lowered.items():
-            for (wa, wb), mult in coproduct_word(w).items():
-                for rp, cr in _rho_apply(mats, wb, r, antipode=True).items():
-                    _add_term(out, (wa, tup + (rp,)), c * mult * cr)
+    for basis, c in elem.items():
+        for key, v in _t_image(pair, rho, k, basis).items():
+            _add_term(out, key, c * v)
     return out
+
+
+def _t_image(pair: InclusionPair, rho: ExtensionDatum, k: int, basis: tuple) -> dict:
+    """t_k of the basis element ``(word, index-tuple)``, memoised on the
+    datum; callers must not mutate the returned dict."""
+    key = (k,) + basis
+    image = rho.t_images.get(key)
+    if image is not None:
+        return image
+    w, tup = basis
+    if k == 1:
+        image = {(w + (tup[0],), ()): Q(1)}
+    else:
+        mats = rho.rho
+        head, last = tup[:-1], tup[-1]
+        staged: dict = {}  # r -> {(word, head-tuple): coeff}
+        for (w1, w2), mult in _coproduct(pair, w).items():
+            for r, cr in _rho_apply(mats, w2, last).items():
+                _add_term(staged.setdefault(r, {}), (w1, head), mult * cr)
+        image = {}
+        for r, bucket in staged.items():
+            # through the module global, so a wrapped t_map sees the recursion
+            lowered = t_map(pair, rho, k - 1, bucket)
+            for (wl, tl), c in lowered.items():
+                for (wa, wb), mult in _coproduct(pair, wl).items():
+                    for rp, cr in _rho_apply(mats, wb, r, antipode=True).items():
+                        _add_term(image, (wa, tl + (rp,)), c * mult * cr)
+    rho.t_images[key] = image
+    return image
 
 
 def _resolve_rho(pair: InclusionPair, rho: Optional[ExtensionDatum]) -> ExtensionDatum:
@@ -664,8 +683,9 @@ class DimReport:
         return self.expected == self.normal_form_counts == self.rank_codims
 
 
-def _expected_dims(pair: InclusionPair, side: str, K: int, vdim: int) -> list:
-    dn = pair.dim_n
+def _expected_dims(dn: int, side: str, K: int, vdim: int) -> list:
+    """Closed-form dim F^k (resp. R^k) for k <= K, dim n = dn, with
+    coefficients of dimension vdim."""
     out = []
     total = 0
     for k in range(K + 1):
@@ -742,7 +762,7 @@ def dimension_identity_check(
         rank_codims.append(sub_ambient - span.rank)
     filt = build_filtration(pair, side, K, coeff)
     counts = [filt.dim(k) for k in range(K + 1)]
-    return DimReport(side, K, _expected_dims(pair, side, K, vdim), counts, rank_codims)
+    return DimReport(side, K, _expected_dims(dn, side, K, vdim), counts, rank_codims)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ class ProblemFile:
             raise ProblemError(f"modules.{name}", f"action violates bracket compatibility at {bad}")
         return mod
 
+    def module_dim(self, name: str) -> Optional[int]:
+        """The dimension of ``module(pair, name)``, read without building
+        either; None for a name that ``module`` rejects."""
+        dim_h = len(self.h_indices if self.h_indices is not None else self.h_embedding)
+        builtin = {"trivial": 1, "n": self.dim - dim_h, "adjoint": dim_h}
+        if name in builtin:
+            return builtin[name]
+        return self.modules[name][0] if name in self.modules else None
+
     @property
     def expect_invalid(self) -> bool:
         return bool(self.settings.get("expect_invalid", False))

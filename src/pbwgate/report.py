@@ -26,6 +26,7 @@ from .engine import (
     equivalence_harness,
     f2_class_check,
     level_sequence,
+    level_system_shape,
     oracle_splits,
     pbw_splitting_I,
     section_oracle,  # noqa: F401  perfbench's tracer test reads report.section_oracle
@@ -42,6 +43,11 @@ _DEFAULT_DEGREE = {"split": 3, "oracle": 4, "koszul": 4, "twisted": 3}
 # the smallest degree cap at which a check tests anything: koszul slices
 # start at internal degree 1, the twisted levels at 1, the oracle levels at 2
 _MIN_DEGREE = {"koszul": 1, "twisted": 1, "oracle": 2}
+
+# the most unknowns one section-oracle system of a command may have, checked
+# before any work; the largest system at the default caps has 3,159 (the
+# level-4 oracle and twisted(n) at K=3 on the six-dimensional diagonals)
+ORACLE_BUDGET = 10_000
 
 # the statement each record's check exercises, by check name
 _ANCHORS = {
@@ -136,6 +142,31 @@ def _level2_splits(pair) -> bool:
     level that carries the obstruction class: it splits iff the class is
     trivial."""
     return oracle_splits(pair, level_sequence(build_filtration(pair, "F", 2), 2, reduced=True))
+
+
+def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Optional[str]) -> None:
+    """Reject, as an input error, a run whose oracle or twisted check would
+    build a section system of more than ORACLE_BUDGET unknowns.  The sizes
+    come from the closed-form level dimensions; the largest system of a
+    check is its free-side one at the cap (each level and the free side hold
+    at least as many words as the ones below and the straightened side)."""
+    systems = []  # (check, label, coefficient dimension, reduced)
+    if "oracle" in checks:
+        systems.append(("oracle", "oracle", 1, True))
+    if "twisted" in checks:
+        for name in (module,) if module is not None else ("n", "trivial"):
+            vdim = problem.module_dim(name)
+            if vdim is not None:  # an unknown name is rejected when the check runs
+                systems.append(("twisted", f"twisted (module {name})", vdim, False))
+    for check, label, vdim, reduced in systems:
+        K = degree(check)
+        sub, quot = level_system_shape(problem.module_dim("n"), "F", K, vdim, reduced)
+        if sub * quot > ORACLE_BUDGET:
+            raise ProblemError(
+                "--max-degree",
+                f"the {label} check would solve a level-{K} section system of {sub} x {quot} = "
+                f"{sub * quot} unknowns, over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
+            )
 
 
 def _check_validate(pf: ProblemFile) -> CheckRecord:
@@ -372,6 +403,7 @@ def run_command(
         least = _MIN_DEGREE.get(check)
         if least is not None and degree(check) < least:
             raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least {least}")
+    _check_oracle_budget(problem, checks, degree, module)
     lie_pair = functools.cache(problem.pair)
     records = []
 

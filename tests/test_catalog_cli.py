@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -581,3 +582,102 @@ def test_split_record_fails_on_a_corrupted_splitting_map(target, corrupt, messag
     assert rec.witness["exception"] == "AssertionError"
     assert rec.witness["message"] == message
     assert rep.exit_code == 1
+
+
+# --- the oracle budget ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["all", "--example", "diagonal-sl2", "--max-degree", "4"],
+            "the twisted (module n) check would solve a level-4 section system of 120 x 243 = 29160 unknowns, "
+            "over the oracle budget of 10000",
+        ),
+        (
+            ["oracle", "--example", "diagonal-heisenberg", "--max-degree", "5"],
+            "the oracle check would solve a level-5 section system of 120 x 243 = 29160 unknowns",
+        ),
+        (
+            ["twisted", "--example", "diagonal-sl2", "--module", "adjoint", "--max-degree", "4"],
+            "the twisted (module adjoint) check would solve a level-4 section system of 120 x 243",
+        ),
+    ],
+    ids=["all", "oracle", "twisted"],
+)
+def test_oracle_budget_rejects_a_run_before_any_work(argv, message, capsys, tmp_path):
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert main(argv + ["--json", str(out)]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert "--max-degree" in err and message in err
+    assert not out.exists()
+
+
+def test_oracle_budget_admits_every_default_run(monkeypatch):
+    # the budget is checked before any check runs; with the checks stubbed
+    # out, every catalog entry passes it at the default caps (the largest
+    # system there has 3,159 unknowns), with each built-in module
+    from pbwgate import report as report_mod
+
+    monkeypatch.setattr(report_mod, "_contained", lambda check, run: [])
+    for name in catalog_list():
+        pf = catalog_get(name)
+        assert run_command("all", pf).exit_code == 0, name
+        if not pf.expect_invalid:
+            for module in ("n", "trivial", "adjoint"):
+                assert run_command("twisted", pf, module=module).exit_code == 0, (name, module)
+            assert run_command("oracle", pf).exit_code == 0, name
+    # one level past the default twisted cap is over the budget on the diagonals
+    with pytest.raises(ProblemError, match="29160 unknowns"):
+        run_command("twisted", catalog_get("diagonal-heisenberg"), max_degree=4, module="n")
+
+
+# --- injected defects in the Koszul check --------------------------------------
+
+
+def _koszul_record(tmp_path) -> dict:
+    out = tmp_path / "report.json"
+    assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert not rec["ok"]
+    assert rec["verdict"] == "quadratic-algebra check FAILED"
+    return rec["witness"]
+
+
+def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp_path):
+    # twice the product by letter 0 out of degree 0 breaks d o d = 0 in the
+    # slices that compose a degree-0 and a degree-1 multiplication
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._QaDegrees.mult_letter
+
+    def scaled(self, d, coord, letter):
+        out = real(self, d, coord, letter)
+        return {k: 2 * v for k, v in out.items()} if letter == 0 and d == 0 else out
+
+    monkeypatch.setattr(koszul_mod._QaDegrees, "mult_letter", scaled)
+    witness = _koszul_record(tmp_path)
+    assert [s["dd_zero"] for s in witness["slices"]] == [True, False, False]
+    assert witness["containment_ok"] is True
+
+
+def test_koszul_record_fails_on_a_wedge_with_one_sign_flipped(monkeypatch, tmp_path):
+    # a wedge vector with one flipped sign is no longer antisymmetric, so it
+    # leaves the span of the quadratic relations
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._wedge_vector
+
+    def flipped(letters, dg):
+        out = real(letters, dg)
+        if len(out) > 1:
+            out[min(out)] = -out[min(out)]
+        return out
+
+    monkeypatch.setattr(koszul_mod, "_wedge_vector", flipped)
+    witness = _koszul_record(tmp_path)
+    assert witness["containment_ok"] is False
+    assert all(s["dd_zero"] for s in witness["slices"])

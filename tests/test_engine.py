@@ -1,17 +1,20 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
-from pbwgate.cohomology import find_extension, is_trivial
+from pbwgate import engine
+from pbwgate.cohomology import ExtensionDatum, find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
+    _drop_h_tails,
     _normal_form,
+    _rho_apply,
     ShortExactSequence,
-    antipode_word,
     build_filtration,
     coproduct_word,
     dimension_identity_check,
@@ -19,9 +22,9 @@ from pbwgate.engine import (
     f2_class_check,
     gr_check,
     level_sequence,
+    level_system_shape,
     oracle_splits,
     pbw_splitting_I,
-    reduce_h1,
     section_oracle,
     splitting_s,
     straighten_g,
@@ -148,22 +151,27 @@ def test_normal_form_matches_reference_rewriters(name, seed):
         assert set(pair._caches[memo_key]) == set(memo)
 
 
+def _free_n_words(pair, word):
+    """The free-side normal form with its h-tail terms dropped."""
+    return _drop_h_tails(_normal_form(pair, "F", word))
+
+
 def test_reduce_pure_n_word_fixed(diag_sl2):
     w = (2, 0, 1)
-    assert reduce_h1(diag_sl2, w) == {w: Q(1)}
+    assert _free_n_words(diag_sl2, w) == {w: Q(1)}
 
 
 def test_reduce_h_letter_dies(sl2_borel):
-    assert reduce_h1(sl2_borel, (1,)) == {}
-    assert reduce_h1(sl2_borel, (2,)) == {}
+    assert _free_n_words(sl2_borel, (1,)) == {}
+    assert _free_n_words(sl2_borel, (2,)) == {}
 
 
 def test_reduce_ef(sl2_borel):
-    assert reduce_h1(sl2_borel, (1, 0)) == {}
+    assert _free_n_words(sl2_borel, (1, 0)) == {}
 
 
 def test_reduce_does_not_sort_n_letters(diag_sl2):
-    assert reduce_h1(diag_sl2, (2, 0)) == {(2, 0): Q(1)}
+    assert _free_n_words(diag_sl2, (2, 0)) == {(2, 0): Q(1)}
 
 
 # --- Hopf structure ---------------------------------------------------------
@@ -192,9 +200,17 @@ def test_coproduct_repeated_letter():
 
 
 def test_antipode():
-    assert antipode_word(()) == (Q(1), ())
-    assert antipode_word((4,)) == (Q(-1), (4,))
-    assert antipode_word((1, 2, 3)) == (Q(-1), (3, 2, 1))
+    # rho(S(x_1 ... x_m)) = (-1)^m rho(x_m) ... rho(x_1): the signed reversal,
+    # on generic matrices so that the order of the letters shows
+    rng = random.Random(5)
+    mats = [Matrix.from_rows([[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]) for _ in range(5)]
+    for j in range(3):
+        assert _rho_apply(mats, (), j, antipode=True) == {j: Q(1)}
+        assert _rho_apply(mats, (4,), j, antipode=True) == {i: -v for i, v in mats[4].apply({j: Q(1)}).items()}
+        reversed_word = mats[3].apply(mats[2].apply(mats[1].apply({j: Q(1)})))
+        assert _rho_apply(mats, (3, 2, 1), j) == reversed_word
+        assert _rho_apply(mats, (1, 2, 3), j, antipode=True) == {i: -v for i, v in reversed_word.items()}
+    assert any(_rho_apply(mats, (1, 2, 3), j) != _rho_apply(mats, (3, 2, 1), j) for j in range(3))
 
 
 # --- filtrations -------------------------------------------------------------
@@ -324,6 +340,113 @@ def test_t_map_degree_bookkeeping(diag_sl2):
         deg_in += 1
         assert all(len(w) <= deg_in for (w, _tup) in elem)
         assert any(len(w) == deg_in for (w, _tup) in elem)
+
+
+def _reference_t_map(pair, rho, k, elem):
+    """The unmemoised t-map recursion, the reference the memoised one must match."""
+    if k == 1:
+        out = {}
+        for (w, tup), c in elem.items():
+            key = (w + (tup[0],), ())
+            out[key] = out.get(key, Q(0)) + c
+        return {key: c for key, c in out.items() if c}
+    staged = {}
+    for (w, tup), c in elem.items():
+        head, last = tup[:-1], tup[-1]
+        for (w1, w2), mult in coproduct_word(w).items():
+            for r, cr in _rho_apply(rho.rho, w2, last).items():
+                bucket = staged.setdefault(r, {})
+                bucket[(w1, head)] = bucket.get((w1, head), Q(0)) + c * mult * cr
+    out = {}
+    for r, bucket in staged.items():
+        for (w, tup), c in _reference_t_map(pair, rho, k - 1, bucket).items():
+            for (wa, wb), mult in coproduct_word(w).items():
+                for rp, cr in _rho_apply(rho.rho, wb, r, antipode=True).items():
+                    key = (wa, tup + (rp,))
+                    out[key] = out.get(key, Q(0)) + c * mult * cr
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name,seed", [("diagonal-sl2", None), ("diagonal-heisenberg", None), ("diagonal-heisenberg", 11)])
+def test_t_map_matches_the_unmemoised_recursion(name, seed):
+    pair = _case_pair(name, seed)
+    rho = find_extension(pair, quotient_module(pair))
+    dn = pair.dim_n
+    if seed is not None:
+        # the conjugated copy's datum has non-integer entries
+        assert any(v.denominator > 1 for m in rho.rho for r in m.data for v in r.values())
+    for k in range(1, 5):
+        for tau in itertools.product(range(dn), repeat=k):
+            elem = {((), tau): Q(1)}
+            got = t_map(pair, rho, k, elem)
+            assert got == _reference_t_map(pair, rho, k, elem), (k, tau)
+            got.clear()  # the caller owns the returned dict
+            assert t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, tau)
+    rng = random.Random(3)
+    for k in range(1, 4):
+        for _ in range(10):
+            elem = {}
+            for _ in range(4):
+                word = tuple(rng.randrange(dn) for _ in range(rng.randrange(3)))
+                tup = tuple(rng.randrange(dn) for _ in range(k))
+                elem[(word, tup)] = Q(rng.randint(-3, 3), rng.randint(1, 4))
+            assert t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, elem)
+
+
+def test_t_map_images_are_built_once_per_pair(monkeypatch):
+    calls = {"_rho_apply": 0, "coproduct_word": 0}
+
+    def counted(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    counted("_rho_apply")
+    counted("coproduct_word")
+
+    def run(pair):
+        calls.update(dict.fromkeys(calls, 0))
+        pbw_splitting_I(pair, None, 3)
+        return dict(calls)
+
+    pair = catalog_get("diagonal-sl2").pair()
+    first = run(pair)
+    assert all(first.values()), first
+    # the levels and columns of a second splitting reuse every image
+    assert run(pair) == {"_rho_apply": 0, "coproduct_word": 0}
+    # a freshly parsed pair starts cold
+    assert run(catalog_get("diagonal-sl2").pair()) == first
+
+
+def test_t_map_images_belong_to_their_extension_datum(diag_sl2):
+    pair = diag_sl2
+    n = quotient_module(pair)
+    base = find_extension(pair, n)
+    basis = [((), tau) for tau in itertools.product(range(pair.dim_n), repeat=2)]
+    bumped = Matrix(base.rho[0].rows, base.rho[0].cols, [dict(r) for r in base.rho[0].data])
+    bumped.data[0][0] = bumped.entry(0, 0) + 1
+    changed_rho = (bumped,) + base.rho[1:]
+
+    def images(datum):
+        return [t_map(pair, datum, 2, {b: Q(1)}) for b in basis]
+
+    warm = images(base)
+    # a copy by replace() gets its own memo, not the original's
+    changed = replace(base, rho=changed_rho)
+    got = images(changed)
+    assert got == [_reference_t_map(pair, changed, 2, {b: Q(1)}) for b in basis]
+    assert got != warm
+    assert images(base) == warm
+    # a datum built right after a warm one is freed (in CPython, usually at
+    # the freed object's address) starts cold too
+    original = ExtensionDatum(pair, n, base.rho)
+    assert images(original) == warm
+    del original
+    assert images(ExtensionDatum(pair, n, changed_rho)) == got
 
 
 def _printed_s2(pair, rho, x1, x2):
@@ -569,6 +692,21 @@ ORACLE_CASES = [(name, None) for name in catalog_list() if not catalog_get(name)
     ("semidirect-split", 5),
     ("diagonal-heisenberg", 11),
 ]
+
+
+@pytest.mark.parametrize("fixture", ["sl2_borel", "diag_sl2", "semidirect_pair"])
+def test_level_system_shape_matches_the_built_sequences(fixture, request):
+    # the oracle budget reads the system sizes from the closed form
+    pair = request.getfixturevalue(fixture)
+    coeffs = [(None, 1), (quotient_module(pair), pair.dim_n), (adjoint_module(pair.h), pair.dim_h)]
+    for side in "FR":
+        for coeff, vdim in coeffs:
+            filt = build_filtration(pair, side, 3, coeff=coeff)
+            for k in range(1, 4):
+                for reduced in (True, False) if coeff is None else (False,):
+                    seq = level_sequence(filt, k, reduced=reduced)
+                    shape = level_system_shape(pair.dim_n, side, k, vdim, reduced)
+                    assert shape == (seq.sub.dim, seq.quot.dim), (side, vdim, k, reduced)
 
 
 @pytest.mark.parametrize("name,seed", ORACLE_CASES)
