@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, qf
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_row, qf
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -35,6 +35,16 @@ def _vec(entries) -> Vec:
     return {k: qf(v) for k, v in entries.items() if qf(v)}
 
 
+def _int_table(table) -> tuple:
+    """The structure table over one common denominator: (integer table,
+    scale) with table[i][j] = integer table[i][j] / scale."""
+    scale = math.lcm(*(v.denominator for row in table for vec in row for v in vec.values()))
+    ints = tuple(
+        tuple({k: v.numerator * (scale // v.denominator) for k, v in vec.items()} for vec in row) for row in table
+    )
+    return ints, scale
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
@@ -51,6 +61,7 @@ class LieAlgebra:
         if table is None:
             table = [[{} for _ in range(dim)] for _ in range(dim)]
         self.table = tuple(tuple(_vec(table[i][j]) for j in range(dim)) for i in range(dim))
+        self._int_table = None  # built by the first bracket
 
     @classmethod
     def from_pairs(cls, dim: int, pairs, labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -63,12 +74,24 @@ class LieAlgebra:
         return cls(dim, labels, table)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in self.table[i][j].items():
-                    _add_term(out, k, xi * yj * c)
-        return out
+        """[x, y], accumulated in ints over the integer structure table and
+        divided once per output entry."""
+        if self._int_table is None:
+            self._int_table = _int_table(self.table)
+        table, scale = self._int_table
+        xr, xs = _int_row(x)
+        yr, ys = _int_row(y)
+        acc: dict = {}
+        for i, xi in xr.items():
+            row = table[i]
+            for j, yj in yr.items():
+                p = xi * yj
+                for k, c in row[j].items():
+                    acc[k] = acc.get(k, 0) + p * c
+        den = xs * ys * scale
+        if den == 1:
+            return {k: Q(v) for k, v in acc.items() if v}
+        return {k: Q(v, den) for k, v in acc.items() if v}
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         dim = self.dim + other.dim
@@ -166,9 +189,6 @@ class LieModule:
     def key(self) -> tuple:
         """The dimension and action matrices as a hashable value."""
         return (self.dim,) + tuple(m.key() for m in self.action)
-
-    def is_compatible(self) -> bool:
-        return not self.compatibility_defects()
 
     def __repr__(self) -> str:
         return f"LieModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"

@@ -11,6 +11,7 @@ vectors and complements are reproducible across runs.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -151,30 +152,57 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         data = [dict(r) for r in self.data]
-        for i, r in enumerate(other.data):
-            _axpy(data[i], Q(1), r)
+        for acc, r in zip(data, other.data):
+            for c, v in r.items():
+                w = op(acc.get(c, 0), v)
+                if w:
+                    acc[c] = w
+                else:
+                    acc.pop(c, None)
         return Matrix(self.rows, self.cols, data)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        data = [dict(r) for r in self.data]
-        for i, r in enumerate(other.data):
-            _axpy(data[i], Q(-1), r)
-        return Matrix(self.rows, self.cols, data)
+        return self._entrywise(other, operator.sub)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The exact product, accumulated in ints.  Each row of ``other`` is
+        cleared of denominators (``_int_row``) when a row of ``self`` first
+        refers to it; each output row sums its terms over one common
+        denominator and turns every entry into one Fraction."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        data = [dict() for _ in range(self.rows)]
-        for i, r in enumerate(self.data):
-            acc = data[i]
+        cleared = [None] * other.rows
+        data = []
+        for r in self.data:
+            terms = []
+            den = 1
             for k, v in r.items():
-                _axpy(acc, v, other.data[k])
+                ik = cleared[k]
+                if ik is None:
+                    ik = cleared[k] = _int_row(other.data[k])
+                row, scale = ik
+                if row and v:
+                    d = v.denominator * scale
+                    terms.append((v.numerator, d, row))
+                    if d != 1:
+                        den = math.lcm(den, d)
+            acc = {}
+            for n, d, row in terms:
+                if d != den:
+                    n *= den // d
+                for c, w in row.items():
+                    acc[c] = acc.get(c, 0) + n * w
+            if den == 1:
+                data.append({c: Fraction(a) for c, a in acc.items() if a})
+            else:
+                data.append({c: Fraction(a, den) for c, a in acc.items() if a})
         return Matrix(self.rows, other.cols, data)
 
     def __mul__(self, other):
@@ -209,11 +237,6 @@ class Matrix:
             data.append(r)
         return Matrix(self.rows, self.cols + other.cols, data)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, [dict(r) for r in self.data] + [dict(r) for r in other.data])
-
     def take(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         colmap = {c: k for k, c in enumerate(col_idx)}
         data = []
@@ -234,14 +257,12 @@ def _int_row(vec: Row):
     a row of ints comes back unscaled."""
     scale = 1
     for v in vec.values():
-        if isinstance(v, Fraction):
-            scale = math.lcm(scale, v.denominator)
-    row = {}
-    for c, v in vec.items():
-        w = v * scale if isinstance(v, int) else v.numerator * (scale // v.denominator)
-        if w:
-            row[c] = w
-    return row, scale
+        d = v.denominator
+        if d != 1:
+            scale = math.lcm(scale, d)
+    if scale == 1:
+        return {c: v.numerator for c, v in vec.items() if v}, 1
+    return {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}, scale
 
 
 def _strip_content(row: dict) -> dict:

@@ -131,7 +131,7 @@ def _contained(check: str, run) -> list:
         witness = {
             "exception": type(exc).__name__,
             "message": str(exc),
-            "raised_at": f"{frame.name} ({os.path.basename(frame.filename)}:{frame.lineno})",
+            "raised_at": f"{frame.name} ({os.path.basename(frame.filename)})",
         }
         return [_record(check, started, f"check raised {type(exc).__name__}", False, witness)]
     return out if isinstance(out, list) else [out]

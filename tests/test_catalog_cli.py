@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import time
 from collections import Counter
 
@@ -286,6 +287,16 @@ def test_exception_in_a_check_is_a_fail_record(error, monkeypatch, tmp_path):
     rep = run_command("all", catalog_get("sl2-borel"), max_degree=2)
     assert [r.check for r in rep.records if not r.ok] == ["oracle"]
     assert "twisted" in [r.check for r in rep.records]
+
+
+def test_raised_at_names_the_function_and_file_only():
+    # no line number: an edit above the raising line must not change the
+    # bytes of an unchanged verdict
+    rep = run_command("split", catalog_get("jacobi-broken-negative-control"))
+    [rec] = rep.records
+    assert not rec.ok and rec.witness["exception"] == "RewritingInconsistencyError"
+    assert re.fullmatch(r"\w+ \(\w+\.py\)", rec.witness["raised_at"])
+    assert rec.witness["raised_at"] == "_verify (engine.py)"
 
 
 def test_twisted_run_with_no_failing_level_within_the_cap_is_cap_limited(tmp_path):

@@ -214,7 +214,7 @@ def test_pushout_dimension(sl2_borel, diag_sl2):
         assert proj.matrix.mul(incl.matrix).is_zero()
         assert incl.matrix.rank() == n.dim
         assert proj.matrix.rank() == pair.dim_n * n.dim
-        assert q.is_compatible()
+        assert not q.compatibility_defects()
 
 
 def test_pushout_trivial_coefficients(sl2_borel):

@@ -674,9 +674,8 @@ def _reference_oracle(seq):
         )
         offset = a * nsub * nquot
         rhs.update((offset + i * nquot + j, -v) for i, row in enumerate(d.data) for j, v in row.items())
-    system = blocks[0]
-    for block in blocks[1:]:
-        system = system.vstack(block)
+    rows = [dict(r) for block in blocks for r in block.data]
+    system = Matrix(len(rows), nsub * nquot, rows)
     t = _rref_solve(system, rhs)
     if t is None:
         return None

@@ -8,6 +8,7 @@ from pbwgate.linalg import (
     Coordinates,
     Echelon,
     Matrix,
+    _axpy,
     _int_row,
     kernel_basis,
     rref,
@@ -410,6 +411,66 @@ def test_int_row_matches_reference(kind):
         row, scale = _int_row(vec)
         assert (row, scale) == _int_row_reference(vec)
         assert all(type(v) is int for v in row.values())
+
+
+def _mul_reference(a, b):
+    """The former ``Matrix.mul``: one Fraction multiply-add per term."""
+    data = [dict() for _ in range(a.rows)]
+    for i, r in enumerate(a.data):
+        for k, v in r.items():
+            _axpy(data[i], v, b.data[k])
+    return Matrix(a.rows, b.cols, data)
+
+
+def _random_entries(rng, rows, cols, kind):
+    data = []
+    for _ in range(rows):
+        row = {}
+        for c in range(cols):
+            if rng.random() < 0.5:
+                continue
+            num = rng.choice([n for n in range(-9, 10) if n])
+            if kind == "integral":
+                row[c] = Q(num)
+            elif kind == "fraction":
+                row[c] = Q(num, rng.choice([2, 3, 4, 12, 13, 169]))
+            else:  # mixed: ints, integral and proper Fractions
+                row[c] = rng.choice([num, Q(num), Q(num, rng.choice([1, 6, 13, 169]))])
+        data.append(row)
+    return data
+
+
+MUL_CASES = ["integral", "fraction", "mixed", "zero-rows", "empty-shapes", "unreferenced"]
+
+
+@pytest.mark.parametrize("case", MUL_CASES)
+def test_mul_matches_fraction_reference(case):
+    rng = random.Random(MUL_CASES.index(case) + 101)
+    kind = case if case in ("integral", "fraction") else "mixed"
+    for _ in range(40):
+        if case == "empty-shapes":
+            n, m, p = rng.choice([(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
+        else:
+            n, m, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a_data = _random_entries(rng, n, m, kind)
+        b_data = _random_entries(rng, m, p, kind)
+        if case == "zero-rows":
+            for data in (a_data, b_data):
+                for r in rng.sample(range(len(data)), len(data) // 2):
+                    data[r] = {}
+        if case == "unreferenced":
+            # rows of b that no entry of a refers to are never read
+            unused = set(rng.sample(range(m), m // 2))
+            a_data = [{k: v for k, v in r.items() if k not in unused} for r in a_data]
+            for k in unused:
+                b_data[k] = {0: 0.5}
+        a, b = Matrix(n, m, a_data), Matrix(m, p, b_data)
+        got = a.mul(b)
+        if case == "unreferenced":
+            b = Matrix(m, p, [{} if k in unused else r for k, r in enumerate(b_data)])
+        assert (got.rows, got.cols) == (n, p)
+        assert got.data == _mul_reference(a, b).data
+        assert all(type(v) is Q and v for r in got.data for v in r.values())
 
 
 def test_solution_needs_last_column():
