@@ -4,121 +4,8 @@ Given an inclusion of finite-dimensional Lie algebras h in g with quotient
 module n, the package computes the obstruction class alpha, decides its
 vanishing, builds the explicit splitting S(n) -> U(g)/U(g)h when it exists,
 and cross-checks every verdict against a brute-force equivariant-section
-oracle.  All arithmetic is exact rational.
+oracle.  All arithmetic is exact rational.  The package root re-exports
+nothing: import from the submodules (``pbwgate.lie``, ``pbwgate.engine``, ...).
 """
 
-from .linalg import Matrix, Q, kernel_basis, rref, solve, subspace_intersection, tensor_map
-from .lie import (
-    InclusionPair,
-    LieAlgebra,
-    LieModule,
-    ModuleMap,
-    NotInjectiveError,
-    NotSubalgebraError,
-    adjoint_module,
-    dual_module,
-    ext_power_module,
-    hom_module,
-    make_pair,
-    quotient_module,
-    sym_power_module,
-    tensor_module,
-    tensor_power_module,
-    trivial_module,
-    validate_lie,
-)
-from .cohomology import (
-    Cochain,
-    ExtensionDatum,
-    NotACocycleError,
-    alpha_cocycle,
-    ce_differential,
-    connecting_cocycle,
-    find_extension,
-    h1_dimension,
-    is_trivial,
-    pushout_module,
-    wedge_restriction_is_exact,
-)
-from .engine import (
-    AlphaNontrivialError,
-    FilteredModule,
-    RewritingInconsistencyError,
-    ShortExactSequence,
-    build_filtration,
-    coproduct_word,
-    dimension_identity_check,
-    equivalence_harness,
-    f2_class_check,
-    gr_check,
-    level_sequence,
-    pbw_splitting_I,
-    section_oracle,
-    splitting_s,
-    straighten_g,
-    t_map,
-    twisted_verdict,
-)
-from .koszul import QuadraticData, bg_conditions, koszul_acyclicity, qa_graded_dimension, quadratic_data
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Matrix",
-    "Q",
-    "rref",
-    "solve",
-    "kernel_basis",
-    "subspace_intersection",
-    "tensor_map",
-    "LieAlgebra",
-    "InclusionPair",
-    "LieModule",
-    "ModuleMap",
-    "NotInjectiveError",
-    "NotSubalgebraError",
-    "validate_lie",
-    "make_pair",
-    "quotient_module",
-    "adjoint_module",
-    "trivial_module",
-    "tensor_module",
-    "tensor_power_module",
-    "hom_module",
-    "dual_module",
-    "sym_power_module",
-    "ext_power_module",
-    "Cochain",
-    "ExtensionDatum",
-    "NotACocycleError",
-    "ce_differential",
-    "connecting_cocycle",
-    "alpha_cocycle",
-    "is_trivial",
-    "find_extension",
-    "pushout_module",
-    "h1_dimension",
-    "wedge_restriction_is_exact",
-    "AlphaNontrivialError",
-    "RewritingInconsistencyError",
-    "FilteredModule",
-    "ShortExactSequence",
-    "straighten_g",
-    "build_filtration",
-    "gr_check",
-    "f2_class_check",
-    "coproduct_word",
-    "t_map",
-    "splitting_s",
-    "pbw_splitting_I",
-    "section_oracle",
-    "level_sequence",
-    "twisted_verdict",
-    "equivalence_harness",
-    "dimension_identity_check",
-    "QuadraticData",
-    "quadratic_data",
-    "bg_conditions",
-    "qa_graded_dimension",
-    "koszul_acyclicity",
-]

@@ -26,14 +26,13 @@ from .lie import (
     ModuleMap,
     adjoint_module,
     ext_monomials,
-    ext_power_module,
     g_restriction_module,
     hom_module,
     quotient_module,
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, solve
+from .linalg import Echelon, Matrix, Q, _add_term, combination, solve
 
 
 class NotACocycleError(ValueError):
@@ -56,9 +55,6 @@ class Cochain:
             for t, v in row.items():
                 out[t * dm + m] = v
         return out
-
-    def is_zero(self) -> bool:
-        return self.values.is_zero()
 
     def hom_value(self, z: int, target_dim: int, source_dim: int) -> Matrix:
         """The value at the z-th basis element of a 1-cochain with values in
@@ -216,12 +212,6 @@ class ExtensionDatum:
     # under this datum; a fresh dict per datum, never copied by replace()
     t_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def rho_vec(self, letters: dict) -> Matrix:
-        out = Matrix.zeros(self.module.dim, self.module.dim)
-        for u, c in letters.items():
-            out = out + self.rho[u].scale(c)
-        return out
-
     def verify(self) -> bool:
         pair, e = self.pair, self.module
         dn = pair.dim_n
@@ -230,7 +220,7 @@ class ExtensionDatum:
                 return False
             act_a = e.action[a]
             for u in range(pair.g.dim):
-                lhs = self.rho_vec(pair.bracket_letters(dn + a, u))
+                lhs = combination(self.rho, pair.bracket_letters(dn + a, u), e.dim)
                 rhs = act_a.mul(self.rho[u]) - self.rho[u].mul(act_a)
                 if lhs != rhs:
                     return False
@@ -291,15 +281,13 @@ def extension(pair: InclusionPair, module: LieModule) -> Optional[ExtensionDatum
 
 @dataclass
 class PushoutData:
-    """Ambient presentation of the pushout: coordinates, relation span, maps."""
+    """Ambient presentation of the pushout: coordinates, relations, maps."""
 
     module: LieModule  # Q with its induced action
     include: ModuleMap  # E -> Q
     project: ModuleMap  # Q -> n (x) E
-    ambient_dim: int
     free: tuple  # ambient coordinates giving the Q basis (echelon complement)
     relations: list  # the spanning relation vectors
-    span: Echelon
 
 
 def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
@@ -361,42 +349,6 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
         q_mod,
         ModuleMap(e, q_mod, incl),
         ModuleMap(q_mod, ne, proj),
-        ambient_dim,
         tuple(free),
         relations,
-        span,
     )
-
-
-def pushout_module(pair: InclusionPair, module: LieModule):
-    data = pushout_data(pair, module)
-    return data.module, data.include, data.project
-
-
-def h1_dimension(h: LieAlgebra, module: LieModule) -> int:
-    """dim H^1(h, M) = dim ker d^1 - rank d^0."""
-    d0 = ce_differential(h, module, 0)
-    d1 = ce_differential(h, module, 1)
-    return (d1.cols - d1.rank()) - d0.rank()
-
-
-def wedge_restriction_is_exact(pair: InclusionPair, cocycle: Optional[Cochain] = None) -> bool:
-    """Whether the obstruction cocycle restricted along wedge^2 n -> n (x) n
-    is a coboundary (the class factors through the symmetric square);
-    NotACocycleError when the given cochain is not closed."""
-    n_mod = quotient_module(pair)
-    if cocycle is None:
-        cocycle = obstruction(pair, n_mod).cocycle
-    else:
-        _closed(pair.h, cocycle, NotACocycleError("cochain is not closed"))
-    dn = pair.dim_n
-    wedges = ext_monomials(dn, 2)
-    if not wedges:
-        return True
-    incl = Matrix.zeros(dn * dn, len(wedges))
-    for col, (i, j) in enumerate(wedges):
-        incl.data[i * dn + j][col] = Q(1)
-        incl.data[j * dn + i][col] = Q(-1)
-    coeff = hom_module(ext_power_module(n_mod, 2), n_mod)
-    phis = [cocycle.hom_value(z, dn, dn * dn).mul(incl) for z in range(pair.dim_h)]
-    return is_trivial(pair, n_mod, _hom_cochain(coeff, phis)) is not None

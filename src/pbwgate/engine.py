@@ -251,9 +251,6 @@ class FilteredModule:
             raise ValueError("reduced filtration only applies to trivial coefficients")
         return self._slice(1, self.dim(k))
 
-    def gr_module(self, k: int) -> LieModule:
-        return self._slice(self.dim(k - 1), self.dim(k))
-
     def gr_target(self, k: int) -> LieModule:
         power = (
             tensor_power_module(self._n_mod, k)
@@ -281,29 +278,6 @@ def build_filtration(
         have = FilteredModule(pair, side, K, None)
         cache[side] = have
     return have
-
-
-@dataclass
-class GrCheckReport:
-    side: str
-    k: int
-    dim_ok: bool
-    action_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_ok and self.action_ok
-
-
-def gr_check(filt: FilteredModule, k: int) -> GrCheckReport:
-    """The canonical surjection from the tensor (resp. symmetric) power onto
-    the graded piece is the identity on our coordinates; check it matches the
-    module structures."""
-    target = filt.gr_target(k)
-    got = filt.gr_module(k)
-    dim_ok = target.dim == got.dim
-    action_ok = dim_ok and all(target.action[a] == got.action[a] for a in range(filt.pair.dim_h))
-    return GrCheckReport(filt.side, k, dim_ok, action_ok)
 
 
 # ---------------------------------------------------------------------------

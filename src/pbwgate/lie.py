@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_row, qf
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_row, combination, qf, tensor_map
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -93,19 +93,6 @@ class LieAlgebra:
             return {k: Q(v) for k, v in acc.items() if v}
         return {k: Q(v, den) for k, v in acc.items() if v}
 
-    def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        dim = self.dim + other.dim
-        labels = tuple(f"{l}1" for l in self.labels) + tuple(f"{l}2" for l in other.labels)
-        table = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                table[i][j] = dict(self.table[i][j])
-        off = self.dim
-        for i in range(other.dim):
-            for j in range(other.dim):
-                table[off + i][off + j] = {off + k: v for k, v in other.table[i][j].items()}
-        return LieAlgebra(dim, labels, table)
-
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
 
@@ -132,10 +119,9 @@ def validate_lie(alg: LieAlgebra) -> LieValidation:
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             defect: Vec = dict(alg.table[i][j])
-            for k, v in alg.table[j][i].items():
-                _add_term(defect, k, v)
-            if i == j:
-                defect = dict(alg.table[i][i])
+            if i != j:
+                for k, v in alg.table[j][i].items():
+                    _add_term(defect, k, v)
             if defect:
                 issues.append(ValidationIssue("antisymmetry", (i, j), defect))
     for i, j, k in itertools.combinations(range(alg.dim), 3):
@@ -169,10 +155,8 @@ class LieModule:
         self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
 
     def act_vec(self, x: Vec) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in x.items():
-            out = out + self.action[i].scale(c)
-        return out
+        """The action of the algebra vector ``x``."""
+        return combination(self.action, x, self.dim)
 
     def compatibility_defects(self) -> list:
         """Pairs (i, j) where action([x_i,x_j]) != [action(x_i), action(x_j)]."""
@@ -245,14 +229,6 @@ class InclusionPair:
         if sol is None:
             raise AssertionError("adapted basis does not span g")
         return sol
-
-    def n_part(self, x: Vec) -> Vec:
-        """The n-coordinates of a vector of g."""
-        return {r: v for r, v in self.letter_coords(x).items() if r < self.dim_n}
-
-    def letter_vector(self, u: int) -> Vec:
-        """Letter u as a vector of g: n-letters first, then h-letters."""
-        return dict(self._letter_cols[u])
 
     def letter_coords(self, x: Vec) -> Vec:
         """Expand a g vector over the letters (n-letters then h-letters)."""
@@ -356,8 +332,6 @@ def tensor_module(m: LieModule, n: LieModule) -> LieModule:
     """Leibniz action on M (x) N; basis index = i_M * dim_N + i_N."""
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise ValueError("modules over different algebras")
-    from .linalg import tensor_map
-
     idm = Matrix.identity(m.dim)
     idn = Matrix.identity(n.dim)
     action = [tensor_map(m.action[i], idn) + tensor_map(idm, n.action[i]) for i in range(m.algebra.dim)]
@@ -379,8 +353,6 @@ def hom_module(m: LieModule, n: LieModule) -> LieModule:
     """Hom(M, N) with (x . f) = act_N(x) f - f act_M(x); basis E_{ij} at i*dimM + j."""
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise ValueError("modules over different algebras")
-    from .linalg import tensor_map
-
     idm = Matrix.identity(m.dim)
     idn = Matrix.identity(n.dim)
     action = [
@@ -389,10 +361,6 @@ def hom_module(m: LieModule, n: LieModule) -> LieModule:
     ]
     labels = tuple(f"E[{a},{b}]" for a in n.labels for b in m.labels)
     return LieModule(m.algebra, m.dim * n.dim, action, labels=labels)
-
-
-def dual_module(m: LieModule) -> LieModule:
-    return hom_module(m, trivial_module(m.algebra, 1))
 
 
 def sym_monomials(dim: int, k: int) -> list:
@@ -425,9 +393,9 @@ def sort_with_sign(tup) -> Optional[tuple]:
     return tuple(lst), sign
 
 
-def _power_module(m: LieModule, monos: list, normalise, sep: str) -> LieModule:
-    """Derivation action on a monomial basis; ``normalise`` maps an index
-    tuple to (basis monomial, sign), or None when it vanishes."""
+def sym_power_module(m: LieModule, k: int) -> LieModule:
+    """Symmetric power with derivation action on the sorted monomial basis."""
+    monos = sym_monomials(m.dim, k)
     index = {mono: i for i, mono in enumerate(monos)}
     dim = len(monos)
     action = []
@@ -438,23 +406,9 @@ def _power_module(m: LieModule, monos: list, normalise, sep: str) -> LieModule:
             for pos in range(len(mono)):
                 for i in range(m.dim):
                     c = act.entry(i, mono[pos])
-                    if not c:
-                        continue
-                    normal = normalise(mono[:pos] + (i,) + mono[pos + 1:])
-                    if normal is None:
-                        continue
-                    new, sign = normal
-                    _add_term(data[index[new]], cidx, sign * c)
+                    if c:
+                        new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
+                        _add_term(data[index[new]], cidx, c)
         action.append(Matrix(dim, dim, data))
-    labels = tuple(sep.join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
+    labels = tuple(".".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
     return LieModule(m.algebra, dim, action, labels=labels)
-
-
-def sym_power_module(m: LieModule, k: int) -> LieModule:
-    """Symmetric power with derivation action on sorted monomial basis."""
-    return _power_module(m, sym_monomials(m.dim, k), lambda t: (tuple(sorted(t)), 1), ".")
-
-
-def ext_power_module(m: LieModule, k: int) -> LieModule:
-    """Exterior power with derivation action on strictly increasing tuples."""
-    return _power_module(m, ext_monomials(m.dim, k), sort_with_sign, "^")

@@ -143,15 +143,6 @@ class Matrix:
                 data[c][i] = v
         return Matrix(self.cols, self.rows, data)
 
-    def scale(self, coeff: Entry) -> "Matrix":
-        coeff = qf(coeff)
-        if not coeff:
-            return Matrix.zeros(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, [{c: coeff * v for c, v in r.items()} for r in self.data])
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -205,14 +196,6 @@ class Matrix:
                 data.append({c: Fraction(a, den) for c, a in acc.items() if a})
         return Matrix(self.rows, other.cols, data)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def apply(self, vec: Row) -> Row:
         """Matrix times a sparse column vector, as a sparse dict."""
         out = {}
@@ -249,6 +232,16 @@ class Matrix:
         for r in self.data:
             ech.insert(r)
         return ech.rank
+
+
+def combination(mats: Sequence[Matrix], coeffs: Row, dim: int) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for square matrices of size ``dim``,
+    accumulated into one matrix in a single pass."""
+    data = [dict() for _ in range(dim)]
+    for i, c in coeffs.items():
+        for acc, row in zip(data, mats[i].data):
+            _axpy(acc, c, row)
+    return Matrix(dim, dim, data)
 
 
 def _int_row(vec: Row):

@@ -136,15 +136,8 @@ def _expect(doc: dict, key: str, where: str, types, required: bool = True, defau
     return value
 
 
-def parse_problem(source: str) -> ProblemFile:
-    """Parse and validate a problem document (text or a path to one)."""
-    text = source
-    if "\n" not in source and source.strip().endswith(".json"):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ProblemError(source, f"cannot read file: {exc}") from None
+def parse_problem(text: str) -> ProblemFile:
+    """Parse and validate the text of a problem document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,8 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pbwgate.cohomology import Cochain, alpha_cocycle
-from pbwgate.lie import LieAlgebra, make_pair, quotient_module
+from pbwgate.catalog import catalog_get
+from pbwgate.cohomology import Cochain, NotACocycleError, alpha_cocycle, ce_differential, is_trivial, obstruction
+from pbwgate.lie import LieAlgebra, hom_module, make_pair, quotient_module, tensor_module
 from pbwgate.linalg import Matrix, solve, tensor_map
 
 
@@ -42,8 +43,9 @@ def invert(m: Matrix) -> Matrix:
 
 def complement_change(p1, p2) -> Matrix:
     """theta: n1 -> n2, whose columns are the n2-coordinates of sigma1."""
-    cols = [p2.n_part(col) for col in p1.sigma.transpose().data]
-    return Matrix(len(cols), p2.dim_n, cols).transpose()
+    dn = p2.dim_n
+    cols = [{r: v for r, v in p2.letter_coords(col).items() if r < dn} for col in p1.sigma.transpose().data]
+    return Matrix(len(cols), dn, cols).transpose()
 
 
 def alpha_difference(p1, p2) -> Cochain:
@@ -63,6 +65,37 @@ def alpha_difference(p1, p2) -> Cochain:
     return Cochain(1, a1.module, a1.values - transported)
 
 
+def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
+    """Whether the obstruction cocycle restricted to wedge^2 n is a
+    coboundary (the class factors through the symmetric square);
+    NotACocycleError when the given cochain is not closed.
+
+    Hom(wedge^2 n, n) is the summand Hom(n (x) n, n) . A of the cocycle's
+    own coefficient module, A = (1 - swap) / 2 the antisymmetrizer of
+    n (x) n; precomposing with the equivariant idempotent A commutes with
+    the differential, so a . A is exact in the summand iff it is exact in
+    Hom(n (x) n, n)."""
+    n_mod = quotient_module(pair)
+    if cocycle is None:
+        cocycle = obstruction(pair, n_mod).cocycle
+    elif ce_differential(pair.h, cocycle.module, 1).apply(cocycle.vec()):
+        raise NotACocycleError("cochain is not closed")
+    dn = pair.dim_n
+    anti = Matrix.zeros(dn * dn, dn * dn)
+    for i in range(dn):
+        for j in range(dn):
+            if i != j:
+                anti.data[i * dn + j][i * dn + j] = Q(1, 2)
+                anti.data[i * dn + j][j * dn + i] = Q(-1, 2)
+    coeff = hom_module(tensor_module(n_mod, n_mod), n_mod)
+    values = Matrix.zeros(coeff.dim, pair.dim_h)
+    for z in range(pair.dim_h):
+        for i, row in enumerate(cocycle.hom_value(z, dn, dn * dn).mul(anti).data):
+            for j, v in row.items():
+                values.data[i * dn * dn + j][z] = v
+    return is_trivial(pair, n_mod, Cochain(1, coeff, values)) is not None
+
+
 def diagonal_embedding(alg: LieAlgebra):
     cols = []
     for i in range(alg.dim):
@@ -80,14 +113,12 @@ def sl2_borel():
 
 @pytest.fixture
 def diag_sl2():
-    g = sl2().direct_sum(sl2())
-    return make_pair(g, diagonal_embedding(sl2()))
+    return catalog_get("diagonal-sl2").pair()
 
 
 @pytest.fixture
 def diag_heis():
-    g = heisenberg().direct_sum(heisenberg())
-    return make_pair(g, diagonal_embedding(heisenberg()))
+    return catalog_get("diagonal-heisenberg").pair()
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ from pbwgate.cohomology import (
     connecting_cocycle,
     find_extension,
     is_trivial,
-    wedge_restriction_is_exact,
 )
 from pbwgate.engine import (
     build_filtration,
@@ -41,7 +40,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix
 
-from conftest import alpha_difference
+from conftest import alpha_difference, wedge_restriction_is_exact
 
 
 VALID_ENTRIES = [

@@ -53,7 +53,7 @@ def test_catalog_semidirect_c_vanishes():
     from pbwgate.cohomology import connecting_cocycle
 
     pf = catalog_get("semidirect-split")
-    assert connecting_cocycle(pf.pair()).is_zero()
+    assert connecting_cocycle(pf.pair()).values.is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_ENTRIES))
@@ -120,6 +120,17 @@ def test_parse_bad_json_reports_position():
     with pytest.raises(ProblemError) as err:
         parse_problem("{\"name\": }")
     assert "line" in str(err.value)
+
+
+def test_parse_reads_text_only(tmp_path):
+    # the CLI reads --input itself; a path-like string is not a document,
+    # even when a problem file exists at that path
+    path = tmp_path / "borel.json"
+    path.write_text(serialize_problem(catalog_get("sl2-borel")))
+    with pytest.raises(ProblemError) as err:
+        parse_problem(str(path))
+    assert err.value.location == "line 1, column 1"
+    assert main(["validate", "--input", str(path)]) == 0
 
 
 def test_custom_module_roundtrip(tmp_path):
@@ -562,7 +573,7 @@ def test_twisted_record_fails_when_a_consistent_system_reports_no_solution(monke
 
 def _doubled(real):
     # twice a section is still equivariant but no longer a section
-    return lambda dn, k: real(dn, k).scale(2)
+    return lambda dn, k: real(dn, k) + real(dn, k)
 
 
 def _with_constant_term(real):

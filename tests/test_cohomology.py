@@ -10,11 +10,9 @@ from pbwgate.cohomology import (
     connecting_cocycle,
     extension,
     find_extension,
-    h1_dimension,
     is_trivial,
     obstruction,
-    pushout_module,
-    wedge_restriction_is_exact,
+    pushout_data,
 )
 from pbwgate.lie import (
     LieAlgebra,
@@ -27,7 +25,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, kernel_basis, solve
 
-from conftest import alpha_difference, sl2
+from conftest import alpha_difference, sl2, wedge_restriction_is_exact
 
 
 def _modules_for_dd(pair):
@@ -79,11 +77,11 @@ def test_connecting_cocycle_golden(sl2_borel):
 
 
 def test_connecting_cocycle_split_pair(semidirect_pair):
-    assert connecting_cocycle(semidirect_pair).is_zero()
+    assert connecting_cocycle(semidirect_pair).values.is_zero()
 
 
 def test_connecting_cocycle_abelian(abelian_pair):
-    assert connecting_cocycle(abelian_pair).is_zero()
+    assert connecting_cocycle(abelian_pair).values.is_zero()
 
 
 def test_alpha_cocycle_golden(sl2_borel):
@@ -95,12 +93,12 @@ def test_alpha_cocycle_golden(sl2_borel):
 
 
 def test_alpha_trivial_coefficients(sl2_borel):
-    assert alpha_cocycle(sl2_borel, trivial_module(sl2_borel.h)).is_zero()
+    assert alpha_cocycle(sl2_borel, trivial_module(sl2_borel.h)).values.is_zero()
 
 
 def test_alpha_split_pair(semidirect_pair):
     n = quotient_module(semidirect_pair)
-    assert alpha_cocycle(semidirect_pair, n).is_zero()
+    assert alpha_cocycle(semidirect_pair, n).values.is_zero()
 
 
 def test_is_trivial_borel_none(sl2_borel):
@@ -168,6 +166,17 @@ def test_wedge_restriction_rejects_non_cocycle(entry, diag_sl2):
         wedge_restriction_is_exact(diag_sl2, junk)
 
 
+@pytest.mark.parametrize("entry,exact", [(0, True), (1, False)], ids=["on-n0-n0", "on-n0-n1"])
+def test_wedge_restriction_detects_an_antisymmetric_class(entry, exact, abelian_pair):
+    # h is one-dimensional and acts trivially: every 1-cochain is closed and
+    # only zero is exact, so the verdict is whether the wedge part vanishes
+    n = quotient_module(abelian_pair)
+    coeff = hom_module(tensor_module(n, n), n)
+    values = Matrix.zeros(coeff.dim, abelian_pair.dim_h)
+    values.data[entry][0] = Q(1)
+    assert wedge_restriction_is_exact(abelian_pair, Cochain(1, coeff, values)) is exact
+
+
 def test_find_extension_borel_none(sl2_borel):
     assert find_extension(sl2_borel, quotient_module(sl2_borel)) is None
 
@@ -185,7 +194,7 @@ def test_half_adjoint_is_valid_extension(diag_sl2):
 
     n = quotient_module(diag_sl2)
     ad = adjoint_module(sl2())
-    rho = [ad.action[r].scale(Q(1, 2)) for r in range(3)] + list(n.action)
+    rho = [ad.act_vec({r: Q(1, 2)}) for r in range(3)] + list(n.action)
     datum = ExtensionDatum(diag_sl2, n, tuple(rho))
     assert datum.verify()
 
@@ -207,7 +216,8 @@ def test_extension_iff_trivial(sl2_borel, diag_sl2, diag_heis, abelian_pair, sem
 def test_pushout_dimension(sl2_borel, diag_sl2):
     for pair in (sl2_borel, diag_sl2):
         n = quotient_module(pair)
-        q, incl, proj = pushout_module(pair, n)
+        data = pushout_data(pair, n)
+        q, incl, proj = data.module, data.include, data.project
         assert q.dim == n.dim + pair.dim_n * n.dim
         assert incl.is_equivariant()
         assert proj.is_equivariant()
@@ -220,7 +230,7 @@ def test_pushout_dimension(sl2_borel, diag_sl2):
 def test_pushout_trivial_coefficients(sl2_borel):
     # Q for trivial E is equivariantly trivial + n
     e = trivial_module(sl2_borel.h)
-    q, incl, proj = pushout_module(sl2_borel, e)
+    q = pushout_data(sl2_borel, e).module
     n = quotient_module(sl2_borel)
     target = LieModule_direct_sum(e, n)
     t = _find_equivariant_iso(q, target)
@@ -229,7 +239,8 @@ def test_pushout_trivial_coefficients(sl2_borel):
 
 def test_pushout_borel_no_section(sl2_borel):
     n = quotient_module(sl2_borel)
-    q, incl, proj = pushout_module(sl2_borel, n)
+    data = pushout_data(sl2_borel, n)
+    q, proj = data.module, data.project
     ne = tensor_module(n, n)
     # brute force: s with proj s = id and s equivariant
     nuk = q.dim * ne.dim
@@ -313,20 +324,27 @@ def _find_equivariant_iso(m, n):
     return None
 
 
+def _h1_dimension(h, module) -> int:
+    """dim H^1(h, M) = dim ker d^1 - rank d^0."""
+    d0 = ce_differential(h, module, 0)
+    d1 = ce_differential(h, module, 1)
+    return (d1.cols - d1.rank()) - d0.rank()
+
+
 def test_h1_abelian_trivial():
     h = LieAlgebra(3)
     m = trivial_module(h, 2)
-    assert h1_dimension(h, m) == 6
+    assert _h1_dimension(h, m) == 6
 
 
 def test_h1_whitehead_sl2():
     g = sl2()
-    assert h1_dimension(g, adjoint_module(g)) == 0
-    assert h1_dimension(g, trivial_module(g)) == 0
+    assert _h1_dimension(g, adjoint_module(g)) == 0
+    assert _h1_dimension(g, trivial_module(g)) == 0
 
 
 def test_h1_zero_module(sl2_borel):
-    assert h1_dimension(sl2_borel.h, trivial_module(sl2_borel.h, 0) if False else _zero_module(sl2_borel.h)) == 0
+    assert _h1_dimension(sl2_borel.h, trivial_module(sl2_borel.h, 0) if False else _zero_module(sl2_borel.h)) == 0
 
 
 def _zero_module(h):
@@ -337,9 +355,10 @@ def _zero_module(h):
 
 def test_alpha_sigma_independence():
     # two complements on the diagonal pair give cohomologous obstruction cocycles
-    g = sl2().direct_sum(sl2())
+    from pbwgate.catalog import catalog_get
     from conftest import diagonal_embedding
 
+    g = catalog_get("diagonal-sl2").algebra()
     p1 = make_pair(g, diagonal_embedding(sl2()))
     p2 = make_pair(g, diagonal_embedding(sl2()), complement=(0, 1, 2))
     assert is_trivial(p1, quotient_module(p1), alpha_difference(p1, p2)) is not None

@@ -20,7 +20,6 @@ from pbwgate.engine import (
     dimension_identity_check,
     equivalence_harness,
     f2_class_check,
-    gr_check,
     level_sequence,
     level_system_shape,
     oracle_splits,
@@ -238,10 +237,12 @@ def test_borel_filtration_dims(sl2_borel):
 @pytest.mark.parametrize("side", ["F", "R"])
 @pytest.mark.parametrize("fixture", ["sl2_borel", "diag_sl2", "semidirect_pair"])
 def test_gr_check(side, fixture, request):
+    # the projection F^k -> gr_k onto the tensor (resp. symmetric) power is
+    # equivariant and exact: gr_k is that power as an h-module
     pair = request.getfixturevalue(fixture)
     filt = build_filtration(pair, side, 3)
     for k in range(4):
-        assert gr_check(filt, k).ok
+        level_sequence(filt, k).validate()
 
 
 def test_gr_check_twisted(sl2_borel):
@@ -249,7 +250,25 @@ def test_gr_check_twisted(sl2_borel):
     for side in ("F", "R"):
         filt = build_filtration(sl2_borel, side, 3, coeff=n)
         for k in range(4):
-            assert gr_check(filt, k).ok
+            level_sequence(filt, k).validate()
+
+
+@pytest.mark.parametrize(
+    "defect,message", [("action", "not equivariant"), ("dimension", "not exact")]
+)
+def test_gr_check_fails_on_a_wrong_graded_piece(defect, message, abelian_pair):
+    # the validation that replaced gr_check rejects a graded piece whose
+    # action or dimension is not the tensor power's (here: zero actions)
+    seq = level_sequence(build_filtration(abelian_pair, "F", 2), 2)
+    quot = seq.quot
+    if defect == "action":
+        wrong = LieModule(quot.algebra, quot.dim, [m + Matrix.identity(quot.dim) for m in quot.action])
+        seq = replace(seq, quot=wrong)
+    else:
+        bigger = Matrix.identity(seq.mid.dim + 1).take(range(seq.sub.dim, seq.mid.dim + 1), range(seq.mid.dim))
+        seq = replace(seq, quot=trivial_module(quot.algebra, quot.dim + 1), project=bigger)
+    with pytest.raises(ValueError, match=message):
+        seq.validate()
 
 
 def test_r_level2_kernel_is_commutators(diag_sl2):
@@ -274,7 +293,7 @@ def test_r_level2_kernel_is_commutators(diag_sl2):
 
 
 def test_gr_independent_of_complement():
-    g = sl2().direct_sum(sl2())
+    g = catalog_get("diagonal-sl2").algebra()
     p1 = make_pair(g, diagonal_embedding(sl2()))
     p2 = make_pair(g, diagonal_embedding(sl2()), complement=(0, 1, 2))
     theta = complement_change(p1, p2)
@@ -284,7 +303,7 @@ def test_gr_independent_of_complement():
     from pbwgate.linalg import tensor_map
 
     big = tensor_map(theta, theta)
-    gr1, gr2 = f1.gr_module(k), f2.gr_module(k)
+    gr1, gr2 = (f._slice(f.dim(k - 1), f.dim(k)) for f in (f1, f2))
     for a in range(p1.dim_h):
         assert big.mul(gr1.action[a]) == gr2.action[a].mul(big)
 

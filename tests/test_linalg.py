@@ -10,6 +10,7 @@ from pbwgate.linalg import (
     Matrix,
     _axpy,
     _int_row,
+    combination,
     kernel_basis,
     rref,
     solve,
@@ -216,7 +217,7 @@ def test_coordinates_reject_out_of_range_index():
 def _kernel_intersection(us, vs, dim):
     """Reference: U k_u for each k in the kernel of [U | -V]."""
     u_mat, v_mat = _columns(us, dim), _columns(vs, dim)
-    kernel = kernel_basis(u_mat.hstack(v_mat.scale(-1)))
+    kernel = kernel_basis(u_mat.hstack(Matrix.zeros(v_mat.rows, v_mat.cols) - v_mat))
     return [u_mat.apply({j: x for j, x in enumerate(k[: len(us)]) if x}) for k in kernel]
 
 
@@ -590,3 +591,33 @@ def test_reduce_contains_pivots_property():
         assert ech.contains({j: x for j, x in enumerate(v) if x}) == (rank(dense + [v]) == rank(dense))
 
     prop()
+
+
+def _combination_reference(mats, coeffs, dim):
+    """The former ``LieModule.act_vec`` loop: one scaled copy and one matrix
+    sum per term."""
+    out = Matrix.zeros(dim, dim)
+    for i, c in coeffs.items():
+        out = out + Matrix(dim, dim, [{j: c * v for j, v in r.items()} for r in mats[i].data])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["integral", "fraction", "mixed", "cancelling", "empty"])
+def test_combination_matches_termwise_sum(kind):
+    rng = random.Random(f"combination-{kind}")
+    for _ in range(20):
+        dim = 0 if kind == "empty" else rng.randint(1, 5)
+        mats = [Matrix(dim, dim, _random_entries(rng, dim, dim, "mixed" if kind == "cancelling" else kind)) for _ in range(4)]
+        picked = rng.sample(range(4), rng.randint(0, 4))
+        coeffs = {i: Q(rng.choice([n for n in range(-5, 6) if n]), rng.choice([1, 2, 3, 13])) for i in picked}
+        if kind == "cancelling":
+            mats[1] = mats[0]
+            coeffs.update({0: Q(2, 3), 1: Q(-2, 3)})
+            coeffs.pop(2, None), coeffs.pop(3, None)
+        got = combination(mats, coeffs, dim)
+        want = _combination_reference(mats, coeffs, dim)
+        assert (got.rows, got.cols) == (dim, dim)
+        assert got.data == want.data  # the same entries and the same zeros dropped
+        assert all(type(v) is Q and v for r in got.data for v in r.values())
+        if kind == "cancelling":
+            assert got.is_zero() and not any(got.data)

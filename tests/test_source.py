@@ -120,3 +120,103 @@ def test_only_oracle_splits_calls_the_section_oracle():
     for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
         offenders += [f"{path.name}:{line}" for line in _oracle_calls(path.read_text())]
     assert offenders == []
+
+
+# every definition in the package is reached from the package itself, so a
+# name only tests (or nothing) call cannot sit in src/; a top-level def or
+# class counts as reached when it is named (a bare name or an attribute)
+# outside its own definition, a method when it is named as an attribute
+_UNREACHED_BY_DESIGN = {
+    "linalg.rref",  # reference routine, checked against the echelon core
+    "linalg.kernel_basis",  # reference routine, likewise
+    "koszul.qa_graded_dimension",  # perfbench's tracer spans it as koszul.qa_dim
+    "problem.serialize_problem",  # README's round-trip contract
+}
+
+
+def _definitions(tree):
+    """(node, is a method) for each top-level def or class and each
+    non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item, True
+
+
+def _unreached(sources: dict) -> list:
+    """``module.name`` of each definition in ``sources`` (module -> text)
+    that no code outside its own definition names."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    uses = {}  # name -> [(module, line, as an attribute)]
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((mod, node.lineno, False))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((mod, node.lineno, True))
+    found = []
+    for mod, tree in trees.items():
+        for node, method in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                (attr or not method) and not (where == mod and line in own)
+                for where, line, attr in uses.get(node.name, ())
+            ):
+                found.append(f"{mod}.{node.name}")
+    return sorted(found)
+
+
+def _package_sources() -> dict:
+    return {path.stem: path.read_text() for path in sorted(Path(pbwgate.__file__).parent.glob("*.py"))}
+
+
+def test_unreached_detector():
+    src = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) + used()\n\n"
+        "class C:\n    def __init__(self):\n        self.go()\n\n"
+        "    def go(self):\n        return C\n\n"
+        "    def named_bare(self):\n        return 0\n\n"
+        "print(named_bare)\n"
+    )
+    assert _unreached({"m": src}) == ["m.C", "m.named_bare", "m.recursive"]
+    # a function another module reaches as an attribute is reached
+    assert _unreached({"m": "def f():\n    pass\n", "n": "import m\nm.f()\n"}) == []
+    # an unreferenced function injected into the real package is caught
+    sources = _package_sources()
+    sources["engine"] += "\n\ndef _injected_helper(pair):\n    return _normal_form(pair, 'F', ())\n"
+    assert "engine._injected_helper" in _unreached(sources)
+
+
+def test_every_definition_is_reached_from_the_package():
+    assert _unreached(_package_sources()) == sorted(_UNREACHED_BY_DESIGN)
+
+
+# an import the module never names is dead weight (and hides a deleted use)
+_UNUSED_BY_DESIGN = {"report.section_oracle"}  # perfbench's tracer test reads it there
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in named)
+
+
+def test_unused_import_detector():
+    assert _unused_imports("from __future__ import annotations\nimport os\nfrom .a import b, c\nc()\n") == ["b", "os"]
+    assert _unused_imports("import os.path\nos.path.join('a')\n") == []
+    assert _unused_imports("from .a import b as c\nc\n") == []
+    assert _unused_imports("from typing import Optional\ndef f(x: Optional[int]):\n    pass\n") == []
+
+
+def test_no_unused_imports_in_package():
+    found = [f"{mod}.{name}" for mod, text in _package_sources().items() for name in _unused_imports(text)]
+    assert sorted(found) == sorted(_UNUSED_BY_DESIGN)
