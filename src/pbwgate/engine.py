@@ -32,6 +32,7 @@ from .lie import (
     InclusionPair,
     LieModule,
     ModuleMap,
+    _int_table,
     quotient_module,
     sym_dim,
     sym_monomials,
@@ -64,19 +65,34 @@ Word = tuple  # tuple of adapted letter indices
 _MEMO = {"F": "free_words", "R": "pbw_words"}
 
 
-def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
-    """Normal form of a g-word on one side: a combination of (n-word,
-    h-tail) pairs, the h-tail being the trailing block of h-letters.
+def _letter_ints(pair: InclusionPair) -> tuple:
+    """(ints, D): the letter bracket table over one common denominator, so
+    that [letter u, letter v] = ints[u][v] / D; cleared once per pair."""
+    cache = pair._caches
+    if "letter_ints" not in cache:
+        letters = range(pair.g.dim)
+        cache["letter_ints"] = _int_table([[pair.bracket_letters(u, v) for v in letters] for u in letters])
+    return cache["letter_ints"]
+
+
+def _int_normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
+    """Normal form of a g-word on one side, as ints over the scale
+    D^len(word): a combination of (n-word, h-tail) pairs, the h-tail being
+    the trailing block of h-letters, each coefficient times D^len(word).
 
     One rewriting step swaps an out-of-order adjacent pair x y into
     y x + [x, y].  On the free side (``F``) that pair is the rightmost
     h-letter left of the h-tail and its right neighbour; on the straightened
     side (``R``) it is the leftmost descent.  A word with no such pair is a
     normal form: a free n-word (resp. a weakly increasing one) and its h-tail.
+    The swapped word shares the scale D^len(word); a bracket term's shorter
+    word sits at D^(len(word)-1) and its integer numerator brings one more D.
+    The memo holds these ints; callers must not mutate them.
     """
     cache = pair._caches.setdefault(_MEMO[side], {})
     if word in cache:
         return cache[word]
+    ints, scale = _letter_ints(pair)
     dn = pair.dim_n
     s = len(word)
     while s > 0 and word[s - 1] >= dn:
@@ -86,18 +102,25 @@ def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
     else:
         i = next((k for k in range(len(word) - 1) if word[k] > word[k + 1]), None)
     if i is None:
-        out = {(word[:s], word[s:]): Q(1)}
+        out = {(word[:s], word[s:]): scale ** len(word)}
     else:
-        out = {}
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        for key, c in _normal_form(pair, side, swapped).items():
-            _add_term(out, key, c)
-        for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+        out = dict(_int_normal_form(pair, side, word[:i] + (word[i + 1], word[i]) + word[i + 2:]))
+        for letter, coeff in ints[word[i]][word[i + 1]].items():
             shorter = word[:i] + (letter,) + word[i + 2:]
-            for key, c in _normal_form(pair, side, shorter).items():
-                _add_term(out, key, coeff * c)
+            for key, c in _int_normal_form(pair, side, shorter).items():
+                w = out.get(key, 0) + coeff * c
+                if w:
+                    out[key] = w
+                else:
+                    del out[key]
     cache[word] = out
     return out
+
+
+def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
+    """``_int_normal_form`` with its coefficients as exact rationals."""
+    scale = _letter_ints(pair)[1] ** len(word)
+    return {key: Q(c, scale) for key, c in _int_normal_form(pair, side, word).items()}
 
 
 def _drop_h_tails(terms: dict) -> dict:
@@ -190,32 +213,40 @@ class FilteredModule:
     # -- construction helpers ------------------------------------------------
 
     def _action_matrix(self, a: int) -> Matrix:
+        """The action of h-letter a: each column sums its normal-form terms
+        in ints over (D * T)^len, D the letter scale and T the one clearing
+        the coefficient action, and writes one Fraction per entry."""
         pair = self.pair
         dn = pair.dim_n
-        full = len(self.words) * self.vdim
+        vdim = self.vdim
+        T = math.lcm(*(v.denominator for m in self.coeff.action for row in m.data for v in row.values()))
+        D = _letter_ints(pair)[1]
+        full = len(self.words) * vdim
         mat = Matrix.zeros(full, full)
-        tail_cache: dict = {}
+        tail_cache: dict = {}  # h-tail -> its action times T^len(h-tail), as int rows
         for wpos, w in enumerate(self.words):
-            reduced = _normal_form(pair, self.side, (dn + a,) + w)
-            for (nw, htail), c in reduced.items():
+            length = len(w) + 1
+            col: dict = {}  # (row, v) -> numerator over (D * T)^length
+            for (nw, htail), c in _int_normal_form(pair, self.side, (dn + a,) + w).items():
                 if nw not in self.word_index:
                     raise RewritingInconsistencyError(
                         f"normal form {nw} escaped the degree-{self.K} basis"
                     )
-                rowbase = self.word_index[nw] * self.vdim
-                if not htail:
-                    for v in range(self.vdim):
-                        _add_term(mat.data[rowbase + v], wpos * self.vdim + v, c)
-                else:
-                    if self.trivial_coeff:
-                        continue
-                    if htail not in tail_cache:
-                        tail_cache[htail] = _compose_h_tail(self.coeff, htail, dn)
-                    tail = tail_cache[htail]
-                    for v in range(self.vdim):
-                        for i, row in enumerate(tail.data):
-                            if v in row:
-                                _add_term(mat.data[rowbase + i], wpos * self.vdim + v, c * row[v])
+                if htail and self.trivial_coeff:
+                    continue
+                if htail not in tail_cache:
+                    lift = T ** len(htail)
+                    tail = _compose_h_tail(self.coeff, htail, dn)
+                    tail_cache[htail] = [{v: (x * lift).numerator for v, x in row.items()} for row in tail.data]
+                rowbase = self.word_index[nw] * vdim
+                c *= T ** (length - len(htail))
+                for i, row in enumerate(tail_cache[htail]):
+                    for v, x in row.items():
+                        col[rowbase + i, v] = col.get((rowbase + i, v), 0) + c * x
+            den = (D * T) ** length
+            for (r, v), num in col.items():
+                if num:
+                    mat.data[r][wpos * vdim + v] = Q(num, den)
         return mat
 
     def _verify(self) -> None:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import time
@@ -212,6 +213,30 @@ def test_cli_all_catalog_exits_0():
     # degree cap 2 keeps this fast; acceptance runs the full-depth version
     for name in sorted(EXPECTED_ENTRIES):
         assert main(["all", "--example", name, "--max-degree", "2"]) == 0, name
+
+
+# SHA-256 of the `all --json` report at default caps with every record's
+# `millis` removed, written as the CLI writes it (indent 2, final newline).
+# A change that alters report bytes on purpose updates these and says why.
+REPORT_DIGESTS = {
+    "abelian-inclusion": "5ac39c105be5e77d6adf0769a6ccd83a553f9e76d20e258669cd5a01db9e256b",
+    "diagonal-heisenberg": "23f34de020ef6993bbed08815615e7609c0f3f785d6754468ac7eb7bba22ab26",
+    "diagonal-sl2": "6389467e2c6c64ad249a9cbd0bc3dba3fbe3f4e27b913406d89f22dc455cb6ea",
+    "jacobi-broken-negative-control": "c5102cd6adff96721d568ed9b0ecfb62de61eb71d55bba6a9df59f063e2040cb",
+    "semidirect-split": "700ba0c447d4ec6a5a54a3fff4ae9394911eee2a977c5490669b7fe2148d4f7b",
+    "sl2-borel": "134e6cf4989195e8fd129738f8cffd518f9f5985d2e963ba6cd1b8ff4aa52f6c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_all_report_bytes_are_pinned(name, tmp_path):
+    out = tmp_path / "report.json"
+    main(["all", "--example", name, "--json", str(out)])
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    for rec in doc["records"]:
+        del rec["millis"]
+    text = json.dumps(doc, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
 
 
 def test_report_records_have_anchors():

@@ -11,7 +11,10 @@ from pbwgate import engine
 from pbwgate.cohomology import ExtensionDatum, find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
+    FilteredModule,
+    _compose_h_tail,
     _drop_h_tails,
+    _letter_ints,
     _normal_form,
     _rho_apply,
     ShortExactSequence,
@@ -135,9 +138,16 @@ def _case_pair(name, seed):
     return make_pair(*_conjugate(pf, _random_invertible(random.Random(seed), pf.dim)))
 
 
-@pytest.mark.parametrize("name,seed", [(name, None) for name in catalog_list()] + [("diagonal-heisenberg", 11)])
+CONJUGATED_CASES = [("diagonal-heisenberg", 11), ("diagonal-sl2", 3)]
+
+
+@pytest.mark.parametrize("name,seed", [(name, None) for name in catalog_list()] + CONJUGATED_CASES)
 def test_normal_form_matches_reference_rewriters(name, seed):
     pair = _case_pair(name, seed)
+    if seed is not None:
+        # the letter brackets carry denominators, so the memo's ints sit over
+        # a scale D^len(word) with D > 1
+        assert _letter_ints(pair)[1] > 1
     for side, reference, memo_key in (
         ("F", _reference_free, "free_words"),
         ("R", _reference_straighten, "pbw_words"),
@@ -148,6 +158,42 @@ def test_normal_form_matches_reference_rewriters(name, seed):
                 assert _normal_form(pair, side, word) == reference(pair, word, memo), (side, word)
         # the memo visits the same words, so its size is the same work count
         assert set(pair._caches[memo_key]) == set(memo)
+
+
+def _reference_actions(pair, side, K, coeff):
+    """The h-actions on the degree-K filtration with coefficients, built in
+    Fractions from the reference rewriters and the h-tail actions."""
+    reference = _reference_free if side == "F" else _reference_straighten
+    dn, vdim = pair.dim_n, coeff.dim
+    if side == "F":
+        words = [w for k in range(K + 1) for w in itertools.product(range(dn), repeat=k)]
+    else:
+        words = [w for k in range(K + 1) for w in itertools.combinations_with_replacement(range(dn), k)]
+    index = {w: i for i, w in enumerate(words)}
+    memo = {}
+    actions = []
+    for a in range(pair.dim_h):
+        mat = Matrix.zeros(len(words) * vdim, len(words) * vdim)
+        for wpos, w in enumerate(words):
+            for (nw, htail), c in reference(pair, (dn + a,) + w, memo).items():
+                tail = _compose_h_tail(coeff, htail, dn)
+                for i, row in enumerate(tail.data):
+                    for v, x in row.items():
+                        _add(mat.data[index[nw] * vdim + i], wpos * vdim + v, c * x)
+        actions.append(mat)
+    return actions
+
+
+@pytest.mark.parametrize("side", ["F", "R"])
+@pytest.mark.parametrize("name,seed", CONJUGATED_CASES)
+def test_action_matrices_with_coefficients_match_reference(name, seed, side):
+    pair = _case_pair(name, seed)
+    coeff = quotient_module(pair)
+    # both the letter scale and the coefficient action carry denominators
+    assert _letter_ints(pair)[1] > 1
+    assert any(v.denominator > 1 for m in coeff.action for row in m.data for v in row.values())
+    filt = FilteredModule(pair, side, 3, coeff)
+    assert filt.actions == _reference_actions(pair, side, 3, coeff)
 
 
 def _free_n_words(pair, word):
