@@ -147,7 +147,11 @@ def alpha_cocycle(pair: InclusionPair, module: LieModule) -> Cochain:
 def _primitive(h: LieAlgebra, cocycle: Cochain) -> Optional[Cochain]:
     """A 0-cochain b with d(b) = ``cocycle``, or None."""
     coeff = cocycle.module
-    sol = solve(ce_differential(h, coeff, 0), cocycle.vec())
+    d = ce_differential(h, coeff, 0)
+    rows = [dict(r) for r in d.data]
+    for i, v in cocycle.vec().items():
+        rows[i][d.cols] = v
+    sol = solve(rows, d.cols)
     if sol is None:
         return None
     b = Matrix.zeros(coeff.dim, 1)
@@ -242,7 +246,6 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
         return (r * de + i) * de + j
 
     rows = []
-    rhs = {}
     for a in range(dh):
         act = module.action[a]
         for r in range(dn):
@@ -259,9 +262,9 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
                         _add_term(row, unk(r, k, j), -act.entry(i, k))
                         _add_term(row, unk(r, i, k), act.entry(k, j))
                     if const.entry(i, j):
-                        rhs[len(rows)] = -const.entry(i, j)
+                        row[nunk] = -const.entry(i, j)
                     rows.append(row)
-    sol = solve(Matrix(len(rows), nunk, rows), rhs)
+    sol = solve(rows, nunk)
     if sol is None:
         return None
     rho = [Matrix.zeros(de, de) for _ in range(dn)]

@@ -41,7 +41,7 @@ from .lie import (
     tensor_power_module,
     trivial_module,
 )
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, solve
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -392,40 +392,35 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     nsub, nquot = seq.sub.dim, seq.quot.dim
     if nsub == 0:
         return s0
-    ech = Echelon(nsub * nquot + 1)
     bcol = nsub * nquot
-    long_rows = []
-    for a in range(h_dim):
-        mats = (seq.sub.action[a], seq.quot.action[a].transpose(), d_mats[a])
-        scale = math.lcm(*(v.denominator for m in mats for r in m.data for v in r.values()))
-        act_s, act_q_cols, d = (
-            [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in m.data]
-            for m in mats
-        )
-        for i in range(nsub):
-            arow, drow = act_s[i], d[i]
-            for j in range(nquot):
-                row = {k2 * nquot + j: v for k2, v in arow.items()}
-                for k2, v in act_q_cols[j].items():
-                    c = i * nquot + k2
-                    w = row.get(c, 0) - v
-                    if w:
-                        row[c] = w
-                    else:
-                        row.pop(c, None)
-                rhs = drow.get(j)
-                if rhs:
-                    row[bcol] = -rhs
-                # short rows (a toral element's: one unknown and the
-                # right-hand side) go in at once and fix their unknowns
-                # before the longer rows, inserted shortest first, fill in
-                if len(row) > 2:
-                    long_rows.append(row)
-                elif row:
-                    ech.insert(row)
-    for row in sorted(long_rows, key=len):
-        ech.insert(row)
-    sol = ech.solution(bcol)
+
+    def rows():
+        for a in range(h_dim):
+            mats = (seq.sub.action[a], seq.quot.action[a].transpose(), d_mats[a])
+            scale = math.lcm(*(v.denominator for m in mats for r in m.data for v in r.values()))
+            act_s, act_q_cols, d = (
+                [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in m.data]
+                for m in mats
+            )
+            for i in range(nsub):
+                arow, drow = act_s[i], d[i]
+                for j in range(nquot):
+                    row = {k2 * nquot + j: v for k2, v in arow.items()}
+                    for k2, v in act_q_cols[j].items():
+                        c = i * nquot + k2
+                        w = row.get(c, 0) - v
+                        if w:
+                            row[c] = w
+                        else:
+                            row.pop(c, None)
+                    rhs = drow.get(j)
+                    if rhs:
+                        row[bcol] = -rhs
+                    yield row
+
+    # a toral element's rows hold one unknown and the right-hand side, so
+    # solve's order fixes those unknowns before the longer rows fill in
+    sol = solve(rows(), bcol)
     if sol is None:
         return None
     t = Matrix.zeros(nsub, nquot)
@@ -677,8 +672,6 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
 
 @dataclass
 class DimReport:
-    side: str
-    K: int
     expected: list
     normal_form_counts: list
     rank_codims: list
@@ -767,7 +760,7 @@ def dimension_identity_check(
         rank_codims.append(sub_ambient - span.rank)
     filt = build_filtration(pair, side, K, coeff)
     counts = [filt.dim(k) for k in range(K + 1)]
-    return DimReport(side, K, _expected_dims(dn, side, K, vdim), counts, rank_codims)
+    return DimReport(_expected_dims(dn, side, K, vdim), counts, rank_codims)
 
 
 # ---------------------------------------------------------------------------

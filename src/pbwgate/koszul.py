@@ -238,7 +238,6 @@ def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
 class KoszulComplexSlice:
     internal_degree: int
     dims: list  # dim of qA_{d-i} (x) K^i per position i
-    ranks: list  # rank of the differential out of position i (i >= 1)
     dd_zero: bool
     exact: dict  # position -> bool, for 1 <= i <= top
     rightmost_homology: int  # dim H at position 0, reported not required
@@ -250,7 +249,6 @@ class KoszulComplexSlice:
 
 @dataclass
 class KoszulReport:
-    max_internal_degree: int
     ktilde_dims_ok: bool
     containment_ok: bool
     slices: list
@@ -326,6 +324,6 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
             rank_in = ranks[i] if i < top else 0
             exact[i] = dims[i] - rank_out == rank_in
         rightmost = dims[0] - ranks[0] if ranks else dims[0]
-        slices.append(KoszulComplexSlice(d, dims, ranks, dd_zero, exact, rightmost))
+        slices.append(KoszulComplexSlice(d, dims, dd_zero, exact, rightmost))
     qa_dims = [qa.dim(d) for d in range(max_internal_degree + 1)]
-    return KoszulReport(max_internal_degree, ktilde_dims_ok, containment_ok, slices, qa_dims)
+    return KoszulReport(ktilde_dims_ok, containment_ok, slices, qa_dims)

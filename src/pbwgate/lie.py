@@ -143,7 +143,7 @@ class LieModule:
     """Finite-dimensional module: one action matrix per basis element of the
     acting Lie algebra."""
 
-    def __init__(self, algebra: LieAlgebra, dim: int, action: Sequence[Matrix], labels=None):
+    def __init__(self, algebra: LieAlgebra, dim: int, action: Sequence[Matrix]):
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per acting basis element")
         for m in action:
@@ -152,7 +152,6 @@ class LieModule:
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
-        self.labels = tuple(labels) if labels else tuple(f"v{i}" for i in range(dim))
 
     def act_vec(self, x: Vec) -> Matrix:
         """The action of the algebra vector ``x``."""
@@ -305,7 +304,7 @@ def quotient_module(pair: InclusionPair) -> LieModule:
         # column r is the n-part of [i(a), sigma_r]
         cols = [{s: v for s, v in pair.bracket_letters(dn + a, r).items() if s < dn} for r in range(dn)]
         action.append(Matrix(dn, dn, cols).transpose())
-    return LieModule(pair.h, dn, action, labels=pair.n_labels)
+    return LieModule(pair.h, dn, action)
 
 
 def g_restriction_module(pair: InclusionPair) -> LieModule:
@@ -315,13 +314,12 @@ def g_restriction_module(pair: InclusionPair) -> LieModule:
     for a in range(pair.dim_h):
         cols = [pair.bracket_letters(pair.dim_n + a, u) for u in range(dg)]
         action.append(Matrix(dg, dg, cols).transpose())
-    labels = tuple(pair.n_labels) + tuple(pair.h.labels)
-    return LieModule(pair.h, dg, action, labels=labels)
+    return LieModule(pair.h, dg, action)
 
 
 def adjoint_module(alg: LieAlgebra) -> LieModule:
     action = [Matrix(alg.dim, alg.dim, list(alg.table[i])).transpose() for i in range(alg.dim)]
-    return LieModule(alg, alg.dim, action, labels=alg.labels)
+    return LieModule(alg, alg.dim, action)
 
 
 def trivial_module(alg: LieAlgebra, dim: int = 1) -> LieModule:
@@ -335,14 +333,13 @@ def tensor_module(m: LieModule, n: LieModule) -> LieModule:
     idm = Matrix.identity(m.dim)
     idn = Matrix.identity(n.dim)
     action = [tensor_map(m.action[i], idn) + tensor_map(idm, n.action[i]) for i in range(m.algebra.dim)]
-    labels = tuple(f"{a}*{b}" for a in m.labels for b in n.labels)
-    return LieModule(m.algebra, m.dim * n.dim, action, labels=labels)
+    return LieModule(m.algebra, m.dim * n.dim, action)
 
 
 def tensor_power_module(m: LieModule, k: int) -> LieModule:
     if k == 0:
         zero = [Matrix.zeros(1, 1) for _ in range(m.algebra.dim)]
-        return LieModule(m.algebra, 1, zero, labels=("1",))
+        return LieModule(m.algebra, 1, zero)
     out = m
     for _ in range(k - 1):
         out = tensor_module(out, m)
@@ -359,8 +356,7 @@ def hom_module(m: LieModule, n: LieModule) -> LieModule:
         tensor_map(n.action[i], idm) - tensor_map(idn, m.action[i].transpose())
         for i in range(m.algebra.dim)
     ]
-    labels = tuple(f"E[{a},{b}]" for a in n.labels for b in m.labels)
-    return LieModule(m.algebra, m.dim * n.dim, action, labels=labels)
+    return LieModule(m.algebra, m.dim * n.dim, action)
 
 
 def sym_monomials(dim: int, k: int) -> list:
@@ -410,5 +406,4 @@ def sym_power_module(m: LieModule, k: int) -> LieModule:
                         new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
                         _add_term(data[index[new]], cidx, c)
         action.append(Matrix(dim, dim, data))
-    labels = tuple(".".join(m.labels[i] for i in mono) if mono else "1" for mono in monos)
-    return LieModule(m.algebra, dim, action, labels=labels)
+    return LieModule(m.algebra, dim, action)

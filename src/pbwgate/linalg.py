@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Q = Fraction
 
@@ -48,7 +48,7 @@ def _add_term(acc: dict, key, coeff: Fraction) -> None:
 
 
 def _in_range(vec: Row, dim: int) -> Row:
-    if any(not 0 <= c < dim for c in vec):
+    if vec and (min(vec) < 0 or max(vec) >= dim):
         raise ValueError(f"index out of range for dimension {dim}")
     return vec
 
@@ -421,19 +421,22 @@ def rref(m: Matrix):
     return Matrix(m.rows, m.cols, data), pivots
 
 
-def solve(a: Matrix, b: Row) -> Optional[Row]:
-    """Some exact solution of ``a x = b`` as a sparse dict, or None when
-    inconsistent; an index of ``b`` outside ``a.rows`` raises ValueError.
-
-    Deterministic choice: the free (non-pivot) variables are set to zero.
-    """
-    _in_range(b, a.rows)
-    bcol = a.cols
-    ech = Echelon(a.cols + 1)
-    for i, r in enumerate(a.data):
-        row = dict(r)
-        if i in b:
-            row[bcol] = b[i]
+def solve(rows: Iterable[Row], bcol: int) -> Optional[Row]:
+    """The free-variables-zero solution of the system ``rows`` as a sparse
+    dict, or None when it is inconsistent.  Each row is a sparse dict over
+    the columns 0..bcol, the right-hand side in column ``bcol``; empty rows
+    are skipped and an entry outside that range raises ValueError.  Rows of
+    at most two entries go in as they arrive, the longer ones shortest
+    first; with leftmost pivoting the pivot set is the RREF's, a property of
+    the row space alone, so the order cannot move the answer."""
+    ech = Echelon(bcol + 1)
+    long_rows = []
+    for row in rows:
+        if len(_in_range(row, bcol + 1)) > 2:
+            long_rows.append(row)
+        elif row:
+            ech.insert(row)
+    for row in sorted(long_rows, key=len):
         ech.insert(row)
     return ech.solution(bcol)
 

@@ -112,18 +112,18 @@ def _matrix_strings(m) -> list:
     return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _record(check, started, verdict, ok, witness) -> CheckRecord:
-    millis = int((time.perf_counter() - started) * 1000)
-    return CheckRecord(check, _ANCHORS[check], verdict, ok, witness, millis)
+def _record(check, verdict, ok, witness) -> CheckRecord:
+    return CheckRecord(check, _ANCHORS[check], verdict, ok, witness, 0)
 
 
 def _contained(check: str, run) -> list:
-    """The records of one check.  An exception escaping it, other than an
-    input error, is a broken invariant: it becomes a FAIL record whose
-    witness names the exception, so the run still reports and exits 1."""
+    """``[record]`` of one check, its ``millis`` the time ``run`` took: the
+    only code that reads the clock.  An exception escaping ``run``, other
+    than an input error, is a broken invariant: it becomes a FAIL record
+    whose witness names the exception, so the run still reports and exits 1."""
     started = time.perf_counter()
     try:
-        out = run()
+        rec = run()
     except ProblemError:
         raise
     except Exception as exc:
@@ -133,8 +133,9 @@ def _contained(check: str, run) -> list:
             "message": str(exc),
             "raised_at": f"{frame.name} ({os.path.basename(frame.filename)})",
         }
-        return [_record(check, started, f"check raised {type(exc).__name__}", False, witness)]
-    return out if isinstance(out, list) else [out]
+        rec = _record(check, f"check raised {type(exc).__name__}", False, witness)
+    rec.millis = int((time.perf_counter() - started) * 1000)
+    return [rec]
 
 
 def _level2_splits(pair) -> bool:
@@ -146,10 +147,12 @@ def _level2_splits(pair) -> bool:
 
 def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Optional[str]) -> None:
     """Reject, as an input error, a run whose oracle or twisted check would
-    build a section system of more than ORACLE_BUDGET unknowns.  The sizes
-    come from the closed-form level dimensions; the largest system of a
-    check is its free-side one at the cap (each level and the free side hold
-    at least as many words as the ones below and the straightened side)."""
+    build a section system of more than ORACLE_BUDGET unknowns, or whose
+    dimensions check would eliminate over more words of g than that.  The
+    sizes come from the closed-form level dimensions; the largest system of
+    a check is its free-side one at the cap (each level and the free side
+    hold at least as many words as the ones below and the straightened
+    side)."""
     systems = []  # (check, label, coefficient dimension, reduced)
     if "oracle" in checks:
         systems.append(("oracle", "oracle", 1, True))
@@ -167,10 +170,18 @@ def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Op
                 f"the {label} check would solve a level-{K} section system of {sub} x {quot} = "
                 f"{sub * quot} unknowns, over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
             )
+    if "oracle" in checks:
+        K = degree("oracle")
+        words = sum(problem.dim ** k for k in range(K + 1))
+        if words > ORACLE_BUDGET:
+            raise ProblemError(
+                "--max-degree",
+                f"the dimensions check would eliminate over the {words} words of degree at most {K}, "
+                f"over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
+            )
 
 
 def _check_validate(pf: ProblemFile) -> CheckRecord:
-    started = time.perf_counter()
     alg = pf.algebra()
     rep = validate_lie(alg)
     issues = [
@@ -185,11 +196,10 @@ def _check_validate(pf: ProblemFile) -> CheckRecord:
     ok = rep.ok == (not pf.expect_invalid)
     if pf.expect_invalid and not rep.ok:
         verdict += " (expected for this negative control)"
-    return _record("validate", started, verdict, ok, witness)
+    return _record("validate", verdict, ok, witness)
 
 
 def _check_alpha(pf: ProblemFile, pair) -> CheckRecord:
-    started = time.perf_counter()
     c = connecting_cocycle(pair)
     obs = obstruction(pair, quotient_module(pair))
     a, triv = obs.cocycle, obs.primitive
@@ -221,11 +231,10 @@ def _check_alpha(pf: ProblemFile, pair) -> CheckRecord:
     if not agree:
         witness["level2_splits"] = level2_splits
         verdict += "; DISAGREES with the level-two oracle"
-    return _record("alpha", started, verdict, agree, witness)
+    return _record("alpha", verdict, agree, witness)
 
 
 def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
-    started = time.perf_counter()
     n_mod = quotient_module(pair)
     datum = extension(pair, n_mod)
     triv = is_trivial(pair, n_mod)
@@ -244,11 +253,10 @@ def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
         verdict = "no extension (obstruction class non-trivial)"
     if not agree:
         verdict += "; DISAGREES with direct class computation"
-    return _record("extend", started, verdict, agree, witness)
+    return _record("extend", verdict, agree, witness)
 
 
 def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
-    started = time.perf_counter()
     n_mod = quotient_module(pair)
     try:
         maps = pbw_splitting_I(pair, None, K)
@@ -259,7 +267,7 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
         verdict = "no splitting constructed (obstruction class non-trivial)"
         if level2_split:
             verdict += "; INCONSISTENT: level-two sequence split anyway"
-        return _record("split", started, verdict, ok, witness)
+        return _record("split", verdict, ok, witness)
     r_filt = build_filtration(pair, "R", K)
     witness = {
         "alpha_trivial": True,
@@ -268,40 +276,36 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
         "rho": {str(u): _matrix_strings(maps[0].rho.rho[u]) for u in range(pair.dim_n)},
     }
     verdict = f"equivariant sections built for degrees 0..{K}"
-    return _record("split", started, verdict, True, witness)
+    return _record("split", verdict, True, witness)
 
 
-def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
-    records = []
-    started = time.perf_counter()
+def _check_oracle(pf: ProblemFile, pair, K: int) -> CheckRecord:
     rep = equivalence_harness(pair, K=K)
     witness = {
         "alpha_trivial": rep.alpha_trivial,
         "free_side_levels": {str(k): v for k, v in rep.f_levels.items()},
         "straightened_side_levels": {str(k): v for k, v in rep.r_levels.items()},
     }
-    verdict = (
-        "all level verdicts match the class"
-        if rep.ok
-        else "level verdicts DISAGREE with the class"
-    )
-    records.append(_record("oracle", started, verdict, rep.ok, witness))
+    verdict = "all level verdicts match the class" if rep.ok else "level verdicts DISAGREE with the class"
+    return _record("oracle", verdict, rep.ok, witness)
 
-    started = time.perf_counter()
+
+def _check_dimensions(pf: ProblemFile, pair, K: int) -> CheckRecord:
     dims_ok = True
     dim_witness = {}
     for side in ("F", "R"):
-        rep2 = dimension_identity_check(pair, side, K)
-        dims_ok = dims_ok and rep2.ok
+        rep = dimension_identity_check(pair, side, K)
+        dims_ok = dims_ok and rep.ok
         dim_witness[side] = {
-            "expected": rep2.expected,
-            "normal_forms": rep2.normal_form_counts,
-            "rank_codimensions": rep2.rank_codims,
+            "expected": rep.expected,
+            "normal_forms": rep.normal_form_counts,
+            "rank_codimensions": rep.rank_codims,
         }
     verdict = "dimension identities hold" if dims_ok else "dimension identity MISMATCH"
-    records.append(_record("dimensions", started, verdict, dims_ok, dim_witness))
+    return _record("dimensions", verdict, dims_ok, dim_witness)
 
-    started = time.perf_counter()
+
+def _check_f2_class(pf: ProblemFile, pair) -> CheckRecord:
     f2 = f2_class_check(pair)
     witness = {
         "well_defined": f2.well_defined,
@@ -313,12 +317,10 @@ def _check_oracle(pf: ProblemFile, pair, K: int) -> list:
         "alpha_trivial": f2.alpha_trivial,
     }
     verdict = "pushout and level-two sequences agree" if f2.ok else "level-two comparison FAILED"
-    records.append(_record("f2-class", started, verdict, f2.ok, witness))
-    return records
+    return _record("f2-class", verdict, f2.ok, witness)
 
 
 def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
-    started = time.perf_counter()
     cond1, cond2 = bg_conditions(pair)
     expect_cond2 = not pf.expect_invalid
     kz = koszul_acyclicity(pair, K)
@@ -354,11 +356,10 @@ def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
         )
     else:
         verdict = "quadratic conditions hold, slices exact" if ok else "quadratic-algebra check FAILED"
-    return _record("koszul", started, verdict, ok, witness)
+    return _record("koszul", verdict, ok, witness)
 
 
 def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckRecord:
-    started = time.perf_counter()
     coeff = pf.module(pair, module_name)
     rep = twisted_verdict(pair, coeff, K)
     witness = {
@@ -375,7 +376,7 @@ def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckReco
         verdict = "a class is non-trivial and a non-split level was found"
     else:
         verdict = "a class is non-trivial and no level fails within the degree cap (cap-limited)"
-    return _record("twisted", started, verdict, rep.ok, witness)
+    return _record("twisted", verdict, rep.ok, witness)
 
 
 def run_command(
@@ -421,6 +422,8 @@ def run_command(
             run("split", _check_split, degree("split"))
         elif check == "oracle":
             run("oracle", _check_oracle, degree("oracle"))
+            run("dimensions", _check_dimensions, degree("oracle"))
+            run("f2-class", _check_f2_class)
         elif check == "koszul":
             run("koszul", _check_koszul, degree("koszul"))
         else:

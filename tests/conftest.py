@@ -31,11 +31,20 @@ def affine_line() -> LieAlgebra:
     return LieAlgebra.from_pairs(2, [(0, 1, {1: 1})], labels=("x", "y"))
 
 
+def system(a: Matrix, b: dict) -> tuple:
+    """``(rows, bcol)`` of the system a x = b for ``linalg.solve``: each row
+    of ``a`` with its entry of ``b`` in column ``a.cols``."""
+    rows = [dict(r) for r in a.data]
+    for i, v in b.items():
+        rows[i][a.cols] = v
+    return rows, a.cols
+
+
 def invert(m: Matrix) -> Matrix:
     """The inverse of an invertible matrix, one ``solve`` per column."""
     cols = []
     for j in range(m.rows):
-        x = solve(m, {j: Q(1)})
+        x = solve(*system(m, {j: Q(1)}))
         assert x is not None
         cols.append(x)
     return Matrix(len(cols), m.cols, cols).transpose()

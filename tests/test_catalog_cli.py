@@ -315,14 +315,41 @@ def test_exception_in_a_check_is_a_fail_record(error, monkeypatch, tmp_path):
     assert main(["oracle", "--example", "sl2-borel", "--json", str(out)]) == 1
     data = json.loads(out.read_text())
     assert not data["ok"]
-    [rec] = data["records"]
-    assert rec["check"] == "oracle" and not rec["ok"] and rec["anchor"].strip()
+    records = {rec["check"]: rec for rec in data["records"]}
+    assert list(records) == ["oracle", "dimensions", "f2-class"]
+    rec = records["oracle"]
+    assert not rec["ok"] and rec["anchor"].strip()
     assert rec["witness"]["exception"] == error.__name__
     assert "injected fault" in rec["witness"]["message"]
+    # the oracle command's other legs are contained apart and still report
+    assert records["dimensions"]["ok"] and records["f2-class"]["ok"]
     # the other checks of a run still report
     rep = run_command("all", catalog_get("sl2-borel"), max_degree=2)
     assert [r.check for r in rep.records if not r.ok] == ["oracle"]
     assert "twisted" in [r.check for r in rep.records]
+
+
+def test_exception_in_the_dimensions_leg_fails_only_that_leg(monkeypatch, tmp_path):
+    # the oracle command's three legs are contained one by one: a broken
+    # invariant in the dimensions leg leaves the oracle and f2-class records
+    from pbwgate import report as report_mod
+
+    def broken(pair, side, K, coeff=None):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(report_mod, "dimension_identity_check", broken)
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--example", "sl2-borel", "--json", str(out)]) == 1
+    oracle, dims, f2 = json.loads(out.read_text())["records"]
+    assert (oracle["check"], dims["check"], f2["check"]) == ("oracle", "dimensions", "f2-class")
+    assert oracle["ok"] and f2["ok"]
+    assert oracle["witness"]["alpha_trivial"] is False
+    assert not dims["ok"] and dims["verdict"] == "check raised RuntimeError"
+    assert dims["witness"] == {
+        "exception": "RuntimeError",
+        "message": "injected fault",
+        "raised_at": "broken (test_catalog_cli.py)",
+    }
 
 
 def test_raised_at_names_the_function_and_file_only():
@@ -572,10 +599,14 @@ def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
 
     _oracle_with_solution(monkeypatch, dropped)
     rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
-    [rec] = rep.records
-    assert rec.check == "oracle" and not rec.ok
+    assert [r.check for r in rep.records] == ["oracle", "dimensions", "f2-class"]
+    rec, dims, f2 = rep.records
+    assert not rec.ok
     assert rec.witness["exception"] == "AssertionError"
     assert "non-equivariant" in rec.witness["message"]
+    # the dimensions leg builds no section, and the level-two systems of the
+    # f2-class leg have the zero correction, so there is no entry to drop
+    assert dims.ok and f2.ok
     assert rep.exit_code == 1
 
 
@@ -650,8 +681,15 @@ def test_split_record_fails_on_a_corrupted_splitting_map(target, corrupt, messag
             ["twisted", "--example", "diagonal-sl2", "--module", "adjoint", "--max-degree", "4"],
             "the twisted (module adjoint) check would solve a level-4 section system of 120 x 243",
         ),
+        (
+            # dim n = 1 keeps every oracle system tiny; the dimensions leg
+            # spans all 3^0 + ... + 3^9 = 29,524 words of degree at most 9
+            ["oracle", "--example", "sl2-borel", "--max-degree", "9"],
+            "the dimensions check would eliminate over the 29524 words of degree at most 9, "
+            "over the oracle budget of 10000",
+        ),
     ],
-    ids=["all", "oracle", "twisted"],
+    ids=["all", "oracle", "twisted", "dimensions"],
 )
 def test_oracle_budget_rejects_a_run_before_any_work(argv, message, capsys, tmp_path):
     out = tmp_path / "report.json"
@@ -680,6 +718,19 @@ def test_oracle_budget_admits_every_default_run(monkeypatch):
     # one level past the default twisted cap is over the budget on the diagonals
     with pytest.raises(ProblemError, match="29160 unknowns"):
         run_command("twisted", catalog_get("diagonal-heisenberg"), max_degree=4, module="n")
+
+
+def test_oracle_budget_bounds_the_dimensions_leg(monkeypatch):
+    # sl2-borel's oracle systems stay tiny at any cap, so only the word count
+    # of the dimensions leg, sum of 3^k for k <= K, meets the budget
+    from pbwgate import report as report_mod
+
+    monkeypatch.setattr(report_mod, "_contained", lambda check, run: [])
+    pf = catalog_get("sl2-borel")
+    assert run_command("oracle", pf, max_degree=8).exit_code == 0  # 9,841 words
+    for command in ("oracle", "all"):
+        with pytest.raises(ProblemError, match="dimensions check would eliminate over the 29524 words"):
+            run_command(command, pf, max_degree=9)
 
 
 # --- injected defects in the Koszul check --------------------------------------

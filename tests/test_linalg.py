@@ -18,6 +18,8 @@ from pbwgate.linalg import (
     tensor_map,
 )
 
+from conftest import system
+
 
 def test_rref_identity():
     m = Matrix.identity(3)
@@ -41,27 +43,48 @@ def test_rref_rank_one():
 
 
 def test_solve_identity():
-    assert solve(Matrix.identity(2), {0: 1, 1: 2}) == {0: Q(1), 1: Q(2)}
+    assert solve([{0: 1, 2: 1}, {1: 1, 2: 2}], 2) == {0: Q(1), 1: Q(2)}
 
 
 def test_solve_free_variable_zero():
-    assert solve(Matrix.from_rows([[1, 1]]), {0: 3}) == {0: Q(3)}
+    assert solve([{0: 1, 1: 1, 2: 3}], 2) == {0: Q(3)}
 
 
 def test_solve_inconsistent():
-    assert solve(Matrix.from_rows([[0]]), {0: 1}) is None
+    # the row 0 * x = 1
+    assert solve([{1: 1}], 1) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Matrix.identity(2), {2: 3})
+        solve([{0: 1, 2: 1}, {1: 1, 3: 3}], 2)
 
 
 @pytest.mark.parametrize("rhs", [{0: 1, 5: 7}, {-1: 1}])
 def test_solve_rejects_an_index_outside_the_rows(rhs):
-    # dropping the out-of-range entry would solve a different system
+    # a row entry outside 0..bcol: dropping it would solve a different system
     with pytest.raises(ValueError):
-        solve(Matrix.identity(2), rhs)
+        solve([{0: 1, 2: 1}, {1: 1}, rhs], 2)
+
+
+def test_solve_skips_empty_rows():
+    assert solve([{}, {0: 2, 1: 4}, {}], 1) == {0: Q(2)}
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
+def test_solve_does_not_depend_on_row_order(kind):
+    # solve reorders the rows it is given (short rows first, then the longer
+    # ones shortest first); rows as generated, reversed and shuffled must
+    # still give one answer
+    rng = random.Random({"consistent": 83, "inconsistent": 89, "deficient": 97}[kind])
+    for _ in range(60):
+        cols, rows = _random_system(rng, kind)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        solutions = [solve(order, cols) for order in (rows, list(reversed(rows)), shuffled, iter(rows))]
+        assert all(x == solutions[0] for x in solutions)
+        assert (solutions[0] is None) == (kind == "inconsistent")
+        assert solutions[0] == _rref_solution(_echelon(cols + 1, rows).pivots, cols)
 
 
 def test_kernel_identity_empty():
@@ -138,7 +161,7 @@ def test_solve_exactness_randomized():
         a = _random_matrix(rng, rows, cols)
         x0 = {c: Q(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(cols)}
         b = a.apply({c: v for c, v in x0.items() if v})
-        x = solve(a, b)
+        x = solve(*system(a, b))
         assert x is not None
         assert a.apply(x) == b
 
@@ -194,7 +217,7 @@ def test_coordinates_match_solve():
         anywhere = {j: Q(rng.randint(-3, 3)) for j in range(dim) if rng.random() < 0.6}
         for x in (inside, anywhere):
             y = coords(x)
-            expected = solve(a, x)
+            expected = solve(*system(a, x))
             assert (y is None) == (expected is None)
             if y is None:
                 outside += 1
@@ -526,7 +549,7 @@ def test_rank_solve_kernel_match_sympy():
         assert a.rank() == sa.rank()
         column = [b.get(i, Q(0)) for i in range(len(rows))]
         reduced, piv = sa.row_join(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in column])).rref()
-        x = solve(a, b)
+        x = solve(rows, cols)
         if cols in piv:
             assert x is None
         else:

@@ -92,16 +92,32 @@ def test_only_linalg_builds_dense_vectors():
     assert offenders == []
 
 
-# one way to ask for a verdict: every caller goes through the memoised
-# engine.oracle_splits, the only code that calls section_oracle
-def _oracle_calls(source: str) -> list:
+def _named_outside(source: str, names, owner=None) -> list:
+    """Lines of ``source`` naming one of ``names`` outside its imports and
+    outside the function ``owner``."""
     skip = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, ast.FunctionDef) and node.name == "oracle_splits"
+            isinstance(node, ast.FunctionDef) and node.name == owner
         ):
             skip.update(range(node.lineno, node.end_lineno + 1))
-    return [line for line in _named(source, {"section_oracle"}) if line not in skip]
+    return sorted({line for line in _named(source, names) if line not in skip})
+
+
+def _offenders(names, module: str, owner: str) -> list:
+    """``file:line`` of each use of ``names`` in the package outside the
+    function ``owner`` of ``module``."""
+    offenders = []
+    for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
+        found = _named_outside(path.read_text(), names, owner if path.stem == module else None)
+        offenders += [f"{path.name}:{line}" for line in found]
+    return offenders
+
+
+# one way to ask for a verdict: every caller goes through the memoised
+# engine.oracle_splits, the only code that calls section_oracle
+def _oracle_calls(source: str) -> list:
+    return _named_outside(source, {"section_oracle"}, "oracle_splits")
 
 
 def test_oracle_call_detector():
@@ -116,10 +132,52 @@ def test_oracle_call_detector():
 
 
 def test_only_oracle_splits_calls_the_section_oracle():
-    offenders = []
-    for path in sorted(Path(pbwgate.__file__).parent.rglob("*.py")):
-        offenders += [f"{path.name}:{line}" for line in _oracle_calls(path.read_text())]
-    assert offenders == []
+    assert _offenders({"section_oracle"}, "engine", "oracle_splits") == []
+
+
+# one solve: every exact verdict reads its answer from linalg.solve, the only
+# code that calls Echelon.solution
+def _solution_reads(source: str) -> list:
+    return _named_outside(source, {"solution"}, "solve")
+
+
+def test_solution_read_detector():
+    assert _solution_reads("x = ech.solution(bcol)\n") == [1]
+    assert _solution_reads("read = Echelon.solution\n") == [1]
+    assert _solution_reads("def solve(rows, bcol):\n    return ech.solution(bcol)\n") == []
+    assert _solution_reads("def solution(self, bcol):\n    return None\n") == []
+    # the oracle's former direct read, put back into the real engine, is caught
+    engine = _package_sources()["engine"]
+    assert _solution_reads(engine) == []
+    assert _solution_reads(engine.replace("sol = solve(rows(), bcol)", "sol = ech.solution(bcol)")) != []
+
+
+def test_only_linalg_solve_reads_an_echelon_solution():
+    assert _offenders({"solution"}, "linalg", "solve") == []
+
+
+# one clock: report._contained stamps every record's millis, and no other code
+# reads the time
+_CLOCKS = {"time", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
+
+
+def _clock_reads(source: str) -> list:
+    return _named_outside(source, _CLOCKS, "_contained")
+
+
+def test_clock_read_detector():
+    assert _clock_reads("import time\nstarted = time.perf_counter()\n") == [2]
+    assert _clock_reads("from time import perf_counter\nt = perf_counter()\n") == [2]
+    assert _clock_reads("def _contained(check, run):\n    return time.perf_counter()\n") == []
+    # a check that times itself again, injected into the real report, is caught
+    report = _package_sources()["report"]
+    assert _clock_reads(report) == []
+    timed = report.replace("    alg = pf.algebra()\n", "    started = time.perf_counter()\n    alg = pf.algebra()\n")
+    assert timed != report and len(_clock_reads(timed)) == 1
+
+
+def test_only_contained_reads_the_clock():
+    assert _offenders(_CLOCKS, "report", "_contained") == []
 
 
 # every definition in the package is reached from the package itself, so a
