@@ -23,16 +23,14 @@ from .lie import (
     InclusionPair,
     LieAlgebra,
     LieModule,
-    ModuleMap,
     adjoint_module,
     ext_monomials,
-    g_restriction_module,
     hom_module,
     quotient_module,
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, combination, solve
+from .linalg import Matrix, Q, _add_term, combination, solve
 
 
 class NotACocycleError(ValueError):
@@ -117,6 +115,12 @@ def _closed(h: LieAlgebra, cochain: Cochain, error: Exception) -> Cochain:
     return cochain
 
 
+def _h_part(pair: InclusionPair, a: int, r: int) -> dict:
+    """The h-part of [i(a), sigma_r] over the h basis."""
+    dn = pair.dim_n
+    return {w - dn: v for w, v in pair.bracket_letters(dn + a, r).items() if w >= dn}
+
+
 def connecting_cocycle(pair: InclusionPair) -> Cochain:
     """c in C^1(h, Hom(n, h)) with c(a)(x) = sigma(a.x) - [i(a), sigma(x)]."""
     coeff = hom_module(quotient_module(pair), adjoint_module(pair.h))
@@ -124,7 +128,7 @@ def connecting_cocycle(pair: InclusionPair) -> Cochain:
     phis = []
     for a in range(dh):
         # sigma(a.x) cancels the n-part of [i(a), sigma_r], leaving minus the h-part
-        cols = [{w - dn: -v for w, v in pair.bracket_letters(dn + a, r).items() if w >= dn} for r in range(dn)]
+        cols = [{b: -v for b, v in _h_part(pair, a, r).items()} for r in range(dn)]
         phis.append(Matrix(dn, dh, cols).transpose())
     c = _hom_cochain(coeff, phis)
     return _closed(pair.h, c, AssertionError("connecting cochain failed the cocycle identity"))
@@ -249,10 +253,8 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
     for a in range(dh):
         act = module.action[a]
         for r in range(dn):
-            br = pair.bracket_letters(dn + a, r)
-            hcomb = {w - dn: v for w, v in br.items() if w >= dn}
-            const = module.act_vec(hcomb)
-            npart = {w: v for w, v in br.items() if w < dn}
+            const = module.act_vec(_h_part(pair, a, r))
+            npart = {w: v for w, v in pair.bracket_letters(dn + a, r).items() if w < dn}
             for i in range(de):
                 for j in range(de):
                     row: dict = {}
@@ -284,74 +286,37 @@ def extension(pair: InclusionPair, module: LieModule) -> Optional[ExtensionDatum
 
 @dataclass
 class PushoutData:
-    """Ambient presentation of the pushout: coordinates, relations, maps."""
+    """The pushout in E + n (x) E coordinates and its presenting relations."""
 
-    module: LieModule  # Q with its induced action
-    include: ModuleMap  # E -> Q
-    project: ModuleMap  # Q -> n (x) E
-    free: tuple  # ambient coordinates giving the Q basis (echelon complement)
+    module: LieModule  # Q: E on the first coordinates, then n (x) E
+    free: tuple  # the ambient coordinates of E + g (x) E giving the Q basis
     relations: list  # the spanning relation vectors
 
 
 def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
-    """The pushout Q of E <- h (x) E -> g (x) E, with the maps of
+    """The pushout Q of E <- h (x) E -> g (x) E, the middle of
     0 -> E -> Q -> n (x) E -> 0.
 
     Q is (E + g (x) E) / span{(a.v, 0) - (0, i(a) (x) v)} with the induced
-    h-action; coordinates are the echelon complement of the relation span.
+    h-action.  Each relation trades the coordinate i(a) (x) v for a.v in E,
+    so E + n (x) E is a basis of Q and each action is the block matrix
+    [[act_E(a), C_a], [0, act_{n (x) E}(a)]], column (r, v) of C_a being the
+    h-part of [i(a), sigma_r] acting on v.
     """
     e = module
-    g_mod = g_restriction_module(pair)
-    ge = tensor_module(g_mod, e)
-    n_mod = quotient_module(pair)
-    ne = tensor_module(n_mod, e)
-    de, dge = e.dim, ge.dim
-    ambient_dim = de + dge
-    dn = pair.dim_n
-
-    acts = []  # the block-diagonal action on E + g (x) E
-    for a in range(pair.dim_h):
-        rows = [dict(r) for r in e.action[a].data] + [{de + j: v for j, v in r.items()} for r in ge.action[a].data]
-        acts.append(Matrix(ambient_dim, ambient_dim, rows))
+    de, dn = e.dim, pair.dim_n
+    ne = tensor_module(quotient_module(pair), e)
+    qdim = de + ne.dim
+    q_action = []
     relations = []
     for a in range(pair.dim_h):
+        rows = [dict(r) for r in e.action[a].data] + [{de + j: v for j, v in r.items()} for r in ne.action[a].data]
+        for r in range(dn):
+            for i, row in enumerate(e.act_vec(_h_part(pair, a, r)).data):
+                rows[i].update((de + r * de + m, v) for m, v in row.items())
+        q_action.append(Matrix(qdim, qdim, rows))
         for m in range(de):
             rel = e.action[a].apply({m: Q(1)})
             rel[de + (dn + a) * de + m] = Q(-1)
             relations.append(rel)
-    span = Echelon(ambient_dim)
-    for rel in relations:
-        span.insert(rel)
-    for act in acts:
-        for rel in relations:
-            if not span.contains(act.apply(rel)):
-                raise AssertionError("pushout relation span is not h-stable")
-    free = span.free_columns()
-    qdim = len(free)
-    free_pos = {c: k for k, c in enumerate(free)}
-
-    def project(vec: dict) -> dict:
-        red = span.reduce(vec)
-        return {free_pos[c]: v for c, v in red.items()}
-
-    q_action = []
-    for act in acts:
-        cols = act.transpose().data
-        q_action.append(Matrix(qdim, qdim, [project(cols[c]) for c in free]).transpose())
-    q_mod = LieModule(pair.h, qdim, q_action)
-    incl = Matrix(de, qdim, [project({m: Q(1)}) for m in range(de)]).transpose()
-
-    # n (x) E quotient map read off the ambient coordinates of the section
-    proj = Matrix.zeros(ne.dim, qdim)
-    for k, c in enumerate(free):
-        if c >= de:
-            u, m = divmod(c - de, de)
-            if u < dn:
-                proj.data[u * de + m][k] = Q(1)
-    return PushoutData(
-        q_mod,
-        ModuleMap(e, q_mod, incl),
-        ModuleMap(q_mod, ne, proj),
-        tuple(free),
-        relations,
-    )
+    return PushoutData(LieModule(pair.h, qdim, q_action), tuple(range(qdim)), relations)

@@ -41,7 +41,7 @@ from .lie import (
     tensor_power_module,
     trivial_module,
 )
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, solve
+from .linalg import Echelon, Matrix, Q, _add_term, solve
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -292,9 +292,6 @@ class FilteredModule:
             return power
         return tensor_module(power, self.coeff)
 
-    def proj_gr(self, k: int) -> Matrix:
-        return Matrix.identity(self.dim(k)).take(range(self.dim(k - 1), self.dim(k)), range(self.dim(k)))
-
 
 def build_filtration(
     pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None
@@ -318,33 +315,32 @@ def build_filtration(
 
 @dataclass
 class ShortExactSequence:
+    """0 -> sub -> mid -> quot -> 0 in block form: ``sub`` spans the first
+    coordinates of ``mid`` and ``quot`` is the rest, so each action of
+    ``mid`` is [[act_sub(a), D_a], [0, act_quot(a)]]."""
+
     sub: LieModule
     mid: LieModule
     quot: LieModule
-    include: Matrix
-    project: Matrix
 
     def validate(self) -> None:
-        if not ModuleMap(self.sub, self.mid, self.include).is_equivariant():
-            raise ValueError("inclusion is not equivariant")
-        if not ModuleMap(self.mid, self.quot, self.project).is_equivariant():
-            raise ValueError("projection is not equivariant")
-        if not self.project.mul(self.include).is_zero():
-            raise ValueError("projection does not kill the submodule")
-        ri = self.include.rank()
-        rp = self.project.rank()
-        if ri != self.sub.dim or rp != self.quot.dim or ri + rp != self.mid.dim:
+        nsub, nmid = self.sub.dim, self.mid.dim
+        if nsub + self.quot.dim != nmid:
             raise ValueError("sequence is not exact")
+        top, bottom = range(nsub), range(nsub, nmid)
+        for act, act_sub, act_quot in zip(self.mid.action, self.sub.action, self.quot.action):
+            if act.take(top, top) != act_sub:
+                raise ValueError("inclusion is not equivariant")
+            if not act.take(bottom, top).is_zero():
+                raise ValueError("submodule is not stable")
+            if act.take(bottom, bottom) != act_quot:
+                raise ValueError("projection is not equivariant")
 
 
 def level_sequence(filt: FilteredModule, k: int, reduced: bool = False) -> ShortExactSequence:
     """0 -> F^{k-1} -> F^k -> gr_k -> 0 (tilde version when ``reduced``)."""
     level = filt.reduced_module if reduced else filt.level_module
-    sub, mid, quot = level(k - 1), level(k), filt.gr_target(k)
-    ident = Matrix.identity(mid.dim)
-    include = ident.take(range(mid.dim), range(sub.dim))
-    project = ident.take(range(sub.dim, sub.dim + quot.dim), range(mid.dim))
-    return ShortExactSequence(sub, mid, quot, include, project)
+    return ShortExactSequence(level(k - 1), level(k), filt.gr_target(k))
 
 
 def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool = False) -> tuple:
@@ -357,46 +353,24 @@ def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool 
 
 
 def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
-    """Brute-force equivariant section of ``project``, or None.
+    """Brute-force equivariant section of the projection onto ``quot``, or None.
 
-    Solves the linear system "s is equivariant and project . s = id" with no
-    reference to cocycles or extension data; this is the independent ground
-    truth for every splitting verdict.
+    Solves "s is equivariant and project . s = id" with no reference to
+    cocycles or extension data; this is the independent ground truth for
+    every splitting verdict.  The section is the block column s = [t; 1], so
+    project . s = id by construction, and s is equivariant exactly when
+    act_sub(a) t - t act_quot(a) = -D_a, D_a the top-right block of
+    mid.action[a].
     """
     seq.validate()
-    h_dim = seq.sub.algebra.dim
-    # s0 lifts the identity: column j holds coordinates of e_j over the
-    # columns of ``project``; D_a holds those of the residual over ``include``
-    lift = Coordinates(seq.project.transpose().data, seq.quot.dim)
-    s0 = Matrix.zeros(seq.mid.dim, seq.quot.dim)
-    for j in range(seq.quot.dim):
-        x = lift({j: Q(1)})
-        if x is None:
-            raise ValueError("projection is not surjective")
-        for i, v in x.items():
-            s0.data[i][j] = v
-    into_sub = Coordinates(seq.include.transpose().data, seq.mid.dim)
-    d_mats = []
-    for a in range(h_dim):
-        residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
-        d = Matrix.zeros(seq.sub.dim, seq.quot.dim)
-        for j, col in enumerate(residual.transpose().data):
-            y = into_sub(col)
-            if y is None:
-                raise ValueError("equivariance residual escapes the submodule")
-            for i, v in y.items():
-                d.data[i][j] = v
-        d_mats.append(d)
-    # unknown correction t: sub -> quot source; act_sub(a) t - t act_quot(a) = -D_a,
-    # each a's rows scaled by one common denominator so they are built in ints
     nsub, nquot = seq.sub.dim, seq.quot.dim
-    if nsub == 0:
-        return s0
+    top, bottom = range(nsub), range(nsub, seq.mid.dim)
     bcol = nsub * nquot
 
     def rows():
-        for a in range(h_dim):
-            mats = (seq.sub.action[a], seq.quot.action[a].transpose(), d_mats[a])
+        # each a's rows scaled by one common denominator so they are built in ints
+        for a in range(seq.sub.algebra.dim):
+            mats = (seq.sub.action[a], seq.quot.action[a].transpose(), seq.mid.action[a].take(top, bottom))
             scale = math.lcm(*(v.denominator for m in mats for r in m.data for v in r.values()))
             act_s, act_q_cols, d = (
                 [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in m.data]
@@ -423,12 +397,9 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     sol = solve(rows(), bcol)
     if sol is None:
         return None
-    t = Matrix.zeros(nsub, nquot)
+    s = Matrix(seq.mid.dim, nquot, [{} for _ in top] + Matrix.identity(nquot).data)
     for c, v in sol.items():
-        t.data[c // nquot][c % nquot] = v
-    s = s0 + seq.include.mul(t)
-    if seq.project.mul(s) != Matrix.identity(seq.quot.dim):
-        raise AssertionError("oracle produced a non-section")
+        s.data[c // nquot][c % nquot] = v
     if not ModuleMap(seq.quot, seq.mid, s).is_equivariant():
         raise AssertionError("oracle produced a non-equivariant section")
     return s
@@ -437,10 +408,10 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
 def oracle_splits(pair: InclusionPair, seq: ShortExactSequence) -> bool:
     """Whether ``seq`` splits: ``section_oracle(seq) is not None``, solved
     once per pair for each distinct system.  The memo key is the sequence's
-    entries (every action matrix, ``include`` and ``project``), so only
-    identical systems share a verdict."""
+    entries (every action matrix), so only identical systems share a
+    verdict."""
     cache = pair._caches.setdefault("oracle_verdicts", {})
-    key = (seq.sub.key(), seq.mid.key(), seq.quot.key(), seq.include.key(), seq.project.key())
+    key = (seq.sub.key(), seq.mid.key(), seq.quot.key())
     if key not in cache:
         cache[key] = section_oracle(seq) is not None
     return cache[key]
@@ -547,7 +518,7 @@ def splitting_s(
     out = ModuleMap(source, filt.level_module(k), matrix)
     if not out.is_equivariant():
         raise AssertionError("s_k is not equivariant")
-    if filt.proj_gr(k).mul(matrix) != Matrix.identity(source.dim):
+    if matrix.take(range(filt.dim(k - 1), filt.dim(k)), range(source.dim)) != Matrix.identity(source.dim):
         raise AssertionError("s_k is not a section of the graded projection")
     out.rho = rho  # record which extension datum produced the splitting
     return out
@@ -587,7 +558,7 @@ def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) 
         out = ModuleMap(source, r_filt.level_module(k), matrix)
         if not out.is_equivariant():
             raise AssertionError(f"I_{k} is not equivariant")
-        if r_filt.proj_gr(k).mul(matrix) != Matrix.identity(source.dim):
+        if matrix.take(range(r_filt.dim(k - 1), r_filt.dim(k)), range(source.dim)) != Matrix.identity(source.dim):
             raise AssertionError(f"I_{k} is not a section")
         out.rho = rho
         maps.append(out)
@@ -649,15 +620,16 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
     well_defined = not any(ambient.apply(rel) for rel in data.relations)
     psi = ambient.take(range(red2.dim), data.free)
 
+    # both squares: psi restricts to the identity on E = F~^1 and induces it
+    # on n (x) E = gr_2, so its first columns and last rows are the identity's
     ident = Matrix.identity(red2.dim)
-    incl_f = ident.take(range(red2.dim), range(dn))
-    proj_f = ident.take(range(dn, red2.dim), range(red2.dim))
-    squares = psi.mul(data.include.matrix) == incl_f and proj_f.mul(psi) == data.project.matrix
+    every, lower = range(red2.dim), range(dn, red2.dim)
+    squares = psi.take(every, range(de)) == ident.take(every, range(dn))
+    squares = squares and psi.take(lower, range(psi.cols)) == ident.take(lower, every)
     equivariant = ModuleMap(data.module, red2, psi).is_equivariant()
     bijective = psi.rank() == red2.dim == data.module.dim
 
-    ne = data.project.target
-    q_seq = ShortExactSequence(n_mod, data.module, ne, data.include.matrix, data.project.matrix)
+    q_seq = ShortExactSequence(n_mod, data.module, tensor_module(n_mod, n_mod))
     f_seq = level_sequence(filt, 2, reduced=True)
     q_splits = oracle_splits(pair, q_seq)
     f2_splits = oracle_splits(pair, f_seq)

@@ -307,16 +307,6 @@ def quotient_module(pair: InclusionPair) -> LieModule:
     return LieModule(pair.h, dn, action)
 
 
-def g_restriction_module(pair: InclusionPair) -> LieModule:
-    """g as an h-module in letter coordinates (a . x = [i(a), x])."""
-    dg = pair.g.dim
-    action = []
-    for a in range(pair.dim_h):
-        cols = [pair.bracket_letters(pair.dim_n + a, u) for u in range(dg)]
-        action.append(Matrix(dg, dg, cols).transpose())
-    return LieModule(pair.h, dg, action)
-
-
 def adjoint_module(alg: LieAlgebra) -> LieModule:
     action = [Matrix(alg.dim, alg.dim, list(alg.table[i])).transpose() for i in range(alg.dim)]
     return LieModule(alg, alg.dim, action)

@@ -384,16 +384,15 @@ class Echelon:
             pivots[c] = row
         self._reduced = True
 
-    def solution(self, bcol: int) -> Optional[dict]:
-        """Free-variables-zero solution of the system with right-hand side in
-        column ``bcol``, the last column, as a sparse dict; None when the
-        system is inconsistent.
+    def solution(self) -> Optional[dict]:
+        """Free-variables-zero solution of the system whose right-hand side
+        is the last column, as a sparse dict; None when the system is
+        inconsistent.
 
         Back-substitution over the pivots in descending column order:
         x_c = (row_c[bcol] - sum_{j > c} row_c[j] x_j) / row_c[c].
         """
-        if bcol != self.ncols - 1:
-            raise ValueError("the right-hand side must be the last column")
+        bcol = self.ncols - 1
         if bcol in self.pivots:
             return None
         x: dict = {}
@@ -438,7 +437,7 @@ def solve(rows: Iterable[Row], bcol: int) -> Optional[Row]:
             ech.insert(row)
     for row in sorted(long_rows, key=len):
         ech.insert(row)
-    return ech.solution(bcol)
+    return ech.solution()
 
 
 def kernel_basis(a: Matrix) -> list:

@@ -44,8 +44,9 @@ _DEFAULT_DEGREE = {"split": 3, "oracle": 4, "koszul": 4, "twisted": 3}
 # start at internal degree 1, the twisted levels at 1, the oracle levels at 2
 _MIN_DEGREE = {"koszul": 1, "twisted": 1, "oracle": 2}
 
-# the most unknowns one section-oracle system of a command may have, checked
-# before any work; the largest system at the default caps has 3,159 (the
+# the most unknowns one section-oracle system of a command may have, and the
+# most words of g its dimensions or koszul check may span, checked before any
+# work; the largest system at the default caps has 3,159 unknowns (the
 # level-4 oracle and twisted(n) at K=3 on the six-dimensional diagonals)
 ORACLE_BUDGET = 10_000
 
@@ -148,11 +149,11 @@ def _level2_splits(pair) -> bool:
 def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Optional[str]) -> None:
     """Reject, as an input error, a run whose oracle or twisted check would
     build a section system of more than ORACLE_BUDGET unknowns, or whose
-    dimensions check would eliminate over more words of g than that.  The
-    sizes come from the closed-form level dimensions; the largest system of
-    a check is its free-side one at the cap (each level and the free side
-    hold at least as many words as the ones below and the straightened
-    side)."""
+    dimensions or koszul check would eliminate over more words of g than
+    that.  The sizes come from the closed-form level dimensions; the largest
+    system of a check is its free-side one at the cap (each level and the
+    free side hold at least as many words as the ones below and the
+    straightened side)."""
     systems = []  # (check, label, coefficient dimension, reduced)
     if "oracle" in checks:
         systems.append(("oracle", "oracle", 1, True))
@@ -170,13 +171,13 @@ def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Op
                 f"the {label} check would solve a level-{K} section system of {sub} x {quot} = "
                 f"{sub * quot} unknowns, over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
             )
-    if "oracle" in checks:
-        K = degree("oracle")
+    for check, label in (("oracle", "dimensions"), ("koszul", "koszul")):
+        K = degree(check)
         words = sum(problem.dim ** k for k in range(K + 1))
-        if words > ORACLE_BUDGET:
+        if check in checks and words > ORACLE_BUDGET:
             raise ProblemError(
                 "--max-degree",
-                f"the dimensions check would eliminate over the {words} words of degree at most {K}, "
+                f"the {label} check would eliminate over the {words} words of degree at most {K}, "
                 f"over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
             )
 

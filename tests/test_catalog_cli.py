@@ -405,13 +405,14 @@ def test_all_solves_each_system_once_per_pair(monkeypatch):
     count(cohomology_mod, "find_extension")
     problem = catalog_get("diagonal-sl2")
     assert run_command("all", problem, max_degree=2).exit_code == 0
-    # 8 distinct systems among 13 oracle verdicts; the twisted check's module
-    # n has the quotient module's action, so classes are built for n and the
-    # trivial module only, and split reuses the extension datum of extend
-    assert counts == {"section_oracle": 8, "alpha_cocycle": 2, "find_extension": 1}
+    # 7 distinct systems among 13 oracle verdicts (the pushout sequence is
+    # the reduced level-two one); the twisted check's module n has the
+    # quotient module's action, so classes are built for n and the trivial
+    # module only, and split reuses the extension datum of extend
+    assert counts == {"section_oracle": 7, "alpha_cocycle": 2, "find_extension": 1}
     # each run builds its pair afresh, so the caches start cold
     run_command("all", problem, max_degree=2)
-    assert counts == {"section_oracle": 16, "alpha_cocycle": 4, "find_extension": 2}
+    assert counts == {"section_oracle": 14, "alpha_cocycle": 4, "find_extension": 2}
 
 
 def test_module_needs_one_matrix_per_h_element():
@@ -558,7 +559,7 @@ def test_alpha_record_adds_no_witness_key_when_the_legs_agree():
 
 def _oracle_with_solution(monkeypatch, solution):
     """Run every section_oracle call with ``Echelon.solution`` replaced by
-    ``solution(real, ech, bcol)``; the class routes keep the real one."""
+    ``solution(real, ech)``; the class routes keep the real one."""
     from pbwgate import engine as engine_mod
     from pbwgate import linalg as linalg_mod
 
@@ -567,7 +568,7 @@ def _oracle_with_solution(monkeypatch, solution):
 
     def oracle(seq):
         with monkeypatch.context() as m:
-            m.setattr(linalg_mod.Echelon, "solution", lambda ech, bcol: solution(real_solution, ech, bcol))
+            m.setattr(linalg_mod.Echelon, "solution", lambda ech: solution(real_solution, ech))
             return real_oracle(seq)
 
     monkeypatch.setattr(engine_mod, "section_oracle", oracle)
@@ -576,7 +577,7 @@ def _oracle_with_solution(monkeypatch, solution):
 def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch):
     # the class of diagonal-sl2 is trivial, so every level splits: an
     # elimination that finds no solution turns the level verdicts against it
-    _oracle_with_solution(monkeypatch, lambda real, ech, bcol: None)
+    _oracle_with_solution(monkeypatch, lambda real, ech: None)
     rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
     oracle = next(r for r in rep.records if r.check == "oracle")
     assert not oracle.ok
@@ -589,9 +590,9 @@ def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkey
 
 def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
     # dropping a nonzero entry of the correction t keeps project . s = id,
-    # since t goes through the inclusion; the equivariance check catches it
-    def dropped(real, ech, bcol):
-        x = real(ech, bcol)
+    # since t is the top block of s; the equivariance check catches it
+    def dropped(real, ech):
+        x = real(ech)
         if x:
             x = dict(x)
             del x[min(x)]
@@ -613,7 +614,7 @@ def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
 def test_twisted_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch, tmp_path):
     # both classes of diagonal-sl2 are trivial, so every twisted level splits:
     # an elimination that finds no solution must turn the record to FAIL
-    _oracle_with_solution(monkeypatch, lambda real, ech, bcol: None)
+    _oracle_with_solution(monkeypatch, lambda real, ech: None)
     out = tmp_path / "report.json"
     argv = ["twisted", "--example", "diagonal-sl2", "--module", "n", "--max-degree", "2", "--json", str(out)]
     assert main(argv) == 1
@@ -688,8 +689,14 @@ def test_split_record_fails_on_a_corrupted_splitting_map(target, corrupt, messag
             "the dimensions check would eliminate over the 29524 words of degree at most 9, "
             "over the oracle budget of 10000",
         ),
+        (
+            # dim g = 6: 6^0 + ... + 6^6 = 55,987 words of degree at most 6
+            ["koszul", "--example", "diagonal-heisenberg", "--max-degree", "6"],
+            "the koszul check would eliminate over the 55987 words of degree at most 6, "
+            "over the oracle budget of 10000",
+        ),
     ],
-    ids=["all", "oracle", "twisted", "dimensions"],
+    ids=["all", "oracle", "twisted", "dimensions", "koszul"],
 )
 def test_oracle_budget_rejects_a_run_before_any_work(argv, message, capsys, tmp_path):
     out = tmp_path / "report.json"
@@ -731,6 +738,26 @@ def test_oracle_budget_bounds_the_dimensions_leg(monkeypatch):
     for command in ("oracle", "all"):
         with pytest.raises(ProblemError, match="dimensions check would eliminate over the 29524 words"):
             run_command(command, pf, max_degree=9)
+
+
+def test_oracle_budget_bounds_the_koszul_check(monkeypatch):
+    # the Koszul slices span the words of g of each internal degree, so the
+    # same word count, sum of (dim g)^k for k <= K, meets the budget for the
+    # koszul command and for all, negative control included
+    from pbwgate import report as report_mod
+
+    monkeypatch.setattr(report_mod, "_contained", lambda check, run: [])
+    heis, borel = catalog_get("diagonal-heisenberg"), catalog_get("sl2-borel")
+    negative = catalog_get("jacobi-broken-negative-control")
+    assert run_command("koszul", heis, max_degree=5).exit_code == 0  # 9,331 words
+    assert run_command("koszul", borel, max_degree=8).exit_code == 0  # 9,841 words
+    for command, pf, K, words in (
+        ("koszul", heis, 6, 55987),
+        ("koszul", borel, 9, 29524),
+        ("all", negative, 9, 29524),
+    ):
+        with pytest.raises(ProblemError, match=f"koszul check would eliminate over the {words} words"):
+            run_command(command, pf, max_degree=K)
 
 
 # --- injected defects in the Koszul check --------------------------------------

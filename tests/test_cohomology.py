@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
+
+from pbwgate.catalog import catalog_get, catalog_list
 
 from pbwgate.cohomology import (
     Cochain,
@@ -14,8 +17,10 @@ from pbwgate.cohomology import (
     obstruction,
     pushout_data,
 )
+from pbwgate.engine import build_filtration, level_sequence
 from pbwgate.lie import (
     LieAlgebra,
+    ModuleMap,
     adjoint_module,
     hom_module,
     make_pair,
@@ -26,6 +31,7 @@ from pbwgate.lie import (
 from pbwgate.linalg import Matrix, kernel_basis, solve
 
 from conftest import alpha_difference, sl2, wedge_restriction_is_exact
+from test_random_pairs import _conjugate, _random_invertible
 
 
 def _modules_for_dd(pair):
@@ -213,11 +219,20 @@ def test_extension_iff_trivial(sl2_borel, diag_sl2, diag_heis, abelian_pair, sem
         assert (find_extension(pair, n) is not None) == (is_trivial(pair, n) is not None)
 
 
+def _block_maps(q, sub_dim):
+    """The coordinate inclusion of the first ``sub_dim`` coordinates of
+    ``q`` and the projection onto the rest."""
+    ident = Matrix.identity(q.dim)
+    return ident.take(range(q.dim), range(sub_dim)), ident.take(range(sub_dim, q.dim), range(q.dim))
+
+
 def test_pushout_dimension(sl2_borel, diag_sl2):
     for pair in (sl2_borel, diag_sl2):
         n = quotient_module(pair)
-        data = pushout_data(pair, n)
-        q, incl, proj = data.module, data.include, data.project
+        q = pushout_data(pair, n).module
+        include, project = _block_maps(q, n.dim)
+        incl = ModuleMap(n, q, include)
+        proj = ModuleMap(q, tensor_module(n, n), project)
         assert q.dim == n.dim + pair.dim_n * n.dim
         assert incl.is_equivariant()
         assert proj.is_equivariant()
@@ -225,6 +240,28 @@ def test_pushout_dimension(sl2_borel, diag_sl2):
         assert incl.matrix.rank() == n.dim
         assert proj.matrix.rank() == pair.dim_n * n.dim
         assert not q.compatibility_defects()
+
+
+PUSHOUT_CASES = [(name, None) for name in catalog_list() if not catalog_get(name).expect_invalid] + [
+    (name, seed)
+    for name in ("sl2-borel", "semidirect-split", "diagonal-heisenberg", "diagonal-sl2")
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("name,seed", PUSHOUT_CASES)
+def test_pushout_is_the_reduced_level_two_module(name, seed):
+    # in E + n (x) E coordinates the pushout is the reduced level-two module
+    # entry for entry, so the two sequences of the f2 comparison are one
+    # system; seeded conjugated copies (seed None: catalog basis) hold the
+    # h-parts that the catalog's sparse brackets mostly lack
+    pf = catalog_get(name)
+    if seed is None:
+        pair = pf.pair()
+    else:
+        pair = make_pair(*_conjugate(pf, _random_invertible(random.Random(seed), pf.dim)))
+    level2 = level_sequence(build_filtration(pair, "F", 2), 2, reduced=True).mid
+    assert pushout_data(pair, quotient_module(pair)).module.key() == level2.key()
 
 
 def test_pushout_trivial_coefficients(sl2_borel):
@@ -239,15 +276,15 @@ def test_pushout_trivial_coefficients(sl2_borel):
 
 def test_pushout_borel_no_section(sl2_borel):
     n = quotient_module(sl2_borel)
-    data = pushout_data(sl2_borel, n)
-    q, proj = data.module, data.project
+    q = pushout_data(sl2_borel, n).module
+    _, project = _block_maps(q, n.dim)
     ne = tensor_module(n, n)
     # brute force: s with proj s = id and s equivariant
     nuk = q.dim * ne.dim
     rows = []
     for i in range(ne.dim):
         for j in range(ne.dim):
-            row = {k * ne.dim + j: proj.matrix.entry(i, k) for k in range(q.dim)}
+            row = {k * ne.dim + j: project.entry(i, k) for k in range(q.dim)}
             if i == j:
                 row[nuk] = Q(1)
             rows.append({k: v for k, v in row.items() if v})

@@ -300,19 +300,32 @@ def test_gr_check_twisted(sl2_borel):
 
 
 @pytest.mark.parametrize(
-    "defect,message", [("action", "not equivariant"), ("dimension", "not exact")]
+    "defect,message",
+    [
+        ("action", "not equivariant"),
+        ("dimension", "not exact"),
+        ("sub", "inclusion is not equivariant"),
+        ("corner", "submodule is not stable"),
+    ],
 )
 def test_gr_check_fails_on_a_wrong_graded_piece(defect, message, abelian_pair):
-    # the validation that replaced gr_check rejects a graded piece whose
-    # action or dimension is not the tensor power's (here: zero actions)
+    # validate checks each block of the middle actions: a graded piece whose
+    # action or dimension is not the tensor power's (here: zero actions), a
+    # wrong submodule block, or an action leaving the submodule is rejected
     seq = level_sequence(build_filtration(abelian_pair, "F", 2), 2)
-    quot = seq.quot
+    quot, sub = seq.quot, seq.sub
     if defect == "action":
         wrong = LieModule(quot.algebra, quot.dim, [m + Matrix.identity(quot.dim) for m in quot.action])
         seq = replace(seq, quot=wrong)
+    elif defect == "dimension":
+        seq = replace(seq, quot=trivial_module(quot.algebra, quot.dim + 1))
+    elif defect == "sub":
+        wrong = LieModule(sub.algebra, sub.dim, [m + Matrix.identity(sub.dim) for m in sub.action])
+        seq = replace(seq, sub=wrong)
     else:
-        bigger = Matrix.identity(seq.mid.dim + 1).take(range(seq.sub.dim, seq.mid.dim + 1), range(seq.mid.dim))
-        seq = replace(seq, quot=trivial_module(quot.algebra, quot.dim + 1), project=bigger)
+        corner = Matrix.zeros(seq.mid.dim, seq.mid.dim)
+        corner.data[sub.dim][0] = Q(1)
+        seq = replace(seq, mid=LieModule(sub.algebra, seq.mid.dim, [m + corner for m in seq.mid.action]))
     with pytest.raises(ValueError, match=message):
         seq.validate()
 
@@ -650,21 +663,15 @@ def _direct_sum_sequence(pair):
         action.append(m)
     from pbwgate.lie import LieModule
 
-    mid = LieModule(pair.h, dim, action)
-    incl = Matrix.zeros(dim, n.dim)
-    for i in range(n.dim):
-        incl.data[i][i] = Q(1)
-    proj = Matrix.zeros(t.dim, dim)
-    for i in range(t.dim):
-        proj.data[i][n.dim + i] = Q(1)
-    return ShortExactSequence(n, mid, t, incl, proj)
+    return ShortExactSequence(n, LieModule(pair.h, dim, action), t)
 
 
 def test_oracle_split_direct_sum(diag_sl2):
     seq = _direct_sum_sequence(diag_sl2)
     s = section_oracle(seq)
     assert s is not None
-    assert seq.project.mul(s) == Matrix.identity(seq.quot.dim)
+    # the projection onto the last coordinates takes s to the identity
+    assert s.take(range(seq.sub.dim, seq.mid.dim), range(seq.quot.dim)) == Matrix.identity(seq.quot.dim)
 
 
 def test_oracle_borel_f2_none(sl2_borel):
@@ -678,7 +685,7 @@ def _jordan_sequence(pair, corner):
     line = trivial_module(pair.h)
     block = Matrix.from_rows([[0, corner], [0, 0]])
     mid = LieModule(pair.h, 2, [block] * pair.dim_h)
-    return ShortExactSequence(line, mid, line, Matrix.from_rows([[1], [0]]), Matrix.from_rows([[0, 1]]))
+    return ShortExactSequence(line, mid, line)
 
 
 def test_oracle_verdicts_are_memoised_by_the_system_entries(abelian_pair, monkeypatch):
@@ -722,17 +729,21 @@ def _from_columns(cols, rows):
 
 def _reference_oracle(seq):
     """The oracle's system, solved through full RREFs: a lift s0 of the
-    identity, its equivariance defect D_a through the inclusion, then the
+    identity through the projection, its equivariance defect D_a through the
+    inclusion (both coordinate maps of the block form, built here), then the
     correction t with act_sub(a) t - t act_quot(a) = -D_a, written with
     Kronecker products on row-major vec(t)."""
     nsub, nquot = seq.sub.dim, seq.quot.dim
-    s0 = _from_columns([_rref_solve(seq.project, {j: Q(1)}) for j in range(nquot)], seq.mid.dim)
+    ident = Matrix.identity(seq.mid.dim)
+    include = ident.take(range(seq.mid.dim), range(nsub))
+    project = ident.take(range(nsub, seq.mid.dim), range(seq.mid.dim))
+    s0 = _from_columns([_rref_solve(project, {j: Q(1)}) for j in range(nquot)], seq.mid.dim)
     if nsub == 0:
         return s0
     blocks, rhs = [], {}
     for a in range(seq.sub.algebra.dim):
         residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
-        d = _from_columns([_rref_solve(seq.include, col) for col in residual.transpose().data], nsub)
+        d = _from_columns([_rref_solve(include, col) for col in residual.transpose().data], nsub)
         blocks.append(
             tensor_map(seq.sub.action[a], Matrix.identity(nquot))
             - tensor_map(Matrix.identity(nsub), seq.quot.action[a].transpose())
@@ -747,7 +758,7 @@ def _reference_oracle(seq):
     t_mat = Matrix.zeros(nsub, nquot)
     for c, v in t.items():
         t_mat.data[c // nquot][c % nquot] = v
-    return s0 + seq.include.mul(t_mat)
+    return s0 + include.mul(t_mat)
 
 
 # every catalog pair but the negative control, which is not a Lie algebra and

@@ -45,7 +45,7 @@ def test_reference_use_detector():
     assert _reference_uses("ech.back_reduce()\n") == [1]
     assert len(_reference_uses("from .linalg import LinearSolver\n")) == 1
     assert _reference_uses("x = LinearSolver(m)\n") == [1]
-    assert _reference_uses("ech.solution(3)\n") == []
+    assert _reference_uses("ech.solution()\n") == []
 
 
 def test_only_linalg_builds_a_rational_rref():
@@ -142,14 +142,14 @@ def _solution_reads(source: str) -> list:
 
 
 def test_solution_read_detector():
-    assert _solution_reads("x = ech.solution(bcol)\n") == [1]
+    assert _solution_reads("x = ech.solution()\n") == [1]
     assert _solution_reads("read = Echelon.solution\n") == [1]
-    assert _solution_reads("def solve(rows, bcol):\n    return ech.solution(bcol)\n") == []
-    assert _solution_reads("def solution(self, bcol):\n    return None\n") == []
+    assert _solution_reads("def solve(rows, bcol):\n    return ech.solution()\n") == []
+    assert _solution_reads("def solution(self):\n    return None\n") == []
     # the oracle's former direct read, put back into the real engine, is caught
     engine = _package_sources()["engine"]
     assert _solution_reads(engine) == []
-    assert _solution_reads(engine.replace("sol = solve(rows(), bcol)", "sol = ech.solution(bcol)")) != []
+    assert _solution_reads(engine.replace("sol = solve(rows(), bcol)", "sol = ech.solution()")) != []
 
 
 def test_only_linalg_solve_reads_an_echelon_solution():
