@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
 from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, subspace_intersection
@@ -139,11 +140,13 @@ def qa_graded_dimension(pair: InclusionPair, k: int) -> int:
     return _QaDegrees(pair, k).dim(k)
 
 
-def _relation_span(qd: QuadraticData, d: int, positions) -> Echelon:
+def _relation_span(qd: QuadraticData, d: int, positions, span: Optional[Echelon] = None) -> Echelon:
     """Span inside g^{(x) d} of the words w1 (x) r (x) w2, r in the qR basis,
-    with r placed at each of ``positions`` (the degree of w1)."""
+    with r placed at each of ``positions`` (the degree of w1), inserted into
+    ``span`` (a new echelon by default)."""
     dg = qd.pair.g.dim
-    span = Echelon(dg ** d)
+    if span is None:
+        span = Echelon(dg ** d)
     for p in positions:
         lo = dg ** (d - 2 - p)
         hi = dg ** p
@@ -159,8 +162,19 @@ def _relation_span(qd: QuadraticData, d: int, positions) -> Echelon:
 # ---------------------------------------------------------------------------
 
 
+def _integral(vec: dict) -> dict:
+    """The same vector with every integral value as an int."""
+    return {c: v.numerator if v.denominator == 1 else v for c, v in vec.items()}
+
+
 class _QaDegrees:
-    """Quotient coordinates of qA per degree: canonical word representatives."""
+    """Quotient coordinates of qA per degree: canonical word representatives.
+
+    The relation span of degree d is R_{d-1} (x) g + g^{(x) d-2} (x) qR: the
+    span one degree below, tensored by g on the right, plus the relations in
+    the last position.  With leftmost pivoting the pivots and every
+    ``reduce`` belong to the row space alone, so this equals the span of the
+    relations at every position."""
 
     def __init__(self, pair: InclusionPair, max_degree: int):
         self.dg = pair.g.dim
@@ -168,8 +182,13 @@ class _QaDegrees:
         self.spans = []
         self.basis_words = []
         self.pos = []
+        self._products = {}  # (d, coord, letter) -> mult_letter's value
+        span = Echelon(1)
         for d in range(max_degree + 1):
-            span = _relation_span(self.qd, d, range(d - 1))
+            if d:
+                span = span.right_tensor(self.dg)
+            if d >= 2:
+                _relation_span(self.qd, d, (d - 2,), span)
             free = span.free_columns()
             self.spans.append(span)
             self.basis_words.append(free)
@@ -179,13 +198,16 @@ class _QaDegrees:
         return len(self.basis_words[d])
 
     def reduce(self, d: int, word_index: int) -> dict:
-        red = self.spans[d].reduce({word_index: Q(1)})
+        red = _integral(self.spans[d].reduce({word_index: 1}))
         return {self.pos[d][c]: v for c, v in red.items()}
 
     def mult_letter(self, d: int, coord: int, letter: int) -> dict:
         """Right multiplication qA_d x g -> qA_{d+1} on basis coordinates."""
-        word = self.basis_words[d][coord]
-        return self.reduce(d + 1, word * self.dg + letter)
+        key = (d, coord, letter)
+        if key not in self._products:
+            word = self.basis_words[d][coord]
+            self._products[key] = self.reduce(d + 1, word * self.dg + letter)
+        return self._products[key]
 
 
 def _wedge_vector(letters, dg: int) -> dict:
@@ -195,7 +217,7 @@ def _wedge_vector(letters, dg: int) -> dict:
         idx = 0
         for p in perm:
             idx = idx * dg + letters[p]
-        _add_term(out, idx, Q(sort_with_sign(perm)[1]))
+        _add_term(out, idx, sort_with_sign(perm)[1])
     return out
 
 
@@ -217,7 +239,7 @@ class KTilde:
 def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
     dg, dn, dh = pair.g.dim, pair.dim_n, pair.dim_h
     if i == 0:
-        return KTilde(0, [()], [{0: Q(1)}], Coordinates([{0: Q(1)}], 1), 1)
+        return KTilde(0, [()], [{0: 1}], Coordinates([{0: 1}], 1), 1)
     span = Echelon(dg ** i)
     lists = []
     vectors = []
@@ -280,40 +302,39 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                 if not span.contains(vec):
                     containment_ok = False
 
-    # cache of the wedge coordinates appearing in the differentials
+    # cache of the wedge coordinates appearing in the differentials: per
+    # position i, the signed coordinates (-1)^j * (the wedge with its j-th
+    # letter omitted) over the lower K-tilde basis, for each list of K^i
+    omitted = [None]
+    for i in range(1, max_i + 1):
+        per_list = []
+        for letters in kt[i].lists:
+            per_j = []
+            for j in range(len(letters)):
+                coords = kt[i - 1].coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
+                if coords is None:
+                    raise AssertionError("omitted wedge escaped the lower subspace")
+                sign = -1 if j % 2 else 1
+                per_j.append({tp: sign * ct for tp, ct in _integral(coords).items()})
+            per_list.append(per_j)
+        omitted.append(per_list)
+
     slices = []
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
         dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
         mats = [None]
         for i in range(1, top + 1):
-            src_dim = dims[i]
-            tgt_dim = dims[i - 1]
-            mat = Matrix.zeros(tgt_dim, src_dim)
-            ktl = kt[i]
-            ktp = kt[i - 1]
-            # coordinates of each omitted wedge in the lower K-tilde basis
-            omitted = []
-            for letters in ktl.lists:
-                per_j = []
-                for j in range(len(letters)):
-                    rest = letters[:j] + letters[j + 1:]
-                    vec = _wedge_vector(rest, dg) if rest else {0: Q(1)}
-                    coords = ktp.coords(vec)
-                    if coords is None:
-                        raise AssertionError("omitted wedge escaped the lower subspace")
-                    per_j.append(coords)
-                omitted.append(per_j)
+            ktl, ktp = kt[i], kt[i - 1]
+            rows = [{} for _ in range(dims[i - 1])]
             for p in range(qa.dim(d - i)):
                 for t, letters in enumerate(ktl.lists):
                     col = p * ktl.dim + t
-                    for j, letter in enumerate(letters):
-                        sign = Q((-1) ** j)
-                        prod = qa.mult_letter(d - i, p, letter)
-                        for q, cq in prod.items():
-                            for tp, ct in omitted[t][j].items():
-                                _add_term(mat.data[q * ktp.dim + tp], col, sign * cq * ct)
-            mats.append(mat)
+                    for letter, wedge in zip(letters, omitted[i][t]):
+                        for q, cq in qa.mult_letter(d - i, p, letter).items():
+                            for tp, ct in wedge.items():
+                                _add_term(rows[q * ktp.dim + tp], col, cq * ct)
+            mats.append(Matrix(dims[i - 1], dims[i], rows))
         dd_zero = all(
             mats[i - 1].mul(mats[i]).is_zero() for i in range(2, top + 1)
         )

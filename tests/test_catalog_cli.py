@@ -789,6 +789,24 @@ def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp
     assert witness["containment_ok"] is True
 
 
+def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatch, tmp_path):
+    # qA_3 built from R_2 (x) g alone, without g (x) qR, is too big: the rank
+    # leaves the closed form from degree 3 on
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._relation_span
+
+    def skipping(qd, d, positions, span=None):
+        if span is not None and d == 3:
+            return span
+        return real(qd, d, positions, span)
+
+    monkeypatch.setattr(koszul_mod, "_relation_span", skipping)
+    dims = _koszul_record(tmp_path)["graded_dimensions"]
+    assert [dims[k]["rank"] == dims[k]["closed_form"] for k in "0123"] == [True, True, True, False]
+    assert dims["3"]["rank"] > dims["3"]["closed_form"]
+
+
 def test_koszul_record_fails_on_a_wedge_with_one_sign_flipped(monkeypatch, tmp_path):
     # a wedge vector with one flipped sign is no longer antisymmetric, so it
     # leaves the span of the quadratic relations

@@ -1,6 +1,9 @@
 import pytest
 
+from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.koszul import (
+    _QaDegrees,
+    _relation_span,
     bg_conditions,
     koszul_acyclicity,
     ktilde_basis,
@@ -151,3 +154,19 @@ def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
     monkeypatch.setattr(koszul_mod, "quadratic_data", counting)
     assert run_command("koszul", catalog_get("sl2-borel")).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", catalog_list())
+def test_incremental_relation_spans_match_the_full_span(name):
+    # R_d built as R_{d-1} (x) g + g^{(x) d-2} (x) qR gives the pivots and the
+    # reductions of the span of the relations at every position
+    pair = catalog_get(name).pair()
+    top = 5 if pair.g.dim == 3 else 4
+    qa = _QaDegrees(pair, top)
+    for d in range(top + 1):
+        full = _relation_span(qa.qd, d, range(d - 1))
+        assert qa.spans[d].free_columns() == full.free_columns() == qa.basis_words[d]
+        for word in range(pair.g.dim ** d):
+            assert qa.spans[d].reduce({word: 1}) == full.reduce({word: 1})
+            # a binomial span sends a word to one basis word, coefficient int 1
+            assert [(type(v), v) for v in qa.reduce(d, word).values()] == [(int, 1)]

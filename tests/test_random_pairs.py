@@ -18,6 +18,7 @@ from pbwgate.engine import build_filtration, level_sequence
 from pbwgate.koszul import bg_conditions
 from pbwgate.lie import LieAlgebra, make_pair, quotient_module, validate_lie
 from pbwgate.linalg import Matrix
+from pbwgate.report import _check_koszul
 
 from conftest import invert
 
@@ -49,6 +50,8 @@ def test_conjugated_pair_properties(name, seed):
     pf = catalog_get(name)
     base_pair = pf.pair()
     base_verdict = is_trivial(base_pair, quotient_module(base_pair)) is not None
+    base_koszul = _check_koszul(pf, base_pair, 3).to_dict()
+    assert base_koszul["ok"]
     for _ in range(3):
         p_mat = _random_invertible(rng, pf.dim)
         conj, emb = _conjugate(pf, p_mat)
@@ -67,6 +70,8 @@ def test_conjugated_pair_properties(name, seed):
         # basis-independent verdicts
         assert (is_trivial(pair, n_mod, a) is not None) == base_verdict
         assert bg_conditions(pair) == (True, True)
+        # the koszul record (conditions, graded dimensions, slices) is the same
+        assert _check_koszul(pf, pair, 3).to_dict() == base_koszul
         dn = pair.dim_n
         filt = build_filtration(pair, "F", 2)
         assert [filt.dim(k) for k in range(3)] == [1, 1 + dn, 1 + dn + dn * dn]
