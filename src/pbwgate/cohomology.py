@@ -24,13 +24,15 @@ from .lie import (
     LieAlgebra,
     LieModule,
     adjoint_module,
+    bracket_law_holds,
     ext_monomials,
     hom_module,
+    int_matrices,
     quotient_module,
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Matrix, Q, _add_term, combination, solve
+from .linalg import Matrix, Q, _add_term, _int_row, solve
 
 
 class NotACocycleError(ValueError):
@@ -216,21 +218,27 @@ class ExtensionDatum:
     pair: InclusionPair
     module: LieModule
     rho: tuple
+    # (columns, T): rho cleared once to int columns over one scale T, so that
+    # column j of rho[u] is columns[u][j] / T; engine's t-maps run on these
+    int_rho: tuple = field(init=False, compare=False, repr=False)
     # engine.t_map's image of each basis element (k, word, tensor-tuple)
     # under this datum; a fresh dict per datum, never copied by replace()
     t_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        cols, scale = int_matrices([m.transpose() for m in self.rho])
+        self.int_rho = (cols, scale)
+
     def verify(self) -> bool:
         pair, e = self.pair, self.module
         dn = pair.dim_n
+        mats, scale = int_matrices(self.rho)
         for a in range(pair.dim_h):
             if self.rho[dn + a] != e.action[a]:
                 return False
-            act_a = e.action[a]
             for u in range(pair.g.dim):
-                lhs = combination(self.rho, pair.bracket_letters(dn + a, u), e.dim)
-                rhs = act_a.mul(self.rho[u]) - self.rho[u].mul(act_a)
-                if lhs != rhs:
+                combo, cscale = _int_row(pair.bracket_letters(dn + a, u))
+                if not bracket_law_holds(mats, scale, dn + a, u, combo, cscale):
                     return False
         return True
 

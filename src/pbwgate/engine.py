@@ -141,15 +141,15 @@ def straighten_g(pair: InclusionPair, word: Word) -> dict:
 
 
 def coproduct_word(word: Word) -> dict:
-    """All order-preserving splittings of the word: Delta is multiplicative
-    with every letter primitive."""
+    """All order-preserving splittings of the word, with int multiplicities:
+    Delta is multiplicative with every letter primitive."""
     word = tuple(word)
     m = len(word)
     out: dict = {}
     for mask in range(1 << m):
         left = tuple(word[i] for i in range(m) if mask & (1 << i))
         right = tuple(word[i] for i in range(m) if not mask & (1 << i))
-        _add_term(out, (left, right), Q(1))
+        _add_term(out, (left, right), 1)
     return out
 
 
@@ -422,11 +422,18 @@ def oracle_splits(pair: InclusionPair, seq: ShortExactSequence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rho_apply(rho: Sequence[Matrix], word: Word, j: int, antipode: bool = False) -> dict:
-    """rho(word) e_j (or rho(S(word)) e_j) as a sparse vector."""
-    vec = {j: Q(1)}
+def _rho_apply(cols: Sequence[list], word: Word, j: int, antipode: bool = False) -> dict:
+    """T^len(word) rho(word) e_j (or T^len(word) rho(S(word)) e_j) as a
+    sparse int vector, for rho[u] given by its int columns ``cols[u]`` over
+    the scale T (``ExtensionDatum.int_rho``)."""
+    vec = {j: 1}
     for u in word if antipode else reversed(word):
-        vec = rho[u].apply(vec)
+        col = cols[u]
+        acc: dict = {}
+        for i, x in vec.items():
+            for r, v in col[i].items():
+                acc[r] = acc.get(r, 0) + x * v
+        vec = {r: v for r, v in acc.items() if v}
         if not vec:
             return {}
     if antipode and len(word) % 2:
@@ -437,12 +444,16 @@ def _rho_apply(rho: Sequence[Matrix], word: Word, j: int, antipode: bool = False
 def t_map(pair: InclusionPair, rho: ExtensionDatum, k: int, elem: dict) -> dict:
     """One adjunction step t_k: j_!(n^{(x)k}) -> j_!(n^{(x)k-1}).
 
-    Elements are dicts {(word, index-tuple): coefficient}.  t_1 appends the
-    tensor letter to the word; for k >= 2 the recursion is
+    Elements are dicts {(word, index-tuple): coefficient} held in ints over
+    the datum's scale T: for an N fixed per element, the stored value of a
+    key is its coefficient times T^(N - len(word) - len(index-tuple)).  t_1
+    appends the tensor letter to the word; for k >= 2 the recursion is
     t_{k+1} = phi . (t_k (x) id) . psi with the coproduct-based maps of the
     projection formula, the extension datum acting letterwise.  The map is
     linear, so it is the sum of the images of the basis elements, each
-    computed once per datum (``rho.t_images``).
+    computed once per datum (``rho.t_images``); the image of a basis element
+    b keeps each key over T^(L(b) - L(key)), L the word plus tuple length,
+    so the output keeps the input's N.
     """
     if k < 1:
         raise ValueError("t-maps start at k = 1")
@@ -454,21 +465,29 @@ def t_map(pair: InclusionPair, rho: ExtensionDatum, k: int, elem: dict) -> dict:
 
 
 def _t_image(pair: InclusionPair, rho: ExtensionDatum, k: int, basis: tuple) -> dict:
-    """t_k of the basis element ``(word, index-tuple)``, memoised on the
-    datum; callers must not mutate the returned dict."""
+    """t_k of the basis element ``(word, index-tuple)`` of length L, as ints
+    with each key over T^(L - L(key)), memoised on the datum; callers must
+    not mutate the returned dict.
+
+    A staged term (w1, head) with r pending, from the split (w1, w2), is
+    mult * T^len(w2) rho(w2) e_last: over T^(L - 1 - L(w1, head)), so every
+    bucket is one element with N = L - 1.  Its lowered terms (wl, tl) carry
+    T^(L - 1 - L(wl, tl)), and the antipode factor of the split (wa, wb)
+    brings T^len(wb), which is the scale of the key (wa, tl + (rp,)).
+    """
     key = (k,) + basis
     image = rho.t_images.get(key)
     if image is not None:
         return image
     w, tup = basis
     if k == 1:
-        image = {(w + (tup[0],), ()): Q(1)}
+        image = {(w + (tup[0],), ()): 1}
     else:
-        mats = rho.rho
+        cols = rho.int_rho[0]
         head, last = tup[:-1], tup[-1]
         staged: dict = {}  # r -> {(word, head-tuple): coeff}
         for (w1, w2), mult in _coproduct(pair, w).items():
-            for r, cr in _rho_apply(mats, w2, last).items():
+            for r, cr in _rho_apply(cols, w2, last).items():
                 _add_term(staged.setdefault(r, {}), (w1, head), mult * cr)
         image = {}
         for r, bucket in staged.items():
@@ -476,7 +495,7 @@ def _t_image(pair: InclusionPair, rho: ExtensionDatum, k: int, basis: tuple) -> 
             lowered = t_map(pair, rho, k - 1, bucket)
             for (wl, tl), c in lowered.items():
                 for (wa, wb), mult in _coproduct(pair, wl).items():
-                    for rp, cr in _rho_apply(mats, wb, r, antipode=True).items():
+                    for rp, cr in _rho_apply(cols, wb, r, antipode=True).items():
                         _add_term(image, (wa, tl + (rp,)), c * mult * cr)
     rho.t_images[key] = image
     return image
@@ -501,9 +520,11 @@ def splitting_s(
     dn = pair.dim_n
     n_mod = quotient_module(pair)
     source = tensor_power_module(n_mod, k)
+    # the chain keeps N = k, so the word w's entry sits over T^(k - len(w))
+    scales = [rho.int_rho[1] ** (k - length) for length in range(k + 1)]
     cols = []
     for tau in itertools.product(range(dn), repeat=k):
-        elem = {((), tau): Q(1)}
+        elem = {((), tau): 1}
         for j in range(k, 0, -1):
             elem = t_map(pair, rho, j, elem)
         col = {}
@@ -512,7 +533,7 @@ def splitting_s(
                 raise AssertionError("t-map chain left tensor letters unconsumed")
             if len(w) > k:
                 raise AssertionError("t-map chain raised the degree past the cap")
-            col[filt.word_index[w]] = c
+            col[filt.word_index[w]] = Q(c, scales[len(w)])
         cols.append(col)
     matrix = Matrix(len(cols), filt.dim(k), cols).transpose()
     out = ModuleMap(source, filt.level_module(k), matrix)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_row, combination, qf, tensor_map
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_mul, _int_row, _int_rows, combination, qf, tensor_map
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -73,12 +73,16 @@ class LieAlgebra:
             table[j][i] = {k: -v for k, v in cv.items()}
         return cls(dim, labels, table)
 
+    def int_table(self) -> tuple:
+        """``_int_table`` of the structure table, cleared once per algebra."""
+        if self._int_table is None:
+            self._int_table = _int_table(self.table)
+        return self._int_table
+
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """[x, y], accumulated in ints over the integer structure table and
         divided once per output entry."""
-        if self._int_table is None:
-            self._int_table = _int_table(self.table)
-        table, scale = self._int_table
+        table, scale = self.int_table()
         xr, xs = _int_row(x)
         yr, ys = _int_row(y)
         acc: dict = {}
@@ -158,16 +162,17 @@ class LieModule:
         return combination(self.action, x, self.dim)
 
     def compatibility_defects(self) -> list:
-        """Pairs (i, j) where action([x_i,x_j]) != [action(x_i), action(x_j)]."""
-        bad = []
-        alg = self.algebra
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                lhs = self.act_vec(alg.table[i][j])
-                rhs = self.action[i].mul(self.action[j]) - self.action[j].mul(self.action[i])
-                if lhs != rhs:
-                    bad.append((i, j))
-        return bad
+        """Pairs (i, j) where action([x_i,x_j]) != [action(x_i), action(x_j)],
+        each tested in ints by ``bracket_law_holds``."""
+        table, tscale = self.algebra.int_table()
+        mats, scale = int_matrices(self.action)
+        dim = self.algebra.dim
+        return [
+            (i, j)
+            for i in range(dim)
+            for j in range(i + 1, dim)
+            if not bracket_law_holds(mats, scale, i, j, table[i][j], tscale)
+        ]
 
     def key(self) -> tuple:
         """The dimension and action matrices as a hashable value."""
@@ -186,10 +191,49 @@ class ModuleMap:
     matrix: Matrix
 
     def is_equivariant(self) -> bool:
+        """Whether M A_i = B_i M for every i, A and B the source and target
+        actions: in ints, s_B (M A_i) == s_A (B_i M) row by row, with A_i,
+        B_i and M cleared over their own scales (M's cancels)."""
+        m = self.matrix
+        if m.rows != self.target.dim or m.cols != self.source.dim:
+            raise ValueError("shape mismatch in product")
+        mi, _ = _int_rows(m.data)
         for i in range(self.source.algebra.dim):
-            if self.matrix.mul(self.source.action[i]) != self.target.action[i].mul(self.matrix):
-                return False
+            a, sa = _int_rows(self.source.action[i].data)
+            b, sb = _int_rows(self.target.action[i].data)
+            for x, y in zip(_int_mul(mi, a), _int_mul(b, mi)):
+                if x.keys() != y.keys() or any(sb * v != sa * y[c] for c, v in x.items()):
+                    return False
         return True
+
+
+def int_matrices(mats: Sequence[Matrix]) -> tuple:
+    """Square matrices of one size cleared to int rows over one common scale:
+    (one int row list per matrix, scale)."""
+    rows, scale = _int_rows([r for m in mats for r in m.data])
+    n = mats[0].rows if mats else 0
+    return [rows[k * n:(k + 1) * n] for k in range(len(mats))], scale
+
+
+def bracket_law_holds(mats: Sequence[list], scale: int, i: int, j: int, combo: dict, cscale: int) -> bool:
+    """Whether sum_k (combo[k] / cscale) A_k == [A_i, A_j] for the matrices
+    A_k = mats[k] / scale given as int rows: times cscale * scale^2, whether
+    scale * sum_k combo[k] mats[k] == cscale * (mats[i] mats[j] - mats[j] mats[i]),
+    row by row in ints."""
+    ij = _int_mul(mats[i], mats[j])
+    ji = _int_mul(mats[j], mats[i])
+    for r, (x, y) in enumerate(zip(ij, ji)):
+        acc: dict = {}
+        for k, n in combo.items():
+            for c, v in mats[k][r].items():
+                acc[c] = acc.get(c, 0) + scale * n * v
+        for c, v in x.items():
+            acc[c] = acc.get(c, 0) - cscale * v
+        for c, v in y.items():
+            acc[c] = acc.get(c, 0) + cscale * v
+        if any(acc.values()):
+            return False
+    return True
 
 
 class InclusionPair:

@@ -163,37 +163,20 @@ class Matrix:
         return self._entrywise(other, operator.sub)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """The exact product, accumulated in ints.  Each row of ``other`` is
-        cleared of denominators (``_int_row``) when a row of ``self`` first
-        refers to it; each output row sums its terms over one common
-        denominator and turns every entry into one Fraction."""
+        """The exact product: both factors cleared to int rows over one scale
+        each (``_int_rows``; a row of ``other`` that no entry of ``self``
+        refers to is not read), multiplied in ints (``_int_mul``), and each
+        entry divided once into a Fraction."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        cleared = [None] * other.rows
-        data = []
-        for r in self.data:
-            terms = []
-            den = 1
-            for k, v in r.items():
-                ik = cleared[k]
-                if ik is None:
-                    ik = cleared[k] = _int_row(other.data[k])
-                row, scale = ik
-                if row and v:
-                    d = v.denominator * scale
-                    terms.append((v.numerator, d, row))
-                    if d != 1:
-                        den = math.lcm(den, d)
-            acc = {}
-            for n, d, row in terms:
-                if d != den:
-                    n *= den // d
-                for c, w in row.items():
-                    acc[c] = acc.get(c, 0) + n * w
-            if den == 1:
-                data.append({c: Fraction(a) for c, a in acc.items() if a})
-            else:
-                data.append({c: Fraction(a, den) for c, a in acc.items() if a})
+        a, sa = _int_rows(self.data)
+        used = set().union(*self.data)
+        b, sb = _int_rows([r if k in used else {} for k, r in enumerate(other.data)])
+        den = sa * sb
+        if den == 1:
+            data = [{c: Fraction(x) for c, x in r.items()} for r in _int_mul(a, b)]
+        else:
+            data = [{c: Fraction(x, den) for c, x in r.items()} for r in _int_mul(a, b)]
         return Matrix(self.rows, other.cols, data)
 
     def apply(self, vec: Row) -> Row:
@@ -256,6 +239,29 @@ def _int_row(vec: Row):
     if scale == 1:
         return {c: v.numerator for c, v in vec.items() if v}, 1
     return {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}, scale
+
+
+def _int_rows(rows: Sequence[Row]) -> tuple:
+    """Clear a list of sparse rows (a matrix's ``data``) to one scale:
+    (int rows, positive scale) with row i = int rows[i] / scale, zeros
+    dropped.  Entries are ints or Fractions."""
+    scale = math.lcm(*(v.denominator for r in rows for v in r.values()))
+    if scale == 1:
+        return [{c: v.numerator for c, v in r.items() if v} for r in rows], 1
+    return [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in rows], scale
+
+
+def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:
+    """The product of two matrices given as int rows, as int rows with
+    zeros dropped: row i is sum_k a[i][k] * b[k]."""
+    out = []
+    for r in a:
+        acc: dict = {}
+        for k, v in r.items():
+            for c, w in b[k].items():
+                acc[c] = acc.get(c, 0) + v * w
+        out.append({c: x for c, x in acc.items() if x})
+    return out
 
 
 def _strip_content(row: dict) -> dict:

@@ -105,6 +105,41 @@ def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
     return is_trivial(pair, n_mod, Cochain(1, coeff, values)) is not None
 
 
+def _fraction_product(a: Matrix, b: Matrix) -> list:
+    """The rows of a b, every product and sum taken in Fractions."""
+    out = []
+    for r in a.data:
+        acc = {}
+        for k, v in r.items():
+            for c, w in b.data[k].items():
+                acc[c] = acc.get(c, Q(0)) + v * w
+        out.append({c: x for c, x in acc.items() if x})
+    return out
+
+
+def reference_compatibility_defects(mod) -> list:
+    """``LieModule.compatibility_defects`` in Fractions: the pairs (i, j)
+    where action([x_i, x_j]) != [action(x_i), action(x_j)]."""
+    bad = []
+    alg = mod.algebra
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            lhs = mod.act_vec(alg.table[i][j])
+            ij = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[i], mod.action[j]))
+            ji = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[j], mod.action[i]))
+            if lhs != ij - ji:
+                bad.append((i, j))
+    return bad
+
+
+def reference_is_equivariant(f) -> bool:
+    """``ModuleMap.is_equivariant`` in Fractions: M A_i == B_i M for each i."""
+    for i in range(f.source.algebra.dim):
+        if _fraction_product(f.matrix, f.source.action[i]) != _fraction_product(f.target.action[i], f.matrix):
+            return False
+    return True
+
+
 def diagonal_embedding(alg: LieAlgebra):
     cols = []
     for i in range(alg.dim):

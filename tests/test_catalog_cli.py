@@ -1,19 +1,23 @@
 import copy
 import hashlib
 import json
+import random
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
+from pbwgate.cohomology import find_extension
 from pbwgate.lie import quotient_module
 from pbwgate.linalg import Q
 from pbwgate.problem import ProblemError, parse_problem, serialize_problem
 from pbwgate.report import run_command
 from pbwgate.cli import main
 
+from test_random_pairs import _conjugate, _random_invertible
 
 EXPECTED_ENTRIES = {
     "sl2-borel",
@@ -652,14 +656,81 @@ def _with_constant_term(real):
     ids=["not-a-section", "not-equivariant"],
 )
 def test_split_record_fails_on_a_corrupted_splitting_map(target, corrupt, message, monkeypatch):
+    _assert_split_fails(catalog_get("diagonal-sl2"), target, corrupt, message, monkeypatch)
+
+
+def _conjugated_problem(name: str, seed: int):
+    """The catalog problem written in a seeded random basis (``_conjugate``),
+    as a problem with an embedding; its datum and filtrations carry scales
+    above 1."""
+    pf = catalog_get(name)
+    conj, emb = _conjugate(pf, _random_invertible(random.Random(seed), pf.dim))
+    brackets = [
+        (i, j, tuple(sorted(conj.table[i][j].items())))
+        for i in range(pf.dim)
+        for j in range(i + 1, pf.dim)
+        if conj.table[i][j]
+    ]
+    cols = tuple(tuple(emb.entry(r, c) for r in range(emb.rows)) for c in range(emb.cols))
+    return replace(pf, name=f"{name}~{seed}", brackets=brackets, h_indices=None, h_embedding=cols, complement=None)
+
+
+def test_conjugated_problem_carries_scales():
+    from pbwgate.engine import _letter_ints
+
+    pair = _conjugated_problem("diagonal-sl2", 3).pair()
+    assert _letter_ints(pair)[1] > 1
+    assert find_extension(pair, quotient_module(pair)).int_rho[1] > 1
+    [rec] = run_command("split", _conjugated_problem("diagonal-sl2", 3), max_degree=2).records
+    assert rec.ok
+
+
+@pytest.mark.parametrize(
+    "target,corrupt,message",
+    [
+        ("_symmetrization", _doubled, "I_0 is not a section"),
+        ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
+    ],
+    ids=["not-a-section", "not-equivariant"],
+)
+def test_split_record_fails_on_a_corrupted_splitting_map_in_conjugated_coordinates(
+    target, corrupt, message, monkeypatch
+):
+    _assert_split_fails(_conjugated_problem("diagonal-sl2", 3), target, corrupt, message, monkeypatch)
+
+
+def _assert_split_fails(problem, target, corrupt, message, monkeypatch):
     from pbwgate import engine as engine_mod
 
     monkeypatch.setattr(engine_mod, target, corrupt(getattr(engine_mod, target)))
-    rep = run_command("split", catalog_get("diagonal-sl2"), max_degree=2)
+    rep = run_command("split", problem, max_degree=2)
     [rec] = rep.records
     assert not rec.ok
     assert rec.witness["exception"] == "AssertionError"
     assert rec.witness["message"] == message
+    assert rep.exit_code == 1
+
+
+def test_split_record_fails_on_a_corrupted_filtration_action(monkeypatch):
+    # one entry of one level action of a conjugated pair moved by 1/7: the
+    # int bracket-compatibility check in FilteredModule._verify catches it
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.FilteredModule._action_matrix
+
+    def corrupted(self, a):
+        mat = real(self, a)
+        if a == 0:
+            mat.data[2][3] = mat.entry(2, 3) + Q(1, 7)
+        return mat
+
+    monkeypatch.setattr(engine_mod.FilteredModule, "_action_matrix", corrupted)
+    rep = run_command("split", _conjugated_problem("diagonal-sl2", 3), max_degree=2)
+    [rec] = rep.records
+    assert not rec.ok
+    assert rec.witness["exception"] == "RewritingInconsistencyError"
+    assert "bracket compatibility" in rec.witness["message"]
+    assert rec.witness["raised_at"] == "_verify (engine.py)"
     assert rep.exit_code == 1
 
 

@@ -249,13 +249,29 @@ def test_antipode():
     # on generic matrices so that the order of the letters shows
     rng = random.Random(5)
     mats = [Matrix.from_rows([[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]) for _ in range(5)]
+    # integer matrices: their columns are their int columns over the scale T = 1
+    cols = [m.transpose().data for m in mats]
     for j in range(3):
-        assert _rho_apply(mats, (), j, antipode=True) == {j: Q(1)}
-        assert _rho_apply(mats, (4,), j, antipode=True) == {i: -v for i, v in mats[4].apply({j: Q(1)}).items()}
+        assert _rho_apply(cols, (), j, antipode=True) == {j: Q(1)}
+        assert _rho_apply(cols, (4,), j, antipode=True) == {i: -v for i, v in mats[4].apply({j: Q(1)}).items()}
         reversed_word = mats[3].apply(mats[2].apply(mats[1].apply({j: Q(1)})))
-        assert _rho_apply(mats, (3, 2, 1), j) == reversed_word
-        assert _rho_apply(mats, (1, 2, 3), j, antipode=True) == {i: -v for i, v in reversed_word.items()}
-    assert any(_rho_apply(mats, (1, 2, 3), j) != _rho_apply(mats, (3, 2, 1), j) for j in range(3))
+        assert _rho_apply(cols, (3, 2, 1), j) == reversed_word
+        assert _rho_apply(cols, (1, 2, 3), j, antipode=True) == {i: -v for i, v in reversed_word.items()}
+    assert any(_rho_apply(cols, (1, 2, 3), j) != _rho_apply(cols, (3, 2, 1), j) for j in range(3))
+
+
+def test_rho_apply_scales_by_one_power_of_T_per_letter():
+    # a datum with denominators: each letter's int columns carry one factor T
+    pair = _case_pair("diagonal-heisenberg", 11)
+    datum = find_extension(pair, quotient_module(pair))
+    cols, T = datum.int_rho
+    assert T > 1
+    for word in [(), (0,), (1, 2), (2, 0, 1)]:
+        for j in range(pair.dim_n):
+            vec = {j: Q(1)}
+            for u in reversed(word):
+                vec = datum.rho[u].apply(vec)
+            assert _rho_apply(cols, word, j) == {i: v * T ** len(word) for i, v in vec.items()}
 
 
 # --- filtrations -------------------------------------------------------------
@@ -420,8 +436,26 @@ def test_t_map_degree_bookkeeping(diag_sl2):
         assert any(len(w) == deg_in for (w, _tup) in elem)
 
 
+def _reference_coproduct(word):
+    out = {}
+    for mask in range(1 << len(word)):
+        left = tuple(x for i, x in enumerate(word) if mask >> i & 1)
+        right = tuple(x for i, x in enumerate(word) if not mask >> i & 1)
+        out[(left, right)] = out.get((left, right), 0) + 1
+    return out
+
+
+def _reference_rho(rho, word, j, antipode=False):
+    """rho(word) e_j (or rho(S(word)) e_j) in Fractions, from the datum's matrices."""
+    vec = {j: Q(1)}
+    for u in word if antipode else reversed(word):
+        vec = rho.rho[u].apply(vec)
+    return {i: -v for i, v in vec.items()} if antipode and len(word) % 2 else vec
+
+
 def _reference_t_map(pair, rho, k, elem):
-    """The unmemoised t-map recursion, the reference the memoised one must match."""
+    """The unmemoised t-map recursion in Fractions, the reference the
+    memoised int one must match."""
     if k == 1:
         out = {}
         for (w, tup), c in elem.items():
@@ -431,18 +465,38 @@ def _reference_t_map(pair, rho, k, elem):
     staged = {}
     for (w, tup), c in elem.items():
         head, last = tup[:-1], tup[-1]
-        for (w1, w2), mult in coproduct_word(w).items():
-            for r, cr in _rho_apply(rho.rho, w2, last).items():
+        for (w1, w2), mult in _reference_coproduct(w).items():
+            for r, cr in _reference_rho(rho, w2, last).items():
                 bucket = staged.setdefault(r, {})
                 bucket[(w1, head)] = bucket.get((w1, head), Q(0)) + c * mult * cr
     out = {}
     for r, bucket in staged.items():
         for (w, tup), c in _reference_t_map(pair, rho, k - 1, bucket).items():
-            for (wa, wb), mult in coproduct_word(w).items():
-                for rp, cr in _rho_apply(rho.rho, wb, r, antipode=True).items():
+            for (wa, wb), mult in _reference_coproduct(w).items():
+                for rp, cr in _reference_rho(rho, wb, r, antipode=True).items():
                     key = (wa, tup + (rp,))
                     out[key] = out.get(key, Q(0)) + c * mult * cr
     return {key: c for key, c in out.items() if c}
+
+
+def _to_ints(elem, T):
+    """A Fraction element in the t-maps' int convention: (ints, scale) with
+    ints[key] = elem[key] * scale(key), scale(key) = d * T^(N - L(key)),
+    N the longest key length L and d the lcm of the denominators."""
+    N = max(len(w) + len(tup) for w, tup in elem)
+    d = math.lcm(*(c.denominator for c in elem.values()))
+    ints = {}
+    for key, c in elem.items():
+        x = c * d * T ** (N - len(key[0]) - len(key[1]))
+        assert x.denominator == 1
+        ints[key] = x.numerator
+    return ints, lambda key: d * T ** (N - len(key[0]) - len(key[1]))
+
+
+def _int_t_map(pair, rho, k, elem):
+    """``t_map`` of a Fraction element, through the int convention and back."""
+    ints, scale = _to_ints(elem, rho.int_rho[1])
+    return {key: Q(c, scale(key)) for key, c in t_map(pair, rho, k, ints).items()}
 
 
 @pytest.mark.parametrize("name,seed", [("diagonal-sl2", None), ("diagonal-heisenberg", None), ("diagonal-heisenberg", 11)])
@@ -451,15 +505,18 @@ def test_t_map_matches_the_unmemoised_recursion(name, seed):
     rho = find_extension(pair, quotient_module(pair))
     dn = pair.dim_n
     if seed is not None:
-        # the conjugated copy's datum has non-integer entries
+        # the conjugated copy's datum has non-integer entries, so T > 1
         assert any(v.denominator > 1 for m in rho.rho for r in m.data for v in r.values())
+        assert rho.int_rho[1] > 1
     for k in range(1, 5):
         for tau in itertools.product(range(dn), repeat=k):
             elem = {((), tau): Q(1)}
-            got = t_map(pair, rho, k, elem)
-            assert got == _reference_t_map(pair, rho, k, elem), (k, tau)
+            ints, scale = _to_ints(elem, rho.int_rho[1])
+            got = t_map(pair, rho, k, ints)
+            back = {key: Q(c, scale(key)) for key, c in got.items()}
+            assert back == _reference_t_map(pair, rho, k, elem), (k, tau)
             got.clear()  # the caller owns the returned dict
-            assert t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, tau)
+            assert _int_t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, tau)
     rng = random.Random(3)
     for k in range(1, 4):
         for _ in range(10):
@@ -468,7 +525,27 @@ def test_t_map_matches_the_unmemoised_recursion(name, seed):
                 word = tuple(rng.randrange(dn) for _ in range(rng.randrange(3)))
                 tup = tuple(rng.randrange(dn) for _ in range(k))
                 elem[(word, tup)] = Q(rng.randint(-3, 3), rng.randint(1, 4))
-            assert t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, elem)
+            assert _int_t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, elem)
+
+
+@pytest.mark.parametrize("name,seed", [("diagonal-heisenberg", 11), ("diagonal-sl2", 3)])
+def test_splitting_s_matches_the_reference_chain_over_a_scale(name, seed):
+    # s_k's column tau is t_1 ... t_k of 1 (x) tau; the int chain writes the
+    # word w's entry over T^(k - len(w)), which only a datum with T > 1 tests
+    pair = _case_pair(name, seed)
+    rho = find_extension(pair, quotient_module(pair))
+    assert rho.int_rho[1] > 1
+    filt = build_filtration(pair, "F", 3)
+    dn = pair.dim_n
+    for k in range(1, 4):
+        expected = Matrix.zeros(filt.dim(k), dn ** k)
+        for col, tau in enumerate(itertools.product(range(dn), repeat=k)):
+            elem = {((), tau): Q(1)}
+            for j in range(k, 0, -1):
+                elem = _reference_t_map(pair, rho, j, elem)
+            for (w, _tup), c in elem.items():
+                expected.data[filt.word_index[w]][col] = c
+        assert splitting_s(pair, rho, k, filt=filt).matrix == expected, k
 
 
 def test_t_map_images_are_built_once_per_pair(monkeypatch):

@@ -23,7 +23,15 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, _add_term, solve
 
-from conftest import complement_change, diagonal_embedding, heisenberg, invert, sl2
+from conftest import (
+    complement_change,
+    diagonal_embedding,
+    heisenberg,
+    invert,
+    reference_compatibility_defects,
+    reference_is_equivariant,
+    sl2,
+)
 
 
 def test_validate_abelian():
@@ -267,3 +275,63 @@ def test_bracket_matches_reference():
                     got = g.bracket(x, y)
                     assert got == _bracket_reference(g, x, y)
                     assert all(type(v) is Q and v for v in got.values())
+
+
+def test_module_law_checks_match_the_fraction_reference():
+    # the int checks clear each matrix over its own scale; sl2 written in a
+    # random rational basis gives structure constants, actions and maps with
+    # denominators 1-6, and one perturbed entry gives a module or a map that
+    # breaks its law, so a scale taken as 1 shows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def invertible(data) -> Matrix:
+        m = Matrix.from_rows(data.draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3)))
+        hypothesis.assume(m.rank() == 3)
+        return m
+
+    def perturbed(data, mats, k) -> list:
+        """``mats`` with entry (i, j) of mats[k] moved by a nonzero rational."""
+        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        bumped = Matrix(3, 3, [dict(r) for r in mats[k].data])
+        bumped.data[i][j] = bumped.entry(i, j) + data.draw(entries.filter(bool))
+        return [bumped if m == k else mats[m] for m in range(len(mats))]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        p = invertible(data)
+        p_inv, p_cols = invert(p), p.transpose().data
+        alg = sl2()
+        g = LieAlgebra(3, alg.labels, [[p_inv.apply(alg.bracket(x, y)) for y in p_cols] for x in p_cols])
+        ad = adjoint_module(g)
+        broken = data.draw(st.booleans())
+        action = perturbed(data, ad.action, data.draw(st.integers(0, 2))) if broken else ad.action
+        mod = LieModule(g, 3, action)
+        defects = mod.compatibility_defects()
+        assert defects == reference_compatibility_defects(mod)
+        if not broken:
+            assert defects == []
+        # q A_i = (q A_i q^-1) q: an equivariant map ad -> the module moved by q
+        q = invertible(data)
+        target = [q.mul(a).mul(invert(q)) for a in ad.action]
+        matrix = [q]
+        if broken:
+            if data.draw(st.booleans()):
+                matrix = perturbed(data, matrix, 0)
+            else:
+                target = perturbed(data, target, data.draw(st.integers(0, 2)))
+        f = ModuleMap(ad, LieModule(g, 3, target), matrix[0])
+        assert f.is_equivariant() == reference_is_equivariant(f)
+        if not broken:
+            assert f.is_equivariant()
+
+    prop()
+
+
+def test_is_equivariant_rejects_a_shape_mismatch():
+    ad = adjoint_module(sl2())
+    for matrix in (Matrix.identity(2), Matrix.zeros(3, 2), Matrix.zeros(2, 3)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ModuleMap(ad, ad, matrix).is_equivariant()
