@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .lie import (
@@ -32,7 +31,7 @@ from .lie import (
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Matrix, Q, _add_term, _int_row, solve
+from .linalg import Matrix, Q, _add_term, _common_scale, _int_rows, solve
 
 
 class NotACocycleError(ValueError):
@@ -56,63 +55,55 @@ class Cochain:
                 out[t * dm + m] = v
         return out
 
-    def hom_value(self, z: int, target_dim: int, source_dim: int) -> Matrix:
-        """The value at the z-th basis element of a 1-cochain with values in
-        a hom module, as a (target x source) matrix."""
-        out = Matrix.zeros(target_dim, source_dim)
-        for idx, row in enumerate(self.values.data):
-            if z in row:
-                out.data[idx // source_dim][idx % source_dim] = row[z]
-        return out
 
-
-def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> Matrix:
-    """Matrix of d: C^p(h, M) -> C^{p+1}(h, M) in the flat bases
-    (tuple index major, module index minor)."""
+def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> tuple:
+    """d: C^p(h, M) -> C^{p+1}(h, M) in the flat bases (tuple index major,
+    module index minor), as int rows over the scale of M times that of h's table."""
     if p < 0:
         raise ValueError("negative cochain degree")
-    src = ext_monomials(h.dim, p)
+    table, tscale = h.int_table()
+    src_index = {t: i for i, t in enumerate(ext_monomials(h.dim, p))}
     dst = ext_monomials(h.dim, p + 1)
-    src_index = {t: i for i, t in enumerate(src)}
     dm = module.dim
-    d = Matrix.zeros(len(dst) * dm, len(src) * dm)
-
-    def add_block(trow: int, scol: int, block: Matrix, sign: Fraction) -> None:
-        for i, row in enumerate(block.data):
-            target = d.data[trow * dm + i]
-            for j, v in row.items():
-                _add_term(target, scol * dm + j, sign * v)
-
+    d = [dict() for _ in range(len(dst) * dm)]
     for tidx, tup in enumerate(dst):
+        rows = d[tidx * dm:(tidx + 1) * dm]
         for i in range(p + 1):
-            rest = tup[:i] + tup[i + 1:]
-            add_block(tidx, src_index[rest], module.action[tup[i]], Q((-1) ** i))
+            base = src_index[tup[:i] + tup[i + 1:]] * dm
+            sign = -tscale if i % 2 else tscale
+            for target, row in zip(rows, module.mats[tup[i]]):
+                for j, v in row.items():
+                    _add_term(target, base + j, sign * v)
         for i, j in itertools.combinations(range(p + 1), 2):
             rest = tuple(x for k, x in enumerate(tup) if k not in (i, j))
-            for c, coeff in h.table[tup[i]][tup[j]].items():
+            for c, coeff in table[tup[i]][tup[j]].items():
                 sorted_sign = sort_with_sign((c,) + rest)
                 if sorted_sign is None:
                     continue
                 mono, sgn = sorted_sign
-                sign = Q((-1) ** (i + j)) * coeff * sgn
-                add_block(tidx, src_index[mono], Matrix.identity(dm), sign)
-    return d
+                sign = (-1) ** (i + j) * coeff * sgn * module.scale
+                base = src_index[mono] * dm
+                for m, target in enumerate(rows):
+                    _add_term(target, base + m, sign)
+    return d, module.scale * tscale
 
 
-def _hom_cochain(coeff: LieModule, phis: list) -> Cochain:
+def _hom_cochain(coeff: LieModule, phis: list, cols: int) -> Cochain:
     """The 1-cochain z -> phis[z] with values in the hom module ``coeff``,
-    each value a (target x source) matrix flattened at i * source + j."""
+    each value given by its rows (target x ``cols``) and flattened at i * cols + j."""
     values = Matrix.zeros(coeff.dim, len(phis))
     for z, phi in enumerate(phis):
-        for i, row in enumerate(phi.data):
+        for i, row in enumerate(phi):
             for j, v in row.items():
-                values.data[i * phi.cols + j][z] = v
+                values.data[i * cols + j][z] = v
     return Cochain(1, coeff, values)
 
 
 def _closed(h: LieAlgebra, cochain: Cochain, error: Exception) -> Cochain:
     """``cochain``, after raising ``error`` if its differential is nonzero."""
-    if ce_differential(h, cochain.module, cochain.degree).apply(cochain.vec()):
+    d, _ = ce_differential(h, cochain.module, cochain.degree)
+    (vec,), _ = _int_rows((cochain.vec(),))
+    if any(sum(v * vec[c] for c, v in row.items() if c in vec) for row in d):
         raise error
     return cochain
 
@@ -131,8 +122,8 @@ def connecting_cocycle(pair: InclusionPair) -> Cochain:
     for a in range(dh):
         # sigma(a.x) cancels the n-part of [i(a), sigma_r], leaving minus the h-part
         cols = [{b: -v for b, v in _h_part(pair, a, r).items()} for r in range(dn)]
-        phis.append(Matrix(dn, dh, cols).transpose())
-    c = _hom_cochain(coeff, phis)
+        phis.append(Matrix(dn, dh, cols).transpose().data)
+    c = _hom_cochain(coeff, phis, dn)
     return _closed(pair.h, c, AssertionError("connecting cochain failed the cocycle identity"))
 
 
@@ -140,24 +131,31 @@ def alpha_cocycle(pair: InclusionPair, module: LieModule) -> Cochain:
     """Obstruction cocycle a in C^1(h, Hom(n (x) E, E)): a(z)(x (x) v) = c(z)(x).v."""
     c = connecting_cocycle(pair)
     coeff = hom_module(tensor_module(quotient_module(pair), module), module)
+    dn, dh, de = pair.dim_n, pair.dim_h, module.dim
     phis = []
-    for z in range(pair.dim_h):
-        phi = Matrix.zeros(module.dim, 0)
-        for hvec in c.hom_value(z, pair.dim_h, pair.dim_n).transpose().data:  # c(z)(n_r) in h
-            phi = phi.hstack(module.act_vec(hvec))
+    for z in range(dh):
+        # c(z)(n_r) in h sits at rows b * dn + r of the values' column z
+        hvecs, scale = _int_rows([{b: c.values.data[b * dn + r].get(z, 0) for b in range(dh)} for r in range(dn)])
+        scale *= module.scale
+        phi = [{} for _ in range(de)]
+        for r, hvec in enumerate(hvecs):
+            for i, row in enumerate(module.act_vec(hvec)):
+                phi[i].update((r * de + j, Q(v, scale)) for j, v in row.items())
         phis.append(phi)
-    a = _hom_cochain(coeff, phis)
+    a = _hom_cochain(coeff, phis, dn * de)
     return _closed(pair.h, a, AssertionError("obstruction cochain failed the cocycle identity"))
 
 
 def _primitive(h: LieAlgebra, cocycle: Cochain) -> Optional[Cochain]:
-    """A 0-cochain b with d(b) = ``cocycle``, or None."""
+    """A 0-cochain b with d(b) = ``cocycle``, or None: (d / s) b = v / s_v solved as s_v d b = s v."""
     coeff = cocycle.module
-    d = ce_differential(h, coeff, 0)
-    rows = [dict(r) for r in d.data]
-    for i, v in cocycle.vec().items():
-        rows[i][d.cols] = v
-    sol = solve(rows, d.cols)
+    d, scale = ce_differential(h, coeff, 0)
+    (vec,), vscale = _int_rows((cocycle.vec(),))
+    bcol = coeff.dim
+    rows = d if vscale == 1 else [{c: vscale * v for c, v in r.items()} for r in d]
+    for i, v in vec.items():
+        rows[i][bcol] = scale * v
+    sol = solve(rows, bcol)
     if sol is None:
         return None
     b = Matrix.zeros(coeff.dim, 1)
@@ -237,7 +235,7 @@ class ExtensionDatum:
             if self.rho[dn + a] != e.action[a]:
                 return False
             for u in range(pair.g.dim):
-                combo, cscale = _int_row(pair.bracket_letters(dn + a, u))
+                (combo,), cscale = _int_rows((pair.bracket_letters(dn + a, u),))
                 if not bracket_law_holds(mats, scale, dn + a, u, combo, cscale):
                     return False
         return True
@@ -249,7 +247,7 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
     Unknowns are the matrices B_r = rho(sigma(n_r)); the h-letters act by the
     given module action.  One solution is returned (free variables zeroed);
     the choice is not unique and downstream splittings record which datum
-    they used.
+    they used.  Each equation is built in ints, times s s_E for [i(a), sigma_r] over s.
     """
     dn, dh, de = pair.dim_n, pair.dim_h, module.dim
     nunk = dn * de * de
@@ -259,20 +257,23 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
 
     rows = []
     for a in range(dh):
-        act = module.action[a]
+        act = module.mats[a]
+        act_cols = module.int_matrix(a).transpose().data
         for r in range(dn):
-            const = module.act_vec(_h_part(pair, a, r))
-            npart = {w: v for w, v in pair.bracket_letters(dn + a, r).items() if w < dn}
+            (bracket,), scale = _int_rows((pair.bracket_letters(dn + a, r),))
+            npart = {w: module.scale * v for w, v in bracket.items() if w < dn}
+            const = module.act_vec({w - dn: v for w, v in bracket.items() if w >= dn})
             for i in range(de):
                 for j in range(de):
                     row: dict = {}
                     for s, c in npart.items():
                         _add_term(row, unk(s, i, j), c)
-                    for k in range(de):
-                        _add_term(row, unk(r, k, j), -act.entry(i, k))
-                        _add_term(row, unk(r, i, k), act.entry(k, j))
-                    if const.entry(i, j):
-                        row[nunk] = -const.entry(i, j)
+                    for k, v in act[i].items():
+                        _add_term(row, unk(r, k, j), -scale * v)
+                    for k, v in act_cols[j].items():
+                        _add_term(row, unk(r, i, k), scale * v)
+                    if j in const[i]:
+                        row[nunk] = -const[i][j]
                     rows.append(row)
     sol = solve(rows, nunk)
     if sol is None:
@@ -309,22 +310,25 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
     h-action.  Each relation trades the coordinate i(a) (x) v for a.v in E,
     so E + n (x) E is a basis of Q and each action is the block matrix
     [[act_E(a), C_a], [0, act_{n (x) E}(a)]], column (r, v) of C_a being the
-    h-part of [i(a), sigma_r] acting on v.
+    h-part of [i(a), sigma_r] acting on v (all in ints; each relation times s_E).
     """
     e = module
     de, dn = e.dim, pair.dim_n
     ne = tensor_module(quotient_module(pair), e)
     qdim = de + ne.dim
+    hparts, hscale = _int_rows([_h_part(pair, a, r) for a in range(pair.dim_h) for r in range(dn)])
+    common, (fe, fne) = _common_scale(e.scale, ne.scale)
     q_action = []
     relations = []
     for a in range(pair.dim_h):
-        rows = [dict(r) for r in e.action[a].data] + [{de + j: v for j, v in r.items()} for r in ne.action[a].data]
-        for r in range(dn):
-            for i, row in enumerate(e.act_vec(_h_part(pair, a, r)).data):
-                rows[i].update((de + r * de + m, v) for m, v in row.items())
-        q_action.append(Matrix(qdim, qdim, rows))
+        rows = [{c: hscale * fe * v for c, v in r.items()} for r in e.mats[a]]
+        rows += [{de + j: hscale * fne * v for j, v in r.items()} for r in ne.mats[a]]
+        for r, hvec in enumerate(hparts[a * dn:(a + 1) * dn]):
+            for i, row in enumerate(e.act_vec(hvec)):
+                rows[i].update((de + r * de + m, fe * v) for m, v in row.items())
+        q_action.append(rows)
         for m in range(de):
-            rel = e.action[a].apply({m: Q(1)})
-            rel[de + (dn + a) * de + m] = Q(-1)
+            rel = {i: row[m] for i, row in enumerate(e.mats[a]) if m in row}
+            rel[de + (dn + a) * de + m] = -e.scale
             relations.append(rel)
-    return PushoutData(LieModule(pair.h, qdim, q_action), tuple(range(qdim)), relations)
+    return PushoutData(LieModule.from_ints(pair.h, qdim, q_action, hscale * common), tuple(range(qdim)), relations)

@@ -38,10 +38,9 @@ from .lie import (
     sym_monomials,
     sym_power_module,
     tensor_module,
-    tensor_power_module,
     trivial_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, solve
+from .linalg import Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _same_values, solve
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -167,13 +166,21 @@ def _coproduct(pair: InclusionPair, word: Word) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _compose_h_tail(coeff: LieModule, htail: Word, dn: int) -> Matrix:
+def _compose_h_tail(coeff: LieModule, htail: Word, dn: int) -> list:
     """Action of an h-letter tail on the coefficient module (leftmost letter
-    outermost)."""
-    out = Matrix.identity(coeff.dim)
+    outermost), as int rows over coeff.scale^len(htail)."""
+    out = [{i: 1} for i in range(coeff.dim)]
     for letter in reversed(htail):
-        out = coeff.action[letter - dn].mul(out)
+        out = _int_mul(coeff.mats[letter - dn], out)
     return out
+
+
+def _quotient_power(pair: InclusionPair, k: int) -> LieModule:
+    """The h-module n^{(x)k}, each power built once per pair from the one below."""
+    powers = pair._caches.setdefault("quotient_powers", [trivial_module(pair.h), quotient_module(pair)])
+    while len(powers) <= k:
+        powers.append(tensor_module(powers[-1], powers[1]))
+    return powers[k]
 
 
 class FilteredModule:
@@ -181,7 +188,8 @@ class FilteredModule:
 
     The basis at level k consists of the normal-form words of degree <= k
     paired with a coefficient-module basis vector; the degree-(k-1) basis is
-    a prefix, so inclusions are coordinate injections.
+    a prefix, so inclusions are coordinate injections.  Every level is a
+    slice of ``module``, the top level K.
     """
 
     def __init__(self, pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None):
@@ -206,23 +214,20 @@ class FilteredModule:
         self.words = words
         self.word_index = {w: i for i, w in enumerate(words)}
         self.vdim = vdim
-        self._n_mod = quotient_module(pair)
-        self.actions = [self._action_matrix(a) for a in range(pair.dim_h)]
+        scale = (_letter_ints(pair)[1] * self.coeff.scale) ** (K + 1)
+        mats = [self._action_matrix(a) for a in range(pair.dim_h)]
+        self.module = LieModule.from_ints(pair.h, len(words) * vdim, mats, scale)
         self._verify()
 
     # -- construction helpers ------------------------------------------------
 
-    def _action_matrix(self, a: int) -> Matrix:
-        """The action of h-letter a: each column sums its normal-form terms
-        in ints over (D * T)^len, D the letter scale and T the one clearing
-        the coefficient action, and writes one Fraction per entry."""
+    def _action_matrix(self, a: int) -> list:
+        """The action of h-letter a as int rows over (D * T)^(K + 1), D the letter scale and
+        T the coefficient module's: each column sums its normal-form terms over (D * T)^len."""
         pair = self.pair
         dn = pair.dim_n
-        vdim = self.vdim
-        T = math.lcm(*(v.denominator for m in self.coeff.action for row in m.data for v in row.values()))
-        D = _letter_ints(pair)[1]
-        full = len(self.words) * vdim
-        mat = Matrix.zeros(full, full)
+        vdim, T, D, top = self.vdim, self.coeff.scale, _letter_ints(pair)[1], self.K + 1
+        rows = [dict() for _ in range(len(self.words) * vdim)]
         tail_cache: dict = {}  # h-tail -> its action times T^len(h-tail), as int rows
         for wpos, w in enumerate(self.words):
             length = len(w) + 1
@@ -235,33 +240,29 @@ class FilteredModule:
                 if htail and self.trivial_coeff:
                     continue
                 if htail not in tail_cache:
-                    lift = T ** len(htail)
-                    tail = _compose_h_tail(self.coeff, htail, dn)
-                    tail_cache[htail] = [{v: (x * lift).numerator for v, x in row.items()} for row in tail.data]
+                    tail_cache[htail] = _compose_h_tail(self.coeff, htail, dn)
                 rowbase = self.word_index[nw] * vdim
                 c *= T ** (length - len(htail))
                 for i, row in enumerate(tail_cache[htail]):
                     for v, x in row.items():
                         col[rowbase + i, v] = col.get((rowbase + i, v), 0) + c * x
-            den = (D * T) ** length
+            lift = (D * T) ** (top - length)
             for (r, v), num in col.items():
                 if num:
-                    mat.data[r][wpos * vdim + v] = Q(num, den)
-        return mat
+                    rows[r][wpos * vdim + v] = num * lift
+        return rows
 
     def _verify(self) -> None:
         # bracket compatibility doubles as an empirical confluence check
-        mod = LieModule(self.pair.h, len(self.words) * self.vdim, self.actions)
-        bad = mod.compatibility_defects()
+        bad = self.module.compatibility_defects()
         if bad:
             raise RewritingInconsistencyError(
                 f"level actions violate bracket compatibility at h-basis pairs {bad}"
             )
         if self.trivial_coeff:
-            for act in self.actions:
-                if any(act.entry(0, j) for j in range(1, act.cols)) or any(
-                    act.entry(i, 0) for i in range(act.rows)
-                ):
+            # the constant word spans row 0 and column 0; nothing enters or leaves it
+            for rows in self.module.mats:
+                if any(row and (i == 0 or 0 in row) for i, row in enumerate(rows)):
                     raise RewritingInconsistencyError("constant line is not a direct summand")
 
     # -- level access ---------------------------------------------------------
@@ -271,8 +272,8 @@ class FilteredModule:
 
     def _slice(self, lo: int, hi: int) -> LieModule:
         """The h-action on the basis vectors lo..hi-1."""
-        idx = range(lo, hi)
-        return LieModule(self.pair.h, hi - lo, [m.take(idx, idx) for m in self.actions])
+        mats = [[{c - lo: v for c, v in row.items() if lo <= c < hi} for row in m[lo:hi]] for m in self.module.mats]
+        return LieModule.from_ints(self.pair.h, hi - lo, mats, self.module.scale)
 
     def level_module(self, k: int) -> LieModule:
         return self._slice(0, self.dim(k))
@@ -283,11 +284,7 @@ class FilteredModule:
         return self._slice(1, self.dim(k))
 
     def gr_target(self, k: int) -> LieModule:
-        power = (
-            tensor_power_module(self._n_mod, k)
-            if self.side == "F"
-            else sym_power_module(self._n_mod, k)
-        )
+        power = _quotient_power(self.pair, k) if self.side == "F" else sym_power_module(quotient_module(self.pair), k)
         if self.trivial_coeff:
             return power
         return tensor_module(power, self.coeff)
@@ -327,13 +324,14 @@ class ShortExactSequence:
         nsub, nmid = self.sub.dim, self.mid.dim
         if nsub + self.quot.dim != nmid:
             raise ValueError("sequence is not exact")
-        top, bottom = range(nsub), range(nsub, nmid)
-        for act, act_sub, act_quot in zip(self.mid.action, self.sub.action, self.quot.action):
-            if act.take(top, top) != act_sub:
+        ss, sm, sq = self.sub.scale, self.mid.scale, self.quot.scale
+        for act, act_sub, act_quot in zip(self.mid.mats, self.sub.mats, self.quot.mats):
+            top, bottom = act[:nsub], act[nsub:]
+            if not all(_same_values({c: v for c, v in r.items() if c < nsub}, sm, s, ss) for r, s in zip(top, act_sub)):
                 raise ValueError("inclusion is not equivariant")
-            if not act.take(bottom, top).is_zero():
+            if any(c < nsub for r in bottom for c in r):
                 raise ValueError("submodule is not stable")
-            if act.take(bottom, bottom) != act_quot:
+            if not all(_same_values({c - nsub: v for c, v in r.items()}, sm, q, sq) for r, q in zip(bottom, act_quot)):
                 raise ValueError("projection is not equivariant")
 
 
@@ -364,32 +362,27 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     """
     seq.validate()
     nsub, nquot = seq.sub.dim, seq.quot.dim
-    top, bottom = range(nsub), range(nsub, seq.mid.dim)
     bcol = nsub * nquot
+    # every row times the common scale of the three int forms
+    _, (fs, fq, fm) = _common_scale(seq.sub.scale, seq.quot.scale, seq.mid.scale)
 
     def rows():
-        # each a's rows scaled by one common denominator so they are built in ints
         for a in range(seq.sub.algebra.dim):
-            mats = (seq.sub.action[a], seq.quot.action[a].transpose(), seq.mid.action[a].take(top, bottom))
-            scale = math.lcm(*(v.denominator for m in mats for r in m.data for v in r.values()))
-            act_s, act_q_cols, d = (
-                [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in m.data]
-                for m in mats
-            )
+            act_s, act_q_cols = seq.sub.mats[a], seq.quot.int_matrix(a).transpose().data
             for i in range(nsub):
-                arow, drow = act_s[i], d[i]
+                arow, drow = act_s[i], seq.mid.mats[a][i]
                 for j in range(nquot):
-                    row = {k2 * nquot + j: v for k2, v in arow.items()}
+                    row = {k2 * nquot + j: fs * v for k2, v in arow.items()}
                     for k2, v in act_q_cols[j].items():
                         c = i * nquot + k2
-                        w = row.get(c, 0) - v
+                        w = row.get(c, 0) - fq * v
                         if w:
                             row[c] = w
                         else:
                             row.pop(c, None)
-                    rhs = drow.get(j)
+                    rhs = drow.get(nsub + j)
                     if rhs:
-                        row[bcol] = -rhs
+                        row[bcol] = -fm * rhs
                     yield row
 
     # a toral element's rows hold one unknown and the right-hand side, so
@@ -397,7 +390,7 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     sol = solve(rows(), bcol)
     if sol is None:
         return None
-    s = Matrix(seq.mid.dim, nquot, [{} for _ in top] + Matrix.identity(nquot).data)
+    s = Matrix(seq.mid.dim, nquot, [{} for _ in range(nsub)] + Matrix.identity(nquot).data)
     for c, v in sol.items():
         s.data[c // nquot][c % nquot] = v
     if not ModuleMap(seq.quot, seq.mid, s).is_equivariant():
@@ -518,8 +511,7 @@ def splitting_s(
     if filt is None or filt.side != "F" or filt.K < k:
         filt = build_filtration(pair, "F", max(k, 1))
     dn = pair.dim_n
-    n_mod = quotient_module(pair)
-    source = tensor_power_module(n_mod, k)
+    source = _quotient_power(pair, k)
     # the chain keeps N = k, so the word w's entry sits over T^(k - len(w))
     scales = [rho.int_rho[1] ** (k - length) for length in range(k + 1)]
     cols = []
@@ -650,7 +642,7 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
     equivariant = ModuleMap(data.module, red2, psi).is_equivariant()
     bijective = psi.rank() == red2.dim == data.module.dim
 
-    q_seq = ShortExactSequence(n_mod, data.module, tensor_module(n_mod, n_mod))
+    q_seq = ShortExactSequence(n_mod, data.module, _quotient_power(pair, 2))
     f_seq = level_sequence(filt, 2, reduced=True)
     q_splits = oracle_splits(pair, q_seq)
     f2_splits = oracle_splits(pair, f_seq)
@@ -723,7 +715,8 @@ def dimension_identity_check(
         cores[(x, y)] = [((x, y), Q(1)), ((y, x), Q(-1))] + [
             ((u,), c) for u, c in pair.bracket_letters(x, y).items()
         ]
-    act = coeff.action if coeff is not None else None
+    # the coefficient relations w a (x) v - w (x) a.v, times the scale of a
+    act, scale = (coeff.mats, coeff.scale) if coeff is not None else (None, 1)
     # insert relations by their top degree so the echelon rank after stage k
     # is exactly the rank of the degree <= k relation span
     span = Echelon(ambient)
@@ -743,9 +736,9 @@ def dimension_identity_check(
             for w in itertools.product(range(dg), repeat=k - 1):
                 for a in range(pair.dim_h):
                     for v in range(vdim):
-                        vec = {index[w + (dn + a,)] * vdim + v: Q(1)}
+                        vec = {index[w + (dn + a,)] * vdim + v: scale}
                         if act is not None:
-                            for i, row in enumerate(act[a].data):
+                            for i, row in enumerate(act[a]):
                                 if v in row:
                                     _add_term(vec, index[w] * vdim + i, -row[v])
                         span.insert(vec)

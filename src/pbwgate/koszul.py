@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Optional
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, subspace_intersection
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _integral, subspace_intersection
 
 Vec = dict
 
@@ -160,11 +160,6 @@ def _relation_span(qd: QuadraticData, d: int, positions, span: Optional[Echelon]
 # ---------------------------------------------------------------------------
 # Koszul complex slices
 # ---------------------------------------------------------------------------
-
-
-def _integral(vec: dict) -> dict:
-    """The same vector with every integral value as an int."""
-    return {c: v.numerator if v.denominator == 1 else v for c, v in vec.items()}
 
 
 class _QaDegrees:

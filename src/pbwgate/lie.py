@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _int_mul, _int_row, _int_rows, combination, qf, tensor_map
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _int_rows
+from .linalg import _lowest_terms, _same_values, combination, qf, tensor_map
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -36,13 +38,11 @@ def _vec(entries) -> Vec:
 
 
 def _int_table(table) -> tuple:
-    """The structure table over one common denominator: (integer table,
-    scale) with table[i][j] = integer table[i][j] / scale."""
-    scale = math.lcm(*(v.denominator for row in table for vec in row for v in vec.values()))
-    ints = tuple(
-        tuple({k: v.numerator * (scale // v.denominator) for k, v in vec.items()} for vec in row) for row in table
-    )
-    return ints, scale
+    """A square table of sparse vectors over one common denominator:
+    (integer table, scale) with table[i][j] = integer table[i][j] / scale."""
+    n = len(table)
+    ints, scale = _int_rows([vec for row in table for vec in row])
+    return tuple(tuple(ints[i * n:(i + 1) * n]) for i in range(n)), scale
 
 
 class LieAlgebra:
@@ -83,8 +83,8 @@ class LieAlgebra:
         """[x, y], accumulated in ints over the integer structure table and
         divided once per output entry."""
         table, scale = self.int_table()
-        xr, xs = _int_row(x)
-        yr, ys = _int_row(y)
+        (xr,), xs = _int_rows((x,))
+        (yr,), ys = _int_rows((y,))
         acc: dict = {}
         for i, xi in xr.items():
             row = table[i]
@@ -144,39 +144,51 @@ def validate_lie(alg: LieAlgebra) -> LieValidation:
 
 
 class LieModule:
-    """Finite-dimensional module: one action matrix per basis element of the
-    acting Lie algebra."""
+    """Finite-dimensional module, held once as its int form: ``mats[a]`` is
+    the action of basis element a as int rows over the one ``scale`` of all
+    a, in lowest terms, so that equal actions have equal forms."""
 
     def __init__(self, algebra: LieAlgebra, dim: int, action: Sequence[Matrix]):
+        """The module acting by the matrices ``action``, cleared once."""
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per acting basis element")
         for m in action:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("action matrix shape mismatch")
-        self.algebra = algebra
-        self.dim = dim
-        self.action = tuple(action)
+        rows, self.scale = _int_rows([r for m in action for r in m.data])
+        self.algebra, self.dim, self.mats = algebra, dim, tuple(rows[a * dim:(a + 1) * dim] for a in range(algebra.dim))
 
-    def act_vec(self, x: Vec) -> Matrix:
-        """The action of the algebra vector ``x``."""
-        return combination(self.action, x, self.dim)
+    @classmethod
+    def from_ints(cls, algebra: LieAlgebra, dim: int, mats: Sequence[list], scale: int) -> "LieModule":
+        """The module acting by mats[a] / scale (int rows, not copied), in lowest terms."""
+        out = cls.__new__(cls)
+        rows, out.scale = _lowest_terms([r for m in mats for r in m], scale)
+        out.algebra, out.dim, out.mats = algebra, dim, tuple(rows[a * dim:(a + 1) * dim] for a in range(algebra.dim))
+        return out
+
+    @cached_property
+    def action(self) -> tuple:
+        """The action matrices in Fractions, derived from the int form on first read."""
+        s = self.scale
+        return tuple(Matrix(self.dim, self.dim, [{c: Q(v, s) for c, v in r.items()} for r in m]) for m in self.mats)
+
+    def int_matrix(self, a: int) -> Matrix:
+        return Matrix(self.dim, self.dim, self.mats[a])
+
+    def act_vec(self, x: Vec) -> list:
+        """The action of ``x`` (int coefficients) as int rows over ``scale``."""
+        return combination([self.int_matrix(a) for a in range(self.algebra.dim)], x, self.dim).data
 
     def compatibility_defects(self) -> list:
         """Pairs (i, j) where action([x_i,x_j]) != [action(x_i), action(x_j)],
         each tested in ints by ``bracket_law_holds``."""
         table, tscale = self.algebra.int_table()
-        mats, scale = int_matrices(self.action)
-        dim = self.algebra.dim
-        return [
-            (i, j)
-            for i in range(dim)
-            for j in range(i + 1, dim)
-            if not bracket_law_holds(mats, scale, i, j, table[i][j], tscale)
-        ]
+        pairs = itertools.combinations(range(self.algebra.dim), 2)
+        return [(i, j) for i, j in pairs if not bracket_law_holds(self.mats, self.scale, i, j, table[i][j], tscale)]
 
     def key(self) -> tuple:
-        """The dimension and action matrices as a hashable value."""
-        return (self.dim,) + tuple(m.key() for m in self.action)
+        """The int form as a hashable value: equal keys exactly for equal actions."""
+        return (self.dim, self.scale) + tuple(tuple(tuple(sorted(r.items())) for r in m) for m in self.mats)
 
     def __repr__(self) -> str:
         return f"LieModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -192,17 +204,15 @@ class ModuleMap:
 
     def is_equivariant(self) -> bool:
         """Whether M A_i = B_i M for every i, A and B the source and target
-        actions: in ints, s_B (M A_i) == s_A (B_i M) row by row, with A_i,
-        B_i and M cleared over their own scales (M's cancels)."""
+        actions: in ints, (M A_i) / s_A == (B_i M) / s_B row by row."""
         m = self.matrix
         if m.rows != self.target.dim or m.cols != self.source.dim:
             raise ValueError("shape mismatch in product")
         mi, _ = _int_rows(m.data)
-        for i in range(self.source.algebra.dim):
-            a, sa = _int_rows(self.source.action[i].data)
-            b, sb = _int_rows(self.target.action[i].data)
+        sa, sb = self.source.scale, self.target.scale
+        for a, b in zip(self.source.mats, self.target.mats):
             for x, y in zip(_int_mul(mi, a), _int_mul(b, mi)):
-                if x.keys() != y.keys() or any(sb * v != sa * y[c] for c, v in x.items()):
+                if not _same_values(x, sa, y, sb):
                     return False
         return True
 
@@ -341,14 +351,18 @@ def make_pair(g: LieAlgebra, h_embedding, complement: Optional[Sequence[int]] = 
 
 
 def quotient_module(pair: InclusionPair) -> LieModule:
-    """The h-module n on the complement coordinates: a . x = proj [i(a), sigma(x)]."""
-    dn = pair.dim_n
-    action = []
-    for a in range(pair.dim_h):
-        # column r is the n-part of [i(a), sigma_r]
-        cols = [{s: v for s, v in pair.bracket_letters(dn + a, r).items() if s < dn} for r in range(dn)]
-        action.append(Matrix(dn, dn, cols).transpose())
-    return LieModule(pair.h, dn, action)
+    """The h-module n on the complement coordinates: a . x = proj [i(a), sigma(x)];
+    built once per pair."""
+    cache = pair._caches
+    if "quotient_module" not in cache:
+        dn = pair.dim_n
+        action = []
+        for a in range(pair.dim_h):
+            # column r is the n-part of [i(a), sigma_r]
+            cols = [{s: v for s, v in pair.bracket_letters(dn + a, r).items() if s < dn} for r in range(dn)]
+            action.append(Matrix(dn, dn, cols).transpose())
+        cache["quotient_module"] = LieModule(pair.h, dn, action)
+    return cache["quotient_module"]
 
 
 def adjoint_module(alg: LieAlgebra) -> LieModule:
@@ -357,40 +371,31 @@ def adjoint_module(alg: LieAlgebra) -> LieModule:
 
 
 def trivial_module(alg: LieAlgebra, dim: int = 1) -> LieModule:
-    return LieModule(alg, dim, [Matrix.zeros(dim, dim) for _ in range(alg.dim)])
+    return LieModule.from_ints(alg, dim, [[{} for _ in range(dim)] for _ in range(alg.dim)], 1)
+
+
+def _lifts(m: LieModule, n: LieModule) -> tuple:
+    """(S, S/s_N times the identity of M, S/s_M times that of N), S the common scale."""
+    if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
+        raise ValueError("modules over different algebras")
+    scale, (fm, fn) = _common_scale(m.scale, n.scale)
+    return scale, *(Matrix(d, d, [{i: f} for i in range(d)]) for d, f in ((m.dim, fn), (n.dim, fm)))
 
 
 def tensor_module(m: LieModule, n: LieModule) -> LieModule:
-    """Leibniz action on M (x) N; basis index = i_M * dim_N + i_N."""
-    if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
-        raise ValueError("modules over different algebras")
-    idm = Matrix.identity(m.dim)
-    idn = Matrix.identity(n.dim)
-    action = [tensor_map(m.action[i], idn) + tensor_map(idm, n.action[i]) for i in range(m.algebra.dim)]
-    return LieModule(m.algebra, m.dim * n.dim, action)
-
-
-def tensor_power_module(m: LieModule, k: int) -> LieModule:
-    if k == 0:
-        zero = [Matrix.zeros(1, 1) for _ in range(m.algebra.dim)]
-        return LieModule(m.algebra, 1, zero)
-    out = m
-    for _ in range(k - 1):
-        out = tensor_module(out, m)
-    return out
+    """Leibniz action on M (x) N; basis index = i_M * dim_N + i_N, in ints."""
+    scale, idm, idn = _lifts(m, n)
+    mats = [(tensor_map(m.int_matrix(a), idn) + tensor_map(idm, n.int_matrix(a))).data for a in range(m.algebra.dim)]
+    return LieModule.from_ints(m.algebra, m.dim * n.dim, mats, scale)
 
 
 def hom_module(m: LieModule, n: LieModule) -> LieModule:
-    """Hom(M, N) with (x . f) = act_N(x) f - f act_M(x); basis E_{ij} at i*dimM + j."""
-    if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
-        raise ValueError("modules over different algebras")
-    idm = Matrix.identity(m.dim)
-    idn = Matrix.identity(n.dim)
-    action = [
-        tensor_map(n.action[i], idm) - tensor_map(idn, m.action[i].transpose())
-        for i in range(m.algebra.dim)
+    """Hom(M, N) with (x . f) = act_N(x) f - f act_M(x); basis E_{ij} at i*dimM + j, in ints."""
+    scale, idm, idn = _lifts(m, n)
+    mats = [
+        (tensor_map(n.int_matrix(a), idm) - tensor_map(idn, m.int_matrix(a).transpose())).data for a in range(m.algebra.dim)
     ]
-    return LieModule(m.algebra, m.dim * n.dim, action)
+    return LieModule.from_ints(m.algebra, m.dim * n.dim, mats, scale)
 
 
 def sym_monomials(dim: int, k: int) -> list:
@@ -424,20 +429,18 @@ def sort_with_sign(tup) -> Optional[tuple]:
 
 
 def sym_power_module(m: LieModule, k: int) -> LieModule:
-    """Symmetric power with derivation action on the sorted monomial basis."""
+    """Symmetric power with derivation action on the sorted monomial basis, in ints."""
     monos = sym_monomials(m.dim, k)
     index = {mono: i for i, mono in enumerate(monos)}
     dim = len(monos)
-    action = []
+    mats = []
     for a in range(m.algebra.dim):
-        act = m.action[a]
+        cols = m.int_matrix(a).transpose().data
         data = [dict() for _ in range(dim)]
         for cidx, mono in enumerate(monos):
             for pos in range(len(mono)):
-                for i in range(m.dim):
-                    c = act.entry(i, mono[pos])
-                    if c:
-                        new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
-                        _add_term(data[index[new]], cidx, c)
-        action.append(Matrix(dim, dim, data))
-    return LieModule(m.algebra, dim, action)
+                for i, c in cols[mono[pos]].items():
+                    new = tuple(sorted(mono[:pos] + (i,) + mono[pos + 1:]))
+                    _add_term(data[index[new]], cidx, c)
+        mats.append(data)
+    return LieModule.from_ints(m.algebra, dim, mats, m.scale)

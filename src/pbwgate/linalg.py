@@ -63,8 +63,11 @@ def _axpy(dst: Row, coeff: Fraction, src: Row) -> None:
             dst.pop(c, None)
 
 
+_ZERO = Q(0)  # the absent entry, shared
+
+
 class Matrix:
-    """Immutable-by-convention sparse matrix over the rationals."""
+    """Immutable-by-convention sparse matrix over the rationals (or ints, as a module's int form)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -104,18 +107,13 @@ class Matrix:
     # -- inspection --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i].get(j, Q(0))
+        return self.data[i].get(j, _ZERO)
 
     def is_zero(self) -> bool:
         return all(not r for r in self.data)
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.data)
-
-    def key(self) -> tuple:
-        """The shape and nonzero entries as a hashable value: equal keys
-        exactly for equal matrices."""
-        return (self.rows, self.cols, tuple(tuple(sorted((j, v) for j, v in r.items() if v)) for r in self.data))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -192,17 +190,6 @@ class Matrix:
                 out[i] = s
         return out
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        data = []
-        for i in range(self.rows):
-            r = dict(self.data[i])
-            for c, v in other.data[i].items():
-                r[c + self.cols] = v
-            data.append(r)
-        return Matrix(self.rows, self.cols + other.cols, data)
-
     def take(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         colmap = {c: k for k, c in enumerate(col_idx)}
         data = []
@@ -227,28 +214,43 @@ def combination(mats: Sequence[Matrix], coeffs: Row, dim: int) -> Matrix:
     return Matrix(dim, dim, data)
 
 
-def _int_row(vec: Row):
-    """Clear denominators: return (integer row, positive scale) with
-    true value = row / scale, zeros dropped.  Entries are ints or Fractions;
-    a row of ints comes back unscaled."""
-    scale = 1
-    for v in vec.values():
-        d = v.denominator
-        if d != 1:
-            scale = math.lcm(scale, d)
-    if scale == 1:
-        return {c: v.numerator for c, v in vec.items() if v}, 1
-    return {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}, scale
-
-
 def _int_rows(rows: Sequence[Row]) -> tuple:
-    """Clear a list of sparse rows (a matrix's ``data``) to one scale:
-    (int rows, positive scale) with row i = int rows[i] / scale, zeros
-    dropped.  Entries are ints or Fractions."""
-    scale = math.lcm(*(v.denominator for r in rows for v in r.values()))
+    """The one clearing helper: sparse rows of ints or Fractions as (int rows,
+    scale), row i = int rows[i] / scale, zeros dropped, scale the lcm of the denominators."""
+    scale = 1
+    for r in rows:
+        for v in r.values():
+            if v.denominator != 1:
+                scale = math.lcm(scale, v.denominator)
     if scale == 1:
         return [{c: v.numerator for c, v in r.items() if v} for r in rows], 1
     return [{c: v.numerator * (scale // v.denominator) for c, v in r.items() if v} for r in rows], scale
+
+
+def _lowest_terms(rows: Sequence[dict], scale: int) -> tuple:
+    """Int rows over a scale, divided by the gcd of the scale and every entry (lowest terms)."""
+    g = scale
+    for v in (v for r in rows for v in r.values()):
+        if g == 1:
+            return rows, scale
+        g = math.gcd(g, v)
+    return ([{c: v // g for c, v in r.items()} for r in rows], scale // g) if g > 1 else (rows, scale)
+
+
+def _common_scale(*scales: int) -> tuple:
+    """(S, [S // s for each scale s]): the lcm of positive scales and the lift onto it of each."""
+    common = math.lcm(*scales)
+    return common, [common // s for s in scales]
+
+
+def _same_values(x: dict, sx: int, y: dict, sy: int) -> bool:
+    """Whether the int rows x / sx and y / sy are equal (zeros dropped)."""
+    return x.keys() == y.keys() and all(sy * v == sx * y[c] for c, v in x.items())
+
+
+def _integral(vec: Row) -> Row:
+    """The same vector with every integral value as an int."""
+    return {c: v.numerator if v.denominator == 1 else v for c, v in vec.items()}
 
 
 def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:
@@ -344,7 +346,7 @@ class Echelon:
     def reduce(self, vec: Row) -> Row:
         if self._reduced:
             raise ValueError("reduce after back_reduce: the echelon is closed")
-        row, scale = _int_row(vec)
+        (row,), scale = _int_rows((vec,))
         row, scale = self._reduce_int(row, scale, strip=False)
         if scale == 1:
             return {c: Fraction(v) for c, v in row.items()}
@@ -354,7 +356,7 @@ class Echelon:
         """Add a vector to the row space; return its pivot column if rank grew."""
         if self._reduced:
             raise ValueError("insert after back_reduce: the echelon is closed")
-        row, _ = _int_row(vec)
+        (row,), _ = _int_rows((vec,))
         row = _strip_content(row)
         row, _ = self._reduce_int(row, 1, strip=True)
         if not row:

@@ -3,9 +3,19 @@ from fractions import Fraction as Q
 import pytest
 
 from pbwgate.catalog import catalog_get
-from pbwgate.cohomology import Cochain, NotACocycleError, alpha_cocycle, ce_differential, is_trivial, obstruction
-from pbwgate.lie import LieAlgebra, hom_module, make_pair, quotient_module, tensor_module
-from pbwgate.linalg import Matrix, solve, tensor_map
+import itertools
+
+from pbwgate.cohomology import (
+    Cochain,
+    NotACocycleError,
+    alpha_cocycle,
+    ce_differential,
+    connecting_cocycle,
+    is_trivial,
+    obstruction,
+)
+from pbwgate.lie import LieAlgebra, ext_monomials, hom_module, make_pair, quotient_module, sort_with_sign, tensor_module
+from pbwgate.linalg import Matrix, _add_term, combination, solve, tensor_map
 
 
 def sl2() -> LieAlgebra:
@@ -29,6 +39,124 @@ def heisenberg() -> LieAlgebra:
 def affine_line() -> LieAlgebra:
     # basis (x, y): [x,y] = y
     return LieAlgebra.from_pairs(2, [(0, 1, {1: 1})], labels=("x", "y"))
+
+
+def ce_matrix(h: LieAlgebra, module, p: int) -> Matrix:
+    """``ce_differential``'s int rows over their scale, as a Fraction Matrix."""
+    rows, scale = ce_differential(h, module, p)
+    cols = len(ext_monomials(h.dim, p)) * module.dim
+    return Matrix(len(rows), cols, [{c: Q(v, scale) for c, v in r.items()} for r in rows])
+
+
+def reference_ce_differential(h: LieAlgebra, module, p: int) -> Matrix:
+    """The Chevalley-Eilenberg differential C^p -> C^{p+1} in Fractions, from
+    the module's Fraction action and h's structure table: the reference for
+    the int rows of ``ce_differential``."""
+    src = ext_monomials(h.dim, p)
+    dst = ext_monomials(h.dim, p + 1)
+    src_index = {t: i for i, t in enumerate(src)}
+    dm = module.dim
+    d = Matrix.zeros(len(dst) * dm, len(src) * dm)
+
+    def add_block(trow, scol, block, sign):
+        for i, row in enumerate(block.data):
+            target = d.data[trow * dm + i]
+            for j, v in row.items():
+                _add_term(target, scol * dm + j, sign * v)
+
+    for tidx, tup in enumerate(dst):
+        for i in range(p + 1):
+            rest = tup[:i] + tup[i + 1:]
+            add_block(tidx, src_index[rest], module.action[tup[i]], Q((-1) ** i))
+        for i, j in itertools.combinations(range(p + 1), 2):
+            rest = tuple(x for k, x in enumerate(tup) if k not in (i, j))
+            for c, coeff in h.table[tup[i]][tup[j]].items():
+                sorted_sign = sort_with_sign((c,) + rest)
+                if sorted_sign is None:
+                    continue
+                mono, sgn = sorted_sign
+                add_block(tidx, src_index[mono], Matrix.identity(dm), Q((-1) ** (i + j)) * coeff * sgn)
+    return d
+
+
+def hom_value(cochain: Cochain, z: int, target_dim: int, source_dim: int) -> Matrix:
+    """The value at the z-th basis element of a 1-cochain with values in a
+    hom module, as a (target x source) matrix."""
+    out = Matrix.zeros(target_dim, source_dim)
+    for idx, row in enumerate(cochain.values.data):
+        if z in row:
+            out.data[idx // source_dim][idx % source_dim] = row[z]
+    return out
+
+
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """[a | b]: the columns of ``b`` after those of ``a``."""
+    assert a.rows == b.rows
+    return Matrix(a.rows, a.cols + b.cols, [{**r, **{c + a.cols: v for c, v in q.items()}} for r, q in zip(a.data, b.data)])
+
+
+def reference_alpha_values(pair, module) -> Matrix:
+    """The values of the obstruction cocycle in Fractions: column z holds
+    c(z)(n_r) acting on E, for each r side by side, flattened at i * cols + j."""
+    c = connecting_cocycle(pair)
+    cols = pair.dim_n * module.dim
+    values = Matrix.zeros(module.dim * cols, pair.dim_h)
+    for z in range(pair.dim_h):
+        phi = Matrix.zeros(module.dim, 0)
+        for hvec in hom_value(c, z, pair.dim_h, pair.dim_n).transpose().data:
+            phi = hstack(phi, combination(module.action, hvec, module.dim))
+        for i, row in enumerate(phi.data):
+            for j, v in row.items():
+                values.data[i * cols + j][z] = v
+    return values
+
+
+def reference_primitive(h: LieAlgebra, cocycle: Cochain):
+    """A 0-cochain b with d(b) = ``cocycle`` from the Fraction rows of
+    ``reference_ce_differential``, or None."""
+    d = reference_ce_differential(h, cocycle.module, 0)
+    sol = solve(*system(d, cocycle.vec()))
+    if sol is None:
+        return None
+    return Matrix(cocycle.module.dim, 1, [{0: sol[m]} if m in sol else {} for m in range(cocycle.module.dim)])
+
+
+def reference_extension_rho(pair, module):
+    """The unknown blocks B_r of ``find_extension``, solved from Fraction
+    rows: n-part of [i(a), sigma_r] on the B_s, [act_E(a), B_r], and the
+    h-part acting on E on the right; None when the system is inconsistent."""
+    dn, dh, de = pair.dim_n, pair.dim_h, module.dim
+    nunk = dn * de * de
+
+    def unk(r, i, j):
+        return (r * de + i) * de + j
+
+    rows = []
+    for a in range(dh):
+        act = module.action[a]
+        for r in range(dn):
+            bracket = pair.bracket_letters(dn + a, r)
+            const = combination(module.action, {w - dn: v for w, v in bracket.items() if w >= dn}, de)
+            for i in range(de):
+                for j in range(de):
+                    row = {}
+                    for s, c in bracket.items():
+                        if s < dn:
+                            _add_term(row, unk(s, i, j), c)
+                    for k in range(de):
+                        _add_term(row, unk(r, k, j), -act.entry(i, k))
+                        _add_term(row, unk(r, i, k), act.entry(k, j))
+                    if const.entry(i, j):
+                        row[nunk] = -const.entry(i, j)
+                    rows.append(row)
+    sol = solve(rows, nunk)
+    if sol is None:
+        return None
+    rho = [Matrix.zeros(de, de) for _ in range(dn)]
+    for c, v in sol.items():
+        r, ij = divmod(c, de * de)
+        rho[r].data[ij // de][ij % de] = v
+    return rho
 
 
 def system(a: Matrix, b: dict) -> tuple:
@@ -67,7 +195,7 @@ def alpha_difference(p1, p2) -> Cochain:
     dn = p1.dim_n
     transported = Matrix.zeros(a1.module.dim, p1.dim_h)
     for z in range(p1.dim_h):
-        phi1 = theta_inv.mul(a2.hom_value(z, dn, dn * dn)).mul(tensor_map(theta, theta))
+        phi1 = theta_inv.mul(hom_value(a2, z, dn, dn * dn)).mul(tensor_map(theta, theta))
         for i, row in enumerate(phi1.data):
             for j, v in row.items():
                 transported.data[i * dn * dn + j][z] = v
@@ -87,7 +215,7 @@ def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
     n_mod = quotient_module(pair)
     if cocycle is None:
         cocycle = obstruction(pair, n_mod).cocycle
-    elif ce_differential(pair.h, cocycle.module, 1).apply(cocycle.vec()):
+    elif ce_matrix(pair.h, cocycle.module, 1).apply(cocycle.vec()):
         raise NotACocycleError("cochain is not closed")
     dn = pair.dim_n
     anti = Matrix.zeros(dn * dn, dn * dn)
@@ -99,7 +227,7 @@ def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
     coeff = hom_module(tensor_module(n_mod, n_mod), n_mod)
     values = Matrix.zeros(coeff.dim, pair.dim_h)
     for z in range(pair.dim_h):
-        for i, row in enumerate(cocycle.hom_value(z, dn, dn * dn).mul(anti).data):
+        for i, row in enumerate(hom_value(cocycle, z, dn, dn * dn).mul(anti).data):
             for j, v in row.items():
                 values.data[i * dn * dn + j][z] = v
     return is_trivial(pair, n_mod, Cochain(1, coeff, values)) is not None
@@ -124,7 +252,7 @@ def reference_compatibility_defects(mod) -> list:
     alg = mod.algebra
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = mod.act_vec(alg.table[i][j])
+            lhs = combination(mod.action, alg.table[i][j], mod.dim)
             ij = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[i], mod.action[j]))
             ji = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[j], mod.action[i]))
             if lhs != ij - ji:

@@ -16,7 +16,6 @@ from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cli import main
 from pbwgate.cohomology import (
     alpha_cocycle,
-    ce_differential,
     connecting_cocycle,
     find_extension,
     is_trivial,
@@ -40,7 +39,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix
 
-from conftest import alpha_difference, wedge_restriction_is_exact
+from conftest import alpha_difference, ce_matrix, wedge_restriction_is_exact
 
 
 VALID_ENTRIES = [
@@ -199,8 +198,8 @@ def test_criterion_6_cohomology_soundness():
         mods = [trivial_module(pair.h), n_mod, hom_module(tensor_module(n_mod, n_mod), n_mod)]
         for mod in mods:
             for p in (0, 1, 2):
-                dp = ce_differential(pair.h, mod, p)
-                dn_ = ce_differential(pair.h, mod, p + 1)
+                dp = ce_matrix(pair.h, mod, p)
+                dn_ = ce_matrix(pair.h, mod, p + 1)
                 assert dn_.mul(dp).is_zero(), (name, p)
         c = connecting_cocycle(pair)  # raises internally if not a cocycle
         a = alpha_cocycle(pair, n_mod)

@@ -6,6 +6,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -685,6 +686,15 @@ def test_conjugated_problem_carries_scales():
     assert rec.ok
 
 
+def test_committed_conjugated_problem_is_the_seeded_copy():
+    # CI runs `all` on this file under python -O: a problem whose modules
+    # carry scales above 1, which no catalog entry has
+    path = Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json"
+    problem = _conjugated_problem("diagonal-sl2", 3)
+    assert path.read_text(encoding="utf-8") == serialize_problem(problem) + "\n"
+    assert quotient_module(problem.pair()).scale > 1
+
+
 @pytest.mark.parametrize(
     "target,corrupt,message",
     [
@@ -712,17 +722,18 @@ def _assert_split_fails(problem, target, corrupt, message, monkeypatch):
 
 
 def test_split_record_fails_on_a_corrupted_filtration_action(monkeypatch):
-    # one entry of one level action of a conjugated pair moved by 1/7: the
-    # int bracket-compatibility check in FilteredModule._verify catches it
+    # one entry of one level action of a conjugated pair moved by one unit of
+    # its int form: the int bracket-compatibility check in
+    # FilteredModule._verify catches it
     from pbwgate import engine as engine_mod
 
     real = engine_mod.FilteredModule._action_matrix
 
     def corrupted(self, a):
-        mat = real(self, a)
+        rows = real(self, a)
         if a == 0:
-            mat.data[2][3] = mat.entry(2, 3) + Q(1, 7)
-        return mat
+            rows[2][3] = rows[2].get(3, 0) + 1
+        return rows
 
     monkeypatch.setattr(engine_mod.FilteredModule, "_action_matrix", corrupted)
     rep = run_command("split", _conjugated_problem("diagonal-sl2", 3), max_degree=2)
@@ -730,6 +741,32 @@ def test_split_record_fails_on_a_corrupted_filtration_action(monkeypatch):
     assert not rec.ok
     assert rec.witness["exception"] == "RewritingInconsistencyError"
     assert "bracket compatibility" in rec.witness["message"]
+    assert rec.witness["raised_at"] == "_verify (engine.py)"
+    assert rep.exit_code == 1
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (1, 0)], ids=["row-0", "column-0"])
+def test_split_record_fails_when_the_constant_line_is_not_a_summand(entry, monkeypatch):
+    # semidirect-split has a one-dimensional h, so bracket compatibility holds
+    # for any level action; one unit at row 0 (or column 0) of its level
+    # action ties the constant word to the word (n_0), and only the
+    # constant-line check of FilteredModule._verify can catch it
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.FilteredModule._action_matrix
+
+    def corrupted(self, a):
+        rows = real(self, a)
+        i, j = entry
+        rows[i][j] = rows[i].get(j, 0) + 1
+        return rows
+
+    monkeypatch.setattr(engine_mod.FilteredModule, "_action_matrix", corrupted)
+    rep = run_command("split", catalog_get("semidirect-split"), max_degree=2)
+    [rec] = rep.records
+    assert not rec.ok
+    assert rec.witness["exception"] == "RewritingInconsistencyError"
+    assert rec.witness["message"] == "constant line is not a direct summand"
     assert rec.witness["raised_at"] == "_verify (engine.py)"
     assert rep.exit_code == 1
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -20,6 +21,7 @@ from pbwgate.cohomology import (
 from pbwgate.engine import build_filtration, level_sequence
 from pbwgate.lie import (
     LieAlgebra,
+    LieModule,
     ModuleMap,
     adjoint_module,
     hom_module,
@@ -28,9 +30,18 @@ from pbwgate.lie import (
     tensor_module,
     trivial_module,
 )
-from pbwgate.linalg import Matrix, kernel_basis, solve
+from pbwgate.linalg import Matrix, combination, kernel_basis, solve
 
-from conftest import alpha_difference, sl2, wedge_restriction_is_exact
+from conftest import (
+    alpha_difference,
+    ce_matrix,
+    reference_alpha_values,
+    reference_ce_differential,
+    reference_extension_rho,
+    reference_primitive,
+    sl2,
+    wedge_restriction_is_exact,
+)
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -47,27 +58,27 @@ def _modules_for_dd(pair):
 def test_dd_zero(fixture, p, request):
     pair = request.getfixturevalue(fixture)
     for mod in _modules_for_dd(pair):
-        d_p = ce_differential(pair.h, mod, p)
-        d_next = ce_differential(pair.h, mod, p + 1)
+        d_p = ce_matrix(pair.h, mod, p)
+        d_next = ce_matrix(pair.h, mod, p + 1)
         assert d_next.mul(d_p).is_zero()
 
 
 def test_differential_trivial_module_p0(sl2_borel):
-    d = ce_differential(sl2_borel.h, trivial_module(sl2_borel.h), 0)
+    d = ce_matrix(sl2_borel.h, trivial_module(sl2_borel.h), 0)
     assert d.is_zero()
 
 
 def test_differential_abelian_trivial_p1():
     h = LieAlgebra(2)
     pairless = trivial_module(h)
-    assert ce_differential(h, pairless, 1).is_zero()
+    assert ce_matrix(h, pairless, 1).is_zero()
 
 
 def test_differential_e_block_vanishes_on_borel_hom(sl2_borel):
     # e acts trivially on Hom(n (x) n, n), so d(b)(e) = 0 for every b
     n = quotient_module(sl2_borel)
     coeff = hom_module(tensor_module(n, n), n)
-    d0 = ce_differential(sl2_borel.h, coeff, 0)
+    d0 = ce_matrix(sl2_borel.h, coeff, 0)
     dm = coeff.dim
     e_block_rows = range(0, dm)  # wedge monomial (e,) comes first
     assert all(not d0.data[i] for i in e_block_rows)
@@ -118,7 +129,7 @@ def test_is_trivial_diagonal_some(diag_sl2):
     assert b is not None
     # d(b) = a exactly
     coeff = b.module
-    d0 = ce_differential(diag_sl2.h, coeff, 0)
+    d0 = ce_matrix(diag_sl2.h, coeff, 0)
     a = alpha_cocycle(diag_sl2, n)
     got = d0.apply(b.vec())
     assert got == a.vec()
@@ -153,7 +164,7 @@ def test_is_trivial_rejects_non_cocycle(diag_sl2):
     values = Matrix.zeros(coeff.dim, diag_sl2.dim_h)
     values.data[0][0] = Q(1)  # generic junk; fails d(a) = 0 here
     junk = Cochain(1, coeff, values)
-    d1 = ce_differential(diag_sl2.h, coeff, 1)
+    d1 = ce_matrix(diag_sl2.h, coeff, 1)
     assert d1.apply(junk.vec())  # sanity: really not closed
     with pytest.raises(NotACocycleError):
         is_trivial(diag_sl2, n, junk)
@@ -167,7 +178,7 @@ def test_wedge_restriction_rejects_non_cocycle(entry, diag_sl2):
     values = Matrix.zeros(coeff.dim, diag_sl2.dim_h)
     values.data[entry][0] = Q(1)
     junk = Cochain(1, coeff, values)
-    assert ce_differential(diag_sl2.h, coeff, 1).apply(junk.vec())  # sanity: really not closed
+    assert ce_matrix(diag_sl2.h, coeff, 1).apply(junk.vec())  # sanity: really not closed
     with pytest.raises(NotACocycleError):
         wedge_restriction_is_exact(diag_sl2, junk)
 
@@ -200,7 +211,7 @@ def test_half_adjoint_is_valid_extension(diag_sl2):
 
     n = quotient_module(diag_sl2)
     ad = adjoint_module(sl2())
-    rho = [ad.act_vec({r: Q(1, 2)}) for r in range(3)] + list(n.action)
+    rho = [combination(ad.action, {r: Q(1, 2)}, 3) for r in range(3)] + list(n.action)
     datum = ExtensionDatum(diag_sl2, n, tuple(rho))
     assert datum.verify()
 
@@ -363,8 +374,8 @@ def _find_equivariant_iso(m, n):
 
 def _h1_dimension(h, module) -> int:
     """dim H^1(h, M) = dim ker d^1 - rank d^0."""
-    d0 = ce_differential(h, module, 0)
-    d1 = ce_differential(h, module, 1)
+    d0 = ce_matrix(h, module, 0)
+    d1 = ce_matrix(h, module, 1)
     return (d1.cols - d1.rank()) - d0.rank()
 
 
@@ -409,3 +420,62 @@ def test_alpha_sigma_independence_affine():
     p1 = make_pair(g, emb)
     p2 = make_pair(g, emb, complement=(0,))
     assert is_trivial(p1, quotient_module(p1), alpha_difference(p1, p2)) is not None
+
+
+# --- the int cochain layer in coordinates with scales above 1 ------------------
+
+
+def _conjugated_sl2():
+    """diagonal-sl2 in a seeded random basis, with the h basis halved: n and
+    the modules built from it carry scales above 1, and so does the h table
+    (a basis change of g alone leaves h's structure constants integral)."""
+    from test_catalog_cli import _conjugated_problem
+
+    pf = _conjugated_problem("diagonal-sl2", 3)
+    return replace(pf, h_embedding=tuple(tuple(Q(v) / 2 for v in col) for col in pf.h_embedding)).pair()
+
+
+def test_ce_differential_matches_the_fraction_reference_over_scales():
+    pair = _conjugated_sl2()
+    n = quotient_module(pair)
+    nn = tensor_module(n, n)
+    tscale = pair.h.int_table()[1]
+    assert tscale > 1
+    for mod in (n, nn, hom_module(nn, n)):
+        assert mod.scale > 1
+        for p in (0, 1, 2):
+            rows, scale = ce_differential(pair.h, mod, p)
+            assert scale == mod.scale * tscale
+            assert ce_matrix(pair.h, mod, p) == reference_ce_differential(pair.h, mod, p), (mod.dim, p)
+
+
+def test_cocycle_extension_and_primitive_match_the_fraction_route_over_scales():
+    pair = _conjugated_sl2()
+    n = quotient_module(pair)
+    assert alpha_cocycle(pair, n).values == reference_alpha_values(pair, n)
+    datum = find_extension(pair, n)
+    assert datum is not None and datum.int_rho[1] > 1
+    assert list(datum.rho[:pair.dim_n]) == reference_extension_rho(pair, n)
+    obs = obstruction(pair, n)
+    assert obs.primitive is not None
+    assert obs.primitive.values == reference_primitive(pair.h, obs.cocycle)
+    assert is_trivial(pair, n, obs.cocycle).values == obs.primitive.values
+
+
+def test_obstruction_memo_is_shared_by_equal_actions_over_any_scale():
+    pair = _conjugated_sl2()
+    n = quotient_module(pair)
+    assert n.scale > 1
+    # the same action given over three times the scale, and as Fractions
+    lifted = LieModule.from_ints(pair.h, n.dim, [[{c: 3 * v for c, v in r.items()} for r in m] for m in n.mats], 3 * n.scale)
+    again = LieModule(pair.h, n.dim, n.action)
+    assert lifted.scale == again.scale == n.scale
+    assert lifted.key() == again.key() == n.key()
+    first = obstruction(pair, n)
+    assert obstruction(pair, lifted) is first and obstruction(pair, again) is first
+    assert len(pair._caches["obstructions"]) == 1
+    # the same dimension with another action has its own entry
+    other = trivial_module(pair.h, n.dim)
+    assert other.key() != n.key()
+    assert obstruction(pair, other) is not first
+    assert len(pair._caches["obstructions"]) == 2

@@ -12,7 +12,6 @@ from pbwgate.cohomology import ExtensionDatum, find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
     FilteredModule,
-    _compose_h_tail,
     _drop_h_tails,
     _letter_ints,
     _normal_form,
@@ -39,12 +38,11 @@ from pbwgate.lie import (
     adjoint_module,
     make_pair,
     quotient_module,
-    tensor_power_module,
     trivial_module,
 )
 from pbwgate.linalg import Matrix, rref, tensor_map
 
-from conftest import complement_change, diagonal_embedding, sl2
+from conftest import complement_change, diagonal_embedding, hstack, sl2
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -176,7 +174,9 @@ def _reference_actions(pair, side, K, coeff):
         mat = Matrix.zeros(len(words) * vdim, len(words) * vdim)
         for wpos, w in enumerate(words):
             for (nw, htail), c in reference(pair, (dn + a,) + w, memo).items():
-                tail = _compose_h_tail(coeff, htail, dn)
+                tail = Matrix.identity(coeff.dim)
+                for letter in reversed(htail):
+                    tail = coeff.action[letter - dn].mul(tail)
                 for i, row in enumerate(tail.data):
                     for v, x in row.items():
                         _add(mat.data[index[nw] * vdim + i], wpos * vdim + v, c * x)
@@ -193,7 +193,7 @@ def test_action_matrices_with_coefficients_match_reference(name, seed, side):
     assert _letter_ints(pair)[1] > 1
     assert any(v.denominator > 1 for m in coeff.action for row in m.data for v in row.values())
     filt = FilteredModule(pair, side, 3, coeff)
-    assert filt.actions == _reference_actions(pair, side, 3, coeff)
+    assert list(filt.module.action) == _reference_actions(pair, side, 3, coeff)
 
 
 def _free_n_words(pair, word):
@@ -793,7 +793,7 @@ def _rref_solve(a, b):
     """Free-variables-zero solution of ``a x = b`` (sparse ``b`` and ``x``)
     read from the full RREF of the augmented matrix, or None when it is
     inconsistent."""
-    aug = a.hstack(Matrix(1, a.rows, [b]).transpose())
+    aug = hstack(a, Matrix(1, a.rows, [b]).transpose())
     reduced, pivots = rref(aug)
     if a.cols in pivots:
         return None

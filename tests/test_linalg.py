@@ -9,7 +9,7 @@ from pbwgate.linalg import (
     Echelon,
     Matrix,
     _axpy,
-    _int_row,
+    _int_rows,
     combination,
     kernel_basis,
     rref,
@@ -18,7 +18,7 @@ from pbwgate.linalg import (
     tensor_map,
 )
 
-from conftest import system
+from conftest import hstack, system
 
 
 def test_rref_identity():
@@ -240,7 +240,7 @@ def test_coordinates_reject_out_of_range_index():
 def _kernel_intersection(us, vs, dim):
     """Reference: U k_u for each k in the kernel of [U | -V]."""
     u_mat, v_mat = _columns(us, dim), _columns(vs, dim)
-    kernel = kernel_basis(u_mat.hstack(Matrix.zeros(v_mat.rows, v_mat.cols) - v_mat))
+    kernel = kernel_basis(hstack(u_mat, Matrix.zeros(v_mat.rows, v_mat.cols) - v_mat))
     return [u_mat.apply({j: x for j, x in enumerate(k[: len(us)]) if x}) for k in kernel]
 
 
@@ -432,7 +432,7 @@ def test_int_row_matches_reference(kind):
                 vec[c] = num
             else:
                 vec[c] = Q(num, rng.choice([1, 2, 3, 4, 7, 12]))
-        row, scale = _int_row(vec)
+        (row,), scale = _int_rows((vec,))
         assert (row, scale) == _int_row_reference(vec)
         assert all(type(v) is int for v in row.values())
 

@@ -13,14 +13,14 @@ from fractions import Fraction as Q
 import pytest
 
 from pbwgate.catalog import catalog_get
-from pbwgate.cohomology import alpha_cocycle, ce_differential, connecting_cocycle, is_trivial
+from pbwgate.cohomology import alpha_cocycle, connecting_cocycle, is_trivial
 from pbwgate.engine import build_filtration, level_sequence
 from pbwgate.koszul import bg_conditions
 from pbwgate.lie import LieAlgebra, make_pair, quotient_module, validate_lie
 from pbwgate.linalg import Matrix
 from pbwgate.report import _check_koszul
 
-from conftest import invert
+from conftest import ce_matrix, invert
 
 
 def _random_invertible(rng, n):
@@ -65,7 +65,7 @@ def test_conjugated_pair_properties(name, seed):
         c = connecting_cocycle(pair)
         a = alpha_cocycle(pair, n_mod)
         for cochain in (c, a):
-            d1 = ce_differential(pair.h, cochain.module, 1)
+            d1 = ce_matrix(pair.h, cochain.module, 1)
             assert not d1.apply(cochain.vec())
         # basis-independent verdicts
         assert (is_trivial(pair, n_mod, a) is not None) == base_verdict

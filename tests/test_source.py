@@ -180,6 +180,42 @@ def test_only_contained_reads_the_clock():
     assert _offenders(_CLOCKS, "report", "_contained") == []
 
 
+# one clearing helper: linalg._int_rows turns rationals into int forms and
+# linalg brings int forms over one scale, so no other module takes a common
+# denominator (an lcm call) or reads one (.denominator)
+def _clearing_uses(source: str) -> list:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "denominator":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lcm":
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_clearing_detector():
+    assert _clearing_uses("scale = math.lcm(a, b)\n") == [1]
+    assert _clearing_uses("from math import lcm\nscale = lcm(*ds)\n") == [2]
+    assert _clearing_uses("d = v.denominator\n") == [1]
+    assert _clearing_uses("n = v.numerator\nlcm = 6\nscale = m.scale\n") == []
+    # the filtration's former own clearing, put back into the real engine, is caught
+    engine = _package_sources()["engine"]
+    assert _clearing_uses(engine) == []
+    own = engine.replace(
+        "self.vdim, self.coeff.scale, ",
+        "self.vdim, math.lcm(*(v.denominator for m in self.coeff.action for r in m.data for v in r.values())), ",
+    )
+    assert own != engine and len(_clearing_uses(own)) == 1
+
+
+def test_only_linalg_clears_denominators():
+    offenders = []
+    for mod, text in _package_sources().items():
+        if mod != "linalg":
+            offenders += [f"{mod}.py:{line}" for line in _clearing_uses(text)]
+    assert offenders == []
+
+
 # every definition in the package is reached from the package itself, so a
 # name only tests (or nothing) call cannot sit in src/; a top-level def or
 # class counts as reached when it is named (a bare name or an attribute)
