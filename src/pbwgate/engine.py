@@ -23,7 +23,6 @@ distinct system once per pair.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -537,37 +536,46 @@ def splitting_s(
     return out
 
 
-def _symmetrization(dn: int, k: int) -> Matrix:
-    """S^k(n) -> n^{(x)k}: each monomial averaged over all k! orderings."""
-    monos = sym_monomials(dn, k)
-    rows = dn ** k
-    m = Matrix.zeros(rows, len(monos))
-    inv = Q(1, math.factorial(k))
-    powers = [dn ** (k - 1 - i) for i in range(k)]
-    for col, mono in enumerate(monos):
-        for perm in itertools.permutations(mono):
-            idx = sum(p * powers[i] for i, p in enumerate(perm))
-            _add_term(m.data[idx], col, inv)
-    return m
+def _nabla(cols: Sequence[list], x: int, mono: Word) -> dict:
+    """nabla_x of a monomial of S(n): rho(x) on each factor in turn, cols[x][y] being rho(x) e_y."""
+    out: dict = {}
+    for i, y in enumerate(mono):
+        for r, v in cols[x][y].items():
+            _add_term(out, tuple(sorted(mono[:i] + (r,) + mono[i + 1 :])), v)
+    return out
 
 
 def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) -> list:
-    """Sections I_k: S^k(n) -> R^k for k <= K: symmetrize, apply s_k, then
-    straighten the free word inside the ambient quotient."""
+    """Sections I_k: S^k(n) -> R^k for k <= K by the connection recursion (the pbw^nabla
+    map of Laurent-Gengoux, Stienon and Xu) I(1) = 1, I(x_1...x_k) = (1/k) sum_j
+    [x_j . I(rest_j) - I(nabla_{x_j} rest_j)]: x . m straightens the word (x,) + m, and
+    nabla = rho is a derivation (``_nabla``).  It equals ``splitting_s`` symmetrized and straightened."""
     rho = _resolve_rho(pair, rho)
-    f_filt = build_filtration(pair, "F", K)
     r_filt = build_filtration(pair, "R", K)
-    n_mod = quotient_module(pair)
-    dn = pair.dim_n
+    cols = [m.transpose().data for m in rho.rho[: pair.dim_n]]
+    images = {(): {(): Q(1)}}  # monomial -> I(monomial), over straightened monomials
+
+    def image(mono: Word) -> dict:
+        if mono not in images:
+            out: dict = {}
+            for x in dict.fromkeys(mono):  # equal letters give equal terms
+                j, mult = mono.index(x), mono.count(x)
+                rest = mono[:j] + mono[j + 1 :]
+                terms = [(c, straighten_g(pair, (x,) + m)) for m, c in image(rest).items()]
+                terms += [(-c, image(m)) for m, c in _nabla(cols, x, rest).items()]
+                for c, vec in terms:
+                    for w, c2 in vec.items():
+                        _add_term(out, w, mult * c * c2)
+            images[mono] = {w: c / len(mono) for w, c in out.items()}
+        return images[mono]
+
     maps = []
     for k in range(K + 1):
-        s_mat = splitting_s(pair, rho, k, filt=f_filt).matrix
-        canon = Matrix.zeros(r_filt.dim(k), f_filt.dim(k))
-        for wpos in range(f_filt.dim(k)):
-            for mono, c in straighten_g(pair, f_filt.words[wpos]).items():
-                canon.data[r_filt.word_index[mono]][wpos] = c
-        matrix = canon.mul(s_mat).mul(_symmetrization(dn, k))
-        source = sym_power_module(n_mod, k)
+        source = sym_power_module(quotient_module(pair), k)
+        matrix = Matrix.zeros(r_filt.dim(k), source.dim)
+        for col, mono in enumerate(sym_monomials(pair.dim_n, k)):
+            for w, c in image(mono).items():
+                matrix.data[r_filt.word_index[w]][col] = c
         out = ModuleMap(source, r_filt.level_module(k), matrix)
         if not out.is_equivariant():
             raise AssertionError(f"I_{k} is not equivariant")

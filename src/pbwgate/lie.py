@@ -292,10 +292,13 @@ class InclusionPair:
         return out
 
     def bracket_letters(self, u: int, v: int) -> Vec:
-        """[letter u, letter v] expanded over letters (cached)."""
+        """[letter u, letter v] expanded over letters (cached; solved for u < v, then antisymmetry)."""
         if self._bracket_table is None:
             cols = self._letter_cols
-            self._bracket_table = [[self.letter_coords(self.g.bracket(a, b)) for b in cols] for a in cols]
+            self._bracket_table = table = [[{} for _ in cols] for _ in cols]
+            for a, b in itertools.combinations(range(len(cols)), 2):
+                table[a][b] = self.letter_coords(self.g.bracket(cols[a], cols[b]))
+                table[b][a] = {i: -v for i, v in table[a][b].items()}
         return self._bracket_table[u][v]
 
     def _induced_subalgebra(self, h_cols) -> LieAlgebra:

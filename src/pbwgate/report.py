@@ -258,7 +258,6 @@ def _check_extend(pf: ProblemFile, pair) -> CheckRecord:
 
 
 def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
-    n_mod = quotient_module(pair)
     try:
         maps = pbw_splitting_I(pair, None, K)
     except AlphaNontrivialError:

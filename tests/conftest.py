@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -14,7 +15,17 @@ from pbwgate.cohomology import (
     is_trivial,
     obstruction,
 )
-from pbwgate.lie import LieAlgebra, ext_monomials, hom_module, make_pair, quotient_module, sort_with_sign, tensor_module
+from pbwgate.engine import straighten_g
+from pbwgate.lie import (
+    LieAlgebra,
+    ext_monomials,
+    hom_module,
+    make_pair,
+    quotient_module,
+    sort_with_sign,
+    sym_monomials,
+    tensor_module,
+)
 from pbwgate.linalg import Matrix, _add_term, combination, solve, tensor_map
 
 
@@ -266,6 +277,27 @@ def reference_is_equivariant(f) -> bool:
         if _fraction_product(f.matrix, f.source.action[i]) != _fraction_product(f.target.action[i], f.matrix):
             return False
     return True
+
+
+def symmetrization(dn: int, k: int) -> Matrix:
+    """Sym_k: S^k(n) -> n^{(x)k}, each monomial averaged over its k! orderings
+    (tensor coordinates in ``itertools.product`` order)."""
+    monos = sym_monomials(dn, k)
+    m = Matrix.zeros(dn ** k, len(monos))
+    for col, mono in enumerate(monos):
+        for perm in itertools.permutations(mono):
+            idx = sum(p * dn ** (k - 1 - i) for i, p in enumerate(perm))
+            _add_term(m.data[idx], col, Q(1, math.factorial(k)))
+    return m
+
+
+def straightening(pair, f_filt, r_filt, k: int) -> Matrix:
+    """canon: F^k -> R^k, each free word straightened inside U(g)/U(g)h."""
+    canon = Matrix.zeros(r_filt.dim(k), f_filt.dim(k))
+    for wpos in range(f_filt.dim(k)):
+        for mono, c in straighten_g(pair, f_filt.words[wpos]).items():
+            canon.data[r_filt.word_index[mono]][wpos] = c
+    return canon
 
 
 def diagonal_embedding(alg: LieAlgebra):

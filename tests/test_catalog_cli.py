@@ -233,15 +233,40 @@ REPORT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
-def test_all_report_bytes_are_pinned(name, tmp_path):
+# The same digest of the `split` report at K=5 on the four pairs of the
+# structure-deep benchmark, and at K=4 on the committed conjugated copy (whose
+# datum has scale T > 1); `all` runs `split` only at K=3.
+SPLIT_REPORT_DIGESTS = {
+    "sl2-borel K=5": "6d3dcf6893c1256769190d6dbe9a8cdd01601f4e624dd1eaa41f8965e9c71c6c",
+    "semidirect-split K=5": "c0ccd92d3056cd360cd6d2a9a037d8ade0a5305a236de11151b6d1202d448858",
+    "diagonal-heisenberg K=5": "9dd5dc1ac00f74052f4b031e8642d53175d950073630856bc52b182a3c3e2992",
+    "diagonal-sl2 K=5": "dda77773923683052bd87db7ad7e678c71404d128bf46d24a4888427be492cea",
+    "diagonal-sl2-conjugated-3 K=4": "d1368935df032e7ba38160c67803a5a1417a3e3ce5d28043a71fc2067144154c",
+}
+
+
+def _millis_free_digest(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
-    main(["all", "--example", name, "--json", str(out)])
+    main(argv + ["--json", str(out)])
     doc = json.loads(out.read_text(encoding="utf-8"))
     for rec in doc["records"]:
         del rec["millis"]
     text = json.dumps(doc, indent=2) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_DIGESTS[name]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_all_report_bytes_are_pinned(name, tmp_path):
+    assert _millis_free_digest(["all", "--example", name], tmp_path) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_REPORT_DIGESTS))
+def test_split_report_bytes_are_pinned(case, tmp_path):
+    name, cap = case.split(" K=")
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    source = ["--input", str(path)] if path.exists() else ["--example", name]
+    digest = _millis_free_digest(["split", *source, "--max-degree", cap], tmp_path)
+    assert digest == SPLIT_REPORT_DIGESTS[case]
 
 
 def test_report_records_have_anchors():
@@ -634,8 +659,9 @@ def test_twisted_record_fails_when_a_consistent_system_reports_no_solution(monke
 
 
 def _doubled(real):
-    # twice a section is still equivariant but no longer a section
-    return lambda dn, k: real(dn, k) + real(dn, k)
+    # every straightened term doubled: I_1 = 2 x is still equivariant but no
+    # longer a section (I_0 = 1 straightens nothing)
+    return lambda pair, word: {w: 2 * c for w, c in real(pair, word).items()}
 
 
 def _with_constant_term(real):
@@ -651,7 +677,7 @@ def _with_constant_term(real):
 @pytest.mark.parametrize(
     "target,corrupt,message",
     [
-        ("_symmetrization", _doubled, "I_0 is not a section"),
+        ("straighten_g", _doubled, "I_1 is not a section"),
         ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
     ],
     ids=["not-a-section", "not-equivariant"],
@@ -698,7 +724,7 @@ def test_committed_conjugated_problem_is_the_seeded_copy():
 @pytest.mark.parametrize(
     "target,corrupt,message",
     [
-        ("_symmetrization", _doubled, "I_0 is not a section"),
+        ("straighten_g", _doubled, "I_1 is not a section"),
         ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
     ],
     ids=["not-a-section", "not-equivariant"],
@@ -709,11 +735,43 @@ def test_split_record_fails_on_a_corrupted_splitting_map_in_conjugated_coordinat
     _assert_split_fails(_conjugated_problem("diagonal-sl2", 3), target, corrupt, message, monkeypatch)
 
 
-def _assert_split_fails(problem, target, corrupt, message, monkeypatch):
+def _wrong_sign(real):
+    # nabla_x m entering the recursion with + instead of -
+    return lambda cols, x, mono: {m: -c for m, c in real(cols, x, mono).items()}
+
+
+def _first_factor_only(real):
+    # rho(x) applied to the first factor of the monomial only, not as a derivation
+    def nabla(cols, x, mono):
+        return {tuple(sorted(m + mono[1:])): c for m, c in real(cols, x, mono[:1]).items()}
+
+    return nabla
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_wrong_sign, "I_2 is not equivariant"), (_first_factor_only, "I_3 is not equivariant")],
+    ids=["wrong-sign", "first-factor-only"],
+)
+def test_split_record_fails_on_a_corrupted_connection_in_conjugated_coordinates(corrupt, message, monkeypatch):
+    # the connection nabla = rho of the recursion I(x m) = ... - I(nabla_x m):
+    # catalog coordinates cannot show either fault, because rho is zero on n
+    # there and so is every nabla term; a seeded basis change makes it nonzero
+    # (the derivation differs from its first-factor term only from k = 3 on)
+    from pbwgate import engine as engine_mod
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine_mod, "_nabla", corrupt(engine_mod._nabla))
+        [rec] = run_command("split", catalog_get("diagonal-sl2"), max_degree=3).records
+        assert rec.ok
+    _assert_split_fails(_conjugated_problem("diagonal-sl2", 3), "_nabla", corrupt, message, monkeypatch, max_degree=3)
+
+
+def _assert_split_fails(problem, target, corrupt, message, monkeypatch, max_degree=2):
     from pbwgate import engine as engine_mod
 
     monkeypatch.setattr(engine_mod, target, corrupt(getattr(engine_mod, target)))
-    rep = run_command("split", problem, max_degree=2)
+    rep = run_command("split", problem, max_degree=max_degree)
     [rec] = rep.records
     assert not rec.ok
     assert rec.witness["exception"] == "AssertionError"

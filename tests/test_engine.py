@@ -42,7 +42,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, rref, tensor_map
 
-from conftest import complement_change, diagonal_embedding, hstack, sl2
+from conftest import complement_change, diagonal_embedding, hstack, sl2, straightening, symmetrization
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -564,8 +564,11 @@ def test_t_map_images_are_built_once_per_pair(monkeypatch):
     counted("coproduct_word")
 
     def run(pair):
+        # the t-map chain of s_0 .. s_3 on one free filtration
         calls.update(dict.fromkeys(calls, 0))
-        pbw_splitting_I(pair, None, 3)
+        filt = build_filtration(pair, "F", 3)
+        for k in range(4):
+            splitting_s(pair, None, k, filt=filt)
         return dict(calls)
 
     pair = catalog_get("diagonal-sl2").pair()
@@ -575,6 +578,30 @@ def test_t_map_images_are_built_once_per_pair(monkeypatch):
     assert run(pair) == {"_rho_apply": 0, "coproduct_word": 0}
     # a freshly parsed pair starts cold
     assert run(catalog_get("diagonal-sl2").pair()) == first
+
+
+# every catalog pair but these has a trivial class, hence a splitting
+_NO_SPLITTING = {"sl2-borel": "non-trivial class", "jacobi-broken-negative-control": "not a Lie algebra"}
+
+
+@pytest.mark.parametrize(
+    "name,seed",
+    [(name, None) for name in catalog_list() if name not in _NO_SPLITTING] + CONJUGATED_CASES + [("semidirect-split", 1)],
+)
+def test_connection_recursion_equals_the_straightened_symmetrized_chain(name, seed):
+    # I_k = canon . s_k . Sym_k: the recursion's sections against the paper's
+    # t-map section of each symmetrized monomial, straightened; the seeded
+    # copies have rho nonzero on n and a datum scale T > 1
+    pair = _case_pair(name, seed)
+    rho = find_extension(pair, quotient_module(pair))
+    if seed is not None:
+        assert rho.int_rho[1] > 1
+    f_filt, r_filt = build_filtration(pair, "F", 4), build_filtration(pair, "R", 4)
+    maps = pbw_splitting_I(pair, rho, 4)
+    for k in range(5):
+        s_k = splitting_s(pair, rho, k, filt=f_filt).matrix
+        expected = straightening(pair, f_filt, r_filt, k).mul(s_k).mul(symmetrization(pair.dim_n, k))
+        assert maps[k].matrix == expected, k
 
 
 def test_t_map_images_belong_to_their_extension_datum(diag_sl2):

@@ -224,6 +224,7 @@ _UNREACHED_BY_DESIGN = {
     "linalg.rref",  # reference routine, checked against the echelon core
     "linalg.kernel_basis",  # reference routine, likewise
     "koszul.qa_graded_dimension",  # perfbench's tracer spans it as koszul.qa_dim
+    "engine.splitting_s",  # the paper's t-map section, the reference the recursion for I_k must equal
     "problem.serialize_problem",  # README's round-trip contract
 }
 
