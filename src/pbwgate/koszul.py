@@ -11,7 +11,10 @@ the rewriting relations.  This module checks, by exact rank computations:
   K^i = (wedge^{i-1} h) wedge g inside g^{(x) i}.
 
 Everything is phrased over the adapted letters (n-letters first, h-letters
-last), which makes all the relation vectors two-sparse.
+last), which makes every relation vector a binomial e_u - e_v.  So the
+relation span of degree k is a binomial span, its rank counted without
+elimination as the words of degree k minus the classes of words the
+relations join, and dim qA_k is the number of those classes.
 """
 
 from __future__ import annotations
@@ -134,27 +137,52 @@ def qa_closed_form(pair: InclusionPair, k: int) -> int:
 
 
 def qa_graded_dimension(pair: InclusionPair, k: int) -> int:
-    """dim of degree k of qA, by rank of the embedded relation span."""
+    """dim of degree k of qA: the words of degree k minus the rank of the
+    binomial relation span (words minus word classes), so the class count."""
     if k < 0:
         raise ValueError("negative degree")
     return _QaDegrees(pair, k).dim(k)
 
 
-def _relation_span(qd: QuadraticData, d: int, positions, span: Optional[Echelon] = None) -> Echelon:
-    """Span inside g^{(x) d} of the words w1 (x) r (x) w2, r in the qR basis,
-    with r placed at each of ``positions`` (the degree of w1), inserted into
-    ``span`` (a new echelon by default)."""
+def _word_classes(qd: QuadraticData, d: int, positions, rep: Optional[list] = None) -> list:
+    """rep[w] for each word w of g^{(x) d}: the largest word of w's class
+    when w1 u w2 ~ w1 v w2 for each qR basis vector e_u - e_v, placed at
+    each of ``positions`` (the degree of w1), starting from the classes of
+    ``rep`` (one word each by default).  The relation span is the span of
+    the e_w - e_{rep[w]}: rank #words - #classes, its free columns (leftmost
+    pivoting) the words w = rep[w], and each word reduces to e_{rep[w]}."""
     dg = qd.pair.g.dim
-    if span is None:
-        span = Echelon(dg ** d)
+    parent = list(range(dg ** d)) if rep is None else list(rep)
+
+    def find(w: int) -> int:
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    binomials = []
+    for vec in qd.basis:
+        if len(vec) != 2 or sum(vec.values()):
+            raise AssertionError(f"qR basis vector {vec} is not a binomial e_u - e_v")
+        binomials.append(tuple(vec))
     for p in positions:
         lo = dg ** (d - 2 - p)
-        hi = dg ** p
-        for vec in qd.basis:
-            for w1 in range(hi):
+        for w1 in range(dg ** p):
+            for u, v in binomials:
                 for w2 in range(lo):
-                    span.insert({(w1 * dg * dg + c) * lo + w2: v for c, v in vec.items()})
-    return span
+                    a = find((w1 * dg * dg + u) * lo + w2)
+                    b = find((w1 * dg * dg + v) * lo + w2)
+                    if a != b:
+                        parent[min(a, b)] = max(a, b)
+    return [find(w) for w in range(len(parent))]
+
+
+def _in_class_span(rep: list, vec: dict) -> bool:
+    """Whether vec lies in the span of the e_w - e_{rep[w]}: its coefficients
+    sum to zero on every class."""
+    sums: dict = {}
+    for w, v in vec.items():
+        _add_term(sums, rep[w], v)
+    return not sums
 
 
 # ---------------------------------------------------------------------------
@@ -165,44 +193,38 @@ def _relation_span(qd: QuadraticData, d: int, positions, span: Optional[Echelon]
 class _QaDegrees:
     """Quotient coordinates of qA per degree: canonical word representatives.
 
-    The relation span of degree d is R_{d-1} (x) g + g^{(x) d-2} (x) qR: the
-    span one degree below, tensored by g on the right, plus the relations in
-    the last position.  With leftmost pivoting the pivots and every
-    ``reduce`` belong to the row space alone, so this equals the span of the
-    relations at every position."""
+    The classes of degree d are those of R_{d-1} (x) g + g^{(x) d-2} (x) qR:
+    the classes one degree below, extended by a last letter, joined by the
+    relations in the last position.  The classes of a binomial span do not
+    depend on the order the relations come in, so these are the classes of
+    the relations at every position."""
 
     def __init__(self, pair: InclusionPair, max_degree: int):
         self.dg = pair.g.dim
         self.qd = _quadratic_data(pair)
-        self.spans = []
+        self.reps = []
         self.basis_words = []
         self.pos = []
-        self._products = {}  # (d, coord, letter) -> mult_letter's value
-        span = Echelon(1)
+        rep = [0]
         for d in range(max_degree + 1):
             if d:
-                span = span.right_tensor(self.dg)
+                rep = [r * self.dg + x for r in rep for x in range(self.dg)]
             if d >= 2:
-                _relation_span(self.qd, d, (d - 2,), span)
-            free = span.free_columns()
-            self.spans.append(span)
-            self.basis_words.append(free)
-            self.pos.append({w: i for i, w in enumerate(free)})
+                rep = _word_classes(self.qd, d, (d - 2,), rep)
+            words = [w for w, r in enumerate(rep) if w == r]
+            self.reps.append(rep)
+            self.basis_words.append(words)
+            self.pos.append({w: i for i, w in enumerate(words)})
 
     def dim(self, d: int) -> int:
         return len(self.basis_words[d])
 
     def reduce(self, d: int, word_index: int) -> dict:
-        red = _integral(self.spans[d].reduce({word_index: 1}))
-        return {self.pos[d][c]: v for c, v in red.items()}
+        return {self.pos[d][self.reps[d][word_index]]: 1}
 
     def mult_letter(self, d: int, coord: int, letter: int) -> dict:
         """Right multiplication qA_d x g -> qA_{d+1} on basis coordinates."""
-        key = (d, coord, letter)
-        if key not in self._products:
-            word = self.basis_words[d][coord]
-            self._products[key] = self.reduce(d + 1, word * self.dg + letter)
-        return self._products[key]
+        return self.reduce(d + 1, self.basis_words[d][coord] * self.dg + letter)
 
 
 def _wedge_vector(letters, dg: int) -> dict:
@@ -269,7 +291,7 @@ class KoszulReport:
     ktilde_dims_ok: bool
     containment_ok: bool
     slices: list
-    qa_dims: list  # dim qA_d for 0 <= d <= the cap, by rank
+    qa_dims: list  # dim qA_d for d <= the cap: words minus the binomial span's rank (words - classes)
 
     @property
     def ok(self) -> bool:
@@ -292,10 +314,8 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     containment_ok = True
     for i in range(2, max_i + 1):
         for k in range(i - 1):
-            span = _relation_span(qa.qd, i, (k,))
-            for vec in kt[i].vectors:
-                if not span.contains(vec):
-                    containment_ok = False
+            rep = _word_classes(qa.qd, i, (k,))
+            containment_ok = containment_ok and all(_in_class_span(rep, vec) for vec in kt[i].vectors)
 
     # cache of the wedge coordinates appearing in the differentials: per
     # position i, the signed coordinates (-1)^j * (the wedge with its j-th

@@ -367,23 +367,6 @@ class Echelon:
         self.pivots[c] = row
         return c
 
-    def right_tensor(self, n: int) -> "Echelon":
-        """The echelon of (row space) (x) k^n over the columns c * n + x: the
-        pivot row at column c becomes, for each x < n, the pivot c * n + x
-        with the row {k * n + x: v}.  Those rows are already echelon (each
-        pivot leftmost and distinct, content stripped, positive lead), so
-        nothing is eliminated."""
-        if self._reduced:
-            raise ValueError("right_tensor after back_reduce: the echelon is closed")
-        out = Echelon(self.ncols * n)
-        for c, row in self.pivots.items():
-            for x in range(n):
-                out.pivots[c * n + x] = {k * n + x: v for k, v in row.items()}
-        return out
-
-    def contains(self, vec: Row) -> bool:
-        return not self.reduce(vec)
-
     def free_columns(self) -> list:
         return [c for c in range(self.ncols) if c not in self.pivots]
 

@@ -26,7 +26,7 @@ from pbwgate.lie import (
     sym_monomials,
     tensor_module,
 )
-from pbwgate.linalg import Matrix, _add_term, combination, solve, tensor_map
+from pbwgate.linalg import Echelon, Matrix, _add_term, combination, solve, tensor_map
 
 
 def sl2() -> LieAlgebra:
@@ -298,6 +298,21 @@ def straightening(pair, f_filt, r_filt, k: int) -> Matrix:
         for mono, c in straighten_g(pair, f_filt.words[wpos]).items():
             canon.data[r_filt.word_index[mono]][wpos] = c
     return canon
+
+
+def reference_relation_span(qd, d: int, positions) -> Echelon:
+    """The span inside g^{(x) d} of the words w1 (x) r (x) w2, r in the qR
+    basis, with r placed at each of ``positions`` (the degree of w1), by
+    elimination: the reference for the word classes of ``koszul``."""
+    dg = qd.pair.g.dim
+    span = Echelon(dg ** d)
+    for p in positions:
+        lo = dg ** (d - 2 - p)
+        for vec in qd.basis:
+            for w1 in range(dg ** p):
+                for w2 in range(lo):
+                    span.insert({(w1 * dg * dg + c) * lo + w2: v for c, v in vec.items()})
+    return span
 
 
 def diagonal_embedding(alg: LieAlgebra):

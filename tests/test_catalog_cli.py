@@ -245,6 +245,18 @@ SPLIT_REPORT_DIGESTS = {
 }
 
 
+# The same digest of the `koszul` report at K=5 on the four pairs of the
+# structure-deep benchmark, and at K=4 on the committed conjugated copy; `all`
+# runs `koszul` only at K=4.
+KOSZUL_REPORT_DIGESTS = {
+    "sl2-borel K=5": "e6cf2cbd979469a1afa8a94a37d7797e9997d5051f8cb0b49ec59eb2e47da0ed",
+    "semidirect-split K=5": "02cb2a168b170c5c2978ad647dd405878e54d10be1be10b9706fec56b4b9a310",
+    "diagonal-heisenberg K=5": "d84837f22a9a3b883cedcbe996593d732e1b8144febf4c8c5c073167e9b48f58",
+    "diagonal-sl2 K=5": "6b2082b35919fbf33c892f32ae34fa2d92a2dea923d4ec9cca64d4f3b004d7f9",
+    "diagonal-sl2-conjugated-3 K=4": "a962da3cf90045a06140a8f9611f08306bc7f691e69e6ffcaea96c98192d3e0c",
+}
+
+
 def _millis_free_digest(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
     main(argv + ["--json", str(out)])
@@ -260,13 +272,23 @@ def test_all_report_bytes_are_pinned(name, tmp_path):
     assert _millis_free_digest(["all", "--example", name], tmp_path) == REPORT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("case", sorted(SPLIT_REPORT_DIGESTS))
-def test_split_report_bytes_are_pinned(case, tmp_path):
+def _case_digest(command, case, tmp_path) -> str:
+    """The millis-free digest of ``command`` on a "<name> K=<cap>" case: the
+    committed file tests/data/<name>.json when there is one, else the example."""
     name, cap = case.split(" K=")
     path = Path(__file__).parent / "data" / f"{name}.json"
     source = ["--input", str(path)] if path.exists() else ["--example", name]
-    digest = _millis_free_digest(["split", *source, "--max-degree", cap], tmp_path)
-    assert digest == SPLIT_REPORT_DIGESTS[case]
+    return _millis_free_digest([command, *source, "--max-degree", cap], tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_REPORT_DIGESTS))
+def test_split_report_bytes_are_pinned(case, tmp_path):
+    assert _case_digest("split", case, tmp_path) == SPLIT_REPORT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(KOSZUL_REPORT_DIGESTS))
+def test_koszul_report_bytes_are_pinned(case, tmp_path):
+    assert _case_digest("koszul", case, tmp_path) == KOSZUL_REPORT_DIGESTS[case]
 
 
 def test_report_records_have_anchors():
@@ -960,17 +982,37 @@ def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatc
     # leaves the closed form from degree 3 on
     from pbwgate import koszul as koszul_mod
 
-    real = koszul_mod._relation_span
+    real = koszul_mod._word_classes
 
-    def skipping(qd, d, positions, span=None):
-        if span is not None and d == 3:
-            return span
-        return real(qd, d, positions, span)
+    def skipping(qd, d, positions, rep=None):
+        if rep is not None and d == 3:
+            return list(rep)
+        return real(qd, d, positions, rep)
 
-    monkeypatch.setattr(koszul_mod, "_relation_span", skipping)
+    monkeypatch.setattr(koszul_mod, "_word_classes", skipping)
     dims = _koszul_record(tmp_path)["graded_dimensions"]
     assert [dims[k]["rank"] == dims[k]["closed_form"] for k in "0123"] == [True, True, True, False]
     assert dims["3"]["rank"] > dims["3"]["closed_form"]
+
+
+@pytest.mark.parametrize("scale", [-2, 1])
+def test_koszul_record_fails_on_a_relation_that_is_not_a_binomial(monkeypatch, tmp_path, scale):
+    # the word classes hold only for relations e_u - e_v: a qR basis vector
+    # {u: 1, v: -2} or {u: 1, v: 1} is a FAIL record with exit 1, not a traceback
+    from pbwgate import koszul as koszul_mod
+
+    def skewed(pair):
+        qd = koszul_mod.quadratic_data(pair)
+        (u, cu), (v, cv) = qd.basis[0].items()
+        return replace(qd, basis=[{u: cu, v: scale * cu}] + qd.basis[1:])
+
+    monkeypatch.setattr(koszul_mod, "_quadratic_data", skewed)
+    out = tmp_path / "report.json"
+    assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert (rec["ok"], rec["verdict"]) == (False, "check raised AssertionError")
+    assert rec["witness"]["raised_at"] == "_word_classes (koszul.py)"
+    assert "is not a binomial" in rec["witness"]["message"]
 
 
 def test_koszul_record_fails_on_a_wedge_with_one_sign_flipped(monkeypatch, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.koszul import (
     _QaDegrees,
-    _relation_span,
+    _in_class_span,
+    _word_classes,
     bg_conditions,
     koszul_acyclicity,
     ktilde_basis,
@@ -13,7 +14,7 @@ from pbwgate.koszul import (
 )
 from pbwgate.lie import LieAlgebra, make_pair
 
-from conftest import sl2
+from conftest import reference_relation_span, sl2
 
 
 def jacobi_broken_pair():
@@ -158,15 +159,49 @@ def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
 
 @pytest.mark.parametrize("name", catalog_list())
 def test_incremental_relation_spans_match_the_full_span(name):
-    # R_d built as R_{d-1} (x) g + g^{(x) d-2} (x) qR gives the pivots and the
-    # reductions of the span of the relations at every position
+    # the classes of R_d built from R_{d-1} (x) g and the relations in the
+    # last position are the free columns and the reductions of the echelon
+    # of the relations at every position
     pair = catalog_get(name).pair()
     top = 5 if pair.g.dim == 3 else 4
     qa = _QaDegrees(pair, top)
     for d in range(top + 1):
-        full = _relation_span(qa.qd, d, range(d - 1))
-        assert qa.spans[d].free_columns() == full.free_columns() == qa.basis_words[d]
+        ref = reference_relation_span(qa.qd, d, range(d - 1))
+        assert qa.basis_words[d] == ref.free_columns()
+        assert qa.dim(d) == pair.g.dim ** d - ref.rank
         for word in range(pair.g.dim ** d):
-            assert qa.spans[d].reduce({word: 1}) == full.reduce({word: 1})
             # a binomial span sends a word to one basis word, coefficient int 1
-            assert [(type(v), v) for v in qa.reduce(d, word).values()] == [(int, 1)]
+            assert ref.reduce({word: 1}) == {qa.reps[d][word]: 1}
+            [(coord, v)] = qa.reduce(d, word).items()
+            assert (qa.basis_words[d][coord], type(v), v) == (qa.reps[d][word], int, 1)
+
+
+def test_class_membership_is_membership_in_the_eliminated_span():
+    # a vector lies in the span of the relations at the given positions iff
+    # its coefficients sum to zero on every class
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    qds = {name: quadratic_data(catalog_get(name).pair()) for name in catalog_list()}
+    refs = {}
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        name = data.draw(st.sampled_from(sorted(qds)))
+        qd, dg = qds[name], qds[name].pair.g.dim
+        d = data.draw(st.integers(2, 4 if dg == 3 else 3))
+        positions = tuple(sorted(data.draw(st.sets(st.integers(0, d - 2)))))
+        key = (name, d, positions)
+        if key not in refs:
+            refs[key] = (_word_classes(qd, d, positions), reference_relation_span(qd, d, positions))
+        rep, ref = refs[key]
+        words = st.integers(0, dg ** d - 1)
+        vec = data.draw(st.dictionaries(words, st.integers(-3, 3).filter(bool), max_size=6))
+        if data.draw(st.booleans()):
+            # a sum of relations, so that membership is not always False
+            for w, v in list(vec.items()):
+                vec[rep[w]] = vec.get(rep[w], 0) - v
+            vec = {w: v for w, v in vec.items() if v}
+        assert _in_class_span(rep, vec) == (not ref.reduce(vec))
+
+    prop()
