@@ -718,11 +718,11 @@ def dimension_identity_check(
                 for y in range(x):
                     yield (x, y)
 
+    # each core e_{xy} - e_{yx} + [x, y] times D, as [x, y] = ints[x][y] / D
+    ints, D = _letter_ints(pair)
     cores = {}
     for (x, y) in rel_pairs():
-        cores[(x, y)] = [((x, y), Q(1)), ((y, x), Q(-1))] + [
-            ((u,), c) for u, c in pair.bracket_letters(x, y).items()
-        ]
+        cores[(x, y)] = [((x, y), D), ((y, x), -D)] + [((u,), c) for u, c in ints[x][y].items()]
     # the coefficient relations w a (x) v - w (x) a.v, times the scale of a
     act, scale = (coeff.mats, coeff.scale) if coeff is not None else (None, 1)
     # insert relations by their top degree so the echelon rank after stage k

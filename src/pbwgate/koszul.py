@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _integral, subspace_intersection
+from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _int_rows, _integral, subspace_intersection
 
 Vec = dict
 
@@ -56,9 +56,9 @@ def _qr_spanning(pair: InclusionPair):
     dn = pair.dim_n
     for a in range(dn, dg):
         for x in range(dg):
-            vec = {a * dg + x: Q(1)}
+            vec = {a * dg + x: 1}
             key = x * dg + a
-            vec[key] = vec.get(key, Q(0)) - 1
+            vec[key] = vec.get(key, 0) - 1
             yield (a, x), {k: v for k, v in vec.items() if v}
 
 
@@ -349,11 +349,14 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                         for q, cq in qa.mult_letter(d - i, p, letter).items():
                             for tp, ct in wedge.items():
                                 _add_term(rows[q * ktp.dim + tp], col, cq * ct)
-            mats.append(Matrix(dims[i - 1], dims[i], rows))
-        dd_zero = all(
-            mats[i - 1].mul(mats[i]).is_zero() for i in range(2, top + 1)
-        )
-        ranks = [mats[i].rank() for i in range(1, top + 1)]
+            mats.append(_int_rows(rows)[0])
+        dd_zero = all(not any(_int_mul(mats[i - 1], mats[i])) for i in range(2, top + 1))
+        ranks = []
+        for i in range(1, top + 1):
+            span = Echelon(dims[i])
+            for row in mats[i]:
+                span.insert(row)
+            ranks.append(span.rank)
         exact = {}
         for i in range(1, top + 1):
             rank_out = ranks[i - 1]

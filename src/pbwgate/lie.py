@@ -341,7 +341,7 @@ def make_pair(g: LieAlgebra, h_embedding, complement: Optional[Sequence[int]] = 
     if emb.rows != g.dim:
         raise ValueError("embedding has wrong ambient dimension")
     ech = Echelon(g.dim)
-    for col in emb.transpose().data:
+    for col in _int_rows(emb.transpose().data)[0]:
         ech.insert(col)
     if ech.rank != emb.cols:
         raise NotInjectiveError("embedding matrix has dependent columns")

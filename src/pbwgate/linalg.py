@@ -2,14 +2,16 @@
 
 Every decision made by this package (cocycle triviality, section existence,
 graded dimensions) reduces to solving linear systems over the rationals, so
-all arithmetic here is exact ``fractions.Fraction`` arithmetic.  Matrices are
-stored as lists of sparse rows (``dict`` column -> coefficient); elimination
-always pivots on the leftmost nonzero column so that echelon forms, solution
-vectors and complements are reproducible across runs.
+all arithmetic here is exact: ``fractions.Fraction`` matrices, and int rows
+over a scale (``_int_rows``) inside the one elimination core, ``Echelon``.
+Matrices are stored as lists of sparse rows (``dict`` column -> coefficient);
+elimination always pivots on the leftmost nonzero column so that echelon
+forms, solution vectors and complements are reproducible across runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from fractions import Fraction
@@ -109,9 +111,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i].get(j, _ZERO)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.data)
-
     def nnz(self) -> int:
         return sum(len(r) for r in self.data)
 
@@ -160,23 +159,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, operator.sub)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        """The exact product: both factors cleared to int rows over one scale
-        each (``_int_rows``; a row of ``other`` that no entry of ``self``
-        refers to is not read), multiplied in ints (``_int_mul``), and each
-        entry divided once into a Fraction."""
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        a, sa = _int_rows(self.data)
-        used = set().union(*self.data)
-        b, sb = _int_rows([r if k in used else {} for k, r in enumerate(other.data)])
-        den = sa * sb
-        if den == 1:
-            data = [{c: Fraction(x) for c, x in r.items()} for r in _int_mul(a, b)]
-        else:
-            data = [{c: Fraction(x, den) for c, x in r.items()} for r in _int_mul(a, b)]
-        return Matrix(self.rows, other.cols, data)
-
     def apply(self, vec: Row) -> Row:
         """Matrix times a sparse column vector, as a sparse dict."""
         out = {}
@@ -199,7 +181,7 @@ class Matrix:
 
     def rank(self) -> int:
         ech = Echelon(self.cols)
-        for r in self.data:
+        for r in _int_rows(self.data)[0]:
             ech.insert(r)
         return ech.rank
 
@@ -267,29 +249,29 @@ def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:
 
 
 def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    """An int row divided by the gcd of its entries; a Fraction entry raises TypeError."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 class Echelon:
-    """Incrementally built row space in echelon form.
+    """Incrementally built row space in echelon form, over int rows.
 
-    Pivots are the leftmost nonzero columns of the inserted (reduced) rows.
-    Rows are kept as content-stripped integer vectors and elimination uses
-    exact cross-multiplication; each pivot row is zero left of its pivot
-    column.  ``solution`` reads the free-variables-zero solution of a system
-    straight from these rows by back-substitution.  ``reduce`` returns the
-    canonical representative of a vector modulo the row space, supported on
-    the non-pivot columns only.  The canonical rational RREF (pivot entries
-    one) is built only on request, by ``back_reduce``, for the reference
-    routines ``rref`` and ``kernel_basis``; it closes the echelon, and a
-    later ``insert`` or ``reduce`` raises ValueError.
+    ``insert`` takes sparse int rows with zeros dropped and clears nothing; a
+    caller holding rationals clears them once with ``_int_rows`` (as
+    ``Matrix.rank``, ``rref``, ``kernel_basis``, ``subspace_intersection``
+    and ``Coordinates`` do), and a Fraction entry raises TypeError.  Pivots
+    are the leftmost nonzero columns of the inserted (reduced) rows; each
+    pivot row is kept primitive (content stripped) with a positive lead, and
+    is zero left of its pivot column.  Elimination is fraction-free (see
+    ``_reduce_int``).  ``solution`` reads the free-variables-zero solution of
+    a system straight from these rows by back-substitution.  ``reduce``
+    clears a rational vector with ``_int_rows`` and returns its canonical
+    representative modulo the row space, supported on the non-pivot columns
+    only.  The canonical rational RREF (pivot entries one) is built only on
+    request, by ``back_reduce``, for the reference routines ``rref`` and
+    ``kernel_basis``; it closes the echelon, and a later ``insert`` or
+    ``reduce`` raises ValueError.
     """
 
     __slots__ = ("ncols", "pivots", "_reduced")
@@ -304,44 +286,56 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce_int(self, row: dict, scale: int, strip: bool):
+        """The int row ``row`` / ``scale`` reduced by the pivot rows, as a new
+        (row, scale) with no entry in a pivot column.
+
+        The row's pivot hits wait in a heap and the smallest is taken first.
+        A step at hit c, with pivot row p of lead a > 0 and the row's entry b,
+        forms (a/g) row - (b/g) p, g = gcd(a, b), which cancels c.  p is zero
+        left of c, so each pivot column the step fills, or fills again after
+        an earlier step cancelled it, lies right of c and is pushed; a popped
+        column the row no longer holds is skipped.  Only a step with
+        a/g != 1 scales the row; its content is then stripped (``strip``) or
+        divided out with ``scale``.
+        """
         pivots = self.pivots
-        while True:
-            hit = -1
-            for c in row:
-                if c in pivots and (hit < 0 or c < hit):
-                    hit = c
-            if hit < 0:
-                return row, scale
-            p = pivots[hit]
-            a = p[hit]
-            b = row[hit]
-            new = {}
-            for c, v in row.items():
-                if c != hit:
-                    new[c] = a * v
-            for c, v in p.items():
-                if c == hit:
-                    continue
-                w = new.get(c, 0) - b * v
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = new
+        row = dict(row)
+        hits = [c for c in row if c in pivots]
+        heapq.heapify(hits)
+        while hits:
+            c = heapq.heappop(hits)
+            b = row.get(c)
+            if b is None:
+                continue  # cancelled after it was pushed
+            p = pivots[c]
+            a = p[c]
+            g = math.gcd(a, b)
+            m, f = a // g, b // g
+            if m != 1:
+                row = {k: m * v for k, v in row.items()}
+            for k, v in p.items():
+                w = row.get(k)
+                if w is None:
+                    row[k] = -f * v
+                    if k in pivots:
+                        heapq.heappush(hits, k)
+                else:
+                    w -= f * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+            if m == 1:
+                continue
             if strip:
                 row = _strip_content(row)
             else:
-                scale *= a
-                g = 0
-                for v in row.values():
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
-                g = math.gcd(g, scale)
+                scale *= m
+                g = math.gcd(scale, *row.values())
                 if g > 1:
                     scale //= g
-                    row = {c: v // g for c, v in row.items()}
-        # unreachable
+                    row = {k: v // g for k, v in row.items()}
+        return row, scale
 
     def reduce(self, vec: Row) -> Row:
         if self._reduced:
@@ -352,13 +346,11 @@ class Echelon:
             return {c: Fraction(v) for c, v in row.items()}
         return {c: Fraction(v, scale) for c, v in row.items()}
 
-    def insert(self, vec: Row) -> Optional[int]:
-        """Add a vector to the row space; return its pivot column if rank grew."""
+    def insert(self, row: dict) -> Optional[int]:
+        """Add a sparse int row to the row space; return its pivot column if rank grew."""
         if self._reduced:
             raise ValueError("insert after back_reduce: the echelon is closed")
-        (row,), _ = _int_rows((vec,))
-        row = _strip_content(row)
-        row, _ = self._reduce_int(row, 1, strip=True)
+        row = _strip_content(self._reduce_int(row, 1, strip=True)[0])
         if not row:
             return None
         c = min(row)
@@ -415,7 +407,7 @@ class Echelon:
 def rref(m: Matrix):
     """Reduced row echelon form and pivot columns (row space preserved)."""
     ech = Echelon(m.cols)
-    for r in m.data:
+    for r in _int_rows(m.data)[0]:
         ech.insert(r)
     ech.back_reduce()
     pivots = sorted(ech.pivots)
@@ -427,9 +419,11 @@ def rref(m: Matrix):
 
 def solve(rows: Iterable[Row], bcol: int) -> Optional[Row]:
     """The free-variables-zero solution of the system ``rows`` as a sparse
-    dict, or None when it is inconsistent.  Each row is a sparse dict over
-    the columns 0..bcol, the right-hand side in column ``bcol``; empty rows
-    are skipped and an entry outside that range raises ValueError.  Rows of
+    dict, or None when it is inconsistent.  Each row is a sparse int row
+    over the columns 0..bcol, zeros dropped, the right-hand side in column
+    ``bcol``; a caller holding rationals clears them first with
+    ``_int_rows``.  Empty rows are skipped, an entry outside that range
+    raises ValueError and a Fraction entry TypeError.  Rows of
     at most two entries go in as they arrive, the longer ones shortest
     first; with leftmost pivoting the pivot set is the RREF's, a property of
     the row space alone, so the order cannot move the answer."""
@@ -448,7 +442,7 @@ def solve(rows: Iterable[Row], bcol: int) -> Optional[Row]:
 def kernel_basis(a: Matrix) -> list:
     """Exact basis of the null space of ``a`` (empty for injective maps)."""
     ech = Echelon(a.cols)
-    for r in a.data:
+    for r in _int_rows(a.data)[0]:
         ech.insert(r)
     ech.back_reduce()
     basis = []
@@ -471,11 +465,10 @@ def subspace_intersection(us: Sequence[Row], vs: Sequence[Row], dim: int) -> lis
     """
     ech = Echelon(2 * dim)
     for vecs, tagged in ((us, True), (vs, False)):
-        for vec in vecs:
-            row = dict(_in_range(vec, dim))
+        for vec in _int_rows([_in_range(vec, dim) for vec in vecs])[0]:
             if tagged:
-                row.update((dim + c, v) for c, v in vec.items())
-            ech.insert(row)
+                vec.update([(dim + c, v) for c, v in vec.items()])
+            ech.insert(vec)
     return [{c - dim: Q(v) for c, v in ech.pivots[p].items()} for p in sorted(ech.pivots) if p >= dim]
 
 
@@ -496,10 +489,11 @@ class Coordinates:
     """Coordinates over a list of sparse vectors ``v_j`` of a ``dim``-space.
 
     Each ``v_j`` goes into one echelon as the row (v_j, e_j), its tag e_j in
-    column ``dim + j``.  Reducing (x, 0) leaves (0, -y) exactly when
-    x = sum_j y_j v_j, so a call returns ``{j: y_j}`` (in increasing j), or
-    None when x lies outside the span.  Dependent vectors are allowed; for
-    independent ones the coordinates are unique.
+    column ``dim + j``, all rows times the one scale that clears them.
+    Reducing (x, 0) leaves (0, -y) exactly when x = sum_j y_j v_j, so a call
+    returns ``{j: y_j}`` (in increasing j), or None when x lies outside the
+    span.  Dependent vectors are allowed; for independent ones the
+    coordinates are unique.
     """
 
     __slots__ = ("dim", "rank", "_ech")
@@ -508,9 +502,9 @@ class Coordinates:
         self.dim = dim
         self._ech = Echelon(dim + len(vectors))
         self.rank = 0  # pivots below dim: the dimension of the span
-        for j, vec in enumerate(vectors):
-            row = dict(_in_range(vec, dim))
-            row[dim + j] = 1
+        rows, scale = _int_rows([_in_range(vec, dim) for vec in vectors])
+        for j, row in enumerate(rows):
+            row[dim + j] = scale  # (v_j, e_j) times the clearing scale
             if self._ech.insert(row) < dim:
                 self.rank += 1
 

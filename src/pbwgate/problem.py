@@ -54,12 +54,18 @@ class ProblemFile:
         return LieAlgebra.from_pairs(self.dim, pairs, labels=self.labels)
 
     def pair(self):
+        """A new inclusion pair, its caches empty.  An embedding that is not
+        injective or not closed under the bracket, or a complement that does
+        not complete it to a basis, is an input error at ``h``."""
         alg = self.algebra()
         if self.h_indices is not None:
             emb = list(self.h_indices)
         else:
             emb = [list(col) for col in self.h_embedding]
-        return make_pair(alg, emb, complement=self.complement)
+        try:
+            return make_pair(alg, emb, complement=self.complement)
+        except ValueError as exc:
+            raise ProblemError("h", str(exc)) from None
 
     def module(self, pair, name: str) -> LieModule:
         if name == "trivial":
@@ -137,7 +143,8 @@ def _expect(doc: dict, key: str, where: str, types, required: bool = True, defau
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse and validate the text of a problem document."""
+    """Parse and validate the text of a problem document; the embedding is
+    checked where ``ProblemFile.pair`` builds the pair."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -239,7 +246,7 @@ def parse_problem(text: str) -> ProblemFile:
             parsed.append(tuple(rows))
         modules[mname] = (mdim, tuple(parsed))
     settings = _expect(doc, "settings", "document", dict, required=False, default={})
-    pf = ProblemFile(
+    return ProblemFile(
         name=name,
         dim=dim,
         labels=tuple(labels),
@@ -250,11 +257,3 @@ def parse_problem(text: str) -> ProblemFile:
         modules=modules,
         settings=settings,
     )
-    # building surfaces embedding problems (non-injective, not closed) early
-    try:
-        pf.pair()
-    except ProblemError:
-        raise
-    except ValueError as exc:
-        raise ProblemError("h", str(exc)) from None
-    return pf

@@ -11,7 +11,6 @@ input error.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 import traceback
@@ -405,11 +404,13 @@ def run_command(
         if least is not None and degree(check) < least:
             raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least {least}")
     _check_oracle_budget(problem, checks, degree, module)
-    lie_pair = functools.cache(problem.pair)
+    # the run's one pair, built before any check so that an embedding error
+    # is an input error; a later run builds its own, with empty caches
+    pair = problem.pair()
     records = []
 
     def run(check: str, fn, *args) -> None:
-        records.extend(_contained(check, lambda: fn(problem, lie_pair(), *args)))
+        records.extend(_contained(check, lambda: fn(problem, pair, *args)))
 
     for check in checks:
         if check == "validate":

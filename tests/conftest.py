@@ -26,7 +26,7 @@ from pbwgate.lie import (
     sym_monomials,
     tensor_module,
 )
-from pbwgate.linalg import Echelon, Matrix, _add_term, combination, solve, tensor_map
+from pbwgate.linalg import Echelon, Matrix, _add_term, _int_rows, combination, solve, tensor_map
 
 
 def sl2() -> LieAlgebra:
@@ -160,7 +160,7 @@ def reference_extension_rho(pair, module):
                     if const.entry(i, j):
                         row[nunk] = -const.entry(i, j)
                     rows.append(row)
-    sol = solve(rows, nunk)
+    sol = solve(_int_rows(rows)[0], nunk)
     if sol is None:
         return None
     rho = [Matrix.zeros(de, de) for _ in range(dn)]
@@ -172,11 +172,11 @@ def reference_extension_rho(pair, module):
 
 def system(a: Matrix, b: dict) -> tuple:
     """``(rows, bcol)`` of the system a x = b for ``linalg.solve``: each row
-    of ``a`` with its entry of ``b`` in column ``a.cols``."""
+    of ``a`` with its entry of ``b`` in column ``a.cols``, cleared to int rows."""
     rows = [dict(r) for r in a.data]
     for i, v in b.items():
         rows[i][a.cols] = v
-    return rows, a.cols
+    return _int_rows(rows)[0], a.cols
 
 
 def invert(m: Matrix) -> Matrix:
@@ -206,7 +206,7 @@ def alpha_difference(p1, p2) -> Cochain:
     dn = p1.dim_n
     transported = Matrix.zeros(a1.module.dim, p1.dim_h)
     for z in range(p1.dim_h):
-        phi1 = theta_inv.mul(hom_value(a2, z, dn, dn * dn)).mul(tensor_map(theta, theta))
+        phi1 = matmul(matmul(theta_inv, hom_value(a2, z, dn, dn * dn)), tensor_map(theta, theta))
         for i, row in enumerate(phi1.data):
             for j, v in row.items():
                 transported.data[i * dn * dn + j][z] = v
@@ -238,7 +238,7 @@ def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
     coeff = hom_module(tensor_module(n_mod, n_mod), n_mod)
     values = Matrix.zeros(coeff.dim, pair.dim_h)
     for z in range(pair.dim_h):
-        for i, row in enumerate(hom_value(cocycle, z, dn, dn * dn).mul(anti).data):
+        for i, row in enumerate(matmul(hom_value(cocycle, z, dn, dn * dn), anti).data):
             for j, v in row.items():
                 values.data[i * dn * dn + j][z] = v
     return is_trivial(pair, n_mod, Cochain(1, coeff, values)) is not None
@@ -254,6 +254,14 @@ def _fraction_product(a: Matrix, b: Matrix) -> list:
                 acc[c] = acc.get(c, Q(0)) + v * w
         out.append({c: x for c, x in acc.items() if x})
     return out
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, every product and sum taken in Fractions: the
+    reference for ``linalg._int_mul`` on cleared rows."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    return Matrix(a.rows, b.cols, _fraction_product(a, b))
 
 
 def reference_compatibility_defects(mod) -> list:
@@ -313,6 +321,77 @@ def reference_relation_span(qd, d: int, positions) -> Echelon:
                 for w2 in range(lo):
                     span.insert({(w1 * dg * dg + c) * lo + w2: v for c, v in vec.items()})
     return span
+
+
+def _primitive(row: dict) -> dict:
+    """An int row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+class ReferenceEchelon(Echelon):
+    """``Echelon`` with the plain rescanning loop: each step rescans the row
+    for its smallest pivot hit, forms a row - b p (a the pivot row's lead,
+    b the row's entry) and strips the content (or takes it into the scale);
+    ``insert`` and ``reduce`` clear each vector with ``_int_rows`` on the way
+    in.  The reference for ``Echelon``'s pivots, ``reduce`` and ``solution``."""
+
+    __slots__ = ()
+
+    def _reduce_int(self, row, scale, strip):
+        pivots = self.pivots
+        while True:
+            hit = -1
+            for c in row:
+                if c in pivots and (hit < 0 or c < hit):
+                    hit = c
+            if hit < 0:
+                return row, scale
+            p = pivots[hit]
+            a = p[hit]
+            b = row[hit]
+            new = {}
+            for c, v in row.items():
+                if c != hit:
+                    new[c] = a * v
+            for c, v in p.items():
+                if c == hit:
+                    continue
+                w = new.get(c, 0) - b * v
+                if w:
+                    new[c] = w
+                elif c in new:
+                    del new[c]
+            row = new
+            if strip:
+                row = _primitive(row)
+            else:
+                scale *= a
+                g = 0
+                for v in row.values():
+                    g = math.gcd(g, v)
+                    if g == 1:
+                        break
+                g = math.gcd(g, scale)
+                if g > 1:
+                    scale //= g
+                    row = {c: v // g for c, v in row.items()}
+
+    def reduce(self, vec):
+        (row,), scale = _int_rows((vec,))
+        row, scale = self._reduce_int(row, scale, strip=False)
+        return {c: Q(v, scale) for c, v in row.items()}
+
+    def insert(self, vec):
+        (row,), _ = _int_rows((vec,))
+        row, _ = self._reduce_int(_primitive(row), 1, strip=True)
+        if not row:
+            return None
+        c = min(row)
+        if row[c] < 0:
+            row = {k: -v for k, v in row.items()}
+        self.pivots[c] = row
+        return c
 
 
 def diagonal_embedding(alg: LieAlgebra):

@@ -44,7 +44,7 @@ def test_catalog_sl2_borel_matches_golden():
     pair = pf.pair()
     assert pair.complement == (2,)
     n = quotient_module(pair)
-    assert n.action[0].is_zero()
+    assert not any(n.action[0].data)
     assert n.action[1].entry(0, 0) == Q(-2)
 
 
@@ -59,7 +59,7 @@ def test_catalog_semidirect_c_vanishes():
     from pbwgate.cohomology import connecting_cocycle
 
     pf = catalog_get("semidirect-split")
-    assert connecting_cocycle(pf.pair()).values.is_zero()
+    assert not any(connecting_cocycle(pf.pair()).values.data)
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_ENTRIES))
@@ -112,14 +112,23 @@ def test_parse_antisymmetry_contradiction_names_pair():
     assert "(2,0)" in str(err.value).replace(" ", "")
 
 
-def test_parse_not_subalgebra_is_input_error():
+def test_parse_not_subalgebra_is_input_error(tmp_path):
+    # the pair is built by the run, before any check: an embedding that is
+    # not closed under the bracket is an input error there (exit 2)
     doc = {
         "name": "bad-sub",
         "g": {"dim": 3, "labels": ["e", "h", "f"], "brackets": [[0, 2, [[1, "1"]]], [1, 0, [[0, "2"]]], [1, 2, [[2, "-2"]]]]},
         "h": {"indices": [0, 2]},
     }
+    problem = parse_problem(json.dumps(doc))
+    with pytest.raises(ProblemError) as err:
+        problem.pair()
+    assert err.value.location == "h"
     with pytest.raises(ProblemError):
-        parse_problem(json.dumps(doc))
+        run_command("validate", problem)
+    path = tmp_path / "bad-sub.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 2
 
 
 def test_parse_bad_json_reports_position():
@@ -257,6 +266,14 @@ KOSZUL_REPORT_DIGESTS = {
 }
 
 
+# The same digest of the `oracle` report at K=3 on the committed conjugated
+# copy: dense systems whose pivot rows have leads other than 1, so every
+# elimination step of the section oracle and the rank checks shows in it.
+ORACLE_REPORT_DIGESTS = {
+    "diagonal-sl2-conjugated-3 K=3": "47d546d48296f3c46e36f0d524773970a59899fc93d367a615287385ef6fb7ea",
+}
+
+
 def _millis_free_digest(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
     main(argv + ["--json", str(out)])
@@ -289,6 +306,11 @@ def test_split_report_bytes_are_pinned(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(KOSZUL_REPORT_DIGESTS))
 def test_koszul_report_bytes_are_pinned(case, tmp_path):
     assert _case_digest("koszul", case, tmp_path) == KOSZUL_REPORT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_REPORT_DIGESTS))
+def test_oracle_report_bytes_are_pinned(case, tmp_path):
+    assert _case_digest("oracle", case, tmp_path) == ORACLE_REPORT_DIGESTS[case]
 
 
 def test_report_records_have_anchors():
@@ -462,9 +484,27 @@ def test_all_solves_each_system_once_per_pair(monkeypatch):
     # quotient module's action, so classes are built for n and the trivial
     # module only, and split reuses the extension datum of extend
     assert counts == {"section_oracle": 7, "alpha_cocycle": 2, "find_extension": 1}
-    # each run builds its pair afresh, so the caches start cold
+    # the second run builds its pair afresh, so the caches start cold
     run_command("all", problem, max_degree=2)
     assert counts == {"section_oracle": 14, "alpha_cocycle": 4, "find_extension": 2}
+
+
+def test_each_run_builds_its_pair_once(monkeypatch):
+    # parsing builds no pair; every run builds one, before its first check,
+    # and hands that one to all of its checks
+    from pbwgate import problem as problem_mod
+    from pbwgate import report as report_mod
+
+    built, used = [], []
+    real_pair, real_split = problem_mod.make_pair, report_mod._check_split
+    monkeypatch.setattr(problem_mod, "make_pair", lambda *args, **kw: built.append(real_pair(*args, **kw)) or built[-1])
+    monkeypatch.setattr(report_mod, "_check_split", lambda pf, pair, *rest: used.append(pair) or real_split(pf, pair, *rest))
+    problem = catalog_get("sl2-borel")
+    assert built == []
+    for runs in (1, 2):
+        assert run_command("all", problem, max_degree=2).exit_code == 0
+        assert len(built) == runs and used[-1] is built[-1] and built[-1]._caches
+    assert built[0] is not built[1]
 
 
 def test_module_needs_one_matrix_per_h_element():

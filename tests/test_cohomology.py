@@ -30,11 +30,12 @@ from pbwgate.lie import (
     tensor_module,
     trivial_module,
 )
-from pbwgate.linalg import Matrix, combination, kernel_basis, solve
+from pbwgate.linalg import Matrix, _int_rows, combination, kernel_basis, solve
 
 from conftest import (
     alpha_difference,
     ce_matrix,
+    matmul,
     reference_alpha_values,
     reference_ce_differential,
     reference_extension_rho,
@@ -60,18 +61,18 @@ def test_dd_zero(fixture, p, request):
     for mod in _modules_for_dd(pair):
         d_p = ce_matrix(pair.h, mod, p)
         d_next = ce_matrix(pair.h, mod, p + 1)
-        assert d_next.mul(d_p).is_zero()
+        assert not any(matmul(d_next, d_p).data)
 
 
 def test_differential_trivial_module_p0(sl2_borel):
     d = ce_matrix(sl2_borel.h, trivial_module(sl2_borel.h), 0)
-    assert d.is_zero()
+    assert not any(d.data)
 
 
 def test_differential_abelian_trivial_p1():
     h = LieAlgebra(2)
     pairless = trivial_module(h)
-    assert ce_matrix(h, pairless, 1).is_zero()
+    assert not any(ce_matrix(h, pairless, 1).data)
 
 
 def test_differential_e_block_vanishes_on_borel_hom(sl2_borel):
@@ -94,11 +95,11 @@ def test_connecting_cocycle_golden(sl2_borel):
 
 
 def test_connecting_cocycle_split_pair(semidirect_pair):
-    assert connecting_cocycle(semidirect_pair).values.is_zero()
+    assert not any(connecting_cocycle(semidirect_pair).values.data)
 
 
 def test_connecting_cocycle_abelian(abelian_pair):
-    assert connecting_cocycle(abelian_pair).values.is_zero()
+    assert not any(connecting_cocycle(abelian_pair).values.data)
 
 
 def test_alpha_cocycle_golden(sl2_borel):
@@ -110,12 +111,12 @@ def test_alpha_cocycle_golden(sl2_borel):
 
 
 def test_alpha_trivial_coefficients(sl2_borel):
-    assert alpha_cocycle(sl2_borel, trivial_module(sl2_borel.h)).values.is_zero()
+    assert not any(alpha_cocycle(sl2_borel, trivial_module(sl2_borel.h)).values.data)
 
 
 def test_alpha_split_pair(semidirect_pair):
     n = quotient_module(semidirect_pair)
-    assert alpha_cocycle(semidirect_pair, n).values.is_zero()
+    assert not any(alpha_cocycle(semidirect_pair, n).values.data)
 
 
 def test_is_trivial_borel_none(sl2_borel):
@@ -155,7 +156,7 @@ def test_is_trivial_zero_cocycle(sl2_borel):
     coeff = hom_module(tensor_module(n, n), n)
     zero = Cochain(1, coeff, Matrix.zeros(coeff.dim, sl2_borel.dim_h))
     b = is_trivial(sl2_borel, n, zero)
-    assert b is not None and b.values.is_zero()
+    assert b is not None and not any(b.values.data)
 
 
 def test_is_trivial_rejects_non_cocycle(diag_sl2):
@@ -221,7 +222,7 @@ def test_find_extension_trivial_module(sl2_borel):
     datum = find_extension(sl2_borel, e)
     assert datum is not None
     for r in range(sl2_borel.dim_n):
-        assert datum.rho[r].is_zero()
+        assert not any(datum.rho[r].data)
 
 
 def test_extension_iff_trivial(sl2_borel, diag_sl2, diag_heis, abelian_pair, semidirect_pair):
@@ -247,7 +248,7 @@ def test_pushout_dimension(sl2_borel, diag_sl2):
         assert q.dim == n.dim + pair.dim_n * n.dim
         assert incl.is_equivariant()
         assert proj.is_equivariant()
-        assert proj.matrix.mul(incl.matrix).is_zero()
+        assert not any(matmul(proj.matrix, incl.matrix).data)
         assert incl.matrix.rank() == n.dim
         assert proj.matrix.rank() == pair.dim_n * n.dim
         assert not q.compatibility_defects()
@@ -312,7 +313,7 @@ def test_pushout_borel_no_section(sl2_borel):
                     if v:
                         row[i * ne.dim + k] = row.get(i * ne.dim + k, 0) - v
                 rows.append({c: v for c, v in row.items() if v})
-    assert solve(rows, nuk) is None
+    assert solve(_int_rows(rows)[0], nuk) is None
     assert is_trivial(sl2_borel, n) is None  # consistent verdicts
 
 

@@ -42,7 +42,7 @@ from pbwgate.lie import (
 )
 from pbwgate.linalg import Matrix, rref, tensor_map
 
-from conftest import complement_change, diagonal_embedding, hstack, sl2, straightening, symmetrization
+from conftest import complement_change, diagonal_embedding, hstack, matmul, sl2, straightening, symmetrization
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -176,7 +176,7 @@ def _reference_actions(pair, side, K, coeff):
             for (nw, htail), c in reference(pair, (dn + a,) + w, memo).items():
                 tail = Matrix.identity(coeff.dim)
                 for letter in reversed(htail):
-                    tail = coeff.action[letter - dn].mul(tail)
+                    tail = matmul(coeff.action[letter - dn], tail)
                 for i, row in enumerate(tail.data):
                     for v, x in row.items():
                         _add(mat.data[index[nw] * vdim + i], wpos * vdim + v, c * x)
@@ -380,7 +380,7 @@ def test_gr_independent_of_complement():
     big = tensor_map(theta, theta)
     gr1, gr2 = (f._slice(f.dim(k - 1), f.dim(k)) for f in (f1, f2))
     for a in range(p1.dim_h):
-        assert big.mul(gr1.action[a]) == gr2.action[a].mul(big)
+        assert matmul(big, gr1.action[a]) == matmul(gr2.action[a], big)
 
 
 # --- dimension identities by rank -------------------------------------------
@@ -600,7 +600,7 @@ def test_connection_recursion_equals_the_straightened_symmetrized_chain(name, se
     maps = pbw_splitting_I(pair, rho, 4)
     for k in range(5):
         s_k = splitting_s(pair, rho, k, filt=f_filt).matrix
-        expected = straightening(pair, f_filt, r_filt, k).mul(s_k).mul(symmetrization(pair.dim_n, k))
+        expected = matmul(matmul(straightening(pair, f_filt, r_filt, k), s_k), symmetrization(pair.dim_n, k))
         assert maps[k].matrix == expected, k
 
 
@@ -657,7 +657,7 @@ def _printed_s3(pair, rho, x1, x2, x3):
         add((x1, r), -rho.rho[x2].entry(r, x3))
     for r in range(dn):  # - x2 . (rho(x1) x3)
         add((x2, r), -rho.rho[x1].entry(r, x3))
-    m = rho.rho[x2].mul(rho.rho[x1])  # + rho(x2) rho(x1) x3
+    m = matmul(rho.rho[x2], rho.rho[x1])  # + rho(x2) rho(x1) x3
     for r in range(dn):
         add((r,), m.entry(r, x3))
     for r in range(dn):  # - (rho(x1) x2) . x3
@@ -846,7 +846,7 @@ def _reference_oracle(seq):
         return s0
     blocks, rhs = [], {}
     for a in range(seq.sub.algebra.dim):
-        residual = seq.mid.action[a].mul(s0) - s0.mul(seq.quot.action[a])
+        residual = matmul(seq.mid.action[a], s0) - matmul(s0, seq.quot.action[a])
         d = _from_columns([_rref_solve(include, col) for col in residual.transpose().data], nsub)
         blocks.append(
             tensor_map(seq.sub.action[a], Matrix.identity(nquot))
@@ -862,7 +862,7 @@ def _reference_oracle(seq):
     t_mat = Matrix.zeros(nsub, nquot)
     for c, v in t.items():
         t_mat.data[c // nquot][c % nquot] = v
-    return s0 + include.mul(t_mat)
+    return s0 + matmul(include, t_mat)
 
 
 # every catalog pair but the negative control, which is not a Lie algebra and

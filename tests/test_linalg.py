@@ -9,6 +9,7 @@ from pbwgate.linalg import (
     Echelon,
     Matrix,
     _axpy,
+    _int_mul,
     _int_rows,
     combination,
     kernel_basis,
@@ -18,7 +19,7 @@ from pbwgate.linalg import (
     tensor_map,
 )
 
-from conftest import hstack, system
+from conftest import ReferenceEchelon, hstack, system
 
 
 def test_rref_identity():
@@ -79,6 +80,7 @@ def test_solve_does_not_depend_on_row_order(kind):
     rng = random.Random({"consistent": 83, "inconsistent": 89, "deficient": 97}[kind])
     for _ in range(60):
         cols, rows = _random_system(rng, kind)
+        rows = _int_rows(rows)[0]
         shuffled = list(rows)
         rng.shuffle(shuffled)
         solutions = [solve(order, cols) for order in (rows, list(reversed(rows)), shuffled, iter(rows))]
@@ -182,7 +184,7 @@ def _random_vectors(rng, dim, dependent):
     for _ in range(rng.randint(1, dim)):
         vec = {j: Q(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for j in range(dim) if rng.random() < 0.5}
         vec = {j: v for j, v in vec.items() if v}
-        if span.insert(vec) is not None:
+        if span.insert(_int_rows((vec,))[0][0]) is not None:
             vecs.append(vec)
     if dependent:
         for _ in range(rng.randint(1, 3)):
@@ -275,12 +277,12 @@ def test_rowspace_preserved_by_rref():
         r, piv = rref(a)
         # every original row reduces to zero against the rref rows and vice versa
         e1 = Echelon(5)
-        for row in a.data:
+        for row in _int_rows(a.data)[0]:
             e1.insert(row)
         for row in r.data:
             assert not e1.reduce(row)
         e2 = Echelon(5)
-        for row in r.data:
+        for row in _int_rows(r.data)[0]:
             e2.insert(row)
         for row in a.data:
             assert not e2.reduce(row)
@@ -359,8 +361,9 @@ def _random_system(rng, kind):
 
 
 def _echelon(ncols, rows):
+    """An echelon holding the rational ``rows``, cleared with ``_int_rows``."""
     ech = Echelon(ncols)
-    for r in rows:
+    for r in _int_rows(rows)[0]:
         ech.insert(r)
     return ech
 
@@ -438,7 +441,7 @@ def test_int_row_matches_reference(kind):
 
 
 def _mul_reference(a, b):
-    """The former ``Matrix.mul``: one Fraction multiply-add per term."""
+    """The product in Fractions: one Fraction multiply-add per term."""
     data = [dict() for _ in range(a.rows)]
     for i, r in enumerate(a.data):
         for k, v in r.items():
@@ -469,6 +472,8 @@ MUL_CASES = ["integral", "fraction", "mixed", "zero-rows", "empty-shapes", "unre
 
 @pytest.mark.parametrize("case", MUL_CASES)
 def test_mul_matches_fraction_reference(case):
+    # _int_mul of the factors cleared by _int_rows, over the product of their
+    # scales, is the product in Fractions
     rng = random.Random(MUL_CASES.index(case) + 101)
     kind = case if case in ("integral", "fraction") else "mixed"
     for _ in range(40):
@@ -482,19 +487,75 @@ def test_mul_matches_fraction_reference(case):
             for data in (a_data, b_data):
                 for r in rng.sample(range(len(data)), len(data) // 2):
                     data[r] = {}
+        unused = set()
         if case == "unreferenced":
             # rows of b that no entry of a refers to are never read
             unused = set(rng.sample(range(m), m // 2))
             a_data = [{k: v for k, v in r.items() if k not in unused} for r in a_data]
-            for k in unused:
-                b_data[k] = {0: 0.5}
         a, b = Matrix(n, m, a_data), Matrix(m, p, b_data)
-        got = a.mul(b)
-        if case == "unreferenced":
-            b = Matrix(m, p, [{} if k in unused else r for k, r in enumerate(b_data)])
-        assert (got.rows, got.cols) == (n, p)
-        assert got.data == _mul_reference(a, b).data
-        assert all(type(v) is Q and v for r in got.data for v in r.values())
+        (ai, sa), (bi, sb) = _int_rows(a.data), _int_rows(b.data)
+        for k in unused:
+            bi[k] = None
+        product = _int_mul(ai, bi)
+        assert len(product) == n and all(0 <= c < p for r in product for c in r)
+        assert all(type(v) is int and v for r in product for v in r.values())
+        got = [{c: Q(v, sa * sb) for c, v in r.items()} for r in product]
+        assert got == _mul_reference(a, b).data
+
+
+# --- the elimination kernel against the rescanning reference ------------------
+
+
+def _refill_block(draw, st, ncols):
+    """Pivot rows at a < b < c and a row that loses column c at its step at
+    a and regains it at its step at b: p_a ~ e_a + e_c, p_b ~ e_b + e_c and
+    the row ~ e_a + e_b + e_c, each scaled; inserted first, in this order."""
+    a, b, c = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=3, max_size=3, unique=True)))
+    m = draw(st.lists(st.integers(-50, 50).filter(bool), min_size=4, max_size=4))
+    tail = {j: m[2] for j in range(c + 1, ncols)}
+    return [{a: m[0], c: m[0]}, {b: m[1], c: m[1]}, {c: m[2], **tail}, {a: m[3], b: m[3], c: m[3]}]
+
+
+def test_echelon_matches_the_rescanning_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        ncols = data.draw(st.integers(3, 9))
+        sparse = st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3).filter(bool), max_size=3)
+        dense = st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols).map(
+            lambda r: {j: v for j, v in enumerate(r) if v}
+        )
+        rows = data.draw(st.lists(st.one_of(sparse, dense), max_size=8))
+        if data.draw(st.booleans()):
+            rows = _refill_block(data.draw, st, ncols) + rows
+        probes = rows + data.draw(st.lists(st.one_of(sparse, dense), max_size=4))
+        given = [dict(r) for r in rows]
+        ech, ref = Echelon(ncols), ReferenceEchelon(ncols)
+        for row in rows:
+            assert ech.insert(row) == ref.insert(row)
+        assert rows == given  # insert does not touch the caller's rows
+        assert ech.pivots == ref.pivots
+        assert all(type(v) is int for r in ech.pivots.values() for v in r.values())
+        assert ech.solution() == ref.solution()
+        for vec in probes:
+            assert ech.reduce(vec) == ref.reduce(vec)
+            halved = {c: Q(v, 2) for c, v in vec.items()}
+            assert ech.reduce(halved) == ref.reduce(halved)
+
+    prop()
+
+
+@pytest.mark.parametrize("row", [{0: Q(1, 2)}, {0: 1, 1: Q(1, 2)}, {0: Q(2), 1: 3}])
+def test_insert_and_solve_reject_a_fraction_entry(row):
+    # int rows are the contract; a rational row must be cleared by its caller
+    with pytest.raises(TypeError):
+        Echelon(3).insert(row)
+    # the same row after a pivot on column 0: met in a step, or in the last strip
+    with pytest.raises(TypeError):
+        solve([{0: 1, 2: 1}, row], 2)
 
 
 def test_echelon_is_closed_after_back_reduce():
@@ -541,7 +602,7 @@ def test_rank_solve_kernel_match_sympy():
         assert a.rank() == sa.rank()
         column = [b.get(i, Q(0)) for i in range(len(rows))]
         reduced, piv = sa.row_join(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in column])).rref()
-        x = solve(rows, cols)
+        x = solve(_int_rows(rows)[0], cols)
         if cols in piv:
             assert x is None
         else:
@@ -635,4 +696,4 @@ def test_combination_matches_termwise_sum(kind):
         assert got.data == want.data  # the same entries and the same zeros dropped
         assert all(type(v) is Q and v for r in got.data for v in r.values())
         if kind == "cancelling":
-            assert got.is_zero() and not any(got.data)
+            assert not any(got.data)

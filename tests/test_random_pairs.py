@@ -20,7 +20,7 @@ from pbwgate.lie import LieAlgebra, make_pair, quotient_module, validate_lie
 from pbwgate.linalg import Matrix
 from pbwgate.report import _check_koszul
 
-from conftest import ce_matrix, invert
+from conftest import ce_matrix, invert, matmul
 
 
 def _random_invertible(rng, n):
@@ -38,7 +38,7 @@ def _conjugate(pf, p_mat):
     p_cols = p_mat.transpose().data
     table = [[p_inv.apply(alg.bracket(xi, xj)) for xj in p_cols] for xi in p_cols]
     conj = LieAlgebra(dg, alg.labels, table)
-    return conj, p_inv.mul(pf.pair().h_embedding)
+    return conj, matmul(p_inv, pf.pair().h_embedding)
 
 
 CASES = [("sl2-borel", 3), ("semidirect-split", 5), ("diagonal-heisenberg", 11)]
