@@ -333,6 +333,12 @@ class ShortExactSequence:
             if not all(_same_values({c - nsub: v for c, v in r.items()}, sm, q, sq) for r, q in zip(bottom, act_quot)):
                 raise ValueError("projection is not equivariant")
 
+    def split_in_place(self) -> bool:
+        """Whether every top-right block D_a of ``mid`` is zero, so that the
+        block form is already a direct sum and s = [0; 1] is a section."""
+        nsub = self.sub.dim
+        return not any(c >= nsub for act in self.mid.mats for r in act[:nsub] for c in r)
+
 
 def level_sequence(filt: FilteredModule, k: int, reduced: bool = False) -> ShortExactSequence:
     """0 -> F^{k-1} -> F^k -> gr_k -> 0 (tilde version when ``reduced``)."""
@@ -357,7 +363,9 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
     every splitting verdict.  The section is the block column s = [t; 1], so
     project . s = id by construction, and s is equivariant exactly when
     act_sub(a) t - t act_quot(a) = -D_a, D_a the top-right block of
-    mid.action[a].
+    mid.action[a].  When every D_a is zero (``split_in_place``) that system
+    is homogeneous, its free-variables-zero solution is t = 0 whatever the
+    pivots, and no system is built; s = [0; 1] is still checked.
     """
     seq.validate()
     nsub, nquot = seq.sub.dim, seq.quot.dim
@@ -384,11 +392,15 @@ def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
                         row[bcol] = -fm * rhs
                     yield row
 
-    # a toral element's rows hold one unknown and the right-hand side, so
-    # solve's order fixes those unknowns before the longer rows fill in
-    sol = solve(rows(), bcol)
-    if sol is None:
-        return None
+    if seq.split_in_place():
+        # no right-hand side: the free-variables-zero solution is t = 0
+        sol = {}
+    else:
+        # a toral element's rows hold one unknown and the right-hand side, so
+        # solve's order fixes those unknowns before the longer rows fill in
+        sol = solve(rows(), bcol)
+        if sol is None:
+            return None
     s = Matrix(seq.mid.dim, nquot, [{} for _ in range(nsub)] + Matrix.identity(nquot).data)
     for c, v in sol.items():
         s.data[c // nquot][c % nquot] = v

@@ -274,6 +274,17 @@ ORACLE_REPORT_DIGESTS = {
 }
 
 
+# The same digest of the `twisted --module adjoint` report at K=3 on the four
+# pairs of the structure-deep benchmark; `all` runs `twisted` only with the
+# `n` and `trivial` modules.
+TWISTED_REPORT_DIGESTS = {
+    "sl2-borel K=3": "298a8a2c5d27e71cef5718bcf7db545a0275f5c3dad0e6150bfaeb1f467fb1e9",
+    "semidirect-split K=3": "dce8a2b896d02236d0f3a212d2b7a94e960b2693fd61548c877ec134158d70ac",
+    "diagonal-heisenberg K=3": "b0248e99df74d11d25cc5b10e0d314aac40807c7113d5fbf0d53537c06a8c76e",
+    "diagonal-sl2 K=3": "87b355a341a09c889bc5e61e2fc37247c629800c1cbeec67921df2702114d3f2",
+}
+
+
 def _millis_free_digest(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
     main(argv + ["--json", str(out)])
@@ -289,13 +300,14 @@ def test_all_report_bytes_are_pinned(name, tmp_path):
     assert _millis_free_digest(["all", "--example", name], tmp_path) == REPORT_DIGESTS[name]
 
 
-def _case_digest(command, case, tmp_path) -> str:
-    """The millis-free digest of ``command`` on a "<name> K=<cap>" case: the
-    committed file tests/data/<name>.json when there is one, else the example."""
+def _case_digest(command, case, tmp_path, *options) -> str:
+    """The millis-free digest of ``command`` with ``options`` on a
+    "<name> K=<cap>" case: the committed file tests/data/<name>.json when there
+    is one, else the example."""
     name, cap = case.split(" K=")
     path = Path(__file__).parent / "data" / f"{name}.json"
     source = ["--input", str(path)] if path.exists() else ["--example", name]
-    return _millis_free_digest([command, *source, "--max-degree", cap], tmp_path)
+    return _millis_free_digest([command, *source, *options, "--max-degree", cap], tmp_path)
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_REPORT_DIGESTS))
@@ -311,6 +323,11 @@ def test_koszul_report_bytes_are_pinned(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(ORACLE_REPORT_DIGESTS))
 def test_oracle_report_bytes_are_pinned(case, tmp_path):
     assert _case_digest("oracle", case, tmp_path) == ORACLE_REPORT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(TWISTED_REPORT_DIGESTS))
+def test_twisted_adjoint_report_bytes_are_pinned(case, tmp_path):
+    assert _case_digest("twisted", case, tmp_path, "--module", "adjoint") == TWISTED_REPORT_DIGESTS[case]
 
 
 def test_report_records_have_anchors():
@@ -666,11 +683,17 @@ def _oracle_with_solution(monkeypatch, solution):
     monkeypatch.setattr(engine_mod, "section_oracle", oracle)
 
 
+# diagonal-sl2 in a seeded random basis: every section-oracle system of it has
+# a right-hand side, so each one is eliminated and its solution read (in
+# catalog coordinates the free-side levels are split in place and solve nothing)
+CONJUGATED_DIAGONAL_SL2 = Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json"
+
+
 def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch):
     # the class of diagonal-sl2 is trivial, so every level splits: an
     # elimination that finds no solution turns the level verdicts against it
     _oracle_with_solution(monkeypatch, lambda real, ech: None)
-    rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
+    rep = run_command("oracle", parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")), max_degree=2)
     oracle = next(r for r in rep.records if r.check == "oracle")
     assert not oracle.ok
     assert oracle.witness["alpha_trivial"] is True
@@ -678,6 +701,81 @@ def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkey
     assert oracle.witness["straightened_side_levels"] == {"2": False}
     assert "DISAGREE" in oracle.verdict
     assert rep.exit_code == 1
+
+
+def test_oracle_record_fails_when_a_sequence_is_wrongly_taken_as_split_in_place(monkeypatch):
+    # the top-right blocks D_a of sl2-borel's level sequences are non-zero, so
+    # the section s = [0; 1] of a faulted predicate is not equivariant
+    from pbwgate import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod.ShortExactSequence, "split_in_place", lambda seq: True)
+    rep = run_command("oracle", catalog_get("sl2-borel"))
+    oracle = next(r for r in rep.records if r.check == "oracle")
+    assert not oracle.ok
+    assert oracle.witness["exception"] == "AssertionError"
+    assert oracle.witness["message"] == "oracle produced a non-equivariant section"
+    assert rep.exit_code == 1
+
+
+def test_oracle_reads_the_top_right_block_of_every_h_element():
+    # sl2-borel with its h basis listed toral element first: D_0 is zero on
+    # every level and only D_1 is not, so a predicate that stopped at the
+    # first element would take these non-split levels as split in place
+    rep = run_command("oracle", replace(catalog_get("sl2-borel"), h_indices=(1, 0)))
+    oracle = next(r for r in rep.records if r.check == "oracle")
+    assert oracle.ok
+    assert oracle.witness["free_side_levels"] == {"2": False, "3": False, "4": False}
+    assert rep.exit_code == 0
+
+
+def _solves_per_oracle_call(monkeypatch, problem, max_degree) -> list:
+    """Run `oracle` on ``problem`` and return one [level, solves] entry per
+    section_oracle call: the (side, k) of the level sequence it was given
+    (None for a sequence built elsewhere) and the number of solve calls it
+    made."""
+    from pbwgate import engine as engine_mod
+
+    real_level_sequence, real_oracle, real_solve = engine_mod.level_sequence, engine_mod.section_oracle, engine_mod.solve
+    levels: dict = {}
+    calls: list = []
+
+    def level_sequence(filt, k, reduced=False):
+        seq = real_level_sequence(filt, k, reduced)
+        levels[id(seq)] = (seq, (filt.side, k))
+        return seq
+
+    def solve(rows, bcol):
+        calls[-1][1] += 1
+        return real_solve(rows, bcol)
+
+    def oracle(seq):
+        seq_level = levels.get(id(seq))
+        calls.append([seq_level[1] if seq_level and seq_level[0] is seq else None, 0])
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, "solve", solve)
+            return real_oracle(seq)
+
+    monkeypatch.setattr(engine_mod, "level_sequence", level_sequence)
+    monkeypatch.setattr(engine_mod, "section_oracle", oracle)
+    assert run_command("oracle", problem, max_degree=max_degree).exit_code == 0
+    return calls
+
+
+def test_free_side_levels_of_an_h_stable_complement_solve_nothing(monkeypatch):
+    # the n-letters of catalog diagonal-heisenberg span an h-stable complement,
+    # so [a, x] has no h-part and every free-side level is split in place
+    calls = _solves_per_oracle_call(monkeypatch, catalog_get("diagonal-heisenberg"), 4)
+    free = {level[1]: solves for level, solves in calls if level and level[0] == "F"}
+    assert free == {2: 0, 3: 0, 4: 0}
+
+
+def test_every_conjugated_level_sequence_is_solved(monkeypatch):
+    # no level of the seeded copy is split in place: each section_oracle call
+    # eliminates its system once
+    problem = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8"))
+    calls = _solves_per_oracle_call(monkeypatch, problem, 3)
+    assert {level for level, _ in calls} >= {("F", 2), ("F", 3), ("R", 2), ("R", 3)}
+    assert [solves for _, solves in calls] == [1] * len(calls)
 
 
 def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
@@ -708,7 +806,7 @@ def test_twisted_record_fails_when_a_consistent_system_reports_no_solution(monke
     # an elimination that finds no solution must turn the record to FAIL
     _oracle_with_solution(monkeypatch, lambda real, ech: None)
     out = tmp_path / "report.json"
-    argv = ["twisted", "--example", "diagonal-sl2", "--module", "n", "--max-degree", "2", "--json", str(out)]
+    argv = ["twisted", "--input", str(CONJUGATED_DIAGONAL_SL2), "--module", "n", "--max-degree", "2", "--json", str(out)]
     assert main(argv) == 1
     [rec] = json.loads(out.read_text())["records"]
     assert not rec["ok"]
