@@ -697,28 +697,67 @@ def _expected_dims(dn: int, side: str, K: int, vdim: int) -> list:
     return out
 
 
+def _right_factors(dg: int, dn: int, length: int) -> list:
+    """The right factors w2 of one length, as base-dim(g) word codes, that a
+    core placement w1 r w2 needs modulo the coefficient relations: the empty
+    word and the words ending in an n-letter.  A placement whose w2 = w2' a
+    ends in an h-letter is, modulo them, a combination of the placements
+    w1 r w2' one degree below."""
+    return [w for w in range(dg ** length) if not length or w % dg < dn]
+
+
 def dimension_identity_check(
     pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None
 ) -> DimReport:
     """Validate dim F^k (resp. R^k) against an independent rank computation.
 
     The span of the obvious degree-bounded relation vectors inside the
-    truncated tensor algebra has codimension at least dim F^k and at most the
-    normal-form count, so equality of the three numbers (closed form, basis
-    words of the built filtration, rank codimension) certifies both the
-    graded dimension identity and the consistency of the rewriting.
+    truncated tensor algebra, tensored with the coefficients, has
+    codimension at least dim F^k and at most the normal-form count, so
+    equality of the three numbers (closed form, basis words of the built
+    filtration, rank codimension) certifies both the graded dimension
+    identity and the consistency of the rewriting.
+
+    The relations are the core placements w1 (x y - y x - [x, y]) w2 (x) v
+    and the coefficient relations w a (x) v - w (x) a.v, a in h.  Each
+    coefficient relation has its own column (w a, v), so they are
+    substituted, not eliminated: phi sends a word w' t, t its trailing block
+    of h-letters, to w' (x) t.v, and the rank of all the relations is their
+    number plus the rank of phi of the core placements, which lie over the
+    words that are empty or end in an n-letter.  The trivial module's zero
+    action drops every word with an h-tail.  With a coefficient module the
+    check verifies counts only: every h-module of one dimension gives the
+    same codimension (the zero action too), so a wrong action goes unseen.
     """
     dg = pair.g.dim
     dn = pair.dim_n
-    vdim = coeff.dim if coeff is not None else 1
-    # enumerate all words of degree <= K over the adapted letters
-    index: dict = {}
-    words: list = []
-    for k in range(K + 1):
-        for w in itertools.product(range(dg), repeat=k):
-            index[w] = len(words)
-            words.append(w)
-    ambient = len(words) * vdim
+    module = coeff if coeff is not None else trivial_module(pair.h)
+    vdim, scale = module.dim, module.scale
+    # sizes[k]: the words of degree <= k that are empty or end in an n-letter
+    sizes = [1]
+    for k in range(1, K + 1):
+        sizes.append(sizes[-1] + dg ** (k - 1) * dn)
+    last = sizes[-1] - 1
+    # stripped[k][w] for each word w of degree k, by its base-dg code: (the
+    # column of w with its h-tail t stripped, t); the columns run from the
+    # top degree down, so that a placement pivots on its top-degree word
+    stripped = [[(last, ())]]
+    for k in range(1, K + 1):
+        table = []
+        for w, (col, tail) in enumerate(stripped[-1]):
+            table += [(last - sizes[k - 1] - w * dn - x, ()) for x in range(dn)]
+            table += [(col, tail + (x,)) for x in range(dn, dg)]
+        stripped.append(table)
+    # each h-tail's action on each e_v, as int columns over scale^K
+    actions: dict = {}
+    for table in stripped:
+        for _, tail in table:
+            if tail not in actions:
+                rows = _compose_h_tail(module, tail, dn)
+                lift = scale ** (K - len(tail))
+                actions[tail] = [{i: lift * row[v] for i, row in enumerate(rows) if v in row} for v in range(vdim)]
+    # phi[k][w]: the ambient column of (w stripped, e_0) and its h-tail action
+    phi = [[(col * vdim, actions[tail]) for col, tail in table] for table in stripped]
 
     def rel_pairs():
         if side == "F":
@@ -730,40 +769,34 @@ def dimension_identity_check(
                 for y in range(x):
                     yield (x, y)
 
-    # each core e_{xy} - e_{yx} + [x, y] times D, as [x, y] = ints[x][y] / D
+    # each core e_{xy} - e_{yx} - [x, y] times D, as [x, y] = ints[x][y] / D,
+    # its terms (word code, degree, coefficient)
     ints, D = _letter_ints(pair)
-    cores = {}
+    cores = []
     for (x, y) in rel_pairs():
-        cores[(x, y)] = [((x, y), D), ((y, x), -D)] + [((u,), c) for u, c in ints[x][y].items()]
-    # the coefficient relations w a (x) v - w (x) a.v, times the scale of a
-    act, scale = (coeff.mats, coeff.scale) if coeff is not None else (None, 1)
-    # insert relations by their top degree so the echelon rank after stage k
-    # is exactly the rank of the degree <= k relation span
-    span = Echelon(ambient)
+        cores.append([(x * dg + y, 2, D), (y * dg + x, 2, -D)] + [(u, 1, -c) for u, c in ints[x][y].items()])
+
+    # insert the placements by their top degree so the echelon rank after
+    # stage k is exactly the rank of phi of the degree <= k relation span
+    span = Echelon(sizes[-1] * vdim)
     rank_codims = []
     for k in range(K + 1):
-        if k >= 2:
-            for core in cores.values():
-                for k1 in range(k - 1):
-                    for w1 in itertools.product(range(dg), repeat=k1):
-                        for w2 in itertools.product(range(dg), repeat=k - 2 - k1):
-                            for v in range(vdim):
-                                vec: dict = {}
-                                for mid, c in core:
-                                    _add_term(vec, index[w1 + mid + w2] * vdim + v, c)
+        for core in cores:
+            for k1 in range(k - 1):
+                k2 = k - 2 - k1
+                w2s = _right_factors(dg, dn, k2)
+                for w1 in range(dg ** k1):
+                    heads = [(phi[k1 + m + k2], (w1 * dg ** m + mid) * dg ** k2, c) for mid, m, c in core]
+                    for w2 in w2s:
+                        terms = [table[head + w2] + (c,) for table, head, c in heads]
+                        for v in range(vdim):
+                            vec: dict = {}
+                            for col, action, c in terms:
+                                for i, x in action[v].items():
+                                    _add_term(vec, col + i, c * x)
+                            if vec:
                                 span.insert(vec)
-        if k >= 1:
-            for w in itertools.product(range(dg), repeat=k - 1):
-                for a in range(pair.dim_h):
-                    for v in range(vdim):
-                        vec = {index[w + (dn + a,)] * vdim + v: scale}
-                        if act is not None:
-                            for i, row in enumerate(act[a]):
-                                if v in row:
-                                    _add_term(vec, index[w] * vdim + i, -row[v])
-                        span.insert(vec)
-        sub_ambient = sum(dg ** i for i in range(k + 1)) * vdim
-        rank_codims.append(sub_ambient - span.rank)
+        rank_codims.append(sizes[k] * vdim - span.rank)
     filt = build_filtration(pair, side, K, coeff)
     counts = [filt.dim(k) for k in range(K + 1)]
     return DimReport(_expected_dims(dn, side, K, vdim), counts, rank_codims)

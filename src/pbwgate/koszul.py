@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _int_rows, _integral, subspace_intersection
+from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _integral, subspace_intersection
 
 Vec = dict
 
@@ -197,34 +197,31 @@ class _QaDegrees:
     the classes one degree below, extended by a last letter, joined by the
     relations in the last position.  The classes of a binomial span do not
     depend on the order the relations come in, so these are the classes of
-    the relations at every position."""
+    the relations at every position.  ``times[d][p][x]`` is the product
+    table of right multiplication qA_d x g -> qA_{d+1}: the coordinate of
+    basis word p times letter x, whose coefficient is always 1."""
 
     def __init__(self, pair: InclusionPair, max_degree: int):
-        self.dg = pair.g.dim
+        dg = pair.g.dim
         self.qd = _quadratic_data(pair)
         self.reps = []
         self.basis_words = []
-        self.pos = []
+        self.times = []
         rep = [0]
         for d in range(max_degree + 1):
             if d:
-                rep = [r * self.dg + x for r in rep for x in range(self.dg)]
+                rep = [r * dg + x for r in rep for x in range(dg)]
             if d >= 2:
                 rep = _word_classes(self.qd, d, (d - 2,), rep)
             words = [w for w, r in enumerate(rep) if w == r]
+            if d:
+                pos = {w: i for i, w in enumerate(words)}
+                self.times.append([[pos[rep[w * dg + x]] for x in range(dg)] for w in self.basis_words[-1]])
             self.reps.append(rep)
             self.basis_words.append(words)
-            self.pos.append({w: i for i, w in enumerate(words)})
 
     def dim(self, d: int) -> int:
         return len(self.basis_words[d])
-
-    def reduce(self, d: int, word_index: int) -> dict:
-        return {self.pos[d][self.reps[d][word_index]]: 1}
-
-    def mult_letter(self, d: int, coord: int, letter: int) -> dict:
-        """Right multiplication qA_d x g -> qA_{d+1} on basis coordinates."""
-        return self.reduce(d + 1, self.basis_words[d][coord] * self.dg + letter)
 
 
 def _wedge_vector(letters, dg: int) -> dict:
@@ -338,24 +335,27 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
         dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
-        mats = [None]
+        # d_i as int columns: column p * dim K^i + t holds, for each letter
+        # of list t, the omitted wedge's coordinates at (p times the letter)
+        cols = [None]
         for i in range(1, top + 1):
-            ktl, ktp = kt[i], kt[i - 1]
-            rows = [{} for _ in range(dims[i - 1])]
-            for p in range(qa.dim(d - i)):
-                for t, letters in enumerate(ktl.lists):
-                    col = p * ktl.dim + t
-                    for letter, wedge in zip(letters, omitted[i][t]):
-                        for q, cq in qa.mult_letter(d - i, p, letter).items():
-                            for tp, ct in wedge.items():
-                                _add_term(rows[q * ktp.dim + tp], col, cq * ct)
-            mats.append(_int_rows(rows)[0])
-        dd_zero = all(not any(_int_mul(mats[i - 1], mats[i])) for i in range(2, top + 1))
+            lower = kt[i - 1].dim
+            cols_i = []
+            for products in qa.times[d - i]:
+                for letters, wedges in zip(kt[i].lists, omitted[i]):
+                    col: dict = {}
+                    for letter, wedge in zip(letters, wedges):
+                        base = products[letter] * lower
+                        for tp, ct in wedge.items():
+                            _add_term(col, base + tp, ct)
+                    cols_i.append(col)
+            cols.append(cols_i)
+        dd_zero = all(not any(_int_mul(cols[i], cols[i - 1])) for i in range(2, top + 1))
         ranks = []
         for i in range(1, top + 1):
-            span = Echelon(dims[i])
-            for row in mats[i]:
-                span.insert(row)
+            span = Echelon(dims[i - 1])
+            for col in cols[i]:
+                span.insert(col)
             ranks.append(span.rank)
         exact = {}
         for i in range(1, top + 1):

@@ -560,6 +560,34 @@ def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
     assert rep.exit_code == 1
 
 
+def test_dimensions_record_fails_when_the_skip_drops_the_wrong_right_factors(monkeypatch, tmp_path):
+    # modulo the coefficient relations, a placement w1 r w2 whose right factor
+    # ends in an h-letter is redundant and one ending in an n-letter is not:
+    # a skip that keeps the first kind and drops the second leaves the
+    # degree-3 span short, so the rank codimension exceeds the closed form on
+    # both sides, a FAIL record with exit 1
+    from pbwgate import engine as engine_mod
+
+    def h_ending(dg, dn, length):
+        return [w for w in range(dg ** length) if not length or w % dg >= dn]
+
+    monkeypatch.setattr(engine_mod, "_right_factors", h_ending)
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--example", "sl2-borel", "--max-degree", "3", "--json", str(out)]) == 1
+    oracle, dims, f2 = json.loads(out.read_text())["records"]
+    assert oracle["ok"] and f2["ok"]
+    assert (dims["check"], dims["ok"], dims["verdict"]) == ("dimensions", False, "dimension identity MISMATCH")
+    for side in "FR":
+        assert dims["witness"][side]["expected"] == dims["witness"][side]["normal_forms"] == [1, 2, 3, 4]
+        assert dims["witness"][side]["rank_codimensions"] == [1, 2, 3, 6]
+    for name in ("semidirect-split", "diagonal-heisenberg", "diagonal-sl2"):
+        [rec] = [r for r in run_command("oracle", catalog_get(name), max_degree=3).records if r.check == "dimensions"]
+        assert not rec.ok
+        for side in "FR":
+            ranks, expected = rec.witness[side]["rank_codimensions"], rec.witness[side]["expected"]
+            assert ranks[:3] == expected[:3] and ranks[3] > expected[3], (name, side)
+
+
 # --- injected defects in the merged cochain, extension and pushout checks ----
 
 
@@ -1099,17 +1127,19 @@ def _koszul_record(tmp_path) -> dict:
 
 
 def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp_path):
-    # twice the product by letter 0 out of degree 0 breaks d o d = 0 in the
-    # slices that compose a degree-0 and a degree-1 multiplication
+    # the product table sending letter 0 out of degree 0 to letter 1 breaks
+    # d o d = 0 in the slices that compose a degree-0 and a degree-1
+    # multiplication
     from pbwgate import koszul as koszul_mod
 
-    real = koszul_mod._QaDegrees.mult_letter
+    real = koszul_mod._QaDegrees.__init__
 
-    def scaled(self, d, coord, letter):
-        out = real(self, d, coord, letter)
-        return {k: 2 * v for k, v in out.items()} if letter == 0 and d == 0 else out
+    def misplaced(self, pair, max_degree):
+        real(self, pair, max_degree)
+        assert self.times[0][0][0] == 0
+        self.times[0][0][0] = 1
 
-    monkeypatch.setattr(koszul_mod._QaDegrees, "mult_letter", scaled)
+    monkeypatch.setattr(koszul_mod._QaDegrees, "__init__", misplaced)
     witness = _koszul_record(tmp_path)
     assert [s["dd_zero"] for s in witness["slices"]] == [True, False, False]
     assert witness["containment_ok"] is True

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +42,18 @@ from pbwgate.lie import (
     trivial_module,
 )
 from pbwgate.linalg import Matrix, rref, tensor_map
+from pbwgate.problem import parse_problem
 
-from conftest import complement_change, diagonal_embedding, hstack, matmul, sl2, straightening, symmetrization
+from conftest import (
+    complement_change,
+    diagonal_embedding,
+    hstack,
+    matmul,
+    reference_dimension_ranks,
+    sl2,
+    straightening,
+    symmetrization,
+)
 from test_random_pairs import _conjugate, _random_invertible
 
 
@@ -137,6 +148,7 @@ def _case_pair(name, seed):
 
 
 CONJUGATED_CASES = [("diagonal-heisenberg", 11), ("diagonal-sl2", 3)]
+CONJUGATED_DIAGONAL_SL2 = Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json"
 
 
 @pytest.mark.parametrize("name,seed", [(name, None) for name in catalog_list()] + CONJUGATED_CASES)
@@ -398,6 +410,55 @@ def test_rank_dimension_identity_twisted(side, sl2_borel):
     n = quotient_module(sl2_borel)
     rep = dimension_identity_check(sl2_borel, side, 3, coeff=n)
     assert rep.ok, rep
+
+
+# the rank codimensions with the coefficient relations substituted and the
+# placements whose right factor ends in an h-letter skipped, against the
+# elimination over every word of g (``reference_dimension_ranks``)
+LIE_PAIRS = [name for name in catalog_list() if not catalog_get(name).expect_invalid]
+
+
+@pytest.mark.parametrize("name", LIE_PAIRS)
+def test_dimension_ranks_match_the_full_ambient_elimination(name):
+    pair = catalog_get(name).pair()
+    for side in "FR":
+        rep = dimension_identity_check(pair, side, 4)
+        assert rep.rank_codims == reference_dimension_ranks(pair, side, 4), side
+        assert rep.ok, (side, rep)
+
+
+@pytest.mark.parametrize("name,seed", [("diagonal-sl2", "committed"), ("semidirect-split", 5), ("diagonal-heisenberg", 11)])
+def test_dimension_ranks_match_the_full_ambient_elimination_in_conjugated_coordinates(name, seed):
+    if seed == "committed":
+        pair = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair()
+    else:
+        pair = _case_pair(name, seed)
+    assert _letter_ints(pair)[1] > 1
+    # in these coordinates n acts over a scale above 1, so the actions of
+    # h-tails of different lengths are lifted onto one scale
+    n = quotient_module(pair)
+    assert n.scale > 1
+    for coeff in (None, n):
+        for side in "FR":
+            rep = dimension_identity_check(pair, side, 3, coeff=coeff)
+            assert rep.rank_codims == reference_dimension_ranks(pair, side, 3, coeff), side
+            assert rep.ok, (side, rep)
+
+
+@pytest.mark.parametrize("name", LIE_PAIRS)
+def test_dimension_ranks_with_coefficients_match_the_full_ambient_elimination(name):
+    # with the core relations x y - y x - [x, y] of U(g), every h-module
+    # leaves the closed-form count.  The sign matters once [h, h] acts
+    # nontrivially (the adjoint modules of sl2-borel's and diagonal-sl2's h,
+    # and n of diagonal-sl2), where x y - y x + [x, y] reads a mismatch.
+    # That a wrong action is caught is not claimed: every module of one
+    # dimension gives the same count
+    pair = catalog_get(name).pair()
+    for coeff in (quotient_module(pair), adjoint_module(pair.h)):
+        for side in "FR":
+            rep = dimension_identity_check(pair, side, 3, coeff=coeff)
+            assert rep.rank_codims == reference_dimension_ranks(pair, side, 3, coeff), (coeff.dim, side)
+            assert rep.ok, (coeff.dim, side, rep)
 
 
 # --- t-maps and the printed formulas ----------------------------------------

@@ -161,19 +161,26 @@ def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
 def test_incremental_relation_spans_match_the_full_span(name):
     # the classes of R_d built from R_{d-1} (x) g and the relations in the
     # last position are the free columns and the reductions of the echelon
-    # of the relations at every position
+    # of the relations at every position; the product table reads the same
+    # reductions for each basis word of one degree below times a letter
     pair = catalog_get(name).pair()
-    top = 5 if pair.g.dim == 3 else 4
+    dg = pair.g.dim
+    top = 5 if dg == 3 else 4
     qa = _QaDegrees(pair, top)
+    assert len(qa.times) == top
     for d in range(top + 1):
         ref = reference_relation_span(qa.qd, d, range(d - 1))
         assert qa.basis_words[d] == ref.free_columns()
-        assert qa.dim(d) == pair.g.dim ** d - ref.rank
-        for word in range(pair.g.dim ** d):
+        assert qa.dim(d) == dg ** d - ref.rank
+        for word in range(dg ** d):
             # a binomial span sends a word to one basis word, coefficient int 1
             assert ref.reduce({word: 1}) == {qa.reps[d][word]: 1}
-            [(coord, v)] = qa.reduce(d, word).items()
-            assert (qa.basis_words[d][coord], type(v), v) == (qa.reps[d][word], int, 1)
+        if d:
+            assert [len(row) for row in qa.times[d - 1]] == [dg] * qa.dim(d - 1)
+            for p, row in enumerate(qa.times[d - 1]):
+                for x, coord in enumerate(row):
+                    product = qa.basis_words[d - 1][p] * dg + x
+                    assert ref.reduce({product: 1}) == {qa.basis_words[d][coord]: 1}
 
 
 def test_class_membership_is_membership_in_the_eliminated_span():
