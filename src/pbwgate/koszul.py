@@ -14,7 +14,9 @@ Everything is phrased over the adapted letters (n-letters first, h-letters
 last), which makes every relation vector a binomial e_u - e_v.  So the
 relation span of degree k is a binomial span, its rank counted without
 elimination as the words of degree k minus the classes of words the
-relations join, and dim qA_k is the number of those classes.
+relations join, and dim qA_k is the number of those classes.  The classes
+of degree k are built from the basis words of degree k - 1 times a letter,
+so no check visits every word of g^{(x) k}.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _integral, subspace_intersection
+from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _integral
 
 Vec = dict
 
@@ -89,28 +90,48 @@ def _quadratic_data(pair: InclusionPair) -> QuadraticData:
     return cache["quadratic_data"]
 
 
+def _overlap(qd: QuadraticData) -> list:
+    """A basis of qR (x) g intersect g (x) qR as coordinate pairs (y, z):
+    sum_j y_j L_j = sum_k z_k R_k over the vectors L_j = qR_b (x) w of
+    qR (x) g (j = b * dg + w) and R_k = u (x) qR_b of g (x) qR
+    (k = u * dim(qR) + b).  The rows (L_j | e_j) and (R_k | e_{n_L + k}) go
+    into one echelon; a row pivoting in the tags is (0 | y | -z).  The L_j
+    are independent and so are the R_k, so these rows give a basis."""
+    dg = qd.pair.g.dim
+    dim3 = dg ** 3
+    n_left = qd.dim * dg
+    ech = Echelon(dim3 + 2 * n_left)
+    tag = dim3
+    for vectors in (
+        ({c * dg + w: v for c, v in vec.items()} for vec in qd.basis for w in range(dg)),
+        ({u * dg * dg + c: v for c, v in vec.items()} for u in range(dg) for vec in qd.basis),
+    ):
+        for row in vectors:
+            row[tag] = 1
+            tag += 1
+            ech.insert(row)
+    overlap = []
+    for p, row in ech.pivots.items():
+        if p >= dim3:
+            y = {c - dim3: v for c, v in row.items() if c < dim3 + n_left}
+            z = {c - dim3 - n_left: -v for c, v in row.items() if c >= dim3 + n_left}
+            overlap.append((y, z))
+    return overlap
+
+
 def bg_conditions(pair: InclusionPair):
     """The two conditions making gr of the filtered algebra equal qA:
     (1) the image of (phi (x) id - id (x) phi) on qR(x)g intersect g(x)qR
-        lies back inside qR, and (2) composing with phi kills it."""
+        lies back inside qR, and (2) composing with phi kills it.  Both are
+    linear in the overlap vector, so checking them on a basis suffices."""
     qd = _quadratic_data(pair)
     if not qd.phi_consistent:
         return (False, False)
     dg = pair.g.dim
-    dim3 = dg ** 3
-    # qR (x) g at b * dg + w, and g (x) qR at u * dim(qR) + b
-    left_vectors = [{c * dg + w: v for c, v in vec.items()} for vec in qd.basis for w in range(dg)]
-    right_vectors = [{u * dg * dg + c: v for c, v in vec.items()} for u in range(dg) for vec in qd.basis]
-    left = Coordinates(left_vectors, dim3)
-    right = Coordinates(right_vectors, dim3)
     phi_cols = qd.phi.transpose().data
     cond1 = True
     cond2 = True
-    for d in subspace_intersection(left_vectors, right_vectors, dim3):
-        y = left(d)
-        z = right(d)
-        if y is None or z is None:
-            raise AssertionError("overlap vector lies outside qR (x) g or g (x) qR")
+    for y, z in _overlap(qd):
         diff: Vec = {}
         for idx, coeff in y.items():
             b, w = divmod(idx, dg)
@@ -144,45 +165,34 @@ def qa_graded_dimension(pair: InclusionPair, k: int) -> int:
     return _QaDegrees(pair, k).dim(k)
 
 
-def _word_classes(qd: QuadraticData, d: int, positions, rep: Optional[list] = None) -> list:
-    """rep[w] for each word w of g^{(x) d}: the largest word of w's class
-    when w1 u w2 ~ w1 v w2 for each qR basis vector e_u - e_v, placed at
-    each of ``positions`` (the degree of w1), starting from the classes of
-    ``rep`` (one word each by default).  The relation span is the span of
-    the e_w - e_{rep[w]}: rank #words - #classes, its free columns (leftmost
-    pivoting) the words w = rep[w], and each word reduces to e_{rep[w]}."""
+def _binomials(qd: QuadraticData) -> list:
+    """The qR basis vectors e_u - e_v as letter pairs ((u1, u2), (v1, v2));
+    the word classes hold only for such relations."""
     dg = qd.pair.g.dim
-    parent = list(range(dg ** d)) if rep is None else list(rep)
-
-    def find(w: int) -> int:
-        while parent[w] != w:
-            parent[w] = w = parent[parent[w]]
-        return w
-
-    binomials = []
+    out = []
     for vec in qd.basis:
         if len(vec) != 2 or sum(vec.values()):
             raise AssertionError(f"qR basis vector {vec} is not a binomial e_u - e_v")
-        binomials.append(tuple(vec))
-    for p in positions:
-        lo = dg ** (d - 2 - p)
-        for w1 in range(dg ** p):
-            for u, v in binomials:
-                for w2 in range(lo):
-                    a = find((w1 * dg * dg + u) * lo + w2)
-                    b = find((w1 * dg * dg + v) * lo + w2)
-                    if a != b:
-                        parent[min(a, b)] = max(a, b)
-    return [find(w) for w in range(len(parent))]
+        u, v = vec
+        out.append((divmod(u, dg), divmod(v, dg)))
+    return out
 
 
-def _in_class_span(rep: list, vec: dict) -> bool:
-    """Whether vec lies in the span of the e_w - e_{rep[w]}: its coefficients
-    sum to zero on every class."""
-    sums: dict = {}
-    for w, v in vec.items():
-        _add_term(sums, rep[w], v)
-    return not sums
+def _classes(n: int, joins) -> list:
+    """The class of each of n elements once each pair of ``joins`` is
+    joined (union-find), named by its largest element."""
+    parent = list(range(n))
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = e = parent[parent[e]]
+        return e
+
+    for a, b in joins:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[min(a, b)] = max(a, b)
+    return [find(e) for e in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +203,56 @@ def _in_class_span(rep: list, vec: dict) -> bool:
 class _QaDegrees:
     """Quotient coordinates of qA per degree: canonical word representatives.
 
-    The classes of degree d are those of R_{d-1} (x) g + g^{(x) d-2} (x) qR:
-    the classes one degree below, extended by a last letter, joined by the
-    relations in the last position.  The classes of a binomial span do not
-    depend on the order the relations come in, so these are the classes of
-    the relations at every position.  ``times[d][p][x]`` is the product
-    table of right multiplication qA_d x g -> qA_{d+1}: the coordinate of
-    basis word p times letter x, whose coefficient is always 1."""
+    The relations of degree d are R_d = R_{d-1} (x) g + g^{(x) d-2} (x) qR,
+    so qA_d is a quotient of qA_{d-1} (x) g: its elements are the pairs
+    (basis word p of qA_{d-1}, letter x), numbered p * dg + x, and the
+    relations in the last position join (w1 u1, u2) with (w1 v1, v2) for
+    each binomial e_u - e_v of qR.  The class of w1 u1 depends only on the
+    class q of w1, so the joins are (times[d-2][q][u1], u2) ~
+    (times[d-2][q][v1], v2) over the basis words q of qA_{d-2}.  The basis
+    words below are sorted, so the largest element of a class is its
+    largest word: ``basis_words[d]`` lists, in increasing order, the
+    largest word of each class of g^{(x) d}.  ``times[d][p][x]`` is the
+    product table of right multiplication qA_d x g -> qA_{d+1}: the
+    coordinate of basis word p times letter x, whose coefficient is always 1."""
 
     def __init__(self, pair: InclusionPair, max_degree: int):
-        dg = pair.g.dim
+        dg = self.dg = pair.g.dim
         self.qd = _quadratic_data(pair)
-        self.reps = []
-        self.basis_words = []
+        binomials = _binomials(self.qd)
+        self.basis_words = [[0]]
         self.times = []
-        rep = [0]
-        for d in range(max_degree + 1):
-            if d:
-                rep = [r * dg + x for r in rep for x in range(dg)]
-            if d >= 2:
-                rep = _word_classes(self.qd, d, (d - 2,), rep)
-            words = [w for w, r in enumerate(rep) if w == r]
-            if d:
-                pos = {w: i for i, w in enumerate(words)}
-                self.times.append([[pos[rep[w * dg + x]] for x in range(dg)] for w in self.basis_words[-1]])
-            self.reps.append(rep)
-            self.basis_words.append(words)
+        for d in range(1, max_degree + 1):
+            below = self.dim(d - 1)
+            root = _classes(below * dg, self._last_relations(d, binomials) if d >= 2 else ())
+            tops = [e for e in range(below * dg) if root[e] == e]
+            pos = {e: i for i, e in enumerate(tops)}
+            self.times.append([[pos[root[p * dg + x]] for x in range(dg)] for p in range(below)])
+            self.basis_words.append([self.basis_words[d - 1][e // dg] * dg + e % dg for e in tops])
+
+    def _last_relations(self, d: int, binomials) -> list:
+        """The joins of the qR binomials in the last position of degree d."""
+        dg = self.dg
+        return [
+            (row[u1] * dg + u2, row[v1] * dg + v2) for row in self.times[d - 2] for (u1, u2), (v1, v2) in binomials
+        ]
 
     def dim(self, d: int) -> int:
         return len(self.basis_words[d])
+
+
+def _in_relations_at(vec: dict, pair_class: list, dg: int, d: int, k: int) -> bool:
+    """Whether vec in g^{(x) d} lies in g^{(x) k} (x) qR (x) g^{(x) d-2-k}.
+    The classes of those relations are the words w1 c w2, c the class in
+    qA_2 of the two letters at position k (``pair_class`` of a two-letter
+    word); vec lies in the span iff its coefficients sum to zero on each."""
+    lo = dg ** (d - 2 - k)
+    sums: dict = {}
+    for w, v in vec.items():
+        w1, rest = divmod(w, dg * dg * lo)
+        a, w2 = divmod(rest, lo)
+        _add_term(sums, (w1, pair_class[a], w2), v)
+    return not sums
 
 
 def _wedge_vector(letters, dg: int) -> dict:
@@ -308,11 +339,14 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     kt = [ktilde_basis(pair, i) for i in range(max_i + 1)]
     ktilde_dims_ok = all(kt[i].dim == kt[i].expected_dim for i in range(max_i + 1))
 
-    containment_ok = True
-    for i in range(2, max_i + 1):
-        for k in range(i - 1):
-            rep = _word_classes(qa.qd, i, (k,))
-            containment_ok = containment_ok and all(_in_class_span(rep, vec) for vec in kt[i].vectors)
+    # the qA_2 coordinate of each two-letter word: the classes of qR
+    pair_class = [c for row in qa.times[1] for c in row] if max_i >= 2 else []
+    containment_ok = all(
+        _in_relations_at(vec, pair_class, dg, i, k)
+        for i in range(2, max_i + 1)
+        for k in range(i - 1)
+        for vec in kt[i].vectors
+    )
 
     # cache of the wedge coordinates appearing in the differentials: per
     # position i, the signed coordinates (-1)^j * (the wedge with its j-th

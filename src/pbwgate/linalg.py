@@ -259,8 +259,7 @@ class Echelon:
 
     ``insert`` takes sparse int rows with zeros dropped and clears nothing; a
     caller holding rationals clears them once with ``_int_rows`` (as
-    ``Matrix.rank``, ``rref``, ``kernel_basis``, ``subspace_intersection``
-    and ``Coordinates`` do), and a Fraction entry raises TypeError.  Pivots
+    ``Matrix.rank``, ``rref``, ``kernel_basis`` and ``Coordinates`` do), and a Fraction entry raises TypeError.  Pivots
     are the leftmost nonzero columns of the inserted (reduced) rows; each
     pivot row is kept primitive (content stripped) with a positive lead, and
     is zero left of its pivot column.  Elimination is fraction-free (see
@@ -454,22 +453,6 @@ def kernel_basis(a: Matrix) -> list:
                 v[c] = -row[f]
         basis.append(v)
     return basis
-
-
-def subspace_intersection(us: Sequence[Row], vs: Sequence[Row], dim: int) -> list:
-    """Basis of span(us) intersected with span(vs), as sparse rows.
-
-    Zassenhaus: the rows (u, u) and (v, 0) of one echelon in 2 * dim columns;
-    the rows that pivot past ``dim`` are (0, w), and their w span the
-    intersection.
-    """
-    ech = Echelon(2 * dim)
-    for vecs, tagged in ((us, True), (vs, False)):
-        for vec in _int_rows([_in_range(vec, dim) for vec in vecs])[0]:
-            if tagged:
-                vec.update([(dim + c, v) for c, v in vec.items()])
-            ech.insert(vec)
-    return [{c - dim: Q(v) for c, v in ech.pivots[p].items()} for p in sorted(ech.pivots) if p >= dim]
 
 
 def tensor_map(f: Matrix, g: Matrix) -> Matrix:

@@ -26,7 +26,7 @@ from pbwgate.lie import (
     sym_monomials,
     tensor_module,
 )
-from pbwgate.linalg import Echelon, Matrix, _add_term, _int_rows, combination, solve, tensor_map
+from pbwgate.linalg import Coordinates, Echelon, Matrix, _add_term, _in_range, _int_rows, combination, solve, tensor_map
 
 
 def sl2() -> LieAlgebra:
@@ -321,6 +321,101 @@ def reference_relation_span(qd, d: int, positions) -> Echelon:
                 for w2 in range(lo):
                     span.insert({(w1 * dg * dg + c) * lo + w2: v for c, v in vec.items()})
     return span
+
+
+def reference_word_classes(qd, d: int, positions) -> list:
+    """rep[w] for each word w of g^{(x) d}: the largest word of w's class
+    when w1 u w2 ~ w1 v w2 for each qR basis vector e_u - e_v, placed at
+    each of ``positions`` (the degree of w1), by union-find over every word:
+    the reference for the two-letter classes of ``koszul``."""
+    dg = qd.pair.g.dim
+    parent = list(range(dg ** d))
+
+    def find(w: int) -> int:
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    binomials = []
+    for vec in qd.basis:
+        assert len(vec) == 2 and not sum(vec.values())
+        binomials.append(tuple(vec))
+    for p in positions:
+        lo = dg ** (d - 2 - p)
+        for w1 in range(dg ** p):
+            for u, v in binomials:
+                for w2 in range(lo):
+                    a = find((w1 * dg * dg + u) * lo + w2)
+                    b = find((w1 * dg * dg + v) * lo + w2)
+                    if a != b:
+                        parent[min(a, b)] = max(a, b)
+    return [find(w) for w in range(len(parent))]
+
+
+def reference_in_class_span(rep: list, vec: dict) -> bool:
+    """Whether vec lies in the span of the e_w - e_{rep[w]}: its coefficients
+    sum to zero on every class."""
+    sums: dict = {}
+    for w, v in vec.items():
+        _add_term(sums, rep[w], v)
+    return not sums
+
+
+def subspace_intersection(us, vs, dim: int) -> list:
+    """Basis of span(us) intersected with span(vs), as sparse rows.
+
+    Zassenhaus: the rows (u, u) and (v, 0) of one echelon in 2 * dim columns;
+    the rows that pivot past ``dim`` are (0, w), and their w span the
+    intersection.
+    """
+    ech = Echelon(2 * dim)
+    for vecs, tagged in ((us, True), (vs, False)):
+        for vec in _int_rows([_in_range(vec, dim) for vec in vecs])[0]:
+            if tagged:
+                vec.update([(dim + c, v) for c, v in vec.items()])
+            ech.insert(vec)
+    return [{c - dim: Q(v) for c, v in ech.pivots[p].items()} for p in sorted(ech.pivots) if p >= dim]
+
+
+def overlap_vectors(qd):
+    """The left vectors qR (x) g at b * dg + w and the right vectors g (x) qR
+    at u * dim(qR) + b, inside g^{(x) 3}."""
+    dg = qd.pair.g.dim
+    left = [{c * dg + w: v for c, v in vec.items()} for vec in qd.basis for w in range(dg)]
+    right = [{u * dg * dg + c: v for c, v in vec.items()} for u in range(dg) for vec in qd.basis]
+    return left, right
+
+
+def reference_bg_conditions(qd) -> tuple:
+    """((cond1, cond2), overlap dimension) of the straightening conditions
+    with the overlap found by Zassenhaus and each overlap vector's left and
+    right coordinates by a ``Coordinates`` echelon: the reference for the
+    tagged echelon of ``koszul.bg_conditions``."""
+    dg = qd.pair.g.dim
+    left_vectors, right_vectors = overlap_vectors(qd)
+    left = Coordinates(left_vectors, dg ** 3)
+    right = Coordinates(right_vectors, dg ** 3)
+    phi_cols = qd.phi.transpose().data
+    cond1 = cond2 = True
+    overlap = subspace_intersection(left_vectors, right_vectors, dg ** 3)
+    for d in overlap:
+        y, z = left(d), right(d)
+        assert y is not None and z is not None
+        diff = {}
+        for idx, coeff in y.items():
+            b, w = divmod(idx, dg)
+            for u, v in phi_cols[b].items():
+                _add_term(diff, u * dg + w, coeff * v)
+        for idx, coeff in z.items():
+            u, b = divmod(idx, qd.dim)
+            for w, v in phi_cols[b].items():
+                _add_term(diff, u * dg + w, -coeff * v)
+        coords = qd.coords(diff)
+        if coords is None:
+            cond1 = cond2 = False
+        elif qd.phi.apply(coords):
+            cond2 = False
+    return (cond1, cond2), len(overlap)
 
 
 def reference_dimension_ranks(pair, side: str, K: int, coeff=None) -> list:

@@ -254,10 +254,13 @@ SPLIT_REPORT_DIGESTS = {
 }
 
 
-# The same digest of the `koszul` report at K=5 on the four pairs of the
-# structure-deep benchmark, and at K=4 on the committed conjugated copy; `all`
-# runs `koszul` only at K=4.
+# The same digest of the `koszul` report at K=5 on the six catalog pairs, and
+# at K=4 on the committed conjugated copy; `all` runs `koszul` only at K=4.
+# The negative control is the one pair whose second straightening condition
+# fails.
 KOSZUL_REPORT_DIGESTS = {
+    "abelian-inclusion K=5": "25248483b9db6f1f3cc865c98ab83bb00e80530325b01387c6f7ee0718445761",
+    "jacobi-broken-negative-control K=5": "2c4ebea00c7305878a46dd3b63fbe95b7e43d41b816e264a35eaf87f81936f9a",
     "sl2-borel K=5": "e6cf2cbd979469a1afa8a94a37d7797e9997d5051f8cb0b49ec59eb2e47da0ed",
     "semidirect-split K=5": "02cb2a168b170c5c2978ad647dd405878e54d10be1be10b9706fec56b4b9a310",
     "diagonal-heisenberg K=5": "d84837f22a9a3b883cedcbe996593d732e1b8144febf4c8c5c073167e9b48f58",
@@ -1146,18 +1149,16 @@ def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp
 
 
 def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatch, tmp_path):
-    # qA_3 built from R_2 (x) g alone, without g (x) qR, is too big: the rank
-    # leaves the closed form from degree 3 on
+    # qA_3 built from qA_2 (x) g alone, without the joins of g (x) g (x) qR,
+    # is too big: the rank leaves the closed form from degree 3 on
     from pbwgate import koszul as koszul_mod
 
-    real = koszul_mod._word_classes
+    real = koszul_mod._QaDegrees._last_relations
 
-    def skipping(qd, d, positions, rep=None):
-        if rep is not None and d == 3:
-            return list(rep)
-        return real(qd, d, positions, rep)
+    def skipping(self, d, binomials):
+        return [] if d == 3 else real(self, d, binomials)
 
-    monkeypatch.setattr(koszul_mod, "_word_classes", skipping)
+    monkeypatch.setattr(koszul_mod._QaDegrees, "_last_relations", skipping)
     dims = _koszul_record(tmp_path)["graded_dimensions"]
     assert [dims[k]["rank"] == dims[k]["closed_form"] for k in "0123"] == [True, True, True, False]
     assert dims["3"]["rank"] > dims["3"]["closed_form"]
@@ -1166,7 +1167,8 @@ def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatc
 @pytest.mark.parametrize("scale", [-2, 1])
 def test_koszul_record_fails_on_a_relation_that_is_not_a_binomial(monkeypatch, tmp_path, scale):
     # the word classes hold only for relations e_u - e_v: a qR basis vector
-    # {u: 1, v: -2} or {u: 1, v: 1} is a FAIL record with exit 1, not a traceback
+    # {u: 1, v: -2} or {u: 1, v: 1} is a FAIL record with exit 1, not a
+    # traceback, raised by the one helper that reads the binomials
     from pbwgate import koszul as koszul_mod
 
     def skewed(pair):
@@ -1179,8 +1181,25 @@ def test_koszul_record_fails_on_a_relation_that_is_not_a_binomial(monkeypatch, t
     assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
     [rec] = json.loads(out.read_text())["records"]
     assert (rec["ok"], rec["verdict"]) == (False, "check raised AssertionError")
-    assert rec["witness"]["raised_at"] == "_word_classes (koszul.py)"
+    assert rec["witness"]["raised_at"] == "_binomials (koszul.py)"
     assert "is not a binomial" in rec["witness"]["message"]
+
+
+def test_koszul_record_fails_when_the_overlap_keeps_the_sign_of_its_right_tags(monkeypatch, tmp_path):
+    # the tagged row (0 | y | z) says sum y_j L_j = -sum z_k R_k; reading the
+    # right coordinates as +z instead of -z feeds the straightening
+    # conditions vectors outside the overlap, and both fail
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._overlap
+
+    def unsigned(qd):
+        return [(y, {k: -v for k, v in z.items()}) for y, z in real(qd)]
+
+    monkeypatch.setattr(koszul_mod, "_overlap", unsigned)
+    witness = _koszul_record(tmp_path)
+    assert witness["straightening_conditions"] == [False, False]
+    assert witness["containment_ok"] is True
 
 
 def test_koszul_record_fails_on_a_wedge_with_one_sign_flipped(monkeypatch, tmp_path):

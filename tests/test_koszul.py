@@ -1,10 +1,13 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.koszul import (
     _QaDegrees,
-    _in_class_span,
-    _word_classes,
+    _in_relations_at,
+    _overlap,
     bg_conditions,
     koszul_acyclicity,
     ktilde_basis,
@@ -13,8 +16,19 @@ from pbwgate.koszul import (
     quadratic_data,
 )
 from pbwgate.lie import LieAlgebra, make_pair
+from pbwgate.problem import parse_problem
 
-from conftest import reference_relation_span, sl2
+from conftest import (
+    overlap_vectors,
+    reference_bg_conditions,
+    reference_in_class_span,
+    reference_relation_span,
+    reference_word_classes,
+    sl2,
+)
+from test_random_pairs import _conjugate, _random_invertible
+
+CONJUGATED_DIAGONAL_SL2 = Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json"
 
 
 def jacobi_broken_pair():
@@ -159,10 +173,11 @@ def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
 
 @pytest.mark.parametrize("name", catalog_list())
 def test_incremental_relation_spans_match_the_full_span(name):
-    # the classes of R_d built from R_{d-1} (x) g and the relations in the
-    # last position are the free columns and the reductions of the echelon
-    # of the relations at every position; the product table reads the same
-    # reductions for each basis word of one degree below times a letter
+    # the classes of R_d built from the basis words of qA_{d-1} times a
+    # letter are the free columns and the reductions of the echelon of the
+    # relations at every position: a word's class, read by walking the
+    # product table letter by letter from degree 0, is the basis word the
+    # echelon reduces it to, and so is each basis word below times a letter
     pair = catalog_get(name).pair()
     dg = pair.g.dim
     top = 5 if dg == 3 else 4
@@ -173,8 +188,11 @@ def test_incremental_relation_spans_match_the_full_span(name):
         assert qa.basis_words[d] == ref.free_columns()
         assert qa.dim(d) == dg ** d - ref.rank
         for word in range(dg ** d):
+            coord = 0
+            for j in range(d):
+                coord = qa.times[j][coord][word // dg ** (d - 1 - j) % dg]
             # a binomial span sends a word to one basis word, coefficient int 1
-            assert ref.reduce({word: 1}) == {qa.reps[d][word]: 1}
+            assert ref.reduce({word: 1}) == {qa.basis_words[d][coord]: 1}
         if d:
             assert [len(row) for row in qa.times[d - 1]] == [dg] * qa.dim(d - 1)
             for p, row in enumerate(qa.times[d - 1]):
@@ -200,7 +218,7 @@ def test_class_membership_is_membership_in_the_eliminated_span():
         positions = tuple(sorted(data.draw(st.sets(st.integers(0, d - 2)))))
         key = (name, d, positions)
         if key not in refs:
-            refs[key] = (_word_classes(qd, d, positions), reference_relation_span(qd, d, positions))
+            refs[key] = (reference_word_classes(qd, d, positions), reference_relation_span(qd, d, positions))
         rep, ref = refs[key]
         words = st.integers(0, dg ** d - 1)
         vec = data.draw(st.dictionaries(words, st.integers(-3, 3).filter(bool), max_size=6))
@@ -209,6 +227,78 @@ def test_class_membership_is_membership_in_the_eliminated_span():
             for w, v in list(vec.items()):
                 vec[rep[w]] = vec.get(rep[w], 0) - v
             vec = {w: v for w, v in vec.items() if v}
-        assert _in_class_span(rep, vec) == (not ref.reduce(vec))
+        assert reference_in_class_span(rep, vec) == (not ref.reduce(vec))
 
     prop()
+
+
+def test_two_letter_classes_decide_membership_at_each_position():
+    # the classes of the relations at position k, read through the qA_2
+    # coordinate of the two letters there, are the full-word classes: on
+    # random vectors and on sums of relations both say the same
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    qas = {name: _QaDegrees(catalog_get(name).pair(), 2) for name in catalog_list()}
+    refs = {}
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        name = data.draw(st.sampled_from(sorted(qas)))
+        qa = qas[name]
+        dg = qa.dg
+        d = data.draw(st.integers(2, 5 if dg == 3 else 4))
+        k = data.draw(st.integers(0, d - 2))
+        if (name, d, k) not in refs:
+            refs[name, d, k] = reference_word_classes(qa.qd, d, (k,))
+        rep = refs[name, d, k]
+        vec = data.draw(st.dictionaries(st.integers(0, dg ** d - 1), st.integers(-3, 3).filter(bool), max_size=6))
+        if data.draw(st.booleans()):
+            for w, v in list(vec.items()):
+                vec[rep[w]] = vec.get(rep[w], 0) - v
+            vec = {w: v for w, v in vec.items() if v}
+        pair_class = [c for row in qa.times[1] for c in row]
+        assert _in_relations_at(vec, pair_class, dg, d, k) == reference_in_class_span(rep, vec)
+
+    prop()
+
+
+OVERLAP_CASES = catalog_list() + [
+    "diagonal-sl2-conjugated-3",
+    "diagonal-sl2 seed 71",
+    "jacobi-broken-negative-control seed 72",
+]
+
+
+def _overlap_case_pair(case):
+    """A catalog pair, the committed conjugated copy, or a catalog pair in
+    the basis of a seeded random integer basis change."""
+    if case == "diagonal-sl2-conjugated-3":
+        return parse_problem(CONJUGATED_DIAGONAL_SL2.read_text()).pair()
+    if " seed " not in case:
+        return catalog_get(case).pair()
+    name, seed = case.split(" seed ")
+    pf = catalog_get(name)
+    return make_pair(*_conjugate(pf, _random_invertible(random.Random(int(seed)), pf.dim)))
+
+
+@pytest.mark.parametrize("case", OVERLAP_CASES)
+def test_tagged_overlap_matches_the_zassenhaus_reference(case):
+    # one tagged echelon gives the straightening conditions and the overlap
+    # dimension of Zassenhaus with Coordinates echelons, and each of its
+    # coordinate pairs (y, z) names one vector: sum y_j L_j = sum z_k R_k
+    pair = _overlap_case_pair(case)
+    qd = quadratic_data(pair)
+    (cond1, cond2), dim = reference_bg_conditions(qd)
+    overlap = _overlap(qd)
+    assert bg_conditions(pair) == (cond1, cond2)
+    assert len(overlap) == dim
+    left, right = overlap_vectors(qd)
+    for y, z in overlap:
+        assert y and z
+        lhs, rhs = {}, {}
+        for coords, vectors, acc in ((y, left, lhs), (z, right, rhs)):
+            for j, c in coords.items():
+                for w, v in vectors[j].items():
+                    acc[w] = acc.get(w, 0) + c * v
+        assert {w: v for w, v in lhs.items() if v} == {w: v for w, v in rhs.items() if v}

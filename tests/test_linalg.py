@@ -15,11 +15,10 @@ from pbwgate.linalg import (
     kernel_basis,
     rref,
     solve,
-    subspace_intersection,
     tensor_map,
 )
 
-from conftest import ReferenceEchelon, hstack, system
+from conftest import ReferenceEchelon, hstack, subspace_intersection, system
 
 
 def test_rref_identity():
