@@ -121,16 +121,10 @@ def _normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
     return {key: Q(c, scale) for key, c in _int_normal_form(pair, side, word).items()}
 
 
-def _drop_h_tails(terms: dict) -> dict:
-    """The n-word terms of a normal form: a term with an h-tail lies in the
-    left ideal generated by h and dies."""
-    return {nword: c for (nword, htail), c in terms.items() if not htail}
-
-
-def straighten_g(pair: InclusionPair, word: Word) -> dict:
-    """Straightened normal form of a g-word: combination of weakly
-    increasing n-letter monomials."""
-    return _drop_h_tails(_normal_form(pair, "R", tuple(word)))
+def _straightened(pair: InclusionPair, word: Word) -> dict:
+    """Straightened normal form of a g-word as ints over D^len(word): weakly
+    increasing n-monomials, a term with an h-tail lying in U(g)h and dying."""
+    return {nword: c for (nword, htail), c in _int_normal_form(pair, "R", word).items() if not htail}
 
 
 # ---------------------------------------------------------------------------
@@ -561,38 +555,44 @@ def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) 
     """Sections I_k: S^k(n) -> R^k for k <= K by the connection recursion (the pbw^nabla
     map of Laurent-Gengoux, Stienon and Xu) I(1) = 1, I(x_1...x_k) = (1/k) sum_j
     [x_j . I(rest_j) - I(nabla_{x_j} rest_j)]: x . m straightens the word (x,) + m, and
-    nabla = rho is a derivation (``_nabla``).  It equals ``splitting_s`` symmetrized and straightened."""
+    nabla = rho is a derivation (``_nabla``).  It equals ``splitting_s`` symmetrized and straightened.
+    In ints, degree k holds S_k I with S_k = k S_{k-1} D^k T (D, T the letter and datum scales),
+    and the checks, homogeneous in the matrix, read S_k I_k."""
     rho = _resolve_rho(pair, rho)
     r_filt = build_filtration(pair, "R", K)
-    cols = [m.transpose().data for m in rho.rho[: pair.dim_n]]
-    images = {(): {(): Q(1)}}  # monomial -> I(monomial), over straightened monomials
-
-    def image(mono: Word) -> dict:
-        if mono not in images:
-            out: dict = {}
-            for x in dict.fromkeys(mono):  # equal letters give equal terms
-                j, mult = mono.index(x), mono.count(x)
-                rest = mono[:j] + mono[j + 1 :]
-                terms = [(c, straighten_g(pair, (x,) + m)) for m, c in image(rest).items()]
-                terms += [(-c, image(m)) for m, c in _nabla(cols, x, rest).items()]
-                for c, vec in terms:
-                    for w, c2 in vec.items():
-                        _add_term(out, w, mult * c * c2)
-            images[mono] = {w: c / len(mono) for w, c in out.items()}
-        return images[mono]
-
+    (cols, T), D = rho.int_rho, _letter_ints(pair)[1]
+    images = {(): {(): 1}}  # each monomial of the degree below -> S_{k-1} I(monomial)
+    scale = 1
     maps = []
     for k in range(K + 1):
-        source = sym_power_module(quotient_module(pair), k)
-        matrix = Matrix.zeros(r_filt.dim(k), source.dim)
-        for col, mono in enumerate(sym_monomials(pair.dim_n, k)):
-            for w, c in image(mono).items():
-                matrix.data[r_filt.word_index[w]][col] = c
-        out = ModuleMap(source, r_filt.level_module(k), matrix)
-        if not out.is_equivariant():
+        monos = sym_monomials(pair.dim_n, k)
+        if k:
+            # x . m: (x,) + m straightened is over D^(len(m) + 1); nabla_x rest is over T
+            lifts, dk = [T * D ** (k - 1 - length) for length in range(k)], D ** k
+            below, images = images, {}
+            for mono in monos:
+                acc: dict = {}
+                for x in dict.fromkeys(mono):  # equal letters give equal terms
+                    j, mult = mono.index(x), mono.count(x)
+                    rest = mono[:j] + mono[j + 1 :]
+                    terms = [(c * lifts[len(m)], _straightened(pair, (x,) + m)) for m, c in below[rest].items()]
+                    terms += [(-c * dk, below[m]) for m, c in _nabla(cols, x, rest).items()]
+                    for c, vec in terms:
+                        for w, v in vec.items():
+                            acc[w] = acc.get(w, 0) + mult * c * v
+                images[mono] = {w: c for w, c in acc.items() if c}
+            scale *= k * dk * T
+        source, level = sym_power_module(quotient_module(pair), k), r_filt.level_module(k)
+        rows: list = [{} for _ in range(level.dim)]
+        for col, mono in enumerate(monos):
+            for w, c in images[mono].items():
+                rows[r_filt.word_index[w]][col] = c
+        if not ModuleMap(source, level, Matrix(level.dim, source.dim, rows)).is_equivariant():
             raise AssertionError(f"I_{k} is not equivariant")
-        if matrix.take(range(r_filt.dim(k - 1), r_filt.dim(k)), range(source.dim)) != Matrix.identity(source.dim):
+        if any(rows[r_filt.dim(k - 1) + i] != {i: scale} for i in range(source.dim)):
             raise AssertionError(f"I_{k} is not a section")
+        fractions = [{c: Q(v, scale) for c, v in r.items()} for r in rows]
+        out = ModuleMap(source, level, Matrix(level.dim, source.dim, fractions))
         out.rho = rho
         maps.append(out)
     return maps

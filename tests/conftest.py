@@ -15,7 +15,7 @@ from pbwgate.cohomology import (
     is_trivial,
     obstruction,
 )
-from pbwgate.engine import _letter_ints, straighten_g
+from pbwgate.engine import _letter_ints, _normal_form, build_filtration
 from pbwgate.lie import (
     LieAlgebra,
     ext_monomials,
@@ -297,6 +297,59 @@ def symmetrization(dn: int, k: int) -> Matrix:
             idx = sum(p * dn ** (k - 1 - i) for i, p in enumerate(perm))
             _add_term(m.data[idx], col, Q(1, math.factorial(k)))
     return m
+
+
+def _drop_h_tails(terms: dict) -> dict:
+    """The n-word terms of a normal form: a term with an h-tail lies in the
+    left ideal generated by h and dies."""
+    return {nword: c for (nword, htail), c in terms.items() if not htail}
+
+
+def straighten_g(pair, word) -> dict:
+    """Straightened normal form of a g-word in Fractions: combination of
+    weakly increasing n-letter monomials."""
+    return _drop_h_tails(_normal_form(pair, "R", tuple(word)))
+
+
+def reference_pbw_splitting_I(pair, rho, K: int) -> list:
+    """The matrices I_k, k <= K, of the connection recursion I(1) = 1,
+    I(x_1...x_k) = (1/k) sum_j [x_j . I(rest_j) - I(nabla_{x_j} rest_j)] in
+    Fractions, lazily memoised per monomial, from the datum's Fraction rho and
+    ``straighten_g``: the reference for the int recursion of
+    ``engine.pbw_splitting_I``."""
+    r_filt = build_filtration(pair, "R", K)
+    cols = [m.transpose().data for m in rho.rho[: pair.dim_n]]
+    images = {(): {(): Q(1)}}  # monomial -> I(monomial), over straightened monomials
+
+    def nabla(x, mono):
+        out: dict = {}
+        for i, y in enumerate(mono):
+            for r, v in cols[x][y].items():
+                _add_term(out, tuple(sorted(mono[:i] + (r,) + mono[i + 1 :])), v)
+        return out
+
+    def image(mono):
+        if mono not in images:
+            out: dict = {}
+            for j, x in enumerate(mono):
+                rest = mono[:j] + mono[j + 1 :]
+                terms = [(c, straighten_g(pair, (x,) + m)) for m, c in image(rest).items()]
+                terms += [(-c, image(m)) for m, c in nabla(x, rest).items()]
+                for c, vec in terms:
+                    for w, c2 in vec.items():
+                        _add_term(out, w, c * c2)
+            images[mono] = {w: c / len(mono) for w, c in out.items()}
+        return images[mono]
+
+    maps = []
+    for k in range(K + 1):
+        monos = sym_monomials(pair.dim_n, k)
+        matrix = Matrix.zeros(r_filt.dim(k), len(monos))
+        for col, mono in enumerate(monos):
+            for w, c in image(mono).items():
+                matrix.data[r_filt.word_index[w]][col] = c
+        maps.append(matrix)
+    return maps
 
 
 def straightening(pair, f_filt, r_filt, k: int) -> Matrix:

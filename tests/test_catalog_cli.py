@@ -856,11 +856,14 @@ def _doubled(real):
 
 
 def _with_constant_term(real):
-    # a constant term on the straightened word (0, 0) leaves the top degree,
-    # hence the section identity, alone but breaks equivariance
+    # a constant term 1 (D^2 over the word's scale D^2) on the straightened
+    # word (0, 0) leaves the top degree, hence the section identity, alone but
+    # breaks equivariance
+    from pbwgate.engine import _letter_ints
+
     def straighten(pair, word):
         out = real(pair, word)
-        return {**out, (): Q(1)} if word == (0, 0) else out
+        return {**out, (): _letter_ints(pair)[1] ** 2} if word == (0, 0) else out
 
     return straighten
 
@@ -868,8 +871,8 @@ def _with_constant_term(real):
 @pytest.mark.parametrize(
     "target,corrupt,message",
     [
-        ("straighten_g", _doubled, "I_1 is not a section"),
-        ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
+        ("_straightened", _doubled, "I_1 is not a section"),
+        ("_straightened", _with_constant_term, "I_2 is not equivariant"),
     ],
     ids=["not-a-section", "not-equivariant"],
 )
@@ -915,8 +918,8 @@ def test_committed_conjugated_problem_is_the_seeded_copy():
 @pytest.mark.parametrize(
     "target,corrupt,message",
     [
-        ("straighten_g", _doubled, "I_1 is not a section"),
-        ("straighten_g", _with_constant_term, "I_2 is not equivariant"),
+        ("_straightened", _doubled, "I_1 is not a section"),
+        ("_straightened", _with_constant_term, "I_2 is not equivariant"),
     ],
     ids=["not-a-section", "not-equivariant"],
 )
@@ -924,6 +927,21 @@ def test_split_record_fails_on_a_corrupted_splitting_map_in_conjugated_coordinat
     target, corrupt, message, monkeypatch
 ):
     _assert_split_fails(_conjugated_problem("diagonal-sl2", 3), target, corrupt, message, monkeypatch)
+
+
+def test_split_record_reads_no_fraction_normal_form(monkeypatch, tmp_path):
+    # the recursion and its checks run in ints: with the Fraction view of the
+    # rewriting memo made to raise, the conjugated split at K=4 still passes
+    from pbwgate import engine as engine_mod
+
+    def refuse(pair, side, word):
+        raise RuntimeError("the split path read a Fraction normal form")
+
+    monkeypatch.setattr(engine_mod, "_normal_form", refuse)
+    out = tmp_path / "split.json"
+    assert main(["split", "--input", str(CONJUGATED_DIAGONAL_SL2), "--max-degree", "4", "--json", str(out)]) == 0
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["ok"] and rec["witness"]["alpha_trivial"] is True
 
 
 def _wrong_sign(real):

@@ -13,7 +13,6 @@ from pbwgate.cohomology import ExtensionDatum, find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
     FilteredModule,
-    _drop_h_tails,
     _letter_ints,
     _normal_form,
     _rho_apply,
@@ -29,7 +28,6 @@ from pbwgate.engine import (
     pbw_splitting_I,
     section_oracle,
     splitting_s,
-    straighten_g,
     t_map,
     twisted_verdict,
 )
@@ -45,12 +43,15 @@ from pbwgate.linalg import Matrix, rref, tensor_map
 from pbwgate.problem import parse_problem
 
 from conftest import (
+    _drop_h_tails,
     complement_change,
     diagonal_embedding,
     hstack,
     matmul,
     reference_dimension_ranks,
+    reference_pbw_splitting_I,
     sl2,
+    straighten_g,
     straightening,
     symmetrization,
 )
@@ -663,6 +664,31 @@ def test_connection_recursion_equals_the_straightened_symmetrized_chain(name, se
         s_k = splitting_s(pair, rho, k, filt=f_filt).matrix
         expected = matmul(matmul(straightening(pair, f_filt, r_filt, k), s_k), symmetrization(pair.dim_n, k))
         assert maps[k].matrix == expected, k
+
+
+@pytest.mark.parametrize(
+    "name,seed,K",
+    [(name, None, 5) for name in catalog_list() if name not in _NO_SPLITTING]
+    + [("committed-file", None, 4), ("diagonal-heisenberg", 1, 4), ("diagonal-sl2", 4, 4)],
+)
+def test_int_recursion_equals_the_fraction_reference(name, seed, K):
+    # the int recursion over S_k against the Fraction recursion, entry for
+    # entry; the conjugated copies (the committed file among them) have
+    # letter and datum scales D, T > 1 and rho nonzero on n
+    from test_catalog_cli import _conjugated_problem
+
+    if name == "committed-file":
+        pair = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair()
+    elif seed is None:
+        pair = catalog_get(name).pair()
+    else:
+        pair = _conjugated_problem(name, seed).pair()
+    rho = find_extension(pair, quotient_module(pair))
+    if name == "committed-file" or seed is not None:
+        assert _letter_ints(pair)[1] > 1 and rho.int_rho[1] > 1
+        assert any(rho.int_rho[0][x][y] for x in range(pair.dim_n) for y in range(pair.dim_n))
+    maps = pbw_splitting_I(pair, rho, K)
+    assert [m.matrix for m in maps] == reference_pbw_splitting_I(pair, rho, K)
 
 
 def test_t_map_images_belong_to_their_extension_datum(diag_sl2):
