@@ -16,7 +16,11 @@ relation span of degree k is a binomial span, its rank counted without
 elimination as the words of degree k minus the classes of words the
 relations join, and dim qA_k is the number of those classes.  The classes
 of degree k are built from the basis words of degree k - 1 times a letter,
-so no check visits every word of g^{(x) k}.
+so no check visits every word of g^{(x) k}.  The slice differentials d_1
+and d_2 are not eliminated either: the columns of d_1 are the unit vectors
+of the product table and those of d_2 binomials e_u - e_v, so each rank is
+a class count of the rows and one ground element; only d_i for i >= 3 goes
+to an echelon.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul, _integral
+from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul
 
 Vec = dict
 
@@ -326,11 +330,51 @@ class KoszulReport:
         return self.ktilde_dims_ok and self.containment_ok and all(s.ok for s in self.slices)
 
 
+def _omission_templates(kt: KTilde, lower: KTilde, dg: int) -> list:
+    """Per list of K^i, one (letter, lower coordinate, sign) per omitted
+    letter: (-1)^j times the wedge of the list with its j-th letter omitted
+    is sign times the basis wedge of K^{i-1} at that coordinate, and the
+    column of d_i at (p, list) holds sign at (p times the letter, that
+    coordinate).  The lower coordinates of one list differ, because
+    different letters omitted leave different wedges."""
+    out = []
+    for letters in kt.lists:
+        template = []
+        for j, letter in enumerate(letters):
+            coords = lower.coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
+            if coords is None or len(coords) != 1 or abs(next(iter(coords.values()))) != 1:
+                raise AssertionError(f"omitting letter {j} of {letters} leaves no ± one lower basis wedge")
+            [(t, c)] = coords.items()
+            template.append((letter, t, -int(c) if j % 2 else int(c)))
+        out.append(template)
+    return out
+
+
+def _class_rank(n: int, units, binomials) -> int:
+    """The rank of the unit columns e_u (u in ``units``) and the int columns
+    ``binomials``, each e_u - e_v, over n rows, without elimination: the
+    rank of a graph's oriented incidence matrix, n + 1 - #classes of the n
+    rows and one ground element, a unit column joining its row to the ground
+    and a binomial joining its two rows."""
+    joins = [(u, n) for u in units]
+    for col in binomials:
+        if len(col) != 2 or sum(col.values()) or 1 not in col.values():
+            raise AssertionError(f"column {col} is not a binomial e_u - e_v")
+        joins.append(tuple(col))
+    return n + 1 - len(set(_classes(n + 1, joins)))
+
+
 def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulReport:
     """Build the slices ... -> qA_{d-2} (x) K^2 -> qA_{d-1} (x) K^1 -> qA_d -> 0
     for d <= the cap, check the differentials square to zero and the slice is
     exact at every position left of the rightmost; the homology at the
-    rightmost position is reported."""
+    rightmost position is reported.
+
+    K^1 is g with its letters in order, so d_1 is the product table: column
+    p * dg + x is the unit vector at times[d-1][p][x].  Each column of d_2 is
+    a binomial e_(p a, x) - e_(p x, a), so d_1 o d_2 = 0 says that both its
+    entries have the same product, and the ranks of d_1 and d_2 are class
+    counts; only d_i for i >= 3 is eliminated."""
     if max_internal_degree < 1:
         raise ValueError("need at least internal degree 1")
     dg = pair.g.dim
@@ -348,55 +392,37 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
         for vec in kt[i].vectors
     )
 
-    # cache of the wedge coordinates appearing in the differentials: per
-    # position i, the signed coordinates (-1)^j * (the wedge with its j-th
-    # letter omitted) over the lower K-tilde basis, for each list of K^i
-    omitted = [None]
-    for i in range(1, max_i + 1):
-        per_list = []
-        for letters in kt[i].lists:
-            per_j = []
-            for j in range(len(letters)):
-                coords = kt[i - 1].coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
-                if coords is None:
-                    raise AssertionError("omitted wedge escaped the lower subspace")
-                sign = -1 if j % 2 else 1
-                per_j.append({tp: sign * ct for tp, ct in _integral(coords).items()})
-            per_list.append(per_j)
-        omitted.append(per_list)
-
+    templates = {i: _omission_templates(kt[i], kt[i - 1], dg) for i in range(2, max_i + 1)}
     slices = []
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
         dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
-        # d_i as int columns: column p * dim K^i + t holds, for each letter
-        # of list t, the omitted wedge's coordinates at (p times the letter)
-        cols = [None]
-        for i in range(1, top + 1):
+        products = [c for row in qa.times[d - 1] for c in row]
+        ranks = [_class_rank(dims[0], products, ())]
+        dd_zero = True
+        cols = None
+        for i in range(2, top + 1):
             lower = kt[i - 1].dim
-            cols_i = []
-            for products in qa.times[d - i]:
-                for letters, wedges in zip(kt[i].lists, omitted[i]):
-                    col: dict = {}
-                    for letter, wedge in zip(letters, wedges):
-                        base = products[letter] * lower
-                        for tp, ct in wedge.items():
-                            _add_term(col, base + tp, ct)
-                    cols_i.append(col)
-            cols.append(cols_i)
-        dd_zero = all(not any(_int_mul(cols[i], cols[i - 1])) for i in range(2, top + 1))
-        ranks = []
-        for i in range(1, top + 1):
-            span = Echelon(dims[i - 1])
-            for col in cols[i]:
-                span.insert(col)
-            ranks.append(span.rank)
+            below, cols = cols, [
+                {row[letter] * lower + t: sign for letter, t, sign in template}
+                for row in qa.times[d - i]
+                for template in templates[i]
+            ]
+            if i == 2:
+                ranks.append(_class_rank(dims[1], (), cols))
+                # each column is e_u - e_v, which d_1 sends to e_products[u] - e_products[v]
+                dd_zero = all(products[u] == products[v] for u, v in cols)
+            else:
+                dd_zero = dd_zero and not any(_int_mul(cols, below))
+                span = Echelon(dims[i - 1])
+                for col in cols:
+                    span.insert(col)
+                ranks.append(span.rank)
         exact = {}
         for i in range(1, top + 1):
             rank_out = ranks[i - 1]
             rank_in = ranks[i] if i < top else 0
             exact[i] = dims[i] - rank_out == rank_in
-        rightmost = dims[0] - ranks[0] if ranks else dims[0]
-        slices.append(KoszulComplexSlice(d, dims, dd_zero, exact, rightmost))
+        slices.append(KoszulComplexSlice(d, dims, dd_zero, exact, dims[0] - ranks[0]))
     qa_dims = [qa.dim(d) for d in range(max_internal_degree + 1)]
     return KoszulReport(ktilde_dims_ok, containment_ok, slices, qa_dims)

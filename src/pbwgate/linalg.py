@@ -230,11 +230,6 @@ def _same_values(x: dict, sx: int, y: dict, sy: int) -> bool:
     return x.keys() == y.keys() and all(sy * v == sx * y[c] for c, v in x.items())
 
 
-def _integral(vec: Row) -> Row:
-    """The same vector with every integral value as an int."""
-    return {c: v.numerator if v.denominator == 1 else v for c, v in vec.items()}
-
-
 def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:
     """The product of two matrices given as int rows, as int rows with
     zeros dropped: row i is sum_k a[i][k] * b[k]."""

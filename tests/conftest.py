@@ -26,7 +26,19 @@ from pbwgate.lie import (
     sym_monomials,
     tensor_module,
 )
-from pbwgate.linalg import Coordinates, Echelon, Matrix, _add_term, _in_range, _int_rows, combination, solve, tensor_map
+from pbwgate.koszul import KoszulComplexSlice, KoszulReport, _in_relations_at, _QaDegrees, _wedge_vector, ktilde_basis
+from pbwgate.linalg import (
+    Coordinates,
+    Echelon,
+    Matrix,
+    _add_term,
+    _in_range,
+    _int_mul,
+    _int_rows,
+    combination,
+    solve,
+    tensor_map,
+)
 
 
 def sl2() -> LieAlgebra:
@@ -469,6 +481,80 @@ def reference_bg_conditions(qd) -> tuple:
         elif qd.phi.apply(coords):
             cond2 = False
     return (cond1, cond2), len(overlap)
+
+
+def reference_koszul_acyclicity(pair, max_internal_degree: int):
+    """``koszul.koszul_acyclicity`` with every slice differential d_i built
+    as dict columns over the omitted-wedge coordinates and its rank taken by
+    inserting them into an ``Echelon``: the reference for the class ranks of
+    d_1 and d_2 and the product test of d_1 o d_2 = 0."""
+    dg = pair.g.dim
+    qa = _QaDegrees(pair, max_internal_degree)
+    max_i = min(max_internal_degree, pair.dim_h + 1)
+    kt = [ktilde_basis(pair, i) for i in range(max_i + 1)]
+    ktilde_dims_ok = all(kt[i].dim == kt[i].expected_dim for i in range(max_i + 1))
+    pair_class = [c for row in qa.times[1] for c in row] if max_i >= 2 else []
+    containment_ok = all(
+        _in_relations_at(vec, pair_class, dg, i, k)
+        for i in range(2, max_i + 1)
+        for k in range(i - 1)
+        for vec in kt[i].vectors
+    )
+    # per position i and list of K^i, the signed coordinates of the wedge
+    # with its j-th letter omitted over the lower K-tilde basis
+    omitted = [None]
+    for i in range(1, max_i + 1):
+        per_list = []
+        for letters in kt[i].lists:
+            per_j = []
+            for j in range(len(letters)):
+                coords = kt[i - 1].coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
+                assert coords is not None
+                sign = -1 if j % 2 else 1
+                # integral coordinates as ints, so that a column holds ints
+                per_j.append({tp: sign * (ct.numerator if ct.denominator == 1 else ct) for tp, ct in coords.items()})
+            per_list.append(per_j)
+        omitted.append(per_list)
+    slices = []
+    for d in range(1, max_internal_degree + 1):
+        top = min(d, max_i)
+        dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
+        cols = [None]
+        for i in range(1, top + 1):
+            lower = kt[i - 1].dim
+            cols_i = []
+            for products in qa.times[d - i]:
+                for letters, wedges in zip(kt[i].lists, omitted[i]):
+                    col = {}
+                    for letter, wedge in zip(letters, wedges):
+                        for tp, ct in wedge.items():
+                            _add_term(col, products[letter] * lower + tp, ct)
+                    cols_i.append(col)
+            cols.append(cols_i)
+        dd_zero = all(not any(_int_mul(cols[i], cols[i - 1])) for i in range(2, top + 1))
+        ranks = []
+        for i in range(1, top + 1):
+            span = Echelon(dims[i - 1])
+            for col in cols[i]:
+                span.insert(col)
+            ranks.append(span.rank)
+        exact = {i: dims[i] - ranks[i - 1] == (ranks[i] if i < top else 0) for i in range(1, top + 1)}
+        slices.append(KoszulComplexSlice(d, dims, dd_zero, exact, dims[0] - ranks[0]))
+    qa_dims = [qa.dim(d) for d in range(max_internal_degree + 1)]
+    return KoszulReport(ktilde_dims_ok, containment_ok, slices, qa_dims)
+
+
+# the h indices of the degenerate sl2-borel documents, by case name
+SL2_DEGENERATE = {"sl2-degenerate h=0": [], "sl2-degenerate h=g": [0, 1, 2]}
+
+
+def sl2_degenerate_document(indices) -> dict:
+    """The sl2-borel problem document with h spanned by the given basis
+    indices: ``[]`` is h = 0, ``[0, 1, 2]`` is h = g."""
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["name"] = "sl2-degenerate"
+    doc["h"] = {"indices": indices}
+    return doc
 
 
 def reference_dimension_ranks(pair, side: str, K: int, coeff=None) -> list:

@@ -18,6 +18,7 @@ from pbwgate.problem import ProblemError, parse_problem, serialize_problem
 from pbwgate.report import run_command
 from pbwgate.cli import main
 
+from conftest import SL2_DEGENERATE, sl2_degenerate_document
 from test_random_pairs import _conjugate, _random_invertible
 
 EXPECTED_ENTRIES = {
@@ -254,10 +255,11 @@ SPLIT_REPORT_DIGESTS = {
 }
 
 
-# The same digest of the `koszul` report at K=5 on the six catalog pairs, and
-# at K=4 on the committed conjugated copy; `all` runs `koszul` only at K=4.
-# The negative control is the one pair whose second straightening condition
-# fails.
+# The same digest of the `koszul` report at K=5 on the six catalog pairs, at
+# K=4 on the committed conjugated copy, and at K=6 on the sl2-borel documents
+# with h = 0 (only d_1, qA = T(g)) and h = g (no n-letter, qA = S(g)); `all`
+# runs `koszul` only at K=4. The negative control is the one pair whose second
+# straightening condition fails.
 KOSZUL_REPORT_DIGESTS = {
     "abelian-inclusion K=5": "25248483b9db6f1f3cc865c98ab83bb00e80530325b01387c6f7ee0718445761",
     "jacobi-broken-negative-control K=5": "2c4ebea00c7305878a46dd3b63fbe95b7e43d41b816e264a35eaf87f81936f9a",
@@ -266,6 +268,8 @@ KOSZUL_REPORT_DIGESTS = {
     "diagonal-heisenberg K=5": "d84837f22a9a3b883cedcbe996593d732e1b8144febf4c8c5c073167e9b48f58",
     "diagonal-sl2 K=5": "6b2082b35919fbf33c892f32ae34fa2d92a2dea923d4ec9cca64d4f3b004d7f9",
     "diagonal-sl2-conjugated-3 K=4": "a962da3cf90045a06140a8f9611f08306bc7f691e69e6ffcaea96c98192d3e0c",
+    "sl2-degenerate h=0 K=6": "670473088bbbe5caf56e6fad826f2ade37fb43b38134b8f3dd5b3ef1f12069be",
+    "sl2-degenerate h=g K=6": "b094db8867f2ce2e3855c32b312fa49698f476abbd8436e47dc93efdf51d2a15",
 }
 
 
@@ -305,10 +309,13 @@ def test_all_report_bytes_are_pinned(name, tmp_path):
 
 def _case_digest(command, case, tmp_path, *options) -> str:
     """The millis-free digest of ``command`` with ``options`` on a
-    "<name> K=<cap>" case: the committed file tests/data/<name>.json when there
-    is one, else the example."""
+    "<name> K=<cap>" case: a degenerate sl2-borel document, the committed file
+    tests/data/<name>.json when there is one, else the example."""
     name, cap = case.split(" K=")
     path = Path(__file__).parent / "data" / f"{name}.json"
+    if name in SL2_DEGENERATE:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(sl2_degenerate_document(SL2_DEGENERATE[name])), encoding="utf-8")
     source = ["--input", str(path)] if path.exists() else ["--example", name]
     return _millis_free_digest([command, *source, *options, "--max-degree", cap], tmp_path)
 
@@ -359,10 +366,7 @@ def test_exit_code_contract_inconsistency(monkeypatch):
 def test_all_on_degenerate_subalgebras(indices):
     # h = g leaves n = 0, whose only symmetric monomial is the empty one;
     # h = 0 is the classical PBW theorem, qA = T(g) with no relations
-    doc = catalog_get("sl2-borel").to_dict()
-    doc["name"] = "sl2-degenerate"
-    doc["h"] = {"indices": indices}
-    rep = run_command("all", parse_problem(json.dumps(doc)))
+    rep = run_command("all", parse_problem(json.dumps(sl2_degenerate_document(indices))))
     assert [r.check for r in rep.records if not r.ok] == []
     assert rep.exit_code == 0
 
@@ -1164,6 +1168,41 @@ def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp
     witness = _koszul_record(tmp_path)
     assert [s["dd_zero"] for s in witness["slices"]] == [True, False, False]
     assert witness["containment_ok"] is True
+
+
+def test_koszul_record_fails_when_the_class_rank_counts_every_join(monkeypatch, tmp_path):
+    # a rank that counts every join as a merge, a unit column hitting a row
+    # already hit or a binomial closing a cycle included, overstates the
+    # ranks of d_1 and d_2, and exactness fails
+    from pbwgate import koszul as koszul_mod
+
+    monkeypatch.setattr(koszul_mod, "_class_rank", lambda n, units, binomials: len(units) + len(binomials))
+    witness = _koszul_record(tmp_path)
+    assert not all(ok for s in witness["slices"] for ok in s["exact"].values())
+    assert all(s["dd_zero"] for s in witness["slices"])
+
+
+def test_koszul_record_fails_on_a_d2_column_that_is_not_a_binomial(monkeypatch, tmp_path):
+    # the class rank holds only for columns e_u - e_v: a d_2 template whose
+    # omitted second letter keeps the sign + makes every d_2 column e_u + e_v,
+    # a FAIL record with exit 1 raised by the rank helper, not a traceback
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._omission_templates
+
+    def unsigned(kt, lower, dg):
+        out = real(kt, lower, dg)
+        if kt.degree == 2:
+            out = [[(a, ta, sa), (x, tx, -sx)] for (a, ta, sa), (x, tx, sx) in out]
+        return out
+
+    monkeypatch.setattr(koszul_mod, "_omission_templates", unsigned)
+    out = tmp_path / "report.json"
+    assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert (rec["ok"], rec["verdict"]) == (False, "check raised AssertionError")
+    assert rec["witness"]["raised_at"] == "_class_rank (koszul.py)"
+    assert "is not a binomial" in rec["witness"]["message"]
 
 
 def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatch, tmp_path):
