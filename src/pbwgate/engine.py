@@ -176,6 +176,14 @@ def _quotient_power(pair: InclusionPair, k: int) -> LieModule:
     return powers[k]
 
 
+def _quotient_sym_power(pair: InclusionPair, k: int) -> LieModule:
+    """The h-module S^k(n), built once per pair and degree."""
+    powers = pair._caches.setdefault("quotient_sym_powers", {})
+    if k not in powers:
+        powers[k] = sym_power_module(quotient_module(pair), k)
+    return powers[k]
+
+
 class FilteredModule:
     """Levels F^0 c F^1 c ... (or R^.) with their h-actions.
 
@@ -277,7 +285,7 @@ class FilteredModule:
         return self._slice(1, self.dim(k))
 
     def gr_target(self, k: int) -> LieModule:
-        power = _quotient_power(self.pair, k) if self.side == "F" else sym_power_module(quotient_module(self.pair), k)
+        power = (_quotient_power if self.side == "F" else _quotient_sym_power)(self.pair, k)
         if self.trivial_coeff:
             return power
         return tensor_module(power, self.coeff)
@@ -582,7 +590,7 @@ def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) 
                             acc[w] = acc.get(w, 0) + mult * c * v
                 images[mono] = {w: c for w, c in acc.items() if c}
             scale *= k * dk * T
-        source, level = sym_power_module(quotient_module(pair), k), r_filt.level_module(k)
+        source, level = _quotient_sym_power(pair, k), r_filt.level_module(k)
         rows: list = [{} for _ in range(level.dim)]
         for col, mono in enumerate(monos):
             for w, c in images[mono].items():

@@ -11,16 +11,19 @@ the rewriting relations.  This module checks, by exact rank computations:
   K^i = (wedge^{i-1} h) wedge g inside g^{(x) i}.
 
 Everything is phrased over the adapted letters (n-letters first, h-letters
-last), which makes every relation vector a binomial e_u - e_v.  So the
-relation span of degree k is a binomial span, its rank counted without
-elimination as the words of degree k minus the classes of words the
+last), which makes every relation vector a binomial e_u - e_v, and the
+quadratic side needs no elimination.  The qR basis is a list of letter
+pairs; phi is read from a potential on the two-letter words; the overlap
+qR (x) g intersect g (x) qR of the straightening conditions is K^3 (A.
+Polishchuk and L. Positselski, Quadratic Algebras, 2005), and K^i has one
+list per letter set.  The relation span of degree k is a binomial span,
+its rank counted as the words of degree k minus the classes of words the
 relations join, and dim qA_k is the number of those classes.  The classes
 of degree k are built from the basis words of degree k - 1 times a letter,
 so no check visits every word of g^{(x) k}.  The slice differentials d_1
-and d_2 are not eliminated either: the columns of d_1 are the unit vectors
-of the product table and those of d_2 binomials e_u - e_v, so each rank is
-a class count of the rows and one ground element; only d_i for i >= 3 goes
-to an echelon.
+and d_2 are not eliminated either: the rank of d_1 is the number of
+distinct products and the columns of d_2 are binomials e_u - e_v, so its
+rank is a class count; only d_i for i >= 3 goes to an echelon.
 """
 
 from __future__ import annotations
@@ -28,65 +31,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Coordinates, Echelon, Matrix, _add_term, _int_mul
-
-Vec = dict
+from .linalg import Echelon, _add_term, _int_mul
 
 
-@dataclass
-class QuadraticData:
-    """The relation space qR with its contraction phi, over the letters."""
-
-    pair: InclusionPair
-    basis: list  # sparse vectors in g (x) g (letter-pair coordinates)
-    basis_pairs: list  # the (h-letter, letter) pairs giving the basis
-    phi: Matrix  # dim_g x dim(qR)
-    phi_consistent: bool  # phi well defined on every spanning dependency
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def coords(self) -> Coordinates:
-        """Coordinates over ``basis`` of a vector of g (x) g; None outside qR."""
-        return Coordinates(self.basis, self.pair.g.dim ** 2)
+def quadratic_data(pair: InclusionPair) -> list:
+    """The qR basis as letter pairs (a, x): a an h-letter, x an n-letter or a
+    later h-letter, for the binomial a (x) x - x (x) a.  The spanning vectors
+    left out are zero (x = a) or the negative of a kept one (x an earlier
+    h-letter), and the kept binomials have disjoint supports."""
+    dn, dg = pair.dim_n, pair.g.dim
+    return [(a, x) for a in range(dn, dg) for x in range(dg) if x < dn or x > a]
 
 
-def _qr_spanning(pair: InclusionPair):
-    dg = pair.g.dim
-    dn = pair.dim_n
-    for a in range(dn, dg):
-        for x in range(dg):
-            vec = {a * dg + x: 1}
-            key = x * dg + a
-            vec[key] = vec.get(key, 0) - 1
-            yield (a, x), {k: v for k, v in vec.items() if v}
-
-
-def quadratic_data(pair: InclusionPair) -> QuadraticData:
-    dg = pair.g.dim
-    span = Echelon(dg * dg)
-    basis = []
-    basis_pairs = []
-    for (a, x), vec in _qr_spanning(pair):
-        if span.insert(vec) is not None:
-            basis.append(vec)
-            basis_pairs.append((a, x))
-    phi = Matrix(len(basis), dg, [pair.bracket_letters(a, x) for a, x in basis_pairs]).transpose()
-    qd = QuadraticData(pair, basis, basis_pairs, phi, True)
-    for (a, x), vec in _qr_spanning(pair):
-        y = qd.coords(vec)
-        if y is None or phi.apply(y) != pair.bracket_letters(a, x):
-            qd.phi_consistent = False
-            break
-    return qd
-
-
-def _quadratic_data(pair: InclusionPair) -> QuadraticData:
+def _quadratic_data(pair: InclusionPair) -> list:
     """``quadratic_data(pair)``, built once per pair."""
     cache = pair._caches
     if "quadratic_data" not in cache:
@@ -94,63 +53,52 @@ def _quadratic_data(pair: InclusionPair) -> QuadraticData:
     return cache["quadratic_data"]
 
 
-def _overlap(qd: QuadraticData) -> list:
-    """A basis of qR (x) g intersect g (x) qR as coordinate pairs (y, z):
-    sum_j y_j L_j = sum_k z_k R_k over the vectors L_j = qR_b (x) w of
-    qR (x) g (j = b * dg + w) and R_k = u (x) qR_b of g (x) qR
-    (k = u * dim(qR) + b).  The rows (L_j | e_j) and (R_k | e_{n_L + k}) go
-    into one echelon; a row pivoting in the tags is (0 | y | -z).  The L_j
-    are independent and so are the R_k, so these rows give a basis."""
-    dg = qd.pair.g.dim
-    dim3 = dg ** 3
-    n_left = qd.dim * dg
-    ech = Echelon(dim3 + 2 * n_left)
-    tag = dim3
-    for vectors in (
-        ({c * dg + w: v for c, v in vec.items()} for vec in qd.basis for w in range(dg)),
-        ({u * dg * dg + c: v for c, v in vec.items()} for u in range(dg) for vec in qd.basis),
-    ):
-        for row in vectors:
-            row[tag] = 1
-            tag += 1
-            ech.insert(row)
-    overlap = []
-    for p, row in ech.pivots.items():
-        if p >= dim3:
-            y = {c - dim3: v for c, v in row.items() if c < dim3 + n_left}
-            z = {c - dim3 - n_left: -v for c, v in row.items() if c >= dim3 + n_left}
-            overlap.append((y, z))
-    return overlap
+def _potential(pair: InclusionPair) -> list:
+    """phi read on each two-letter word u * dg + v: [a, x] on the basis
+    orientation a (x) x of a qR binomial, 0 on every other word.  On qR this
+    is phi, since a basis binomial meets one basis orientation, with sign +."""
+    dg = pair.g.dim
+    out = [{} for _ in range(dg * dg)]
+    for a, x in _quadratic_data(pair):
+        out[a * dg + x] = pair.bracket_letters(a, x)
+    return out
+
+
+def _phi_at(potential: list, vec: dict, dg: int, d: int, k: int) -> dict:
+    """The potential applied to the two letters at position k of vec in
+    g^{(x) d}: (id^{(x) k} (x) phi (x) id^{(x) d-2-k})(vec) in g^{(x) d-1}."""
+    lo = dg ** (d - 2 - k)
+    out: dict = {}
+    for w, v in vec.items():
+        w1, rest = divmod(w, dg * dg * lo)
+        c, w2 = divmod(rest, lo)
+        for x, b in potential[c].items():
+            _add_term(out, (w1 * dg + x) * lo + w2, v * b)
+    return out
 
 
 def bg_conditions(pair: InclusionPair):
     """The two conditions making gr of the filtered algebra equal qA:
     (1) the image of (phi (x) id - id (x) phi) on qR(x)g intersect g(x)qR
         lies back inside qR, and (2) composing with phi kills it.  Both are
-    linear in the overlap vector, so checking them on a basis suffices."""
-    qd = _quadratic_data(pair)
-    if not qd.phi_consistent:
-        return (False, False)
+    linear in the overlap vector, so checking them on a basis suffices.
+
+    A word of g^{(x) 3} lies in at most one binomial of qR (x) g and in at
+    most one of g (x) qR, so an overlap vector is antisymmetric in every
+    pair of its letters, each pair holding an h-letter: the overlap is K^3,
+    spanned by the wedges of three distinct letters, at least two of them
+    h-letters."""
     dg = pair.g.dim
-    phi_cols = qd.phi.transpose().data
-    cond1 = True
-    cond2 = True
-    for y, z in _overlap(qd):
-        diff: Vec = {}
-        for idx, coeff in y.items():
-            b, w = divmod(idx, dg)
-            for u, v in phi_cols[b].items():
-                _add_term(diff, u * dg + w, coeff * v)
-        for idx, coeff in z.items():
-            u, b = divmod(idx, qd.dim)
-            for w, v in phi_cols[b].items():
-                _add_term(diff, u * dg + w, -coeff * v)
-        coords = qd.coords(diff)
-        if coords is None:
-            cond1 = False
-            cond2 = False
-            continue
-        if qd.phi.apply(coords):
+    potential = _potential(pair)
+    pair_class = [c for row in _QaDegrees(pair, 2).times[1] for c in row]
+    cond1 = cond2 = True
+    for vec in ktilde_basis(pair, 3).vectors:
+        diff = _phi_at(potential, vec, dg, 3, 0)
+        for w, v in _phi_at(potential, vec, dg, 3, 1).items():
+            _add_term(diff, w, -v)
+        if not _in_relations_at(diff, pair_class, dg, 2, 0):
+            cond1 = cond2 = False
+        elif _phi_at(potential, diff, dg, 2, 0):
             cond2 = False
     return (cond1, cond2)
 
@@ -167,19 +115,6 @@ def qa_graded_dimension(pair: InclusionPair, k: int) -> int:
     if k < 0:
         raise ValueError("negative degree")
     return _QaDegrees(pair, k).dim(k)
-
-
-def _binomials(qd: QuadraticData) -> list:
-    """The qR basis vectors e_u - e_v as letter pairs ((u1, u2), (v1, v2));
-    the word classes hold only for such relations."""
-    dg = qd.pair.g.dim
-    out = []
-    for vec in qd.basis:
-        if len(vec) != 2 or sum(vec.values()):
-            raise AssertionError(f"qR basis vector {vec} is not a binomial e_u - e_v")
-        u, v = vec
-        out.append((divmod(u, dg), divmod(v, dg)))
-    return out
 
 
 def _classes(n: int, joins) -> list:
@@ -222,8 +157,7 @@ class _QaDegrees:
 
     def __init__(self, pair: InclusionPair, max_degree: int):
         dg = self.dg = pair.g.dim
-        self.qd = _quadratic_data(pair)
-        binomials = _binomials(self.qd)
+        binomials = [((a, x), (x, a)) for a, x in _quadratic_data(pair)]
         self.basis_words = [[0]]
         self.times = []
         for d in range(1, max_degree + 1):
@@ -277,7 +211,7 @@ class KTilde:
     degree: int
     lists: list  # generating letter lists (h-subset..., g-letter)
     vectors: list  # their wedge vectors
-    coords: Coordinates  # coordinates over ``vectors``
+    index: dict  # sorted letters of each list -> (its position, the sign of sorting it)
     expected_dim: int
 
     @property
@@ -286,23 +220,21 @@ class KTilde:
 
 
 def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
+    """One list per letter set: the wedges of distinct letters are
+    independent across letter sets and +- each other within one."""
     dg, dn, dh = pair.g.dim, pair.dim_n, pair.dim_h
     if i == 0:
-        return KTilde(0, [()], [{0: 1}], Coordinates([{0: 1}], 1), 1)
-    span = Echelon(dg ** i)
+        return KTilde(0, [()], [{0: 1}], {(): (0, 1)}, 1)
     lists = []
-    vectors = []
+    index = {}
     for subset in itertools.combinations(range(dn, dg), i - 1):
         for x in range(dg):
-            letters = subset + (x,)
-            vec = _wedge_vector(letters, dg)
-            if not vec:
-                continue
-            if span.insert(vec) is not None:
-                lists.append(letters)
-                vectors.append(vec)
+            ordered = sort_with_sign(subset + (x,))
+            if ordered is not None and ordered[0] not in index:
+                index[ordered[0]] = (len(lists), ordered[1])
+                lists.append(subset + (x,))
     expected = math.comb(dh, i - 1) * dn + math.comb(dh, i)
-    return KTilde(i, lists, vectors, Coordinates(vectors, dg ** i), expected)
+    return KTilde(i, lists, [_wedge_vector(letters, dg) for letters in lists], index, expected)
 
 
 @dataclass
@@ -330,38 +262,37 @@ class KoszulReport:
         return self.ktilde_dims_ok and self.containment_ok and all(s.ok for s in self.slices)
 
 
-def _omission_templates(kt: KTilde, lower: KTilde, dg: int) -> list:
+def _omission_templates(kt: KTilde, lower: KTilde) -> list:
     """Per list of K^i, one (letter, lower coordinate, sign) per omitted
     letter: (-1)^j times the wedge of the list with its j-th letter omitted
-    is sign times the basis wedge of K^{i-1} at that coordinate, and the
-    column of d_i at (p, list) holds sign at (p times the letter, that
-    coordinate).  The lower coordinates of one list differ, because
-    different letters omitted leave different wedges."""
+    is sign times the basis wedge of K^{i-1} with the same letters, read from
+    ``lower.index`` and the signs of sorting both letter lists; the column of
+    d_i at (p, list) holds sign at (p times the letter, that coordinate).
+    The lower coordinates of one list differ, because different letters
+    omitted leave different letter sets."""
     out = []
     for letters in kt.lists:
         template = []
         for j, letter in enumerate(letters):
-            coords = lower.coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
-            if coords is None or len(coords) != 1 or abs(next(iter(coords.values()))) != 1:
-                raise AssertionError(f"omitting letter {j} of {letters} leaves no ± one lower basis wedge")
-            [(t, c)] = coords.items()
-            template.append((letter, t, -int(c) if j % 2 else int(c)))
+            key, sign = sort_with_sign(letters[:j] + letters[j + 1:])
+            if key not in lower.index:
+                raise AssertionError(f"omitting letter {j} of {letters} leaves no lower basis wedge")
+            t, lower_sign = lower.index[key]
+            template.append((letter, t, -sign * lower_sign if j % 2 else sign * lower_sign))
         out.append(template)
     return out
 
 
-def _class_rank(n: int, units, binomials) -> int:
-    """The rank of the unit columns e_u (u in ``units``) and the int columns
-    ``binomials``, each e_u - e_v, over n rows, without elimination: the
-    rank of a graph's oriented incidence matrix, n + 1 - #classes of the n
-    rows and one ground element, a unit column joining its row to the ground
-    and a binomial joining its two rows."""
-    joins = [(u, n) for u in units]
+def _class_rank(n: int, binomials) -> int:
+    """The rank of the int columns ``binomials``, each e_u - e_v, over n
+    rows, without elimination: the rank of a graph's oriented incidence
+    matrix, n - #classes of the rows once each binomial joins its two rows."""
+    joins = []
     for col in binomials:
         if len(col) != 2 or sum(col.values()) or 1 not in col.values():
             raise AssertionError(f"column {col} is not a binomial e_u - e_v")
         joins.append(tuple(col))
-    return n + 1 - len(set(_classes(n + 1, joins)))
+    return n - len(set(_classes(n, joins)))
 
 
 def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulReport:
@@ -371,10 +302,11 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     rightmost position is reported.
 
     K^1 is g with its letters in order, so d_1 is the product table: column
-    p * dg + x is the unit vector at times[d-1][p][x].  Each column of d_2 is
-    a binomial e_(p a, x) - e_(p x, a), so d_1 o d_2 = 0 says that both its
-    entries have the same product, and the ranks of d_1 and d_2 are class
-    counts; only d_i for i >= 3 is eliminated."""
+    p * dg + x is the unit vector at times[d-1][p][x], and its rank is the
+    number of distinct products.  Each column of d_2 is a binomial
+    e_(p a, x) - e_(p x, a), so d_1 o d_2 = 0 says that both its entries have
+    the same product, and the rank of d_2 is a class count; only d_i for
+    i >= 3 is eliminated."""
     if max_internal_degree < 1:
         raise ValueError("need at least internal degree 1")
     dg = pair.g.dim
@@ -392,13 +324,13 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
         for vec in kt[i].vectors
     )
 
-    templates = {i: _omission_templates(kt[i], kt[i - 1], dg) for i in range(2, max_i + 1)}
+    templates = {i: _omission_templates(kt[i], kt[i - 1]) for i in range(2, max_i + 1)}
     slices = []
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
         dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
         products = [c for row in qa.times[d - 1] for c in row]
-        ranks = [_class_rank(dims[0], products, ())]
+        ranks = [len(set(products))]
         dd_zero = True
         cols = None
         for i in range(2, top + 1):
@@ -409,7 +341,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                 for template in templates[i]
             ]
             if i == 2:
-                ranks.append(_class_rank(dims[1], (), cols))
+                ranks.append(_class_rank(dims[1], cols))
                 # each column is e_u - e_v, which d_1 sends to e_products[u] - e_products[v]
                 dd_zero = all(products[u] == products[v] for u, v in cols)
             else:
@@ -418,11 +350,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                 for col in cols:
                     span.insert(col)
                 ranks.append(span.rank)
-        exact = {}
-        for i in range(1, top + 1):
-            rank_out = ranks[i - 1]
-            rank_in = ranks[i] if i < top else 0
-            exact[i] = dims[i] - rank_out == rank_in
+        exact = {i: dims[i] - ranks[i - 1] == (ranks[i] if i < top else 0) for i in range(1, top + 1)}
         slices.append(KoszulComplexSlice(d, dims, dd_zero, exact, dims[0] - ranks[0]))
     qa_dims = [qa.dim(d) for d in range(max_internal_degree + 1)]
     return KoszulReport(ktilde_dims_ok, containment_ok, slices, qa_dims)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -26,7 +27,7 @@ from pbwgate.lie import (
     sym_monomials,
     tensor_module,
 )
-from pbwgate.koszul import KoszulComplexSlice, KoszulReport, _in_relations_at, _QaDegrees, _wedge_vector, ktilde_basis
+from pbwgate.koszul import KoszulComplexSlice, KoszulReport, _in_relations_at, _QaDegrees, _wedge_vector
 from pbwgate.linalg import (
     Coordinates,
     Echelon,
@@ -373,6 +374,100 @@ def straightening(pair, f_filt, r_filt, k: int) -> Matrix:
     return canon
 
 
+def _qr_spanning(pair):
+    """((a, x), a (x) x - x (x) a) for each h-letter a and each letter x."""
+    dg = pair.g.dim
+    for a in range(pair.dim_n, dg):
+        for x in range(dg):
+            vec = {a * dg + x: 1}
+            key = x * dg + a
+            vec[key] = vec.get(key, 0) - 1
+            yield (a, x), {k: v for k, v in vec.items() if v}
+
+
+@dataclass
+class ReferenceQuadraticData:
+    """qR with its contraction phi, found by elimination."""
+
+    pair: object
+    basis: list  # sparse vectors in g (x) g (letter-pair coordinates)
+    basis_pairs: list  # the (h-letter, letter) pairs giving the basis
+    phi: Matrix  # dim_g x dim(qR)
+    coords: Coordinates  # coordinates over ``basis``; None outside qR
+    phi_consistent: bool  # phi well defined on every spanning dependency
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def reference_quadratic_data(pair) -> ReferenceQuadraticData:
+    """The qR basis chosen by an echelon over the spanning set
+    a (x) x - x (x) a, its coordinates over g (x) g by ``Coordinates``, phi as
+    a ``Matrix`` on the basis and phi checked on every spanning vector: the
+    reference for the letter pairs and the potential of ``koszul``."""
+    dg = pair.g.dim
+    span = Echelon(dg * dg)
+    basis, basis_pairs = [], []
+    for (a, x), vec in _qr_spanning(pair):
+        if span.insert(vec) is not None:
+            basis.append(vec)
+            basis_pairs.append((a, x))
+    phi = Matrix(len(basis), dg, [pair.bracket_letters(a, x) for a, x in basis_pairs]).transpose()
+    coords = Coordinates(basis, dg * dg)
+    consistent = True
+    for (a, x), vec in _qr_spanning(pair):
+        y = coords(vec)
+        if y is None or phi.apply(y) != pair.bracket_letters(a, x):
+            consistent = False
+    return ReferenceQuadraticData(pair, basis, basis_pairs, phi, coords, consistent)
+
+
+@dataclass
+class ReferenceKTilde:
+    """A basis of K^i found by elimination."""
+
+    lists: list  # generating letter lists (h-subset..., g-letter)
+    vectors: list  # their wedge vectors
+    coords: Coordinates  # coordinates over ``vectors``
+    expected_dim: int
+
+
+def reference_ktilde(pair, i: int) -> ReferenceKTilde:
+    """The lists of K^i chosen by an echelon over the wedge of every
+    (i-1)-subset of h-letters with every letter, with ``Coordinates`` over
+    the kept wedges: the reference for ``koszul.ktilde_basis``."""
+    dg, dn, dh = pair.g.dim, pair.dim_n, pair.dim_h
+    if i == 0:
+        return ReferenceKTilde([()], [{0: 1}], Coordinates([{0: 1}], 1), 1)
+    span = Echelon(dg ** i)
+    lists, vectors = [], []
+    for subset in itertools.combinations(range(dn, dg), i - 1):
+        for x in range(dg):
+            vec = _wedge_vector(subset + (x,), dg)
+            if vec and span.insert(vec) is not None:
+                lists.append(subset + (x,))
+                vectors.append(vec)
+    expected = math.comb(dh, i - 1) * dn + math.comb(dh, i)
+    return ReferenceKTilde(lists, vectors, Coordinates(vectors, dg ** i), expected)
+
+
+def reference_omission_templates(kt: ReferenceKTilde, lower: ReferenceKTilde, dg: int) -> list:
+    """Per list of K^i, (letter, lower coordinate, sign) per omitted letter
+    j, read from the ``Coordinates`` of the omitted wedge over the lower
+    basis: the reference for ``koszul._omission_templates``."""
+    out = []
+    for letters in kt.lists:
+        template = []
+        for j, letter in enumerate(letters):
+            coords = lower.coords(_wedge_vector(letters[:j] + letters[j + 1:], dg))
+            assert coords is not None and len(coords) == 1 and abs(next(iter(coords.values()))) == 1
+            [(t, c)] = coords.items()
+            template.append((letter, t, -int(c) if j % 2 else int(c)))
+        out.append(template)
+    return out
+
+
 def reference_relation_span(qd, d: int, positions) -> Echelon:
     """The span inside g^{(x) d} of the words w1 (x) r (x) w2, r in the qR
     basis, with r placed at each of ``positions`` (the degree of w1), by
@@ -453,9 +548,10 @@ def overlap_vectors(qd):
 
 def reference_bg_conditions(qd) -> tuple:
     """((cond1, cond2), overlap dimension) of the straightening conditions
-    with the overlap found by Zassenhaus and each overlap vector's left and
-    right coordinates by a ``Coordinates`` echelon: the reference for the
-    tagged echelon of ``koszul.bg_conditions``."""
+    with the overlap found by Zassenhaus, each overlap vector's left and
+    right coordinates by a ``Coordinates`` echelon and phi applied on the
+    coordinates over the eliminated qR basis: the reference for the K^3
+    wedges and the potential of ``koszul.bg_conditions``."""
     dg = qd.pair.g.dim
     left_vectors, right_vectors = overlap_vectors(qd)
     left = Coordinates(left_vectors, dg ** 3)
@@ -484,15 +580,16 @@ def reference_bg_conditions(qd) -> tuple:
 
 
 def reference_koszul_acyclicity(pair, max_internal_degree: int):
-    """``koszul.koszul_acyclicity`` with every slice differential d_i built
-    as dict columns over the omitted-wedge coordinates and its rank taken by
-    inserting them into an ``Echelon``: the reference for the class ranks of
-    d_1 and d_2 and the product test of d_1 o d_2 = 0."""
+    """``koszul.koszul_acyclicity`` with K^i found by elimination, every
+    slice differential d_i built as dict columns over the omitted-wedge
+    coordinates and its rank taken by inserting them into an ``Echelon``:
+    the reference for the K^i lists and templates, the ranks of d_1 and d_2
+    and the product test of d_1 o d_2 = 0."""
     dg = pair.g.dim
     qa = _QaDegrees(pair, max_internal_degree)
     max_i = min(max_internal_degree, pair.dim_h + 1)
-    kt = [ktilde_basis(pair, i) for i in range(max_i + 1)]
-    ktilde_dims_ok = all(kt[i].dim == kt[i].expected_dim for i in range(max_i + 1))
+    kt = [reference_ktilde(pair, i) for i in range(max_i + 1)]
+    ktilde_dims_ok = all(len(kt[i].lists) == kt[i].expected_dim for i in range(max_i + 1))
     pair_class = [c for row in qa.times[1] for c in row] if max_i >= 2 else []
     containment_ok = all(
         _in_relations_at(vec, pair_class, dg, i, k)
@@ -518,10 +615,10 @@ def reference_koszul_acyclicity(pair, max_internal_degree: int):
     slices = []
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
-        dims = [qa.dim(d - i) * kt[i].dim for i in range(top + 1)]
+        dims = [qa.dim(d - i) * len(kt[i].lists) for i in range(top + 1)]
         cols = [None]
         for i in range(1, top + 1):
-            lower = kt[i - 1].dim
+            lower = len(kt[i - 1].lists)
             cols_i = []
             for products in qa.times[d - i]:
                 for letters, wedges in zip(kt[i].lists, omitted[i]):

@@ -1171,12 +1171,11 @@ def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp
 
 
 def test_koszul_record_fails_when_the_class_rank_counts_every_join(monkeypatch, tmp_path):
-    # a rank that counts every join as a merge, a unit column hitting a row
-    # already hit or a binomial closing a cycle included, overstates the
-    # ranks of d_1 and d_2, and exactness fails
+    # a rank that counts every join as a merge, a binomial closing a cycle
+    # included, overstates the rank of d_2, and exactness fails
     from pbwgate import koszul as koszul_mod
 
-    monkeypatch.setattr(koszul_mod, "_class_rank", lambda n, units, binomials: len(units) + len(binomials))
+    monkeypatch.setattr(koszul_mod, "_class_rank", lambda n, binomials: len(binomials))
     witness = _koszul_record(tmp_path)
     assert not all(ok for s in witness["slices"] for ok in s["exact"].values())
     assert all(s["dd_zero"] for s in witness["slices"])
@@ -1190,8 +1189,8 @@ def test_koszul_record_fails_on_a_d2_column_that_is_not_a_binomial(monkeypatch, 
 
     real = koszul_mod._omission_templates
 
-    def unsigned(kt, lower, dg):
-        out = real(kt, lower, dg)
+    def unsigned(kt, lower):
+        out = real(kt, lower)
         if kt.degree == 2:
             out = [[(a, ta, sa), (x, tx, -sx)] for (a, ta, sa), (x, tx, sx) in out]
         return out
@@ -1221,42 +1220,56 @@ def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatc
     assert dims["3"]["rank"] > dims["3"]["closed_form"]
 
 
-@pytest.mark.parametrize("scale", [-2, 1])
-def test_koszul_record_fails_on_a_relation_that_is_not_a_binomial(monkeypatch, tmp_path, scale):
-    # the word classes hold only for relations e_u - e_v: a qR basis vector
-    # {u: 1, v: -2} or {u: 1, v: 1} is a FAIL record with exit 1, not a
-    # traceback, raised by the one helper that reads the binomials
+def test_koszul_record_fails_when_quadratic_data_misses_one_pair(monkeypatch, tmp_path):
+    # a qR basis without its first letter pair relates too little: qA_2 has
+    # one class more than the closed form, and so has every degree above
     from pbwgate import koszul as koszul_mod
 
-    def skewed(pair):
-        qd = koszul_mod.quadratic_data(pair)
-        (u, cu), (v, cv) = qd.basis[0].items()
-        return replace(qd, basis=[{u: cu, v: scale * cu}] + qd.basis[1:])
+    real = koszul_mod.quadratic_data
+    monkeypatch.setattr(koszul_mod, "quadratic_data", lambda pair: real(pair)[1:])
+    dims = _koszul_record(tmp_path)["graded_dimensions"]
+    assert [dims[k]["rank"] == dims[k]["closed_form"] for k in "0123"] == [True, True, False, False]
+    assert dims["2"]["rank"] == dims["2"]["closed_form"] + 1
 
-    monkeypatch.setattr(koszul_mod, "_quadratic_data", skewed)
+
+def test_koszul_record_fails_when_the_potential_has_the_wrong_sign_on_its_right_factor(monkeypatch, tmp_path):
+    # phi (x) id + id (x) phi in place of phi (x) id - id (x) phi sends the
+    # K^3 wedges of diagonal-sl2 outside qR, and both conditions fail
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod._phi_at
+
+    def plus(potential, vec, dg, d, k):
+        out = real(potential, vec, dg, d, k)
+        return {w: -v for w, v in out.items()} if (d, k) == (3, 1) else out
+
+    monkeypatch.setattr(koszul_mod, "_phi_at", plus)
+    witness = _koszul_record(tmp_path)
+    assert witness["straightening_conditions"] == [False, False]
+    assert witness["containment_ok"] is True
+
+
+def test_koszul_record_fails_when_a_ktilde_index_misses_one_set(monkeypatch, tmp_path):
+    # a K^1 index without the last letter leaves the K^2 lists that end in
+    # it with no lower wedge: an explicit AssertionError, a FAIL record with
+    # exit 1, not a traceback or a KeyError
+    from pbwgate import koszul as koszul_mod
+
+    real = koszul_mod.ktilde_basis
+
+    def missing(pair, i):
+        kt = real(pair, i)
+        if i == 1:
+            del kt.index[(pair.g.dim - 1,)]
+        return kt
+
+    monkeypatch.setattr(koszul_mod, "ktilde_basis", missing)
     out = tmp_path / "report.json"
     assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
     [rec] = json.loads(out.read_text())["records"]
     assert (rec["ok"], rec["verdict"]) == (False, "check raised AssertionError")
-    assert rec["witness"]["raised_at"] == "_binomials (koszul.py)"
-    assert "is not a binomial" in rec["witness"]["message"]
-
-
-def test_koszul_record_fails_when_the_overlap_keeps_the_sign_of_its_right_tags(monkeypatch, tmp_path):
-    # the tagged row (0 | y | z) says sum y_j L_j = -sum z_k R_k; reading the
-    # right coordinates as +z instead of -z feeds the straightening
-    # conditions vectors outside the overlap, and both fail
-    from pbwgate import koszul as koszul_mod
-
-    real = koszul_mod._overlap
-
-    def unsigned(qd):
-        return [(y, {k: -v for k, v in z.items()}) for y, z in real(qd)]
-
-    monkeypatch.setattr(koszul_mod, "_overlap", unsigned)
-    witness = _koszul_record(tmp_path)
-    assert witness["straightening_conditions"] == [False, False]
-    assert witness["containment_ok"] is True
+    assert rec["witness"]["raised_at"] == "_omission_templates (koszul.py)"
+    assert "leaves no lower basis wedge" in rec["witness"]["message"]
 
 
 def test_koszul_record_fails_on_a_wedge_with_one_sign_flipped(monkeypatch, tmp_path):

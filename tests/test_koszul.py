@@ -9,7 +9,8 @@ from pbwgate.koszul import (
     _class_rank,
     _QaDegrees,
     _in_relations_at,
-    _overlap,
+    _omission_templates,
+    _potential,
     bg_conditions,
     koszul_acyclicity,
     ktilde_basis,
@@ -18,7 +19,7 @@ from pbwgate.koszul import (
     quadratic_data,
 )
 from pbwgate.lie import LieAlgebra, make_pair
-from pbwgate.linalg import Echelon
+from pbwgate.linalg import Echelon, _int_rows
 from pbwgate.problem import parse_problem
 
 from conftest import (
@@ -27,10 +28,14 @@ from conftest import (
     reference_bg_conditions,
     reference_in_class_span,
     reference_koszul_acyclicity,
+    reference_ktilde,
+    reference_omission_templates,
+    reference_quadratic_data,
     reference_relation_span,
     reference_word_classes,
     sl2,
     sl2_degenerate_document,
+    subspace_intersection,
 )
 from test_random_pairs import _conjugate, _random_invertible
 
@@ -50,18 +55,17 @@ def full_abelian_pair():
 def test_qr_dimension(sl2_borel, diag_sl2):
     # rank of the spanning set: dim_h * dim_n + C(dim_h, 2)
     for pair in (sl2_borel, diag_sl2):
-        qd = quadratic_data(pair)
         dh, dn = pair.dim_h, pair.dim_n
-        assert qd.dim == dh * dn + dh * (dh - 1) // 2
-        assert qd.phi_consistent
+        assert len(quadratic_data(pair)) == dh * dn + dh * (dh - 1) // 2
+        assert reference_quadratic_data(pair).phi_consistent
 
 
 def test_phi_values(sl2_borel):
-    qd = quadratic_data(sl2_borel)
-    # the pair (e, f) spans a basis vector with phi(e (x) f - f (x) e) = [e, f] = h
-    j = qd.basis_pairs.index((1, 0))  # letters: 1 = e (h-letter), 0 = f (n-letter)
-    col = qd.phi.transpose().data[j]
-    assert col == {2: 1}  # h-letter index 2 is the element h
+    # the pair (e, f) spans a basis binomial with phi(e (x) f - f (x) e) = [e, f] = h
+    assert (1, 0) in quadratic_data(sl2_borel)  # letters: 1 = e (h-letter), 0 = f (n-letter)
+    potential = _potential(sl2_borel)
+    assert potential[1 * 3 + 0] == {2: 1}  # h-letter index 2 is the element h
+    assert potential[0 * 3 + 1] == {}  # f (x) e is no basis orientation
 
 
 @pytest.mark.parametrize("fixture", ["sl2_borel", "diag_sl2", "diag_heis", "abelian_pair", "semidirect_pair"])
@@ -156,8 +160,7 @@ def test_koszul_classical_symmetric_algebra():
 
 
 def test_negative_control_still_has_consistent_phi():
-    qd = quadratic_data(jacobi_broken_pair())
-    assert qd.phi_consistent
+    assert reference_quadratic_data(jacobi_broken_pair()).phi_consistent
 
 
 def test_quadratic_data_built_once_per_koszul_record(monkeypatch):
@@ -189,8 +192,9 @@ def test_incremental_relation_spans_match_the_full_span(name):
     top = 5 if dg == 3 else 4
     qa = _QaDegrees(pair, top)
     assert len(qa.times) == top
+    qd = reference_quadratic_data(pair)
     for d in range(top + 1):
-        ref = reference_relation_span(qa.qd, d, range(d - 1))
+        ref = reference_relation_span(qd, d, range(d - 1))
         assert qa.basis_words[d] == ref.free_columns()
         assert qa.dim(d) == dg ** d - ref.rank
         for word in range(dg ** d):
@@ -212,7 +216,7 @@ def test_class_membership_is_membership_in_the_eliminated_span():
     # its coefficients sum to zero on every class
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    qds = {name: quadratic_data(catalog_get(name).pair()) for name in catalog_list()}
+    qds = {name: reference_quadratic_data(catalog_get(name).pair()) for name in catalog_list()}
     refs = {}
 
     @hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
@@ -245,6 +249,7 @@ def test_two_letter_classes_decide_membership_at_each_position():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     qas = {name: _QaDegrees(catalog_get(name).pair(), 2) for name in catalog_list()}
+    qds = {name: reference_quadratic_data(catalog_get(name).pair()) for name in catalog_list()}
     refs = {}
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -256,7 +261,7 @@ def test_two_letter_classes_decide_membership_at_each_position():
         d = data.draw(st.integers(2, 5 if dg == 3 else 4))
         k = data.draw(st.integers(0, d - 2))
         if (name, d, k) not in refs:
-            refs[name, d, k] = reference_word_classes(qa.qd, d, (k,))
+            refs[name, d, k] = reference_word_classes(qds[name], d, (k,))
         rep = refs[name, d, k]
         vec = data.draw(st.dictionaries(st.integers(0, dg ** d - 1), st.integers(-3, 3).filter(bool), max_size=6))
         if data.draw(st.booleans()):
@@ -269,18 +274,25 @@ def test_two_letter_classes_decide_membership_at_each_position():
     prop()
 
 
-OVERLAP_CASES = catalog_list() + [
+CLOSED_FORM_CASES = catalog_list() + [
     "diagonal-sl2-conjugated-3",
     "diagonal-sl2 seed 71",
     "jacobi-broken-negative-control seed 72",
+    "semidirect-split seed 73",
+    "diagonal-heisenberg seed 74",
+    "sl2-degenerate h=0",
+    "sl2-degenerate h=g",
 ]
 
 
-def _overlap_case_pair(case):
-    """A catalog pair, the committed conjugated copy, or a catalog pair in
-    the basis of a seeded random integer basis change."""
+def _closed_form_case_pair(case):
+    """A catalog pair, the committed conjugated copy, a catalog pair in the
+    basis of a seeded random integer basis change, or a degenerate sl2-borel
+    document."""
     if case == "diagonal-sl2-conjugated-3":
         return parse_problem(CONJUGATED_DIAGONAL_SL2.read_text()).pair()
+    if case in SL2_DEGENERATE:
+        return parse_problem(json.dumps(sl2_degenerate_document(SL2_DEGENERATE[case]))).pair()
     if " seed " not in case:
         return catalog_get(case).pair()
     name, seed = case.split(" seed ")
@@ -288,26 +300,48 @@ def _overlap_case_pair(case):
     return make_pair(*_conjugate(pf, _random_invertible(random.Random(int(seed)), pf.dim)))
 
 
-@pytest.mark.parametrize("case", OVERLAP_CASES)
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_letter_pairs_and_ktilde_lists_match_the_eliminating_reference(case):
+    # the letter pairs are the qR basis an echelon keeps from the spanning
+    # set, and the potential is phi on it, entry for entry and 0 off it; the
+    # K^i lists are the ones an echelon keeps, and the templates read from
+    # the sorted-set index are the Coordinates of each omitted wedge
+    pair = _closed_form_case_pair(case)
+    dg = pair.g.dim
+    ref = reference_quadratic_data(pair)
+    pairs = quadratic_data(pair)
+    assert pairs == ref.basis_pairs
+    assert ref.basis == [{a * dg + x: 1, x * dg + a: -1} for a, x in pairs]
+    assert ref.phi_consistent
+    potential = _potential(pair)
+    phi_cols = ref.phi.transpose().data
+    assert [potential[a * dg + x] for a, x in pairs] == phi_cols
+    assert {w for w, col in enumerate(potential) if col} <= {a * dg + x for a, x in pairs}
+    kt = [ktilde_basis(pair, i) for i in range(pair.dim_h + 3)]
+    rk = [reference_ktilde(pair, i) for i in range(pair.dim_h + 3)]
+    for i in range(pair.dim_h + 3):
+        assert (kt[i].lists, kt[i].vectors, kt[i].expected_dim) == (rk[i].lists, rk[i].vectors, rk[i].expected_dim)
+        if i:
+            assert _omission_templates(kt[i], kt[i - 1]) == reference_omission_templates(rk[i], rk[i - 1], dg)
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
 def test_tagged_overlap_matches_the_zassenhaus_reference(case):
-    # one tagged echelon gives the straightening conditions and the overlap
-    # dimension of Zassenhaus with Coordinates echelons, and each of its
-    # coordinate pairs (y, z) names one vector: sum y_j L_j = sum z_k R_k
-    pair = _overlap_case_pair(case)
-    qd = quadratic_data(pair)
+    # the overlap qR (x) g intersect g (x) qR found by the tagged Zassenhaus
+    # echelon is the span of the K^3 wedges, and the straightening conditions
+    # read through the potential are the ones read through Coordinates
+    pair = _closed_form_case_pair(case)
+    dg = pair.g.dim
+    qd = reference_quadratic_data(pair)
     (cond1, cond2), dim = reference_bg_conditions(qd)
-    overlap = _overlap(qd)
     assert bg_conditions(pair) == (cond1, cond2)
-    assert len(overlap) == dim
-    left, right = overlap_vectors(qd)
-    for y, z in overlap:
-        assert y and z
-        lhs, rhs = {}, {}
-        for coords, vectors, acc in ((y, left, lhs), (z, right, rhs)):
-            for j, c in coords.items():
-                for w, v in vectors[j].items():
-                    acc[w] = acc.get(w, 0) + c * v
-        assert {w: v for w, v in lhs.items() if v} == {w: v for w, v in rhs.items() if v}
+    wedges = ktilde_basis(pair, 3).vectors
+    assert len(wedges) == dim
+    span = Echelon(dg ** 3)
+    for vec in _int_rows(subspace_intersection(*overlap_vectors(qd), dg ** 3))[0]:
+        span.insert(vec)
+    assert span.rank == dim
+    assert all(not span.reduce(vec) for vec in wedges)
 
 
 SLICE_CASES = [f"{name} K=5" for name in catalog_list()] + [
@@ -317,27 +351,20 @@ SLICE_CASES = [f"{name} K=5" for name in catalog_list()] + [
 ]
 
 
-def _slice_case_pair(case):
-    name, cap = case.split(" K=")
-    if name == "diagonal-sl2-conjugated-3":
-        return parse_problem(CONJUGATED_DIAGONAL_SL2.read_text()).pair(), int(cap)
-    if name in SL2_DEGENERATE:
-        return parse_problem(json.dumps(sl2_degenerate_document(SL2_DEGENERATE[name]))).pair(), int(cap)
-    return catalog_get(name).pair(), int(cap)
-
-
 @pytest.mark.parametrize("case", SLICE_CASES)
 def test_slices_match_the_eliminating_reference(case):
     # d_1 read off the product table, d_2's rank counted by classes and
     # d_1 o d_2 = 0 tested on products give the report of every d_i inserted
     # into an echelon and every d o d multiplied out, entry for entry
-    pair, cap = _slice_case_pair(case)
+    name, cap = case.split(" K=")
+    pair, cap = _closed_form_case_pair(name), int(cap)
     assert koszul_acyclicity(pair, cap) == reference_koszul_acyclicity(pair, cap)
 
 
 def test_class_rank_is_the_eliminated_rank():
-    # unit columns and binomials e_u - e_v, repeats, cycles and the empty set
-    # included: n + 1 - #classes is the rank an echelon finds
+    # binomials e_u - e_v, repeats, cycles and the empty set included:
+    # n - #classes is the rank an echelon finds; unit columns, the columns
+    # of d_1, have the rank of their distinct rows
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -351,9 +378,16 @@ def test_class_rank_is_the_eliminated_rank():
         ends = data.draw(st.lists(st.tuples(rows, rows), max_size=16))
         binomials = [{u: 1, v: -1} for u, v in ends if u != v]
         ech = Echelon(n)
-        for col in [{u: s} for u, s in zip(units, signs)] + binomials:
+        for col in binomials:
             ech.insert(col)
-        assert _class_rank(n, units, binomials) == ech.rank
+        assert _class_rank(n, binomials) == ech.rank
+        unit_span = Echelon(n)
+        for col in [{u: s} for u, s in zip(units, signs)]:
+            ech.insert(col)
+            unit_span.insert(col)
+        assert len(set(units)) == unit_span.rank
+        # a unit column is a binomial to one ground row
+        assert _class_rank(n + 1, binomials + [{u: 1, n: -1} for u in units]) == ech.rank
 
     prop()
-    assert _class_rank(5, [], []) == 0
+    assert _class_rank(5, []) == 0

@@ -180,6 +180,31 @@ def test_only_contained_reads_the_clock():
     assert _offenders(_CLOCKS, "report", "_contained") == []
 
 
+# the quadratic side of the Koszul check has closed forms: koszul names no
+# Coordinates, and only koszul_acyclicity, which ranks d_i for i >= 3, builds
+# an Echelon
+def _koszul_eliminations(source: str) -> list:
+    return sorted(set(_named(source, {"Coordinates"}) + _named_outside(source, {"Echelon"}, "koszul_acyclicity")))
+
+
+def test_koszul_elimination_detector():
+    assert _koszul_eliminations("from .linalg import Coordinates\n") == [1]
+    assert _koszul_eliminations("span = Echelon(dg * dg)\n") == [1]
+    assert _koszul_eliminations("def koszul_acyclicity(pair, K):\n    return Echelon(K)\n") == []
+    # the former qR basis by elimination, put back into the real koszul, is caught
+    koszul = _package_sources()["koszul"]
+    assert _koszul_eliminations(koszul) == []
+    old = "    dn, dg = pair.dim_n, pair.g.dim\n    return ["
+    eliminated = koszul.replace(old, "    span = Echelon(pair.g.dim ** 2)\n" + old)
+    assert eliminated != koszul and len(_koszul_eliminations(eliminated)) == 1
+    coords = koszul.replace("from .linalg import Echelon,", "from .linalg import Coordinates, Echelon,")
+    assert coords != koszul and len(_koszul_eliminations(coords)) == 1
+
+
+def test_koszul_eliminates_only_the_higher_differentials():
+    assert _koszul_eliminations(_package_sources()["koszul"]) == []
+
+
 # one clearing helper: linalg._int_rows turns rationals into int forms and
 # linalg brings int forms over one scale, so no other module takes a common
 # denominator (an lcm call) or reads one (.denominator)
