@@ -15,8 +15,6 @@ are built once per pair and module action (``obstruction``, ``extension``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .lie import (
     InclusionPair,
@@ -32,14 +30,14 @@ from .lie import (
     tensor_module,
 )
 from .linalg import Matrix, Q, _add_term, _common_scale, _int_rows, solve
+from .record import Record
 
 
 class NotACocycleError(ValueError):
     """Input cochain is not closed, so triviality is not a meaningful question."""
 
 
-@dataclass
-class Cochain:
+class Cochain(Record):
     """p-cochain on h with values in ``module``: a matrix whose column at a
     strictly-increasing basis tuple of wedge-degree p is the value vector."""
 
@@ -146,7 +144,7 @@ def alpha_cocycle(pair: InclusionPair, module: LieModule) -> Cochain:
     return _closed(pair.h, a, AssertionError("obstruction cochain failed the cocycle identity"))
 
 
-def _primitive(h: LieAlgebra, cocycle: Cochain) -> Optional[Cochain]:
+def _primitive(h: LieAlgebra, cocycle: Cochain) -> Cochain | None:
     """A 0-cochain b with d(b) = ``cocycle``, or None: (d / s) b = v / s_v solved as s_v d b = s v."""
     coeff = cocycle.module
     d, scale = ce_differential(h, coeff, 0)
@@ -164,13 +162,12 @@ def _primitive(h: LieAlgebra, cocycle: Cochain) -> Optional[Cochain]:
     return Cochain(0, coeff, b)
 
 
-@dataclass
-class Obstruction:
+class Obstruction(Record):
     """The obstruction cocycle ``a`` of one module and a 0-cochain b with
     d(b) = a, or None when the class is non-trivial."""
 
     cocycle: Cochain
-    primitive: Optional[Cochain]
+    primitive: Cochain | None
 
 
 def _per_module(pair: InclusionPair, name: str, module: LieModule, build):
@@ -193,7 +190,7 @@ def obstruction(pair: InclusionPair, module: LieModule) -> Obstruction:
     return _per_module(pair, "obstructions", module, _build_obstruction)
 
 
-def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Optional[Cochain] = None) -> Optional[Cochain]:
+def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Cochain | None = None) -> Cochain | None:
     """A 0-cochain b with d(b) = a, or None when the class is nontrivial.
 
     Without ``cocycle`` this is the memoised ``obstruction(pair, module)``;
@@ -204,8 +201,7 @@ def is_trivial(pair: InclusionPair, module: LieModule, cocycle: Optional[Cochain
     return _primitive(pair.h, _closed(pair.h, cocycle, NotACocycleError("cochain is not closed")))
 
 
-@dataclass
-class ExtensionDatum:
+class ExtensionDatum(Record):
     """Action rho of the ambient generators on E extending the h-action.
 
     ``rho[u]`` acts for the adapted letter u (n-letters first, then the h
@@ -216,16 +212,15 @@ class ExtensionDatum:
     pair: InclusionPair
     module: LieModule
     rho: tuple
-    # (columns, T): rho cleared once to int columns over one scale T, so that
-    # column j of rho[u] is columns[u][j] / T; engine's t-maps run on these
-    int_rho: tuple = field(init=False, compare=False, repr=False)
-    # engine.t_map's image of each basis element (k, word, tensor-tuple)
-    # under this datum; a fresh dict per datum, never copied by replace()
-    t_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        cols, scale = int_matrices([m.transpose() for m in self.rho])
-        self.int_rho = (cols, scale)
+    def __init__(self, pair: InclusionPair, module: LieModule, rho: tuple):
+        super().__init__(pair, module, rho)
+        # (columns, T): rho cleared once to int columns over one scale T, so that
+        # column j of rho[u] is columns[u][j] / T; engine's t-maps run on these
+        self.int_rho = int_matrices([m.transpose() for m in rho])
+        # engine.t_map's image of each basis element (k, word, tensor-tuple)
+        # under this datum; a fresh dict per datum, never shared with another
+        self.t_images = {}
 
     def verify(self) -> bool:
         pair, e = self.pair, self.module
@@ -241,7 +236,7 @@ class ExtensionDatum:
         return True
 
 
-def find_extension(pair: InclusionPair, module: LieModule) -> Optional[ExtensionDatum]:
+def find_extension(pair: InclusionPair, module: LieModule) -> ExtensionDatum | None:
     """Solve the linear equivariance system for rho, or return None.
 
     Unknowns are the matrices B_r = rho(sigma(n_r)); the h-letters act by the
@@ -288,13 +283,12 @@ def find_extension(pair: InclusionPair, module: LieModule) -> Optional[Extension
     return datum
 
 
-def extension(pair: InclusionPair, module: LieModule) -> Optional[ExtensionDatum]:
+def extension(pair: InclusionPair, module: LieModule) -> ExtensionDatum | None:
     """``find_extension(pair, module)``, solved once per pair and module action."""
     return _per_module(pair, "extensions", module, find_extension)
 
 
-@dataclass
-class PushoutData:
+class PushoutData(Record):
     """The pushout in E + n (x) E coordinates and its presenting relations."""
 
     module: LieModule  # Q: E on the first coordinates, then n (x) E

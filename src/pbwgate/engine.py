@@ -23,15 +23,14 @@ distinct system once per pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .cohomology import ExtensionDatum, extension, is_trivial, pushout_data
 from .lie import (
     InclusionPair,
     LieModule,
     ModuleMap,
-    _int_table,
+    _letter_ints,
     quotient_module,
     sym_dim,
     sym_monomials,
@@ -40,6 +39,7 @@ from .lie import (
     trivial_module,
 )
 from .linalg import Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _same_values, solve
+from .record import Record
 
 
 class AlphaNontrivialError(RuntimeError):
@@ -61,16 +61,6 @@ Word = tuple  # tuple of adapted letter indices
 
 # the pair-cache key of each side's rewriting memo; perfbench reads these keys
 _MEMO = {"F": "free_words", "R": "pbw_words"}
-
-
-def _letter_ints(pair: InclusionPair) -> tuple:
-    """(ints, D): the letter bracket table over one common denominator, so
-    that [letter u, letter v] = ints[u][v] / D; cleared once per pair."""
-    cache = pair._caches
-    if "letter_ints" not in cache:
-        letters = range(pair.g.dim)
-        cache["letter_ints"] = _int_table([[pair.bracket_letters(u, v) for v in letters] for u in letters])
-    return cache["letter_ints"]
 
 
 def _int_normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
@@ -193,7 +183,7 @@ class FilteredModule:
     slice of ``module``, the top level K.
     """
 
-    def __init__(self, pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None):
+    def __init__(self, pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None):
         if side not in ("F", "R"):
             raise ValueError("side must be 'F' or 'R'")
         self.pair = pair
@@ -292,7 +282,7 @@ class FilteredModule:
 
 
 def build_filtration(
-    pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None
+    pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None
 ) -> FilteredModule:
     """Filtration levels 0..K with verified h-actions (cached for trivial
     coefficients)."""
@@ -311,8 +301,7 @@ def build_filtration(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShortExactSequence:
+class ShortExactSequence(Record):
     """0 -> sub -> mid -> quot -> 0 in block form: ``sub`` spans the first
     coordinates of ``mid`` and ``quot`` is the rest, so each action of
     ``mid`` is [[act_sub(a), D_a], [0, act_quot(a)]]."""
@@ -357,7 +346,7 @@ def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool 
     return dims[k - 1] - reduced, dims[k] - dims[k - 1]
 
 
-def section_oracle(seq: ShortExactSequence) -> Optional[Matrix]:
+def section_oracle(seq: ShortExactSequence) -> Matrix | None:
     """Brute-force equivariant section of the projection onto ``quot``, or None.
 
     Solves "s is equivariant and project . s = id" with no reference to
@@ -507,7 +496,7 @@ def _t_image(pair: InclusionPair, rho: ExtensionDatum, k: int, basis: tuple) -> 
     return image
 
 
-def _resolve_rho(pair: InclusionPair, rho: Optional[ExtensionDatum]) -> ExtensionDatum:
+def _resolve_rho(pair: InclusionPair, rho: ExtensionDatum | None) -> ExtensionDatum:
     if rho is not None:
         return rho
     found = extension(pair, quotient_module(pair))
@@ -517,7 +506,7 @@ def _resolve_rho(pair: InclusionPair, rho: Optional[ExtensionDatum]) -> Extensio
 
 
 def splitting_s(
-    pair: InclusionPair, rho: Optional[ExtensionDatum], k: int, filt: Optional[FilteredModule] = None
+    pair: InclusionPair, rho: ExtensionDatum | None, k: int, filt: FilteredModule | None = None
 ) -> ModuleMap:
     """Equivariant section s_k: n^{(x)k} -> F^k built from the t-map chain."""
     rho = _resolve_rho(pair, rho)
@@ -559,7 +548,7 @@ def _nabla(cols: Sequence[list], x: int, mono: Word) -> dict:
     return out
 
 
-def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) -> list:
+def pbw_splitting_I(pair: InclusionPair, rho: ExtensionDatum | None, K: int) -> list:
     """Sections I_k: S^k(n) -> R^k for k <= K by the connection recursion (the pbw^nabla
     map of Laurent-Gengoux, Stienon and Xu) I(1) = 1, I(x_1...x_k) = (1/k) sum_j
     [x_j . I(rest_j) - I(nabla_{x_j} rest_j)]: x . m straightens the word (x,) + m, and
@@ -611,8 +600,7 @@ def pbw_splitting_I(pair: InclusionPair, rho: Optional[ExtensionDatum], K: int) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class F2Report:
+class F2Report(Record):
     well_defined: bool
     squares_commute: bool
     equivariant: bool
@@ -683,8 +671,7 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DimReport:
+class DimReport(Record):
     expected: list
     normal_form_counts: list
     rank_codims: list
@@ -715,16 +702,22 @@ def _right_factors(dg: int, dn: int, length: int) -> list:
 
 
 def dimension_identity_check(
-    pair: InclusionPair, side: str, K: int, coeff: Optional[LieModule] = None
+    pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None
 ) -> DimReport:
     """Validate dim F^k (resp. R^k) against an independent rank computation.
 
-    The span of the obvious degree-bounded relation vectors inside the
-    truncated tensor algebra, tensored with the coefficients, has
-    codimension at least dim F^k and at most the normal-form count, so
-    equality of the three numbers (closed form, basis words of the built
-    filtration, rank codimension) certifies both the graded dimension
-    identity and the consistency of the rewriting.
+    The report holds three numbers per degree: the closed form, the basis
+    size of the built filtration (``normal_form_counts``) and the rank
+    codimension.  ``normal_form_counts`` is ``FilteredModule.dim(k)``, the
+    size of a basis enumerated by ``itertools.product`` (resp.
+    ``sym_monomials``), so it equals the closed form for every input; the
+    rewriting is checked where ``build_filtration`` builds the levels, by
+    the escape check (a normal form outside the degree-K basis) and the
+    bracket compatibility of the level actions.  The rank codimension is the
+    independent number: the codimension of the span of the obvious
+    degree-bounded relation vectors inside the truncated tensor algebra,
+    tensored with the coefficients, so its equality with the closed form
+    certifies the graded dimension identity.
 
     The relations are the core placements w1 (x y - y x - [x, y]) w2 (x) v
     and the coefficient relations w a (x) v - w (x) a.v, a in h.  Each
@@ -815,8 +808,7 @@ def dimension_identity_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HarnessReport:
+class HarnessReport(Record):
     alpha_trivial: bool
     f_levels: dict
     r_levels: dict
@@ -838,7 +830,7 @@ def equivalence_harness(pair: InclusionPair, K: int = 4) -> HarnessReport:
     return HarnessReport(alpha_trivial, *_level_verdicts(pair, K))
 
 
-def _level_verdicts(pair: InclusionPair, K: int, coeff: Optional[LieModule] = None) -> tuple:
+def _level_verdicts(pair: InclusionPair, K: int, coeff: LieModule | None = None) -> tuple:
     """The oracle verdict of each level sequence, as ({k: splits} on the free
     side, the same on the straightened side): the reduced sequences for
     2 <= k <= K with trivial coefficients (``coeff`` None), else the
@@ -851,8 +843,7 @@ def _level_verdicts(pair: InclusionPair, K: int, coeff: Optional[LieModule] = No
     return levels
 
 
-@dataclass
-class TwistedReport:
+class TwistedReport(Record):
     alpha_trivial: bool
     alpha_v_trivial: bool
     f_levels: dict

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
 from .linalg import Echelon, _add_term, _int_mul
+from .record import Record
 
 
 def quadratic_data(pair: InclusionPair) -> list:
@@ -204,8 +204,7 @@ def _wedge_vector(letters, dg: int) -> dict:
     return out
 
 
-@dataclass
-class KTilde:
+class KTilde(Record):
     """Basis of (wedge^{i-1} h) wedge g inside g^{(x) i}."""
 
     degree: int
@@ -237,8 +236,7 @@ def ktilde_basis(pair: InclusionPair, i: int) -> KTilde:
     return KTilde(i, lists, [_wedge_vector(letters, dg) for letters in lists], index, expected)
 
 
-@dataclass
-class KoszulComplexSlice:
+class KoszulComplexSlice(Record):
     internal_degree: int
     dims: list  # dim of qA_{d-i} (x) K^i per position i
     dd_zero: bool
@@ -250,8 +248,7 @@ class KoszulComplexSlice:
         return self.dd_zero and all(self.exact.values())
 
 
-@dataclass
-class KoszulReport:
+class KoszulReport(Record):
     ktilde_dims_ok: bool
     containment_ok: bool
     slices: list

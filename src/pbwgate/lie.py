@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _int_rows
 from .linalg import _lowest_terms, _same_values, combination, qf, tensor_map
+from .record import Record
 
 Vec = dict  # sparse vector: basis index -> Fraction
 
@@ -34,7 +34,7 @@ class NotSubalgebraError(ValueError):
 
 
 def _vec(entries) -> Vec:
-    return {k: qf(v) for k, v in entries.items() if qf(v)}
+    return {k: q for k, v in entries.items() if (q := qf(v))}
 
 
 def _int_table(table) -> tuple:
@@ -49,29 +49,39 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
     ``table[i][j]`` is the sparse vector of [x_i, x_j]; the constructor stores
-    the table exactly as given so that validation can report antisymmetry and
-    Jacobi violations as data rather than refusing to build.
+    the table exactly as given (each entry coerced to rationals, zeros
+    dropped) so that validation can report antisymmetry and Jacobi
+    violations as data rather than refusing to build.
     """
 
-    def __init__(self, dim: int, labels: Optional[Sequence[str]] = None, table=None):
+    def __init__(self, dim: int, labels: Sequence[str] | None = None, table=None):
         self.dim = dim
         self.labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("label count mismatch")
         if table is None:
-            table = [[{} for _ in range(dim)] for _ in range(dim)]
-        self.table = tuple(tuple(_vec(table[i][j]) for j in range(dim)) for i in range(dim))
+            self.table = tuple(tuple({} for _ in range(dim)) for _ in range(dim))
+        else:
+            self.table = tuple(tuple(_vec(table[i][j]) for j in range(dim)) for i in range(dim))
         self._int_table = None  # built by the first bracket
 
     @classmethod
-    def from_pairs(cls, dim: int, pairs, labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
+    def _of_clean(cls, dim: int, labels, table) -> "LieAlgebra":
+        """The algebra of a table whose entries are already clean (nonzero
+        Fractions), stored without cleaning them again."""
+        alg = cls(dim, labels)
+        alg.table = tuple(map(tuple, table))
+        return alg
+
+    @classmethod
+    def from_pairs(cls, dim: int, pairs, labels: Sequence[str] | None = None) -> "LieAlgebra":
         """Build from (i, j, {k: c}) entries for i < j, filling antisymmetry."""
         table = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, coeffs in pairs:
             cv = _vec(coeffs)
             table[i][j] = cv
             table[j][i] = {k: -v for k, v in cv.items()}
-        return cls(dim, labels, table)
+        return cls._of_clean(dim, labels, table)
 
     def int_table(self) -> tuple:
         """``_int_table`` of the structure table, cleared once per algebra."""
@@ -82,34 +92,37 @@ class LieAlgebra:
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """[x, y], accumulated in ints over the integer structure table and
         divided once per output entry."""
-        table, scale = self.int_table()
         (xr,), xs = _int_rows((x,))
         (yr,), ys = _int_rows((y,))
-        acc: dict = {}
-        for i, xi in xr.items():
-            row = table[i]
-            for j, yj in yr.items():
-                p = xi * yj
-                for k, c in row[j].items():
-                    acc[k] = acc.get(k, 0) + p * c
-        den = xs * ys * scale
+        acc = self._int_bracket(xr, yr)
+        den = xs * ys * self.int_table()[1]
         if den == 1:
             return {k: Q(v) for k, v in acc.items() if v}
         return {k: Q(v, den) for k, v in acc.items() if v}
+
+    def _int_bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] of two int vectors times the int table's scale, zeros kept."""
+        table = self.int_table()[0]
+        acc: dict = {}
+        for i, xi in x.items():
+            row = table[i]
+            for j, yj in y.items():
+                p = xi * yj
+                for k, c in row[j].items():
+                    acc[k] = acc.get(k, 0) + p * c
+        return acc
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.labels})"
 
 
-@dataclass
-class ValidationIssue:
+class ValidationIssue(Record):
     kind: str  # "antisymmetry" | "jacobi"
     indices: tuple
     defect: Vec
 
 
-@dataclass
-class LieValidation:
+class LieValidation(Record):
     issues: list
 
     @property
@@ -194,8 +207,7 @@ class LieModule:
         return f"LieModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
 
-@dataclass
-class ModuleMap:
+class ModuleMap(Record):
     """Linear map between modules over the same acting algebra."""
 
     source: LieModule
@@ -254,76 +266,108 @@ class InclusionPair:
     complement coordinates back into g.  Letters (used by the word rewriting
     in the engine) index the adapted basis with the n-letters first:
     letter r < dim_n is sigma(n_r), letter dim_n + a is the a-th h generator.
+
+    The letter coordinates of each standard basis vector of g are found
+    once, when the pair is built; h's structure constants and the letter
+    bracket table expand their brackets over the letters as sparse int
+    products with them.
     """
 
     def __init__(self, g: LieAlgebra, h_embedding: Matrix, complement: Sequence[int]):
         self.g = g
         self.h_embedding = h_embedding
-        self.dim_h = h_embedding.cols
-        self.dim_n = g.dim - self.dim_h
+        self.dim_h = dh = h_embedding.cols
+        self.dim_n = dn = g.dim - dh
         self.complement = tuple(complement)
         h_cols = h_embedding.transpose().data
         n_cols = [{r: Q(1)} for r in self.complement]
-        self._coords = Coordinates(h_cols + n_cols, g.dim)
-        if self._coords.rank != g.dim:
+        coords = Coordinates(h_cols + n_cols, g.dim)
+        if coords.rank != g.dim or len(n_cols) != dn:
             raise ValueError("complement does not complete the subalgebra to a basis of g")
         self.sigma = Matrix(len(n_cols), g.dim, n_cols).transpose()
-        self._letter_cols = n_cols + h_cols
+        # (int rows, c): letter u is the g vector rows[u] / c
+        self._letter_cols = _int_rows(n_cols + h_cols)
+        # (int rows, s): standard basis vector i of g is sum_u rows[i][u] / s
+        # letter u; a complement coordinate is the n-letter at its position,
+        # and the other dim h are solved once each
+        n_letter = {r: {pos: Q(1)} for pos, r in enumerate(self.complement)}
+        self._inverse = _int_rows([
+            n_letter.get(i) or {(j - dh if j >= dh else dn + j): v for j, v in coords({i: Q(1)}).items()}
+            for i in range(g.dim)
+        ])
         self.h = self._induced_subalgebra(h_cols)
         self.n_labels = tuple(g.labels[r] for r in self.complement)
         self._bracket_table = None
         self._caches: dict = {}
 
-    # -- coordinates -------------------------------------------------------
-
-    def _adapted(self, x: Vec) -> Vec:
-        """Sparse adapted coordinates (h-part, then n-part) of a vector of g."""
-        sol = self._coords(_vec(x))
-        if sol is None:
-            raise AssertionError("adapted basis does not span g")
-        return sol
-
-    def letter_coords(self, x: Vec) -> Vec:
-        """Expand a g vector over the letters (n-letters then h-letters)."""
-        c = self._adapted(x)
-        dh = self.dim_h
-        out: Vec = {i - dh: v for i, v in c.items() if i >= dh}
-        out.update((self.dim_n + a, v) for a, v in c.items() if a < dh)
-        return out
+    def _bracket_ints(self, letter_pairs) -> tuple:
+        """([letter u, letter v] for each (u, v) of ``letter_pairs``, expanded
+        over the letters, as int rows over one scale: the bracket of the two
+        letter columns over g's int structure table, then its sparse product
+        with the letter coordinates of g's basis."""
+        cols, c = self._letter_cols
+        inverse, s = self._inverse
+        out = []
+        for u, v in letter_pairs:
+            z: dict = {}
+            for k, w in self.g._int_bracket(cols[u], cols[v]).items():
+                if w:
+                    for l, x in inverse[k].items():
+                        z[l] = z.get(l, 0) + w * x
+            out.append({l: x for l, x in sorted(z.items()) if x})
+        return out, c * c * self.g.int_table()[1] * s
 
     def bracket_letters(self, u: int, v: int) -> Vec:
-        """[letter u, letter v] expanded over letters (cached; solved for u < v, then antisymmetry)."""
+        """[letter u, letter v] expanded over letters, read from ``_letter_ints``."""
         if self._bracket_table is None:
-            cols = self._letter_cols
-            self._bracket_table = table = [[{} for _ in cols] for _ in cols]
-            for a, b in itertools.combinations(range(len(cols)), 2):
-                table[a][b] = self.letter_coords(self.g.bracket(cols[a], cols[b]))
-                table[b][a] = {i: -v for i, v in table[a][b].items()}
+            ints, scale = _letter_ints(self)
+            self._bracket_table = [[{k: Q(c, scale) for k, c in e.items()} for e in row] for row in ints]
         return self._bracket_table[u][v]
 
     def _induced_subalgebra(self, h_cols) -> LieAlgebra:
-        dh = self.dim_h
+        """h with the structure constants of its basis read from the letter
+        expansion of each [h_a, h_b]; NotSubalgebraError at the first (a, b),
+        row by row, whose bracket has an n-letter part."""
+        dh, dn = self.dim_h, self.dim_n
+        ab = list(itertools.product(range(dh), repeat=2))
+        brackets, scale = self._bracket_ints([(dn + a, dn + b) for a, b in ab])
         table = [[{} for _ in range(dh)] for _ in range(dh)]
-        coords = Coordinates(h_cols, self.g.dim)
-        for a in range(dh):
-            for b in range(dh):
-                sol = coords(self.g.bracket(h_cols[a], h_cols[b]))
-                if sol is None:
-                    raise NotSubalgebraError(a, b)
-                table[a][b] = sol
+        for (a, b), z in zip(ab, brackets):
+            if any(l < dn for l in z):
+                raise NotSubalgebraError(a, b)
+            table[a][b] = {l - dn: Q(x, scale) for l, x in z.items()}
         labels = tuple(f"h{a}" for a in range(dh))
         if all(len(self.h_embedding.data[i]) <= 1 for i in range(self.g.dim)):
             # coordinate subalgebra: reuse the g labels
             picked = [self.g.labels[c] for col in h_cols if len(col) == 1 for c, v in col.items() if v == 1]
             if len(picked) == dh:
                 labels = tuple(picked)
-        return LieAlgebra(dh, labels, table)
+        return LieAlgebra._of_clean(dh, labels, table)
 
     def __repr__(self) -> str:
         return f"InclusionPair(dim_g={self.g.dim}, dim_h={self.dim_h}, complement={self.complement})"
 
 
-def make_pair(g: LieAlgebra, h_embedding, complement: Optional[Sequence[int]] = None) -> InclusionPair:
+def _letter_ints(pair: InclusionPair) -> tuple:
+    """(ints, D): the letter bracket table over one common denominator in
+    lowest terms, so that [letter u, letter v] = ints[u][v] / D; built once
+    per pair, on first use, by one ``_bracket_ints`` pass over u < v and
+    antisymmetry."""
+    cache = pair._caches
+    if "letter_ints" not in cache:
+        dg = pair.g.dim
+        upper = list(itertools.combinations(range(dg), 2))
+        brackets, scale = pair._bracket_ints(upper)
+        ints = [[{} for _ in range(dg)] for _ in range(dg)]
+        for (u, v), z in zip(upper, brackets):
+            ints[u][v] = z
+            ints[v][u] = {l: -x for l, x in z.items()}
+        rows, scale = _lowest_terms([e for row in ints for e in row], scale)
+        cache["letter_ints"] = tuple(tuple(rows[u * dg:(u + 1) * dg]) for u in range(dg)), scale
+    return cache["letter_ints"]
+
+
+def make_pair(g: LieAlgebra, h_embedding, complement: Sequence[int] | None = None) -> InclusionPair:
     """Validated inclusion pair with canonical echelon complement.
 
     ``h_embedding`` may be a Matrix, a list of columns, or a list of basis
@@ -415,7 +459,7 @@ def ext_monomials(dim: int, k: int) -> list:
     return list(itertools.combinations(range(dim), k))
 
 
-def sort_with_sign(tup) -> Optional[tuple]:
+def sort_with_sign(tup) -> tuple | None:
     """Sort an index tuple, tracking the permutation sign; None on duplicates."""
     lst = list(tup)
     sign = 1

@@ -14,12 +14,12 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
 
 Q = Fraction
 
-Entry = Union[int, str, Fraction]
+Entry = int | str | Fraction
 
 
 def qf(x: Entry) -> Fraction:
@@ -73,7 +73,7 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: Optional[list] = None):
+    def __init__(self, rows: int, cols: int, data: list | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         self.rows = rows
@@ -87,7 +87,7 @@ class Matrix:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[Entry]], cols: Optional[int] = None) -> "Matrix":
+    def from_rows(cls, entries: Sequence[Sequence[Entry]], cols: int | None = None) -> "Matrix":
         rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if rows else 0
@@ -340,7 +340,7 @@ class Echelon:
             return {c: Fraction(v) for c, v in row.items()}
         return {c: Fraction(v, scale) for c, v in row.items()}
 
-    def insert(self, row: dict) -> Optional[int]:
+    def insert(self, row: dict) -> int | None:
         """Add a sparse int row to the row space; return its pivot column if rank grew."""
         if self._reduced:
             raise ValueError("insert after back_reduce: the echelon is closed")
@@ -375,7 +375,7 @@ class Echelon:
             pivots[c] = row
         self._reduced = True
 
-    def solution(self) -> Optional[dict]:
+    def solution(self) -> dict | None:
         """Free-variables-zero solution of the system whose right-hand side
         is the last column, as a sparse dict; None when the system is
         inconsistent.
@@ -411,7 +411,7 @@ def rref(m: Matrix):
     return Matrix(m.rows, m.cols, data), pivots
 
 
-def solve(rows: Iterable[Row], bcol: int) -> Optional[Row]:
+def solve(rows: Iterable[Row], bcol: int) -> Row | None:
     """The free-variables-zero solution of the system ``rows`` as a sparse
     dict, or None when it is inconsistent.  Each row is a sparse int row
     over the columns 0..bcol, zeros dropped, the right-hand side in column
@@ -486,7 +486,7 @@ class Coordinates:
             if self._ech.insert(row) < dim:
                 self.rank += 1
 
-    def __call__(self, x: Row) -> Optional[dict]:
+    def __call__(self, x: Row) -> dict | None:
         red = self._ech.reduce(_in_range(x, self.dim))
         if any(c < self.dim for c in red):
             return None

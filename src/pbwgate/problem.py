@@ -10,12 +10,11 @@ equal problem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .lie import LieAlgebra, LieModule, adjoint_module, make_pair, quotient_module, trivial_module
 from .linalg import Matrix, qf
+from .record import Record
 
 
 class ProblemError(ValueError):
@@ -35,15 +34,14 @@ def _rational(value, where: str) -> Fraction:
         raise ProblemError(where, f"bad rational {value!r}: {exc}") from None
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     name: str
     dim: int
     labels: tuple
     brackets: list  # canonical entries (i, j, ((k, Fraction), ...)) with i < j
-    h_indices: Optional[tuple]  # either indices ...
-    h_embedding: Optional[tuple]  # ... or columns of rationals
-    complement: Optional[tuple]
+    h_indices: tuple | None  # either indices ...
+    h_embedding: tuple | None  # ... or columns of rationals
+    complement: tuple | None
     modules: dict  # name -> (dim, tuple of row-major action matrices)
     settings: dict
 
@@ -86,7 +84,7 @@ class ProblemFile:
             raise ProblemError(f"modules.{name}", f"action violates bracket compatibility at {bad}")
         return mod
 
-    def module_dim(self, name: str) -> Optional[int]:
+    def module_dim(self, name: str) -> int | None:
         """The dimension of ``module(pair, name)``, read without building
         either; None for a name that ``module`` rejects."""
         dim_h = len(self.h_indices if self.h_indices is not None else self.h_embedding)

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from dataclasses import dataclass
-from typing import Optional
 
 from .cohomology import connecting_cocycle, extension, is_trivial, obstruction
 from .engine import (
@@ -34,6 +31,7 @@ from .engine import (
 from .koszul import bg_conditions, koszul_acyclicity, qa_closed_form
 from .lie import quotient_module, validate_lie
 from .problem import ProblemError, ProblemFile
+from .record import Record
 
 COMMANDS = ("validate", "alpha", "extend", "split", "oracle", "twisted", "koszul", "all")
 
@@ -63,8 +61,7 @@ _ANCHORS = {
 }
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
     check: str
     anchor: str
     verdict: str
@@ -83,8 +80,7 @@ class CheckRecord:
         }
 
 
-@dataclass
-class Report:
+class Report(Record):
     problem: str
     records: list
 
@@ -109,7 +105,15 @@ class Report:
 
 
 def _matrix_strings(m) -> list:
-    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    """The entries of ``m`` as strings, row by row, read from its sparse rows
+    ("0" where a row holds no entry)."""
+    out = []
+    for r in m.data:
+        row = ["0"] * m.cols
+        for j, v in r.items():
+            row[j] = str(v)
+        out.append(row)
+    return out
 
 
 def _record(check, verdict, ok, witness) -> CheckRecord:
@@ -127,6 +131,8 @@ def _contained(check: str, run) -> list:
     except ProblemError:
         raise
     except Exception as exc:
+        import traceback  # only a failing check pays for its import
+
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         witness = {
             "exception": type(exc).__name__,
@@ -145,7 +151,7 @@ def _level2_splits(pair) -> bool:
     return oracle_splits(pair, level_sequence(build_filtration(pair, "F", 2), 2, reduced=True))
 
 
-def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: Optional[str]) -> None:
+def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: str | None) -> None:
     """Reject, as an input error, a run whose oracle or twisted check would
     build a section system of more than ORACLE_BUDGET unknowns, or whose
     dimensions or koszul check would eliminate over more words of g than
@@ -381,8 +387,8 @@ def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckReco
 def run_command(
     command: str,
     problem: ProblemFile,
-    max_degree: Optional[int] = None,
-    module: Optional[str] = None,
+    max_degree: int | None = None,
+    module: str | None = None,
 ) -> Report:
     """Dispatch a CLI command to the underlying checks."""
     if command not in COMMANDS:

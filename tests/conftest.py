@@ -19,6 +19,8 @@ from pbwgate.cohomology import (
 from pbwgate.engine import _letter_ints, _normal_form, build_filtration
 from pbwgate.lie import (
     LieAlgebra,
+    LieModule,
+    NotSubalgebraError,
     ext_monomials,
     hom_module,
     make_pair,
@@ -202,10 +204,69 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(len(cols), m.cols, cols).transpose()
 
 
+class ReferencePair:
+    """An inclusion pair's letter coordinates, letter bracket table, h and n
+    by a second route: a tagged-echelon ``Coordinates`` solve over the
+    adapted basis for each bracket, and a second ``Coordinates`` over h's
+    columns for h's structure constants.  The package expands every bracket
+    with one coordinate column per basis vector of g instead.  Raises as
+    ``InclusionPair`` does."""
+
+    def __init__(self, g: LieAlgebra, h_embedding: Matrix, complement):
+        self.g, self.dim_h = g, h_embedding.cols
+        self.dim_n = dn = g.dim - self.dim_h
+        h_cols = h_embedding.transpose().data
+        n_cols = [{r: Q(1)} for r in complement]
+        self._coords = Coordinates(h_cols + n_cols, g.dim)
+        if self._coords.rank != g.dim or len(n_cols) != dn:
+            raise ValueError("complement does not complete the subalgebra to a basis of g")
+        self.h = self._induced_subalgebra(h_embedding, h_cols)
+        cols = n_cols + h_cols
+        self.table = [[{} for _ in cols] for _ in cols]
+        for a, b in itertools.combinations(range(len(cols)), 2):
+            self.table[a][b] = self.letter_coords(g.bracket(cols[a], cols[b]))
+            self.table[b][a] = {i: -v for i, v in self.table[a][b].items()}
+
+    def letter_coords(self, x: dict) -> dict:
+        """x over the letters (n-letters then h-letters)."""
+        c = self._coords(x)
+        assert c is not None
+        dh = self.dim_h
+        out = {i - dh: v for i, v in c.items() if i >= dh}
+        out.update((self.dim_n + a, v) for a, v in c.items() if a < dh)
+        return out
+
+    def _induced_subalgebra(self, h_embedding: Matrix, h_cols) -> LieAlgebra:
+        dh = self.dim_h
+        table = [[{} for _ in range(dh)] for _ in range(dh)]
+        coords = Coordinates(h_cols, self.g.dim)
+        for a in range(dh):
+            for b in range(dh):
+                sol = coords(self.g.bracket(h_cols[a], h_cols[b]))
+                if sol is None:
+                    raise NotSubalgebraError(a, b)
+                table[a][b] = sol
+        labels = tuple(f"h{a}" for a in range(dh))
+        if all(len(h_embedding.data[i]) <= 1 for i in range(self.g.dim)):
+            picked = [self.g.labels[c] for col in h_cols if len(col) == 1 for c, v in col.items() if v == 1]
+            if len(picked) == dh:
+                labels = tuple(picked)
+        return LieAlgebra(dh, labels, table)
+
+    def quotient_module(self) -> LieModule:
+        dn = self.dim_n
+        action = []
+        for a in range(self.dim_h):
+            cols = [{s: v for s, v in self.table[dn + a][r].items() if s < dn} for r in range(dn)]
+            action.append(Matrix(dn, dn, cols).transpose())
+        return LieModule(self.h, dn, action)
+
+
 def complement_change(p1, p2) -> Matrix:
     """theta: n1 -> n2, whose columns are the n2-coordinates of sigma1."""
     dn = p2.dim_n
-    cols = [{r: v for r, v in p2.letter_coords(col).items() if r < dn} for col in p1.sigma.transpose().data]
+    ref = ReferencePair(p2.g, p2.h_embedding, p2.complement)
+    cols = [{r: v for r, v in ref.letter_coords(col).items() if r < dn} for col in p1.sigma.transpose().data]
     return Matrix(len(cols), dn, cols).transpose()
 
 

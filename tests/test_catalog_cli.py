@@ -5,7 +5,6 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cohomology import find_extension
 from pbwgate.lie import quotient_module
 from pbwgate.linalg import Q
-from pbwgate.problem import ProblemError, parse_problem, serialize_problem
+from pbwgate.problem import ProblemError, ProblemFile, parse_problem, serialize_problem
 from pbwgate.report import run_command
 from pbwgate.cli import main
 
@@ -130,6 +129,21 @@ def test_parse_not_subalgebra_is_input_error(tmp_path):
     path = tmp_path / "bad-sub.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", "--input", str(path)]) == 2
+
+
+def test_complement_with_an_extra_index_is_input_error(tmp_path):
+    # sl2-borel with complement [2, 0]: h plus these coordinates spans g but
+    # is no basis of it, so the run stops at the pair (exit 2) instead of
+    # running checks on a letter set one too large
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["h"]["complement"] = [2, 0]
+    path = tmp_path / "extra-complement.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemError) as err:
+        parse_problem(path.read_text()).pair()
+    assert err.value.location == "h"
+    assert "does not complete the subalgebra to a basis" in str(err.value)
+    assert main(["all", "--input", str(path)]) == 2
 
 
 def test_parse_bad_json_reports_position():
@@ -756,7 +770,11 @@ def test_oracle_reads_the_top_right_block_of_every_h_element():
     # sl2-borel with its h basis listed toral element first: D_0 is zero on
     # every level and only D_1 is not, so a predicate that stopped at the
     # first element would take these non-split levels as split in place
-    rep = run_command("oracle", replace(catalog_get("sl2-borel"), h_indices=(1, 0)))
+    pf = catalog_get("sl2-borel")
+    swapped = ProblemFile(
+        pf.name, pf.dim, pf.labels, pf.brackets, (1, 0), pf.h_embedding, pf.complement, pf.modules, pf.settings
+    )
+    rep = run_command("oracle", swapped)
     oracle = next(r for r in rep.records if r.check == "oracle")
     assert oracle.ok
     assert oracle.witness["free_side_levels"] == {"2": False, "3": False, "4": False}
@@ -897,7 +915,7 @@ def _conjugated_problem(name: str, seed: int):
         if conj.table[i][j]
     ]
     cols = tuple(tuple(emb.entry(r, c) for r in range(emb.rows)) for c in range(emb.cols))
-    return replace(pf, name=f"{name}~{seed}", brackets=brackets, h_indices=None, h_embedding=cols, complement=None)
+    return ProblemFile(f"{name}~{seed}", pf.dim, pf.labels, brackets, None, cols, None, pf.modules, pf.settings)
 
 
 def test_conjugated_problem_carries_scales():

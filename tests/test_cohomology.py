@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -31,6 +30,7 @@ from pbwgate.lie import (
     trivial_module,
 )
 from pbwgate.linalg import Matrix, _int_rows, combination, kernel_basis, solve
+from pbwgate.problem import ProblemFile
 
 from conftest import (
     alpha_difference,
@@ -433,7 +433,10 @@ def _conjugated_sl2():
     from test_catalog_cli import _conjugated_problem
 
     pf = _conjugated_problem("diagonal-sl2", 3)
-    return replace(pf, h_embedding=tuple(tuple(Q(v) / 2 for v in col) for col in pf.h_embedding)).pair()
+    halved = tuple(tuple(Q(v) / 2 for v in col) for col in pf.h_embedding)
+    return ProblemFile(
+        pf.name, pf.dim, pf.labels, pf.brackets, pf.h_indices, halved, pf.complement, pf.modules, pf.settings
+    ).pair()
 
 
 def test_ce_differential_matches_the_fraction_reference_over_scales():

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -345,16 +344,17 @@ def test_gr_check_fails_on_a_wrong_graded_piece(defect, message, abelian_pair):
     quot, sub = seq.quot, seq.sub
     if defect == "action":
         wrong = LieModule(quot.algebra, quot.dim, [m + Matrix.identity(quot.dim) for m in quot.action])
-        seq = replace(seq, quot=wrong)
+        seq = ShortExactSequence(seq.sub, seq.mid, wrong)
     elif defect == "dimension":
-        seq = replace(seq, quot=trivial_module(quot.algebra, quot.dim + 1))
+        seq = ShortExactSequence(seq.sub, seq.mid, trivial_module(quot.algebra, quot.dim + 1))
     elif defect == "sub":
         wrong = LieModule(sub.algebra, sub.dim, [m + Matrix.identity(sub.dim) for m in sub.action])
-        seq = replace(seq, sub=wrong)
+        seq = ShortExactSequence(wrong, seq.mid, seq.quot)
     else:
         corner = Matrix.zeros(seq.mid.dim, seq.mid.dim)
         corner.data[sub.dim][0] = Q(1)
-        seq = replace(seq, mid=LieModule(sub.algebra, seq.mid.dim, [m + corner for m in seq.mid.action]))
+        mid = LieModule(sub.algebra, seq.mid.dim, [m + corner for m in seq.mid.action])
+        seq = ShortExactSequence(seq.sub, mid, seq.quot)
     with pytest.raises(ValueError, match=message):
         seq.validate()
 
@@ -704,8 +704,8 @@ def test_t_map_images_belong_to_their_extension_datum(diag_sl2):
         return [t_map(pair, datum, 2, {b: Q(1)}) for b in basis]
 
     warm = images(base)
-    # a copy by replace() gets its own memo, not the original's
-    changed = replace(base, rho=changed_rho)
+    # a datum on the same pair and module gets its own memo, not the original's
+    changed = ExtensionDatum(base.pair, base.module, changed_rho)
     got = images(changed)
     assert got == [_reference_t_map(pair, changed, 2, {b: Q(1)}) for b in basis]
     assert got != warm

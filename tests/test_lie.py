@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from pbwgate.catalog import catalog_get
+from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.lie import (
     LieAlgebra,
     LieModule,
@@ -20,10 +21,14 @@ from pbwgate.lie import (
     trivial_module,
     validate_lie,
 )
+from pbwgate import lie
 from pbwgate.engine import _quotient_power
-from pbwgate.linalg import Matrix, _add_term, solve
+from pbwgate.lie import _int_table, _letter_ints
+from pbwgate.linalg import Echelon, Matrix, _add_term, _int_rows, solve
+from pbwgate.problem import parse_problem
 
 from conftest import (
+    ReferencePair,
     complement_change,
     diagonal_embedding,
     heisenberg,
@@ -33,6 +38,7 @@ from conftest import (
     reference_is_equivariant,
     sl2,
 )
+from test_random_pairs import _conjugate, _random_invertible
 
 
 def test_validate_abelian():
@@ -220,11 +226,134 @@ def test_tensor_power_of_line(sl2_borel):
 
 
 def test_letter_coords_roundtrip(diag_sl2):
-    # letters: sigma(n_r) for r < dim_n, then the embedded h-basis
-    letters = diag_sl2.sigma.transpose().data + diag_sl2.h_embedding.transpose().data
-    for u in range(diag_sl2.g.dim):
+    # letters: sigma(n_r) for r < dim_n, then the embedded h-basis; the
+    # pair's letter coordinates of g's basis (int rows over s) take each
+    # letter back to its unit vector, as the reference solve does
+    pair = diag_sl2
+    letters = pair.sigma.transpose().data + pair.h_embedding.transpose().data
+    ref = ReferencePair(pair.g, pair.h_embedding, pair.complement)
+    rows, s = pair._inverse
+    for u in range(pair.g.dim):
         vec = letters[u]
-        assert diag_sl2.letter_coords(vec) == {u: Q(1)}
+        assert ref.letter_coords(vec) == {u: Q(1)}
+        acc = {}
+        for i, x in vec.items():
+            for w, c in rows[i].items():
+                _add_term(acc, w, x * c / s)
+        assert acc == {u: Q(1)}
+
+
+def _construction_cases() -> list:
+    """(id, g, embedding matrix, complement): the six catalog pairs, the
+    committed conjugated diagonal-sl2, seeded conjugated copies (drawn as in
+    test_random_pairs) and a conjugated copy whose h basis has denominators."""
+    cases = []
+    for name in catalog_list():
+        pair = catalog_get(name).pair()
+        cases.append((name, pair.g, pair.h_embedding, pair.complement))
+    committed = parse_problem((Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json").read_text()).pair()
+    cases.append(("committed", committed.g, committed.h_embedding, committed.complement))
+    for name, seed in (("sl2-borel", 3), ("semidirect-split", 5), ("diagonal-heisenberg", 11), ("diagonal-sl2", 7)):
+        pf = catalog_get(name)
+        conj, emb = _conjugate(pf, _random_invertible(random.Random(seed), pf.dim))
+        cases.append((f"{name}~{seed}", conj, emb, make_pair(conj, emb).complement))
+    _, conj, emb, complement = cases[-1]
+    scaled = Matrix(emb.rows, emb.cols, [{c: v * Q(2, 3 + c) for c, v in r.items()} for r in emb.data])
+    cases.append(("diagonal-sl2~7 scaled h", conj, scaled, complement))
+    return cases
+
+
+def _assert_pair_is_the_reference(pair, ref):
+    """The pair's letter table (values and key order), its int form, h's
+    table and labels, and n all equal the reference route's."""
+    dg = pair.g.dim
+    table = [[list(pair.bracket_letters(u, v).items()) for v in range(dg)] for u in range(dg)]
+    assert table == [[list(e.items()) for e in row] for row in ref.table]
+    assert _letter_ints(pair) == _int_table(ref.table)
+    assert pair.h.table == ref.h.table
+    assert pair.h.labels == ref.h.labels
+    assert quotient_module(pair).key() == ref.quotient_module().key()
+
+
+@pytest.mark.parametrize("case", _construction_cases(), ids=lambda case: case[0])
+def test_pair_construction_matches_the_reference_route(case):
+    _, g, emb, complement = case
+    _assert_pair_is_the_reference(make_pair(g, emb, complement), ReferencePair(g, emb, complement))
+
+
+def test_pair_construction_reference_catches_a_wrong_inverse_column(monkeypatch):
+    # one wrong letter-coordinate column of g's basis: that of basis vector 1,
+    # scaled by 2 (the reference solves through its own Coordinates)
+    _, conj, conj_emb, conj_complement = _construction_cases()[-1]
+    ReferencePair(conj, conj_emb, conj_complement)  # a subalgebra: the reference builds it
+
+    class WrongColumn(lie.Coordinates):
+        def __call__(self, x):
+            sol = super().__call__(x)
+            return {j: 2 * v for j, v in sol.items()} if x == {1: 1} else sol
+
+    monkeypatch.setattr(lie, "Coordinates", WrongColumn)
+    # on sl2-borel, h's brackets land on e = x_0 alone: the pair builds, and
+    # its letter table ([f, e] = -h) differs from the reference's
+    g, emb, complement = sl2(), Matrix(2, 3, [{0: Q(1)}, {1: Q(1)}]).transpose(), (2,)
+    with pytest.raises(AssertionError):
+        _assert_pair_is_the_reference(make_pair(g, emb, complement), ReferencePair(g, emb, complement))
+    # in conjugated coordinates h's brackets meet it, and h is rejected
+    with pytest.raises(NotSubalgebraError):
+        make_pair(conj, conj_emb, conj_complement)
+
+
+def _echelon_complement(g, emb: Matrix) -> list:
+    ech = Echelon(g.dim)
+    for col in _int_rows(emb.transpose().data)[0]:
+        ech.insert(col)
+    return ech.free_columns()
+
+
+def _not_a_subalgebra_cases() -> list:
+    """(id, g, embedding columns) whose span is not closed under the bracket:
+    the first failing bracket, row by row, is (0, 1) or (1, 2), in catalog
+    and in seeded conjugated coordinates."""
+    pf = catalog_get("diagonal-sl2")  # basis (e1, h1, f1, e2, h2, f2)
+    g6 = pf.algebra()
+    p_mat = _random_invertible(random.Random(13), 6)
+    conj, _ = _conjugate(pf, p_mat)
+    p_inv = invert(p_mat)
+    # [e1, f1] = h1; then (e1, e2, f2), whose first brackets vanish and [e2, f2] = h2
+    e1f1, e1e2f2 = ([{c: Q(1)} for c in idx] for idx in ((0, 2), (0, 3, 5)))
+    return [
+        ("sl2 e, f", sl2(), [{0: Q(1)}, {2: Q(1)}]),
+        ("e1, f1", g6, e1f1),
+        ("e1, e2, f2", g6, e1e2f2),
+        ("e1, f1 conjugated", conj, [p_inv.apply(v) for v in e1f1]),
+        ("e1, e2, f2 conjugated", conj, [p_inv.apply(v) for v in e1e2f2]),
+    ]
+
+
+@pytest.mark.parametrize("case", _not_a_subalgebra_cases(), ids=lambda case: case[0])
+def test_not_subalgebra_witness_matches_the_reference_route(case):
+    _, g, cols = case
+    emb = Matrix(len(cols), g.dim, cols).transpose()
+    with pytest.raises(NotSubalgebraError) as expected:
+        ReferencePair(g, emb, _echelon_complement(g, emb))
+    with pytest.raises(NotSubalgebraError) as got:
+        make_pair(g, emb)
+    assert got.value.witness == expected.value.witness
+    assert str(got.value) == str(expected.value)
+    assert got.value.witness in ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("complement", [(0,), (2, 0), (2, 2)], ids=["inside h", "one too many", "repeated"])
+def test_complement_errors_match_the_reference_route(complement):
+    # sl2-borel (h = span(e, h)): a complement inside h leaves g unspanned,
+    # and an extra coordinate spans g without completing h to a basis
+    g = sl2()
+    emb = Matrix(2, 3, [{0: Q(1)}, {1: Q(1)}]).transpose()
+    with pytest.raises(ValueError) as expected:
+        ReferencePair(g, emb, complement)
+    with pytest.raises(ValueError) as got:
+        make_pair(g, [0, 1], complement=complement)
+    assert str(got.value) == str(expected.value) == "complement does not complete the subalgebra to a basis of g"
 
 
 def test_tensor_hom_algebra_mismatch(sl2_borel, semidirect_pair):

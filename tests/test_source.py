@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pbwgate
@@ -340,3 +342,60 @@ def test_unused_import_detector():
 def test_no_unused_imports_in_package():
     found = [f"{mod}.{name}" for mod, text in _package_sources().items() for name in _unused_imports(text)]
     assert sorted(found) == sorted(_UNUSED_BY_DESIGN)
+
+
+# start-up stays cheap: no package module imports dataclasses (which pulls in
+# inspect, ast, dis and tokenize), typing or traceback outside a function body;
+# report._contained imports traceback only when a check has raised
+_SLOW_IMPORTS = {"dataclasses", "typing", "traceback"}
+
+
+def _module_level_imports(source: str) -> list:
+    tree = ast.parse(source)
+    in_functions = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_functions.update(range(node.lineno, node.end_lineno + 1))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if node.lineno not in in_functions and any(name.split(".")[0] in _SLOW_IMPORTS for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_module_level_import_detector():
+    assert _module_level_imports("import typing\n") == [1]
+    assert _module_level_imports("from dataclasses import dataclass, field\n") == [1]
+    assert _module_level_imports("import os, traceback\n") == [1]
+    assert _module_level_imports("try:\n    from typing import Optional\nexcept ImportError:\n    pass\n") == [2]
+    assert _module_level_imports("from collections.abc import Sequence\nimport os\n") == []
+    assert _module_level_imports("def f():\n    import traceback\n    return traceback\n") == []
+    # the former module-level traceback import, put back into the real report, is caught
+    report = _package_sources()["report"]
+    assert _module_level_imports(report) == []
+    eager = report.replace("import os\n", "import os\nimport traceback\n", 1)
+    assert eager != report and len(_module_level_imports(eager)) == 1
+
+
+def test_no_module_level_slow_imports_in_package():
+    offenders = []
+    for mod, text in _package_sources().items():
+        offenders += [f"{mod}.py:{line}" for line in _module_level_imports(text)]
+    assert offenders == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a clean interpreter: no site packages, no environment, this checkout's src/
+    src = str(Path(pbwgate.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pbwgate.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
