@@ -388,7 +388,7 @@ def section_oracle(seq: ShortExactSequence) -> Matrix | None:
         sol = {}
     else:
         # a toral element's rows hold one unknown and the right-hand side, so
-        # solve's order fixes those unknowns before the longer rows fill in
+        # solve, shortest rows first, fixes those unknowns before the longer rows
         sol = solve(rows(), bcol)
         if sol is None:
             return None
@@ -778,10 +778,12 @@ def dimension_identity_check(
         cores.append([(x * dg + y, 2, D), (y * dg + x, 2, -D)] + [(u, 1, -c) for u, c in ints[x][y].items()])
 
     # insert the placements by their top degree so the echelon rank after
-    # stage k is exactly the rank of phi of the degree <= k relation span
+    # stage k is exactly the rank of phi of the degree <= k relation span;
+    # within a stage the shortest go first, so fewer pivots are cleared later
     span = Echelon(sizes[-1] * vdim)
     rank_codims = []
     for k in range(K + 1):
+        stage = []
         for core in cores:
             for k1 in range(k - 1):
                 k2 = k - 2 - k1
@@ -796,7 +798,9 @@ def dimension_identity_check(
                                 for i, x in action[v].items():
                                     _add_term(vec, col + i, c * x)
                             if vec:
-                                span.insert(vec)
+                                stage.append(vec)
+        for vec in sorted(stage, key=len):
+            span.insert(vec)
         rank_codims.append(sizes[k] * vdim - span.rank)
     filt = build_filtration(pair, side, K, coeff)
     counts = [filt.dim(k) for k in range(K + 1)]

@@ -11,7 +11,6 @@ forms, solution vectors and complements are reproducible across runs.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -243,159 +242,162 @@ def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:
     return out
 
 
-def _strip_content(row: dict) -> dict:
-    """An int row divided by the gcd of its entries; a Fraction entry raises TypeError."""
-    g = math.gcd(*row.values())
-    return {c: v // g for c, v in row.items()} if g > 1 else row
-
-
 class Echelon:
-    """Incrementally built row space in echelon form, over int rows.
+    """Incrementally built row space in reduced echelon form, over int rows.
 
     ``insert`` takes sparse int rows with zeros dropped and clears nothing; a
     caller holding rationals clears them once with ``_int_rows`` (as
-    ``Matrix.rank``, ``rref``, ``kernel_basis`` and ``Coordinates`` do), and a Fraction entry raises TypeError.  Pivots
-    are the leftmost nonzero columns of the inserted (reduced) rows; each
-    pivot row is kept primitive (content stripped) with a positive lead, and
-    is zero left of its pivot column.  Elimination is fraction-free (see
-    ``_reduce_int``).  ``solution`` reads the free-variables-zero solution of
-    a system straight from these rows by back-substitution.  ``reduce``
-    clears a rational vector with ``_int_rows`` and returns its canonical
-    representative modulo the row space, supported on the non-pivot columns
-    only.  The canonical rational RREF (pivot entries one) is built only on
-    request, by ``back_reduce``, for the reference routines ``rref`` and
+    ``Matrix.rank``, ``rref``, ``kernel_basis`` and ``Coordinates`` do), and a
+    Fraction entry raises TypeError.  Pivots are the leftmost nonzero columns
+    of the inserted (reduced) rows.  Each pivot row is primitive (content
+    stripped), has a positive lead and is zero on every other pivot column:
+    the canonical RREF row made primitive, so the rows depend on the row space
+    alone.  A row is reduced in one pass over its pivot hits
+    (``_reduce_int``), and a new pivot column is cleared from the rows that
+    hold it, found through a column -> pivot rows index.  ``solution`` reads
+    the free-variables-zero solution of a system off the right-hand-side
+    column, and ``reduce`` clears a rational vector with ``_int_rows`` and
+    returns its canonical representative modulo the row space, supported on
+    the non-pivot columns only.  ``back_reduce`` divides each row by its lead,
+    giving the rational RREF of the reference routines ``rref`` and
     ``kernel_basis``; it closes the echelon, and a later ``insert`` or
     ``reduce`` raises ValueError.
     """
 
-    __slots__ = ("ncols", "pivots", "_reduced")
+    __slots__ = ("ncols", "pivots", "_holders", "_reduced")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict = {}  # pivot column -> integer row; Fraction RREF row once closed
+        # column -> pivot columns of the rows that gained it (a row may have
+        # lost it since): None, one as an int, or a list
+        self._holders: list = [None] * ncols
         self._reduced = False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce_int(self, row: dict, scale: int, strip: bool):
-        """The int row ``row`` / ``scale`` reduced by the pivot rows, as a new
-        (row, scale) with no entry in a pivot column.
+    def _reduce_int(self, row: dict, hits) -> tuple:
+        """(m row - sum_c f_c p_c, m) for the int row ``row`` and the pivot
+        columns ``hits`` it holds: no entry is left in a pivot column.
 
-        The row's pivot hits wait in a heap and the smallest is taken first.
-        A step at hit c, with pivot row p of lead a > 0 and the row's entry b,
-        forms (a/g) row - (b/g) p, g = gcd(a, b), which cancels c.  p is zero
-        left of c, so each pivot column the step fills, or fills again after
-        an earlier step cancelled it, lies right of c and is pushed; a popped
-        column the row no longer holds is skipped.  Only a step with
-        a/g != 1 scales the row; its content is then stripped (``strip``) or
-        divided out with ``scale``.
+        A pivot row p_c holds no other pivot column, so subtracting f_c p_c
+        cancels the hit c and touches no other hit: one pass.  With a_c the
+        lead of p_c and b_c the row's entry, m is the least positive integer
+        making each f_c = m b_c / a_c integral, the lcm of a_c / gcd(a_c, b_c).
         """
         pivots = self.pivots
-        row = dict(row)
-        hits = [c for c in row if c in pivots]
-        heapq.heapify(hits)
-        while hits:
-            c = heapq.heappop(hits)
-            b = row.get(c)
-            if b is None:
-                continue  # cancelled after it was pushed
+        m = 1
+        for c in hits:
+            a = pivots[c][c]
+            m = math.lcm(m, a // math.gcd(a, row[c]))  # a Fraction entry raises TypeError
+        out = {k: m * v for k, v in row.items()} if m != 1 else dict(row)
+        for c in hits:
             p = pivots[c]
-            a = p[c]
-            g = math.gcd(a, b)
-            m, f = a // g, b // g
-            if m != 1:
-                row = {k: m * v for k, v in row.items()}
+            f = m * row[c] // p[c]
             for k, v in p.items():
-                w = row.get(k)
-                if w is None:
-                    row[k] = -f * v
-                    if k in pivots:
-                        heapq.heappush(hits, k)
+                w = out.get(k, 0) - f * v
+                if w:
+                    out[k] = w
                 else:
-                    w -= f * v
-                    if w:
-                        row[k] = w
-                    else:
-                        del row[k]
-            if m == 1:
-                continue
-            if strip:
-                row = _strip_content(row)
-            else:
-                scale *= m
-                g = math.gcd(scale, *row.values())
-                if g > 1:
-                    scale //= g
-                    row = {k: v // g for k, v in row.items()}
-        return row, scale
+                    del out[k]
+        return out, m
 
     def reduce(self, vec: Row) -> Row:
         if self._reduced:
             raise ValueError("reduce after back_reduce: the echelon is closed")
         (row,), scale = _int_rows((vec,))
-        row, scale = self._reduce_int(row, scale, strip=False)
-        if scale == 1:
-            return {c: Fraction(v) for c, v in row.items()}
-        return {c: Fraction(v, scale) for c, v in row.items()}
+        hits = row.keys() & self.pivots.keys()
+        row, m = self._reduce_int(row, hits) if hits else (row, 1)
+        return {c: Fraction(v, scale * m) for c, v in row.items()}
 
     def insert(self, row: dict) -> int | None:
         """Add a sparse int row to the row space; return its pivot column if rank grew."""
         if self._reduced:
             raise ValueError("insert after back_reduce: the echelon is closed")
-        row = _strip_content(self._reduce_int(row, 1, strip=True)[0])
+        pivots = self.pivots
+        hits = row.keys() & pivots.keys()
+        if hits:
+            row = self._reduce_int(row, hits)[0]
         if not row:
             return None
         c = min(row)
+        g = math.gcd(*row.values())
         if row[c] < 0:
-            row = {k: -v for k, v in row.items()}
-        self.pivots[c] = row
+            g = -g
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+        elif not hits:
+            row = dict(row)  # the caller's
+        holders = self._holders
+        held = holders[c]
+        for k in row:
+            h = holders[k]
+            if h is None:
+                holders[k] = c
+            elif k == c:
+                continue
+            elif h.__class__ is int:
+                holders[k] = [h, c]
+            else:
+                h.append(c)
+        a = row[c]
+        for d in (held,) if held.__class__ is int else held or ():
+            p = pivots[d]
+            b = p.get(c)
+            if b is None:
+                continue  # lost c after it was indexed
+            g = math.gcd(a, b) if a != 1 else 1
+            if g != a:
+                p = {k: a // g * v for k, v in p.items()}
+            f = b // g
+            for k, v in row.items():
+                w = p.get(k)
+                if w is None:
+                    p[k] = -f * v
+                    h = holders[k]
+                    if h.__class__ is int:
+                        holders[k] = [h, d]
+                    else:
+                        h.append(d)
+                else:
+                    w -= f * v
+                    if w:
+                        p[k] = w
+                    else:
+                        del p[k]
+            if g != a or p[d] != 1:  # else the lead is still 1
+                g = math.gcd(*p.values())
+                if g != 1:
+                    p = {k: v // g for k, v in p.items()}
+            pivots[d] = p
+        pivots[c] = row
         return c
 
     def free_columns(self) -> list:
         return [c for c in range(self.ncols) if c not in self.pivots]
 
     def back_reduce(self) -> None:
-        """Inter-reduce pivot rows so they form the canonical RREF.
-
-        Rows are finished right to left: a row holds no pivot column left of
-        its own, so it is final once the rows of the pivot columns it holds
-        have been subtracted, and those are finished before it.
-        """
+        """Divide each pivot row by its lead: the canonical rational RREF."""
         if self._reduced:
             return
         pivots = self.pivots
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            lead = Fraction(row[c])
-            row = {k: Fraction(v) / lead for k, v in row.items()}
-            for k in [k for k in row if k != c and k in pivots]:
-                _axpy(row, -row[k], pivots[k])
-            pivots[c] = row
+        for c, row in pivots.items():
+            lead = row[c]
+            pivots[c] = {k: Fraction(v, lead) for k, v in row.items()}
         self._reduced = True
 
     def solution(self) -> dict | None:
         """Free-variables-zero solution of the system whose right-hand side
         is the last column, as a sparse dict; None when the system is
-        inconsistent.
-
-        Back-substitution over the pivots in descending column order:
-        x_c = (row_c[bcol] - sum_{j > c} row_c[j] x_j) / row_c[c].
-        """
+        inconsistent.  A pivot row holds no other pivot column, so
+        x_c = row_c[bcol] / row_c[c]."""
         bcol = self.ncols - 1
-        if bcol in self.pivots:
+        pivots = self.pivots
+        if bcol in pivots:
             return None
-        x: dict = {}
-        for c in sorted(self.pivots, reverse=True):
-            row = self.pivots[c]
-            s = row.get(bcol, 0)
-            for j, v in row.items():
-                if j in x:
-                    s -= v * x[j]
-            if s:
-                x[c] = s / Fraction(row[c])
-        return x
+        return {c: Fraction(row[bcol], row[c]) for c, row in sorted(pivots.items(), reverse=True) if bcol in row}
 
 
 def rref(m: Matrix):
@@ -417,19 +419,13 @@ def solve(rows: Iterable[Row], bcol: int) -> Row | None:
     over the columns 0..bcol, zeros dropped, the right-hand side in column
     ``bcol``; a caller holding rationals clears them first with
     ``_int_rows``.  Empty rows are skipped, an entry outside that range
-    raises ValueError and a Fraction entry TypeError.  Rows of
-    at most two entries go in as they arrive, the longer ones shortest
-    first; with leftmost pivoting the pivot set is the RREF's, a property of
-    the row space alone, so the order cannot move the answer."""
+    raises ValueError and a Fraction entry TypeError.  The rows go in
+    shortest first; the reduced rows, and so the answer, are those of the
+    RREF, a property of the row space alone, so the order cannot move it."""
     ech = Echelon(bcol + 1)
-    long_rows = []
-    for row in rows:
-        if len(_in_range(row, bcol + 1)) > 2:
-            long_rows.append(row)
-        elif row:
+    for row in sorted((_in_range(row, bcol + 1) for row in rows), key=len):
+        if row:
             ech.insert(row)
-    for row in sorted(long_rows, key=len):
-        ech.insert(row)
     return ech.solution()
 
 

@@ -26,9 +26,16 @@ class ProblemError(ValueError):
 
 
 def _rational(value, where: str) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool) or isinstance(value, float):
         raise ProblemError(where, f"coefficients must be integers or 'p/q' strings, got {value!r}")
     try:
+        if type(value) is str:
+            # "-?digits" and "-?digits/digits" skip Fraction's string parser
+            num, slash, den = value.partition("/")
+            if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den or 1))
         return qf(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProblemError(where, f"bad rational {value!r}: {exc}") from None

@@ -35,6 +35,7 @@ from pbwgate.linalg import (
     Echelon,
     Matrix,
     _add_term,
+    _axpy,
     _in_range,
     _int_mul,
     _int_rows,
@@ -767,14 +768,20 @@ def _primitive(row: dict) -> dict:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-class ReferenceEchelon(Echelon):
-    """``Echelon`` with the plain rescanning loop: each step rescans the row
-    for its smallest pivot hit, forms a row - b p (a the pivot row's lead,
-    b the row's entry) and strips the content (or takes it into the scale);
-    ``insert`` and ``reduce`` clear each vector with ``_int_rows`` on the way
-    in.  The reference for ``Echelon``'s pivots, ``reduce`` and ``solution``."""
+class ReferenceEchelon:
+    """A plain echelon with the rescanning loop, the reference for
+    ``Echelon``'s pivots, RREF rows, ``reduce`` and ``solution``.  Its pivot
+    rows are primitive with a positive lead and zero left of their pivot, but
+    not reduced against each other.  Each step rescans the row for its
+    smallest pivot hit, forms a row - b p (a the pivot row's lead, b the row's
+    entry) and strips the content (or takes it into the scale); ``insert`` and
+    ``reduce`` clear each vector with ``_int_rows`` on the way in.
+    ``back_reduce`` builds the rational RREF right to left, and ``solution``
+    back-substitutes over the pivots in descending column order."""
 
-    __slots__ = ()
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots = {}
 
     def _reduce_int(self, row, scale, strip):
         pivots = self.pivots
@@ -830,6 +837,33 @@ class ReferenceEchelon(Echelon):
             row = {k: -v for k, v in row.items()}
         self.pivots[c] = row
         return c
+
+    def back_reduce(self):
+        # a row holds no pivot column left of its own, so it is final once
+        # the rows of the pivot columns it holds, finished before it, are
+        # subtracted
+        pivots = self.pivots
+        for c in sorted(pivots, reverse=True):
+            row = {k: Q(v, pivots[c][c]) for k, v in pivots[c].items()}
+            for k in [k for k in row if k != c and k in pivots]:
+                _axpy(row, -row[k], pivots[k])
+            pivots[c] = row
+
+    def solution(self):
+        # x_c = (row_c[bcol] - sum_{j > c} row_c[j] x_j) / row_c[c]
+        bcol = self.ncols - 1
+        if bcol in self.pivots:
+            return None
+        x = {}
+        for c in sorted(self.pivots, reverse=True):
+            row = self.pivots[c]
+            s = row.get(bcol, 0)
+            for j, v in row.items():
+                if j in x:
+                    s -= v * x[j]
+            if s:
+                x[c] = Q(s) / row[c]
+        return x
 
 
 def diagonal_embedding(alg: LieAlgebra):

@@ -12,8 +12,8 @@ import pytest
 from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cohomology import find_extension
 from pbwgate.lie import quotient_module
-from pbwgate.linalg import Q
-from pbwgate.problem import ProblemError, ProblemFile, parse_problem, serialize_problem
+from pbwgate.linalg import Q, qf
+from pbwgate.problem import ProblemError, ProblemFile, _rational, parse_problem, serialize_problem
 from pbwgate.report import run_command
 from pbwgate.cli import main
 
@@ -94,6 +94,35 @@ def test_parse_rejects_floats():
     with pytest.raises(ProblemError) as err:
         parse_problem(json.dumps(doc))
     assert "p/q" in str(err.value)
+
+
+def _rational_reference(value, where):
+    """``problem._rational`` without its fast path: every string goes
+    through ``Fraction(str)``."""
+    if isinstance(value, (bool, float)):
+        raise ProblemError(where, f"coefficients must be integers or 'p/q' strings, got {value!r}")
+    try:
+        return qf(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(where, f"bad rational {value!r}: {exc}") from None
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1.5", " 3/4", "1_000", "1/0", "+2", "-0/5", "abc", "-10/7", "007/010", "12", "-3", "0", "-0"]
+    + ["3/-4", "1/2/3", "--1", "-", "/5", "5/", "", "\u0661\u0662", "\u00b2", "3 /4", 7, -3, 0, True, 1.5, None],
+)
+def test_rational_fast_path_matches_fraction_parsing(value):
+    # the strict "-?digits(/digits)?" fast path accepts, rejects and reports
+    # exactly as Fraction(str) does
+    def outcome(parse):
+        try:
+            got = parse(value, "w")
+        except ProblemError as exc:
+            return "error", str(exc)
+        return "ok", got, type(got)
+
+    assert outcome(_rational) == outcome(_rational_reference)
 
 
 def test_parse_antisymmetry_contradiction_names_pair():
@@ -306,6 +335,20 @@ TWISTED_REPORT_DIGESTS = {
 }
 
 
+# The same digest of the `alpha` and `extend` reports on the committed
+# conjugated copies tests/data/<name>.json: their witnesses carry the class
+# primitive and the extension datum, the free-variables-zero solutions of dense
+# systems, which REPORT_DIGESTS pins only in catalog coordinates.
+CONJUGATED_SOLUTION_DIGESTS = {
+    "alpha diagonal-sl2-conjugated-3": "b5b4ffa011f989b2b6d01a5d5173d207f5834525311de1378bc3a91c06b71fd0",
+    "extend diagonal-sl2-conjugated-3": "2fca77c3b80fbf946a6d1a00fb627ee2820583559d7817bcc61efb662e2abf56",
+    "alpha diagonal-heisenberg-conjugated-0": "568896e44424eb1910f9f64d8171d48cab535deb1d0c175fc78a0cab68795d32",
+    "extend diagonal-heisenberg-conjugated-0": "bd7b473128e9ba5d454e919939693a75bc8d8f59b5ebd68887937447d2c3619e",
+    "alpha semidirect-split-conjugated-0": "ec1d3329297f1bbc2e1a6e1a0595cdcea87aecc5c8f29ffe83035a33c93e2975",
+    "extend semidirect-split-conjugated-0": "e91f88751bb97e9cb110b77d5f535f3e6b9c57b54b59e112f8a53ecd179a9aa5",
+}
+
+
 def _millis_free_digest(argv, tmp_path) -> str:
     out = tmp_path / "report.json"
     main(argv + ["--json", str(out)])
@@ -352,6 +395,13 @@ def test_oracle_report_bytes_are_pinned(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(TWISTED_REPORT_DIGESTS))
 def test_twisted_adjoint_report_bytes_are_pinned(case, tmp_path):
     assert _case_digest("twisted", case, tmp_path, "--module", "adjoint") == TWISTED_REPORT_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CONJUGATED_SOLUTION_DIGESTS))
+def test_conjugated_solution_report_bytes_are_pinned(case, tmp_path):
+    command, name = case.split()
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    assert _millis_free_digest([command, "--input", str(path)], tmp_path) == CONJUGATED_SOLUTION_DIGESTS[case]
 
 
 def test_report_records_have_anchors():
@@ -935,6 +985,13 @@ def test_committed_conjugated_problem_is_the_seeded_copy():
     problem = _conjugated_problem("diagonal-sl2", 3)
     assert path.read_text(encoding="utf-8") == serialize_problem(problem) + "\n"
     assert quotient_module(problem.pair()).scale > 1
+
+
+@pytest.mark.parametrize("name", ["diagonal-heisenberg", "semidirect-split"])
+def test_committed_solution_copies_are_the_seeded_copies(name):
+    # the inputs of CONJUGATED_SOLUTION_DIGESTS besides the file above
+    path = Path(__file__).parent / "data" / f"{name}-conjugated-0.json"
+    assert path.read_text(encoding="utf-8") == serialize_problem(_conjugated_problem(name, 0)) + "\n"
 
 
 @pytest.mark.parametrize(

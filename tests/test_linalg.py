@@ -73,9 +73,8 @@ def test_solve_skips_empty_rows():
 
 @pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
 def test_solve_does_not_depend_on_row_order(kind):
-    # solve reorders the rows it is given (short rows first, then the longer
-    # ones shortest first); rows as generated, reversed and shuffled must
-    # still give one answer
+    # solve reorders the rows it is given (shortest first); rows as
+    # generated, reversed and shuffled must still give one answer
     rng = random.Random({"consistent": 83, "inconsistent": 89, "deficient": 97}[kind])
     for _ in range(60):
         cols, rows = _random_system(rng, kind)
@@ -85,7 +84,7 @@ def test_solve_does_not_depend_on_row_order(kind):
         solutions = [solve(order, cols) for order in (rows, list(reversed(rows)), shuffled, iter(rows))]
         assert all(x == solutions[0] for x in solutions)
         assert (solutions[0] is None) == (kind == "inconsistent")
-        assert solutions[0] == _rref_solution(_echelon(cols + 1, rows).pivots, cols)
+        assert solutions[0] == _rref_solution(_reference(cols + 1, rows).pivots, cols)
 
 
 def test_kernel_identity_empty():
@@ -359,12 +358,18 @@ def _random_system(rng, kind):
     return cols, rows
 
 
-def _echelon(ncols, rows):
+def _echelon(ncols, rows, kind=Echelon):
     """An echelon holding the rational ``rows``, cleared with ``_int_rows``."""
-    ech = Echelon(ncols)
+    ech = kind(ncols)
     for r in _int_rows(rows)[0]:
         ech.insert(r)
     return ech
+
+
+def _reference(ncols, rows):
+    """The rescanning reference holding the rational ``rows``: pivot rows not
+    reduced against each other, the input of ``_quadratic_rref``."""
+    return _echelon(ncols, rows, ReferenceEchelon)
 
 
 @pytest.mark.parametrize("kind", ["consistent", "inconsistent", "deficient"])
@@ -373,7 +378,7 @@ def test_solution_matches_full_rref(kind):
     for _ in range(60):
         cols, rows = _random_system(rng, kind)
         ech = _echelon(cols + 1, rows)
-        expected = _rref_solution(ech.pivots, cols)
+        expected = _rref_solution(_reference(cols + 1, rows).pivots, cols)
         got = ech.solution()
         assert got == expected
         assert (got is None) == (kind == "inconsistent")
@@ -515,6 +520,20 @@ def _refill_block(draw, st, ncols):
     return [{a: m[0], c: m[0]}, {b: m[1], c: m[1]}, {c: m[2], **tail}, {a: m[3], b: m[3], c: m[3]}]
 
 
+def _drawn_rows(data, st):
+    """(ncols, int rows, a strategy for one more row): sparse and dense rows,
+    after a refill block half of the time."""
+    ncols = data.draw(st.integers(3, 9))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3).filter(bool), max_size=3)
+    dense = st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols).map(
+        lambda r: {j: v for j, v in enumerate(r) if v}
+    )
+    rows = data.draw(st.lists(st.one_of(sparse, dense), max_size=8))
+    if data.draw(st.booleans()):
+        rows = _refill_block(data.draw, st, ncols) + rows
+    return ncols, rows, st.one_of(sparse, dense)
+
+
 def test_echelon_matches_the_rescanning_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -522,50 +541,75 @@ def test_echelon_matches_the_rescanning_reference():
     @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @hypothesis.given(st.data())
     def prop(data):
-        ncols = data.draw(st.integers(3, 9))
-        sparse = st.dictionaries(st.integers(0, ncols - 1), st.integers(-3, 3).filter(bool), max_size=3)
-        dense = st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols).map(
-            lambda r: {j: v for j, v in enumerate(r) if v}
-        )
-        rows = data.draw(st.lists(st.one_of(sparse, dense), max_size=8))
-        if data.draw(st.booleans()):
-            rows = _refill_block(data.draw, st, ncols) + rows
-        probes = rows + data.draw(st.lists(st.one_of(sparse, dense), max_size=4))
+        ncols, rows, row = _drawn_rows(data, st)
+        probes = rows + data.draw(st.lists(row, max_size=4))
         given = [dict(r) for r in rows]
         ech, ref = Echelon(ncols), ReferenceEchelon(ncols)
         for row in rows:
             assert ech.insert(row) == ref.insert(row)
         assert rows == given  # insert does not touch the caller's rows
-        assert ech.pivots == ref.pivots
+        assert set(ech.pivots) == set(ref.pivots)
         assert all(type(v) is int for r in ech.pivots.values() for v in r.values())
         assert ech.solution() == ref.solution()
         for vec in probes:
             assert ech.reduce(vec) == ref.reduce(vec)
             halved = {c: Q(v, 2) for c, v in vec.items()}
             assert ech.reduce(halved) == ref.reduce(halved)
+        # each pivot row is the reference's RREF row up to its lead
+        ref.back_reduce()
+        assert {c: {k: Q(v, r[c]) for k, v in r.items()} for c, r in ech.pivots.items()} == ref.pivots
 
     prop()
 
 
-@pytest.mark.parametrize("row", [{0: Q(1, 2)}, {0: 1, 1: Q(1, 2)}, {0: Q(2), 1: 3}])
+def _assert_reduced(ech):
+    """Each pivot row is primitive, has a positive lead and is zero on every
+    other pivot column."""
+    for c, row in ech.pivots.items():
+        assert row[c] > 0 and min(row) == c
+        assert math.gcd(*row.values()) == 1
+        assert not (set(row) - {c}) & set(ech.pivots)
+
+
+def test_pivot_rows_stay_reduced_after_each_insert():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        ncols, rows, _ = _drawn_rows(data, st)
+        ech = Echelon(ncols)
+        for row in rows:
+            ech.insert(row)
+            _assert_reduced(ech)
+
+    prop()
+
+
+@pytest.mark.parametrize("row", [{0: Q(1, 2)}, {0: 1, 1: Q(1, 2)}, {0: Q(2), 1: 3}, {0: Q(1, 2), 2: Q(1, 2)}])
 def test_insert_and_solve_reject_a_fraction_entry(row):
     # int rows are the contract; a rational row must be cleared by its caller
     with pytest.raises(TypeError):
         Echelon(3).insert(row)
-    # the same row after a pivot on column 0: met in a step, or in the last strip
+    # the same row after a pivot on column 0: met in the pass, or in the last
+    # strip; the last row is half that pivot row, so nothing is left to strip
     with pytest.raises(TypeError):
         solve([{0: 1, 2: 1}, row], 2)
 
 
 def test_echelon_is_closed_after_back_reduce():
-    ech = _echelon(3, [{0: Q(2), 2: Q(1)}])
+    # the second row's pivot is cleared from the first, and back_reduce only
+    # divides by the leads
+    ech = _echelon(4, [{0: Q(2), 1: Q(1), 2: Q(1)}, {1: Q(3), 2: Q(1)}])
+    assert ech.pivots == {0: {0: 3, 2: 1}, 1: {1: 3, 2: 1}}
     ech.back_reduce()
-    assert ech.pivots == {0: {0: Q(1), 2: Q(1, 2)}}
+    assert ech.pivots == {0: {0: Q(1), 2: Q(1, 3)}, 1: {1: Q(1), 2: Q(1, 3)}}
     with pytest.raises(ValueError):
         ech.insert({1: Q(1)})
     with pytest.raises(ValueError):
         ech.reduce({1: Q(1)})
-    assert ech.rank == 1
+    assert ech.rank == 2
 
 
 def test_back_reduce_matches_quadratic_reference():
@@ -573,7 +617,7 @@ def test_back_reduce_matches_quadratic_reference():
     for kind in ["consistent", "inconsistent", "deficient"] * 30:
         cols, rows = _random_system(rng, kind)
         ech = _echelon(cols + 1, rows)
-        expected = _quadratic_rref(ech.pivots)
+        expected = _quadratic_rref(_reference(cols + 1, rows).pivots)
         ech.back_reduce()
         assert ech.pivots == expected
         for row in ech.pivots.values():
@@ -623,7 +667,7 @@ def test_solution_property():
         rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
         ech = _echelon(cols + 1, rows)
         x = ech.solution()
-        assert x == _rref_solution(ech.pivots, cols)
+        assert x == _rref_solution(_reference(cols + 1, rows).pivots, cols)
         a = Matrix.from_rows([r[:cols] for r in dense])
         if x is None:
             assert a.rank() < Matrix.from_rows(dense).rank()
