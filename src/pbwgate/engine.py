@@ -13,7 +13,8 @@ h-letters), run by one memoised routine, produce the normal forms:
   n-letters, again with an h-tail acting on the coefficients.
 
 Filtration levels are spanned by the normal forms of bounded degree; the
-h-action is left multiplication followed by reduction.  Both gradings, the
+h-action is built one degree at a time by the derivation rule
+a.(x w) = x.(a.w) + [a, x].w (``FilteredModule``).  Both gradings, the
 dimension identities, and every splitting claim are re-checked against the
 independent section oracle, which knows nothing about cocycles or t-maps;
 its verdicts are asked for through ``oracle_splits``, which solves each
@@ -75,7 +76,9 @@ def _int_normal_form(pair: InclusionPair, side: str, word: Word) -> dict:
     normal form: a free n-word (resp. a weakly increasing one) and its h-tail.
     The swapped word shares the scale D^len(word); a bracket term's shorter
     word sits at D^(len(word)-1) and its integer numerator brings one more D.
-    The memo holds these ints; callers must not mutate them.
+    The memo holds these ints for the words asked for, the words (x,) + u
+    on ``R`` and f2_class_check's on ``F``, and for the words their
+    rewriting passes through; callers must not mutate them.
     """
     cache = pair._caches.setdefault(_MEMO[side], {})
     if word in cache:
@@ -180,7 +183,11 @@ class FilteredModule:
     The basis at level k consists of the normal-form words of degree <= k
     paired with a coefficient-module basis vector; the degree-(k-1) basis is
     a prefix, so inclusions are coordinate injections.  Every level is a
-    slice of ``module``, the top level K.
+    slice of ``module``, the top level K.  The actions come from the
+    derivation rule a.(x w (x) v) = x.(a.(w (x) v)) + [a, x].(w (x) v) for an
+    h-letter a and a basis word x w, one degree at a time from
+    a.(() (x) v) = () (x) a.v; trivial coefficients are the one-dimensional
+    zero module.
     """
 
     def __init__(self, pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None):
@@ -206,41 +213,71 @@ class FilteredModule:
         self.word_index = {w: i for i, w in enumerate(words)}
         self.vdim = vdim
         scale = (_letter_ints(pair)[1] * self.coeff.scale) ** (K + 1)
+        self._columns = self._derived_columns()
         mats = [self._action_matrix(a) for a in range(pair.dim_h)]
+        del self._columns
         self.module = LieModule.from_ints(pair.h, len(words) * vdim, mats, scale)
         self._verify()
 
     # -- construction helpers ------------------------------------------------
 
-    def _action_matrix(self, a: int) -> list:
-        """The action of h-letter a as int rows over (D * T)^(K + 1), D the letter scale and
-        T the coefficient module's: each column sums its normal-form terms over (D * T)^len."""
-        pair = self.pair
-        dn = pair.dim_n
-        vdim, T, D, top = self.vdim, self.coeff.scale, _letter_ints(pair)[1], self.K + 1
-        rows = [dict() for _ in range(len(self.words) * vdim)]
-        tail_cache: dict = {}  # h-tail -> its action times T^len(h-tail), as int rows
-        for wpos, w in enumerate(self.words):
-            length = len(w) + 1
-            col: dict = {}  # (row, v) -> numerator over (D * T)^length
-            for (nw, htail), c in _int_normal_form(pair, self.side, (dn + a,) + w).items():
+    def _derived_columns(self) -> list:
+        """cols[a][c]: the column of a.(word (x) e_v), c = (word position) * vdim + v.  In ints,
+        a column of word degree m holds a row of word degree q over (D * T)^(m + 1 - q), D the
+        letter scale and T the coefficient module's: a left product keeps that scale, and the
+        bracket's 1/D brings one T.  x.(u (x) e_j) concatenates on ``F``; on ``R`` it is the
+        memo's (x,) + u over D^(len(u) + 1), its h-tail acting on e_j, whose ints in a row of
+        degree q are multiples of D^q since each bracket removes a letter."""
+        pair, dn = self.pair, self.pair.dim_n
+        vdim, T, mats = self.vdim, self.coeff.scale, self.coeff.mats
+        ints, D = _letter_ints(pair)
+        tails: dict = {}  # h-tail -> its action times T^len(h-tail), as int rows
+        left = [[None] * len(self.words) for _ in range(dn)]  # [x][pos]: x.(words[pos] (x) e_j) for each j
+
+        def left_product(x: int, pos: int) -> list:
+            word = (x,) + self.words[pos]
+            terms = {(word, ()): D ** len(word)} if self.side == "F" else _int_normal_form(pair, "R", word)
+            out: list = [{} for _ in range(vdim)]
+            for (nw, htail), c in terms.items():
                 if nw not in self.word_index:
-                    raise RewritingInconsistencyError(
-                        f"normal form {nw} escaped the degree-{self.K} basis"
-                    )
-                if htail and self.trivial_coeff:
-                    continue
-                if htail not in tail_cache:
-                    tail_cache[htail] = _compose_h_tail(self.coeff, htail, dn)
-                rowbase = self.word_index[nw] * vdim
-                c *= T ** (length - len(htail))
-                for i, row in enumerate(tail_cache[htail]):
-                    for v, x in row.items():
-                        col[rowbase + i, v] = col.get((rowbase + i, v), 0) + c * x
-            lift = (D * T) ** (top - length)
-            for (r, v), num in col.items():
-                if num:
-                    rows[r][wpos * vdim + v] = num * lift
+                    raise RewritingInconsistencyError(f"normal form {nw} escaped the degree-{self.K} basis")
+                if htail not in tails:
+                    tails[htail] = _compose_h_tail(self.coeff, htail, dn)
+                base, z = self.word_index[nw] * vdim, c // D ** len(nw) * T ** (len(word) - len(nw) - len(htail))
+                for i, row in enumerate(tails[htail]):
+                    for j, t in row.items():
+                        out[j][base + i] = out[j].get(base + i, 0) + z * t
+            left[x][pos] = out
+            return out
+
+        # degree 0: a.(() (x) e_v) = () (x) a.e_v, over D * T
+        cols = [[{i: D * row[v] for i, row in enumerate(mats[a]) if v in row} for v in range(vdim)] for a in range(pair.dim_h)]
+        for w in self.words[1:]:
+            x, pos = w[0], self.word_index[w[1:]]
+            for v in range(vdim):
+                below = pos * vdim + v
+                for a, acts in enumerate(cols):
+                    col: dict = {}  # x.(a.(w[1:] (x) e_v)), then [a, x].(w[1:] (x) e_v)
+                    for r, y in acts[below].items():
+                        for r2, z in (left[x][r // vdim] or left_product(x, r // vdim))[r % vdim].items():
+                            col[r2] = col.get(r2, 0) + y * z
+                    for letter, c in ints[dn + a][x].items():
+                        src = (left[letter][pos] or left_product(letter, pos))[v] if letter < dn else cols[letter - dn][below]
+                        for r2, z in src.items():
+                            col[r2] = col.get(r2, 0) + c * T * z
+                    acts.append({r: z for r, z in col.items() if z})
+        return cols
+
+    def _action_matrix(self, a: int) -> list:
+        """The action of h-letter a as int rows over (D * T)^(K + 1), D the letter scale and T
+        the coefficient module's, read from the columns that ``_derived_columns`` builds."""
+        K, dt = self.K, _letter_ints(self.pair)[1] * self.coeff.scale
+        lifts = [dt ** e for e in range(K + 1)]
+        degree = [len(w) for w in self.words for _ in range(self.vdim)]
+        rows: list = [{} for _ in degree]
+        for c, col in enumerate(self._columns[a]):
+            for r, g in col.items():
+                rows[r][c] = g * lifts[K - degree[c] + degree[r]]
         return rows
 
     def _verify(self) -> None:

@@ -197,15 +197,23 @@ def _reference_actions(pair, side, K, coeff):
 
 
 @pytest.mark.parametrize("side", ["F", "R"])
-@pytest.mark.parametrize("name,seed", CONJUGATED_CASES)
+@pytest.mark.parametrize(
+    "name,seed", [(name, None) for name in catalog_list() if not catalog_get(name).expect_invalid] + CONJUGATED_CASES
+)
 def test_action_matrices_with_coefficients_match_reference(name, seed, side):
+    # the derivation rule, one degree at a time, against the whole words
+    # (a,) + w rewritten in Fractions: trivial coefficients at K = 4, the
+    # modules n and adjoint at K = 3
     pair = _case_pair(name, seed)
-    coeff = quotient_module(pair)
-    # both the letter scale and the coefficient action carry denominators
-    assert _letter_ints(pair)[1] > 1
-    assert any(v.denominator > 1 for m in coeff.action for row in m.data for v in row.values())
-    filt = FilteredModule(pair, side, 3, coeff)
-    assert list(filt.module.action) == _reference_actions(pair, side, 3, coeff)
+    n_module = quotient_module(pair)
+    if seed is not None:
+        # both the letter scale and the coefficient action carry denominators
+        assert _letter_ints(pair)[1] > 1
+        assert any(v.denominator > 1 for m in n_module.action for row in m.data for v in row.values())
+    for coeff, K in ((None, 4), (n_module, 3), (adjoint_module(pair.h), 3)):
+        filt = FilteredModule(pair, side, K, coeff)
+        reference = _reference_actions(pair, side, K, trivial_module(pair.h) if coeff is None else coeff)
+        assert list(filt.module.action) == reference, (K, filt.vdim)
 
 
 def _free_n_words(pair, word):
