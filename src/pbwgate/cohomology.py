@@ -292,7 +292,6 @@ class PushoutData(Record):
     """The pushout in E + n (x) E coordinates and its presenting relations."""
 
     module: LieModule  # Q: E on the first coordinates, then n (x) E
-    free: tuple  # the ambient coordinates of E + g (x) E giving the Q basis
     relations: list  # the spanning relation vectors
 
 
@@ -325,4 +324,4 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
             rel = {i: row[m] for i, row in enumerate(e.mats[a]) if m in row}
             rel[de + (dn + a) * de + m] = -e.scale
             relations.append(rel)
-    return PushoutData(LieModule.from_ints(pair.h, qdim, q_action, hscale * common), tuple(range(qdim)), relations)
+    return PushoutData(LieModule.from_ints(pair.h, qdim, q_action, hscale * common), relations)

@@ -684,7 +684,7 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
             ambient_cols.append(word_to_reduced(_normal_form(pair, "F", (u, s))))
     ambient = Matrix(len(ambient_cols), red2.dim, ambient_cols).transpose()
     well_defined = not any(ambient.apply(rel) for rel in data.relations)
-    psi = ambient.take(range(red2.dim), data.free)
+    psi = ambient.take(range(red2.dim), range(data.module.dim))
 
     # both squares: psi restricts to the identity on E = F~^1 and induces it
     # on n (x) E = gr_2, so its first columns and last rows are the identity's
@@ -731,16 +731,13 @@ def _expected_dims(dn: int, side: str, K: int, vdim: int) -> list:
 
 def _right_factors(dg: int, dn: int, length: int) -> list:
     """The right factors w2 of one length, as base-dim(g) word codes, that a
-    core placement w1 r w2 needs modulo the coefficient relations: the empty
-    word and the words ending in an n-letter.  A placement whose w2 = w2' a
-    ends in an h-letter is, modulo them, a combination of the placements
-    w1 r w2' one degree below."""
+    core placement w1 r w2 needs: the empty word and the words ending in an
+    n-letter.  A placement whose w2 ends in an h-letter is zero, since each
+    of its words ends in an h-letter."""
     return [w for w in range(dg ** length) if not length or w % dg < dn]
 
 
-def dimension_identity_check(
-    pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None
-) -> DimReport:
+def dimension_identity_check(pair: InclusionPair, side: str, K: int) -> DimReport:
     """Validate dim F^k (resp. R^k) against an independent rank computation.
 
     The report holds three numbers per degree: the closed form, the basis
@@ -752,50 +749,31 @@ def dimension_identity_check(
     the escape check (a normal form outside the degree-K basis) and the
     bracket compatibility of the level actions.  The rank codimension is the
     independent number: the codimension of the span of the obvious
-    degree-bounded relation vectors inside the truncated tensor algebra,
-    tensored with the coefficients, so its equality with the closed form
-    certifies the graded dimension identity.
+    degree-bounded relation vectors inside the truncated tensor algebra, so
+    its equality with the closed form certifies the graded dimension
+    identity for trivial coefficients.
 
-    The relations are the core placements w1 (x y - y x - [x, y]) w2 (x) v
-    and the coefficient relations w a (x) v - w (x) a.v, a in h.  Each
-    coefficient relation has its own column (w a, v), so they are
-    substituted, not eliminated: phi sends a word w' t, t its trailing block
-    of h-letters, to w' (x) t.v, and the rank of all the relations is their
-    number plus the rank of phi of the core placements, which lie over the
-    words that are empty or end in an n-letter.  The trivial module's zero
-    action drops every word with an h-tail.  With a coefficient module the
-    check verifies counts only: every h-module of one dimension gives the
-    same codimension (the zero action too), so a wrong action goes unseen.
+    The relations are the core placements w1 (x y - y x - [x, y]) w2 and the
+    words w a, a in h, which the trivial module's zero action sends to zero.
+    Each word w a is a relation on a column of its own, so the rank of all
+    the relations is their number plus the rank of the core placements over
+    the other columns: the words that are empty or end in an n-letter.
     """
     dg = pair.g.dim
     dn = pair.dim_n
-    module = coeff if coeff is not None else trivial_module(pair.h)
-    vdim, scale = module.dim, module.scale
     # sizes[k]: the words of degree <= k that are empty or end in an n-letter
     sizes = [1]
     for k in range(1, K + 1):
         sizes.append(sizes[-1] + dg ** (k - 1) * dn)
     last = sizes[-1] - 1
-    # stripped[k][w] for each word w of degree k, by its base-dg code: (the
-    # column of w with its h-tail t stripped, t); the columns run from the
+    # column[k][w] for each word w = w' x of degree k, by its base-dg code:
+    # its column when x is an n-letter, else None; the columns run from the
     # top degree down, so that a placement pivots on its top-degree word
-    stripped = [[(last, ())]]
+    column = [[last]]
     for k in range(1, K + 1):
-        table = []
-        for w, (col, tail) in enumerate(stripped[-1]):
-            table += [(last - sizes[k - 1] - w * dn - x, ()) for x in range(dn)]
-            table += [(col, tail + (x,)) for x in range(dn, dg)]
-        stripped.append(table)
-    # each h-tail's action on each e_v, as int columns over scale^K
-    actions: dict = {}
-    for table in stripped:
-        for _, tail in table:
-            if tail not in actions:
-                rows = _compose_h_tail(module, tail, dn)
-                lift = scale ** (K - len(tail))
-                actions[tail] = [{i: lift * row[v] for i, row in enumerate(rows) if v in row} for v in range(vdim)]
-    # phi[k][w]: the ambient column of (w stripped, e_0) and its h-tail action
-    phi = [[(col * vdim, actions[tail]) for col, tail in table] for table in stripped]
+        column.append([
+            last - sizes[k - 1] - w * dn - x if x < dn else None for w in range(dg ** (k - 1)) for x in range(dg)
+        ])
 
     def rel_pairs():
         if side == "F":
@@ -815,9 +793,9 @@ def dimension_identity_check(
         cores.append([(x * dg + y, 2, D), (y * dg + x, 2, -D)] + [(u, 1, -c) for u, c in ints[x][y].items()])
 
     # insert the placements by their top degree so the echelon rank after
-    # stage k is exactly the rank of phi of the degree <= k relation span;
-    # within a stage the shortest go first, so fewer pivots are cleared later
-    span = Echelon(sizes[-1] * vdim)
+    # stage k is exactly the rank of the degree <= k relation span; within a
+    # stage the shortest go first, so fewer pivots are cleared later
+    span = Echelon(sizes[-1])
     rank_codims = []
     for k in range(K + 1):
         stage = []
@@ -826,22 +804,21 @@ def dimension_identity_check(
                 k2 = k - 2 - k1
                 w2s = _right_factors(dg, dn, k2)
                 for w1 in range(dg ** k1):
-                    heads = [(phi[k1 + m + k2], (w1 * dg ** m + mid) * dg ** k2, c) for mid, m, c in core]
+                    heads = [(column[k1 + m + k2], (w1 * dg ** m + mid) * dg ** k2, c) for mid, m, c in core]
                     for w2 in w2s:
-                        terms = [table[head + w2] + (c,) for table, head, c in heads]
-                        for v in range(vdim):
-                            vec: dict = {}
-                            for col, action, c in terms:
-                                for i, x in action[v].items():
-                                    _add_term(vec, col + i, c * x)
-                            if vec:
-                                stage.append(vec)
+                        vec: dict = {}
+                        for table, head, c in heads:
+                            col = table[head + w2]
+                            if col is not None:
+                                _add_term(vec, col, c)
+                        if vec:
+                            stage.append(vec)
         for vec in sorted(stage, key=len):
             span.insert(vec)
-        rank_codims.append(sizes[k] * vdim - span.rank)
-    filt = build_filtration(pair, side, K, coeff)
+        rank_codims.append(sizes[k] - span.rank)
+    filt = build_filtration(pair, side, K)
     counts = [filt.dim(k) for k in range(K + 1)]
-    return DimReport(_expected_dims(dn, side, K, vdim), counts, rank_codims)
+    return DimReport(_expected_dims(dn, side, K, 1), counts, rank_codims)
 
 
 # ---------------------------------------------------------------------------

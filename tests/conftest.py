@@ -716,14 +716,13 @@ def sl2_degenerate_document(indices) -> dict:
     return doc
 
 
-def reference_dimension_ranks(pair, side: str, K: int, coeff=None) -> list:
+def reference_dimension_ranks(pair, side: str, K: int) -> list:
     """The rank codimensions of ``dimension_identity_check`` by elimination
-    over every word of degree <= K in all of g (tensor the coefficients):
-    the core placements w1 (x y - y x - [x, y]) w2 (x) v at every right
-    factor w2, and each coefficient relation w a (x) v - w (x) a.v inserted
-    as a row of its own, stage k holding the relations of degree <= k."""
+    over every word of degree <= K in all of g: the core placements
+    w1 (x y - y x - [x, y]) w2 at every right factor w2, and each word w a,
+    a in h, which trivial coefficients send to zero, inserted as a row of
+    its own, stage k holding the relations of degree <= k."""
     dg, dn = pair.g.dim, pair.dim_n
-    vdim = coeff.dim if coeff is not None else 1
     index = {}
     for k in range(K + 1):
         for w in itertools.product(range(dg), repeat=k):
@@ -734,8 +733,7 @@ def reference_dimension_ranks(pair, side: str, K: int, coeff=None) -> list:
         rel_pairs = [(x, y) for x in range(dg) for y in range(x)]
     ints, D = _letter_ints(pair)
     cores = [[((x, y), D), ((y, x), -D)] + [((u,), -c) for u, c in ints[x][y].items()] for x, y in rel_pairs]
-    act, scale = (coeff.mats, coeff.scale) if coeff is not None else (None, 1)
-    span = Echelon(len(index) * vdim)
+    span = Echelon(len(index))
     rank_codims = []
     for k in range(K + 1):
         if k >= 2:
@@ -743,22 +741,15 @@ def reference_dimension_ranks(pair, side: str, K: int, coeff=None) -> list:
                 for k1 in range(k - 1):
                     for w1 in itertools.product(range(dg), repeat=k1):
                         for w2 in itertools.product(range(dg), repeat=k - 2 - k1):
-                            for v in range(vdim):
-                                vec = {}
-                                for mid, c in core:
-                                    _add_term(vec, index[w1 + mid + w2] * vdim + v, c)
-                                span.insert(vec)
+                            vec = {}
+                            for mid, c in core:
+                                _add_term(vec, index[w1 + mid + w2], c)
+                            span.insert(vec)
         if k >= 1:
             for w in itertools.product(range(dg), repeat=k - 1):
                 for a in range(pair.dim_h):
-                    for v in range(vdim):
-                        vec = {index[w + (dn + a,)] * vdim + v: scale}
-                        if act is not None:
-                            for i, row in enumerate(act[a]):
-                                if v in row:
-                                    _add_term(vec, index[w] * vdim + i, -row[v])
-                        span.insert(vec)
-        rank_codims.append(sum(dg ** i for i in range(k + 1)) * vdim - span.rank)
+                    span.insert({index[w + (dn + a,)]: 1})
+        rank_codims.append(sum(dg ** i for i in range(k + 1)) - span.rank)
     return rank_codims
 
 

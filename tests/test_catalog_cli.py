@@ -496,7 +496,7 @@ def test_exception_in_the_dimensions_leg_fails_only_that_leg(monkeypatch, tmp_pa
     # invariant in the dimensions leg leaves the oracle and f2-class records
     from pbwgate import report as report_mod
 
-    def broken(pair, side, K, coeff=None):
+    def broken(pair, side, K):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(report_mod, "dimension_identity_check", broken)
@@ -632,9 +632,9 @@ def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
 
 
 def test_dimensions_record_fails_when_the_skip_drops_the_wrong_right_factors(monkeypatch, tmp_path):
-    # modulo the coefficient relations, a placement w1 r w2 whose right factor
-    # ends in an h-letter is redundant and one ending in an n-letter is not:
-    # a skip that keeps the first kind and drops the second leaves the
+    # with trivial coefficients, a placement w1 r w2 whose right factor ends
+    # in an h-letter is zero and one ending in an n-letter is not: a skip
+    # that keeps the first kind and drops the second leaves the
     # degree-3 span short, so the rank codimension exceeds the closed form on
     # both sides, a FAIL record with exit 1
     from pbwgate import engine as engine_mod
