@@ -429,6 +429,21 @@ def test_dimension_ranks_match_the_full_ambient_elimination(name):
         assert rep.ok, (side, rep)
 
 
+@pytest.mark.parametrize("side", ["F", "R"])
+@pytest.mark.parametrize("name", LIE_PAIRS)
+def test_dimension_record_at_a_lower_cap_is_a_prefix_of_the_record_at_k4(name, side):
+    # the columns run from the top degree down, so they are numbered afresh
+    # for each cap; the rank after stage k must still be that of the degree
+    # <= k relation span, whatever the cap
+    pair = catalog_get(name).pair()
+    top = dimension_identity_check(pair, side, 4)
+    for K in range(4):
+        rep = dimension_identity_check(pair, side, K)
+        assert rep.rank_codims == top.rank_codims[: K + 1], K
+        assert rep.expected == top.expected[: K + 1], K
+        assert rep.ok, (K, rep)
+
+
 @pytest.mark.parametrize("name,seed", [("diagonal-sl2", "committed"), ("semidirect-split", 5), ("diagonal-heisenberg", 11)])
 def test_dimension_ranks_match_the_full_ambient_elimination_in_conjugated_coordinates(name, seed):
     if seed == "committed":
