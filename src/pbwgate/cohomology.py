@@ -216,11 +216,8 @@ class ExtensionDatum(Record):
     def __init__(self, pair: InclusionPair, module: LieModule, rho: tuple):
         super().__init__(pair, module, rho)
         # (columns, T): rho cleared once to int columns over one scale T, so that
-        # column j of rho[u] is columns[u][j] / T; engine's t-maps run on these
+        # column j of rho[u] is columns[u][j] / T; engine.pbw_splitting_I runs on these
         self.int_rho = int_matrices([m.transpose() for m in rho])
-        # engine.t_map's image of each basis element (k, word, tensor-tuple)
-        # under this datum; a fresh dict per datum, never shared with another
-        self.t_images = {}
 
     def verify(self) -> bool:
         pair, e = self.pair, self.module

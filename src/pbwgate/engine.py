@@ -138,15 +138,6 @@ def coproduct_word(word: Word) -> dict:
     return out
 
 
-def _coproduct(pair: InclusionPair, word: Word) -> dict:
-    """``coproduct_word(word)``, built once per pair; callers must not
-    mutate the returned dict."""
-    cache = pair._caches.setdefault("coproducts", {})
-    if word not in cache:
-        cache[word] = coproduct_word(word)
-    return cache[word]
-
-
 # ---------------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------------
@@ -454,83 +445,45 @@ def oracle_splits(pair: InclusionPair, seq: ShortExactSequence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rho_apply(cols: Sequence[list], word: Word, j: int, antipode: bool = False) -> dict:
-    """T^len(word) rho(word) e_j (or T^len(word) rho(S(word)) e_j) as a
-    sparse int vector, for rho[u] given by its int columns ``cols[u]`` over
-    the scale T (``ExtensionDatum.int_rho``)."""
-    vec = {j: 1}
+def _rho_apply(mats: Sequence[Matrix], word: Word, j: int, antipode: bool = False) -> dict:
+    """rho(word) e_j, or rho(S(word)) e_j = (-1)^len(word) rho(x_m)...rho(x_1) e_j,
+    as a sparse vector, for rho[u] the matrix ``mats[u]`` (``ExtensionDatum.rho``)."""
+    vec = {j: Q(1)}
     for u in word if antipode else reversed(word):
-        col = cols[u]
-        acc: dict = {}
-        for i, x in vec.items():
-            for r, v in col[i].items():
-                acc[r] = acc.get(r, 0) + x * v
-        vec = {r: v for r, v in acc.items() if v}
-        if not vec:
-            return {}
+        vec = mats[u].apply(vec)
     if antipode and len(word) % 2:
-        vec = {k: -v for k, v in vec.items()}
+        vec = {i: -v for i, v in vec.items()}
     return vec
 
 
 def t_map(pair: InclusionPair, rho: ExtensionDatum, k: int, elem: dict) -> dict:
     """One adjunction step t_k: j_!(n^{(x)k}) -> j_!(n^{(x)k-1}).
 
-    Elements are dicts {(word, index-tuple): coefficient} held in ints over
-    the datum's scale T: for an N fixed per element, the stored value of a
-    key is its coefficient times T^(N - len(word) - len(index-tuple)).  t_1
-    appends the tensor letter to the word; for k >= 2 the recursion is
+    Elements are dicts {(word, index-tuple): coefficient}.  t_1 appends the
+    tensor letter to the word; for k >= 2 the recursion is
     t_{k+1} = phi . (t_k (x) id) . psi with the coproduct-based maps of the
-    projection formula, the extension datum acting letterwise.  The map is
-    linear, so it is the sum of the images of the basis elements, each
-    computed once per datum (``rho.t_images``); the image of a basis element
-    b keeps each key over T^(L(b) - L(key)), L the word plus tuple length,
-    so the output keeps the input's N.
+    projection formula, the extension datum acting letterwise.
     """
     if k < 1:
         raise ValueError("t-maps start at k = 1")
     out: dict = {}
-    for basis, c in elem.items():
-        for key, v in _t_image(pair, rho, k, basis).items():
-            _add_term(out, key, c * v)
-    return out
-
-
-def _t_image(pair: InclusionPair, rho: ExtensionDatum, k: int, basis: tuple) -> dict:
-    """t_k of the basis element ``(word, index-tuple)`` of length L, as ints
-    with each key over T^(L - L(key)), memoised on the datum; callers must
-    not mutate the returned dict.
-
-    A staged term (w1, head) with r pending, from the split (w1, w2), is
-    mult * T^len(w2) rho(w2) e_last: over T^(L - 1 - L(w1, head)), so every
-    bucket is one element with N = L - 1.  Its lowered terms (wl, tl) carry
-    T^(L - 1 - L(wl, tl)), and the antipode factor of the split (wa, wb)
-    brings T^len(wb), which is the scale of the key (wa, tl + (rp,)).
-    """
-    key = (k,) + basis
-    image = rho.t_images.get(key)
-    if image is not None:
-        return image
-    w, tup = basis
     if k == 1:
-        image = {(w + (tup[0],), ()): 1}
-    else:
-        cols = rho.int_rho[0]
+        for (w, tup), c in elem.items():
+            _add_term(out, (w + (tup[0],), ()), c)
+        return out
+    staged: dict = {}  # r -> {(word, head-tuple): coeff}
+    for (w, tup), c in elem.items():
         head, last = tup[:-1], tup[-1]
-        staged: dict = {}  # r -> {(word, head-tuple): coeff}
-        for (w1, w2), mult in _coproduct(pair, w).items():
-            for r, cr in _rho_apply(cols, w2, last).items():
-                _add_term(staged.setdefault(r, {}), (w1, head), mult * cr)
-        image = {}
-        for r, bucket in staged.items():
-            # through the module global, so a wrapped t_map sees the recursion
-            lowered = t_map(pair, rho, k - 1, bucket)
-            for (wl, tl), c in lowered.items():
-                for (wa, wb), mult in _coproduct(pair, wl).items():
-                    for rp, cr in _rho_apply(cols, wb, r, antipode=True).items():
-                        _add_term(image, (wa, tl + (rp,)), c * mult * cr)
-    rho.t_images[key] = image
-    return image
+        for (w1, w2), mult in coproduct_word(w).items():
+            for r, cr in _rho_apply(rho.rho, w2, last).items():
+                _add_term(staged.setdefault(r, {}), (w1, head), c * mult * cr)
+    for r, bucket in staged.items():
+        # through the module global, so a wrapped t_map sees the recursion
+        for (wl, tl), c in t_map(pair, rho, k - 1, bucket).items():
+            for (wa, wb), mult in coproduct_word(wl).items():
+                for rp, cr in _rho_apply(rho.rho, wb, r, antipode=True).items():
+                    _add_term(out, (wa, tl + (rp,)), c * mult * cr)
+    return out
 
 
 def _resolve_rho(pair: InclusionPair, rho: ExtensionDatum | None) -> ExtensionDatum:
@@ -551,11 +504,9 @@ def splitting_s(
         filt = build_filtration(pair, "F", max(k, 1))
     dn = pair.dim_n
     source = _quotient_power(pair, k)
-    # the chain keeps N = k, so the word w's entry sits over T^(k - len(w))
-    scales = [rho.int_rho[1] ** (k - length) for length in range(k + 1)]
     cols = []
     for tau in itertools.product(range(dn), repeat=k):
-        elem = {((), tau): 1}
+        elem = {((), tau): Q(1)}
         for j in range(k, 0, -1):
             elem = t_map(pair, rho, j, elem)
         col = {}
@@ -564,7 +515,7 @@ def splitting_s(
                 raise AssertionError("t-map chain left tensor letters unconsumed")
             if len(w) > k:
                 raise AssertionError("t-map chain raised the degree past the cap")
-            col[filt.word_index[w]] = Q(c, scales[len(w)])
+            col[filt.word_index[w]] = c
         cols.append(col)
     matrix = Matrix(len(cols), filt.dim(k), cols).transpose()
     out = ModuleMap(source, filt.level_module(k), matrix)

@@ -136,13 +136,18 @@ def serialize_problem(pf: ProblemFile) -> str:
     return json.dumps(pf.to_dict(), indent=2)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which isinstance counts as ints."""
+    return type(value) is int
+
+
 def _expect(doc: dict, key: str, where: str, types, required: bool = True, default=None):
     if key not in doc:
         if required:
             raise ProblemError(where, f"missing required field '{key}'")
         return default
     value = doc[key]
-    if not isinstance(value, types):
+    if not (_is_int(value) if types is int else isinstance(value, types)):
         raise ProblemError(f"{where}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 
@@ -173,7 +178,7 @@ def parse_problem(text: str) -> ProblemFile:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ProblemError(where, "entry must be [i, j, [[k, coeff], ...]]")
         i, j, coeffs = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
             raise ProblemError(where, f"indices must lie in [0, {dim})")
         if i == j:
             raise ProblemError(where, "bracket of an element with itself must be omitted (it is zero)")
@@ -181,7 +186,7 @@ def parse_problem(text: str) -> ProblemFile:
             raise ProblemError(where, "third component must be a list of [k, coeff]")
         vec: dict = {}
         for term in coeffs:
-            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
+            if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
                 raise ProblemError(where, "terms must be [k, coeff]")
             k, c = term
             if not 0 <= k < dim:
@@ -209,7 +214,7 @@ def parse_problem(text: str) -> ProblemFile:
     h_embedding = None
     if "indices" in h:
         idx = h["indices"]
-        if not (isinstance(idx, list) and all(isinstance(x, int) and 0 <= x < dim for x in idx)):
+        if not (isinstance(idx, list) and all(_is_int(x) and 0 <= x < dim for x in idx)):
             raise ProblemError("h.indices", "must be a list of g-basis indices")
         if len(set(idx)) != len(idx):
             raise ProblemError("h.indices", "repeated index")
@@ -229,7 +234,7 @@ def parse_problem(text: str) -> ProblemFile:
     complement = None
     if "complement" in h:
         comp = h["complement"]
-        if not (isinstance(comp, list) and all(isinstance(x, int) and 0 <= x < dim for x in comp)):
+        if not (isinstance(comp, list) and all(_is_int(x) and 0 <= x < dim for x in comp)):
             raise ProblemError("h.complement", "must be a list of g-basis indices")
         complement = tuple(comp)
     modules = {}

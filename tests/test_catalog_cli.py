@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
-from pbwgate.cohomology import find_extension
-from pbwgate.lie import quotient_module
+from pbwgate.cohomology import PushoutData, find_extension
+from pbwgate.lie import LieModule, quotient_module
 from pbwgate.linalg import Q, qf
 from pbwgate.problem import ProblemError, ProblemFile, _rational, parse_problem, serialize_problem
 from pbwgate.report import run_command
@@ -94,6 +94,38 @@ def test_parse_rejects_floats():
     with pytest.raises(ProblemError) as err:
         parse_problem(json.dumps(doc))
     assert "p/q" in str(err.value)
+
+
+_SL2 = {"dim": 3, "labels": ["e", "h", "f"], "brackets": [[0, 1, [[0, "-2"]]], [0, 2, [[1, "1"]]], [1, 2, [[2, "-2"]]]]}
+
+
+def _sl2_with(bracket=None, **doc):
+    g = dict(_SL2, brackets=[bracket] + _SL2["brackets"][1:]) if bracket else _SL2
+    return {"name": "x", "g": g, "h": {"indices": [0, 1]}, **doc}
+
+
+@pytest.mark.parametrize(
+    "location,doc",
+    [
+        ("g.dim", {"name": "line", "g": {"dim": True}, "h": {"indices": [False]}}),
+        ("g.brackets[0]", _sl2_with([False, 1, [[0, "-2"]]])),
+        ("g.brackets[0]", _sl2_with([0, True, [[0, "-2"]]])),
+        ("g.brackets[0]", _sl2_with([0, 1, [[False, "-2"]]])),
+        ("h.indices", _sl2_with(h={"indices": [False, True]})),
+        ("h.complement", _sl2_with(h={"indices": [1, 2], "complement": [False]})),
+        ("modules.V.dim", _sl2_with(modules={"V": {"dim": True, "action": [[["0"]], [["-2"]]]}})),
+    ],
+    ids=["g.dim", "bracket-i", "bracket-j", "bracket-k", "h.indices", "h.complement", "module-dim"],
+)
+def test_cli_rejects_booleans_as_integers(location, doc, tmp_path, capsys):
+    # JSON true and false load as bools, which isinstance counts as ints;
+    # with 1 and 0 in their place the same document runs
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["alpha", "--input", str(path)]) == 2
+    assert f"input error: {location}:" in capsys.readouterr().err
+    path.write_text(json.dumps(doc).replace("true", "1").replace("false", "0"))
+    assert main(["alpha", "--input", str(path)]) == 0
 
 
 def _rational_reference(value, where):
@@ -726,6 +758,51 @@ def test_f2_record_fails_on_a_relation_with_a_nonzero_image(monkeypatch):
     f2 = next(r for r in rep.records if r.check == "f2-class")
     assert not f2.ok
     assert f2.witness["well_defined"] is False
+    assert rep.exit_code == 1
+
+
+def _swapped_images(real):
+    # the n-words (0, 1) and (1, 0) trade images: the map is still a
+    # bijection, but it no longer induces the identity on n (x) E = gr_2
+    swap = {(0, 1): (1, 0), (1, 0): (0, 1)}
+    return lambda pair, side, word: real(pair, side, swap.get(word, word))
+
+
+def _shared_image(real):
+    # (1, 0) is sent where (0, 1) goes, so the map loses rank
+    return lambda pair, side, word: real(pair, side, (0, 1) if word == (1, 0) else word)
+
+
+def _perturbed_pushout(real):
+    # one more unit in the top-right block of the first action: the pushout
+    # sequence stays exact, but the level-two map is no longer equivariant
+    def perturbed(pair, module):
+        data = real(pair, module)
+        q = data.module
+        mats = [[dict(r) for r in m] for m in q.mats]
+        mats[0][0][module.dim] = mats[0][0].get(module.dim, 0) + q.scale
+        return PushoutData(LieModule.from_ints(q.algebra, q.dim, mats, q.scale), data.relations)
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "name,target,defect,field",
+    [
+        ("semidirect-split", "_normal_form", _swapped_images, "squares_commute"),
+        ("semidirect-split", "_normal_form", _shared_image, "bijective"),
+        ("sl2-borel", "pushout_data", _perturbed_pushout, "equivariant"),
+    ],
+    ids=["squares_commute", "bijective", "equivariant"],
+)
+def test_f2_record_fails_on_an_injected_defect(name, target, defect, field, monkeypatch):
+    from pbwgate import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, target, defect(getattr(engine_mod, target)))
+    rep = run_command("oracle", catalog_get(name), max_degree=2)
+    f2 = next(r for r in rep.records if r.check == "f2-class")
+    assert not f2.ok
+    assert f2.witness[field] is False
     assert rep.exit_code == 1
 
 

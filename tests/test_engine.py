@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
-from pbwgate import engine
-from pbwgate.cohomology import ExtensionDatum, find_extension, is_trivial
+from pbwgate.cohomology import find_extension, is_trivial
 from pbwgate.engine import (
     AlphaNontrivialError,
     FilteredModule,
@@ -269,29 +268,13 @@ def test_antipode():
     # on generic matrices so that the order of the letters shows
     rng = random.Random(5)
     mats = [Matrix.from_rows([[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]) for _ in range(5)]
-    # integer matrices: their columns are their int columns over the scale T = 1
-    cols = [m.transpose().data for m in mats]
     for j in range(3):
-        assert _rho_apply(cols, (), j, antipode=True) == {j: Q(1)}
-        assert _rho_apply(cols, (4,), j, antipode=True) == {i: -v for i, v in mats[4].apply({j: Q(1)}).items()}
+        assert _rho_apply(mats, (), j, antipode=True) == {j: Q(1)}
+        assert _rho_apply(mats, (4,), j, antipode=True) == {i: -v for i, v in mats[4].apply({j: Q(1)}).items()}
         reversed_word = mats[3].apply(mats[2].apply(mats[1].apply({j: Q(1)})))
-        assert _rho_apply(cols, (3, 2, 1), j) == reversed_word
-        assert _rho_apply(cols, (1, 2, 3), j, antipode=True) == {i: -v for i, v in reversed_word.items()}
-    assert any(_rho_apply(cols, (1, 2, 3), j) != _rho_apply(cols, (3, 2, 1), j) for j in range(3))
-
-
-def test_rho_apply_scales_by_one_power_of_T_per_letter():
-    # a datum with denominators: each letter's int columns carry one factor T
-    pair = _case_pair("diagonal-heisenberg", 11)
-    datum = find_extension(pair, quotient_module(pair))
-    cols, T = datum.int_rho
-    assert T > 1
-    for word in [(), (0,), (1, 2), (2, 0, 1)]:
-        for j in range(pair.dim_n):
-            vec = {j: Q(1)}
-            for u in reversed(word):
-                vec = datum.rho[u].apply(vec)
-            assert _rho_apply(cols, word, j) == {i: v * T ** len(word) for i, v in vec.items()}
+        assert _rho_apply(mats, (3, 2, 1), j) == reversed_word
+        assert _rho_apply(mats, (1, 2, 3), j, antipode=True) == {i: -v for i, v in reversed_word.items()}
+    assert any(_rho_apply(mats, (1, 2, 3), j) != _rho_apply(mats, (3, 2, 1), j) for j in range(3))
 
 
 # --- filtrations -------------------------------------------------------------
@@ -494,150 +477,6 @@ def test_t_map_degree_bookkeeping(diag_sl2):
         assert any(len(w) == deg_in for (w, _tup) in elem)
 
 
-def _reference_coproduct(word):
-    out = {}
-    for mask in range(1 << len(word)):
-        left = tuple(x for i, x in enumerate(word) if mask >> i & 1)
-        right = tuple(x for i, x in enumerate(word) if not mask >> i & 1)
-        out[(left, right)] = out.get((left, right), 0) + 1
-    return out
-
-
-def _reference_rho(rho, word, j, antipode=False):
-    """rho(word) e_j (or rho(S(word)) e_j) in Fractions, from the datum's matrices."""
-    vec = {j: Q(1)}
-    for u in word if antipode else reversed(word):
-        vec = rho.rho[u].apply(vec)
-    return {i: -v for i, v in vec.items()} if antipode and len(word) % 2 else vec
-
-
-def _reference_t_map(pair, rho, k, elem):
-    """The unmemoised t-map recursion in Fractions, the reference the
-    memoised int one must match."""
-    if k == 1:
-        out = {}
-        for (w, tup), c in elem.items():
-            key = (w + (tup[0],), ())
-            out[key] = out.get(key, Q(0)) + c
-        return {key: c for key, c in out.items() if c}
-    staged = {}
-    for (w, tup), c in elem.items():
-        head, last = tup[:-1], tup[-1]
-        for (w1, w2), mult in _reference_coproduct(w).items():
-            for r, cr in _reference_rho(rho, w2, last).items():
-                bucket = staged.setdefault(r, {})
-                bucket[(w1, head)] = bucket.get((w1, head), Q(0)) + c * mult * cr
-    out = {}
-    for r, bucket in staged.items():
-        for (w, tup), c in _reference_t_map(pair, rho, k - 1, bucket).items():
-            for (wa, wb), mult in _reference_coproduct(w).items():
-                for rp, cr in _reference_rho(rho, wb, r, antipode=True).items():
-                    key = (wa, tup + (rp,))
-                    out[key] = out.get(key, Q(0)) + c * mult * cr
-    return {key: c for key, c in out.items() if c}
-
-
-def _to_ints(elem, T):
-    """A Fraction element in the t-maps' int convention: (ints, scale) with
-    ints[key] = elem[key] * scale(key), scale(key) = d * T^(N - L(key)),
-    N the longest key length L and d the lcm of the denominators."""
-    N = max(len(w) + len(tup) for w, tup in elem)
-    d = math.lcm(*(c.denominator for c in elem.values()))
-    ints = {}
-    for key, c in elem.items():
-        x = c * d * T ** (N - len(key[0]) - len(key[1]))
-        assert x.denominator == 1
-        ints[key] = x.numerator
-    return ints, lambda key: d * T ** (N - len(key[0]) - len(key[1]))
-
-
-def _int_t_map(pair, rho, k, elem):
-    """``t_map`` of a Fraction element, through the int convention and back."""
-    ints, scale = _to_ints(elem, rho.int_rho[1])
-    return {key: Q(c, scale(key)) for key, c in t_map(pair, rho, k, ints).items()}
-
-
-@pytest.mark.parametrize("name,seed", [("diagonal-sl2", None), ("diagonal-heisenberg", None), ("diagonal-heisenberg", 11)])
-def test_t_map_matches_the_unmemoised_recursion(name, seed):
-    pair = _case_pair(name, seed)
-    rho = find_extension(pair, quotient_module(pair))
-    dn = pair.dim_n
-    if seed is not None:
-        # the conjugated copy's datum has non-integer entries, so T > 1
-        assert any(v.denominator > 1 for m in rho.rho for r in m.data for v in r.values())
-        assert rho.int_rho[1] > 1
-    for k in range(1, 5):
-        for tau in itertools.product(range(dn), repeat=k):
-            elem = {((), tau): Q(1)}
-            ints, scale = _to_ints(elem, rho.int_rho[1])
-            got = t_map(pair, rho, k, ints)
-            back = {key: Q(c, scale(key)) for key, c in got.items()}
-            assert back == _reference_t_map(pair, rho, k, elem), (k, tau)
-            got.clear()  # the caller owns the returned dict
-            assert _int_t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, tau)
-    rng = random.Random(3)
-    for k in range(1, 4):
-        for _ in range(10):
-            elem = {}
-            for _ in range(4):
-                word = tuple(rng.randrange(dn) for _ in range(rng.randrange(3)))
-                tup = tuple(rng.randrange(dn) for _ in range(k))
-                elem[(word, tup)] = Q(rng.randint(-3, 3), rng.randint(1, 4))
-            assert _int_t_map(pair, rho, k, elem) == _reference_t_map(pair, rho, k, elem), (k, elem)
-
-
-@pytest.mark.parametrize("name,seed", [("diagonal-heisenberg", 11), ("diagonal-sl2", 3)])
-def test_splitting_s_matches_the_reference_chain_over_a_scale(name, seed):
-    # s_k's column tau is t_1 ... t_k of 1 (x) tau; the int chain writes the
-    # word w's entry over T^(k - len(w)), which only a datum with T > 1 tests
-    pair = _case_pair(name, seed)
-    rho = find_extension(pair, quotient_module(pair))
-    assert rho.int_rho[1] > 1
-    filt = build_filtration(pair, "F", 3)
-    dn = pair.dim_n
-    for k in range(1, 4):
-        expected = Matrix.zeros(filt.dim(k), dn ** k)
-        for col, tau in enumerate(itertools.product(range(dn), repeat=k)):
-            elem = {((), tau): Q(1)}
-            for j in range(k, 0, -1):
-                elem = _reference_t_map(pair, rho, j, elem)
-            for (w, _tup), c in elem.items():
-                expected.data[filt.word_index[w]][col] = c
-        assert splitting_s(pair, rho, k, filt=filt).matrix == expected, k
-
-
-def test_t_map_images_are_built_once_per_pair(monkeypatch):
-    calls = {"_rho_apply": 0, "coproduct_word": 0}
-
-    def counted(name):
-        original = getattr(engine, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine, name, wrapper)
-
-    counted("_rho_apply")
-    counted("coproduct_word")
-
-    def run(pair):
-        # the t-map chain of s_0 .. s_3 on one free filtration
-        calls.update(dict.fromkeys(calls, 0))
-        filt = build_filtration(pair, "F", 3)
-        for k in range(4):
-            splitting_s(pair, None, k, filt=filt)
-        return dict(calls)
-
-    pair = catalog_get("diagonal-sl2").pair()
-    first = run(pair)
-    assert all(first.values()), first
-    # the levels and columns of a second splitting reuse every image
-    assert run(pair) == {"_rho_apply": 0, "coproduct_word": 0}
-    # a freshly parsed pair starts cold
-    assert run(catalog_get("diagonal-sl2").pair()) == first
-
-
 # every catalog pair but these has a trivial class, hence a splitting
 _NO_SPLITTING = {"sl2-borel": "non-trivial class", "jacobi-broken-negative-control": "not a Lie algebra"}
 
@@ -687,33 +526,6 @@ def test_int_recursion_equals_the_fraction_reference(name, seed, K):
     assert [m.matrix for m in maps] == reference_pbw_splitting_I(pair, rho, K)
 
 
-def test_t_map_images_belong_to_their_extension_datum(diag_sl2):
-    pair = diag_sl2
-    n = quotient_module(pair)
-    base = find_extension(pair, n)
-    basis = [((), tau) for tau in itertools.product(range(pair.dim_n), repeat=2)]
-    bumped = Matrix(base.rho[0].rows, base.rho[0].cols, [dict(r) for r in base.rho[0].data])
-    bumped.data[0][0] = bumped.entry(0, 0) + 1
-    changed_rho = (bumped,) + base.rho[1:]
-
-    def images(datum):
-        return [t_map(pair, datum, 2, {b: Q(1)}) for b in basis]
-
-    warm = images(base)
-    # a datum on the same pair and module gets its own memo, not the original's
-    changed = ExtensionDatum(base.pair, base.module, changed_rho)
-    got = images(changed)
-    assert got == [_reference_t_map(pair, changed, 2, {b: Q(1)}) for b in basis]
-    assert got != warm
-    assert images(base) == warm
-    # a datum built right after a warm one is freed (in CPython, usually at
-    # the freed object's address) starts cold too
-    original = ExtensionDatum(pair, n, base.rho)
-    assert images(original) == warm
-    del original
-    assert images(ExtensionDatum(pair, n, changed_rho)) == got
-
-
 def _printed_s2(pair, rho, x1, x2):
     """The printed two-term formula, evaluated independently of the t-maps."""
     out = {(x1, x2): Q(1)}
@@ -753,11 +565,19 @@ def _printed_s3(pair, rho, x1, x2, x3):
     return out
 
 
-@pytest.mark.parametrize("fixture", ["diag_sl2", "diag_heis", "abelian_pair", "semidirect_pair"])
-def test_splitting_matches_printed_formulas(fixture, request):
-    pair = request.getfixturevalue(fixture)
+@pytest.mark.parametrize(
+    "case",
+    ["diag_sl2", "diag_heis", "abelian_pair", "semidirect_pair"] + CONJUGATED_CASES + [("semidirect-split", 1)],
+    ids=lambda case: case if isinstance(case, str) else "%s-%s" % case,
+)
+def test_splitting_matches_printed_formulas(case, request):
+    # the fixtures are in catalog coordinates, where the datum scale is T = 1;
+    # the seeded copies have a datum with denominators
+    pair = request.getfixturevalue(case) if isinstance(case, str) else _case_pair(*case)
     rho = find_extension(pair, quotient_module(pair))
     assert rho is not None
+    if not isinstance(case, str):
+        assert rho.int_rho[1] > 1
     filt = build_filtration(pair, "F", 3)
     s2 = splitting_s(pair, rho, 2, filt=filt)
     s3 = splitting_s(pair, rho, 3, filt=filt)
