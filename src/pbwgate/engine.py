@@ -39,7 +39,7 @@ from .lie import (
     tensor_module,
     trivial_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _same_values, solve
+from .linalg import Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, solve
 from .record import Record
 
 
@@ -344,13 +344,26 @@ class ShortExactSequence(Record):
             raise ValueError("sequence is not exact")
         ss, sm, sq = self.sub.scale, self.mid.scale, self.quot.scale
         for act, act_sub, act_quot in zip(self.mid.mats, self.sub.mats, self.quot.mats):
-            top, bottom = act[:nsub], act[nsub:]
-            if not all(_same_values({c: v for c, v in r.items() if c < nsub}, sm, s, ss) for r, s in zip(top, act_sub)):
-                raise ValueError("inclusion is not equivariant")
+            # a block row is its reference row (zeros dropped) when each of its
+            # entries matches one and it has as many entries: no copy is made
+            for r, s in zip(act, act_sub):
+                unmatched = len(s)
+                for c, v in r.items():
+                    if c < nsub:
+                        if ss * v != sm * s.get(c, 0):
+                            raise ValueError("inclusion is not equivariant")
+                        unmatched -= 1
+                if unmatched:
+                    raise ValueError("inclusion is not equivariant")
+            bottom = act[nsub:]
             if any(c < nsub for r in bottom for c in r):
                 raise ValueError("submodule is not stable")
-            if not all(_same_values({c - nsub: v for c, v in r.items()}, sm, q, sq) for r, q in zip(bottom, act_quot)):
-                raise ValueError("projection is not equivariant")
+            for r, q in zip(bottom, act_quot):
+                if len(r) != len(q):
+                    raise ValueError("projection is not equivariant")
+                for c, v in r.items():
+                    if sq * v != sm * q.get(c - nsub, 0):
+                        raise ValueError("projection is not equivariant")
 
     def split_in_place(self) -> bool:
         """Whether every top-right block D_a of ``mid`` is zero, so that the

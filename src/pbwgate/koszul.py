@@ -32,7 +32,7 @@ import itertools
 import math
 
 from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Echelon, _add_term, _int_mul
+from .linalg import Echelon, _add_term, _products_cancel
 from .record import Record
 
 
@@ -342,7 +342,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                 # each column is e_u - e_v, which d_1 sends to e_products[u] - e_products[v]
                 dd_zero = all(products[u] == products[v] for u, v in cols)
             else:
-                dd_zero = dd_zero and not any(_int_mul(cols, below))
+                dd_zero = dd_zero and _products_cancel(len(cols), [(1, cols, below)])
                 span = Echelon(dims[i - 1])
                 for col in cols:
                     span.insert(col)

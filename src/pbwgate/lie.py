@@ -14,8 +14,8 @@ import math
 from collections.abc import Sequence
 from functools import cached_property
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, _int_rows
-from .linalg import _lowest_terms, _same_values, combination, qf, tensor_map
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _common_scale, _int_rows
+from .linalg import _lowest_terms, _products_cancel, combination, qf, tensor_map
 from .record import Record
 
 Vec = dict  # sparse vector: basis index -> Fraction
@@ -216,17 +216,13 @@ class ModuleMap(Record):
 
     def is_equivariant(self) -> bool:
         """Whether M A_i = B_i M for every i, A and B the source and target
-        actions: in ints, (M A_i) / s_A == (B_i M) / s_B row by row."""
+        actions: in ints, s_B (M R_A) = s_A (R_B M) for A_i = R_A / s_A, B_i = R_B / s_B."""
         m = self.matrix
         if m.rows != self.target.dim or m.cols != self.source.dim:
             raise ValueError("shape mismatch in product")
         mi, _ = _int_rows(m.data)
         sa, sb = self.source.scale, self.target.scale
-        for a, b in zip(self.source.mats, self.target.mats):
-            for x, y in zip(_int_mul(mi, a), _int_mul(b, mi)):
-                if not _same_values(x, sa, y, sb):
-                    return False
-        return True
+        return all(_products_cancel(m.rows, [(sb, mi, a), (-sa, b, mi)]) for a, b in zip(self.source.mats, self.target.mats))
 
 
 def int_matrices(mats: Sequence[Matrix]) -> tuple:
@@ -242,20 +238,8 @@ def bracket_law_holds(mats: Sequence[list], scale: int, i: int, j: int, combo: d
     A_k = mats[k] / scale given as int rows: times cscale * scale^2, whether
     scale * sum_k combo[k] mats[k] == cscale * (mats[i] mats[j] - mats[j] mats[i]),
     row by row in ints."""
-    ij = _int_mul(mats[i], mats[j])
-    ji = _int_mul(mats[j], mats[i])
-    for r, (x, y) in enumerate(zip(ij, ji)):
-        acc: dict = {}
-        for k, n in combo.items():
-            for c, v in mats[k][r].items():
-                acc[c] = acc.get(c, 0) + scale * n * v
-        for c, v in x.items():
-            acc[c] = acc.get(c, 0) - cscale * v
-        for c, v in y.items():
-            acc[c] = acc.get(c, 0) + cscale * v
-        if any(acc.values()):
-            return False
-    return True
+    terms = [(scale * n, mats[k], None) for k, n in combo.items()]
+    return _products_cancel(len(mats[i]), terms + [(-cscale, mats[i], mats[j]), (cscale, mats[j], mats[i])])
 
 
 class InclusionPair:

@@ -224,9 +224,25 @@ def _common_scale(*scales: int) -> tuple:
     return common, [common // s for s in scales]
 
 
-def _same_values(x: dict, sx: int, y: dict, sy: int) -> bool:
-    """Whether the int rows x / sx and y / sy are equal (zeros dropped)."""
-    return x.keys() == y.keys() and all(sy * v == sx * y[c] for c, v in x.items())
+def _products_cancel(n: int, terms: Sequence[tuple]) -> bool:
+    """Whether sum c * (A B) is zero over the terms (c, A, B): A and B are
+    matrices given as int rows, A with n rows, and B = None stands for the
+    identity.  Row by row in one accumulator, stopping at the first row that
+    does not cancel; no product is built."""
+    for r in range(n):
+        acc: dict = {}
+        for c, a, b in terms:
+            if b is None:
+                for k, v in a[r].items():
+                    acc[k] = acc.get(k, 0) + c * v
+                continue
+            for k, v in a[r].items():
+                v *= c
+                for j, w in b[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _int_mul(a: Sequence[dict], b: Sequence[dict]) -> list:

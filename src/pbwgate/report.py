@@ -158,7 +158,9 @@ def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: st
     that.  The sizes come from the closed-form level dimensions; the largest
     system of a check is its free-side one at the cap (each level and the
     free side hold at least as many words as the ones below and the
-    straightened side)."""
+    straightened side).  The dimensions record eliminates over the words
+    that are empty or end in an n-letter, 1 + dim n * sum_{k<K} (dim g)^k of
+    them; the koszul check is charged every word of degree at most K."""
     systems = []  # (check, label, coefficient dimension, reduced)
     if "oracle" in checks:
         systems.append(("oracle", "oracle", 1, True))
@@ -176,13 +178,22 @@ def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: st
                 f"the {label} check would solve a level-{K} section system of {sub} x {quot} = "
                 f"{sub * quot} unknowns, over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
             )
-    for check, label in (("oracle", "dimensions"), ("koszul", "koszul")):
-        K = degree(check)
-        words = sum(problem.dim ** k for k in range(K + 1))
-        if check in checks and words > ORACLE_BUDGET:
+    if "oracle" in checks:
+        K = degree("oracle")
+        words = 1 + problem.module_dim("n") * sum(problem.dim ** k for k in range(K))
+        if words > ORACLE_BUDGET:
             raise ProblemError(
                 "--max-degree",
-                f"the {label} check would eliminate over the {words} words of degree at most {K}, "
+                f"the dimensions check would eliminate over the {words} words of degree at most {K} that are "
+                f"empty or end in an n-letter, over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
+            )
+    if "koszul" in checks:
+        K = degree("koszul")
+        words = sum(problem.dim ** k for k in range(K + 1))
+        if words > ORACLE_BUDGET:
+            raise ProblemError(
+                "--max-degree",
+                f"the koszul check would eliminate over the {words} words of degree at most {K}, "
                 f"over the oracle budget of {ORACLE_BUDGET}; lower the degree cap",
             )
 

@@ -1215,10 +1215,11 @@ def test_split_record_fails_when_the_constant_line_is_not_a_summand(entry, monke
         ),
         (
             # dim n = 1 keeps every oracle system tiny; the dimensions leg
-            # spans all 3^0 + ... + 3^9 = 29,524 words of degree at most 9
-            ["oracle", "--example", "sl2-borel", "--max-degree", "9"],
-            "the dimensions check would eliminate over the 29524 words of degree at most 9, "
-            "over the oracle budget of 10000",
+            # eliminates over the 1 + 1 * (3^0 + ... + 3^9) = 29,525 words of
+            # degree at most 10 that are empty or end in an n-letter
+            ["oracle", "--example", "sl2-borel", "--max-degree", "10"],
+            "the dimensions check would eliminate over the 29525 words of degree at most 10 that are "
+            "empty or end in an n-letter, over the oracle budget of 10000",
         ),
         (
             # dim g = 6: 6^0 + ... + 6^6 = 55,987 words of degree at most 6
@@ -1260,15 +1261,16 @@ def test_oracle_budget_admits_every_default_run(monkeypatch):
 
 def test_oracle_budget_bounds_the_dimensions_leg(monkeypatch):
     # sl2-borel's oracle systems stay tiny at any cap, so only the word count
-    # of the dimensions leg, sum of 3^k for k <= K, meets the budget
+    # of the dimensions leg meets the budget: the words that are empty or end
+    # in an n-letter, 1 + dim n * sum of 3^k for k < K
     from pbwgate import report as report_mod
 
     monkeypatch.setattr(report_mod, "_contained", lambda check, run: [])
     pf = catalog_get("sl2-borel")
-    assert run_command("oracle", pf, max_degree=8).exit_code == 0  # 9,841 words
+    assert run_command("oracle", pf, max_degree=9).exit_code == 0  # 9,842 words
     for command in ("oracle", "all"):
-        with pytest.raises(ProblemError, match="dimensions check would eliminate over the 29524 words"):
-            run_command(command, pf, max_degree=9)
+        with pytest.raises(ProblemError, match="dimensions check would eliminate over the 29525 words"):
+            run_command(command, pf, max_degree=10)
 
 
 def test_oracle_budget_bounds_the_koszul_check(monkeypatch):

@@ -350,6 +350,42 @@ def test_gr_check_fails_on_a_wrong_graded_piece(defect, message, abelian_pair):
         seq.validate()
 
 
+BLOCK_ROW_FAULTS = [
+    ("top-extra", "inclusion is not equivariant"),
+    ("top-missing", "inclusion is not equivariant"),
+    ("top-value", "inclusion is not equivariant"),
+    ("bottom-extra", "projection is not equivariant"),
+    ("bottom-missing", "projection is not equivariant"),
+    ("bottom-value", "projection is not equivariant"),
+]
+
+
+@pytest.mark.parametrize("fault,message", BLOCK_ROW_FAULTS, ids=[fault for fault, _ in BLOCK_ROW_FAULTS])
+def test_gr_check_compares_block_rows_over_their_scales(fault, message):
+    # F^1 -> F^2 -> gr_2 of a conjugated diagonal-sl2 holds its modules over
+    # the scales 2, 4 and 2.  One entry of a middle action added, dropped or
+    # changed in the sub-columns of a top row, or in a bottom row, breaks the
+    # block form; a dropped top entry is seen only by counting the row's
+    # sub-column entries, a bottom one only by the row's length
+    seq = level_sequence(build_filtration(_case_pair("diagonal-sl2", 3), "F", 2), 2)
+    seq.validate()
+    nsub, mid = seq.sub.dim, seq.mid
+    assert 1 < seq.sub.scale != mid.scale != seq.quot.scale > 1
+    mats = [[dict(r) for r in m] for m in mid.mats]
+    block = range(nsub) if fault.startswith("top") else range(nsub, mid.dim)
+    extra = fault.endswith("extra")
+    row, c = next((row, c) for m in mats for row in (m[r] for r in block) for c in block if (c in row) != extra)
+    if extra:
+        row[c] = 1
+    elif fault.endswith("missing"):
+        del row[c]
+    else:
+        row[c] *= 2
+    broken = ShortExactSequence(seq.sub, LieModule.from_ints(mid.algebra, mid.dim, mats, mid.scale), seq.quot)
+    with pytest.raises(ValueError, match=message):
+        broken.validate()
+
+
 def test_r_level2_kernel_is_commutators(diag_sl2):
     # tau^2: n (x) n -> gr^2 R kills exactly x (x) y - y (x) x
     pair = diag_sl2

@@ -460,6 +460,25 @@ def test_module_law_checks_match_the_fraction_reference():
     prop()
 
 
+def test_is_equivariant_compares_actions_over_different_scales():
+    # sl2's adjoint action moved by p (the source) and then by q (the
+    # target): q is an equivariant map between int forms over two different
+    # scales, and moving any one entry of it breaks the law
+    ad = adjoint_module(sl2())
+    p = Matrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    q = Matrix.from_rows([[1, 0, 0], [0, 3, 0], [1, 0, 1]])
+    source = LieModule(ad.algebra, 3, [matmul(matmul(p, a), invert(p)) for a in ad.action])
+    target = LieModule(ad.algebra, 3, [matmul(matmul(q, a), invert(q)) for a in source.action])
+    assert 1 < source.scale != target.scale > 1
+    assert ModuleMap(source, target, q).is_equivariant()
+    for i in range(3):
+        for j in range(3):
+            moved = Matrix(3, 3, [dict(r) for r in q.data])
+            moved.data[i][j] = moved.entry(i, j) + 1
+            f = ModuleMap(source, target, moved)
+            assert not f.is_equivariant() and not reference_is_equivariant(f), (i, j)
+
+
 def test_is_equivariant_rejects_a_shape_mismatch():
     ad = adjoint_module(sl2())
     for matrix in (Matrix.identity(2), Matrix.zeros(3, 2), Matrix.zeros(2, 3)):

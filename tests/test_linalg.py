@@ -11,6 +11,7 @@ from pbwgate.linalg import (
     _axpy,
     _int_mul,
     _int_rows,
+    _products_cancel,
     combination,
     kernel_basis,
     rref,
@@ -505,6 +506,59 @@ def test_mul_matches_fraction_reference(case):
         assert all(type(v) is int and v for r in product for v in r.values())
         got = [{c: Q(v, sa * sb) for c, v in r.items()} for r in product]
         assert got == _mul_reference(a, b).data
+
+
+def _int_matrix(rng, rows, cols):
+    """Sparse int rows, about half the entries nonzero, in [-9, 9]."""
+    return [{c: rng.choice([v for v in range(-9, 10) if v]) for c in range(cols) if rng.random() < 0.5} for _ in range(rows)]
+
+
+def _sum_of_products(n, terms):
+    """The rows of sum c * (A B) over the terms (c, A, B), B = None the
+    identity, from the products built whole by ``_int_mul``, zeros dropped."""
+    total = [{} for _ in range(n)]
+    for c, a, b in terms:
+        for acc, row in zip(total, a if b is None else _int_mul(a, b)):
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + c * v
+    return [{k: v for k, v in acc.items() if v} for acc in total]
+
+
+CANCEL_CASES = ["cancelling", "generic", "last-row", "last-row-identity"]
+
+
+@pytest.mark.parametrize("case", CANCEL_CASES)
+def test_products_cancel_matches_the_product_reference(case):
+    # n x p terms: cancelling sums pair A (B C) with (A B) C and A B with the
+    # identity term of the product built whole; a last-row case adds a term
+    # nonzero in the last row alone, which a check that stops a row early
+    # reads as cancelling
+    rng = random.Random(CANCEL_CASES.index(case) + 211)
+    noncancelling = 0
+    for _ in range(60):
+        n, m, p = (rng.randint(1, 5) for _ in range(3))
+        a, b, c = _int_matrix(rng, n, m), _int_matrix(rng, m, p), _int_matrix(rng, p, p)
+        s, t = rng.choice([-3, -2, 2, 3, 5]), rng.choice([-4, -1, 1, 4, 6])
+        ab = _int_mul(a, b)
+        terms = [(s, a, _int_mul(b, c)), (-s, ab, c), (t, ab, None), (-t, a, b)]
+        if case == "generic":
+            terms = [(s, a, b), (t, _int_matrix(rng, n, p), None), (rng.choice([-1, 1]), _int_matrix(rng, n, m), b)]
+        elif case.startswith("last-row"):
+            # the sum is nonzero in row n - 1 alone: a nonzero multiple of row x of c
+            x = rng.randrange(p)
+            while not c[x]:
+                c = _int_matrix(rng, p, p)
+            last = [{} for _ in range(n - 1)] + [{x: rng.choice([-2, 1, 3])}]
+            terms.append((s, last, c) if case == "last-row" else (t, _int_mul(last, c), None))
+        expected = _sum_of_products(n, terms)
+        if case != "generic":
+            assert any(expected) == case.startswith("last-row")
+            assert not any(expected[:-1])
+        assert _products_cancel(n, terms) == (not any(expected))
+        rng.shuffle(terms)
+        assert _products_cancel(n, terms) == (not any(expected))
+        noncancelling += any(expected)
+    assert noncancelling > 0 or case == "cancelling"
 
 
 # --- the elimination kernel against the rescanning reference ------------------
