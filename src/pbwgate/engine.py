@@ -313,8 +313,8 @@ def build_filtration(
     pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None
 ) -> FilteredModule:
     """Filtration levels 0..K with verified h-actions (cached for trivial
-    coefficients)."""
-    if coeff is not None:
+    coefficients, the trivial module given as ``coeff`` included)."""
+    if coeff is not None and coeff.key() != trivial_module(pair.h).key():
         return FilteredModule(pair, side, K, coeff)
     cache = pair._caches.setdefault("filtrations", {})
     have = cache.get(side)

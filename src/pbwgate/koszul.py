@@ -22,8 +22,9 @@ relations join, and dim qA_k is the number of those classes.  The classes
 of degree k are built from the basis words of degree k - 1 times a letter,
 so no check visits every word of g^{(x) k}.  The slice differentials d_1
 and d_2 are not eliminated either: the rank of d_1 is the number of
-distinct products and the columns of d_2 are binomials e_u - e_v, so its
-rank is a class count; only d_i for i >= 3 goes to an echelon.
+distinct products, and the columns of d_2 are the joins that build qA_d, so
+its rank is dim qA_{d-1} * dim g - dim qA_d; only d_i for i >= 3 goes to an
+echelon.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ class KoszulComplexSlice(Record):
 
 class KoszulReport(Record):
     ktilde_dims_ok: bool
-    containment_ok: bool
+    containment_ok: bool  # each K^i inside the relations, each d_2 template its K^2 wedge
     slices: list
     qa_dims: list  # dim qA_d for d <= the cap: words minus the binomial span's rank (words - classes)
 
@@ -280,18 +281,6 @@ def _omission_templates(kt: KTilde, lower: KTilde) -> list:
     return out
 
 
-def _class_rank(n: int, binomials) -> int:
-    """The rank of the int columns ``binomials``, each e_u - e_v, over n
-    rows, without elimination: the rank of a graph's oriented incidence
-    matrix, n - #classes of the rows once each binomial joins its two rows."""
-    joins = []
-    for col in binomials:
-        if len(col) != 2 or sum(col.values()) or 1 not in col.values():
-            raise AssertionError(f"column {col} is not a binomial e_u - e_v")
-        joins.append(tuple(col))
-    return n - len(set(_classes(n, joins)))
-
-
 def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulReport:
     """Build the slices ... -> qA_{d-2} (x) K^2 -> qA_{d-1} (x) K^1 -> qA_d -> 0
     for d <= the cap, check the differentials square to zero and the slice is
@@ -302,8 +291,10 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     p * dg + x is the unit vector at times[d-1][p][x], and its rank is the
     number of distinct products.  Each column of d_2 is a binomial
     e_(p a, x) - e_(p x, a), so d_1 o d_2 = 0 says that both its entries have
-    the same product, and the rank of d_2 is a class count; only d_i for
-    i >= 3 is eliminated."""
+    the same product.  Those columns are the joins that built qA_d once
+    K^2 = qR (the containment and the K^i dimensions), so the rank of d_2 is
+    dims[1] - dim qA_d; the containment also compares each d_2 template with
+    its K^2 wedge.  Only d_i for i >= 3 is eliminated."""
     if max_internal_degree < 1:
         raise ValueError("need at least internal degree 1")
     dg = pair.g.dim
@@ -322,6 +313,12 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
     )
 
     templates = {i: _omission_templates(kt[i], kt[i - 1]) for i in range(2, max_i + 1)}
+    if max_i >= 2:
+        # each d_2 template, read in g (x) g (K^1 is g letter by letter), is its K^2 wedge
+        containment_ok = containment_ok and all(
+            {letter * dg + t: sign for letter, t, sign in template} == vec
+            for template, vec in zip(templates[2], kt[2].vectors)
+        )
     slices = []
     for d in range(1, max_internal_degree + 1):
         top = min(d, max_i)
@@ -338,7 +335,7 @@ def koszul_acyclicity(pair: InclusionPair, max_internal_degree: int) -> KoszulRe
                 for template in templates[i]
             ]
             if i == 2:
-                ranks.append(_class_rank(dims[1], cols))
+                ranks.append(dims[1] - qa.dim(d))
                 # each column is e_u - e_v, which d_1 sends to e_products[u] - e_products[v]
                 dd_zero = all(products[u] == products[v] for u, v in cols)
             else:

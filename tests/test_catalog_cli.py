@@ -396,6 +396,24 @@ def test_all_report_bytes_are_pinned(name, tmp_path):
     assert _millis_free_digest(["all", "--example", name], tmp_path) == REPORT_DIGESTS[name]
 
 
+def test_all_builds_no_second_trivial_filtration_for_the_twisted_check(monkeypatch):
+    # twisted with the trivial module reads the pair's cached trivial
+    # filtrations (built by split and oracle); only the module n builds its own
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.FilteredModule.__init__
+    builds = []
+
+    def counting(self, pair, side, K, coeff=None):
+        builds.append((side, K, None if coeff is None else coeff.dim))
+        real(self, pair, side, K, coeff)
+
+    monkeypatch.setattr(engine_mod.FilteredModule, "__init__", counting)
+    assert main(["all", "--example", "diagonal-sl2"]) == 0
+    assert [b for b in builds if b[2] is not None] == [("F", 3, 3), ("R", 3, 3)]
+    assert len(builds) == 6
+
+
 def _case_digest(command, case, tmp_path, *options) -> str:
     """The millis-free digest of ``command`` with ``options`` on a
     "<name> K=<cap>" case: a degenerate sl2-borel document, the committed file
@@ -865,6 +883,40 @@ def _oracle_with_solution(monkeypatch, solution):
 CONJUGATED_DIAGONAL_SL2 = Path(__file__).parent / "data" / "diagonal-sl2-conjugated-3.json"
 
 
+def test_conjugated_diagonal_sl2_runs_every_module_law_check_over_a_scale_above_1(monkeypatch):
+    # the module int forms of tests/data/semidirect-split-conjugated-0.json
+    # have scale 1 everywhere, so this file is the one whose runs reach the
+    # exact module-law checks with scales above 1; a regenerated copy must
+    # keep that, or a scale-handling fault passes every conjugated run
+    from pbwgate import cohomology as cohomology_mod
+    from pbwgate import engine as engine_mod
+    from pbwgate import lie as lie_mod
+
+    scales = {"is_equivariant": [], "bracket_law_holds": [], "validate": []}
+    real_equivariant = lie_mod.ModuleMap.is_equivariant
+    real_bracket_law = lie_mod.bracket_law_holds
+    real_validate = engine_mod.ShortExactSequence.validate
+
+    def equivariant(self):
+        scales["is_equivariant"].append(max(self.source.scale, self.target.scale))
+        return real_equivariant(self)
+
+    def bracket_law(mats, scale, *args):
+        scales["bracket_law_holds"].append(scale)
+        return real_bracket_law(mats, scale, *args)
+
+    def validate(self):
+        scales["validate"].append(max(self.sub.scale, self.mid.scale, self.quot.scale))
+        return real_validate(self)
+
+    monkeypatch.setattr(lie_mod.ModuleMap, "is_equivariant", equivariant)
+    monkeypatch.setattr(lie_mod, "bracket_law_holds", bracket_law)
+    monkeypatch.setattr(cohomology_mod, "bracket_law_holds", bracket_law)
+    monkeypatch.setattr(engine_mod.ShortExactSequence, "validate", validate)
+    assert main(["all", "--input", str(CONJUGATED_DIAGONAL_SL2), "--max-degree", "2"]) == 0
+    assert {name: max(seen, default=0) > 1 for name, seen in scales.items()} == dict.fromkeys(scales, True)
+
+
 def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkeypatch):
     # the class of diagonal-sl2 is trivial, so every level splits: an
     # elimination that finds no solution turns the level verdicts against it
@@ -1324,38 +1376,40 @@ def test_koszul_record_fails_when_one_letter_multiplies_wrongly(monkeypatch, tmp
     assert witness["containment_ok"] is True
 
 
-def test_koszul_record_fails_when_the_class_rank_counts_every_join(monkeypatch, tmp_path):
-    # a rank that counts every join as a merge, a binomial closing a cycle
-    # included, overstates the rank of d_2, and exactness fails
-    from pbwgate import koszul as koszul_mod
-
-    monkeypatch.setattr(koszul_mod, "_class_rank", lambda n, binomials: len(binomials))
-    witness = _koszul_record(tmp_path)
-    assert not all(ok for s in witness["slices"] for ok in s["exact"].values())
-    assert all(s["dd_zero"] for s in witness["slices"])
-
-
-def test_koszul_record_fails_on_a_d2_column_that_is_not_a_binomial(monkeypatch, tmp_path):
-    # the class rank holds only for columns e_u - e_v: a d_2 template whose
-    # omitted second letter keeps the sign + makes every d_2 column e_u + e_v,
-    # a FAIL record with exit 1 raised by the rank helper, not a traceback
+def _koszul_record_with_d2_templates(monkeypatch, tmp_path, fault) -> dict:
+    """The failing koszul witness with ``fault`` applied to the two entries
+    (letter, lower coordinate, sign) of every d_2 template."""
     from pbwgate import koszul as koszul_mod
 
     real = koszul_mod._omission_templates
 
-    def unsigned(kt, lower):
+    def faulty(kt, lower):
         out = real(kt, lower)
-        if kt.degree == 2:
-            out = [[(a, ta, sa), (x, tx, -sx)] for (a, ta, sa), (x, tx, sx) in out]
-        return out
+        return [fault(*template) for template in out] if kt.degree == 2 else out
 
-    monkeypatch.setattr(koszul_mod, "_omission_templates", unsigned)
-    out = tmp_path / "report.json"
-    assert main(["koszul", "--example", "diagonal-sl2", "--max-degree", "3", "--json", str(out)]) == 1
-    [rec] = json.loads(out.read_text())["records"]
-    assert (rec["ok"], rec["verdict"]) == (False, "check raised AssertionError")
-    assert rec["witness"]["raised_at"] == "_class_rank (koszul.py)"
-    assert "is not a binomial" in rec["witness"]["message"]
+    monkeypatch.setattr(koszul_mod, "_omission_templates", faulty)
+    return _koszul_record(tmp_path)
+
+
+def test_koszul_record_fails_on_a_d2_column_that_is_not_a_binomial(monkeypatch, tmp_path):
+    # the rank of d_2 is read off qA's classes only for templates that are
+    # the K^2 wedges: a d_2 template whose omitted second letter keeps the
+    # sign + makes every d_2 column e_u + e_v, which the containment rejects,
+    # a FAIL record with exit 1
+    witness = _koszul_record_with_d2_templates(monkeypatch, tmp_path, lambda a, x: [a, (x[0], x[1], -x[2])])
+    assert witness["containment_ok"] is False
+    assert witness["ktilde_dims_ok"] is True
+
+
+def test_koszul_record_fails_on_a_d2_template_with_its_lower_coordinates_swapped(monkeypatch, tmp_path):
+    # swapping the two lower coordinates of each d_2 template keeps every
+    # column a binomial e_u - e_v, but no longer the K^2 wedge: the record
+    # fails with exit 1
+    witness = _koszul_record_with_d2_templates(
+        monkeypatch, tmp_path, lambda a, x: [(a[0], x[1], a[2]), (x[0], a[1], x[2])]
+    )
+    assert witness["containment_ok"] is False
+    assert witness["ktilde_dims_ok"] is True
 
 
 def test_koszul_record_fails_when_one_degree_skips_its_last_relations(monkeypatch, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.koszul import (
-    _class_rank,
+    _classes,
     _QaDegrees,
     _in_relations_at,
     _omission_templates,
@@ -362,11 +362,15 @@ def test_slices_match_the_eliminating_reference(case):
 
 
 def test_class_rank_is_the_eliminated_rank():
-    # binomials e_u - e_v, repeats, cycles and the empty set included:
-    # n - #classes is the rank an echelon finds; unit columns, the columns
+    # binomials e_u - e_v, repeats, cycles and the empty set included: n
+    # minus the number of classes their joins leave is the rank an echelon
+    # finds, the count that gives the rank of d_2; unit columns, the columns
     # of d_1, have the rank of their distinct rows
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+
+    def class_rank(n, ends):
+        return n - len(set(_classes(n, ends)))
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @hypothesis.given(st.data())
@@ -375,19 +379,18 @@ def test_class_rank_is_the_eliminated_rank():
         rows = st.integers(0, n - 1)
         units = data.draw(st.lists(rows, max_size=8))
         signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(units), max_size=len(units)))
-        ends = data.draw(st.lists(st.tuples(rows, rows), max_size=16))
-        binomials = [{u: 1, v: -1} for u, v in ends if u != v]
+        ends = [(u, v) for u, v in data.draw(st.lists(st.tuples(rows, rows), max_size=16)) if u != v]
         ech = Echelon(n)
-        for col in binomials:
-            ech.insert(col)
-        assert _class_rank(n, binomials) == ech.rank
+        for u, v in ends:
+            ech.insert({u: 1, v: -1})
+        assert class_rank(n, ends) == ech.rank
         unit_span = Echelon(n)
         for col in [{u: s} for u, s in zip(units, signs)]:
             ech.insert(col)
             unit_span.insert(col)
         assert len(set(units)) == unit_span.rank
         # a unit column is a binomial to one ground row
-        assert _class_rank(n + 1, binomials + [{u: 1, n: -1} for u in units]) == ech.rank
+        assert class_rank(n + 1, ends + [(u, n) for u in units]) == ech.rank
 
     prop()
-    assert _class_rank(5, []) == 0
+    assert class_rank(5, []) == 0
