@@ -20,6 +20,7 @@ from .lie import (
     InclusionPair,
     LieAlgebra,
     LieModule,
+    _letter_ints,
     adjoint_module,
     bracket_law_holds,
     ext_monomials,
@@ -107,19 +108,19 @@ def _closed(h: LieAlgebra, cochain: Cochain, error: Exception) -> Cochain:
 
 
 def _h_part(pair: InclusionPair, a: int, r: int) -> dict:
-    """The h-part of [i(a), sigma_r] over the h basis."""
+    """The h-part of [i(a), sigma_r] over the h basis, in ints over the letter scale D."""
     dn = pair.dim_n
-    return {w - dn: v for w, v in pair.bracket_letters(dn + a, r).items() if w >= dn}
+    return {w - dn: v for w, v in _letter_ints(pair)[0][dn + a][r].items() if w >= dn}
 
 
 def connecting_cocycle(pair: InclusionPair) -> Cochain:
     """c in C^1(h, Hom(n, h)) with c(a)(x) = sigma(a.x) - [i(a), sigma(x)]."""
     coeff = hom_module(quotient_module(pair), adjoint_module(pair.h))
-    dn, dh = pair.dim_n, pair.dim_h
+    dn, dh, D = pair.dim_n, pair.dim_h, _letter_ints(pair)[1]
     phis = []
     for a in range(dh):
         # sigma(a.x) cancels the n-part of [i(a), sigma_r], leaving minus the h-part
-        cols = [{b: -v for b, v in _h_part(pair, a, r).items()} for r in range(dn)]
+        cols = [{b: Q(-v, D) for b, v in _h_part(pair, a, r).items()} for r in range(dn)]
         phis.append(Matrix(dn, dh, cols).transpose().data)
     c = _hom_cochain(coeff, phis, dn)
     return _closed(pair.h, c, AssertionError("connecting cochain failed the cocycle identity"))
@@ -221,14 +222,13 @@ class ExtensionDatum(Record):
 
     def verify(self) -> bool:
         pair, e = self.pair, self.module
-        dn = pair.dim_n
+        dn, (ints, D) = pair.dim_n, _letter_ints(pair)
         mats, scale = int_matrices(self.rho)
         for a in range(pair.dim_h):
             if self.rho[dn + a] != e.action[a]:
                 return False
             for u in range(pair.g.dim):
-                (combo,), cscale = _int_rows((pair.bracket_letters(dn + a, u),))
-                if not bracket_law_holds(mats, scale, dn + a, u, combo, cscale):
+                if not bracket_law_holds(mats, scale, dn + a, u, ints[dn + a][u], D):
                     return False
         return True
 
@@ -238,10 +238,11 @@ def find_extension(pair: InclusionPair, module: LieModule) -> ExtensionDatum | N
 
     Unknowns are the matrices B_r = rho(sigma(n_r)); the h-letters act by the
     given module action.  One solution is returned (free variables zeroed);
-    the choice is not unique and downstream splittings record which datum
-    they used.  Each equation is built in ints, times s s_E for [i(a), sigma_r] over s.
+    the choice is not unique, and ``extension`` memoises the one that the
+    splittings and their report use.  Each equation is built in ints, times
+    D s_E for [i(a), sigma_r] over the letter scale D.
     """
-    dn, dh, de = pair.dim_n, pair.dim_h, module.dim
+    (ints, D), dn, dh, de = _letter_ints(pair), pair.dim_n, pair.dim_h, module.dim
     nunk = dn * de * de
 
     def unk(r: int, i: int, j: int) -> int:
@@ -252,18 +253,17 @@ def find_extension(pair: InclusionPair, module: LieModule) -> ExtensionDatum | N
         act = module.mats[a]
         act_cols = module.int_matrix(a).transpose().data
         for r in range(dn):
-            (bracket,), scale = _int_rows((pair.bracket_letters(dn + a, r),))
-            npart = {w: module.scale * v for w, v in bracket.items() if w < dn}
-            const = module.act_vec({w - dn: v for w, v in bracket.items() if w >= dn})
+            npart = {w: module.scale * v for w, v in ints[dn + a][r].items() if w < dn}
+            const = module.act_vec(_h_part(pair, a, r))
             for i in range(de):
                 for j in range(de):
                     row: dict = {}
                     for s, c in npart.items():
                         _add_term(row, unk(s, i, j), c)
                     for k, v in act[i].items():
-                        _add_term(row, unk(r, k, j), -scale * v)
+                        _add_term(row, unk(r, k, j), -D * v)
                     for k, v in act_cols[j].items():
-                        _add_term(row, unk(r, i, k), scale * v)
+                        _add_term(row, unk(r, i, k), D * v)
                     if j in const[i]:
                         row[nunk] = -const[i][j]
                     rows.append(row)
@@ -303,22 +303,21 @@ def pushout_data(pair: InclusionPair, module: LieModule) -> PushoutData:
     h-part of [i(a), sigma_r] acting on v (all in ints; each relation times s_E).
     """
     e = module
-    de, dn = e.dim, pair.dim_n
+    de, dn, D = e.dim, pair.dim_n, _letter_ints(pair)[1]
     ne = tensor_module(quotient_module(pair), e)
     qdim = de + ne.dim
-    hparts, hscale = _int_rows([_h_part(pair, a, r) for a in range(pair.dim_h) for r in range(dn)])
     common, (fe, fne) = _common_scale(e.scale, ne.scale)
     q_action = []
     relations = []
     for a in range(pair.dim_h):
-        rows = [{c: hscale * fe * v for c, v in r.items()} for r in e.mats[a]]
-        rows += [{de + j: hscale * fne * v for j, v in r.items()} for r in ne.mats[a]]
-        for r, hvec in enumerate(hparts[a * dn:(a + 1) * dn]):
-            for i, row in enumerate(e.act_vec(hvec)):
+        rows = [{c: D * fe * v for c, v in r.items()} for r in e.mats[a]]
+        rows += [{de + j: D * fne * v for j, v in r.items()} for r in ne.mats[a]]
+        for r in range(dn):
+            for i, row in enumerate(e.act_vec(_h_part(pair, a, r))):
                 rows[i].update((de + r * de + m, fe * v) for m, v in row.items())
         q_action.append(rows)
         for m in range(de):
             rel = {i: row[m] for i, row in enumerate(e.mats[a]) if m in row}
             rel[de + (dn + a) * de + m] = -e.scale
             relations.append(rel)
-    return PushoutData(LieModule.from_ints(pair.h, qdim, q_action, hscale * common), relations)
+    return PushoutData(LieModule.from_ints(pair.h, qdim, q_action, D * common), relations)

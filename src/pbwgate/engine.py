@@ -536,7 +536,6 @@ def splitting_s(
         raise AssertionError("s_k is not equivariant")
     if matrix.take(range(filt.dim(k - 1), filt.dim(k)), range(source.dim)) != Matrix.identity(source.dim):
         raise AssertionError("s_k is not a section of the graded projection")
-    out.rho = rho  # record which extension datum produced the splitting
     return out
 
 
@@ -590,9 +589,7 @@ def pbw_splitting_I(pair: InclusionPair, rho: ExtensionDatum | None, K: int) -> 
         if any(rows[r_filt.dim(k - 1) + i] != {i: scale} for i in range(source.dim)):
             raise AssertionError(f"I_{k} is not a section")
         fractions = [{c: Q(v, scale) for c, v in r.items()} for r in rows]
-        out = ModuleMap(source, level, Matrix(level.dim, source.dim, fractions))
-        out.rho = rho
-        maps.append(out)
+        maps.append(ModuleMap(source, level, Matrix(level.dim, source.dim, fractions)))
     return maps
 
 

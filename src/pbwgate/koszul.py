@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .lie import InclusionPair, sort_with_sign, sym_dim
-from .linalg import Echelon, _add_term, _products_cancel
+from .lie import InclusionPair, _letter_ints, sort_with_sign, sym_dim
+from .linalg import Echelon, Q, _add_term, _products_cancel
 from .record import Record
 
 
@@ -58,10 +58,10 @@ def _potential(pair: InclusionPair) -> list:
     """phi read on each two-letter word u * dg + v: [a, x] on the basis
     orientation a (x) x of a qR binomial, 0 on every other word.  On qR this
     is phi, since a basis binomial meets one basis orientation, with sign +."""
-    dg = pair.g.dim
+    (ints, D), dg = _letter_ints(pair), pair.g.dim
     out = [{} for _ in range(dg * dg)]
     for a, x in _quadratic_data(pair):
-        out[a * dg + x] = pair.bracket_letters(a, x)
+        out[a * dg + x] = {k: Q(c, D) for k, c in ints[a][x].items()}
     return out
 
 

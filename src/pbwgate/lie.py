@@ -281,7 +281,6 @@ class InclusionPair:
         ])
         self.h = self._induced_subalgebra(h_cols)
         self.n_labels = tuple(g.labels[r] for r in self.complement)
-        self._bracket_table = None
         self._caches: dict = {}
 
     def _bracket_ints(self, letter_pairs) -> tuple:
@@ -300,13 +299,6 @@ class InclusionPair:
                         z[l] = z.get(l, 0) + w * x
             out.append({l: x for l, x in sorted(z.items()) if x})
         return out, c * c * self.g.int_table()[1] * s
-
-    def bracket_letters(self, u: int, v: int) -> Vec:
-        """[letter u, letter v] expanded over letters, read from ``_letter_ints``."""
-        if self._bracket_table is None:
-            ints, scale = _letter_ints(self)
-            self._bracket_table = [[{k: Q(c, scale) for k, c in e.items()} for e in row] for row in ints]
-        return self._bracket_table[u][v]
 
     def _induced_subalgebra(self, h_cols) -> LieAlgebra:
         """h with the structure constants of its basis read from the letter
@@ -386,13 +378,15 @@ def quotient_module(pair: InclusionPair) -> LieModule:
     built once per pair."""
     cache = pair._caches
     if "quotient_module" not in cache:
-        dn = pair.dim_n
-        action = []
-        for a in range(pair.dim_h):
+        (ints, D), dn = _letter_ints(pair), pair.dim_n
+        mats = [[{} for _ in range(dn)] for _ in range(pair.dim_h)]
+        for a, rows in enumerate(mats):
             # column r is the n-part of [i(a), sigma_r]
-            cols = [{s: v for s, v in pair.bracket_letters(dn + a, r).items() if s < dn} for r in range(dn)]
-            action.append(Matrix(dn, dn, cols).transpose())
-        cache["quotient_module"] = LieModule(pair.h, dn, action)
+            for r in range(dn):
+                for s, v in ints[dn + a][r].items():
+                    if s < dn:
+                        rows[s][r] = v
+        cache["quotient_module"] = LieModule.from_ints(pair.h, dn, mats, D)
     return cache["quotient_module"]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -285,9 +286,8 @@ class Echelon:
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict = {}  # pivot column -> integer row; Fraction RREF row once closed
-        # column -> pivot columns of the rows that gained it (a row may have
-        # lost it since): None, one as an int, or a list
-        self._holders: list = [None] * ncols
+        # column -> pivot columns of the rows that gained it (a row may have lost it since)
+        self._holders: defaultdict = defaultdict(list)
         self._reduced = False
 
     @property
@@ -347,19 +347,12 @@ class Echelon:
         elif not hits:
             row = dict(row)  # the caller's
         holders = self._holders
-        held = holders[c]
+        # c's own list is read only now: no later row holds a pivot column
         for k in row:
-            h = holders[k]
-            if h is None:
-                holders[k] = c
-            elif k == c:
-                continue
-            elif h.__class__ is int:
-                holders[k] = [h, c]
-            else:
-                h.append(c)
+            if k != c:
+                holders[k].append(c)
         a = row[c]
-        for d in (held,) if held.__class__ is int else held or ():
+        for d in holders.pop(c, ()):
             p = pivots[d]
             b = p.get(c)
             if b is None:
@@ -372,11 +365,7 @@ class Echelon:
                 w = p.get(k)
                 if w is None:
                     p[k] = -f * v
-                    h = holders[k]
-                    if h.__class__ is int:
-                        holders[k] = [h, d]
-                    else:
-                        h.append(d)
+                    holders[k].append(d)
                 else:
                     w -= f * v
                     if w:

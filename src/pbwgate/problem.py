@@ -171,6 +171,8 @@ def parse_problem(text: str) -> ProblemFile:
         labels = [f"x{i}" for i in range(dim)]
     if len(labels) != dim or not all(isinstance(l, str) for l in labels):
         raise ProblemError("g.labels", f"need {dim} string labels")
+    if len(set(labels)) != dim:
+        raise ProblemError("g.labels", "labels must be distinct")
     raw_brackets = _expect(g, "brackets", "g", list, required=False, default=[])
     table: dict = {}
     for pos, entry in enumerate(raw_brackets):
@@ -240,6 +242,8 @@ def parse_problem(text: str) -> ProblemFile:
     modules = {}
     for mname, spec in _expect(doc, "modules", "document", dict, required=False, default={}).items():
         where = f"modules.{mname}"
+        if mname in ("trivial", "n", "adjoint"):
+            raise ProblemError(where, "the name of a built-in module")
         if not isinstance(spec, dict):
             raise ProblemError(where, "module spec must be an object")
         mdim = _expect(spec, "dim", where, int)

@@ -285,11 +285,12 @@ def _check_split(pf: ProblemFile, pair, K: int) -> CheckRecord:
             verdict += "; INCONSISTENT: level-two sequence split anyway"
         return _record("split", verdict, ok, witness)
     r_filt = build_filtration(pair, "R", K)
+    rho = extension(pair, quotient_module(pair)).rho  # the memoised datum the sections were built from
     witness = {
         "alpha_trivial": True,
         "levels": {str(k): _matrix_strings(m.matrix) for k, m in enumerate(maps)},
         "target_dims": {str(k): r_filt.dim(k) for k in range(K + 1)},
-        "rho": {str(u): _matrix_strings(maps[0].rho.rho[u]) for u in range(pair.dim_n)},
+        "rho": {str(u): _matrix_strings(rho[u]) for u in range(pair.dim_n)},
     }
     verdict = f"equivariant sections built for degrees 0..{K}"
     return _record("split", verdict, True, witness)

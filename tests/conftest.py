@@ -106,6 +106,13 @@ def reference_ce_differential(h: LieAlgebra, module, p: int) -> Matrix:
     return d
 
 
+def bracket_letters(pair, u: int, v: int) -> dict:
+    """[letter u, letter v] expanded over the letters, in Fractions: a view of
+    the pair's one int table ``_letter_ints``."""
+    ints, D = _letter_ints(pair)
+    return {k: Q(c, D) for k, c in ints[u][v].items()}
+
+
 def hom_value(cochain: Cochain, z: int, target_dim: int, source_dim: int) -> Matrix:
     """The value at the z-th basis element of a 1-cochain with values in a
     hom module, as a (target x source) matrix."""
@@ -162,7 +169,7 @@ def reference_extension_rho(pair, module):
     for a in range(dh):
         act = module.action[a]
         for r in range(dn):
-            bracket = pair.bracket_letters(dn + a, r)
+            bracket = bracket_letters(pair, dn + a, r)
             const = combination(module.action, {w - dn: v for w, v in bracket.items() if w >= dn}, de)
             for i in range(de):
                 for j in range(de):
@@ -475,12 +482,12 @@ def reference_quadratic_data(pair) -> ReferenceQuadraticData:
         if span.insert(vec) is not None:
             basis.append(vec)
             basis_pairs.append((a, x))
-    phi = Matrix(len(basis), dg, [pair.bracket_letters(a, x) for a, x in basis_pairs]).transpose()
+    phi = Matrix(len(basis), dg, [bracket_letters(pair, a, x) for a, x in basis_pairs]).transpose()
     coords = Coordinates(basis, dg * dg)
     consistent = True
     for (a, x), vec in _qr_spanning(pair):
         y = coords(vec)
-        if y is None or phi.apply(y) != pair.bracket_letters(a, x):
+        if y is None or phi.apply(y) != bracket_letters(pair, a, x):
             consistent = False
     return ReferenceQuadraticData(pair, basis, basis_pairs, phi, coords, consistent)
 

@@ -257,6 +257,35 @@ def test_builtin_modules(sl2_borel):
         pf.module(pair, "nonexistent")
 
 
+def test_repeated_labels_are_an_input_error(tmp_path):
+    # sl2 with labels x, h, x: the witnesses are keyed by label, so the two
+    # x's would share keys and a report would keep one entry of each pair
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["g"]["labels"] = ["x", "h", "x"]
+    doc["h"] = {"indices": [1]}
+    with pytest.raises(ProblemError) as err:
+        parse_problem(json.dumps(doc))
+    assert err.value.location == "g.labels"
+    path = tmp_path / "repeated-labels.json"
+    path.write_text(json.dumps(doc))
+    assert main(["all", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("name", ["trivial", "n", "adjoint"])
+def test_a_module_with_a_builtin_name_is_an_input_error(tmp_path, name):
+    # a 2-dimensional module on h = span{h} of sl2 would otherwise be
+    # replaced by the built-in module of that name
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["h"] = {"indices": [1]}
+    doc["modules"] = {name: {"dim": 2, "action": [[["1", "0"], ["0", "-1"]]]}}
+    with pytest.raises(ProblemError) as err:
+        parse_problem(json.dumps(doc))
+    assert err.value.location == f"modules.{name}"
+    path = tmp_path / f"module-{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["twisted", "--input", str(path), "--module", name, "--max-degree", "2"]) == 2
+
+
 # --- CLI ---------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from pbwgate.catalog import catalog_get, catalog_list
 
 from pbwgate.cohomology import (
     Cochain,
+    ExtensionDatum,
     NotACocycleError,
     alpha_cocycle,
     ce_differential,
@@ -22,6 +23,7 @@ from pbwgate.lie import (
     LieAlgebra,
     LieModule,
     ModuleMap,
+    _letter_ints,
     adjoint_module,
     hom_module,
     make_pair,
@@ -208,8 +210,6 @@ def test_find_extension_diagonal(diag_sl2):
 
 def test_half_adjoint_is_valid_extension(diag_sl2):
     # rho(sigma_r) = (1/2) ad(y_r) satisfies both extension identities
-    from pbwgate.cohomology import ExtensionDatum
-
     n = quotient_module(diag_sl2)
     ad = adjoint_module(sl2())
     rho = [combination(ad.action, {r: Q(1, 2)}, 3) for r in range(3)] + list(n.action)
@@ -459,11 +459,32 @@ def test_cocycle_extension_and_primitive_match_the_fraction_route_over_scales():
     assert alpha_cocycle(pair, n).values == reference_alpha_values(pair, n)
     datum = find_extension(pair, n)
     assert datum is not None and datum.int_rho[1] > 1
+    assert _letter_ints(pair)[1] > 1
     assert list(datum.rho[:pair.dim_n]) == reference_extension_rho(pair, n)
     obs = obstruction(pair, n)
     assert obs.primitive is not None
     assert obs.primitive.values == reference_primitive(pair.h, obs.cocycle)
     assert is_trivial(pair, n, obs.cocycle).values == obs.primitive.values
+
+
+@pytest.mark.parametrize("name", ["conjugated diagonal-sl2", "diagonal-sl2"])
+def test_extension_verify_fails_on_a_changed_datum(name):
+    # the conjugated pair has letter scale D = 4, the catalog pair D = 1
+    pair = _conjugated_sl2() if name.startswith("conjugated") else catalog_get(name).pair()
+    n = quotient_module(pair)
+    datum = find_extension(pair, n)
+    assert datum.verify()
+    rho, dn, de = list(datum.rho), pair.dim_n, n.dim
+    one = Matrix(de, de, [{0: Q(1)}] + [{} for _ in range(de - 1)])
+    # one entry of rho(sigma_0) changed: a bracket law fails
+    assert not ExtensionDatum(pair, n, tuple([rho[0] + one] + rho[1:])).verify()
+    # every matrix conjugated by the shear P = 1 + E_01: each bracket law still
+    # holds, but the h-letters act by P act(a) P^-1, not by the module action
+    e01 = Matrix(de, de, [{1: Q(1)}] + [{} for _ in range(de - 1)])
+    p, p_inv = Matrix.identity(de) + e01, Matrix.identity(de) - e01
+    moved = [matmul(matmul(p, m), p_inv) for m in rho]
+    assert moved[dn:] != list(n.action)
+    assert not ExtensionDatum(pair, n, tuple(moved)).verify()
 
 
 def test_obstruction_memo_is_shared_by_equal_actions_over_any_scale():

@@ -42,6 +42,7 @@ from pbwgate.problem import parse_problem
 
 from conftest import (
     _drop_h_tails,
+    bracket_letters,
     complement_change,
     diagonal_embedding,
     hstack,
@@ -109,7 +110,7 @@ def _reference_free(pair, word, memo):
     out = {}
     for key, c in _reference_free(pair, word[:i] + (word[i + 1], word[i]) + word[i + 2:], memo).items():
         _add(out, key, c)
-    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+    for letter, coeff in bracket_letters(pair, word[i], word[i + 1]).items():
         for key, c in _reference_free(pair, word[:i] + (letter,) + word[i + 2:], memo).items():
             _add(out, key, coeff * c)
     memo[word] = out
@@ -131,7 +132,7 @@ def _reference_straighten(pair, word, memo):
     out = {}
     for key, c in _reference_straighten(pair, word[:i] + (word[i + 1], word[i]) + word[i + 2:], memo).items():
         _add(out, key, c)
-    for letter, coeff in pair.bracket_letters(word[i], word[i + 1]).items():
+    for letter, coeff in bracket_letters(pair, word[i], word[i + 1]).items():
         for key, c in _reference_straighten(pair, word[:i] + (letter,) + word[i + 2:], memo).items():
             _add(out, key, coeff * c)
     memo[word] = out
