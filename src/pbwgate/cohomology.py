@@ -30,7 +30,7 @@ from .lie import (
     sort_with_sign,
     tensor_module,
 )
-from .linalg import Matrix, Q, _add_term, _common_scale, _int_rows, solve
+from .linalg import Matrix, Q, _add_term, _columns, _common_scale, _int_rows, solve
 from .record import Record
 
 
@@ -60,7 +60,7 @@ def ce_differential(h: LieAlgebra, module: LieModule, p: int) -> tuple:
     module index minor), as int rows over the scale of M times that of h's table."""
     if p < 0:
         raise ValueError("negative cochain degree")
-    table, tscale = h.int_table()
+    table, tscale = h.int_table
     src_index = {t: i for i, t in enumerate(ext_monomials(h.dim, p))}
     dst = ext_monomials(h.dim, p + 1)
     dm = module.dim
@@ -216,14 +216,14 @@ class ExtensionDatum(Record):
 
     def __init__(self, pair: InclusionPair, module: LieModule, rho: tuple):
         super().__init__(pair, module, rho)
-        # (columns, T): rho cleared once to int columns over one scale T, so that
-        # column j of rho[u] is columns[u][j] / T; engine.pbw_splitting_I runs on these
-        self.int_rho = int_matrices([m.transpose() for m in rho])
+        # (mats, T): rho cleared once to int rows over one scale T, so that
+        # rho[u] is mats[u] / T; verify and engine.pbw_splitting_I read these
+        self.int_rho = int_matrices(rho)
 
     def verify(self) -> bool:
         pair, e = self.pair, self.module
         dn, (ints, D) = pair.dim_n, _letter_ints(pair)
-        mats, scale = int_matrices(self.rho)
+        mats, scale = self.int_rho
         for a in range(pair.dim_h):
             if self.rho[dn + a] != e.action[a]:
                 return False
@@ -251,7 +251,7 @@ def find_extension(pair: InclusionPair, module: LieModule) -> ExtensionDatum | N
     rows = []
     for a in range(dh):
         act = module.mats[a]
-        act_cols = module.int_matrix(a).transpose().data
+        act_cols = _columns(act, de)
         for r in range(dn):
             npart = {w: module.scale * v for w, v in ints[dn + a][r].items() if w < dn}
             const = module.act_vec(_h_part(pair, a, r))

@@ -39,7 +39,7 @@ from .lie import (
     tensor_module,
     trivial_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, _common_scale, _int_mul, solve
+from .linalg import Echelon, Matrix, Q, _add_term, _columns, _common_scale, _int_mul, solve
 from .record import Record
 
 
@@ -407,7 +407,7 @@ def section_oracle(seq: ShortExactSequence) -> Matrix | None:
 
     def rows():
         for a in range(seq.sub.algebra.dim):
-            act_s, act_q_cols = seq.sub.mats[a], seq.quot.int_matrix(a).transpose().data
+            act_s, act_q_cols = seq.sub.mats[a], _columns(seq.quot.mats[a], nquot)
             for i in range(nsub):
                 arow, drow = act_s[i], seq.mid.mats[a][i]
                 for j in range(nquot):
@@ -557,7 +557,8 @@ def pbw_splitting_I(pair: InclusionPair, rho: ExtensionDatum | None, K: int) -> 
     and the checks, homogeneous in the matrix, read S_k I_k."""
     rho = _resolve_rho(pair, rho)
     r_filt = build_filtration(pair, "R", K)
-    (cols, T), D = rho.int_rho, _letter_ints(pair)[1]
+    (mats, T), D = rho.int_rho, _letter_ints(pair)[1]
+    cols = [_columns(m, rho.module.dim) for m in mats[: pair.dim_n]]  # nabla reads the n-letters' columns
     images = {(): {(): 1}}  # each monomial of the degree below -> S_{k-1} I(monomial)
     scale = 1
     maps = []

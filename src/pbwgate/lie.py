@@ -14,8 +14,8 @@ import math
 from collections.abc import Sequence
 from functools import cached_property
 
-from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _common_scale, _int_rows
-from .linalg import _lowest_terms, _products_cancel, combination, qf, tensor_map
+from .linalg import Coordinates, Echelon, Matrix, Q, _add_term, _columns, _common_scale, _int_rows
+from .linalg import _lowest_terms, _products_cancel
 from .record import Record
 
 Vec = dict  # sparse vector: basis index -> Fraction
@@ -33,25 +33,19 @@ class NotSubalgebraError(ValueError):
         super().__init__(f"bracket of basis elements {i} and {j} leaves the subspace")
 
 
-def _vec(entries) -> Vec:
-    return {k: q for k, v in entries.items() if (q := qf(v))}
-
-
-def _int_table(table) -> tuple:
-    """A square table of sparse vectors over one common denominator:
-    (integer table, scale) with table[i][j] = integer table[i][j] / scale."""
-    n = len(table)
-    ints, scale = _int_rows([vec for row in table for vec in row])
-    return tuple(tuple(ints[i * n:(i + 1) * n]) for i in range(n)), scale
+def _blocks(rows: list, size: int, count: int) -> tuple:
+    """``rows`` cut into ``count`` consecutive blocks of ``size`` rows."""
+    return tuple(rows[k * size:(k + 1) * size] for k in range(count))
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants.
 
-    ``table[i][j]`` is the sparse vector of [x_i, x_j]; the constructor stores
-    the table exactly as given (each entry coerced to rationals, zeros
-    dropped) so that validation can report antisymmetry and Jacobi
-    violations as data rather than refusing to build.
+    ``int_table = (ints, scale)`` holds the table once, over one common
+    denominator in lowest terms: [x_i, x_j] = ints[i][j] / scale, zeros
+    dropped.  The constructor clears ``table[i][j]`` (int or Fraction
+    entries) as given, without checking it, so that validation can report
+    antisymmetry and Jacobi violations as data rather than refusing to build.
     """
 
     def __init__(self, dim: int, labels: Sequence[str] | None = None, table=None):
@@ -59,50 +53,21 @@ class LieAlgebra:
         self.labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("label count mismatch")
-        if table is None:
-            self.table = tuple(tuple({} for _ in range(dim)) for _ in range(dim))
-        else:
-            self.table = tuple(tuple(_vec(table[i][j]) for j in range(dim)) for i in range(dim))
-        self._int_table = None  # built by the first bracket
-
-    @classmethod
-    def _of_clean(cls, dim: int, labels, table) -> "LieAlgebra":
-        """The algebra of a table whose entries are already clean (nonzero
-        Fractions), stored without cleaning them again."""
-        alg = cls(dim, labels)
-        alg.table = tuple(map(tuple, table))
-        return alg
+        ints, scale = _int_rows([table[i][j] if table else {} for i in range(dim) for j in range(dim)])
+        self.int_table = _blocks(ints, dim, dim), scale
 
     @classmethod
     def from_pairs(cls, dim: int, pairs, labels: Sequence[str] | None = None) -> "LieAlgebra":
         """Build from (i, j, {k: c}) entries for i < j, filling antisymmetry."""
         table = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, coeffs in pairs:
-            cv = _vec(coeffs)
-            table[i][j] = cv
-            table[j][i] = {k: -v for k, v in cv.items()}
-        return cls._of_clean(dim, labels, table)
-
-    def int_table(self) -> tuple:
-        """``_int_table`` of the structure table, cleared once per algebra."""
-        if self._int_table is None:
-            self._int_table = _int_table(self.table)
-        return self._int_table
-
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        """[x, y], accumulated in ints over the integer structure table and
-        divided once per output entry."""
-        (xr,), xs = _int_rows((x,))
-        (yr,), ys = _int_rows((y,))
-        acc = self._int_bracket(xr, yr)
-        den = xs * ys * self.int_table()[1]
-        if den == 1:
-            return {k: Q(v) for k, v in acc.items() if v}
-        return {k: Q(v, den) for k, v in acc.items() if v}
+            table[i][j] = coeffs
+            table[j][i] = {k: -v for k, v in coeffs.items()}
+        return cls(dim, labels, table)
 
     def _int_bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of two int vectors times the int table's scale, zeros kept."""
-        table = self.int_table()[0]
+        """[x, y] of two int vectors times the table's scale, zeros kept."""
+        table = self.int_table[0]
         acc: dict = {}
         for i, xi in x.items():
             row = table[i]
@@ -131,28 +96,25 @@ class LieValidation(Record):
 
 
 def validate_lie(alg: LieAlgebra) -> LieValidation:
-    """Report every violated antisymmetry pair and Jacobi triple."""
+    """Report every violated antisymmetry pair and Jacobi triple, summed in
+    ints over the table (a Jacobi term over its scale squared)."""
+    ints, scale = alg.int_table
     issues = []
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            defect: Vec = dict(alg.table[i][j])
+            defect = dict(ints[i][j])
             if i != j:
-                for k, v in alg.table[j][i].items():
+                for k, v in ints[j][i].items():
                     _add_term(defect, k, v)
             if defect:
-                issues.append(ValidationIssue("antisymmetry", (i, j), defect))
+                issues.append(ValidationIssue("antisymmetry", (i, j), {k: Q(v, scale) for k, v in defect.items()}))
     for i, j, k in itertools.combinations(range(alg.dim), 3):
-        ei, ej, ek = ({i: Q(1)}, {j: Q(1)}, {k: Q(1)})
         defect = {}
-        for term in (
-            alg.bracket(alg.bracket(ei, ej), ek),
-            alg.bracket(alg.bracket(ej, ek), ei),
-            alg.bracket(alg.bracket(ek, ei), ej),
-        ):
-            for c, v in term.items():
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for c, v in alg._int_bracket(ints[x][y], {z: 1}).items():
                 _add_term(defect, c, v)
         if defect:
-            issues.append(ValidationIssue("jacobi", (i, j, k), defect))
+            issues.append(ValidationIssue("jacobi", (i, j, k), {c: Q(v, scale * scale) for c, v in defect.items()}))
     return LieValidation(issues)
 
 
@@ -165,18 +127,17 @@ class LieModule:
         """The module acting by the matrices ``action``, cleared once."""
         if len(action) != algebra.dim:
             raise ValueError("need one action matrix per acting basis element")
-        for m in action:
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrix shape mismatch")
-        rows, self.scale = _int_rows([r for m in action for r in m.data])
-        self.algebra, self.dim, self.mats = algebra, dim, tuple(rows[a * dim:(a + 1) * dim] for a in range(algebra.dim))
+        if any(m.rows != dim or m.cols != dim for m in action):
+            raise ValueError("action matrix shape mismatch")
+        self.algebra, self.dim = algebra, dim
+        self.mats, self.scale = int_matrices(action)
 
     @classmethod
     def from_ints(cls, algebra: LieAlgebra, dim: int, mats: Sequence[list], scale: int) -> "LieModule":
         """The module acting by mats[a] / scale (int rows, not copied), in lowest terms."""
         out = cls.__new__(cls)
         rows, out.scale = _lowest_terms([r for m in mats for r in m], scale)
-        out.algebra, out.dim, out.mats = algebra, dim, tuple(rows[a * dim:(a + 1) * dim] for a in range(algebra.dim))
+        out.algebra, out.dim, out.mats = algebra, dim, _blocks(rows, dim, algebra.dim)
         return out
 
     @cached_property
@@ -185,17 +146,20 @@ class LieModule:
         s = self.scale
         return tuple(Matrix(self.dim, self.dim, [{c: Q(v, s) for c, v in r.items()} for r in m]) for m in self.mats)
 
-    def int_matrix(self, a: int) -> Matrix:
-        return Matrix(self.dim, self.dim, self.mats[a])
-
     def act_vec(self, x: Vec) -> list:
-        """The action of ``x`` (int coefficients) as int rows over ``scale``."""
-        return combination([self.int_matrix(a) for a in range(self.algebra.dim)], x, self.dim).data
+        """The action of ``x`` (int coefficients) as int rows over ``scale``:
+        sum_a x[a] mats[a], row by row, zeros dropped."""
+        rows = [{} for _ in range(self.dim)]
+        for a, c in x.items():
+            for acc, row in zip(rows, self.mats[a]):
+                for k, v in row.items():
+                    _add_term(acc, k, c * v)
+        return rows
 
     def compatibility_defects(self) -> list:
         """Pairs (i, j) where action([x_i,x_j]) != [action(x_i), action(x_j)],
         each tested in ints by ``bracket_law_holds``."""
-        table, tscale = self.algebra.int_table()
+        table, tscale = self.algebra.int_table
         pairs = itertools.combinations(range(self.algebra.dim), 2)
         return [(i, j) for i, j in pairs if not bracket_law_holds(self.mats, self.scale, i, j, table[i][j], tscale)]
 
@@ -229,8 +193,7 @@ def int_matrices(mats: Sequence[Matrix]) -> tuple:
     """Square matrices of one size cleared to int rows over one common scale:
     (one int row list per matrix, scale)."""
     rows, scale = _int_rows([r for m in mats for r in m.data])
-    n = mats[0].rows if mats else 0
-    return [rows[k * n:(k + 1) * n] for k in range(len(mats))], scale
+    return _blocks(rows, mats[0].rows if mats else 0, len(mats)), scale
 
 
 def bracket_law_holds(mats: Sequence[list], scale: int, i: int, j: int, combo: dict, cscale: int) -> bool:
@@ -298,7 +261,7 @@ class InclusionPair:
                     for l, x in inverse[k].items():
                         z[l] = z.get(l, 0) + w * x
             out.append({l: x for l, x in sorted(z.items()) if x})
-        return out, c * c * self.g.int_table()[1] * s
+        return out, c * c * self.g.int_table[1] * s
 
     def _induced_subalgebra(self, h_cols) -> LieAlgebra:
         """h with the structure constants of its basis read from the letter
@@ -307,18 +270,19 @@ class InclusionPair:
         dh, dn = self.dim_h, self.dim_n
         ab = list(itertools.product(range(dh), repeat=2))
         brackets, scale = self._bracket_ints([(dn + a, dn + b) for a, b in ab])
-        table = [[{} for _ in range(dh)] for _ in range(dh)]
         for (a, b), z in zip(ab, brackets):
             if any(l < dn for l in z):
                 raise NotSubalgebraError(a, b)
-            table[a][b] = {l - dn: Q(x, scale) for l, x in z.items()}
+        ints, scale = _lowest_terms([{l - dn: x for l, x in z.items()} for z in brackets], scale)
         labels = tuple(f"h{a}" for a in range(dh))
         if all(len(self.h_embedding.data[i]) <= 1 for i in range(self.g.dim)):
             # coordinate subalgebra: reuse the g labels
             picked = [self.g.labels[c] for col in h_cols if len(col) == 1 for c, v in col.items() if v == 1]
             if len(picked) == dh:
                 labels = tuple(picked)
-        return LieAlgebra._of_clean(dh, labels, table)
+        h = LieAlgebra(dh, labels)
+        h.int_table = _blocks(ints, dh, dh), scale
+        return h
 
     def __repr__(self) -> str:
         return f"InclusionPair(dim_g={self.g.dim}, dim_h={self.dim_h}, complement={self.complement})"
@@ -339,7 +303,7 @@ def _letter_ints(pair: InclusionPair) -> tuple:
             ints[u][v] = z
             ints[v][u] = {l: -x for l, x in z.items()}
         rows, scale = _lowest_terms([e for row in ints for e in row], scale)
-        cache["letter_ints"] = tuple(tuple(rows[u * dg:(u + 1) * dg]) for u in range(dg)), scale
+        cache["letter_ints"] = _blocks(rows, dg, dg), scale
     return cache["letter_ints"]
 
 
@@ -391,8 +355,9 @@ def quotient_module(pair: InclusionPair) -> LieModule:
 
 
 def adjoint_module(alg: LieAlgebra) -> LieModule:
-    action = [Matrix(alg.dim, alg.dim, list(alg.table[i])).transpose() for i in range(alg.dim)]
-    return LieModule(alg, alg.dim, action)
+    """ad(x_i) read off the int table: column j of ad(x_i) is [x_i, x_j]."""
+    ints, scale = alg.int_table
+    return LieModule.from_ints(alg, alg.dim, [_columns(row, alg.dim) for row in ints], scale)
 
 
 def trivial_module(alg: LieAlgebra, dim: int = 1) -> LieModule:
@@ -400,26 +365,38 @@ def trivial_module(alg: LieAlgebra, dim: int = 1) -> LieModule:
 
 
 def _lifts(m: LieModule, n: LieModule) -> tuple:
-    """(S, S/s_N times the identity of M, S/s_M times that of N), S the common scale."""
-    if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
+    """(S, (S/s_M, S/s_N)), S the common scale of two modules over one algebra."""
+    if m.algebra is not n.algebra and m.algebra.int_table != n.algebra.int_table:
         raise ValueError("modules over different algebras")
-    scale, (fm, fn) = _common_scale(m.scale, n.scale)
-    return scale, *(Matrix(d, d, [{i: f} for i in range(d)]) for d, f in ((m.dim, fn), (n.dim, fm)))
+    return _common_scale(m.scale, n.scale)
+
+
+def _kronecker_sum(fa: int, a: Sequence[dict], fb: int, b: Sequence[dict]) -> list:
+    """fa A (x) 1 + fb 1 (x) B for square int matrices A and B given as rows,
+    in the lex tensor basis (index i_A * dim B + i_B), zeros dropped."""
+    d = len(b)
+    out = []
+    for i, arow in enumerate(a):
+        for k, brow in enumerate(b):
+            row = {j * d + k: fa * v for j, v in arow.items()}
+            for l, v in brow.items():
+                _add_term(row, i * d + l, fb * v)
+            out.append(row)
+    return out
 
 
 def tensor_module(m: LieModule, n: LieModule) -> LieModule:
     """Leibniz action on M (x) N; basis index = i_M * dim_N + i_N, in ints."""
-    scale, idm, idn = _lifts(m, n)
-    mats = [(tensor_map(m.int_matrix(a), idn) + tensor_map(idm, n.int_matrix(a))).data for a in range(m.algebra.dim)]
+    scale, (fm, fn) = _lifts(m, n)
+    mats = [_kronecker_sum(fm, m.mats[a], fn, n.mats[a]) for a in range(m.algebra.dim)]
     return LieModule.from_ints(m.algebra, m.dim * n.dim, mats, scale)
 
 
 def hom_module(m: LieModule, n: LieModule) -> LieModule:
-    """Hom(M, N) with (x . f) = act_N(x) f - f act_M(x); basis E_{ij} at i*dimM + j, in ints."""
-    scale, idm, idn = _lifts(m, n)
-    mats = [
-        (tensor_map(n.int_matrix(a), idm) - tensor_map(idn, m.int_matrix(a).transpose())).data for a in range(m.algebra.dim)
-    ]
+    """Hom(M, N) with (x . f) = act_N(x) f - f act_M(x); basis E_{ij} at i*dimM + j,
+    in ints: act_N(x) (x) 1 - 1 (x) act_M(x)^T."""
+    scale, (fm, fn) = _lifts(m, n)
+    mats = [_kronecker_sum(fn, n.mats[a], -fm, _columns(m.mats[a], m.dim)) for a in range(m.algebra.dim)]
     return LieModule.from_ints(m.algebra, m.dim * n.dim, mats, scale)
 
 
@@ -460,7 +437,7 @@ def sym_power_module(m: LieModule, k: int) -> LieModule:
     dim = len(monos)
     mats = []
     for a in range(m.algebra.dim):
-        cols = m.int_matrix(a).transpose().data
+        cols = _columns(m.mats[a], m.dim)
         data = [dict() for _ in range(dim)]
         for cidx, mono in enumerate(monos):
             for pos in range(len(mono)):

@@ -55,21 +55,11 @@ def _in_range(vec: Row, dim: int) -> Row:
     return vec
 
 
-def _axpy(dst: Row, coeff: Fraction, src: Row) -> None:
-    """dst += coeff * src, dropping zeros."""
-    for c, v in src.items():
-        w = dst.get(c, 0) + coeff * v
-        if w:
-            dst[c] = w
-        else:
-            dst.pop(c, None)
-
-
 _ZERO = Q(0)  # the absent entry, shared
 
 
 class Matrix:
-    """Immutable-by-convention sparse matrix over the rationals (or ints, as a module's int form)."""
+    """Immutable-by-convention sparse matrix over the rationals (or ints, in the checks of the I_k)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -134,11 +124,7 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        data = [dict() for _ in range(self.cols)]
-        for i, r in enumerate(self.data):
-            for c, v in r.items():
-                data[c][i] = v
-        return Matrix(self.cols, self.rows, data)
+        return Matrix(self.cols, self.rows, _columns(self.data, self.cols))
 
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -186,14 +172,14 @@ class Matrix:
         return ech.rank
 
 
-def combination(mats: Sequence[Matrix], coeffs: Row, dim: int) -> Matrix:
-    """sum_i coeffs[i] * mats[i] for square matrices of size ``dim``,
-    accumulated into one matrix in a single pass."""
-    data = [dict() for _ in range(dim)]
-    for i, c in coeffs.items():
-        for acc, row in zip(data, mats[i].data):
-            _axpy(acc, c, row)
-    return Matrix(dim, dim, data)
+def _columns(rows: Sequence[Row], n: int) -> list:
+    """The ``n`` columns of a matrix given as sparse rows, as sparse rows
+    (its transpose), each in increasing row order."""
+    cols = [dict() for _ in range(n)]
+    for i, r in enumerate(rows):
+        for c, v in r.items():
+            cols[c][i] = v
+    return cols
 
 
 def _int_rows(rows: Sequence[Row]) -> tuple:
@@ -449,19 +435,6 @@ def kernel_basis(a: Matrix) -> list:
                 v[c] = -row[f]
         basis.append(v)
     return basis
-
-
-def tensor_map(f: Matrix, g: Matrix) -> Matrix:
-    """Kronecker product: (f (x) g)(u (x) v) = f(u) (x) g(v) in lex tensor bases."""
-    data = [dict() for _ in range(f.rows * g.rows)]
-    for i, fr in enumerate(f.data):
-        for k, gr in enumerate(g.data):
-            target = data[i * g.rows + k]
-            for j, fv in fr.items():
-                base = j * g.cols
-                for l, gv in gr.items():
-                    target[base + l] = fv * gv
-    return Matrix(f.rows * g.rows, f.cols * g.cols, data)
 
 
 class Coordinates:

@@ -61,16 +61,22 @@ class ProblemFile(Record):
     def pair(self):
         """A new inclusion pair, its caches empty.  An embedding that is not
         injective or not closed under the bracket, or a complement that does
-        not complete it to a basis, is an input error at ``h``."""
+        not complete it to a basis, is an input error at ``h``; an n-label
+        that is the witness name ``i(<h label>)`` of an h generator is one at
+        ``g.labels``."""
         alg = self.algebra()
         if self.h_indices is not None:
             emb = list(self.h_indices)
         else:
             emb = [list(col) for col in self.h_embedding]
         try:
-            return make_pair(alg, emb, complement=self.complement)
+            pair = make_pair(alg, emb, complement=self.complement)
         except ValueError as exc:
             raise ProblemError("h", str(exc)) from None
+        clash = set(pair.n_labels).intersection(f"i({l})" for l in pair.h.labels)
+        if clash:
+            raise ProblemError("g.labels", f"the n-label {min(clash)!r} is also the witness name of an h generator")
+        return pair
 
     def module(self, pair, name: str) -> LieModule:
         if name == "trivial":

@@ -35,13 +35,10 @@ from pbwgate.linalg import (
     Echelon,
     Matrix,
     _add_term,
-    _axpy,
     _in_range,
     _int_mul,
     _int_rows,
-    combination,
     solve,
-    tensor_map,
 )
 
 
@@ -68,6 +65,57 @@ def affine_line() -> LieAlgebra:
     return LieAlgebra.from_pairs(2, [(0, 1, {1: 1})], labels=("x", "y"))
 
 
+def int_table(table) -> tuple:
+    """A square table of sparse Fraction vectors over one common denominator,
+    in the blocks ``LieAlgebra.int_table`` and ``_letter_ints`` hold:
+    (integer table, scale) with table[i][j] = integer table[i][j] / scale."""
+    n = len(table)
+    ints, scale = _int_rows([vec for row in table for vec in row])
+    return tuple(ints[i * n:(i + 1) * n] for i in range(n)), scale
+
+
+def fraction_table(alg: LieAlgebra) -> list:
+    """The structure table of ``alg`` in Fractions: a view of its one int table."""
+    ints, scale = alg.int_table
+    return [[{k: Q(v, scale) for k, v in vec.items()} for vec in row] for row in ints]
+
+
+def bracket(alg: LieAlgebra, x: dict, y: dict) -> dict:
+    """[x, y] in Fractions: x and y cleared to ints, bracketed over the int
+    table by ``LieAlgebra._int_bracket`` and divided once per output entry."""
+    (xr,), xs = _int_rows((x,))
+    (yr,), ys = _int_rows((y,))
+    den = xs * ys * alg.int_table[1]
+    return {k: Q(v, den) for k, v in alg._int_bracket(xr, yr).items() if v}
+
+
+def _axpy(dst: dict, coeff, src: dict) -> None:
+    """dst += coeff * src, dropping zeros."""
+    for c, v in src.items():
+        _add_term(dst, c, coeff * v)
+
+
+def combination(mats, coeffs: dict, dim: int) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for square Fraction matrices of size ``dim``."""
+    data = [dict() for _ in range(dim)]
+    for i, c in coeffs.items():
+        for acc, row in zip(data, mats[i].data):
+            _axpy(acc, c, row)
+    return Matrix(dim, dim, data)
+
+
+def tensor_map(f: Matrix, g: Matrix) -> Matrix:
+    """Kronecker product: (f (x) g)(u (x) v) = f(u) (x) g(v) in lex tensor bases."""
+    data = [dict() for _ in range(f.rows * g.rows)]
+    for i, fr in enumerate(f.data):
+        for k, gr in enumerate(g.data):
+            target = data[i * g.rows + k]
+            for j, fv in fr.items():
+                for l, gv in gr.items():
+                    target[j * g.cols + l] = fv * gv
+    return Matrix(f.rows * g.rows, f.cols * g.cols, data)
+
+
 def ce_matrix(h: LieAlgebra, module, p: int) -> Matrix:
     """``ce_differential``'s int rows over their scale, as a Fraction Matrix."""
     rows, scale = ce_differential(h, module, p)
@@ -84,6 +132,7 @@ def reference_ce_differential(h: LieAlgebra, module, p: int) -> Matrix:
     src_index = {t: i for i, t in enumerate(src)}
     dm = module.dim
     d = Matrix.zeros(len(dst) * dm, len(src) * dm)
+    table = fraction_table(h)
 
     def add_block(trow, scol, block, sign):
         for i, row in enumerate(block.data):
@@ -97,7 +146,7 @@ def reference_ce_differential(h: LieAlgebra, module, p: int) -> Matrix:
             add_block(tidx, src_index[rest], module.action[tup[i]], Q((-1) ** i))
         for i, j in itertools.combinations(range(p + 1), 2):
             rest = tuple(x for k, x in enumerate(tup) if k not in (i, j))
-            for c, coeff in h.table[tup[i]][tup[j]].items():
+            for c, coeff in table[tup[i]][tup[j]].items():
                 sorted_sign = sort_with_sign((c,) + rest)
                 if sorted_sign is None:
                     continue
@@ -232,7 +281,7 @@ class ReferencePair:
         cols = n_cols + h_cols
         self.table = [[{} for _ in cols] for _ in cols]
         for a, b in itertools.combinations(range(len(cols)), 2):
-            self.table[a][b] = self.letter_coords(g.bracket(cols[a], cols[b]))
+            self.table[a][b] = self.letter_coords(bracket(g, cols[a], cols[b]))
             self.table[b][a] = {i: -v for i, v in self.table[a][b].items()}
 
     def letter_coords(self, x: dict) -> dict:
@@ -250,7 +299,7 @@ class ReferencePair:
         coords = Coordinates(h_cols, self.g.dim)
         for a in range(dh):
             for b in range(dh):
-                sol = coords(self.g.bracket(h_cols[a], h_cols[b]))
+                sol = coords(bracket(self.g, h_cols[a], h_cols[b]))
                 if sol is None:
                     raise NotSubalgebraError(a, b)
                 table[a][b] = sol
@@ -351,9 +400,10 @@ def reference_compatibility_defects(mod) -> list:
     where action([x_i, x_j]) != [action(x_i), action(x_j)]."""
     bad = []
     alg = mod.algebra
+    table = fraction_table(alg)
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = combination(mod.action, alg.table[i][j], mod.dim)
+            lhs = combination(mod.action, table[i][j], mod.dim)
             ij = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[i], mod.action[j]))
             ji = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[j], mod.action[i]))
             if lhs != ij - ji:

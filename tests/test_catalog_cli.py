@@ -17,7 +17,7 @@ from pbwgate.problem import ProblemError, ProblemFile, _rational, parse_problem,
 from pbwgate.report import run_command
 from pbwgate.cli import main
 
-from conftest import SL2_DEGENERATE, sl2_degenerate_document
+from conftest import SL2_DEGENERATE, fraction_table, sl2_degenerate_document
 from test_random_pairs import _conjugate, _random_invertible
 
 EXPECTED_ENTRIES = {
@@ -269,6 +269,22 @@ def test_repeated_labels_are_an_input_error(tmp_path):
     path = tmp_path / "repeated-labels.json"
     path.write_text(json.dumps(doc))
     assert main(["all", "--input", str(path)]) == 2
+
+
+def test_an_n_label_naming_an_h_generator_is_an_input_error(tmp_path, capsys):
+    # sl2 with labels i(h), h, f and h = span{h}: the extend witness keys rho
+    # by the n-labels and then i(<h label>), so i(h) would name two letters
+    # and the witness would keep 2 of its 3 entries
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["g"]["labels"] = ["i(h)", "h", "f"]
+    doc["h"] = {"indices": [1]}
+    with pytest.raises(ProblemError) as err:
+        parse_problem(json.dumps(doc)).pair()
+    assert err.value.location == "g.labels"
+    path = tmp_path / "h-letter-label.json"
+    path.write_text(json.dumps(doc))
+    assert main(["extend", "--input", str(path)]) == 2
+    assert "input error: g.labels:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["trivial", "n", "adjoint"])
@@ -1116,11 +1132,12 @@ def _conjugated_problem(name: str, seed: int):
     above 1."""
     pf = catalog_get(name)
     conj, emb = _conjugate(pf, _random_invertible(random.Random(seed), pf.dim))
+    table = fraction_table(conj)
     brackets = [
-        (i, j, tuple(sorted(conj.table[i][j].items())))
+        (i, j, tuple(sorted(table[i][j].items())))
         for i in range(pf.dim)
         for j in range(i + 1, pf.dim)
-        if conj.table[i][j]
+        if table[i][j]
     ]
     cols = tuple(tuple(emb.entry(r, c) for r in range(emb.rows)) for c in range(emb.cols))
     return ProblemFile(f"{name}~{seed}", pf.dim, pf.labels, brackets, None, cols, None, pf.modules, pf.settings)
@@ -1150,6 +1167,18 @@ def test_committed_solution_copies_are_the_seeded_copies(name):
     # the inputs of CONJUGATED_SOLUTION_DIGESTS besides the file above
     path = Path(__file__).parent / "data" / f"{name}-conjugated-0.json"
     assert path.read_text(encoding="utf-8") == serialize_problem(_conjugated_problem(name, 0)) + "\n"
+
+
+def test_committed_negative_control_copy_is_the_seeded_copy(tmp_path):
+    # validate over a table scale above 1 (10 here): the Jacobi defects are
+    # over the scale squared, and the witness keeps each defect's keys in the
+    # order the terms first reach them; CI runs `all` on it under python -O
+    path = Path(__file__).parent / "data" / "jacobi-broken-negative-control-conjugated-3.json"
+    problem = _conjugated_problem("jacobi-broken-negative-control", 3)
+    assert path.read_text(encoding="utf-8") == serialize_problem(problem) + "\n"
+    assert problem.algebra().int_table[1] > 1
+    digest = _millis_free_digest(["all", "--input", str(path)], tmp_path)
+    assert digest == "a7c3106cd4a7fa4deffa7968cb7f14d9a0d80bd04ec54718f3e5efd414befb40"
 
 
 @pytest.mark.parametrize(

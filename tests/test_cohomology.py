@@ -31,12 +31,13 @@ from pbwgate.lie import (
     tensor_module,
     trivial_module,
 )
-from pbwgate.linalg import Matrix, _int_rows, combination, kernel_basis, solve
+from pbwgate.linalg import Matrix, _int_rows, kernel_basis, solve
 from pbwgate.problem import ProblemFile
 
 from conftest import (
     alpha_difference,
     ce_matrix,
+    combination,
     matmul,
     reference_alpha_values,
     reference_ce_differential,
@@ -443,7 +444,7 @@ def test_ce_differential_matches_the_fraction_reference_over_scales():
     pair = _conjugated_sl2()
     n = quotient_module(pair)
     nn = tensor_module(n, n)
-    tscale = pair.h.int_table()[1]
+    tscale = pair.h.int_table[1]
     assert tscale > 1
     for mod in (n, nn, hom_module(nn, n)):
         assert mod.scale > 1

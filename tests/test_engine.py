@@ -37,7 +37,7 @@ from pbwgate.lie import (
     quotient_module,
     trivial_module,
 )
-from pbwgate.linalg import Matrix, rref, tensor_map
+from pbwgate.linalg import Matrix, rref
 from pbwgate.problem import parse_problem
 
 from conftest import (
@@ -53,6 +53,7 @@ from conftest import (
     straighten_g,
     straightening,
     symmetrization,
+    tensor_map,
 )
 from test_random_pairs import _conjugate, _random_invertible
 
@@ -416,8 +417,6 @@ def test_gr_independent_of_complement():
     k = 2
     f1 = build_filtration(p1, "F", k)
     f2 = build_filtration(p2, "F", k)
-    from pbwgate.linalg import tensor_map
-
     big = tensor_map(theta, theta)
     gr1, gr2 = (f._slice(f.dim(k - 1), f.dim(k)) for f in (f1, f2))
     for a in range(p1.dim_h):

@@ -23,20 +23,24 @@ from pbwgate.lie import (
 )
 from pbwgate import lie
 from pbwgate.engine import _quotient_power
-from pbwgate.lie import _int_table, _letter_ints
+from pbwgate.lie import _letter_ints
 from pbwgate.linalg import Echelon, Matrix, _add_term, _int_rows, solve
 from pbwgate.problem import parse_problem
 
 from conftest import (
     ReferencePair,
+    bracket,
     complement_change,
     diagonal_embedding,
+    fraction_table,
     heisenberg,
+    int_table,
     invert,
     matmul,
     reference_compatibility_defects,
     reference_is_equivariant,
     sl2,
+    tensor_map,
 )
 from test_random_pairs import _conjugate, _random_invertible
 
@@ -55,7 +59,7 @@ def test_validate_heisenberg():
 
 def test_validate_flipped_antisymmetry():
     alg = sl2()
-    table = [[dict(alg.table[i][j]) for j in range(3)] for i in range(3)]
+    table = fraction_table(alg)
     table[2][0] = {1: Q(1)}  # should be -[e,f] = -h
     bad = LieAlgebra(3, alg.labels, table)
     rep = validate_lie(bad)
@@ -68,7 +72,7 @@ def test_validate_flipped_antisymmetry():
 def test_validate_nonzero_self_bracket():
     # [h, h] = e is reported once, with the table entry itself as the defect
     alg = sl2()
-    table = [[dict(alg.table[i][j]) for j in range(3)] for i in range(3)]
+    table = fraction_table(alg)
     table[1][1] = {0: Q(1)}
     issues = [i for i in validate_lie(LieAlgebra(3, alg.labels, table)).issues if i.kind == "antisymmetry"]
     assert [(i.indices, i.defect) for i in issues] == [((1, 1), {0: Q(1)})]
@@ -108,8 +112,9 @@ def test_make_pair_not_injective():
 def test_induced_subalgebra_structure(sl2_borel):
     h = sl2_borel.h
     # h basis (e, h): [h, e] = 2e, i.e. table[1][0] = {0: 2}
-    assert h.table[1][0] == {0: Q(2)}
-    assert h.table[0][1] == {0: Q(-2)}
+    table = fraction_table(h)
+    assert table[1][0] == {0: Q(2)}
+    assert table[0][1] == {0: Q(-2)}
     assert validate_lie(h).ok
 
 
@@ -177,6 +182,27 @@ def test_tensor_associativity_reindexing(diag_heis):
     # same flat index order (i, j, k) -> (i*dimM + j)*dimN + k in both
     for a in range(diag_heis.dim_h):
         assert left.action[a] == right.action[a]
+
+
+def test_module_constructors_match_the_fraction_reference():
+    # the int Kronecker sums over the common scale equal tensor_map sums of
+    # the Fraction actions, on modules over different scales above 1; ad reads
+    # column j of ad(x_i) off [x_i, x_j]
+    from test_cohomology import _conjugated_sl2
+
+    pair = _conjugated_sl2()
+    n, ad = quotient_module(pair), adjoint_module(pair.h)
+    nn = tensor_module(n, n)
+    assert n.scale > ad.scale > 1
+    table = fraction_table(pair.h)
+    for a in range(pair.dim_h):
+        assert ad.action[a].transpose().data == table[a]
+    for m, k in ((n, ad), (nn, n), (ad, nn)):
+        im, ik = Matrix.identity(m.dim), Matrix.identity(k.dim)
+        for a in range(pair.dim_h):
+            ma, ka = m.action[a], k.action[a]
+            assert tensor_module(m, k).action[a] == tensor_map(ma, ik) + tensor_map(im, ka)
+            assert hom_module(m, k).action[a] == tensor_map(ka, im) - tensor_map(ik, ma.transpose())
 
 
 def test_hom_from_trivial(sl2_borel):
@@ -266,8 +292,8 @@ def _construction_cases() -> list:
 def _assert_pair_is_the_reference(pair, ref):
     """The pair's letter table (its int form), h's table and labels, and n
     all equal the reference route's."""
-    assert _letter_ints(pair) == _int_table(ref.table)
-    assert pair.h.table == ref.h.table
+    assert _letter_ints(pair) == int_table(ref.table)
+    assert pair.h.int_table == ref.h.int_table
     assert pair.h.labels == ref.h.labels
     assert quotient_module(pair).key() == ref.quotient_module().key()
 
@@ -365,9 +391,10 @@ def test_tensor_hom_algebra_mismatch(sl2_borel, semidirect_pair):
 def _bracket_reference(alg, x, y):
     """The former ``LieAlgebra.bracket``: one Fraction multiply-add per term."""
     out = {}
+    table = fraction_table(alg)
     for i, xi in x.items():
         for j, yj in y.items():
-            for k, c in alg.table[i][j].items():
+            for k, c in table[i][j].items():
                 _add_term(out, k, xi * yj * c)
     return out
 
@@ -387,7 +414,7 @@ def test_bracket_matches_reference():
     conj = LieAlgebra(dim, alg.labels, [[p_inv.apply(_bracket_reference(alg, x, y)) for y in p_cols] for x in p_cols])
     emb = [p_inv.apply(col) for col in base.pair().h_embedding.transpose().data]
     pair = make_pair(conj, Matrix(len(emb), dim, emb).transpose())
-    assert any(v.denominator > 1 for row in conj.table for vec in row for v in vec.values())
+    assert conj.int_table[1] > 1
     pair_basis = pair.h_embedding.transpose().data + pair.sigma.transpose().data
     unit = [{i: Q(1)} for i in range(dim)]
     seeded = [
@@ -398,10 +425,13 @@ def test_bracket_matches_reference():
     for vecs in (pair_basis, unit, seeded):
         for x in vecs:
             for y in vecs:
+                (xr,), xs = _int_rows((x,))
+                (yr,), ys = _int_rows((y,))
                 for g in (conj, alg):
-                    got = g.bracket(x, y)
-                    assert got == _bracket_reference(g, x, y)
-                    assert all(type(v) is Q and v for v in got.values())
+                    got = g._int_bracket(xr, yr)
+                    assert all(type(v) is int for v in got.values())
+                    den = xs * ys * g.int_table[1]
+                    assert {k: Q(v, den) for k, v in got.items() if v} == _bracket_reference(g, x, y)
 
 
 def test_module_law_checks_match_the_fraction_reference():
@@ -431,7 +461,7 @@ def test_module_law_checks_match_the_fraction_reference():
         p = invertible(data)
         p_inv, p_cols = invert(p), p.transpose().data
         alg = sl2()
-        g = LieAlgebra(3, alg.labels, [[p_inv.apply(alg.bracket(x, y)) for y in p_cols] for x in p_cols])
+        g = LieAlgebra(3, alg.labels, [[p_inv.apply(bracket(alg, x, y)) for y in p_cols] for x in p_cols])
         ad = adjoint_module(g)
         broken = data.draw(st.booleans())
         action = perturbed(data, ad.action, data.draw(st.integers(0, 2))) if broken else ad.action

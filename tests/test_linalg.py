@@ -4,22 +4,20 @@ from fractions import Fraction as Q
 
 import pytest
 
+from pbwgate.lie import LieAlgebra, LieModule
 from pbwgate.linalg import (
     Coordinates,
     Echelon,
     Matrix,
-    _axpy,
     _int_mul,
     _int_rows,
     _products_cancel,
-    combination,
     kernel_basis,
     rref,
     solve,
-    tensor_map,
 )
 
-from conftest import ReferenceEchelon, hstack, subspace_intersection, system
+from conftest import ReferenceEchelon, _axpy, hstack, subspace_intersection, system, tensor_map
 
 
 def test_rref_identity():
@@ -767,7 +765,7 @@ def test_reduce_contains_pivots_property():
 
 
 def _combination_reference(mats, coeffs, dim):
-    """The former ``LieModule.act_vec`` loop: one scaled copy and one matrix
+    """sum_i coeffs[i] * mats[i] in Fractions: one scaled copy and one matrix
     sum per term."""
     out = Matrix.zeros(dim, dim)
     for i, c in coeffs.items():
@@ -777,6 +775,8 @@ def _combination_reference(mats, coeffs, dim):
 
 @pytest.mark.parametrize("kind", ["integral", "fraction", "mixed", "cancelling", "empty"])
 def test_combination_matches_termwise_sum(kind):
+    # LieModule.act_vec of the cleared coefficients, over their scale times the
+    # module's, is the termwise sum of the Fraction action matrices
     rng = random.Random(f"combination-{kind}")
     for _ in range(20):
         dim = 0 if kind == "empty" else rng.randint(1, 5)
@@ -787,10 +787,13 @@ def test_combination_matches_termwise_sum(kind):
             mats[1] = mats[0]
             coeffs.update({0: Q(2, 3), 1: Q(-2, 3)})
             coeffs.pop(2, None), coeffs.pop(3, None)
-        got = combination(mats, coeffs, dim)
+        mod = LieModule(LieAlgebra(4), dim, mats)
+        (x,), xs = _int_rows((coeffs,))
+        got = mod.act_vec(x)
         want = _combination_reference(mats, coeffs, dim)
-        assert (got.rows, got.cols) == (dim, dim)
-        assert got.data == want.data  # the same entries and the same zeros dropped
-        assert all(type(v) is Q and v for r in got.data for v in r.values())
+        assert len(got) == dim
+        assert all(type(v) is int and v for r in got for v in r.values())
+        # the same entries and the same zeros dropped
+        assert [{c: Q(v, xs * mod.scale) for c, v in r.items()} for r in got] == want.data
         if kind == "cancelling":
-            assert not any(got.data)
+            assert not any(got)

@@ -20,7 +20,7 @@ from pbwgate.lie import LieAlgebra, make_pair, quotient_module, validate_lie
 from pbwgate.linalg import Matrix
 from pbwgate.report import _check_koszul
 
-from conftest import ce_matrix, invert, matmul
+from conftest import bracket, ce_matrix, invert, matmul
 
 
 def _random_invertible(rng, n):
@@ -36,7 +36,7 @@ def _conjugate(pf, p_mat):
     p_inv = invert(p_mat)
     dg = alg.dim
     p_cols = p_mat.transpose().data
-    table = [[p_inv.apply(alg.bracket(xi, xj)) for xj in p_cols] for xi in p_cols]
+    table = [[p_inv.apply(bracket(alg, xi, xj)) for xj in p_cols] for xi in p_cols]
     conj = LieAlgebra(dg, alg.labels, table)
     return conj, matmul(p_inv, pf.pair().h_embedding)
 
