@@ -27,6 +27,7 @@ import itertools
 from collections.abc import Sequence
 
 from .cohomology import ExtensionDatum, extension, is_trivial, pushout_data
+from .koszul import quadratic_data
 from .lie import (
     InclusionPair,
     LieModule,
@@ -699,6 +700,86 @@ def _right_factors(dg: int, dn: int, length: int) -> list:
     return [w for w in range(dg ** length) if not length or w % dg < dn]
 
 
+def _n_commutators(dn: int) -> list:
+    """The straightened side's cores that the free side lacks: the letter
+    pairs (x, y), x > y, of two n-letters."""
+    return [(x, y) for x in range(dn) for y in range(x)]
+
+
+def _rank_codims(pair: InclusionPair, K: int) -> dict:
+    """The rank codimensions of both sides up to K, by side, from one staged
+    elimination (see ``dimension_identity_check``)."""
+    dg = pair.g.dim
+    dn = pair.dim_n
+    # sizes[k]: the words of degree <= k that are empty or end in an n-letter
+    sizes = [1]
+    for k in range(1, K + 1):
+        sizes.append(sizes[-1] + dg ** (k - 1) * dn)
+    last = sizes[-1] - 1
+    # column[k][w] for each word w = w' x of degree k, by its base-dg code:
+    # its column when x is an n-letter, else None; the columns run from the
+    # top degree down, so that a placement pivots on its top-degree word
+    column = [[last]]
+    for k in range(1, K + 1):
+        column.append([
+            last - sizes[k - 1] - w * dn - x if x < dn else None for w in range(dg ** (k - 1)) for x in range(dg)
+        ])
+
+    # each core e_{xy} - e_{yx} - [x, y] times D, as [x, y] = ints[x][y] / D,
+    # its terms (word code, degree, coefficient)
+    ints, D = _letter_ints(pair)
+
+    def cores(pairs):
+        return [
+            [(x * dg + y, 2, D), (y * dg + x, 2, -D)] + [(u, 1, -c) for u, c in ints[x][y].items()] for x, y in pairs
+        ]
+
+    def stage(rels, k):
+        """The placements w1 r w2 of the cores rels of top degree k, shortest first."""
+        out = []
+        for core in rels:
+            for k1 in range(k - 1):
+                k2 = k - 2 - k1
+                w2s = _right_factors(dg, dn, k2)
+                for w1 in range(dg ** k1):
+                    heads = [(column[k1 + m + k2], (w1 * dg ** m + mid) * dg ** k2, c) for mid, m, c in core]
+                    for w2 in w2s:
+                        vec: dict = {}
+                        for table, head, c in heads:
+                            col = table[head + w2]
+                            if col is not None:
+                                _add_term(vec, col, c)
+                        if vec:
+                            out.append(vec)
+        out.sort(key=len)
+        return out
+
+    # inserting by top degree makes the echelon rank after stage k exactly
+    # the rank of the degree <= k relation span; within a stage the shortest
+    # go first, so fewer pivots are cleared later
+    free, commutators = cores(quadratic_data(pair)), cores(_n_commutators(dn))
+    span = Echelon(sizes[-1])
+    extra = []  # the commutator placements of degree <= k
+    codims: dict = {"F": [], "R": []}
+    for k in range(K + 1):
+        for vec in stage(free, k):
+            span.insert(vec)
+        codims["F"].append(sizes[k] - span.rank)
+        extra += stage(commutators, k)
+        codims["R"].append(sizes[k] - _rank_with(span, extra))
+    return codims
+
+
+def _rank_with(span: Echelon, rows: list) -> int:
+    """The rank of the span grown by the rows, on a copy freed on return."""
+    if not rows:
+        return span.rank
+    grown = span.copy()
+    for vec in rows:
+        grown.insert(vec)
+    return grown.rank
+
+
 def dimension_identity_check(pair: InclusionPair, side: str, K: int) -> DimReport:
     """Validate dim F^k (resp. R^k) against an independent rank computation.
 
@@ -720,67 +801,24 @@ def dimension_identity_check(pair: InclusionPair, side: str, K: int) -> DimRepor
     Each word w a is a relation on a column of its own, so the rank of all
     the relations is their number plus the rank of the core placements over
     the other columns: the words that are empty or end in an n-letter.
+
+    The free side's cores are those of the qR pairs (``quadratic_data``):
+    (a, x) with a an h-letter and x an n-letter or a later h-letter; the
+    pairs left out give a zero core (x = a) or the negative of a kept one.
+    The straightened side's cores span that space plus the commutators of
+    two n-letters (``_n_commutators``).  So one staged elimination serves
+    both sides: after stage k it holds the free side's degree <= k span, and
+    a copy of it grown by the commutator placements of degree <= k holds the
+    straightened side's.  Both codimension lists are cached on the pair by
+    the cap, so the second side's call reads them; the columns depend on the
+    cap, so each cap is eliminated afresh.
     """
-    dg = pair.g.dim
-    dn = pair.dim_n
-    # sizes[k]: the words of degree <= k that are empty or end in an n-letter
-    sizes = [1]
-    for k in range(1, K + 1):
-        sizes.append(sizes[-1] + dg ** (k - 1) * dn)
-    last = sizes[-1] - 1
-    # column[k][w] for each word w = w' x of degree k, by its base-dg code:
-    # its column when x is an n-letter, else None; the columns run from the
-    # top degree down, so that a placement pivots on its top-degree word
-    column = [[last]]
-    for k in range(1, K + 1):
-        column.append([
-            last - sizes[k - 1] - w * dn - x if x < dn else None for w in range(dg ** (k - 1)) for x in range(dg)
-        ])
-
-    def rel_pairs():
-        if side == "F":
-            for a in range(dn, dg):
-                for x in range(dg):
-                    yield (a, x)
-        else:
-            for x in range(dg):
-                for y in range(x):
-                    yield (x, y)
-
-    # each core e_{xy} - e_{yx} - [x, y] times D, as [x, y] = ints[x][y] / D,
-    # its terms (word code, degree, coefficient)
-    ints, D = _letter_ints(pair)
-    cores = []
-    for (x, y) in rel_pairs():
-        cores.append([(x * dg + y, 2, D), (y * dg + x, 2, -D)] + [(u, 1, -c) for u, c in ints[x][y].items()])
-
-    # insert the placements by their top degree so the echelon rank after
-    # stage k is exactly the rank of the degree <= k relation span; within a
-    # stage the shortest go first, so fewer pivots are cleared later
-    span = Echelon(sizes[-1])
-    rank_codims = []
-    for k in range(K + 1):
-        stage = []
-        for core in cores:
-            for k1 in range(k - 1):
-                k2 = k - 2 - k1
-                w2s = _right_factors(dg, dn, k2)
-                for w1 in range(dg ** k1):
-                    heads = [(column[k1 + m + k2], (w1 * dg ** m + mid) * dg ** k2, c) for mid, m, c in core]
-                    for w2 in w2s:
-                        vec: dict = {}
-                        for table, head, c in heads:
-                            col = table[head + w2]
-                            if col is not None:
-                                _add_term(vec, col, c)
-                        if vec:
-                            stage.append(vec)
-        for vec in sorted(stage, key=len):
-            span.insert(vec)
-        rank_codims.append(sizes[k] - span.rank)
+    cache = pair._caches.setdefault("rank_codims", {})
+    if K not in cache:
+        cache[K] = _rank_codims(pair, K)
     filt = build_filtration(pair, side, K)
     counts = [filt.dim(k) for k in range(K + 1)]
-    return DimReport(_expected_dims(dn, side, K, 1), counts, rank_codims)
+    return DimReport(_expected_dims(pair.dim_n, side, K, 1), counts, cache[K][side])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ forms, solution vectors and complements are reproducible across runs.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -125,25 +124,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, _columns(self.data, self.cols))
-
-    def _entrywise(self, other: "Matrix", op) -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        data = [dict(r) for r in self.data]
-        for acc, r in zip(data, other.data):
-            for c, v in r.items():
-                w = op(acc.get(c, 0), v)
-                if w:
-                    acc[c] = w
-                else:
-                    acc.pop(c, None)
-        return Matrix(self.rows, self.cols, data)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, operator.sub)
 
     def apply(self, vec: Row) -> Row:
         """Matrix times a sparse column vector, as a sparse dict."""
@@ -264,7 +244,8 @@ class Echelon:
     the non-pivot columns only.  ``back_reduce`` divides each row by its lead,
     giving the rational RREF of the reference routines ``rref`` and
     ``kernel_basis``; it closes the echelon, and a later ``insert`` or
-    ``reduce`` raises ValueError.
+    ``reduce`` raises ValueError.  ``copy`` gives an echelon with the same
+    rows that ``insert`` grows apart from this one.
     """
 
     __slots__ = ("ncols", "pivots", "_holders", "_reduced")
@@ -365,6 +346,15 @@ class Echelon:
             pivots[d] = p
         pivots[c] = row
         return c
+
+    def copy(self) -> Echelon:
+        """An echelon holding its own copies of the rows and the column
+        index, so that ``insert`` grows it apart from this one."""
+        out = Echelon.__new__(Echelon)
+        out.ncols, out._reduced = self.ncols, self._reduced
+        out.pivots = {c: dict(row) for c, row in self.pivots.items()}
+        out._holders = defaultdict(list, {k: v[:] for k, v in self._holders.items()})
+        return out
 
     def free_columns(self) -> list:
         return [c for c in range(self.ncols) if c not in self.pivots]

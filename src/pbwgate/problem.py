@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .lie import LieAlgebra, LieModule, adjoint_module, make_pair, quotient_module, trivial_module
-from .linalg import Matrix, qf
+from .linalg import Matrix, _add_term, qf
 from .record import Record
 
 
@@ -199,9 +199,7 @@ def parse_problem(text: str) -> ProblemFile:
             k, c = term
             if not 0 <= k < dim:
                 raise ProblemError(where, f"target index {k} out of range")
-            c = _rational(c, where)
-            if c:
-                vec[k] = vec.get(k, Fraction(0)) + c
+            _add_term(vec, k, _rational(c, where))  # a term summing to zero is dropped
         if (i, j) in table or (j, i) in table:
             prev = table.get((i, j))
             if prev is None:

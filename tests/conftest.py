@@ -116,6 +116,26 @@ def tensor_map(f: Matrix, g: Matrix) -> Matrix:
     return Matrix(f.rows * g.rows, f.cols * g.cols, data)
 
 
+def _plus(a: Matrix, coeff, b: Matrix) -> Matrix:
+    """a + coeff * b, zeros dropped."""
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+    data = [dict(r) for r in a.data]
+    for acc, r in zip(data, b.data):
+        _axpy(acc, coeff, r)
+    return Matrix(a.rows, a.cols, data)
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    """The reference matrix sum a + b."""
+    return _plus(a, 1, b)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """The reference matrix difference a - b."""
+    return _plus(a, -1, b)
+
+
 def ce_matrix(h: LieAlgebra, module, p: int) -> Matrix:
     """``ce_differential``'s int rows over their scale, as a Fraction Matrix."""
     rows, scale = ce_differential(h, module, p)
@@ -341,7 +361,7 @@ def alpha_difference(p1, p2) -> Cochain:
         for i, row in enumerate(phi1.data):
             for j, v in row.items():
                 transported.data[i * dn * dn + j][z] = v
-    return Cochain(1, a1.module, a1.values - transported)
+    return Cochain(1, a1.module, mat_sub(a1.values, transported))
 
 
 def wedge_restriction_is_exact(pair, cocycle=None) -> bool:
@@ -406,7 +426,7 @@ def reference_compatibility_defects(mod) -> list:
             lhs = combination(mod.action, table[i][j], mod.dim)
             ij = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[i], mod.action[j]))
             ji = Matrix(mod.dim, mod.dim, _fraction_product(mod.action[j], mod.action[i]))
-            if lhs != ij - ji:
+            if lhs != mat_sub(ij, ji):
                 bad.append((i, j))
     return bad
 

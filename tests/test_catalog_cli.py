@@ -238,6 +238,28 @@ def test_custom_module_roundtrip(tmp_path):
     assert parse_problem(serialize_problem(parsed)) == parsed
 
 
+def test_a_repeated_bracket_term_summing_to_zero_is_dropped():
+    # [e, f] = h written as h + e - e: the e terms sum to zero, so the parsed
+    # bracket holds no e entry, and serializing writes no "0" term
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["g"]["brackets"][1] = [0, 2, [[1, "1"], [0, "1"], [0, "-1"]]]
+    parsed = parse_problem(json.dumps(doc))
+    assert parsed.brackets == catalog_get("sl2-borel").brackets
+    assert parse_problem(serialize_problem(parsed)) == parsed
+
+
+def test_a_bracket_given_twice_with_a_zero_sum_term_is_consistent(tmp_path):
+    # [e, h] = f - f - 2e next to [h, e] = 2e: the f terms sum to zero, so the
+    # two entries agree and no antisymmetry violation is reported
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["g"]["brackets"][0] = [0, 1, [[2, "1"], [2, "-1"], [0, "-2"]]]
+    doc["g"]["brackets"].append([1, 0, [[0, "2"]]])
+    assert parse_problem(json.dumps(doc)).brackets == catalog_get("sl2-borel").brackets
+    path = tmp_path / "zero-sum-term.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 0
+
+
 def test_module_must_be_compatible():
     pf = catalog_get("sl2-borel")
     doc = pf.to_dict()
@@ -752,6 +774,47 @@ def test_dimensions_record_fails_when_the_skip_drops_the_wrong_right_factors(mon
         for side in "FR":
             ranks, expected = rec.witness[side]["rank_codimensions"], rec.witness[side]["expected"]
             assert ranks[:3] == expected[:3] and ranks[3] > expected[3], (name, side)
+
+
+def _dimension_record(tmp_path, name):
+    out = tmp_path / "report.json"
+    code = main(["oracle", "--example", name, "--max-degree", "3", "--json", str(out)])
+    oracle, dims, f2 = json.loads(out.read_text())["records"]
+    assert oracle["ok"] and f2["ok"]
+    return code, dims
+
+
+def test_dimensions_record_fails_on_a_dropped_n_letter_commutator(monkeypatch, tmp_path):
+    # the straightened side's span is the free side's plus the commutators of
+    # two n-letters: dropping one leaves R's degree >= 2 spans short, while
+    # the free side's elimination, which R's copies start from, is untouched
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod._n_commutators
+    monkeypatch.setattr(engine_mod, "_n_commutators", lambda dn: real(dn)[1:])
+    code, dims = _dimension_record(tmp_path, "diagonal-heisenberg")
+    assert code == 1
+    assert (dims["check"], dims["ok"], dims["verdict"]) == ("dimensions", False, "dimension identity MISMATCH")
+    assert dims["witness"]["F"]["rank_codimensions"] == dims["witness"]["F"]["expected"] == [1, 4, 13, 40]
+    assert dims["witness"]["R"]["expected"] == [1, 4, 10, 20]
+    assert dims["witness"]["R"]["rank_codimensions"] == [1, 4, 11, 26]
+
+
+def test_dimensions_record_fails_on_a_dropped_qr_pair(monkeypatch, tmp_path):
+    # the free side's cores are the qR pairs, and the straightened side's
+    # copies start from the free side's echelon: dropping one pair leaves
+    # both sides' degree >= 2 spans short
+    from pbwgate import engine as engine_mod
+
+    real = engine_mod.quadratic_data
+    monkeypatch.setattr(engine_mod, "quadratic_data", lambda pair: real(pair)[1:])
+    code, dims = _dimension_record(tmp_path, "diagonal-heisenberg")
+    assert code == 1
+    assert (dims["ok"], dims["verdict"]) == (False, "dimension identity MISMATCH")
+    assert dims["witness"]["F"]["expected"] == [1, 4, 13, 40]
+    assert dims["witness"]["F"]["rank_codimensions"] == [1, 4, 14, 48]
+    assert dims["witness"]["R"]["expected"] == [1, 4, 10, 20]
+    assert dims["witness"]["R"]["rank_codimensions"] == [1, 4, 11, 26]
 
 
 # --- injected defects in the merged cochain, extension and pushout checks ----

@@ -38,6 +38,8 @@ from conftest import (
     alpha_difference,
     ce_matrix,
     combination,
+    mat_add,
+    mat_sub,
     matmul,
     reference_alpha_values,
     reference_ce_differential,
@@ -368,7 +370,7 @@ def _find_equivariant_iso(m, n):
             return t
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            t = candidates[i] + candidates[j]
+            t = mat_add(candidates[i], candidates[j])
             if t.rank() == d:
                 return t
     return None
@@ -478,11 +480,11 @@ def test_extension_verify_fails_on_a_changed_datum(name):
     rho, dn, de = list(datum.rho), pair.dim_n, n.dim
     one = Matrix(de, de, [{0: Q(1)}] + [{} for _ in range(de - 1)])
     # one entry of rho(sigma_0) changed: a bracket law fails
-    assert not ExtensionDatum(pair, n, tuple([rho[0] + one] + rho[1:])).verify()
+    assert not ExtensionDatum(pair, n, tuple([mat_add(rho[0], one)] + rho[1:])).verify()
     # every matrix conjugated by the shear P = 1 + E_01: each bracket law still
     # holds, but the h-letters act by P act(a) P^-1, not by the module action
     e01 = Matrix(de, de, [{1: Q(1)}] + [{} for _ in range(de - 1)])
-    p, p_inv = Matrix.identity(de) + e01, Matrix.identity(de) - e01
+    p, p_inv = mat_add(Matrix.identity(de), e01), mat_sub(Matrix.identity(de), e01)
     moved = [matmul(matmul(p, m), p_inv) for m in rho]
     assert moved[dn:] != list(n.action)
     assert not ExtensionDatum(pair, n, tuple(moved)).verify()

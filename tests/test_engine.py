@@ -46,6 +46,8 @@ from conftest import (
     complement_change,
     diagonal_embedding,
     hstack,
+    mat_add,
+    mat_sub,
     matmul,
     reference_dimension_ranks,
     reference_pbw_splitting_I,
@@ -336,17 +338,17 @@ def test_gr_check_fails_on_a_wrong_graded_piece(defect, message, abelian_pair):
     seq = level_sequence(build_filtration(abelian_pair, "F", 2), 2)
     quot, sub = seq.quot, seq.sub
     if defect == "action":
-        wrong = LieModule(quot.algebra, quot.dim, [m + Matrix.identity(quot.dim) for m in quot.action])
+        wrong = LieModule(quot.algebra, quot.dim, [mat_add(m, Matrix.identity(quot.dim)) for m in quot.action])
         seq = ShortExactSequence(seq.sub, seq.mid, wrong)
     elif defect == "dimension":
         seq = ShortExactSequence(seq.sub, seq.mid, trivial_module(quot.algebra, quot.dim + 1))
     elif defect == "sub":
-        wrong = LieModule(sub.algebra, sub.dim, [m + Matrix.identity(sub.dim) for m in sub.action])
+        wrong = LieModule(sub.algebra, sub.dim, [mat_add(m, Matrix.identity(sub.dim)) for m in sub.action])
         seq = ShortExactSequence(wrong, seq.mid, seq.quot)
     else:
         corner = Matrix.zeros(seq.mid.dim, seq.mid.dim)
         corner.data[sub.dim][0] = Q(1)
-        mid = LieModule(sub.algebra, seq.mid.dim, [m + corner for m in seq.mid.action])
+        mid = LieModule(sub.algebra, seq.mid.dim, [mat_add(m, corner) for m in seq.mid.action])
         seq = ShortExactSequence(seq.sub, mid, seq.quot)
     with pytest.raises(ValueError, match=message):
         seq.validate()
@@ -461,6 +463,20 @@ def test_dimension_record_at_a_lower_cap_is_a_prefix_of_the_record_at_k4(name, s
         assert rep.rank_codims == top.rank_codims[: K + 1], K
         assert rep.expected == top.expected[: K + 1], K
         assert rep.ok, (K, rep)
+
+
+def test_dimension_record_runs_one_elimination_per_pair_and_cap(monkeypatch):
+    # one staged elimination serves both sides; the second side's call reads
+    # the cached codimensions, and another cap is eliminated afresh
+    from pbwgate import engine as engine_mod
+
+    calls = []
+    real = engine_mod._rank_codims
+    monkeypatch.setattr(engine_mod, "_rank_codims", lambda pair, K: calls.append(K) or real(pair, K))
+    pair = catalog_get("diagonal-heisenberg").pair()
+    reps = [dimension_identity_check(pair, side, K) for K in (4, 3) for side in "FR"]
+    assert calls == [4, 3]
+    assert [rep.ok for rep in reps] == [True] * 4
 
 
 @pytest.mark.parametrize("name,seed", [("diagonal-sl2", "committed"), ("semidirect-split", 5), ("diagonal-heisenberg", 11)])
@@ -785,11 +801,13 @@ def _reference_oracle(seq):
         return s0
     blocks, rhs = [], {}
     for a in range(seq.sub.algebra.dim):
-        residual = matmul(seq.mid.action[a], s0) - matmul(s0, seq.quot.action[a])
+        residual = mat_sub(matmul(seq.mid.action[a], s0), matmul(s0, seq.quot.action[a]))
         d = _from_columns([_rref_solve(include, col) for col in residual.transpose().data], nsub)
         blocks.append(
-            tensor_map(seq.sub.action[a], Matrix.identity(nquot))
-            - tensor_map(Matrix.identity(nsub), seq.quot.action[a].transpose())
+            mat_sub(
+                tensor_map(seq.sub.action[a], Matrix.identity(nquot)),
+                tensor_map(Matrix.identity(nsub), seq.quot.action[a].transpose()),
+            )
         )
         offset = a * nsub * nquot
         rhs.update((offset + i * nquot + j, -v) for i, row in enumerate(d.data) for j, v in row.items())
@@ -801,7 +819,7 @@ def _reference_oracle(seq):
     t_mat = Matrix.zeros(nsub, nquot)
     for c, v in t.items():
         t_mat.data[c // nquot][c % nquot] = v
-    return s0 + matmul(include, t_mat)
+    return mat_add(s0, matmul(include, t_mat))
 
 
 # every catalog pair but the negative control, which is not a Lie algebra and

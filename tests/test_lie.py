@@ -36,6 +36,8 @@ from conftest import (
     heisenberg,
     int_table,
     invert,
+    mat_add,
+    mat_sub,
     matmul,
     reference_compatibility_defects,
     reference_is_equivariant,
@@ -201,8 +203,8 @@ def test_module_constructors_match_the_fraction_reference():
         im, ik = Matrix.identity(m.dim), Matrix.identity(k.dim)
         for a in range(pair.dim_h):
             ma, ka = m.action[a], k.action[a]
-            assert tensor_module(m, k).action[a] == tensor_map(ma, ik) + tensor_map(im, ka)
-            assert hom_module(m, k).action[a] == tensor_map(ka, im) - tensor_map(ik, ma.transpose())
+            assert tensor_module(m, k).action[a] == mat_add(tensor_map(ma, ik), tensor_map(im, ka))
+            assert hom_module(m, k).action[a] == mat_sub(tensor_map(ka, im), tensor_map(ik, ma.transpose()))
 
 
 def test_hom_from_trivial(sl2_borel):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pbwgate.lie import LieAlgebra, LieModule
+from pbwgate.lie import LieAlgebra, LieModule, _kronecker_sum
 from pbwgate.linalg import (
     Coordinates,
     Echelon,
@@ -17,7 +17,7 @@ from pbwgate.linalg import (
     solve,
 )
 
-from conftest import ReferenceEchelon, _axpy, hstack, subspace_intersection, system, tensor_map
+from conftest import ReferenceEchelon, _axpy, hstack, mat_add, mat_sub, subspace_intersection, system
 
 
 def test_rref_identity():
@@ -119,31 +119,61 @@ def test_intersection_planes():
     assert v.get(0, 0) == 0 and v.get(2, 0) == 0 and v.get(1, 0) != 0
 
 
+# the four tensor-map cases on the package's Kronecker sum
+# fa A (x) 1 + fb 1 (x) B (``lie._kronecker_sum``, the action of
+# ``tensor_module`` and ``hom_module``) over int rows
+
+
+def _identity_rows(n):
+    return [{i: 1} for i in range(n)]
+
+
 def test_tensor_map_scalars():
-    f = Matrix.from_rows([[Q(2)]])
-    g = Matrix.from_rows([[Q(3)]])
-    assert tensor_map(f, g) == Matrix.from_rows([[Q(6)]])
+    assert _kronecker_sum(1, [{0: 2}], 1, [{0: 3}]) == [{0: 5}]
+    assert _kronecker_sum(3, [{0: 2}], -1, [{0: 3}]) == [{0: 3}]
+    # a sum that cancels drops its entry
+    assert _kronecker_sum(3, [{0: 1}], -1, [{0: 3}]) == [{}]
 
 
 def test_tensor_map_identity():
-    assert tensor_map(Matrix.identity(2), Matrix.identity(3)) == Matrix.identity(6)
+    assert _kronecker_sum(1, _identity_rows(2), 1, _identity_rows(3)) == [{i: 2} for i in range(6)]
+    assert _kronecker_sum(1, _identity_rows(2), -1, _identity_rows(3)) == [{} for _ in range(6)]
 
 
 def test_tensor_map_zero():
-    assert tensor_map(Matrix.zeros(2, 2), Matrix.identity(2)) == Matrix.zeros(4, 4)
+    zero = [{} for _ in range(2)]
+    assert _kronecker_sum(1, zero, 1, _identity_rows(2)) == _identity_rows(4)
+    assert _kronecker_sum(1, zero, 1, zero) == [{} for _ in range(4)]
 
 
 def test_tensor_map_on_basis_tensors():
+    # (2A (x) 1 - 3 (1 (x) B))(u (x) v) = 2 A u (x) v - 3 u (x) B v on each basis tensor
     f = Matrix.from_rows([[1, 2], [3, 4]])
-    g = Matrix.from_rows([[0, 1], [1, 0], [2, 2]])
-    t = tensor_map(f, g)
+    g = Matrix.from_rows([[0, 1, 0], [1, 0, -1], [2, 2, 1]])
+    rows = _kronecker_sum(2, _int_rows(f.data)[0], -3, _int_rows(g.data)[0])
+    t = Matrix(6, 6, rows)
     for j in range(2):
-        for l in range(2):
-            got = t.apply({j * 2 + l: Q(1)})
-            fu = f.transpose().data[j]
-            gv = g.transpose().data[l]
-            expect = {i * 3 + k: fu[i] * gv[k] for i in fu for k in gv}
-            assert got == expect
+        for l in range(3):
+            got = t.apply({j * 3 + l: Q(1)})
+            expect: dict = {}
+            for i, v in f.transpose().data[j].items():
+                expect[i * 3 + l] = 2 * v
+            for k, v in g.transpose().data[l].items():
+                expect[j * 3 + k] = expect.get(j * 3 + k, 0) - 3 * v
+            assert got == {c: v for c, v in expect.items() if v}
+
+
+def test_echelon_copy_grows_apart_from_its_source():
+    # a new pivot clears its column from the earlier rows in place, so the
+    # copy must hold its own rows and column index
+    ech = Echelon(3)
+    ech.insert({0: 1, 1: 1})
+    grown = ech.copy()
+    assert grown.insert({1: 1, 2: 1}) == 1
+    assert grown.pivots == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 1}}
+    assert ech.pivots == {0: {0: 1, 1: 1}} and ech.rank == 1
+    assert ech.insert({1: 1}) == 1
+    assert grown.insert({1: 1}) == 2 and grown.rank == 3
 
 
 def _random_matrix(rng, rows, cols, density=0.6):
@@ -239,7 +269,7 @@ def test_coordinates_reject_out_of_range_index():
 def _kernel_intersection(us, vs, dim):
     """Reference: U k_u for each k in the kernel of [U | -V]."""
     u_mat, v_mat = _columns(us, dim), _columns(vs, dim)
-    kernel = kernel_basis(hstack(u_mat, Matrix.zeros(v_mat.rows, v_mat.cols) - v_mat))
+    kernel = kernel_basis(hstack(u_mat, mat_sub(Matrix.zeros(v_mat.rows, v_mat.cols), v_mat)))
     return [u_mat.apply({j: x for j, x in enumerate(k[: len(us)]) if x}) for k in kernel]
 
 
@@ -769,7 +799,7 @@ def _combination_reference(mats, coeffs, dim):
     sum per term."""
     out = Matrix.zeros(dim, dim)
     for i, c in coeffs.items():
-        out = out + Matrix(dim, dim, [{j: c * v for j, v in r.items()} for r in mats[i].data])
+        out = mat_add(out, Matrix(dim, dim, [{j: c * v for j, v in r.items()} for r in mats[i].data]))
     return out
 
 
