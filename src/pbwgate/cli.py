@@ -10,7 +10,6 @@ Exit status: 0 all requested checks consistent, 1 inconsistency found,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -19,7 +18,11 @@ from .problem import ProblemError, parse_problem
 from .report import COMMANDS, run_command
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argument parser; ``argparse`` is imported here, so that importing
+    the module does not load it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pbwgate",
         description="Decide and certify splittings of the filtered module U(g)/U(g)h.",

@@ -17,13 +17,16 @@ h-action is built one degree at a time by the derivation rule
 a.(x w) = x.(a.w) + [a, x].w (``FilteredModule``).  Both gradings, the
 dimension identities, and every splitting claim are re-checked against the
 independent section oracle, which knows nothing about cocycles or t-maps;
-its verdicts are asked for through ``oracle_splits``, which solves each
-distinct system once per pair.
+its verdicts are asked for through ``oracle_splits``, which decides each
+distinct system once per pair: split in place, by a section built from an
+h-stable complement and checked exactly, or by solving for one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from collections.abc import Sequence
 
 from .cohomology import ExtensionDatum, extension, is_trivial, pushout_data
@@ -40,7 +43,7 @@ from .lie import (
     tensor_module,
     trivial_module,
 )
-from .linalg import Echelon, Matrix, Q, _add_term, _columns, _common_scale, _int_mul, solve
+from .linalg import Echelon, Matrix, Q, _add_term, _columns, _common_scale, _int_mul, _int_rows, solve
 from .record import Record
 
 
@@ -179,7 +182,9 @@ class FilteredModule:
     derivation rule a.(x w (x) v) = x.(a.(w (x) v)) + [a, x].(w (x) v) for an
     h-letter a and a basis word x w, one degree at a time from
     a.(() (x) v) = () (x) a.v; trivial coefficients are the one-dimensional
-    zero module.
+    zero module.  The left product x.(w (x) v) of that rule is one method,
+    ``left_product``, which ``y_section`` reads again to build each level's
+    section from an h-stable complement, for the section oracle to check.
     """
 
     def __init__(self, pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None):
@@ -205,41 +210,54 @@ class FilteredModule:
         self.word_index = {w: i for i, w in enumerate(words)}
         self.vdim = vdim
         scale = (_letter_ints(pair)[1] * self.coeff.scale) ** (K + 1)
+        self._tails: dict = {}  # h-tail -> its action on the coefficients times T^len(h-tail), as int rows
+        self._degrees = [len(w) for w in words for _ in range(vdim)]
         self._columns = self._derived_columns()
         mats = [self._action_matrix(a) for a in range(pair.dim_h)]
         del self._columns
         self.module = LieModule.from_ints(pair.h, len(words) * vdim, mats, scale)
+        # (complement, action columns, y-products by word, y_r columns by basis vector), built on
+        # the first ``y_section`` of a pair that has an h-stable complement
+        self._ys = None
         self._verify()
 
     # -- construction helpers ------------------------------------------------
 
+    def left_product(self, x: int, pos: int) -> list:
+        """x.(words[pos] (x) e_j) for each j, x an n-letter, as int columns: a row of word degree q
+        over (D * T)^(len(words[pos]) + 1 - q), D the letter scale and T the coefficient module's.
+        It concatenates on ``F``; on ``R`` it is the memo's (x,) + words[pos] over
+        D^(len(words[pos]) + 1), its h-tail acting on e_j, whose ints in a row of degree q are
+        multiples of D^q since each bracket removes a letter."""
+        pair, dn, vdim, T = self.pair, self.pair.dim_n, self.vdim, self.coeff.scale
+        D = _letter_ints(pair)[1]
+        word = (x,) + self.words[pos]
+        terms = {(word, ()): D ** len(word)} if self.side == "F" else _int_normal_form(pair, "R", word)
+        out: list = [{} for _ in range(vdim)]
+        for (nw, htail), c in terms.items():
+            if nw not in self.word_index:
+                raise RewritingInconsistencyError(f"normal form {nw} escaped the degree-{self.K} basis")
+            tail = self._tails.get(htail)
+            if tail is None:
+                tail = self._tails[htail] = _compose_h_tail(self.coeff, htail, dn)
+            base, z = self.word_index[nw] * vdim, c // D ** len(nw) * T ** (len(word) - len(nw) - len(htail))
+            for i, row in enumerate(tail):
+                for j, t in row.items():
+                    out[j][base + i] = out[j].get(base + i, 0) + z * t
+        return out
+
     def _derived_columns(self) -> list:
         """cols[a][c]: the column of a.(word (x) e_v), c = (word position) * vdim + v.  In ints,
         a column of word degree m holds a row of word degree q over (D * T)^(m + 1 - q), D the
-        letter scale and T the coefficient module's: a left product keeps that scale, and the
-        bracket's 1/D brings one T.  x.(u (x) e_j) concatenates on ``F``; on ``R`` it is the
-        memo's (x,) + u over D^(len(u) + 1), its h-tail acting on e_j, whose ints in a row of
-        degree q are multiples of D^q since each bracket removes a letter."""
+        letter scale and T the coefficient module's: a left product (``left_product``) keeps that
+        scale, and the bracket's 1/D brings one T."""
         pair, dn = self.pair, self.pair.dim_n
         vdim, T, mats = self.vdim, self.coeff.scale, self.coeff.mats
         ints, D = _letter_ints(pair)
-        tails: dict = {}  # h-tail -> its action times T^len(h-tail), as int rows
         left = [[None] * len(self.words) for _ in range(dn)]  # [x][pos]: x.(words[pos] (x) e_j) for each j
 
         def left_product(x: int, pos: int) -> list:
-            word = (x,) + self.words[pos]
-            terms = {(word, ()): D ** len(word)} if self.side == "F" else _int_normal_form(pair, "R", word)
-            out: list = [{} for _ in range(vdim)]
-            for (nw, htail), c in terms.items():
-                if nw not in self.word_index:
-                    raise RewritingInconsistencyError(f"normal form {nw} escaped the degree-{self.K} basis")
-                if htail not in tails:
-                    tails[htail] = _compose_h_tail(self.coeff, htail, dn)
-                base, z = self.word_index[nw] * vdim, c // D ** len(nw) * T ** (len(word) - len(nw) - len(htail))
-                for i, row in enumerate(tails[htail]):
-                    for j, t in row.items():
-                        out[j][base + i] = out[j].get(base + i, 0) + z * t
-            left[x][pos] = out
+            out = left[x][pos] = self.left_product(x, pos)
             return out
 
         # degree 0: a.(() (x) e_v) = () (x) a.e_v, over D * T
@@ -265,7 +283,7 @@ class FilteredModule:
         the coefficient module's, read from the columns that ``_derived_columns`` builds."""
         K, dt = self.K, _letter_ints(self.pair)[1] * self.coeff.scale
         lifts = [dt ** e for e in range(K + 1)]
-        degree = [len(w) for w in self.words for _ in range(self.vdim)]
+        degree = self._degrees
         rows: list = [{} for _ in degree]
         for c, col in enumerate(self._columns[a]):
             for r, g in col.items():
@@ -308,6 +326,137 @@ class FilteredModule:
         if self.trivial_coeff:
             return power
         return tensor_module(power, self.coeff)
+
+    # -- sections from an h-stable complement ----------------------------------
+
+    def y_section(self, k: int, reduced: bool = False) -> tuple | None:
+        """A candidate section of ``level_sequence(self, k, reduced)`` from the pair's h-stable
+        complement y_r = x_r + sum_b t[b][r] h_b (``h_stable_complement``), or None when the pair
+        has none: (int rows of the middle level, scale), column j the image of the j-th basis
+        vector of gr_k.  On ``F`` a degree-k word w (x) e_v goes to y_w . (() (x) e_v); on ``R`` a
+        monomial goes to the mean of y_w . (() (x) e_v) over its distinct orderings w, the PBW
+        symmetrisation.  Both maps are equivariant when the y_r span an h-stable subspace, and
+        the degree-k part of y_w . (() (x) e_v) is w (x) e_v.  Nothing is checked here:
+        ``section_oracle`` keeps the candidate only when its exact check accepts it.  A row of
+        word degree q of y_w . (() (x) e_v) is held over rho^(k - q), rho = D * T * Dt (``_y_product``),
+        so the rows here are over rho^k, times k! on ``R`` for the mean."""
+        if self._ys is None:
+            complement = h_stable_complement(self.pair)
+            if complement is None:
+                return None
+            self._ys = (complement, self._degree_columns(), {}, [{} for _ in range(self.pair.dim_n)])
+        vdim, deg = self.vdim, self._degrees
+        lo, hi = self._word_offsets[k], self._word_offsets[k + 1]
+        if self.side == "F":
+            weight, orderings = 1, [(w,) for w in self.words[lo:hi]]
+        else:
+            weight, orderings = math.factorial(k), [_distinct_permutations(w) for w in self.words[lo:hi]]
+        rho = _letter_ints(self.pair)[1] * self.coeff.scale * self._ys[0][1]
+        lifts = [rho ** q for q in range(k + 1)]
+        rows: list = [{} for _ in range(self.dim(k))]
+        for i, words in enumerate(orderings):
+            f = weight // len(words)
+            for w in words:
+                for v, vec in enumerate(self._y_product(w)):
+                    col = i * vdim + v
+                    for r, z in vec.items():
+                        rows[r][col] = rows[r].get(col, 0) + f * z * lifts[deg[r]]
+        rows = [{c: z for c, z in row.items() if z} for row in rows[1 if reduced else 0:]]
+        return rows, weight * rho ** k
+
+    def _y_product(self, word: Word) -> list:
+        """y_word . (() (x) e_v) for each v, as int columns: a row of word degree q over
+        rho^(len(word) - q); y_((r,) + u) = y_r . y_u, memoised by word."""
+        _, _, memo, ops = self._ys
+        out = memo.get(word)
+        if out is None:
+            if not word:
+                out = [{v: 1} for v in range(self.vdim)]
+            else:
+                op, out = ops[word[0]], []
+                for vec in self._y_product(word[1:]):
+                    acc: dict = {}
+                    for c, y in vec.items():
+                        col = op.get(c)
+                        if col is None:
+                            col = op[c] = self._y_column(word[0], c)
+                        for r, z in col.items():
+                            acc[r] = acc.get(r, 0) + y * z
+                    out.append(acc)
+            memo[word] = out
+        return out
+
+    def _y_column(self, x: int, c: int) -> dict:
+        """y_x . (basis vector c) = x . c + sum_b t[b][x] h_b . c, a row of word degree q over
+        rho^(m + 1 - q), m the degree of c: the left product is over (D * T)^(m + 1 - q) and the
+        action over the same times Dt, the denominator of t."""
+        ((tn, dt), acts, _, _), deg = self._ys, self._degrees
+        pos, j = divmod(c, self.vdim)
+        m = deg[c]
+        lifts = [dt ** e for e in range(m + 2)]
+        col = {r: z * lifts[m + 1 - deg[r]] for r, z in self.left_product(x, pos)[j].items()}
+        for t, act in zip(tn, acts):
+            if t[x]:
+                for r, g in act[c].items():
+                    col[r] = col.get(r, 0) + t[x] * g * lifts[m - deg[r]]
+        return col
+
+    def _degree_columns(self) -> list:
+        """The action of each h-letter as int columns, a column of word degree m holding a row
+        of degree q over (D * T)^(m + 1 - q), as ``_derived_columns`` built them: read back from
+        ``module``, whose one scale is in lowest terms."""
+        deg, scale = self._degrees, self.module.scale
+        dt = _letter_ints(self.pair)[1] * self.coeff.scale
+        lifts = [dt ** e for e in range(self.K + 2)]
+        out = []
+        for rows in self.module.mats:
+            cols: list = [{} for _ in deg]
+            for r, row in enumerate(rows):
+                for c, v in row.items():
+                    cols[c][r] = v * lifts[deg[c] + 1 - deg[r]] // scale
+            out.append(cols)
+        return out
+
+
+def _distinct_permutations(mono: Word) -> list:
+    """The distinct orderings of a monomial's letters, whose mean symmetrises it."""
+    return list(dict.fromkeys(itertools.permutations(mono)))
+
+
+def h_stable_complement(pair: InclusionPair) -> tuple | None:
+    """(t, Dt) such that the y_r = x_r + sum_b (t[b][r] / Dt) h_b span an h-stable complement
+    of h in g, or None when there is none; solved once per pair.
+
+    [h_a, y_r] lies in span(y) exactly when its h-part is that of the y-combination with its
+    n-part, so with [u, v] = ints[u][v] / D over the letters, for each a, r and c:
+    sum_b ints[a][b][c] t[b][r] - sum_(s < dim n) ints[a][r][s] t[c][s] = -ints[a][r][c],
+    the h-letters a, b, c read as dim n + a and so on: dim h * dim n unknowns t[b][r].
+    """
+    cache = pair._caches
+    if "h_stable_complement" not in cache:
+        ints, dn, dh = _letter_ints(pair)[0], pair.dim_n, pair.dim_h
+        bcol = dh * dn
+        rows = []
+        for a in range(dh):
+            act = ints[dn + a]
+            for r in range(dn):
+                for c in range(dh):
+                    row: dict = {}
+                    for b in range(dh):
+                        _add_term(row, b * dn + r, act[dn + b].get(dn + c, 0))
+                    for s, v in act[r].items():
+                        if s < dn:
+                            _add_term(row, c * dn + s, -v)
+                    if act[r].get(dn + c):
+                        row[bcol] = -act[r][dn + c]
+                    rows.append(row)
+        sol = solve(rows, bcol)
+        if sol is None:
+            cache["h_stable_complement"] = None
+        else:
+            (t,), dt = _int_rows([sol])
+            cache["h_stable_complement"] = [[t.get(b * dn + r, 0) for r in range(dn)] for b in range(dh)], dt
+    return cache["h_stable_complement"]
 
 
 def build_filtration(
@@ -388,17 +537,30 @@ def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool 
     return dims[k - 1] - reduced, dims[k] - dims[k - 1]
 
 
-def section_oracle(seq: ShortExactSequence) -> Matrix | None:
-    """Brute-force equivariant section of the projection onto ``quot``, or None.
+# section_oracle calls by the route that decided them: "split in place",
+# "built" (a candidate section the check accepted) or "solved"
+ORACLE_ROUTES: Counter = Counter()
 
-    Solves "s is equivariant and project . s = id" with no reference to
+
+def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
+    """An equivariant section of the projection onto ``quot``, or None.
+
+    Decides "s is equivariant and project . s = id" with no reference to
     cocycles or extension data; this is the independent ground truth for
-    every splitting verdict.  The section is the block column s = [t; 1], so
-    project . s = id by construction, and s is equivariant exactly when
-    act_sub(a) t - t act_quot(a) = -D_a, D_a the top-right block of
-    mid.action[a].  When every D_a is zero (``split_in_place``) that system
-    is homogeneous, its free-variables-zero solution is t = 0 whatever the
-    pivots, and no system is built; s = [0; 1] is still checked.
+    every splitting verdict, reached by one of three routes, each ending in
+    the exact check ``ModuleMap(quot, mid, s).is_equivariant()``:
+
+    * split in place: every top-right block D_a of mid.action[a] is zero
+      (``split_in_place``) and s = [0; 1], with no system built;
+    * built: ``build``, when given, returns a candidate section as (int rows
+      of mid, scale), or None (``FilteredModule.y_section``); it is kept when
+      its bottom block is the identity and the check accepts it;
+    * solved: s is the block column [t; 1], so project . s = id by
+      construction, and s is equivariant exactly when
+      act_sub(a) t - t act_quot(a) = -D_a; t is its free-variables-zero
+      solution, and None means the sequence does not split.
+
+    ``ORACLE_ROUTES`` counts the route of each call.
     """
     seq.validate()
     nsub, nquot = seq.sub.dim, seq.quot.dim
@@ -427,10 +589,20 @@ def section_oracle(seq: ShortExactSequence) -> Matrix | None:
 
     if seq.split_in_place():
         # no right-hand side: the free-variables-zero solution is t = 0
+        ORACLE_ROUTES["split in place"] += 1
         sol = {}
     else:
+        candidate = build() if build is not None else None
+        if candidate is not None:
+            s, scale = Matrix(seq.mid.dim, nquot, candidate[0]), candidate[1]
+            is_section = all(s.data[nsub + j] == {j: scale} for j in range(nquot))
+            if is_section and ModuleMap(seq.quot, seq.mid, s).is_equivariant():
+                ORACLE_ROUTES["built"] += 1
+                s.data = [{c: Q(v, scale) for c, v in row.items()} for row in s.data]
+                return s
         # a toral element's rows hold one unknown and the right-hand side, so
         # solve, shortest rows first, fixes those unknowns before the longer rows
+        ORACLE_ROUTES["solved"] += 1
         sol = solve(rows(), bcol)
         if sol is None:
             return None
@@ -442,16 +614,23 @@ def section_oracle(seq: ShortExactSequence) -> Matrix | None:
     return s
 
 
-def oracle_splits(pair: InclusionPair, seq: ShortExactSequence) -> bool:
-    """Whether ``seq`` splits: ``section_oracle(seq) is not None``, solved
-    once per pair for each distinct system.  The memo key is the sequence's
-    entries (every action matrix), so only identical systems share a
-    verdict."""
+def oracle_splits(pair: InclusionPair, seq: ShortExactSequence, build=None) -> bool:
+    """Whether ``seq`` splits: ``section_oracle(seq, build) is not None``,
+    decided once per pair for each distinct system.  The memo key is the
+    sequence's entries (every action matrix), so only identical systems share
+    a verdict; the route does not enter it, since every route ends in the
+    same exact check."""
     cache = pair._caches.setdefault("oracle_verdicts", {})
     key = (seq.sub.key(), seq.mid.key(), seq.quot.key())
     if key not in cache:
-        cache[key] = section_oracle(seq) is not None
+        cache[key] = section_oracle(seq, build) is not None
     return cache[key]
+
+
+def level_splits(filt: FilteredModule, k: int, reduced: bool = False) -> bool:
+    """The oracle verdict of ``level_sequence(filt, k, reduced)``, its section
+    built from an h-stable complement first (``FilteredModule.y_section``)."""
+    return oracle_splits(filt.pair, level_sequence(filt, k, reduced), lambda: filt.y_section(k, reduced))
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +838,8 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
     bijective = psi.rank() == red2.dim == data.module.dim
 
     q_seq = ShortExactSequence(n_mod, data.module, _quotient_power(pair, 2))
-    f_seq = level_sequence(filt, 2, reduced=True)
     q_splits = oracle_splits(pair, q_seq)
-    f2_splits = oracle_splits(pair, f_seq)
+    f2_splits = level_splits(filt, 2, reduced=True)
     alpha_trivial = is_trivial(pair, n_mod) is not None
     return F2Report(well_defined, squares, equivariant, bijective, q_splits, f2_splits, alpha_trivial)
 
@@ -857,7 +1035,7 @@ def _level_verdicts(pair: InclusionPair, K: int, coeff: LieModule | None = None)
     levels: tuple = ({}, {})
     for k in range(2 if coeff is None else 1, K + 1):
         for filt, out in zip(filts, levels):
-            out[k] = oracle_splits(pair, level_sequence(filt, k, reduced=coeff is None))
+            out[k] = level_splits(filt, k, reduced=coeff is None)
     return levels
 
 

@@ -21,9 +21,8 @@ from .engine import (
     dimension_identity_check,
     equivalence_harness,
     f2_class_check,
-    level_sequence,
+    level_splits,
     level_system_shape,
-    oracle_splits,
     pbw_splitting_I,
     section_oracle,  # noqa: F401  perfbench's tracer test reads report.section_oracle
     twisted_verdict,
@@ -148,7 +147,7 @@ def _level2_splits(pair) -> bool:
     """Oracle verdict on the reduced free-side level-two sequence, the first
     level that carries the obstruction class: it splits iff the class is
     trivial."""
-    return oracle_splits(pair, level_sequence(build_filtration(pair, "F", 2), 2, reduced=True))
+    return level_splits(build_filtration(pair, "F", 2), 2, reduced=True)
 
 
 def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: str | None) -> None:

@@ -977,10 +977,10 @@ def _oracle_with_solution(monkeypatch, solution):
     real_oracle = engine_mod.section_oracle
     real_solution = linalg_mod.Echelon.solution
 
-    def oracle(seq):
+    def oracle(seq, *args):
         with monkeypatch.context() as m:
             m.setattr(linalg_mod.Echelon, "solution", lambda ech: solution(real_solution, ech))
-            return real_oracle(seq)
+            return real_oracle(seq, *args)
 
     monkeypatch.setattr(engine_mod, "section_oracle", oracle)
 
@@ -1088,12 +1088,12 @@ def _solves_per_oracle_call(monkeypatch, problem, max_degree) -> list:
         calls[-1][1] += 1
         return real_solve(rows, bcol)
 
-    def oracle(seq):
+    def oracle(seq, *args):
         seq_level = levels.get(id(seq))
         calls.append([seq_level[1] if seq_level and seq_level[0] is seq else None, 0])
         with monkeypatch.context() as m:
             m.setattr(engine_mod, "solve", solve)
-            return real_oracle(seq)
+            return real_oracle(seq, *args)
 
     monkeypatch.setattr(engine_mod, "level_sequence", level_sequence)
     monkeypatch.setattr(engine_mod, "section_oracle", oracle)
@@ -1109,13 +1109,18 @@ def test_free_side_levels_of_an_h_stable_complement_solve_nothing(monkeypatch):
     assert free == {2: 0, 3: 0, 4: 0}
 
 
-def test_every_conjugated_level_sequence_is_solved(monkeypatch):
-    # no level of the seeded copy is split in place: each section_oracle call
-    # eliminates its system once
+def test_every_conjugated_level_sequence_is_built_after_one_complement_solve(monkeypatch):
+    # no level of the seeded copy is split in place, and it has an h-stable
+    # complement: the first section_oracle call solves for the complement, and
+    # every call keeps the section built from it, so no level system is solved
+    from pbwgate import engine as engine_mod
+
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", Counter())
     problem = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8"))
     calls = _solves_per_oracle_call(monkeypatch, problem, 3)
     assert {level for level, _ in calls} >= {("F", 2), ("F", 3), ("R", 2), ("R", 3)}
-    assert [solves for _, solves in calls] == [1] * len(calls)
+    assert [solves for _, solves in calls] == [1] + [0] * (len(calls) - 1)
+    assert engine_mod.ORACLE_ROUTES == {"built": len(calls)}
 
 
 def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
@@ -1128,6 +1133,10 @@ def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):
             del x[min(x)]
         return x
 
+    from pbwgate import engine as engine_mod
+
+    # no complement, so the levels that are not split in place are solved
+    monkeypatch.setattr(engine_mod, "h_stable_complement", lambda pair: None)
     _oracle_with_solution(monkeypatch, dropped)
     rep = run_command("oracle", catalog_get("diagonal-sl2"), max_degree=2)
     assert [r.check for r in rep.records] == ["oracle", "dimensions", "f2-class"]
@@ -1242,6 +1251,24 @@ def test_committed_negative_control_copy_is_the_seeded_copy(tmp_path):
     assert problem.algebra().int_table[1] > 1
     digest = _millis_free_digest(["all", "--input", str(path)], tmp_path)
     assert digest == "a7c3106cd4a7fa4deffa7968cb7f14d9a0d80bd04ec54718f3e5efd414befb40"
+
+
+def test_span_e_in_sl2_pins_the_solver_route(tmp_path, monkeypatch):
+    # h = span(e) in sl2, sl2-borel's document with h.indices [0], kept out of
+    # the catalog: its class is trivial and every level splits, but it has no
+    # h-stable complement, so each level that is not split in place is solved
+    from pbwgate import engine as engine_mod
+
+    path = Path(__file__).parent / "data" / "sl2-span-e.json"
+    doc = sl2_degenerate_document([0])
+    doc["name"] = "sl2-span-e"
+    assert path.read_text(encoding="utf-8") == serialize_problem(parse_problem(json.dumps(doc))) + "\n"
+    assert "sl2-span-e" not in catalog_list()
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    digest = _millis_free_digest(["all", "--input", str(path)], tmp_path)
+    assert digest == "6ea57073a45ed89b2e0647cc67325d6e3642011fa0be5f310f995b3adc08d39e"
+    assert routes["built"] == 0 and routes["solved"] > 0
 
 
 @pytest.mark.parametrize(

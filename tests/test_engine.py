@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from pbwgate.engine import (
     dimension_identity_check,
     equivalence_harness,
     f2_class_check,
+    h_stable_complement,
     level_sequence,
+    level_splits,
     level_system_shape,
     oracle_splits,
     pbw_splitting_I,
@@ -753,9 +756,9 @@ def test_oracle_verdicts_are_memoised_by_the_system_entries(abelian_pair, monkey
     real = engine_mod.section_oracle
     solved = []
 
-    def counted(seq):
+    def counted(seq, *args):
         solved.append(seq)
-        return real(seq)
+        return real(seq, *args)
 
     monkeypatch.setattr(engine_mod, "section_oracle", counted)
     # two systems one action entry apart: two solves, two verdicts
@@ -863,6 +866,117 @@ def test_oracle_matches_full_rref_reference(name, seed):
     # their actions hold non-integer entries (the catalog's are integers)
     if seed is not None:
         assert max(denominators) > 1
+
+
+# the built sections against the solver: the valid catalog pairs, seeded and
+# committed conjugated copies, and h = span(e) in sl2 (tests/data/sl2-span-e.json),
+# whose class is trivial but which has no h-stable complement; a case is a
+# catalog name, "<name>~<seed>" or the name of a file under tests/data
+BUILT_CASES = [name for name, seed in ORACLE_CASES if seed is None] + [
+    "diagonal-heisenberg~11",
+    "sl2-borel~2",
+    "diagonal-sl2-conjugated-3",
+    "diagonal-heisenberg-conjugated-0",
+    "semidirect-split-conjugated-0",
+    "sl2-span-e",
+]
+NO_COMPLEMENT = {"sl2-borel", "sl2-borel~2", "sl2-span-e"}
+
+
+def _any_pair(case):
+    path = Path(__file__).parent / "data" / f"{case}.json"
+    if path.exists():
+        return parse_problem(path.read_text(encoding="utf-8")).pair()
+    name, _, seed = case.partition("~")
+    return _case_pair(name, int(seed) if seed else None)
+
+
+@pytest.mark.parametrize("case", BUILT_CASES)
+def test_built_sections_agree_with_the_solver(case, monkeypatch):
+    # each reduced level up to K = 3 and each level with coefficients in n up
+    # to K = 2 goes through section_oracle twice: solved (no candidate), then
+    # built first.  The verdicts agree, and on a pair with an h-stable
+    # complement every level that is not split in place keeps its built
+    # section, so a broken build fails here instead of falling back to the solver
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+
+    def route(*args):
+        routes.clear()
+        out = section_oracle(*args)
+        [name] = routes
+        return name, out
+
+    pair = _any_pair(case)
+    has_complement = h_stable_complement(pair) is not None
+    assert has_complement == (case not in NO_COMPLEMENT)
+    for coeff, K in ((None, 3), (quotient_module(pair), 2)):
+        reduced = coeff is None
+        for side in "FR":
+            filt = build_filtration(pair, side, K, coeff=coeff)
+            for k in range(2 if reduced else 1, K + 1):
+                seq = level_sequence(filt, k, reduced)
+                solved_route, solved = route(seq)
+                built_route, built = route(seq, lambda: filt.y_section(k, reduced))
+                assert (built is None) == (solved is None), (side, k, reduced)
+                if solved_route == "split in place":
+                    assert built_route == "split in place"
+                else:
+                    assert built_route == ("built" if has_complement else "solved"), (side, k, reduced)
+
+
+def test_a_changed_complement_entry_fails_the_check_and_the_solver_decides(monkeypatch):
+    # one entry of t changed: no built section passes the exact check, every
+    # level is solved, and the verdicts are those of the true complement (on
+    # catalog diagonal-heisenberg the complement is not unique, so a changed
+    # entry can still give an equivariant section; the dense copy has no slack)
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    pair = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair()
+    t, dt = h_stable_complement(pair)
+    changed = [row[:] for row in t]
+    changed[0][0] += dt
+    pair._caches["h_stable_complement"] = changed, dt
+    assert engine_mod._level_verdicts(pair, 3) == ({2: True, 3: True}, {2: True, 3: True})
+    assert routes == {"solved": 4}
+
+
+def test_a_built_candidate_must_be_a_section_of_the_projection(monkeypatch):
+    # the zero map is equivariant, so the check alone would keep it: a
+    # candidate is kept only when its bottom block is the identity
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    filt = build_filtration(parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair(), "F", 2)
+    seq = level_sequence(filt, 2, reduced=True)
+    zero = [{} for _ in range(seq.mid.dim)]
+    assert ModuleMap(seq.quot, seq.mid, Matrix(seq.mid.dim, seq.quot.dim, zero)).is_equivariant()
+    assert section_oracle(seq, lambda: (zero, 1)) is not None
+    assert routes == {"solved": 1}
+
+
+def test_straightened_sections_need_the_symmetrisation(monkeypatch):
+    # each monomial sent to the y-product of its sorted letters alone: still a
+    # section of the projection, but not equivariant, so the check rejects it
+    # and the level is solved
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    monkeypatch.setattr(engine_mod, "_distinct_permutations", lambda mono: [mono])
+    filt = build_filtration(parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair(), "R", 3)
+    for k in (2, 3):
+        seq = level_sequence(filt, k, reduced=True)
+        rows, scale = filt.y_section(k, reduced=True)
+        assert all(rows[seq.sub.dim + j] == {j: scale} for j in range(seq.quot.dim))
+        assert not ModuleMap(seq.quot, seq.mid, Matrix(seq.mid.dim, seq.quot.dim, rows)).is_equivariant()
+        assert level_splits(filt, k, reduced=True)
+    assert routes == {"solved": 2}
 
 
 def test_f2_class_check(sl2_borel, semidirect_pair, abelian_pair):

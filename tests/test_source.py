@@ -390,12 +390,22 @@ def test_no_module_level_slow_imports_in_package():
     assert offenders == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # a clean interpreter: no site packages, no environment, this checkout's src/
+def _loaded_by_cli_import(names) -> str:
+    """Which of the module ``names`` a clean interpreter (no site packages, no
+    environment, this checkout's src/) holds after ``import pbwgate.cli``."""
     src = str(Path(pbwgate.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pbwgate.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == "[]"
+
+
+def test_cli_import_leaves_argparse_to_the_parser():
+    # cli._build_parser imports argparse, so importing the module alone does not
+    assert _loaded_by_cli_import(("argparse",)) == "[]"
