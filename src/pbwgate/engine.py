@@ -18,7 +18,9 @@ a.(x w) = x.(a.w) + [a, x].w (``FilteredModule``).  Both gradings, the
 dimension identities, and every splitting claim are re-checked against the
 independent section oracle, which knows nothing about cocycles or t-maps;
 its verdicts are asked for through ``oracle_splits``, which decides each
-distinct system once per pair: split in place, by a section built from an
+level address once per pair (``_level_address``, under which levels equal
+entry for entry share an address) and builds a level sequence only for an
+address not yet decided: split in place, by a section built from an
 h-stable complement and checked exactly, or by solving for one.
 """
 
@@ -554,7 +556,8 @@ def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
       (``split_in_place``) and s = [0; 1], with no system built;
     * built: ``build``, when given, returns a candidate section as (int rows
       of mid, scale), or None (``FilteredModule.y_section``); it is kept when
-      its bottom block is the identity and the check accepts it;
+      it has one row per basis vector of mid, its bottom block is the
+      identity and the check accepts it;
     * solved: s is the block column [t; 1], so project . s = id by
       construction, and s is equivariant exactly when
       act_sub(a) t - t act_quot(a) = -D_a; t is its free-variables-zero
@@ -593,7 +596,7 @@ def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
         sol = {}
     else:
         candidate = build() if build is not None else None
-        if candidate is not None:
+        if candidate is not None and len(candidate[0]) == seq.mid.dim:
             s, scale = Matrix(seq.mid.dim, nquot, candidate[0]), candidate[1]
             is_section = all(s.data[nsub + j] == {j: scale} for j in range(nquot))
             if is_section and ModuleMap(seq.quot, seq.mid, s).is_equivariant():
@@ -614,23 +617,52 @@ def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
     return s
 
 
-def oracle_splits(pair: InclusionPair, seq: ShortExactSequence, build=None) -> bool:
-    """Whether ``seq`` splits: ``section_oracle(seq, build) is not None``,
-    decided once per pair for each distinct system.  The memo key is the
-    sequence's entries (every action matrix), so only identical systems share
-    a verdict; the route does not enter it, since every route ends in the
-    same exact check."""
+def oracle_splits(pair: InclusionPair, address: tuple, sequence, build=None) -> bool:
+    """Whether the sequence at ``address`` splits: ``section_oracle(sequence(),
+    build) is not None``, decided once per pair and address.  ``sequence``
+    builds the sequence and is called only when the address has no verdict
+    yet; the route does not enter the memo, since every route ends in the
+    same exact check.  A level's address is ``_level_address``; the pushout
+    of ``f2_class_check`` has one of its own."""
     cache = pair._caches.setdefault("oracle_verdicts", {})
-    key = (seq.sub.key(), seq.mid.key(), seq.quot.key())
-    if key not in cache:
-        cache[key] = section_oracle(seq, build) is not None
-    return cache[key]
+    if address not in cache:
+        cache[address] = section_oracle(sequence(), build) is not None
+    return cache[address]
+
+
+def _level_address(filt: FilteredModule, k: int, reduced: bool) -> tuple:
+    """(side, coefficient key or None, k, reduced), one address for the level
+    sequences that are equal entry for entry by two identities of the
+    construction:
+
+    * A: when dim n <= 1 or k <= 1 every word of the level is a sorted
+      monomial, so the straightened level is the free one (same words, same
+      left products, S^k(n) = n^(x)k): side ``F``;
+    * B: the free level k with coefficients n is the reduced trivial free
+      level k + 1 (the word w with coefficient e_x is the word w + (x,)).
+    """
+    pair = filt.pair
+    side = "F" if pair.dim_n <= 1 or k <= 1 else filt.side
+    if filt.trivial_coeff:
+        return side, None, k, reduced
+    key = filt.coeff.key()
+    if side == "F" and key == quotient_module(pair).key():
+        return "F", None, k + 1, True
+    return side, key, k, reduced
 
 
 def level_splits(filt: FilteredModule, k: int, reduced: bool = False) -> bool:
-    """The oracle verdict of ``level_sequence(filt, k, reduced)``, its section
-    built from an h-stable complement first (``FilteredModule.y_section``)."""
-    return oracle_splits(filt.pair, level_sequence(filt, k, reduced), lambda: filt.y_section(k, reduced))
+    """The oracle verdict of ``level_sequence(filt, k, reduced)``, memoised by
+    the level's address (``_level_address``), so a level whose address has a
+    verdict builds no sequence; a new one is built through the module global
+    ``level_sequence`` and its section from an h-stable complement is tried
+    first (``FilteredModule.y_section``)."""
+    return oracle_splits(
+        filt.pair,
+        _level_address(filt, k, reduced),
+        lambda: level_sequence(filt, k, reduced),
+        lambda: filt.y_section(k, reduced),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +833,11 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
     """Compare the pushout sequence with the level-two slice of the reduced
     free filtration: build the map on generators, check it descends, makes
     both squares commute, and is an equivariant isomorphism; then cross-check
-    that both sequences split together (and agree with the class verdict)."""
+    that both sequences split together (and agree with the class verdict).
+    The pushout's verdict has an address of its own and is decided on its
+    own entries: the level-two section from the h-stable complement is its
+    candidate, kept only when the exact check accepts it there, and the
+    solver decides otherwise."""
     n_mod = quotient_module(pair)
     data = pushout_data(pair, n_mod)
     filt = build_filtration(pair, "F", 2)
@@ -838,7 +874,7 @@ def f2_class_check(pair: InclusionPair) -> F2Report:
     bijective = psi.rank() == red2.dim == data.module.dim
 
     q_seq = ShortExactSequence(n_mod, data.module, _quotient_power(pair, 2))
-    q_splits = oracle_splits(pair, q_seq)
+    q_splits = oracle_splits(pair, ("Q", None, 2, True), lambda: q_seq, lambda: filt.y_section(2, True))
     f2_splits = level_splits(filt, 2, reduced=True)
     alpha_trivial = is_trivial(pair, n_mod) is not None
     return F2Report(well_defined, squares, equivariant, bijective, q_splits, f2_splits, alpha_trivial)

@@ -660,7 +660,7 @@ def test_twisted_run_with_no_failing_level_within_the_cap_is_cap_limited(tmp_pat
 
 
 def test_all_solves_each_system_once_per_pair(monkeypatch):
-    # oracle verdicts are memoised by the system's entries, the obstruction
+    # oracle verdicts are memoised by the level's address, the obstruction
     # and the extension by the module's action, all in the pair's caches
     from pbwgate import cohomology as cohomology_mod
     from pbwgate import engine as engine_mod
@@ -684,14 +684,17 @@ def test_all_solves_each_system_once_per_pair(monkeypatch):
     count(cohomology_mod, "find_extension")
     problem = catalog_get("diagonal-sl2")
     assert run_command("all", problem, max_degree=2).exit_code == 0
-    # 7 distinct systems among 13 oracle verdicts (the pushout sequence is
-    # the reduced level-two one); the twisted check's module n has the
-    # quotient module's action, so classes are built for n and the trivial
-    # module only, and split reuses the extension datum of extend
-    assert counts == {"section_oracle": 7, "alpha_cocycle": 2, "find_extension": 1}
+    # 8 addresses among 13 oracle verdicts: the reduced levels 2 (F, R), the
+    # pushout (its own address), the levels 1 and 2 with coefficients in n
+    # (level 1 on both sides is the reduced free level 2) and the unreduced
+    # trivial levels 1 (one address for both sides) and 2 (F, R).  The twisted
+    # check's module n has the quotient module's action, so classes are built
+    # for n and the trivial module only, and split reuses the extension datum
+    # of extend
+    assert counts == {"section_oracle": 8, "alpha_cocycle": 2, "find_extension": 1}
     # the second run builds its pair afresh, so the caches start cold
     run_command("all", problem, max_degree=2)
-    assert counts == {"section_oracle": 14, "alpha_cocycle": 4, "find_extension": 2}
+    assert counts == {"section_oracle": 16, "alpha_cocycle": 4, "find_extension": 2}
 
 
 def test_each_run_builds_its_pair_once(monkeypatch):
@@ -929,6 +932,28 @@ def test_f2_record_fails_on_an_injected_defect(name, target, defect, field, monk
     f2 = next(r for r in rep.records if r.check == "f2-class")
     assert not f2.ok
     assert f2.witness[field] is False
+    assert rep.exit_code == 1
+
+
+def test_the_pushout_leg_is_decided_on_its_own_entries(monkeypatch):
+    # diagonal-sl2 in a seeded random basis: its reduced level-two sequence
+    # splits by the section built from the h-stable complement.  With one entry
+    # of the pushout's action changed, that candidate fails the exact check on
+    # the pushout's own entries and the solver finds no section, so the pushout
+    # leg disagrees with the level-two verdict: a FAIL record, not a traceback
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    monkeypatch.setattr(engine_mod, "pushout_data", _perturbed_pushout(engine_mod.pushout_data))
+    problem = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8"))
+    rep = run_command("oracle", problem, max_degree=2)
+    f2 = next(r for r in rep.records if r.check == "f2-class")
+    assert "exception" not in f2.witness
+    assert not f2.ok
+    assert f2.witness["pushout_splits"] is False
+    assert f2.witness["level2_splits"] is True
+    assert routes == {"built": 2, "solved": 1}
     assert rep.exit_code == 1
 
 

@@ -750,7 +750,7 @@ def _jordan_sequence(pair, corner):
     return ShortExactSequence(line, mid, line)
 
 
-def test_oracle_verdicts_are_memoised_by_the_system_entries(abelian_pair, monkeypatch):
+def test_oracle_verdicts_are_memoised_by_the_level_address(diag_sl2, abelian_pair, monkeypatch):
     from pbwgate import engine as engine_mod
 
     real = engine_mod.section_oracle
@@ -760,18 +760,31 @@ def test_oracle_verdicts_are_memoised_by_the_system_entries(abelian_pair, monkey
         solved.append(seq)
         return real(seq, *args)
 
+    def unbuilt(*args):
+        raise AssertionError("a known address built its sequence")
+
     monkeypatch.setattr(engine_mod, "section_oracle", counted)
-    # two systems one action entry apart: two solves, two verdicts
-    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 1)) is False
-    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 0)) is True
+    # level 2 asked through a K=2 and a K=4 filtration: one address, one call
+    for K in (2, 4):
+        assert level_splits(FilteredModule(diag_sl2, "R", K), 2, reduced=True)
+    assert len(solved) == 1
+    # the free level 1 with coefficients in n is the reduced free level 2 (rule B)
+    assert level_splits(build_filtration(diag_sl2, "F", 2), 2, reduced=True)
     assert len(solved) == 2
-    # a freshly built copy of a system already solved is not solved again
-    assert oracle_splits(abelian_pair, _jordan_sequence(abelian_pair, 1)) is False
+    assert level_splits(build_filtration(diag_sl2, "F", 1, coeff=quotient_module(diag_sl2)), 1)
     assert len(solved) == 2
-    # the memo belongs to the pair: another pair solves the same system afresh
-    other = make_pair(abelian_pair.g, [0])
-    assert oracle_splits(other, _jordan_sequence(other, 1)) is False
+    # the memo belongs to the pair: another pair solves the same address afresh
+    other = catalog_get("diagonal-sl2").pair()
+    assert level_splits(FilteredModule(other, "R", 2), 2, reduced=True)
     assert len(solved) == 3
+    # a known address never builds its sequence again
+    monkeypatch.setattr(engine_mod, "level_sequence", unbuilt)
+    for pair in (diag_sl2, other):
+        assert level_splits(FilteredModule(pair, "R", 3), 2, reduced=True)
+    assert level_splits(FilteredModule(diag_sl2, "F", 1, quotient_module(diag_sl2)), 1)
+    assert oracle_splits(abelian_pair, ("J", None, 1, False), lambda: _jordan_sequence(abelian_pair, 1)) is False
+    assert oracle_splits(abelian_pair, ("J", None, 1, False), unbuilt) is False
+    assert len(solved) == 4
 
 
 def _rref_solve(a, b):
@@ -960,6 +973,26 @@ def test_a_built_candidate_must_be_a_section_of_the_projection(monkeypatch):
     assert routes == {"solved": 1}
 
 
+def test_a_wrong_shaped_candidate_is_left_to_the_solver(monkeypatch):
+    # a candidate with one row too few or too many is no section of mid:
+    # the solver decides, and the verdict is the one without a candidate
+    from pbwgate import engine as engine_mod
+
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    filt = build_filtration(parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair(), "F", 2)
+    seq = level_sequence(filt, 2, reduced=True)
+    rows, scale = filt.y_section(2, reduced=True)
+    expected = section_oracle(seq)
+    for candidate in (rows[1:], rows + [{}]):
+        routes.clear()
+        assert section_oracle(seq, lambda: (candidate, scale)) == expected
+        assert routes == {"solved": 1}
+    routes.clear()
+    assert section_oracle(seq, lambda: (rows, scale)) is not None
+    assert routes == {"built": 1}
+
+
 def test_straightened_sections_need_the_symmetrisation(monkeypatch):
     # each monomial sent to the y-product of its sorted letters alone: still a
     # section of the projection, but not equivariant, so the check rejects it
@@ -977,6 +1010,47 @@ def test_straightened_sections_need_the_symmetrisation(monkeypatch):
         assert not ModuleMap(seq.quot, seq.mid, Matrix(seq.mid.dim, seq.quot.dim, rows)).is_equivariant()
         assert level_splits(filt, k, reduced=True)
     assert routes == {"solved": 2}
+
+
+# the level addresses over the valid catalog pairs, the committed conjugated
+# files, sl2-span-e (dim n = 2, no h-stable complement) and seeded conjugated copies
+ADDRESS_CASES = [name for name, seed in ORACLE_CASES if seed is None] + [
+    "diagonal-sl2-conjugated-3",
+    "diagonal-heisenberg-conjugated-0",
+    "semidirect-split-conjugated-0",
+    "sl2-span-e",
+    "sl2-borel~2",
+    "semidirect-split~5",
+    "diagonal-heisenberg~11",
+    "diagonal-sl2~7",
+]
+
+
+@pytest.mark.parametrize("case", ADDRESS_CASES)
+def test_requests_with_one_address_have_equal_level_sequences(case):
+    # every level request on both sides: k <= 4 with trivial coefficients,
+    # reduced and not (rule B names the reduced free level 4), and k <= 3 with
+    # coefficients in n and in the adjoint module of h.  Two requests that share
+    # an address have sequences equal entry for entry, so one verdict serves both
+    from pbwgate.engine import _level_address
+
+    pair = _any_pair(case)
+    requests = {}
+    for coeff in (None, quotient_module(pair), adjoint_module(pair.h)):
+        for side in "FR":
+            filt = build_filtration(pair, side, 4 if coeff is None else 3, coeff=coeff)
+            for k in range(1, filt.K + 1):
+                for reduced in (True, False) if coeff is None else (False,):
+                    requests.setdefault(_level_address(filt, k, reduced), []).append((filt, k, reduced))
+    shared = 0
+    for address, asked in requests.items():
+        keys = {(seq.sub.key(), seq.mid.key(), seq.quot.key()) for seq in (level_sequence(*r) for r in asked)}
+        assert len(keys) == 1, (address, [(filt.side, filt.coeff.dim, k, reduced) for filt, k, reduced in asked])
+        shared += len(asked) > 1
+    # rule A joins the two sides at level 1 (reduced and unreduced trivial
+    # levels, the adjoint module); rule B the levels 1, 2 and 3 with
+    # coefficients in n (both sides at level 1) to the reduced free levels 2-4
+    assert shared >= 3 + 3
 
 
 def test_f2_class_check(sl2_borel, semidirect_pair, abelian_pair):
