@@ -51,19 +51,25 @@ def main(argv=None) -> int:
             except KeyError as exc:
                 raise ProblemError("--example", exc.args[0]) from None
         else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                problem = parse_problem(fh.read())
+            try:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ProblemError("--input", f"not UTF-8 text: {exc}") from None
+            problem = parse_problem(text)
         if args.max_degree is not None and args.max_degree < 0:
             raise ProblemError("--max-degree", "must be nonnegative")
         report = run_command(args.command, problem, max_degree=args.max_degree, module=args.module)
+        # written before the report is printed, so that a path that cannot be
+        # opened is an input error that prints no report
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, indent=2)
+                fh.write("\n")
     except (ProblemError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(report.human())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
     return report.exit_code
 
 

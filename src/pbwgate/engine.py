@@ -184,9 +184,11 @@ class FilteredModule:
     derivation rule a.(x w (x) v) = x.(a.(w (x) v)) + [a, x].(w (x) v) for an
     h-letter a and a basis word x w, one degree at a time from
     a.(() (x) v) = () (x) a.v; trivial coefficients are the one-dimensional
-    zero module.  The left product x.(w (x) v) of that rule is one method,
-    ``left_product``, which ``y_section`` reads again to build each level's
-    section from an h-stable complement, for the section oracle to check.
+    zero module.  The rule's two tables are kept for the life of the
+    filtration: the left products x.(w (x) v), memoised by ``left_product``,
+    and the h-letters' action columns, ``_columns``.  ``y_section`` reads both
+    to build each level's section from an h-stable complement, for the
+    section oracle to check, and computes no left product or action again.
     """
 
     def __init__(self, pair: InclusionPair, side: str, K: int, coeff: LieModule | None = None):
@@ -214,13 +216,12 @@ class FilteredModule:
         scale = (_letter_ints(pair)[1] * self.coeff.scale) ** (K + 1)
         self._tails: dict = {}  # h-tail -> its action on the coefficients times T^len(h-tail), as int rows
         self._degrees = [len(w) for w in words for _ in range(vdim)]
+        self._left: list = [[None] * len(words) for _ in range(dn)]  # [x][pos]: ``left_product(x, pos)``
         self._columns = self._derived_columns()
         mats = [self._action_matrix(a) for a in range(pair.dim_h)]
-        del self._columns
         self.module = LieModule.from_ints(pair.h, len(words) * vdim, mats, scale)
-        # (complement, action columns, y-products by word, y_r columns by basis vector), built on
-        # the first ``y_section`` of a pair that has an h-stable complement
-        self._ys = None
+        self._y_products: dict = {}  # word -> ``_y_product(word)``
+        self._y_columns: list = [{} for _ in range(dn)]  # [x][c]: ``_y_column(x, c)``
         self._verify()
 
     # -- construction helpers ------------------------------------------------
@@ -230,7 +231,11 @@ class FilteredModule:
         over (D * T)^(len(words[pos]) + 1 - q), D the letter scale and T the coefficient module's.
         It concatenates on ``F``; on ``R`` it is the memo's (x,) + words[pos] over
         D^(len(words[pos]) + 1), its h-tail acting on e_j, whose ints in a row of degree q are
-        multiples of D^q since each bracket removes a letter."""
+        multiples of D^q since each bracket removes a letter.  Computed once per filtration and
+        (x, pos), and kept: the derivation rule and the y-sections read the one table."""
+        out = self._left[x][pos]
+        if out is not None:
+            return out
         pair, dn, vdim, T = self.pair, self.pair.dim_n, self.vdim, self.coeff.scale
         D = _letter_ints(pair)[1]
         word = (x,) + self.words[pos]
@@ -246,22 +251,19 @@ class FilteredModule:
             for i, row in enumerate(tail):
                 for j, t in row.items():
                     out[j][base + i] = out[j].get(base + i, 0) + z * t
+        self._left[x][pos] = out
         return out
 
     def _derived_columns(self) -> list:
         """cols[a][c]: the column of a.(word (x) e_v), c = (word position) * vdim + v.  In ints,
         a column of word degree m holds a row of word degree q over (D * T)^(m + 1 - q), D the
         letter scale and T the coefficient module's: a left product (``left_product``) keeps that
-        scale, and the bracket's 1/D brings one T."""
+        scale, and the bracket's 1/D brings one T.  The table is kept as ``_columns``, for
+        ``_action_matrix`` and for the y-sections' h-actions (``_y_column``)."""
         pair, dn = self.pair, self.pair.dim_n
         vdim, T, mats = self.vdim, self.coeff.scale, self.coeff.mats
         ints, D = _letter_ints(pair)
-        left = [[None] * len(self.words) for _ in range(dn)]  # [x][pos]: x.(words[pos] (x) e_j) for each j
-
-        def left_product(x: int, pos: int) -> list:
-            out = left[x][pos] = self.left_product(x, pos)
-            return out
-
+        left_product = self.left_product
         # degree 0: a.(() (x) e_v) = () (x) a.e_v, over D * T
         cols = [[{i: D * row[v] for i, row in enumerate(mats[a]) if v in row} for v in range(vdim)] for a in range(pair.dim_h)]
         for w in self.words[1:]:
@@ -271,10 +273,10 @@ class FilteredModule:
                 for a, acts in enumerate(cols):
                     col: dict = {}  # x.(a.(w[1:] (x) e_v)), then [a, x].(w[1:] (x) e_v)
                     for r, y in acts[below].items():
-                        for r2, z in (left[x][r // vdim] or left_product(x, r // vdim))[r % vdim].items():
+                        for r2, z in left_product(x, r // vdim)[r % vdim].items():
                             col[r2] = col.get(r2, 0) + y * z
                     for letter, c in ints[dn + a][x].items():
-                        src = (left[letter][pos] or left_product(letter, pos))[v] if letter < dn else cols[letter - dn][below]
+                        src = left_product(letter, pos)[v] if letter < dn else cols[letter - dn][below]
                         for r2, z in src.items():
                             col[r2] = col.get(r2, 0) + c * T * z
                     acts.append({r: z for r, z in col.items() if z})
@@ -282,7 +284,7 @@ class FilteredModule:
 
     def _action_matrix(self, a: int) -> list:
         """The action of h-letter a as int rows over (D * T)^(K + 1), D the letter scale and T
-        the coefficient module's, read from the columns that ``_derived_columns`` builds."""
+        the coefficient module's, read from the kept columns of ``_derived_columns``."""
         K, dt = self.K, _letter_ints(self.pair)[1] * self.coeff.scale
         lifts = [dt ** e for e in range(K + 1)]
         degree = self._degrees
@@ -342,18 +344,16 @@ class FilteredModule:
         ``section_oracle`` keeps the candidate only when its exact check accepts it.  A row of
         word degree q of y_w . (() (x) e_v) is held over rho^(k - q), rho = D * T * Dt (``_y_product``),
         so the rows here are over rho^k, times k! on ``R`` for the mean."""
-        if self._ys is None:
-            complement = h_stable_complement(self.pair)
-            if complement is None:
-                return None
-            self._ys = (complement, self._degree_columns(), {}, [{} for _ in range(self.pair.dim_n)])
+        complement = h_stable_complement(self.pair)
+        if complement is None:
+            return None
         vdim, deg = self.vdim, self._degrees
         lo, hi = self._word_offsets[k], self._word_offsets[k + 1]
         if self.side == "F":
             weight, orderings = 1, [(w,) for w in self.words[lo:hi]]
         else:
             weight, orderings = math.factorial(k), [_distinct_permutations(w) for w in self.words[lo:hi]]
-        rho = _letter_ints(self.pair)[1] * self.coeff.scale * self._ys[0][1]
+        rho = _letter_ints(self.pair)[1] * self.coeff.scale * complement[1]
         lifts = [rho ** q for q in range(k + 1)]
         rows: list = [{} for _ in range(self.dim(k))]
         for i, words in enumerate(orderings):
@@ -369,13 +369,13 @@ class FilteredModule:
     def _y_product(self, word: Word) -> list:
         """y_word . (() (x) e_v) for each v, as int columns: a row of word degree q over
         rho^(len(word) - q); y_((r,) + u) = y_r . y_u, memoised by word."""
-        _, _, memo, ops = self._ys
+        memo = self._y_products
         out = memo.get(word)
         if out is None:
             if not word:
                 out = [{v: 1} for v in range(self.vdim)]
             else:
-                op, out = ops[word[0]], []
+                op, out = self._y_columns[word[0]], []
                 for vec in self._y_product(word[1:]):
                     acc: dict = {}
                     for c, y in vec.items():
@@ -391,33 +391,17 @@ class FilteredModule:
     def _y_column(self, x: int, c: int) -> dict:
         """y_x . (basis vector c) = x . c + sum_b t[b][x] h_b . c, a row of word degree q over
         rho^(m + 1 - q), m the degree of c: the left product is over (D * T)^(m + 1 - q) and the
-        action over the same times Dt, the denominator of t."""
-        ((tn, dt), acts, _, _), deg = self._ys, self._degrees
+        action (the kept ``_columns``) over the same times Dt, the denominator of t."""
+        (tn, dt), deg = h_stable_complement(self.pair), self._degrees
         pos, j = divmod(c, self.vdim)
         m = deg[c]
         lifts = [dt ** e for e in range(m + 2)]
         col = {r: z * lifts[m + 1 - deg[r]] for r, z in self.left_product(x, pos)[j].items()}
-        for t, act in zip(tn, acts):
+        for t, act in zip(tn, self._columns):
             if t[x]:
                 for r, g in act[c].items():
                     col[r] = col.get(r, 0) + t[x] * g * lifts[m - deg[r]]
         return col
-
-    def _degree_columns(self) -> list:
-        """The action of each h-letter as int columns, a column of word degree m holding a row
-        of degree q over (D * T)^(m + 1 - q), as ``_derived_columns`` built them: read back from
-        ``module``, whose one scale is in lowest terms."""
-        deg, scale = self._degrees, self.module.scale
-        dt = _letter_ints(self.pair)[1] * self.coeff.scale
-        lifts = [dt ** e for e in range(self.K + 2)]
-        out = []
-        for rows in self.module.mats:
-            cols: list = [{} for _ in deg]
-            for r, row in enumerate(rows):
-                for c, v in row.items():
-                    cols[c][r] = v * lifts[deg[c] + 1 - deg[r]] // scale
-            out.append(cols)
-        return out
 
 
 def _distinct_permutations(mono: Word) -> list:

@@ -121,14 +121,13 @@ def _record(check, verdict, ok, witness) -> CheckRecord:
 
 def _contained(check: str, run) -> list:
     """``[record]`` of one check, its ``millis`` the time ``run`` took: the
-    only code that reads the clock.  An exception escaping ``run``, other
-    than an input error, is a broken invariant: it becomes a FAIL record
-    whose witness names the exception, so the run still reports and exits 1."""
+    only code that reads the clock.  An exception escaping ``run`` is a
+    broken invariant, since ``run_command`` raises every input error before
+    the first check: it becomes a FAIL record whose witness names the
+    exception, so the run still reports and exits 1."""
     started = time.perf_counter()
     try:
         rec = run()
-    except ProblemError:
-        raise
     except Exception as exc:
         import traceback  # only a failing check pays for its import
 
@@ -150,11 +149,11 @@ def _level2_splits(pair) -> bool:
     return level_splits(build_filtration(pair, "F", 2), 2, reduced=True)
 
 
-def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: str | None) -> None:
-    """Reject, as an input error, a run whose oracle or twisted check would
-    build a section system of more than ORACLE_BUDGET unknowns, or whose
-    dimensions or koszul check would eliminate over more words of g than
-    that.  The sizes come from the closed-form level dimensions; the largest
+def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, modules: tuple) -> None:
+    """Reject, as an input error, a run whose oracle check, or twisted check
+    with one of ``modules``, would build a section system of more than
+    ORACLE_BUDGET unknowns, or whose dimensions or koszul check would
+    eliminate over more words of g than that.  The sizes come from the closed-form level dimensions; the largest
     system of a check is its free-side one at the cap (each level and the
     free side hold at least as many words as the ones below and the
     straightened side).  The dimensions record eliminates over the words
@@ -163,11 +162,10 @@ def _check_oracle_budget(problem: ProblemFile, checks: tuple, degree, module: st
     systems = []  # (check, label, coefficient dimension, reduced)
     if "oracle" in checks:
         systems.append(("oracle", "oracle", 1, True))
-    if "twisted" in checks:
-        for name in (module,) if module is not None else ("n", "trivial"):
-            vdim = problem.module_dim(name)
-            if vdim is not None:  # an unknown name is rejected when the check runs
-                systems.append(("twisted", f"twisted (module {name})", vdim, False))
+    for name in modules:
+        vdim = problem.module_dim(name)
+        if vdim is not None:  # an unknown name is rejected once the pair is built
+            systems.append(("twisted", f"twisted (module {name})", vdim, False))
     for check, label, vdim, reduced in systems:
         K = degree(check)
         sub, quot = level_system_shape(problem.module_dim("n"), "F", K, vdim, reduced)
@@ -375,8 +373,7 @@ def _check_koszul(pf: ProblemFile, pair, K: int) -> CheckRecord:
     return _record("koszul", verdict, ok, witness)
 
 
-def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str) -> CheckRecord:
-    coeff = pf.module(pair, module_name)
+def _check_twisted(pf: ProblemFile, pair, K: int, module_name: str, coeff) -> CheckRecord:
     rep = twisted_verdict(pair, coeff, K)
     witness = {
         "module": module_name,
@@ -420,10 +417,15 @@ def run_command(
         least = _MIN_DEGREE.get(check)
         if least is not None and degree(check) < least:
             raise ProblemError("--max-degree", f"the {check} check needs a degree cap of at least {least}")
-    _check_oracle_budget(problem, checks, degree, module)
+    modules = () if "twisted" not in checks else (module,) if module is not None else ("n", "trivial")
+    _check_oracle_budget(problem, checks, degree, modules)
     # the run's one pair, built before any check so that an embedding error
-    # is an input error; a later run builds its own, with empty caches
+    # is an input error; a later run builds its own, with empty caches.  The
+    # twisted check's modules are built here too, so that a bad --module (an
+    # unknown name, a wrong matrix count, a bracket-law violation) stops the
+    # run before any check does work
     pair = problem.pair()
+    coeffs = {name: problem.module(pair, name) for name in modules}
     records = []
 
     def run(check: str, fn, *args) -> None:
@@ -445,6 +447,6 @@ def run_command(
         elif check == "koszul":
             run("koszul", _check_koszul, degree("koszul"))
         else:
-            for name in (module,) if module is not None else ("n", "trivial"):
-                run("twisted", _check_twisted, degree("twisted"), name)
+            for name, coeff in coeffs.items():
+                run("twisted", _check_twisted, degree("twisted"), name, coeff)
     return Report(problem.name, records)

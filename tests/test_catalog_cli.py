@@ -366,6 +366,31 @@ def test_cli_unknown_command_exits_2():
     assert main(["frobnicate", "--example", "sl2-borel"]) == 2
 
 
+def test_cli_json_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys):
+    # exit 1 would claim an inconsistency: a --json path under a missing
+    # directory, or a directory, is an input error with one line and no report
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["alpha", "--example", "sl2-borel", "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("input error: ")
+    # a run that stops on an input error leaves an existing report as it was
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+    assert main(["alpha", "--example", "nope", "--json", str(out)]) == 2
+    assert main(["all", "--example", "diagonal-sl2", "--module", "foo", "--json", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", "--input", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("input error: --input: not UTF-8 text")
+
+
 def test_cli_all_catalog_exits_0():
     # degree cap 2 keeps this fast; acceptance runs the full-depth version
     for name in sorted(EXPECTED_ENTRIES):
@@ -721,6 +746,34 @@ def test_module_needs_one_matrix_per_h_element():
     doc["modules"] = {"V": {"dim": 1, "action": [[["0"]]]}}
     with pytest.raises(ProblemError):
         run_command("twisted", parse_problem(json.dumps(doc)), max_degree=2, module="V")
+
+
+@pytest.mark.parametrize(
+    "modules,message",
+    [
+        ({}, "modules.V: unknown module name"),
+        ({"V": {"dim": 1, "action": [[["0"]]]}}, "modules.V.action: need one matrix per h basis element, 2"),
+        ({"V": {"dim": 1, "action": [[["1"]], [["0"]]]}}, "modules.V: action violates bracket compatibility at"),
+    ],
+    ids=["unknown", "matrix-count", "bracket-law"],
+)
+def test_a_bad_module_stops_the_run_before_any_check(modules, message, monkeypatch, tmp_path, capsys):
+    # `all` and `twisted` reject the module before the first check runs,
+    # with the message and exit code the twisted check gave
+    from pbwgate import report as report_mod
+
+    called = []
+    for name in dir(report_mod):
+        if name.startswith("_check_") and name != "_check_oracle_budget":
+            monkeypatch.setattr(report_mod, name, lambda *args, name=name: called.append(name))
+    doc = catalog_get("sl2-borel").to_dict()
+    doc["modules"] = modules
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    for command in ("all", "twisted"):
+        assert main([command, "--input", str(path), "--module", "V"]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+    assert called == []
 
 
 def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):

@@ -993,6 +993,33 @@ def test_a_wrong_shaped_candidate_is_left_to_the_solver(monkeypatch):
     assert routes == {"built": 1}
 
 
+def test_the_y_sections_compute_no_left_product_again(monkeypatch):
+    # the derivation rule and the y-sections read one left-product table per
+    # filtration: every (x, pos) asked for, during the build or by a section,
+    # is one result object, computed once
+    real = FilteredModule.left_product
+    results: dict = {}  # (filtration, x, pos) -> {id: result}, keeping both alive
+    calls = Counter()
+
+    def spy(self, x, pos):
+        out = real(self, x, pos)
+        results.setdefault((self, x, pos), {})[id(out)] = out
+        calls[self] += 1
+        return out
+
+    monkeypatch.setattr(FilteredModule, "left_product", spy)
+    pair = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair()
+    for coeff in (None, quotient_module(pair)):
+        for side in "FR":
+            filt = FilteredModule(pair, side, 3, coeff)
+            asked = calls[filt]
+            for k in range(filt.K + 1):
+                for reduced in (False, True) if coeff is None else (False,):
+                    assert filt.y_section(k, reduced) is not None
+            assert calls[filt] > asked, (side, coeff is None)
+    assert all(len(outs) == 1 for outs in results.values())
+
+
 def test_straightened_sections_need_the_symmetrisation(monkeypatch):
     # each monomial sent to the y-product of its sorted letters alone: still a
     # section of the projection, but not equivariant, so the check rejects it
