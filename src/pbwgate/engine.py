@@ -20,8 +20,9 @@ independent section oracle, which knows nothing about cocycles or t-maps;
 its verdicts are asked for through ``oracle_splits``, which decides each
 level address once per pair (``_level_address``, under which levels equal
 entry for entry share an address) and builds a level sequence only for an
-address not yet decided: split in place, by a section built from an
-h-stable complement and checked exactly, or by solving for one.
+address not yet decided.  The oracle puts three candidate sections through
+one exact check: the zero block, one built from an h-stable complement (itself
+the oracle's solve of 0 -> h -> g -> n -> 0), and the section system's solution.
 """
 
 from __future__ import annotations
@@ -413,30 +414,26 @@ def h_stable_complement(pair: InclusionPair) -> tuple | None:
     """(t, Dt) such that the y_r = x_r + sum_b (t[b][r] / Dt) h_b span an h-stable complement
     of h in g, or None when there is none; solved once per pair.
 
-    [h_a, y_r] lies in span(y) exactly when its h-part is that of the y-combination with its
-    n-part, so with [u, v] = ints[u][v] / D over the letters, for each a, r and c:
-    sum_b ints[a][b][c] t[b][r] - sum_(s < dim n) ints[a][r][s] t[c][s] = -ints[a][r][c],
-    the h-letters a, b, c read as dim n + a and so on: dim h * dim n unknowns t[b][r].
+    The y_r span one exactly when [t; 1] is an equivariant section of 0 -> h -> g -> n -> 0, g
+    the h-module by the bracket with letter l at position (l - dim n) mod dim g (h-letters first)
+    and n ``quotient_module(pair)``: the sequence is validated (a wrong block raises ValueError)
+    and t is the free-variables-zero solution of its ``_section_rows``, the oracle's system.
     """
     cache = pair._caches
     if "h_stable_complement" not in cache:
-        ints, dn, dh = _letter_ints(pair)[0], pair.dim_n, pair.dim_h
-        bcol = dh * dn
-        rows = []
-        for a in range(dh):
-            act = ints[dn + a]
-            for r in range(dn):
-                for c in range(dh):
-                    row: dict = {}
-                    for b in range(dh):
-                        _add_term(row, b * dn + r, act[dn + b].get(dn + c, 0))
-                    for s, v in act[r].items():
-                        if s < dn:
-                            _add_term(row, c * dn + s, -v)
-                    if act[r].get(dn + c):
-                        row[bcol] = -act[r][dn + c]
-                    rows.append(row)
-        sol = solve(rows, bcol)
+        (ints, D), dn, dh, dg = _letter_ints(pair), pair.dim_n, pair.dim_h, pair.g.dim
+        mats = [[{} for _ in range(dg)] for _ in range(dh)]
+        for a, rows in enumerate(mats):
+            # column p is [h_a, letter (p + dim n) mod dim g]
+            for p in range(dg):
+                for l, v in ints[dn + a][(p + dn) % dg].items():
+                    rows[(l - dn) % dg][p] = v
+        sub = [[{c: v for c, v in row.items() if c < dh} for row in rows[:dh]] for rows in mats]
+        seq = ShortExactSequence(
+            LieModule.from_ints(pair.h, dh, sub, D), LieModule.from_ints(pair.h, dg, mats, D), quotient_module(pair)
+        )
+        seq.validate()
+        sol = solve(_section_rows(seq), dh * dn)
         if sol is None:
             cache["h_stable_complement"] = None
         else:
@@ -468,7 +465,8 @@ def build_filtration(
 class ShortExactSequence(Record):
     """0 -> sub -> mid -> quot -> 0 in block form: ``sub`` spans the first
     coordinates of ``mid`` and ``quot`` is the rest, so each action of
-    ``mid`` is [[act_sub(a), D_a], [0, act_quot(a)]]."""
+    ``mid`` is [[act_sub(a), D_a], [0, act_quot(a)]].  Once ``validate`` holds,
+    [t; 1] is an equivariant section exactly when act_sub(a) t - t act_quot(a) = -D_a."""
 
     sub: LieModule
     mid: LieModule
@@ -501,12 +499,6 @@ class ShortExactSequence(Record):
                     if sq * v != sm * q.get(c - nsub, 0):
                         raise ValueError("projection is not equivariant")
 
-    def split_in_place(self) -> bool:
-        """Whether every top-right block D_a of ``mid`` is zero, so that the
-        block form is already a direct sum and s = [0; 1] is a section."""
-        nsub = self.sub.dim
-        return not any(c >= nsub for act in self.mid.mats for r in act[:nsub] for c in r)
-
 
 def level_sequence(filt: FilteredModule, k: int, reduced: bool = False) -> ShortExactSequence:
     """0 -> F^{k-1} -> F^k -> gr_k -> 0 (tilde version when ``reduced``)."""
@@ -523,9 +515,30 @@ def level_system_shape(dn: int, side: str, k: int, vdim: int = 1, reduced: bool 
     return dims[k - 1] - reduced, dims[k] - dims[k - 1]
 
 
-# section_oracle calls by the route that decided them: "split in place",
-# "built" (a candidate section the check accepted) or "solved"
+# section_oracle calls by the candidate the check kept: "split in place" (the
+# zero block), "built" or "solved", which also counts a call that finds none
 ORACLE_ROUTES: Counter = Counter()
+
+
+def _section_rows(seq: ShortExactSequence):
+    """The rows (a, i, j) of act_sub(a) t - t act_quot(a) = -D_a for the top block t of a
+    section [t; 1] of a validated ``seq``, times the common scale of its three int forms:
+    t[i][j] is column i * quot.dim + j, and the right-hand side column sub.dim * quot.dim."""
+    nsub, nquot = seq.sub.dim, seq.quot.dim
+    bcol = nsub * nquot
+    _, (fs, fq, fm) = _common_scale(seq.sub.scale, seq.quot.scale, seq.mid.scale)
+    for a in range(seq.sub.algebra.dim):
+        act_s, act_q_cols = seq.sub.mats[a], _columns(seq.quot.mats[a], nquot)
+        for i in range(nsub):
+            arow, drow = act_s[i], seq.mid.mats[a][i]
+            for j in range(nquot):
+                row = {k2 * nquot + j: fs * v for k2, v in arow.items()}
+                for k2, v in act_q_cols[j].items():
+                    _add_term(row, i * nquot + k2, -fq * v)
+                rhs = drow.get(nsub + j)
+                if rhs:
+                    row[bcol] = -fm * rhs
+                yield row
 
 
 def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
@@ -533,72 +546,53 @@ def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
 
     Decides "s is equivariant and project . s = id" with no reference to
     cocycles or extension data; this is the independent ground truth for
-    every splitting verdict, reached by one of three routes, each ending in
-    the exact check ``ModuleMap(quot, mid, s).is_equivariant()``:
+    every splitting verdict.  Three candidates, each int rows of mid over a
+    scale, go in order through one exact check (one row per basis vector of
+    mid, the identity as bottom block, ``ModuleMap(quot, mid, s).is_equivariant()``),
+    and the first to pass is kept, its rows taken over as the returned Matrix's
+    in Fractions; ``ORACLE_ROUTES`` counts its route:
 
-    * split in place: every top-right block D_a of mid.action[a] is zero
-      (``split_in_place``) and s = [0; 1], with no system built;
-    * built: ``build``, when given, returns a candidate section as (int rows
-      of mid, scale), or None (``FilteredModule.y_section``); it is kept when
-      it has one row per basis vector of mid, its bottom block is the
-      identity and the check accepts it;
-    * solved: s is the block column [t; 1], so project . s = id by
-      construction, and s is equivariant exactly when
-      act_sub(a) t - t act_quot(a) = -D_a; t is its free-variables-zero
-      solution, and None means the sequence does not split.
-
-    ``ORACLE_ROUTES`` counts the route of each call.
+    * split in place: the zero block [0; 1], which passes exactly when every D_a is zero;
+    * built: ``build()``, when given and not None (``FilteredModule.y_section``);
+    * solved: [t; 1], t the free-variables-zero solution of ``_section_rows``;
+      no solution means no split, and a solution that fails raises AssertionError.
     """
     seq.validate()
-    nsub, nquot = seq.sub.dim, seq.quot.dim
-    bcol = nsub * nquot
-    # every row times the common scale of the three int forms
-    _, (fs, fq, fm) = _common_scale(seq.sub.scale, seq.quot.scale, seq.mid.scale)
+    nsub, nquot, nmid = seq.sub.dim, seq.quot.dim, seq.mid.dim
 
-    def rows():
-        for a in range(seq.sub.algebra.dim):
-            act_s, act_q_cols = seq.sub.mats[a], _columns(seq.quot.mats[a], nquot)
-            for i in range(nsub):
-                arow, drow = act_s[i], seq.mid.mats[a][i]
-                for j in range(nquot):
-                    row = {k2 * nquot + j: fs * v for k2, v in arow.items()}
-                    for k2, v in act_q_cols[j].items():
-                        c = i * nquot + k2
-                        w = row.get(c, 0) - fq * v
-                        if w:
-                            row[c] = w
-                        else:
-                            row.pop(c, None)
-                    rhs = drow.get(nsub + j)
-                    if rhs:
-                        row[bcol] = -fm * rhs
-                    yield row
+    def block(t: dict, scale: int) -> tuple:
+        """s = [t; 1] as int rows of mid over scale, t[i * nquot + j] its entry (i, j)."""
+        rows = [{} for _ in range(nsub)] + [{j: scale} for j in range(nquot)]
+        for c, v in t.items():
+            rows[c // nquot][c % nquot] = v
+        return rows, scale
 
-    if seq.split_in_place():
-        # no right-hand side: the free-variables-zero solution is t = 0
-        ORACLE_ROUTES["split in place"] += 1
-        sol = {}
-    else:
-        candidate = build() if build is not None else None
-        if candidate is not None and len(candidate[0]) == seq.mid.dim:
-            s, scale = Matrix(seq.mid.dim, nquot, candidate[0]), candidate[1]
-            is_section = all(s.data[nsub + j] == {j: scale} for j in range(nquot))
-            if is_section and ModuleMap(seq.quot, seq.mid, s).is_equivariant():
-                ORACLE_ROUTES["built"] += 1
-                s.data = [{c: Q(v, scale) for c, v in row.items()} for row in s.data]
-                return s
+    def candidates():
+        yield "split in place", block({}, 1)
+        yield "built", build() if build is not None else None
         # a toral element's rows hold one unknown and the right-hand side, so
         # solve, shortest rows first, fixes those unknowns before the longer rows
-        ORACLE_ROUTES["solved"] += 1
-        sol = solve(rows(), bcol)
-        if sol is None:
-            return None
-    s = Matrix(seq.mid.dim, nquot, [{} for _ in range(nsub)] + Matrix.identity(nquot).data)
-    for c, v in sol.items():
-        s.data[c // nquot][c % nquot] = v
-    if not ModuleMap(seq.quot, seq.mid, s).is_equivariant():
+        sol = solve(_section_rows(seq), nsub * nquot)
+        if sol is not None:
+            (t,), scale = _int_rows([sol])
+            yield "solved", block(t, scale)
+
+    for route, candidate in candidates():
+        if candidate is None or len(candidate[0]) != nmid:
+            continue
+        rows, scale = candidate
+        s = Matrix(nmid, nquot, rows)
+        is_section = all(rows[nsub + j] == {j: scale} for j in range(nquot))
+        if is_section and ModuleMap(seq.quot, seq.mid, s).is_equivariant():
+            ORACLE_ROUTES[route] += 1
+            for row in rows:
+                for c, v in row.items():
+                    row[c] = Q(v, scale) if scale > 1 else Q(v)
+            return s
+    ORACLE_ROUTES["solved"] += 1
+    if route == "solved":
         raise AssertionError("oracle produced a non-equivariant section")
-    return s
+    return None
 
 
 def oracle_splits(pair: InclusionPair, address: tuple, sequence, build=None) -> bool:

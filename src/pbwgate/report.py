@@ -403,6 +403,8 @@ def run_command(
         raise ProblemError("command", f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     if command == "twisted" and module is None:
         raise ProblemError("command", "the twisted check needs --module NAME")
+    if command not in ("twisted", "all") and module is not None:
+        raise ProblemError("--module", f"only the twisted and all commands take a module, not {command}")
 
     def degree(check: str) -> int:
         return max_degree if max_degree is not None else _DEFAULT_DEGREE[check]

@@ -793,6 +793,36 @@ def sl2_degenerate_document(indices) -> dict:
     return doc
 
 
+def reference_h_stable_complement(pair):
+    """(t, Dt) of ``engine.h_stable_complement`` from its equations written out
+    over the letter table, or None: [h_a, y_r] lies in span(y) exactly when its
+    h-part is that of the y-combination with its n-part, so with
+    [u, v] = ints[u][v] / D over the letters, for each a, r and c:
+    sum_b ints[a][b][c] t[b][r] - sum_(s < dim n) ints[a][r][s] t[c][s] = -ints[a][r][c],
+    the h-letters a, b, c read as dim n + a and so on: dim h * dim n unknowns t[b][r]."""
+    ints, dn, dh = _letter_ints(pair)[0], pair.dim_n, pair.dim_h
+    bcol = dh * dn
+    rows = []
+    for a in range(dh):
+        act = ints[dn + a]
+        for r in range(dn):
+            for c in range(dh):
+                row: dict = {}
+                for b in range(dh):
+                    _add_term(row, b * dn + r, act[dn + b].get(dn + c, 0))
+                for s, v in act[r].items():
+                    if s < dn:
+                        _add_term(row, c * dn + s, -v)
+                if act[r].get(dn + c):
+                    row[bcol] = -act[r][dn + c]
+                rows.append(row)
+    sol = solve(rows, bcol)
+    if sol is None:
+        return None
+    (t,), dt = _int_rows([sol])
+    return [[t.get(b * dn + r, 0) for r in range(dn)] for b in range(dh)], dt
+
+
 def reference_dimension_ranks(pair, side: str, K: int) -> list:
     """The rank codimensions of ``dimension_identity_check`` by elimination
     over every word of degree <= K in all of g: the core placements

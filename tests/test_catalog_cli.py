@@ -776,6 +776,27 @@ def test_a_bad_module_stops_the_run_before_any_check(modules, message, monkeypat
     assert called == []
 
 
+@pytest.mark.parametrize("command", ["validate", "alpha", "extend", "split", "oracle", "koszul"])
+def test_a_module_given_to_a_command_without_a_twisted_check_is_an_input_error(command, monkeypatch, capsys):
+    # --module only chooses the twisted check's coefficients: any other
+    # command stops on it, before the pair is built or a check runs
+    from pbwgate import report as report_mod
+
+    called = []
+    for name in dir(report_mod):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(report_mod, name, lambda *args, name=name: called.append(name))
+    pf = catalog_get("sl2-borel")
+    monkeypatch.setattr(ProblemFile, "pair", lambda self: called.append("pair"))
+    message = f"--module: only the twisted and all commands take a module, not {command}"
+    with pytest.raises(ProblemError) as err:
+        run_command(command, pf, module="n")
+    assert str(err.value) == message
+    assert main([command, "--example", "sl2-borel", "--module", "n"]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    assert called == []
+
+
 def test_dimensions_record_fails_on_a_missing_normal_form(monkeypatch):
     # the normal-form counts are the built filtration's basis words, so a
     # filtration missing its last word must turn the record to FAIL
@@ -1117,17 +1138,32 @@ def test_oracle_record_fails_when_a_consistent_system_reports_no_solution(monkey
     assert rep.exit_code == 1
 
 
-def test_oracle_record_fails_when_a_sequence_is_wrongly_taken_as_split_in_place(monkeypatch):
+def test_the_exact_check_decides_the_zero_block(monkeypatch):
     # the top-right blocks D_a of sl2-borel's level sequences are non-zero, so
-    # the section s = [0; 1] of a faulted predicate is not equivariant
+    # the exact check rejects the zero block [0; 1] of every reduced level, and
+    # the solver finds no section.  With the check faulted to accept anything,
+    # the zero block is kept and every level is taken as split: the level
+    # verdicts disagree with the non-trivial class, a FAIL record
     from pbwgate import engine as engine_mod
 
-    monkeypatch.setattr(engine_mod.ShortExactSequence, "split_in_place", lambda seq: True)
+    routes = Counter()
+    monkeypatch.setattr(engine_mod, "ORACLE_ROUTES", routes)
+    pair = catalog_get("sl2-borel").pair()
+    for side in "FR":
+        filt = engine_mod.build_filtration(pair, side, 4)
+        for k in (2, 3, 4):
+            assert engine_mod.section_oracle(engine_mod.level_sequence(filt, k, reduced=True)) is None
+    assert routes == {"solved": 6}
+    routes.clear()
+    monkeypatch.setattr(engine_mod.ModuleMap, "is_equivariant", lambda self: True)
     rep = run_command("oracle", catalog_get("sl2-borel"))
     oracle = next(r for r in rep.records if r.check == "oracle")
     assert not oracle.ok
-    assert oracle.witness["exception"] == "AssertionError"
-    assert oracle.witness["message"] == "oracle produced a non-equivariant section"
+    assert "exception" not in oracle.witness
+    assert oracle.witness["alpha_trivial"] is False
+    assert oracle.witness["free_side_levels"] == {"2": True, "3": True, "4": True}
+    assert "DISAGREE" in oracle.verdict
+    assert routes["split in place"] > 0 and "solved" not in routes
     assert rep.exit_code == 1
 
 
@@ -1199,6 +1235,50 @@ def test_every_conjugated_level_sequence_is_built_after_one_complement_solve(mon
     assert {level for level, _ in calls} >= {("F", 2), ("F", 3), ("R", 2), ("R", 3)}
     assert [solves for _, solves in calls] == [1] + [0] * (len(calls) - 1)
     assert engine_mod.ORACLE_ROUTES == {"built": len(calls)}
+
+
+def _changed_quotient(n: LieModule) -> LieModule:
+    # one more unit in the first entry of the first action
+    mats = [[dict(r) for r in m] for m in n.mats]
+    mats[0][0][0] = mats[0][0].get(0, 0) + n.scale
+    return LieModule.from_ints(n.algebra, n.dim, mats, n.scale)
+
+
+def test_a_wrong_block_of_the_complement_sequence_fails_its_validation(monkeypatch, tmp_path):
+    # the complement solves 0 -> h -> g -> n -> 0 only once the block form
+    # holds: with one entry of the cached quotient module changed, the bottom
+    # block of g is not n, and validate raises before any solve.  Under
+    # `oracle` the complement is first needed by the level-two section built
+    # from it; with the quotient changed there alone, the raise is a FAIL
+    # record of the oracle check, exit 1, not a traceback or an input error
+    from pbwgate import engine as engine_mod
+
+    pair = parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair()
+    pair._caches["quotient_module"] = _changed_quotient(quotient_module(pair))
+    with pytest.raises(ValueError, match="^projection is not equivariant$"):
+        engine_mod.h_stable_complement(pair)
+
+    real_complement, real_quotient = engine_mod.h_stable_complement, engine_mod.quotient_module
+    raised = []
+
+    def complement(pair):
+        with monkeypatch.context() as m:
+            m.setattr(engine_mod, "quotient_module", lambda pair: _changed_quotient(real_quotient(pair)))
+            try:
+                return real_complement(pair)
+            except ValueError as exc:
+                raised.append(str(exc))
+                raise
+
+    monkeypatch.setattr(engine_mod, "h_stable_complement", complement)
+    out = tmp_path / "report.json"
+    assert main(["oracle", "--input", str(CONJUGATED_DIAGONAL_SL2), "--max-degree", "2", "--json", str(out)]) == 1
+    oracle = json.loads(out.read_text())["records"][0]
+    assert oracle["check"] == "oracle" and not oracle["ok"]
+    assert oracle["witness"]["exception"] == "ValueError"
+    assert oracle["witness"]["message"] == "projection is not equivariant"
+    assert oracle["witness"]["raised_at"] == "validate (engine.py)"
+    assert raised and set(raised) == {"projection is not equivariant"}
 
 
 def test_oracle_record_fails_on_a_correction_missing_an_entry(monkeypatch):

@@ -53,6 +53,7 @@ from conftest import (
     mat_sub,
     matmul,
     reference_dimension_ranks,
+    reference_h_stable_complement,
     reference_pbw_splitting_I,
     sl2,
     straighten_g,
@@ -938,6 +939,20 @@ def test_built_sections_agree_with_the_solver(case, monkeypatch):
                     assert built_route == "split in place"
                 else:
                     assert built_route == ("built" if has_complement else "solved"), (side, k, reduced)
+
+
+@pytest.mark.parametrize(
+    "case",
+    BUILT_CASES + ["diagonal-sl2~7", "diagonal-heisenberg~3", "semidirect-split~5", "abelian-inclusion~2", "sl2-borel~4"],
+)
+def test_the_complement_is_the_section_solve_of_h_in_g(case):
+    # the section system of 0 -> h -> g -> n -> 0 against the complement's
+    # equations written out over the letter table: the same (t, Dt) where a
+    # complement exists, and None where none does
+    pair = _any_pair(case)
+    expected = reference_h_stable_complement(pair)
+    assert h_stable_complement(pair) == expected
+    assert (expected is None) == (case in NO_COMPLEMENT or case == "sl2-borel~4")
 
 
 def test_a_changed_complement_entry_fails_the_check_and_the_solver_decides(monkeypatch):

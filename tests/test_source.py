@@ -151,7 +151,7 @@ def test_solution_read_detector():
     # the oracle's former direct read, put back into the real engine, is caught
     engine = _package_sources()["engine"]
     assert _solution_reads(engine) == []
-    assert _solution_reads(engine.replace("sol = solve(rows(), bcol)", "sol = ech.solution()")) != []
+    assert _solution_reads(engine.replace("sol = solve(_section_rows(seq), nsub * nquot)", "sol = ech.solution()")) != []
 
 
 def test_only_linalg_solve_reads_an_echelon_solution():
