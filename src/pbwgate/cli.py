@@ -11,6 +11,7 @@ Exit status: 0 all requested checks consistent, 1 inconsistency found,
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .catalog import catalog_get, catalog_list
@@ -69,7 +70,13 @@ def main(argv=None) -> int:
     except (ProblemError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(report.human())
+    try:
+        print(report.human())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): the report's exit code
+        # stands, and stdout goes to devnull so the flush at shutdown cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

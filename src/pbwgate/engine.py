@@ -541,16 +541,16 @@ def _section_rows(seq: ShortExactSequence):
                 yield row
 
 
-def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
+def section_oracle(seq: ShortExactSequence, build=None) -> ModuleMap | None:
     """An equivariant section of the projection onto ``quot``, or None.
 
     Decides "s is equivariant and project . s = id" with no reference to
     cocycles or extension data; this is the independent ground truth for
     every splitting verdict.  Three candidates, each int rows of mid over a
     scale, go in order through one exact check (one row per basis vector of
-    mid, the identity as bottom block, ``ModuleMap(quot, mid, s).is_equivariant()``),
-    and the first to pass is kept, its rows taken over as the returned Matrix's
-    in Fractions; ``ORACLE_ROUTES`` counts its route:
+    mid, the identity as bottom block, ``ModuleMap.from_ints(quot, mid, rows,
+    scale).is_equivariant()``), and the first to pass is returned as the map
+    that was checked, its rows the candidate's own; ``ORACLE_ROUTES`` counts its route:
 
     * split in place: the zero block [0; 1], which passes exactly when every D_a is zero;
     * built: ``build()``, when given and not None (``FilteredModule.y_section``);
@@ -581,13 +581,10 @@ def section_oracle(seq: ShortExactSequence, build=None) -> Matrix | None:
         if candidate is None or len(candidate[0]) != nmid:
             continue
         rows, scale = candidate
-        s = Matrix(nmid, nquot, rows)
+        s = ModuleMap.from_ints(seq.quot, seq.mid, rows, scale)
         is_section = all(rows[nsub + j] == {j: scale} for j in range(nquot))
-        if is_section and ModuleMap(seq.quot, seq.mid, s).is_equivariant():
+        if is_section and s.is_equivariant():
             ORACLE_ROUTES[route] += 1
-            for row in rows:
-                for c, v in row.items():
-                    row[c] = Q(v, scale) if scale > 1 else Q(v)
             return s
     ORACLE_ROUTES["solved"] += 1
     if route == "solved":
@@ -743,8 +740,9 @@ def pbw_splitting_I(pair: InclusionPair, rho: ExtensionDatum | None, K: int) -> 
     map of Laurent-Gengoux, Stienon and Xu) I(1) = 1, I(x_1...x_k) = (1/k) sum_j
     [x_j . I(rest_j) - I(nabla_{x_j} rest_j)]: x . m straightens the word (x,) + m, and
     nabla = rho is a derivation (``_nabla``).  It equals ``splitting_s`` symmetrized and straightened.
-    In ints, degree k holds S_k I with S_k = k S_{k-1} D^k T (D, T the letter and datum scales),
-    and the checks, homogeneous in the matrix, read S_k I_k."""
+    In ints, degree k holds S_k I with S_k = k S_{k-1} D^k T (D, T the letter and datum scales):
+    I_k is returned as the int-form map S_k I_k over S_k that was checked, and its Fractions
+    are made only when its ``matrix`` is read."""
     rho = _resolve_rho(pair, rho)
     r_filt = build_filtration(pair, "R", K)
     (mats, T), D = rho.int_rho, _letter_ints(pair)[1]
@@ -775,12 +773,12 @@ def pbw_splitting_I(pair: InclusionPair, rho: ExtensionDatum | None, K: int) -> 
         for col, mono in enumerate(monos):
             for w, c in images[mono].items():
                 rows[r_filt.word_index[w]][col] = c
-        if not ModuleMap(source, level, Matrix(level.dim, source.dim, rows)).is_equivariant():
+        out = ModuleMap.from_ints(source, level, rows, scale)
+        if not out.is_equivariant():
             raise AssertionError(f"I_{k} is not equivariant")
         if any(rows[r_filt.dim(k - 1) + i] != {i: scale} for i in range(source.dim)):
             raise AssertionError(f"I_{k} is not a section")
-        fractions = [{c: Q(v, scale) for c, v in r.items()} for r in rows]
-        maps.append(ModuleMap(source, level, Matrix(level.dim, source.dim, fractions)))
+        maps.append(out)
     return maps
 
 

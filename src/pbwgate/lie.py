@@ -171,22 +171,39 @@ class LieModule:
         return f"LieModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
 
-class ModuleMap(Record):
-    """Linear map between modules over the same acting algebra."""
+class ModuleMap:
+    """Linear map between modules over the same acting algebra, held once as
+    its int form: M = rows / scale, one int row per basis vector of the target."""
 
-    source: LieModule
-    target: LieModule
-    matrix: Matrix
+    def __init__(self, source: LieModule, target: LieModule, matrix: Matrix):
+        """The map given by ``matrix`` (target.dim x source.dim), cleared once."""
+        if matrix.rows != target.dim or matrix.cols != source.dim:
+            raise ValueError("shape mismatch in product")
+        self.source, self.target = source, target
+        self.rows, self.scale = _int_rows(matrix.data)
+
+    @classmethod
+    def from_ints(cls, source: LieModule, target: LieModule, rows: list, scale: int) -> "ModuleMap":
+        """The map rows / scale, its target.dim int rows taken as they are (not copied)."""
+        out = cls.__new__(cls)
+        out.source, out.target, out.rows, out.scale = source, target, rows, scale
+        return out
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The map in Fractions, derived from the int form on first read."""
+        s = self.scale
+        return Matrix(self.target.dim, self.source.dim, [{c: Q(v, s) for c, v in r.items()} for r in self.rows])
 
     def is_equivariant(self) -> bool:
         """Whether M A_i = B_i M for every i, A and B the source and target
-        actions: in ints, s_B (M R_A) = s_A (R_B M) for A_i = R_A / s_A, B_i = R_B / s_B."""
-        m = self.matrix
-        if m.rows != self.target.dim or m.cols != self.source.dim:
-            raise ValueError("shape mismatch in product")
-        mi, _ = _int_rows(m.data)
-        sa, sb = self.source.scale, self.target.scale
-        return all(_products_cancel(m.rows, [(sb, mi, a), (-sa, b, mi)]) for a, b in zip(self.source.mats, self.target.mats))
+        actions: in ints, s_B (R_M R_A) = s_A (R_B R_M) for M = R_M / s_M,
+        A_i = R_A / s_A, B_i = R_B / s_B (s_M cancels), streamed over the stored rows."""
+        m, sa, sb = self.rows, self.source.scale, self.target.scale
+        return all(_products_cancel(self.target.dim, [(sb, m, a), (-sa, b, m)]) for a, b in zip(self.source.mats, self.target.mats))
+
+    def __repr__(self) -> str:
+        return f"ModuleMap({self.target.dim}x{self.source.dim} over scale {self.scale})"
 
 
 def int_matrices(mats: Sequence[Matrix]) -> tuple:

@@ -58,7 +58,7 @@ _ZERO = Q(0)  # the absent entry, shared
 
 
 class Matrix:
-    """Immutable-by-convention sparse matrix over the rationals (or ints, in the checks of the I_k)."""
+    """Immutable-by-convention sparse matrix over the rationals."""
 
     __slots__ = ("rows", "cols", "data")
 

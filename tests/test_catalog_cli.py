@@ -1,14 +1,18 @@
 import copy
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import pbwgate
 from pbwgate.catalog import catalog_get, catalog_list
 from pbwgate.cohomology import PushoutData, find_extension
 from pbwgate.lie import LieModule, quotient_module
@@ -381,6 +385,45 @@ def test_cli_json_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys)
     assert main(["alpha", "--example", "nope", "--json", str(out)]) == 2
     assert main(["all", "--example", "diagonal-sl2", "--module", "foo", "--json", str(out)]) == 2
     assert out.read_text() == "kept\n"
+
+
+def _with_stdout_closed(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter whose stdout is a pipe with no reader."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(pbwgate.__file__).parents[1]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code], stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+
+
+def test_cli_report_into_a_closed_pipe_keeps_its_exit_code(tmp_path):
+    # `pbwgate ... | head -0`: a reader that goes away is no inconsistency, so
+    # the exit code is the report's, with no traceback, and --json is written
+    out = tmp_path / "report.json"
+    argv = ["validate", "--example", "diagonal-sl2", "--json", str(out)]
+    run = _with_stdout_closed(f"import sys\nfrom pbwgate.cli import main\nsys.exit(main({argv!r}))\n")
+    assert "Traceback" not in run.stderr
+    assert run.returncode == main(argv) == 0
+    assert json.loads(out.read_text())["ok"] is True
+    # an inconsistent report keeps its exit code 1 (the falsified harness of
+    # test_exit_code_contract_inconsistency)
+    inconsistent = """import sys
+from pbwgate import report
+from pbwgate.cli import main
+
+class FakeRep:
+    alpha_trivial, f_levels, r_levels, ok = True, {2: False}, {2: True}, False
+
+report.equivalence_harness = lambda pair, K: FakeRep()
+sys.exit(main(["oracle", "--example", "sl2-borel", "--max-degree", "2"]))
+"""
+    run = _with_stdout_closed(inconsistent)
+    assert "Traceback" not in run.stderr
+    assert run.returncode == 1
 
 
 def test_cli_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys):

@@ -734,7 +734,7 @@ def test_oracle_split_direct_sum(diag_sl2):
     s = section_oracle(seq)
     assert s is not None
     # the projection onto the last coordinates takes s to the identity
-    assert s.take(range(seq.sub.dim, seq.mid.dim), range(seq.quot.dim)) == Matrix.identity(seq.quot.dim)
+    assert s.matrix.take(range(seq.sub.dim, seq.mid.dim), range(seq.quot.dim)) == Matrix.identity(seq.quot.dim)
 
 
 def test_oracle_borel_f2_none(sl2_borel):
@@ -872,6 +872,7 @@ def test_oracle_matches_full_rref_reference(name, seed):
         for k in (2, 3):
             seq = level_sequence(filt, k, reduced=True)
             got = section_oracle(seq)
+            got = got and got.matrix
             assert got == _reference_oracle(seq), (side, k)
             assert (got is None) == (not class_trivial), (side, k)
             for module in (seq.sub, seq.quot):
@@ -998,14 +999,66 @@ def test_a_wrong_shaped_candidate_is_left_to_the_solver(monkeypatch):
     filt = build_filtration(parse_problem(CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")).pair(), "F", 2)
     seq = level_sequence(filt, 2, reduced=True)
     rows, scale = filt.y_section(2, reduced=True)
-    expected = section_oracle(seq)
+    expected = section_oracle(seq).matrix
     for candidate in (rows[1:], rows + [{}]):
         routes.clear()
-        assert section_oracle(seq, lambda: (candidate, scale)) == expected
+        assert section_oracle(seq, lambda: (candidate, scale)).matrix == expected
         assert routes == {"solved": 1}
     routes.clear()
     assert section_oracle(seq, lambda: (rows, scale)) is not None
     assert routes == {"built": 1}
+
+
+def test_the_oracle_returns_the_map_it_checked_and_makes_no_fraction(monkeypatch):
+    # the kept candidate is returned as the int-form map the check read, its
+    # rows the built list itself, and no verdict makes a Fraction in the engine
+    from pbwgate import engine as engine_mod
+
+    text = CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")
+    filt = build_filtration(parse_problem(text).pair(), "F", 2)
+    seq = level_sequence(filt, 2, reduced=True)
+    rows, scale = filt.y_section(2, reduced=True)
+    kept = section_oracle(seq, lambda: (rows, scale))
+    assert kept.rows is rows and kept.scale == scale
+
+    def no_fraction(*args):
+        raise AssertionError("the oracle made a Fraction")
+
+    monkeypatch.setattr(engine_mod, "Q", no_fraction)
+    pair = parse_problem(text).pair()
+    assert engine_mod._level_verdicts(pair, 3) == ({2: True, 3: True}, {2: True, 3: True})
+    report = twisted_verdict(pair, quotient_module(pair), 2)
+    assert (report.alpha_trivial, report.alpha_v_trivial) == (True, True)
+    assert (report.f_levels, report.r_levels) == ({1: True, 2: True}, {1: True, 2: True})
+
+
+def test_the_I_k_and_the_check_copy_nothing(monkeypatch):
+    # each I_k returned is the very map the exact check accepted, and once the
+    # pair and its filtrations are built no level verdict clears a matrix again
+    from pbwgate import engine as engine_mod, lie as lie_mod
+
+    checked: dict = {}  # id -> map, keeping each checked map alive
+    real = ModuleMap.is_equivariant
+
+    def spy(self):
+        checked[id(self)] = self
+        return real(self)
+
+    monkeypatch.setattr(ModuleMap, "is_equivariant", spy)
+    text = CONJUGATED_DIAGONAL_SL2.read_text(encoding="utf-8")
+    maps = pbw_splitting_I(parse_problem(text).pair(), None, 3)
+    assert len(maps) == 4 and all(checked.get(id(m)) is m for m in maps)
+
+    def no_clearing(*args):
+        raise AssertionError("a matrix was cleared again")
+
+    pair = parse_problem(text).pair()
+    for side in "FR":
+        build_filtration(pair, side, 3)
+    monkeypatch.setattr(lie_mod, "_int_rows", no_clearing)
+    checked.clear()
+    assert engine_mod._level_verdicts(pair, 3) == ({2: True, 3: True}, {2: True, 3: True})
+    assert checked
 
 
 def test_the_y_sections_compute_no_left_product_again(monkeypatch):
